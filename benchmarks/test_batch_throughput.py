@@ -1,35 +1,25 @@
-"""Rep-batched execution benchmarks: one arena for R replicates.
+"""Rep-batched execution benchmark: one arena for R replicates.
 
-The mirrored pair measures the figure-mirror regime -- R independent
-replicate instances of one Figure-2-style cell (Bing distribution,
-qps=1000, 500 jobs, m=16, steal-16-first with sigma=64), evaluated the
-two ways the sweep layer can dispatch them:
-
-* ``test_flat_engine_multi_rep`` -- R serial ``engine="flat"`` calls,
-  one per replicate (the pre-ISSUE-10 per-rep task path);
-* ``test_batch_engine_multi_rep`` -- one
-  :func:`repro.sim.batch_engine.run_batch` call over the same R
-  instances with the same seeds (bit-identical per rep; the batch
-  suite pins that).
-
-``tools/bench_report.py`` turns the pair into the ``batch_vs_flat``
-derived ratio; ``bench_gate.py --min-derived batch_vs_flat:1.5``
-enforces the ISSUE-10 floor in CI.  ``REPRO_BENCH_BATCH_REPS``
-overrides the replicate count (default 8).
+Measures the figure-mirror regime -- R independent replicate instances
+of one Figure-2-style cell (Bing distribution, qps=1000, 500 jobs,
+m=16, steal-16-first with sigma=64) evaluated in one
+:func:`repro.sim.batch_engine.run_batch` call, the way the sweep layer
+dispatches a fused cell (bit-identical per rep to the reference engine;
+the oracle suites pin that).  ``REPRO_BENCH_BATCH_REPS`` overrides the
+replicate count (default 8).
 """
 
 import os
 
 import pytest
 
-from repro.sim.flat_engine import _run_flat
 from repro.sim.batch_engine import run_batch
 from repro.sim.rng import derive_seed
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 
 #: Replicates per batch -- the multi-rep regime the sweep layer batches
-#: (>= the default REPRO_BATCH floor of 4).
+#: (>= its rep floor of 4).
 REPS = max(2, int(os.environ.get("REPRO_BENCH_BATCH_REPS", "8")))
 
 
@@ -48,23 +38,6 @@ def rep_seeds():
 
 def _total_work(flats):
     return sum(int(f.node_works.sum()) for f in flats)
-
-
-def test_flat_engine_multi_rep(benchmark, rep_flats, rep_seeds):
-    def serial():
-        return [
-            _run_flat(
-                rep_flats[r],
-                m=16,
-                k=16,
-                steals_per_tick=64,
-                seed=rep_seeds[r],
-            )
-            for r in range(REPS)
-        ]
-
-    results = benchmark(serial)
-    assert sum(r.stats.busy_steps for r in results) == _total_work(rep_flats)
 
 
 def test_batch_engine_multi_rep(benchmark, rep_flats, rep_seeds):

@@ -7,14 +7,14 @@ up as timing changes rather than only as slower reproduction runs.
 The ``test_flat_engine_throughput_*`` benchmarks mirror the
 ``test_tick_engine_throughput_*`` configurations exactly (same
 instance, same knobs, same seed) but run through
-``repro.run(engine="flat")`` on the CSR instance -- the path sweep
-workers execute.  ``tools/bench_report.py`` turns each mirrored pair
-into a ``flat_vs_reference_*`` derived ratio.
+``repro.run(engine="flat")`` -- the compiled kernel -- on the CSR
+instance, the path sweep workers execute.  ``tools/bench_report.py``
+turns each mirrored pair into a ``flat_vs_reference_*`` derived ratio.
 
 The ``*_contention`` pair measures the steal-contention regime (m=64,
 sigma=64: most steal attempts miss, so victim draws dominate) where the
-flat kernel's batched steal resolution structurally beats the
-reference's per-draw loop; this ratio carries the ISSUE 6 >=5x gate
+kernel's batched steal resolution structurally beats the reference's
+per-draw loop; this ratio carries a >=5x gate
 (``bench_gate.py --min-derived flat_vs_reference_contention:5``).
 """
 

@@ -1,24 +1,18 @@
-"""Streaming engine throughput vs materialized flat execution (ISSUE 7).
-
-The streaming mode's performance contract is that bounded memory is
-*not* bought with throughput: generating arrivals chunk by chunk,
-retiring completed jobs and maintaining exact online flow statistics
-must stay within 10% of materializing the whole instance up front and
-running ``engine="flat"`` over it.
+"""Streaming engine throughput vs materialized ``engine="flat"``.
 
 ``test_stream_engine_throughput`` and
-``test_flat_materialized_throughput`` are the mirrored pair: the same
-workload, knobs and seed, one executed from a :class:`StreamSpec` in
-2048-job segments, the other materialized inside the timed region (the
-stream pays generation during the run, so the flat side must pay it
-too).  ``tools/bench_report.py`` turns the pair into the
-``stream_vs_flat`` derived ratio, and ``bench_gate.py
---min-derived stream_vs_flat:0.9`` enforces the floor in CI.  The pair
-runs with ``quantiles=()`` so it isolates the execution strategy;
+``test_flat_materialized_throughput`` run the same workload, knobs and
+seed: one from a :class:`StreamSpec` in 2048-job segments (the Python
+streaming tick loop), the other materialized inside the timed region
+and run on the compiled kernel (the stream pays generation during the
+run, so the flat side pays it too).  Each is tracked on its own in
+``BENCH_engine.json``; their ratio is not gated, because it compares
+two different implementations rather than an overhead.  The pair runs
+with ``quantiles=()`` so it isolates the execution strategy;
 ``test_stream_engine_online_metrics`` tracks the full-metrics
 configuration (three P^2 sketches + windowed utilization) separately,
-without a gate, so sketch cost regressions are visible but priced
-apart from the engine itself.
+so sketch cost regressions are visible but priced apart from the
+engine itself.
 
 The configuration is a sustained-load regime (qps=1000, m=8): enough
 queueing that the tick loop does real scheduling work, which is

@@ -12,13 +12,12 @@ with inconsistently named knobs (``m`` vs ``num_workers``, ``speed`` vs
 * pass an *engine name string* to reach an engine directly:
   ``"work-stealing"`` (the reference tick engine; extra keyword
   arguments such as ``k``, ``steals_per_tick``, ``trace`` forward to
-  it), ``"flat"`` (the vectorized flat-CSR kernel of
-  :mod:`repro.sim.flat_engine` -- bit-identical to the reference and
-  additionally accepts a :class:`~repro.dag.flat.FlatInstance`
-  directly), ``"batch"`` (the rep-batched arena kernel of
-  :mod:`repro.sim.batch_engine` -- same semantics and knobs as
-  ``"flat"``; :func:`repro.sim.batch_engine.run_batch` amortizes the
-  dispatch cost over many replicates at once) or ``"speedup-fifo"`` /
+  it), ``"flat"`` (the compiled kernel,
+  :func:`repro.sim.batch_engine.run_batch` at one replicate --
+  bit-identical to the reference, same knobs, and additionally accepts
+  a :class:`~repro.dag.flat.FlatInstance` directly; knobs outside the
+  kernel's scope, or a host without a C compiler, run the reference
+  engine with a one-time warning) or ``"speedup-fifo"`` /
   ``"speedup-equi"`` (the speedup-curves engines, which take a
   :class:`~repro.speedup.model.SpeedupJobSet`).
 
@@ -54,7 +53,7 @@ from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
 
 #: Engine-name strings accepted by :func:`run`.
-ENGINE_NAMES = ("work-stealing", "flat", "batch", "speedup-fifo", "speedup-equi")
+ENGINE_NAMES = ("work-stealing", "flat", "speedup-fifo", "speedup-equi")
 
 #: The valid instance/stream combinations, quoted by configuration
 #: errors so the fix is visible in the message itself.
@@ -154,8 +153,9 @@ def run(
         silently ignoring it.
     telemetry:
         Optional :class:`repro.obs.Telemetry`; when given, ``run.start``
-        and ``run.done`` events are emitted around the simulation.
-        Never alters the schedule.
+        and ``run.done`` events are emitted around the simulation
+        (``"flat"`` runs tag ``run.done`` with the ``path`` taken,
+        ``"cext"`` or ``"reference"``).  Never alters the schedule.
     **engine_kwargs:
         Forwarded to the dispatch target (e.g. ``k=16`` for
         ``"work-stealing"``, ``trace=...``/``sampler=...`` for
@@ -212,14 +212,6 @@ def run(
                 )
 
         elif scheduler == "flat":
-            from repro.sim.flat_engine import _run_flat
-
-            def dispatch() -> ScheduleResult:
-                return _run_flat(
-                    jobset, m=size, speed=s, seed=seed, **engine_kwargs
-                )
-
-        elif scheduler == "batch":
             from repro.sim.batch_engine import run_batch
 
             def dispatch() -> ScheduleResult:
@@ -279,24 +271,20 @@ def run(
         seed=seed,
         n_jobs=_n_jobs(jobset),
     )
-    if engine in ("flat", "batch"):
-        # Surface configs that silently fall off the flat kernel onto
-        # the ~8x-slower reference engine (the engine itself also emits
+    done_tags: Dict[str, Any] = {}
+    if engine == "flat":
+        # Record which path the run takes and why (run_batch also emits
         # a one-time RuntimeWarning; this event records every run).
-        from repro.sim.flat_engine import _slow_path_reasons
+        from repro.sim.batch_engine import _slow_path_reasons
 
-        reasons = _slow_path_reasons(
-            engine_kwargs.get("victim_policy", "uniform"),
-            bool(engine_kwargs.get("steal_half", False)),
-            engine_kwargs.get("admission", "fifo"),
-            engine_kwargs.get("trace"),
-        )
+        reasons = _slow_path_reasons(**engine_kwargs)
         if reasons:
             telemetry.emit(
                 "dispatch.slow_path",
                 engine=engine,
                 reasons=list(reasons),
             )
+        done_tags["path"] = "reference" if reasons else "cext"
     t0 = time.perf_counter()
     result = dispatch()
     telemetry.emit(
@@ -308,6 +296,7 @@ def run(
         wall_s=round(time.perf_counter() - t0, 6),
         max_flow=result.max_flow,
         stats=result.stats.as_dict(),
+        **done_tags,
     )
     return result
 
@@ -358,8 +347,8 @@ def _run_streaming(
         )
         raise SweepConfigError(
             f"streaming runs are only supported by the 'flat' engine "
-            f"(got {shown}): the streaming kernel is the flat kernel "
-            f"over a sliding window.\n" + _STREAM_COMBINATIONS
+            f"(got {shown}): the streaming kernel is the fast tick "
+            f"loop over a sliding window.\n" + _STREAM_COMBINATIONS
         )
 
     if telemetry is None:
@@ -414,7 +403,7 @@ class _EngineScheduler(Scheduler):
                 f"unknown engine name {engine!r}; "
                 f"expected one of {ENGINE_NAMES} or a Scheduler"
             )
-        if engine not in ("work-stealing", "flat", "batch") and engine_kwargs:
+        if engine not in ("work-stealing", "flat") and engine_kwargs:
             raise TypeError(
                 f"{engine!r} accepts no extra engine arguments; "
                 f"got {sorted(engine_kwargs)}"
@@ -430,11 +419,11 @@ class _EngineScheduler(Scheduler):
     def consumes_flat(self) -> bool:
         """Whether :meth:`run` can take a raw :class:`FlatInstance`.
 
-        The sweep dispatch layer checks this to hand the flat kernel the
+        The sweep dispatch layer checks this to hand the kernel the
         attached CSR arrays directly (no ``to_jobset()`` round trip in
         pool workers).
         """
-        return self.engine in ("flat", "batch")
+        return self.engine == "flat"
 
     def run(
         self,
@@ -444,20 +433,23 @@ class _EngineScheduler(Scheduler):
         seed: SeedLike = None,
         trace: Optional[Any] = None,
     ) -> ScheduleResult:
-        if self.engine in ("work-stealing", "flat", "batch"):
-            if self.engine == "work-stealing":
-                from repro.sim.engine import _run_work_stealing as target
-            else:
-                # A batch of one replicate has nothing to amortize: the
-                # "batch" engine evaluates single cells on the flat
-                # kernel (bit-identical); the sweep dispatch layer does
-                # the actual cross-rep batching (see _grid_sweep).
-                from repro.sim.flat_engine import _run_flat as target
-
+        if self.engine in ("work-stealing", "flat"):
             kwargs = dict(self.engine_kwargs)
             if trace is not None:
                 kwargs["trace"] = trace
-            return target(jobset, m=m, speed=speed, seed=seed, **kwargs)
+            if self.engine == "work-stealing":
+                from repro.sim.engine import _run_work_stealing
+
+                return _run_work_stealing(
+                    jobset, m=m, speed=speed, seed=seed, **kwargs
+                )
+            # One cell on the kernel at R=1; the sweep dispatch layer
+            # does the cross-rep batching (see _grid_sweep).
+            from repro.sim.batch_engine import run_batch
+
+            return run_batch(
+                [jobset], m=m, speed=speed, seeds=[seed], **kwargs
+            )[0]
         from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
 
         target = (
@@ -586,12 +578,11 @@ def sweep(
           a copy with the grid parameters assigned over it (they must
           name existing attributes);
         * an *engine name* (``"work-stealing"``, ``"flat"``,
-          ``"batch"``, ``"speedup-fifo"``, ``"speedup-equi"``) -- grid
-          parameters forward to the engine (the deterministic speedup
-          engines accept none and ignore seeds).  ``"flat"`` and
-          ``"batch"`` additionally run pool workers straight on the
-          attached shared-memory CSR arrays, skipping the per-worker
-          object-graph rebuild;
+          ``"speedup-fifo"``, ``"speedup-equi"``) -- grid parameters
+          forward to the engine (the deterministic speedup engines
+          accept none and ignore seeds).  ``"flat"`` additionally runs
+          pool workers straight on the attached shared-memory CSR
+          arrays, skipping the per-worker object-graph rebuild;
         * any other *callable* -- passed through unchanged, i.e. the
           raw :func:`~repro.experiments.sweep.grid_sweep` contract.
     grid:

@@ -94,16 +94,15 @@ def run_figure2_cell(
     members through :func:`repro.sim.batch_engine.run_batch` -- all reps
     in one arena, same derived seeds, bit-identical means (the
     accumulation order per scheduler is unchanged: rep 0, 1, ...).
-    ``REPRO_BATCH`` controls the rep floor exactly as in
-    :func:`repro.experiments.sweep._grid_sweep`.
+    The rep floor is :data:`repro.experiments.sweep._BATCH_MIN_REPS`,
+    the same as :func:`repro.experiments.sweep._grid_sweep`'s.
     """
-    from repro.experiments.sweep import _batch_threshold
+    from repro.experiments import sweep as sweep_mod
     from repro.sim.batch_engine import batch_options, run_batch
 
     lineup = figure2_schedulers(cfg, include_fifo)
-    threshold = _batch_threshold()
     batchable: Dict[int, Dict[str, Any]] = {}
-    if threshold is not None and scale.reps >= threshold:
+    if scale.reps >= sweep_mod._BATCH_MIN_REPS:
         for i, sched in enumerate(lineup):
             engine_kwargs = batch_options(sched)
             if engine_kwargs is not None:

@@ -259,34 +259,12 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     }
 
 
-#: Default minimum number of cold repetitions of one cell before the
-#: sweep fuses them into a single batched task (ISSUE 10).  Below this,
-#: the arena build cost is not worth amortizing; override with
-#: ``REPRO_BATCH=<n>`` or disable batching entirely with
-#: ``REPRO_BATCH=0``.
+#: Minimum number of cold repetitions of one cell before the sweep (and
+#: the Figure 2 runner) fuses them into a single batched task.  Below
+#: this, the arena build and the one-time kernel compile are not worth
+#: amortizing: Figure 2 at its shipped scales runs 3 reps or fewer and
+#: stays on the per-rep path.
 _BATCH_MIN_REPS = 4
-
-
-def _batch_threshold() -> Optional[int]:
-    """The rep-count floor for batched dispatch, or None when disabled.
-
-    ``REPRO_BATCH`` unset -> :data:`_BATCH_MIN_REPS`; ``0`` / ``off`` ->
-    None (every repetition runs as its own task, the pre-ISSUE-10
-    dispatch); any other integer -> that floor (clamped to >= 2, a batch
-    of one amortizes nothing).
-    """
-    raw = os.environ.get("REPRO_BATCH", "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return None
-    if not raw:
-        return _BATCH_MIN_REPS
-    try:
-        return max(2, int(raw))
-    except ValueError:
-        raise SweepConfigError(
-            f"REPRO_BATCH must be an integer rep threshold or 0/off, "
-            f"got {raw!r}"
-        ) from None
 
 
 def _sweep_batch_task(task) -> Dict[str, Any]:
@@ -446,10 +424,8 @@ def _grid_sweep(
         are fused into one task evaluating every rep in a single
         :func:`~repro.sim.batch_engine.run_batch` arena -- bit-identical
         per rep, so cache cells and aggregated means are unchanged;
-        only the wall time drops.  ``REPRO_BATCH=<n>`` adjusts the rep
-        floor, ``REPRO_BATCH=0`` disables batching; sweeps with a
-        ``cell_timeout`` stay unbatched so the deadline keeps covering
-        exactly one simulation.
+        only the wall time drops.  Sweeps with a ``cell_timeout`` stay
+        unbatched so the deadline keeps covering exactly one simulation.
     cache:
         A :class:`~repro.experiments.cache.SweepCache`, a directory
         path, or None.  When set, generated instances (for factories
@@ -781,7 +757,6 @@ def _grid_sweep(
         # silently get R simulations per deadline).
         from repro.sim.batch_engine import batch_options
 
-        batch_min = _batch_threshold()
         timeout_active = cell_timeout is not None or bool(
             os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
         )
@@ -795,11 +770,7 @@ def _grid_sweep(
         for local_cell in sorted(cell_groups):
             idxs = cell_groups[local_cell]
             engine_kwargs = None
-            if (
-                batch_min is not None
-                and not timeout_active
-                and len(idxs) >= batch_min
-            ):
+            if not timeout_active and len(idxs) >= _BATCH_MIN_REPS:
                 try:
                     engine_kwargs = batch_options(
                         scheduler_factory(**tasks[idxs[0]][0])

@@ -16,25 +16,21 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
   exactly those integer ticks, so runs are bit-reproducible for a given
   seed.
 
-:mod:`repro.sim.flat_engine` (``repro.run(..., engine="flat")``) is a
-vectorized reimplementation of the tick engine over
-:class:`~repro.dag.flat.FlatInstance` CSR state -- bit-identical
-results (the equivalence suite pins it), several times the throughput,
-and it consumes attached shared-memory instances directly in sweep
-workers.
+The reference tick engine is the oracle; there is one fast kernel.
+:mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`)
+evaluates R replicate :class:`~repro.dag.flat.FlatInstance` CSR
+instances in one block-structured arena with an on-demand-compiled C
+kernel -- bit-identical per rep to the reference engine (same
+schedules, stats, and RNG post-state).  ``repro.run(..., engine="flat")``
+is that kernel at R=1, and the sweep layer batches eligible multi-rep
+cells through it automatically.  Knobs outside the kernel's scope, or a
+host without a working C compiler, run the reference engine instead
+(identical results, warned once).
 
-:mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``)
-re-bases the flat kernel onto a sliding window over a lazy arrival
-stream: bounded memory, online metrics, durable checkpoint/restore
+:mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``) runs
+the same tick semantics over a sliding window of a lazy arrival stream:
+bounded memory, online metrics, durable checkpoint/restore
 (:mod:`repro.sim.checkpoint`) -- same max flow time, bit for bit.
-
-:mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`,
-``repro.run(..., engine="batch")``) evaluates R replicate instances in
-one block-structured arena behind an optional on-demand-compiled C
-kernel -- bit-identical per rep to R serial flat runs (same schedules,
-stats, and RNG post-state); the sweep layer batches eligible multi-rep
-cells through it automatically (``REPRO_BATCH`` / ``REPRO_CEXT``
-override).
 
 Shared pieces: :class:`~repro.sim.result.ScheduleResult` (the output of
 every engine), :class:`~repro.sim.jobstate.JobExecution` (mutable per-job

@@ -1,25 +1,27 @@
-/* Rep-batched work-stealing tick kernel (engine="batch").
+/* Rep-batched work-stealing tick kernel (engine="flat", run_batch).
  *
- * One replicate of the batched arena, executed start to finish.  This is
- * a line-for-line transcription of the native-scope path of
- * repro/sim/flat_engine.py::_run_flat (phase A completion cascades,
+ * One replicate of the batched arena, executed start to finish: the
+ * steal-k-first tick loop in its native scope (uniform victims, FIFO
+ * admission, single-entry steals) over the block-structured SoA arena
+ * built by repro.sim.batch_engine -- phase A completion cascades,
  * phase B admission / burn / live-attempt branches, the three
- * fast-forwards, sub-tick execution when steals_per_tick > 1) over the
- * block-structured SoA arena built by repro.sim.batch_engine.  Keep the
- * two in sync: the Python kernel defines the semantics, bit for bit --
- * same completions, same stats counters, same RNG draw cadence -- and
- * tests/sim/test_batch_engine.py enforces the identity.
+ * fast-forwards, sub-tick execution when steals_per_tick > 1.  The
+ * reference engine (repro/sim/engine.py::_run_work_stealing) defines the
+ * semantics, bit for bit -- same completions, same stats counters, same
+ * RNG draw cadence -- and tests/sim/test_flat_kernel_equivalence.py and
+ * tests/sim/test_batch_engine.py enforce the identity.
  *
  * Arena addressing: node- and job-indexed arrays use *global* (arena)
  * ids; the caller passes job-indexed pointers pre-offset to this rep's
  * segment (jro, arr_ticks) and worker-indexed pointers offset by
  * rep * m.  Victim draws come from a 4096-slot block per rep, refilled
  * by calling back into Python (refill_fn) so the PCG64 stream is drawn
- * by the *same* numpy Generator calls as the serial flat kernel --
- * exact post-state identity, not just equal victim sequences.
+ * by the *same* numpy Generator calls as the reference engine's
+ * UniformVictim -- exact post-state identity, not just equal victim
+ * sequences.
  *
  * Returns 0 on success, 1 when max_ticks is exceeded (the caller raises
- * the same RuntimeError as the flat kernel).
+ * the same RuntimeError as the reference engine).
  */
 
 #include <stdint.h>
@@ -49,7 +51,7 @@ typedef struct {
     int64_t *rdy;
     double speed;
     int64_t m;
-    /* scalars mirrored from the Python kernel's locals */
+    /* run-wide scalars */
     int64_t n_busy;
     int64_t completed;
     int64_t nf;
@@ -310,7 +312,7 @@ int64_t repro_batch_run_rep(
             /* Phase A: completion cascades, only on ticks where some
              * busy worker finishes.  complete_node may lower nf
              * mid-phase; the wholesale recompute below makes the final
-             * nf exactly min(fin), matching the Python kernel. */
+             * nf exactly min(fin). */
             if (st.nf == t) {
                 int64_t nfi = IDLE_AT;
                 for (i = 0; i < m; i++)

@@ -1,26 +1,25 @@
-"""Compile-on-demand loader for the batched C tick kernel.
+"""Compile-on-demand loader for the C tick kernel.
 
-The batch engine's hot loop (:mod:`repro.sim.batch_engine`) is a C
-transcription of the flat kernel's native-scope semantics
+The fast path of every ``engine="flat"`` run and every batched sweep
+cell (:mod:`repro.sim.batch_engine`) is a C transcription of the
+reference engine's native-scope semantics
 (``src/repro/sim/_batch_kernel.c``).  Nothing is installed and no build
 backend is required: the source ships with the package and is compiled
 once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
 into a content-addressed shared object under a per-user cache
-directory, then loaded with :mod:`ctypes`.  Hosts without a compiler --
-or with ``REPRO_CEXT=0`` -- simply run the pure-Python flat kernel per
-replicate instead; results are bit-identical either way, which is the
-same optional-accelerator contract as the flat kernel's ``REPRO_NUMBA``
-scanner.
+directory, then loaded with :mod:`ctypes`.
 
-Environment override ``REPRO_CEXT``: ``0`` disables the compiled kernel
-even when a compiler exists, ``1`` requests it and emits a one-time
-:class:`RuntimeWarning` when it cannot be built or loaded, unset tries
-silently.  ``REPRO_CEXT_CACHE`` overrides the shared-object cache
-directory (default: ``<tempdir>/repro-cext-<uid>``).
+The kernel is used whenever it builds and loads.  A corrupt or
+truncated cached object is deleted and rebuilt once.  Hosts without a
+compiler, or whose compiler fails, run the reference engine instead --
+bit-identical results, only slower; :data:`unavailable_reason` records
+why, and :mod:`repro.sim.batch_engine` turns it into a one-time
+:class:`RuntimeWarning`.  ``REPRO_CEXT_CACHE`` overrides the
+shared-object cache directory (default:
+``<tempdir>/repro-cext-<uid>``).
 
-Resolution is cached per process, exactly like the numba scanner in
-:mod:`repro.sim.flat_engine`; tests reset the module globals to probe
-each path.
+Resolution is cached per process; tests reset the module globals to
+probe each path.
 """
 
 from __future__ import annotations
@@ -31,25 +30,31 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 from typing import Any, Optional
 
-#: Victim-draw block size; must match flat_engine._BLOCK and the C
-#: kernel's BLOCK constant (one block = one
+#: Victim-draw block size; must match the C kernel's BLOCK constant and
+#: UniformVictim's default block (one block = one
 #: ``rng.integers(0, m - 1, size=BLOCK)`` call).
 BLOCK = 4096
 
+#: Absolute-finish-tick sentinel for idle workers (the C kernel's
+#: IDLE_AT; compared against ticks, unlike worker.IDLE).
+IDLE_AT = 1 << 62
+
 #: The refill callback signature: C hands back the replicate index whose
 #: draw block is exhausted; Python refills it in place from that rep's
-#: Generator (keeping the PCG64 stream bit-identical to serial runs).
+#: Generator (keeping the PCG64 stream bit-identical to the reference).
 REFILL_CFUNC = ctypes.CFUNCTYPE(None, ctypes.c_int64)
 
 _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 
 _cext_fn: Any = None
 _cext_resolved = False
-_cext_warned = False
+
+#: Why the kernel could not be built or loaded (None while it is usable
+#: or not yet resolved).
+unavailable_reason: Optional[str] = None
 
 
 def _cache_dir() -> Path:
@@ -82,76 +87,77 @@ def _bind(lib: ctypes.CDLL) -> Any:
     return fn
 
 
+def _compile(compiler: str, so_path: Path) -> None:
+    """Build the kernel into ``so_path``; raises on compiler failure."""
+    so_path.parent.mkdir(parents=True, exist_ok=True)
+    # Compile to a unique temp name, then atomically rename: two
+    # processes racing to build the same kernel both succeed.
+    fd, tmp_name = tempfile.mkstemp(
+        suffix=".so", prefix="batch_kernel-", dir=so_path.parent
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            [
+                compiler,
+                "-O2",
+                "-shared",
+                "-fPIC",
+                "-o",
+                tmp_name,
+                str(_KERNEL_SOURCE),
+            ],
+            check=True,
+            capture_output=True,
+        )
+        os.replace(tmp_name, so_path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def _build_and_load() -> Any:
-    """Compile (if not cached) and load the kernel; raises on failure."""
+    """Compile (if not cached) and load the kernel; raises on failure.
+
+    A cached object that fails to load (truncated, corrupt, or built for
+    another ABI) is unlinked and rebuilt once.
+    """
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"batch_kernel-{digest}.so"
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    so_path = _cache_dir() / f"batch_kernel-{digest}.so"
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        # Compile to a unique temp name, then atomically rename: two
-        # processes racing to build the same kernel both succeed.
-        fd, tmp_name = tempfile.mkstemp(
-            suffix=".so", prefix="batch_kernel-", dir=cache
-        )
-        os.close(fd)
-        try:
-            subprocess.run(
-                [
-                    compiler,
-                    "-O2",
-                    "-shared",
-                    "-fPIC",
-                    "-o",
-                    tmp_name,
-                    str(_KERNEL_SOURCE),
-                ],
-                check=True,
-                capture_output=True,
-            )
-            os.replace(tmp_name, so_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    return _bind(ctypes.CDLL(str(so_path)))
+        _compile(compiler, so_path)
+    try:
+        return _bind(ctypes.CDLL(str(so_path)))
+    except (OSError, AttributeError):
+        so_path.unlink(missing_ok=True)
+        _compile(compiler, so_path)
+        return _bind(ctypes.CDLL(str(so_path)))
 
 
 def resolve_batch_kernel() -> Any:
-    """The compiled kernel entry point, or ``None`` for the Python path.
+    """The compiled kernel entry point, or ``None`` when unavailable.
 
-    Resolution is cached per process.  ``REPRO_CEXT=0`` disables,
-    ``REPRO_CEXT=1`` requests the compiled kernel and warns once
-    (RuntimeWarning) when it cannot be built, unset auto-detects
-    silently.
+    Resolution is cached per process.  On failure
+    :data:`unavailable_reason` names the cause (missing compiler, the
+    compiler's own error output, a load error after the rebuild).
     """
-    global _cext_fn, _cext_resolved, _cext_warned
+    global _cext_fn, _cext_resolved, unavailable_reason
     if _cext_resolved:
         return _cext_fn
-    pref = os.environ.get("REPRO_CEXT", "").strip()
-    if pref == "0":
-        _cext_resolved = True
-        return None
     try:
         _cext_fn = _build_and_load()
+        unavailable_reason = None
     except Exception as exc:
-        if pref == "1" and not _cext_warned:
-            _cext_warned = True
-            warnings.warn(
-                f"REPRO_CEXT=1 requested the compiled batch kernel, but "
-                f"it could not be built or loaded "
-                f"({type(exc).__name__}: {exc}); falling back to the "
-                f"per-replicate flat kernel (results are identical, "
-                f"only slower)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        detail = str(exc)
+        if isinstance(exc, subprocess.CalledProcessError) and exc.stderr:
+            detail = exc.stderr.decode(errors="replace").strip()[-500:]
+        unavailable_reason = f"{type(exc).__name__}: {detail}"
         _cext_fn = None
     _cext_resolved = True
     return _cext_fn

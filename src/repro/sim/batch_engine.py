@@ -1,11 +1,10 @@
-"""Rep-batched execution: one kernel arena for R replicates (ISSUE 10).
+"""The fast tick kernel: one compiled arena for R replicates.
 
 Every experiment layer above the simulator -- figure sweeps,
 :func:`repro.sweep`, successive-halving rounds in :func:`repro.search`,
 ablation deltas -- evaluates *many replicate instances of the same
-cell*.  The flat kernel (:mod:`repro.sim.flat_engine`) processes one
-instance per call, paying the Python tick-loop cost R times over.  This
-module batches the replicates instead:
+cell*, and ``repro.run("flat", ...)`` evaluates one.  Both go through
+:func:`run_batch` (the latter at R=1):
 
 * :func:`run_batch` concatenates R :class:`~repro.dag.flat.FlatInstance`
   replicates into one block-structured SoA arena -- node/job/edge
@@ -20,19 +19,24 @@ module batches the replicates instead:
   the serial run would seed it.  The C kernel never generates a random
   number: when a draw block is exhausted it calls back into Python,
   which refills the block with the same ``rng.integers(0, m - 1,
-  size=4096)`` call (same cadence) the flat kernel would make -- so the
-  post-run ``PCG64`` state is bit-identical to serial execution, not
-  merely the victim sequence.
-* **Bit-identity.**  Results are identical per rep to running
-  ``engine="flat"`` R times: same completions, same
+  size=4096)`` call (same cadence) the reference engine's
+  :class:`~repro.sim.policies.UniformVictim` makes -- so the post-run
+  ``PCG64`` state is bit-identical to the reference, not merely the
+  victim sequence.
+* **Bit-identity.**  Results are identical per rep to running the
+  reference engine (:func:`repro.sim.engine._run_work_stealing`) R
+  times: same completions, same
   :class:`~repro.sim.result.SimulationStats`, same RNG post-state
-  (``tests/sim/test_batch_engine.py`` fuzzes this).  Configurations
+  (``tests/sim/test_flat_kernel_equivalence.py`` and
+  ``tests/sim/test_batch_engine.py`` fuzz this).  Configurations
   outside the kernel's native scope -- non-uniform victim policies,
   ``steal_half``, weighted admission, ``trace``, samplers,
-  ``_fast_forward=False``, unsorted hand-built arrivals -- fall back to
-  the per-replicate flat kernel (which itself delegates to the
-  reference engine where needed), as does any host without a C
-  compiler or with ``REPRO_CEXT=0``.
+  ``_fast_forward=False`` -- and hosts where the kernel cannot be
+  built run the reference engine per replicate, with a one-time
+  :class:`RuntimeWarning` naming the cause (:func:`_slow_path_reasons`).
+  So does a hand-built replicate whose arrivals are not sorted (the
+  reference re-sorts and re-ids it), silently: that is a property of
+  the instance, not of the configuration.
 * :func:`batch_options` is the eligibility probe the sweep layer uses
   to decide whether a scheduler's (cell, rep) tasks may be fused into
   one batched task (see :mod:`repro.experiments.sweep`).
@@ -47,19 +51,98 @@ from __future__ import annotations
 
 import ctypes
 import time
+import warnings
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, flatten_jobset
+from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
-from repro.sim._cext import BLOCK, REFILL_CFUNC, resolve_batch_kernel
-from repro.sim.engine import _scheduler_label
-from repro.sim.flat_engine import _IDLE_AT, _run_flat
+from repro.sim import _cext
+from repro.sim._cext import BLOCK, IDLE_AT, REFILL_CFUNC, resolve_batch_kernel
+from repro.sim.engine import _run_work_stealing, _scheduler_label
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
 __all__ = ["run_batch", "batch_options"]
+
+
+# ----------------------------------------------------------------------
+# Slow-path visibility
+# ----------------------------------------------------------------------
+
+_SLOW_PATH_WARNED = False
+
+
+def _scope_reasons(
+    victim_policy: str = "uniform",
+    steal_half: bool = False,
+    admission: str = "fifo",
+    trace: Any = None,
+    sampler: Any = None,
+    _fast_forward: bool = True,
+    **_knobs: Any,
+) -> List[str]:
+    """The configuration knobs outside the kernel's native scope.
+
+    Other engine knobs (``k``, ``steals_per_tick``, ``max_ticks``) are
+    accepted and ignored, so callers can pass their whole keyword set.
+    """
+    reasons = []
+    if victim_policy != "uniform":
+        reasons.append(f"victim_policy={victim_policy!r}")
+    if steal_half:
+        reasons.append("steal_half=True")
+    if admission != "fifo":
+        reasons.append(f"admission={admission!r}")
+    if trace is not None:
+        reasons.append("trace=<TraceRecorder>")
+    if sampler is not None:
+        reasons.append("sampler=<SystemSampler>")
+    if not _fast_forward:
+        reasons.append("_fast_forward=False")
+    return reasons
+
+
+def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
+    """Why a run with these knobs takes the reference engine, if it does.
+
+    :func:`_scope_reasons`, then ``kernel=unavailable`` when the
+    compiled kernel cannot be built or loaded on this host.  Empty means
+    the run takes the kernel.  Data-shape fallbacks (unsorted hand-built
+    arrivals) are not listed: they are a property of the instance.
+    """
+    reasons = _scope_reasons(*args, **knobs)
+    if resolve_batch_kernel() is None:
+        reasons.append("kernel=unavailable")
+    return tuple(reasons)
+
+
+def _warn_slow_path(reasons: tuple) -> None:
+    """One-time RuntimeWarning when a run falls back to the reference.
+
+    Warned once per process; the paired ``dispatch.slow_path``
+    telemetry event (emitted by the :func:`repro.run` facade) records
+    every occurrence for machine consumption.
+    """
+    global _SLOW_PATH_WARNED
+    if _SLOW_PATH_WARNED or not reasons:
+        return
+    _SLOW_PATH_WARNED = True
+    cause = ""
+    if "kernel=unavailable" in reasons and _cext.unavailable_reason:
+        cause = (
+            f"; the compiled kernel could not be built or loaded "
+            f"({_cext.unavailable_reason})"
+        )
+    warnings.warn(
+        f"this run ({', '.join(reasons)}) is outside the compiled "
+        f"kernel's scope and falls back to the slower reference engine"
+        f"{cause}; results are identical, only slower (this warning is "
+        f"shown once per process)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 class _BatchTables:
@@ -126,8 +209,8 @@ class _BatchTables:
                 f.job_node_offsets[:-1] + node_off[r]
             )
 
-        # Derived tables, one vectorized pass over the union -- the
-        # exact computation _KernelTables does per instance.
+        # Derived tables, one vectorized pass over the union: in-degrees,
+        # chain links (sole successor with in-degree 1), roots.
         indeg = np.bincount(et, minlength=total_nodes).astype(
             np.int64, copy=False
         )
@@ -157,14 +240,13 @@ class _BatchTables:
         self.unfin_master = job_sizes.astype(np.int64, copy=False)
         self.total_works = [int(f.node_works.sum()) for f in flats]
         self.n_jobs = [int(x) for x in n_jobs]
-        # The flat kernel's delegation predicate, per replicate: a
-        # hand-built FlatInstance with unsorted arrivals only has
-        # reference-engine semantics.
+        # Per replicate: a hand-built FlatInstance with unsorted
+        # arrivals only has reference-engine semantics.
         self.sorted_ok = [
             bool(np.all(f.arrivals[1:] >= f.arrivals[:-1])) for f in flats
         ]
         #: speed -> global arrival-tick array (same rounding as the
-        #: flat kernel's per-instance arr_ticks).
+        #: reference engine's arr_ticks).
         self.arr_cache: Dict[float, np.ndarray] = {}
 
     def arr_ticks(self, speed: float) -> np.ndarray:
@@ -182,8 +264,8 @@ class _BatchTables:
 def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
     """Cached :class:`_BatchTables` for this exact replicate tuple.
 
-    Attached to the first instance (like the flat kernel's per-instance
-    table cache); the entry holds strong references to every member, so
+    Attached to the first instance (derived state, not content); the
+    entry holds strong references to every member, so
     the id-tuple key cannot alias a recycled object.
     """
     key = tuple(id(f) for f in flats)
@@ -208,7 +290,7 @@ def _empty_result(
     speed: float,
     recorded_seed: Any,
 ) -> ScheduleResult:
-    """The n == 0 early return, mirroring the flat kernel exactly."""
+    """The n == 0 early return, mirroring the reference engine exactly."""
     return ScheduleResult(
         scheduler=label,
         m=m,
@@ -248,14 +330,15 @@ def run_batch(
 
     ``instances[r]`` is evaluated with seed ``seeds[r]`` (``seeds`` may
     be omitted for fresh-entropy runs, else must have one entry per
-    instance; Generators are honored and advanced exactly as the serial
-    flat kernel would advance them).  All other parameters are shared
-    across the batch and have the semantics of
-    :func:`repro.sim.flat_engine._run_flat`.  Returns one
+    instance; Generators are honored and advanced exactly as the
+    reference engine would advance them).  All other parameters are
+    shared across the batch and have the semantics of
+    :func:`repro.sim.engine._run_work_stealing`.  Returns one
     :class:`ScheduleResult` per instance, in order, **bit-identical**
-    to ``[_run_flat(instances[r], ..., seed=seeds[r]) for r]``.
+    to ``[_run_work_stealing(instances[r], ..., seed=seeds[r]) for r]``
+    (a :class:`FlatInstance` through :func:`~repro.dag.flat.to_jobset`).
     """
-    # Argument validation mirrors the flat/reference engines verbatim.
+    # Argument validation mirrors the reference engine verbatim.
     if m < 1:
         raise ValueError(f"need at least one worker, got m={m}")
     if speed <= 0:
@@ -282,25 +365,16 @@ def run_batch(
         return []
     sigma = int(steals_per_tick)
 
-    flats: List[FlatInstance] = [
-        inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
-        for inst in instances
-    ]
-
-    kernel = resolve_batch_kernel()
-    native = (
-        kernel is not None
-        and victim_policy == "uniform"
-        and not steal_half
-        and admission == "fifo"
-        and trace is None
-        and sampler is None
-        and _fast_forward
+    reasons = _slow_path_reasons(
+        victim_policy, steal_half, admission, trace, sampler, _fast_forward
     )
+    _warn_slow_path(reasons)
+    path = "reference" if reasons else "cext"
 
-    def fallback(r: int) -> ScheduleResult:
-        return _run_flat(
-            flats[r],
+    def reference(r: int) -> ScheduleResult:
+        inst = instances[r]
+        return _run_work_stealing(
+            inst if isinstance(inst, JobSet) else to_jobset(inst),
             m,
             speed=speed,
             k=k,
@@ -323,77 +397,62 @@ def run_batch(
             m=m,
             k=k,
             steals_per_tick=sigma,
-            kernel="cext" if native else "flat-fallback",
+            kernel=path,
         )
 
-    if not native:
-        out: List[ScheduleResult] = []
-        for r in range(reps):
-            t0 = time.perf_counter()
-            out.append(fallback(r))
-            if telemetry is not None:
-                telemetry.emit(
-                    "batch.flush",
-                    rep=r,
-                    wall_s=round(time.perf_counter() - t0, 6),
-                )
-        if telemetry is not None:
-            telemetry.emit(
-                "batch.done",
-                n_reps=reps,
-                wall_s=round(time.perf_counter() - t_start, 6),
-                kernel="flat-fallback",
-            )
-        return out
+    if not reasons:
+        kernel = resolve_batch_kernel()
+        flats: List[FlatInstance] = [
+            inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
+            for inst in instances
+        ]
+        tables = _batch_tables(flats)
+        label = _scheduler_label(k, victim_policy, steal_half, admission)
+        arr_ticks = tables.arr_ticks(speed)
+        node_off = tables.node_off
+        job_off = tables.job_off
+        total_nodes = int(node_off[-1])
+        total_jobs = int(job_off[-1])
 
-    tables = _batch_tables(flats)
-    label = _scheduler_label(k, victim_policy, steal_half, admission)
-    arr_ticks = tables.arr_ticks(speed)
-    node_off = tables.node_off
-    job_off = tables.job_off
-    total_nodes = int(node_off[-1])
-    total_jobs = int(job_off[-1])
-
-    # Mutable run state, allocated fresh per call (the immutable tables
-    # above are the cached part).  Worker state is rep-blocked at
-    # r * m; node/job state is indexed by global arena ids.
-    preds = tables.preds_master.copy()
-    unfin = tables.unfin_master.copy()
-    completions = np.zeros(total_jobs, dtype=np.float64)
-    cur = np.full(reps * m, -1, dtype=np.int64)
-    fin = np.full(reps * m, _IDLE_AT, dtype=np.int64)
-    fails = np.zeros(reps * m, dtype=np.int64)
-    idles = np.empty(reps * m, dtype=np.int64)
-    dq_head = np.full(reps * m, -1, dtype=np.int64)
-    dq_tail = np.full(reps * m, -1, dtype=np.int64)
-    dq_next = np.empty(max(1, total_nodes), dtype=np.int64)
-    dq_prev = np.empty(max(1, total_nodes), dtype=np.int64)
-    rdy = np.empty(max(1, total_nodes), dtype=np.int64)
-    raw = np.zeros((reps, BLOCK), dtype=np.int64)
-    io = np.zeros((reps, 8), dtype=np.int64)
+        # Mutable run state, allocated fresh per call (the immutable tables
+        # above are the cached part).  Worker state is rep-blocked at
+        # r * m; node/job state is indexed by global arena ids.
+        preds = tables.preds_master.copy()
+        unfin = tables.unfin_master.copy()
+        completions = np.zeros(total_jobs, dtype=np.float64)
+        cur = np.full(reps * m, -1, dtype=np.int64)
+        fin = np.full(reps * m, IDLE_AT, dtype=np.int64)
+        fails = np.zeros(reps * m, dtype=np.int64)
+        idles = np.empty(reps * m, dtype=np.int64)
+        dq_head = np.full(reps * m, -1, dtype=np.int64)
+        dq_tail = np.full(reps * m, -1, dtype=np.int64)
+        dq_next = np.empty(max(1, total_nodes), dtype=np.int64)
+        dq_prev = np.empty(max(1, total_nodes), dtype=np.int64)
+        rdy = np.empty(max(1, total_nodes), dtype=np.int64)
+        raw = np.zeros((reps, BLOCK), dtype=np.int64)
+        io = np.zeros((reps, 8), dtype=np.int64)
 
     results: List[Optional[ScheduleResult]] = [None] * reps
     for r in range(reps):
         t0 = time.perf_counter()
-        n_r = tables.n_jobs[r]
         recorded_seed = (
             None if isinstance(seeds[r], np.random.Generator) else seeds[r]
         )
-        if n_r == 0:
+        if reasons or not tables.sorted_ok[r]:
+            # Outside the kernel's scope, or unsorted hand-built
+            # arrivals: only the reference engine defines the semantics.
+            results[r] = reference(r)
+        elif tables.n_jobs[r] == 0:
             results[r] = _empty_result(
                 flats[r], label, m, speed, recorded_seed
             )
-        elif not tables.sorted_ok[r]:
-            # Unsorted hand-built arrivals: only the reference engine
-            # defines the semantics; the flat kernel delegates, and so
-            # do we -- per replicate, identically.
-            results[r] = fallback(r)
         else:
+            n_r = tables.n_jobs[r]
             rng = make_rng(seeds[r])
             row = raw[r]
             if m > 1:
-                # Same up-front first block as UniformVictim / the flat
-                # kernel; refills happen lazily from C via the callback.
+                # Same up-front first block as UniformVictim; refills
+                # happen lazily from C via the callback.
                 row[:] = rng.integers(0, m - 1, size=BLOCK)
 
             def _refill(rep: int, _rng=rng, _row=row) -> None:
@@ -401,7 +460,7 @@ def run_batch(
 
             cb = REFILL_CFUNC(_refill)
             if max_ticks is None:
-                # Same loose feasibility bound as the serial engines,
+                # Same loose feasibility bound as the reference engine,
                 # from this replicate's own totals.
                 last_arr = int(arr_ticks[job_off[r + 1] - 1])
                 rep_max_ticks = int(
@@ -479,7 +538,7 @@ def run_batch(
             "batch.done",
             n_reps=reps,
             wall_s=round(time.perf_counter() - t_start, 6),
-            kernel="cext",
+            kernel=path,
         )
     return results  # type: ignore[return-value]
 
@@ -490,18 +549,17 @@ def batch_options(scheduler: Any) -> Optional[Dict[str, Any]]:
     The sweep layer calls this on one probe instance per grid point to
     decide whether that cell's (rep) tasks may be fused into a single
     batched task.  Batchable means the scheduler is a plain engine
-    adapter (``repro.run``'s ``work-stealing`` / ``flat`` / ``batch``
-    engines) or an unmodified
-    :class:`~repro.core.work_stealing.WorkStealingScheduler`, with every
-    knob inside the batch kernel's native scope -- for those, all three
-    execution paths (reference, flat, batch) are pinned bit-identical,
-    so fusing reps cannot change any number.  Returns ``None`` for
+    adapter (``repro.run``'s ``work-stealing`` / ``flat`` engines) or an
+    unmodified :class:`~repro.core.work_stealing.WorkStealingScheduler`,
+    with every knob inside the kernel's native scope -- for those the
+    reference engine and the kernel are pinned bit-identical, so fusing
+    reps cannot change any number.  Returns ``None`` for
     anything else (custom schedulers, subclasses overriding ``run``,
     weighted admission, non-uniform victim policies, ``steal_half``,
     traces, samplers).
     """
     engine = getattr(scheduler, "engine", None)
-    if engine in ("work-stealing", "flat", "batch"):
+    if engine in ("work-stealing", "flat"):
         kwargs = dict(getattr(scheduler, "engine_kwargs", None) or {})
     else:
         from repro.core.work_stealing import WorkStealingScheduler
@@ -519,13 +577,4 @@ def batch_options(scheduler: Any) -> Optional[Dict[str, Any]]:
             }
         else:
             return None
-    if (
-        kwargs.get("victim_policy", "uniform") != "uniform"
-        or kwargs.get("steal_half", False)
-        or kwargs.get("admission", "fifo") != "fifo"
-        or kwargs.get("trace") is not None
-        or kwargs.get("sampler") is not None
-        or not kwargs.get("_fast_forward", True)
-    ):
-        return None
-    return kwargs
+    return None if _scope_reasons(**kwargs) else kwargs

@@ -1,6 +1,6 @@
 """Streaming tick kernel: bounded-memory runs over lazy arrival streams.
 
-``engine="flat"``'s sibling for the case the paper actually describes --
+``engine="flat"``'s streaming sibling for the case the paper describes --
 an *online* system where jobs arrive over time and nobody holds the
 future in memory.  :func:`_run_stream` consumes a
 :class:`~repro.workloads.stream.StreamSpec` instead of a materialized
@@ -11,14 +11,18 @@ memory is O(live jobs + one chunk) instead of O(total jobs).
 
 Semantics
 ---------
-The tick loop is the flat kernel (:mod:`repro.sim.flat_engine`) verbatim
--- same phases, same fast-forwards, same victim-draw blocks, same
-counters -- re-based onto a *window* of jobs:
+This is the one Python transcription of the tick loop.  It is pinned,
+bit for bit, to the reference engine
+(:func:`repro.sim.engine._run_work_stealing`) and the compiled kernel
+(:mod:`repro.sim.batch_engine`): same phases, same fast-forwards
+(completion-driven phase A over absolute finish ticks, chain links,
+burst-resolved steal draws), same victim-draw blocks, same counters --
+re-based onto a *window* of jobs:
 
 * node/job tables are window-local Python lists, **mutated in place**
   (appended at segment pulls, prefix-deleted and id-rewritten at
-  compactions), so the hot loop indexes plain lists exactly like the
-  flat kernel and pays nothing for the windowing;
+  compactions), so the hot loop indexes plain lists and pays nothing
+  for the windowing;
 * the retire frontier is the first incomplete window job; everything
   before it is dead state.  Compaction (at segment pulls and
   checkpoints, once a chunk's worth of jobs has retired) slides the
@@ -27,14 +31,14 @@ counters -- re-based onto a *window* of jobs:
   OnlineFlowStats` instead of a completions array.  The running max is
   over the *identical* per-job flow floats the materialized engine
   computes, so ``StreamResult.max_flow`` is bit-identical to
-  ``_run_flat(stream.materialize(seed), m, seed=seed, ...)``, as are
-  all final :class:`~repro.sim.result.SimulationStats` counters
+  ``repro.run("flat", stream.materialize(seed), m=m, seed=seed, ...)``,
+  as are all final :class:`~repro.sim.result.SimulationStats` counters
   (asserted by ``tests/sim/test_stream_engine.py``).  Mean flow and the
   P^2 quantiles are online estimates (running sum / sketch), not
   bit-matched to their offline numpy counterparts.
 
 One integer seed drives everything: the victim RNG is ``make_rng(seed)``
-(the flat kernel's stream) and workload generation derives per-chunk
+(the reference engine's stream) and workload generation derives per-chunk
 child seeds from the same integer (:mod:`repro.workloads.stream`), so
 the materialized twin of a streaming run is simply
 ``stream.materialize(seed)`` run with the same seed.  ``seed=None``
@@ -78,8 +82,8 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.sim._cext import BLOCK as _BLOCK, IDLE_AT as _IDLE_AT
 from repro.sim.engine import _scheduler_label
-from repro.sim.flat_engine import _BLOCK, _IDLE_AT, _SHORT_BURST, _resolve_numba_scan
 from repro.sim.result import SimulationStats
 from repro.sim.rng import make_rng
 from repro.sim.sampling import SystemSampler
@@ -87,6 +91,11 @@ from repro.testing.faults import maybe_inject
 from repro.workloads.stream import StreamCursor, StreamSpec
 
 PathLike = Union[str, Path]
+
+#: Live-attempt bursts shorter than this scan the draw list directly;
+#: longer bursts amortize a per-value position index over the block
+#: (measured crossover on the 500-job reference workload).
+_SHORT_BURST = 8
 
 
 @dataclass
@@ -181,7 +190,7 @@ def _run_stream(
 ) -> StreamResult:
     """Simulate steal-k-first work stealing over a lazy workload stream.
 
-    Parameters mirror :func:`repro.sim.flat_engine._run_flat` where they
+    Parameters mirror :func:`repro.sim.engine._run_work_stealing` where they
     overlap (``m``, ``speed``, ``k``, ``seed``, ``steals_per_tick``,
     ``max_ticks``, ``_fast_forward``); ``seed`` must be a plain int or
     None because checkpoints serialize it.  Streaming-specific knobs:
@@ -410,13 +419,6 @@ def _run_stream(
                     tick=t,
                 )
 
-    scan_jit = _resolve_numba_scan() if m > 1 else None
-    flags = None
-    if scan_jit is not None:
-        flags = np.zeros(m, dtype=np.bool_)
-        for i in ne:
-            flags[i] = True
-
     # Hot-path mirrors of the OnlineFlowStats scalar fields.  A method
     # call per completion costs more than the whole inlined update, so
     # the tick loop maintains these as plain locals and syncs them into
@@ -436,8 +438,8 @@ def _run_stream(
     # from any nested function would turn that name into a cell variable
     # of _run_stream, downgrading every hot-loop access from LOAD_FAST
     # to LOAD_DEREF -- a measured ~20% throughput loss.  Only the names
-    # the flat kernel also pays for (completed/n_busy/nf/idles_dirty via
-    # _complete, plus job_base) stay cells.
+    # _complete must rebind (completed/n_busy/nf/idles_dirty, plus
+    # job_base) stay cells.
     user_max_ticks = max_ticks
 
     def _bound(
@@ -451,7 +453,7 @@ def _run_stream(
         """The reference feasibility bound, over the generated prefix.
 
         Grows as segments arrive; once the stream is exhausted it equals
-        the bound the flat kernel computes for the full instance.
+        the bound the reference computes for the full instance.
         """
         if user_max_ticks is not None:
             return user_max_ticks
@@ -511,7 +513,9 @@ def _run_stream(
         root_base = len(roots_l)
         was_enabled = gc.isenabled()
         if was_enabled:
-            gc.disable()  # same rationale as flat_engine._kernel_tables
+            # Appends materialize millions of acyclic ints; gen-2 passes
+            # over the growing lists would dominate the pull.
+            gc.disable()
         try:
             works.extend(seg.node_works.tolist())
             eo.extend((eo_np[1:] + edge_base).tolist())
@@ -846,9 +850,9 @@ def _run_stream(
     def _complete(
         i: int,
         end_tick: int,
-        # Free variables rebound as defaults (LOAD_FAST), exactly like
-        # the flat kernel; valid here because the window lists are only
-        # ever mutated in place, never rebound.
+        # Free variables rebound as defaults (LOAD_FAST instead of
+        # LOAD_DEREF); valid because the window lists are only ever
+        # mutated in place, never rebound.
         works=works,
         chain=chain,
         job_of=job_of,
@@ -862,14 +866,17 @@ def _run_stream(
         ne=ne,
         arrivals_w=arrivals_w,
         speed=speed,
-        flags=flags,
         sk_updates=sk_updates,
     ) -> None:
-        """flat_engine._complete over the window tables.
+        """Finish worker ``i``'s current node at the end of ``end_tick``.
 
-        Identical cascade except job completion feeds the online
-        accumulators instead of a completions array.  Phase A inlines a
-        copy of this body; keep the two in sync.
+        The reference cascade: decrement the job's unfinished count,
+        enable successors (first enabled child continues on this worker,
+        the rest push onto its deque), else pop the worker's own deque
+        LIFO, else go idle; a chain link skips the successor walk when
+        the outcome is forced.  Job completion feeds the online
+        accumulators.  Phase A inlines a copy of this body; keep the two
+        in sync.
         """
         nonlocal completed, n_busy, nf, idles_dirty
         nonlocal fs_max, fs_amax_job, fs_amax_c, fs_sum, fs_last
@@ -938,8 +945,6 @@ def _run_stream(
                         dq = deques[i]
                         if not dq:
                             ne.add(i)
-                            if flags is not None:
-                                flags[i] = True
                         nt = end_tick + 1
                         for s2 in extras:
                             dq.append((s2, nt))
@@ -949,8 +954,6 @@ def _run_stream(
             g2 = dq.pop()[0]
             if not dq:
                 ne.discard(i)
-                if flags is not None:
-                    flags[i] = False
             cur[i] = g2
             f = end_tick + works[g2]
             fin[i] = f
@@ -964,9 +967,9 @@ def _run_stream(
 
     while completed < n:
         # ---- release arrivals due at or before the current tick ---------
-        # Identical to the flat kernel, except draining the window may
-        # require pulling the next segment to learn the next arrival
-        # tick (one-chunk generation lookahead, the stream's only one).
+        # Draining the window may require pulling the next segment to
+        # learn the next arrival tick (one-chunk generation lookahead,
+        # the stream's only one).
         if next_at <= t:
             while True:
                 wn = len(unfin)
@@ -1083,7 +1086,7 @@ def _run_stream(
             idles_dirty = False
 
         # Phase A: inlined copy of _complete() minus the nf upkeep (nf is
-        # recomputed wholesale); keep in sync with flat_engine phase A.
+        # recomputed wholesale).
         if nf == t:
             nt = t + 1
             nfi = _IDLE_AT
@@ -1155,8 +1158,6 @@ def _run_stream(
                                     dq = deques[i]
                                     if not dq:
                                         ne.add(i)
-                                        if flags is not None:
-                                            flags[i] = True
                                     for s2 in extras:
                                         dq.append((s2, nt))
                                 continue
@@ -1165,8 +1166,6 @@ def _run_stream(
                         g2 = dq.pop()[0]
                         if not dq:
                             ne.discard(i)
-                            if flags is not None:
-                                flags[i] = False
                         cur[i] = g2
                         f = t + works[g2]
                         fin[i] = f
@@ -1180,8 +1179,9 @@ def _run_stream(
                     nfi = f
             nf = nfi
 
-        # Phase B: keep in sync with flat_engine phase B (verbatim except
-        # jro/roots_l are the window tables).
+        # Phase B: idle workers acquire work in the reference's branch
+        # order (admission, burn, live attempts) with the same RNG draw
+        # count; failed live attempts resolve in bulk against the block.
         for i in idles:
             budget = sigma
             while budget > 0:
@@ -1200,8 +1200,6 @@ def _run_stream(
                         dq = deques[i]
                         if not dq:
                             ne.add(i)
-                            if flags is not None:
-                                flags[i] = True
                         for x in range(ro + 1, rhi):
                             dq.append((roots_l[x], t))
                     if sigma > 1:
@@ -1246,9 +1244,7 @@ def _run_stream(
                     stop = p + allowed
                     if stop > _BLOCK:
                         stop = _BLOCK
-                    if scan_jit is not None:
-                        got = int(scan_jit(raw_np, flags, p, stop, i))
-                    elif allowed < _SHORT_BURST or 2 * len(ne) >= m - 1:
+                    if allowed < _SHORT_BURST or 2 * len(ne) >= m - 1:
                         got = -1
                         for jdx in range(p, stop):
                             v = raw[jdx]
@@ -1304,8 +1300,6 @@ def _run_stream(
                 g2, rdy = vdq.popleft()
                 if not vdq:
                     ne.discard(victim)
-                    if flags is not None:
-                        flags[victim] = False
                 cur[i] = g2
                 fails[i] = 0
                 n_busy += 1

@@ -1,20 +1,19 @@
 """Sweep-layer replicate batching: fused cells vs the per-rep path.
 
-ISSUE 10 wires :func:`repro.sim.batch_engine.run_batch` in as the
-default rep-evaluation strategy for cold sweep cells with >= 4 reps of
-a batch-eligible scheduler.  The contract is *bit-identity*: a batched
-sweep must produce the same :class:`SweepResult` -- and byte-identical
-cache cell files -- as the same sweep with ``REPRO_BATCH=0``.  These
-tests pin that, plus the knobs (threshold, env parsing, cell_timeout
-exclusion) and the ``batch.*`` telemetry, and the figure-runner's use
-of the same machinery.
+The sweep layer evaluates cold cells with >= ``_BATCH_MIN_REPS`` (4)
+reps of a batch-eligible scheduler through
+:func:`repro.sim.batch_engine.run_batch`.  The contract is
+*bit-identity*: a batched sweep must produce the same
+:class:`SweepResult` -- and byte-identical cache cell files -- as the
+same sweep on the per-rep path (the threshold monkeypatched out of
+reach).  These tests pin that, plus the threshold, the cell_timeout
+exclusion, the ``batch.*`` telemetry, and the figure-runner's use of the
+same machinery.
 """
 
 import hashlib
 import json
 from pathlib import Path
-
-import pytest
 
 from repro.core.work_stealing import (
     WeightedWorkStealingScheduler,
@@ -22,12 +21,9 @@ from repro.core.work_stealing import (
 )
 from repro.dag.builders import single_node
 from repro.dag.job import jobs_from_dags
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.config import FIG2A, ExperimentScale
-from repro.experiments.sweep import (
-    SweepConfigError,
-    _batch_threshold,
-    _grid_sweep as grid_sweep,
-)
+from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import make_rng
 
@@ -44,11 +40,16 @@ def tiny_jobset_factory(rep_seed):
 GRID = {"k": [0, 2], "steals_per_tick": [1, 8]}
 
 
-def run_sweep(monkeypatch, batch_env, cache_dir=None, telemetry=None, **kw):
-    if batch_env is None:
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
+def per_rep_only(monkeypatch):
+    """Put the batching threshold out of reach: every rep is its own task."""
+    monkeypatch.setattr(sweep_mod, "_BATCH_MIN_REPS", 1 << 30)
+
+
+def run_sweep(monkeypatch, batched, cache_dir=None, telemetry=None, **kw):
+    if batched:
+        monkeypatch.setattr(sweep_mod, "_BATCH_MIN_REPS", 4)
     else:
-        monkeypatch.setenv("REPRO_BATCH", batch_env)
+        per_rep_only(monkeypatch)
     return grid_sweep(
         lambda k, steals_per_tick: WorkStealingScheduler(
             k=k, steals_per_tick=steals_per_tick
@@ -83,9 +84,9 @@ def batch_events(tel):
 def test_batched_sweep_identical_and_cache_bytes_equal(monkeypatch, tmp_path):
     tel = Telemetry()
     batched = run_sweep(
-        monkeypatch, None, cache_dir=tmp_path / "b", telemetry=tel
+        monkeypatch, True, cache_dir=tmp_path / "b", telemetry=tel
     )
-    serial = run_sweep(monkeypatch, "0", cache_dir=tmp_path / "s")
+    serial = run_sweep(monkeypatch, False, cache_dir=tmp_path / "s")
     assert_same_result(batched, serial)
 
     b_hashes = cell_file_hashes(tmp_path / "b")
@@ -105,49 +106,26 @@ def test_batched_sweep_identical_and_cache_bytes_equal(monkeypatch, tmp_path):
 
 def test_disabled_env_emits_no_batch_events(monkeypatch):
     tel = Telemetry()
-    run_sweep(monkeypatch, "0", telemetry=tel)
+    run_sweep(monkeypatch, False, telemetry=tel)
     assert batch_events(tel) == []
 
 
 def test_below_threshold_runs_per_rep(monkeypatch):
     tel = Telemetry()
-    run_sweep(monkeypatch, None, telemetry=tel, reps=3)  # < default floor 4
+    assert sweep_mod._BATCH_MIN_REPS == 4
+    run_sweep(monkeypatch, True, telemetry=tel, reps=3)  # < floor 4
     assert batch_events(tel) == []
-
-
-def test_custom_threshold_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "2")
-    assert _batch_threshold() == 2
-    monkeypatch.setenv("REPRO_BATCH", "7")
-    assert _batch_threshold() == 7
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert _batch_threshold() == 2  # floor: a batch of 1 is pointless
-    monkeypatch.setenv("REPRO_BATCH", "off")
-    assert _batch_threshold() is None
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert _batch_threshold() == 4
-
-    tel = Telemetry()
-    run_sweep(monkeypatch, "3", telemetry=tel, reps=3)
-    assert [e["event"] for e in batch_events(tel)][0] == "batch.start"
-
-
-def test_invalid_env_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "soon")
-    with pytest.raises(SweepConfigError, match="REPRO_BATCH"):
-        _batch_threshold()
 
 
 def test_cell_timeout_disables_batching(monkeypatch):
     tel = Telemetry()
-    timed = run_sweep(monkeypatch, None, telemetry=tel, cell_timeout=120.0)
+    timed = run_sweep(monkeypatch, True, telemetry=tel, cell_timeout=120.0)
     assert batch_events(tel) == []
-    plain = run_sweep(monkeypatch, None)
+    plain = run_sweep(monkeypatch, True)
     assert_same_result(timed, plain)
 
 
-def test_ineligible_scheduler_runs_per_rep(monkeypatch):
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
+def test_ineligible_scheduler_runs_per_rep():
     tel = Telemetry()
     sweep = grid_sweep(
         lambda k: WeightedWorkStealingScheduler(k=k),
@@ -165,10 +143,10 @@ def test_ineligible_scheduler_runs_per_rep(monkeypatch):
 def test_resume_from_serial_cache(monkeypatch, tmp_path):
     """A batched sweep resumes cleanly over serially-written cells."""
     serial = run_sweep(
-        monkeypatch, "0", cache_dir=tmp_path / "c", resume=True
+        monkeypatch, False, cache_dir=tmp_path / "c", resume=True
     )
     batched = run_sweep(
-        monkeypatch, None, cache_dir=tmp_path / "c", resume=True
+        monkeypatch, True, cache_dir=tmp_path / "c", resume=True
     )
     assert_same_result(serial, batched)
 
@@ -177,8 +155,7 @@ def test_figure_runner_batched_matches_serial(monkeypatch):
     from repro.experiments.runner import run_figure2_cell
 
     scale = ExperimentScale(n_jobs=40, reps=4)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     batched = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
-    monkeypatch.setenv("REPRO_BATCH", "0")
+    per_rep_only(monkeypatch)
     serial = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
     assert batched == serial

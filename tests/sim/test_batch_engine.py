@@ -1,11 +1,12 @@
-"""Cross-engine fuzz: the rep-batched arena kernel vs ``engine="flat"``.
+"""Cross-engine fuzz: the rep-batched arena kernel vs the reference.
 
 :func:`repro.sim.batch_engine.run_batch` claims *bit-identity per
-replicate* with running :func:`repro.sim.flat_engine._run_flat` R times
--- same completions, same :class:`SimulationStats`, same scheduler
-label, and the same ``PCG64`` post-state when Generators are passed.
-This suite pins that claim from every angle the flat kernel is pinned
-against the reference engine:
+replicate* with running the reference engine
+(:func:`repro.sim.engine._run_work_stealing`) R times -- same
+completions, same :class:`SimulationStats`, same scheduler label, and
+the same ``PCG64`` post-state when Generators are passed.  This suite
+pins that claim across replicate batches (the single-replicate oracle
+is ``tests/sim/test_flat_kernel_equivalence.py``):
 
 * randomized layered multi-DAG replicate batches across the ``k`` /
   ``steals_per_tick`` / ``speed`` / ``m`` grid;
@@ -15,11 +16,13 @@ against the reference engine:
   in one arena;
 * RNG post-state identity and telemetry-off schedule identity;
 * the per-replicate fallbacks (empty instance, unsorted hand-built
-  arrivals) and whole-batch fallbacks (delegating knobs, REPRO_CEXT=0);
-* the ``engine="batch"`` facade registration and validation parity.
+  arrivals) and whole-batch fallbacks (delegating knobs, no compiler,
+  a failing compiler, a corrupt cached kernel);
+* the ``engine="flat"`` facade, the slow-path vocabulary and warnings.
 """
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -29,9 +32,9 @@ import repro
 from repro.dag.builders import chain, single_node
 from repro.dag.flat import flatten_jobset
 from repro.dag.job import jobs_from_dags
-from repro.sim import _cext, batch_engine, flat_engine
+from repro.sim import _cext, batch_engine
 from repro.sim.batch_engine import batch_options, run_batch
-from repro.sim.flat_engine import _run_flat
+from repro.sim.engine import _run_work_stealing
 from repro.sim.rng import derive_seed
 from repro.workloads import (
     BingDistribution,
@@ -42,24 +45,11 @@ from repro.workloads import (
 )
 
 from tests.sim.test_flat_kernel_equivalence import (
+    assert_batch_matches_reference,
     assert_identical,
     random_instance,
+    run_reference,
 )
-
-
-def assert_batch_matches_flat(instances, seeds=None, **kwargs):
-    """run_batch vs R serial _run_flat calls: full per-rep equality."""
-    reps = len(instances)
-    if seeds is None:
-        seeds = [derive_seed(0, 77, r) for r in range(reps)]
-    serial = [
-        _run_flat(instances[r], seed=seeds[r], **kwargs) for r in range(reps)
-    ]
-    batched = run_batch(instances, seeds=seeds, **kwargs)
-    assert len(batched) == reps
-    for ref, got in zip(serial, batched):
-        assert_identical(ref, got)
-    return batched
 
 
 def replicate_instances(base_seed, reps, **inst_kwargs):
@@ -88,7 +78,7 @@ BATCH_FUZZ_CASES = [
 
 @pytest.mark.parametrize("base_seed,reps,kwargs", BATCH_FUZZ_CASES)
 def test_fuzz_random_replicates(base_seed, reps, kwargs):
-    assert_batch_matches_flat(replicate_instances(base_seed, reps), **kwargs)
+    assert_batch_matches_reference(replicate_instances(base_seed, reps), **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -104,7 +94,7 @@ def test_fuzz_random_replicates(base_seed, reps, kwargs):
 def test_paper_distributions(dist, kwargs):
     spec = WorkloadSpec(dist, qps=800.0, n_jobs=60, m=8)
     flats = [spec.build_flat(derive_seed(5, 9000, r)) for r in range(4)]
-    assert_batch_matches_flat(flats, **kwargs)
+    assert_batch_matches_reference(flats, **kwargs)
 
 
 @pytest.mark.parametrize("n_jobs", [8, 32])
@@ -112,8 +102,8 @@ def test_adversarial_instances(n_jobs):
     jobset, m = adversarial_instance(n_jobs)
     # The same adversarial instance replicated: per-rep streams must
     # stay independent even over identical structure.
-    assert_batch_matches_flat([jobset] * 4, m=m, k=0, steals_per_tick=64)
-    assert_batch_matches_flat(
+    assert_batch_matches_reference([jobset] * 4, m=m, k=0, steals_per_tick=64)
+    assert_batch_matches_reference(
         [jobset] * 3, m=m, k=2 * m, steals_per_tick=64
     )
 
@@ -129,8 +119,8 @@ def test_chain_heavy_dags():
         dags += [single_node(work=3), single_node(work=1)]
         arrivals = np.cumsum(rng.exponential(2.0, size=len(dags)))
         instances.append(jobs_from_dags(dags, arrivals.tolist()))
-    assert_batch_matches_flat(instances, m=3, k=1, steals_per_tick=2)
-    assert_batch_matches_flat(instances, m=3, k=0, steals_per_tick=16)
+    assert_batch_matches_reference(instances, m=3, k=1, steals_per_tick=2)
+    assert_batch_matches_reference(instances, m=3, k=0, steals_per_tick=16)
 
 
 @pytest.mark.parametrize("reps", [1, 5, 32])
@@ -139,7 +129,7 @@ def test_ragged_rep_counts(reps):
     instances = replicate_instances(
         500 + reps, reps, n_jobs=4, gap_scale=2.0
     )
-    assert_batch_matches_flat(instances, m=4, k=2, steals_per_tick=8)
+    assert_batch_matches_reference(instances, m=4, k=2, steals_per_tick=8)
 
 
 def test_mixed_sizes_and_empty_rep():
@@ -150,7 +140,7 @@ def test_mixed_sizes_and_empty_rep():
         random_instance(2, n_jobs=2),
         jobs_from_dags([single_node(work=5)], [0.0]),
     ]
-    assert_batch_matches_flat(instances, m=4, k=2, steals_per_tick=4)
+    assert_batch_matches_reference(instances, m=4, k=2, steals_per_tick=4)
 
 
 def test_rng_post_state_identity():
@@ -160,7 +150,8 @@ def test_rng_post_state_identity():
     g_serial = [np.random.default_rng(1000 + r) for r in range(5)]
     g_batch = [np.random.default_rng(1000 + r) for r in range(5)]
     serial = [
-        _run_flat(instances[r], seed=g_serial[r], **kwargs) for r in range(5)
+        run_reference(instances[r], seed=g_serial[r], **kwargs)
+        for r in range(5)
     ]
     batched = run_batch(instances, seeds=g_batch, **kwargs)
     for ref, got in zip(serial, batched):
@@ -192,8 +183,8 @@ def test_telemetry_off_schedule_identity():
 
 
 def test_delegating_knobs_fall_back_identically(monkeypatch):
-    """Out-of-scope knobs run the per-rep flat path (which delegates)."""
-    monkeypatch.setattr(flat_engine, "_SLOW_PATH_WARNED", True)
+    """Out-of-scope knobs run the reference engine per replicate."""
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     instances = replicate_instances(600, 3)
     for kwargs in (
         dict(m=4, victim_policy="round-robin", k=2, steals_per_tick=4),
@@ -201,7 +192,7 @@ def test_delegating_knobs_fall_back_identically(monkeypatch):
         dict(m=4, admission="weight", k=3, steals_per_tick=2),
         dict(m=4, k=2, steals_per_tick=4, _fast_forward=False),
     ):
-        assert_batch_matches_flat(instances, **kwargs)
+        assert_batch_matches_reference(instances, **kwargs)
 
 
 def test_unsorted_arrivals_rep_falls_back():
@@ -212,7 +203,7 @@ def test_unsorted_arrivals_rep_falls_back():
     )
     assert not np.all(unsorted.arrivals[1:] >= unsorted.arrivals[:-1])
     instances = [sorted_flat, unsorted, flatten_jobset(random_instance(8))]
-    assert_batch_matches_flat(instances, m=4, k=2, steals_per_tick=4)
+    assert_batch_matches_reference(instances, m=4, k=2, steals_per_tick=4)
 
 
 def test_empty_batch_and_seed_validation():
@@ -232,7 +223,7 @@ def test_validation_errors_match_flat():
         dict(m=2, admission="lifo"),
     ):
         with pytest.raises(ValueError) as flat_exc:
-            _run_flat(instances[0], **bad)
+            _run_work_stealing(instances[0], **bad)
         with pytest.raises(ValueError) as batch_exc:
             run_batch(instances, **bad)
         assert str(flat_exc.value) == str(batch_exc.value)
@@ -258,54 +249,89 @@ def test_determinism():
 
 
 # ----------------------------------------------------------------------
-# REPRO_CEXT resolution ergonomics
+# Kernel build and load: every failure degrades to the reference
 # ----------------------------------------------------------------------
 
 
-def _reset_cext_resolution(monkeypatch):
+def _reset_cext_resolution(monkeypatch, tmp_path=None):
     monkeypatch.setattr(_cext, "_cext_fn", None)
     monkeypatch.setattr(_cext, "_cext_resolved", False)
-    monkeypatch.setattr(_cext, "_cext_warned", False)
+    monkeypatch.setattr(_cext, "unavailable_reason", None)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
+    if tmp_path is not None:
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
 
 
-def test_cext_disabled_is_identical_and_silent(monkeypatch):
-    """REPRO_CEXT=0: pure-Python per-rep fallback, same bits, no noise."""
-    _reset_cext_resolution(monkeypatch)
-    monkeypatch.setenv("REPRO_CEXT", "0")
-    instances = replicate_instances(700, 3)
-    seeds = [derive_seed(4, 4, r) for r in range(3)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fallback = run_batch(
-            instances, m=4, k=2, steals_per_tick=8, seeds=seeds
-        )
-    _reset_cext_resolution(monkeypatch)
-    monkeypatch.delenv("REPRO_CEXT", raising=False)
-    native = run_batch(instances, m=4, k=2, steals_per_tick=8, seeds=seeds)
-    for a, b in zip(fallback, native):
-        assert_identical(a, b)
+def _reference_runs(instances, seeds, **kwargs):
+    return [
+        run_reference(inst, seed=seed, **kwargs)
+        for inst, seed in zip(instances, seeds)
+    ]
 
 
 def test_cext_requested_but_unbuildable_warns_once(monkeypatch):
-    """REPRO_CEXT=1 without a compiler: one RuntimeWarning, then quiet."""
+    """No compiler: the reference engine runs, one RuntimeWarning, same bits."""
     _reset_cext_resolution(monkeypatch)
-    monkeypatch.setenv("REPRO_CEXT", "1")
     monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
     instances = replicate_instances(800, 2)
-    with pytest.warns(RuntimeWarning, match="could not be built"):
+    with pytest.warns(RuntimeWarning, match="kernel=unavailable"):
         first = run_batch(instances, m=3, k=1, steals_per_tick=4, seeds=[1, 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         second = run_batch(
             instances, m=3, k=1, steals_per_tick=4, seeds=[1, 2]
         )
-    for a, b in zip(first, second):
+    reference = _reference_runs(
+        instances, [1, 2], m=3, k=1, steals_per_tick=4
+    )
+    for a, b, ref in zip(first, second, reference):
         assert_identical(a, b)
+        assert_identical(ref, a)
+    assert "no C compiler" in _cext.unavailable_reason
+
+
+def test_failing_compiler_warns_once_and_matches_reference(
+    monkeypatch, tmp_path
+):
+    """A compiler that exists but fails: one RuntimeWarning, same bits."""
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: "false")
+    instances = replicate_instances(810, 3)
+    seeds = [derive_seed(4, 4, r) for r in range(3)]
+    with pytest.warns(RuntimeWarning, match="could not be built") as record:
+        first = run_batch(instances, m=4, k=2, steals_per_tick=8, seeds=seeds)
+    assert len([w for w in record if w.category is RuntimeWarning]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        repro.run("flat", instances[0], m=4, k=2, steals_per_tick=8, seed=1)
+    reference = _reference_runs(
+        instances, seeds, m=4, k=2, steals_per_tick=8
+    )
+    for ref, got in zip(reference, first):
+        assert_identical(ref, got)
+    assert not list(tmp_path.glob("*.so"))
+
+
+def test_corrupt_cached_kernel_is_rebuilt(monkeypatch, tmp_path):
+    """Garbage bytes at the cached path: unlinked, rebuilt, loaded."""
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    digest = hashlib.sha256(_cext._KERNEL_SOURCE.read_bytes()).hexdigest()
+    so_path = tmp_path / f"batch_kernel-{digest[:16]}.so"
+    so_path.write_bytes(b"this is not a shared object\n" * 64)
+    assert _cext.resolve_batch_kernel() is not None
+    assert so_path.stat().st_size > 64 * 28
+    instances = replicate_instances(820, 3)
+    seeds = [derive_seed(5, 5, r) for r in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_batch_matches_reference(
+            instances, seeds=seeds, m=4, k=2, steals_per_tick=8
+        )
 
 
 def test_kernel_is_actually_loaded_here():
     """This environment has a C compiler: the native path must engage
-    (otherwise the whole suite silently pins fallback==fallback)."""
+    (otherwise the whole suite silently pins reference==reference)."""
     assert _cext.resolve_batch_kernel() is not None
 
 
@@ -354,7 +380,7 @@ def test_batch_options_accepts_engine_adapters():
     assert batch_options(
         _EngineScheduler("flat", k=4, steals_per_tick=8)
     ) == {"k": 4, "steals_per_tick": 8}
-    assert batch_options(_EngineScheduler("batch")) == {}
+    assert batch_options(_EngineScheduler("flat")) == {}
     assert batch_options(_EngineScheduler("work-stealing", k=2)) == {"k": 2}
     assert batch_options(
         _EngineScheduler("flat", victim_policy="round-robin")
@@ -363,68 +389,83 @@ def test_batch_options_accepts_engine_adapters():
 
 
 # ----------------------------------------------------------------------
-# repro.run() facade integration (engine="batch")
+# repro.run() facade integration
 # ----------------------------------------------------------------------
 
 
 def test_run_facade_batch_engine():
+    """``engine="flat"`` is run_batch at R=1, for both input forms."""
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=40, m=4)
     jobset = spec.build(seed=2)
-    flat = repro.run("flat", jobset, m=4, seed=1, k=2, steals_per_tick=8)
-    batch = repro.run("batch", jobset, m=4, seed=1, k=2, steals_per_tick=8)
-    assert_identical(flat, batch)
-    batch2 = repro.run(
-        "batch", flatten_jobset(jobset), m=4, seed=1, k=2, steals_per_tick=8
+    kwargs = dict(m=4, k=2, steals_per_tick=8)
+    batch = run_batch([jobset], seeds=[1], **kwargs)[0]
+    assert_identical(batch, repro.run("flat", jobset, seed=1, **kwargs))
+    assert_identical(
+        batch, repro.run("flat", flatten_jobset(jobset), seed=1, **kwargs)
     )
-    assert_identical(flat, batch2)
+    assert_identical(batch, _run_work_stealing(jobset, seed=1, **kwargs))
 
 
-def test_batch_engine_is_registered():
-    from repro.api import ENGINE_NAMES
+def test_sweep_facade_batch_engine_matches_flat(monkeypatch):
+    """A ``"flat"`` sweep with fused (batched) cells equals the per-rep one."""
+    from repro.experiments import sweep as sweep_mod
+    from repro.obs.telemetry import Telemetry
 
-    assert "batch" in ENGINE_NAMES
-
-
-def test_sweep_facade_batch_engine_matches_flat():
     spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=30, m=4)
     grid = {"k": [0, 4]}
-    flat = repro.sweep("flat", grid, spec, m=4, reps=2, seed=11, max_workers=1)
-    batch = repro.sweep(
-        "batch", grid, spec, m=4, reps=2, seed=11, max_workers=1
+    tel = Telemetry()
+    batched = repro.sweep(
+        "flat", grid, spec, m=4, reps=4, seed=11, max_workers=1,
+        telemetry=tel,
     )
-    assert [(c.params, c.metrics) for c in flat.cells] == [
-        (c.params, c.metrics) for c in batch.cells
+    assert [e for e in tel.events if e["event"] == "batch.start"]
+    monkeypatch.setattr(sweep_mod, "_BATCH_MIN_REPS", 1 << 30)
+    per_rep = repro.sweep(
+        "flat", grid, spec, m=4, reps=4, seed=11, max_workers=1
+    )
+    assert [(c.params, c.metrics) for c in batched.cells] == [
+        (c.params, c.metrics) for c in per_rep.cells
     ]
 
 
+def test_batch_engine_name_is_gone():
+    from repro.api import ENGINE_NAMES
+
+    assert ENGINE_NAMES == (
+        "work-stealing", "flat", "speedup-fifo", "speedup-equi"
+    )
+    with pytest.raises(ValueError, match="unknown engine name 'batch'"):
+        repro.run("batch", random_instance(0), m=2)
+
+
 # ----------------------------------------------------------------------
-# Slow-path visibility (ISSUE 10 satellite)
+# Slow-path visibility
 # ----------------------------------------------------------------------
 
 
 def test_flat_slow_path_warns_once(monkeypatch):
-    monkeypatch.setattr(flat_engine, "_SLOW_PATH_WARNED", False)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
     with pytest.warns(RuntimeWarning, match="reference engine"):
-        _run_flat(jobset, m=4, seed=8, victim_policy="round-robin")
+        repro.run("flat", jobset, m=4, seed=8, victim_policy="round-robin")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _run_flat(jobset, m=4, seed=8, victim_policy="round-robin")
+        repro.run("flat", jobset, m=4, seed=8, victim_policy="round-robin")
 
 
 def test_flat_native_path_does_not_warn(monkeypatch):
-    monkeypatch.setattr(flat_engine, "_SLOW_PATH_WARNED", False)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _run_flat(jobset, m=4, seed=8, k=2, steals_per_tick=8)
-    assert not flat_engine._SLOW_PATH_WARNED
+        repro.run("flat", jobset, m=4, seed=8, k=2, steals_per_tick=8)
+    assert not batch_engine._SLOW_PATH_WARNED
 
 
 def test_run_facade_emits_dispatch_slow_path(monkeypatch):
     from repro.obs.telemetry import Telemetry
 
-    monkeypatch.setattr(flat_engine, "_SLOW_PATH_WARNED", True)  # quiet
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
     jobset = random_instance(7)
     tel = Telemetry()
     repro.run(
@@ -434,6 +475,8 @@ def test_run_facade_emits_dispatch_slow_path(monkeypatch):
     slow = [e for e in tel.events if e["event"] == "dispatch.slow_path"]
     assert len(slow) == 1
     assert slow[0]["reasons"] == ["victim_policy='round-robin'"]
+    done = [e for e in tel.events if e["event"] == "run.done"]
+    assert done[0]["path"] == "reference"
 
     tel2 = Telemetry()
     repro.run(
@@ -442,16 +485,29 @@ def test_run_facade_emits_dispatch_slow_path(monkeypatch):
     assert not [
         e for e in tel2.events if e["event"] == "dispatch.slow_path"
     ]
+    done = [e for e in tel2.events if e["event"] == "run.done"]
+    assert done[0]["path"] == "cext"
 
 
-def test_slow_path_reasons_vocabulary():
-    reasons = flat_engine._slow_path_reasons(
-        "max-deque", True, "weight", object()
+def test_slow_path_reasons_vocabulary(monkeypatch):
+    from repro.sim.sampling import SystemSampler
+
+    reasons = batch_engine._slow_path_reasons(
+        "max-deque", True, "weight", object(), SystemSampler(), False
     )
     assert reasons == (
         "victim_policy='max-deque'",
         "steal_half=True",
         "admission='weight'",
         "trace=<TraceRecorder>",
+        "sampler=<SystemSampler>",
+        "_fast_forward=False",
     )
-    assert flat_engine._slow_path_reasons("uniform", False, "fifo", None) == ()
+    assert batch_engine._slow_path_reasons("uniform", False, "fifo") == ()
+    # Engine keyword sets pass through whole; the knobs that never
+    # leave the kernel are ignored.
+    assert batch_engine._slow_path_reasons(k=4, steals_per_tick=8) == ()
+
+    _reset_cext_resolution(monkeypatch)
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+    assert batch_engine._slow_path_reasons() == ("kernel=unavailable",)

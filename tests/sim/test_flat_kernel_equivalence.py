@@ -1,10 +1,14 @@
-"""Cross-engine fuzz: the flat-CSR kernel vs the reference tick engine.
+"""The differential oracle: the compiled kernel vs the reference engine.
 
-``engine="flat"`` (:mod:`repro.sim.flat_engine`) claims *bit-identity*
-with :func:`repro.sim.engine._run_work_stealing`: same completion
-times, same :class:`SimulationStats` counters, same victim-RNG draw
-sequence, same sampler snapshots.  This suite pins that claim from
-every angle the reference engine is exercised from elsewhere:
+The reference tick engine (:func:`repro.sim.engine._run_work_stealing`)
+defines the semantics; the one fast kernel
+(:func:`repro.sim.batch_engine.run_batch`, which is what
+``engine="flat"`` runs at R=1) claims *bit-identity* with it: same
+completion times, same :class:`SimulationStats` counters, same
+victim-RNG draw sequence.  This suite pins that claim, for both input
+forms (:class:`~repro.dag.job.JobSet` and
+:class:`~repro.dag.flat.FlatInstance`), from every angle the reference
+engine is exercised from elsewhere:
 
 * randomized layered multi-DAG instances (the brute-force equivalence
   suite's generator) swept across the ``k`` / ``steals_per_tick`` /
@@ -13,29 +17,31 @@ every angle the reference engine is exercised from elsewhere:
   :class:`~repro.workloads.WorkloadSpec`;
 * the Section 5 adversarial lower-bound instances;
 * chain-heavy DAGs (the kernel's chain fast path) and single-node jobs;
-* telemetry on/off (a :class:`SystemSampler` attached or not) -- the
-  schedule must not depend on observation, and the sampled time series
-  itself must match the reference row for row;
-* the brute-force mode (``_fast_forward=False``) and the delegating
-  configurations (non-uniform victim policies, ``steal_half``, weighted
-  admission).
+* the out-of-scope configurations (samplers, ``_fast_forward=False``,
+  non-uniform victim policies, ``steal_half``, weighted admission),
+  which must fall back to the reference and stay identical;
+* an R>1 arm: ragged replicate batches with empty and unsorted
+  replicates in one arena, each compared with its own reference run
+  (:func:`assert_batch_matches_reference`, also the comparison of
+  ``tests/sim/test_batch_engine.py``).
 
 Equality below always means *full* equality: completions array,
 ``stats.as_dict()``, scheduler label and recorded seed.
 """
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
 
 import repro
 from repro.dag.builders import chain, random_layered_dag, single_node
-from repro.dag.flat import flatten_jobset
-from repro.dag.job import jobs_from_dags
-from repro.sim import flat_engine
+from repro.dag.flat import flatten_jobset, to_jobset
+from repro.dag.job import JobSet, jobs_from_dags
+from repro.sim import batch_engine
+from repro.sim.batch_engine import run_batch
 from repro.sim.engine import _run_work_stealing
-from repro.sim.flat_engine import _run_flat
+from repro.sim.rng import derive_seed
 from repro.sim.sampling import SystemSampler
 from repro.workloads import (
     BingDistribution,
@@ -82,15 +88,40 @@ def assert_identical(ref, flat):
     assert np.array_equal(ref.weights, flat.weights)
 
 
+def run_kernel(instance, seed=None, **kwargs):
+    """One run on the kernel: ``engine="flat"``'s dispatch target."""
+    return run_batch([instance], seeds=[seed], **kwargs)[0]
+
+
+def run_reference(instance, **kwargs):
+    if not isinstance(instance, JobSet):
+        instance = to_jobset(instance)
+    return _run_work_stealing(instance, **kwargs)
+
+
 def run_both(jobset, **kwargs):
     ref = _run_work_stealing(jobset, **kwargs)
-    flat = _run_flat(jobset, **kwargs)
-    assert_identical(ref, flat)
+    assert_identical(ref, run_kernel(jobset, **kwargs))
     # The FlatInstance input path (what sweep workers execute on) must
     # agree with the JobSet input path.
-    flat2 = _run_flat(flatten_jobset(jobset), **kwargs)
-    assert_identical(ref, flat2)
+    assert_identical(ref, run_kernel(flatten_jobset(jobset), **kwargs))
     return ref
+
+
+def assert_batch_matches_reference(instances, seeds=None, **kwargs):
+    """run_batch vs R reference runs: full per-rep equality."""
+    reps = len(instances)
+    if seeds is None:
+        seeds = [derive_seed(0, 77, r) for r in range(reps)]
+    serial = [
+        run_reference(instances[r], seed=seeds[r], **kwargs)
+        for r in range(reps)
+    ]
+    batched = run_batch(instances, seeds=seeds, **kwargs)
+    assert len(batched) == reps
+    for ref, got in zip(serial, batched):
+        assert_identical(ref, got)
+    return batched
 
 
 FUZZ_CASES = [
@@ -166,7 +197,8 @@ def test_empty_jobset():
     run_both(jobset, m=4, k=2, steals_per_tick=4, seed=0)
 
 
-def test_brute_force_mode():
+def test_brute_force_mode(monkeypatch):
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     jobset = random_instance(42)
     run_both(jobset, m=4, k=2, steals_per_tick=4, seed=6, _fast_forward=False)
     run_both(jobset, m=2, k=0, steals_per_tick=1, seed=6, _fast_forward=False)
@@ -182,26 +214,27 @@ def test_delegating_configurations(kwargs, monkeypatch):
     """Out-of-scope knobs route to the reference engine and stay identical."""
     # The delegation is deliberate here; silence the one-time slow-path
     # warning (its own behaviour is pinned by tests/sim/test_batch_engine.py).
-    monkeypatch.setattr(flat_engine, "_SLOW_PATH_WARNED", True)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     jobset = random_instance(7)
     run_both(jobset, m=4, seed=8, **kwargs)
 
 
-def test_sampler_parity_and_observation_invariance():
+def test_sampler_parity_and_observation_invariance(monkeypatch):
     """Telemetry on/off: identical schedules, identical sample series."""
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     jobset = random_instance(3, n_jobs=10)
     kwargs = dict(m=4, k=2, steals_per_tick=8, seed=9)
 
     ref_sampler = SystemSampler(every=16)
     flat_sampler = SystemSampler(every=16)
     ref = _run_work_stealing(jobset, sampler=ref_sampler, **kwargs)
-    flat = _run_flat(jobset, sampler=flat_sampler, **kwargs)
+    flat = run_kernel(jobset, sampler=flat_sampler, **kwargs)
     assert_identical(ref, flat)
     assert ref_sampler.samples == flat_sampler.samples
     assert len(flat_sampler.samples) > 0
 
     # Observation must not perturb the schedule.
-    bare = _run_flat(jobset, **kwargs)
+    bare = run_kernel(jobset, **kwargs)
     assert_identical(bare, flat)
 
 
@@ -209,15 +242,15 @@ def test_determinism_and_generator_seed():
     """Same seed -> same bits; a Generator seed is consumed identically."""
     jobset = random_instance(5)
     kwargs = dict(m=4, k=3, steals_per_tick=8)
-    a = _run_flat(jobset, seed=123, **kwargs)
-    b = _run_flat(jobset, seed=123, **kwargs)
+    a = run_kernel(jobset, seed=123, **kwargs)
+    b = run_kernel(jobset, seed=123, **kwargs)
     assert_identical(a, b)
 
     # Passing a Generator: both engines must leave it in the same state.
     g_ref = np.random.default_rng(77)
     g_flat = np.random.default_rng(77)
     ref = _run_work_stealing(jobset, seed=g_ref, **kwargs)
-    flat = _run_flat(jobset, seed=g_flat, **kwargs)
+    flat = run_kernel(jobset, seed=g_flat, **kwargs)
     assert_identical(ref, flat)
     assert g_ref.integers(0, 1 << 30) == g_flat.integers(0, 1 << 30)
 
@@ -234,14 +267,41 @@ def test_validation_errors_match_reference():
         with pytest.raises(ValueError) as ref_exc:
             _run_work_stealing(jobset, **bad)
         with pytest.raises(ValueError) as flat_exc:
-            _run_flat(jobset, **bad)
+            run_kernel(jobset, **bad)
         assert str(ref_exc.value) == str(flat_exc.value)
 
 
 def test_max_ticks_overload_error_matches():
     jobset = random_instance(2)
     with pytest.raises(RuntimeError, match="exceeded max_ticks=5"):
-        _run_flat(jobset, m=2, k=0, steals_per_tick=1, seed=0, max_ticks=5)
+        run_kernel(jobset, m=2, k=0, steals_per_tick=1, seed=0, max_ticks=5)
+
+
+# ----------------------------------------------------------------------
+# R>1: ragged replicate batches in one arena
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("reps", [1, 5, 32])
+def test_ragged_batch_with_empty_and_unsorted_reps(reps):
+    """Every replicate of a ragged arena matches its own reference run,
+    including an empty replicate and a hand-built unsorted one."""
+    instances = [
+        flatten_jobset(random_instance(900 + r, n_jobs=2 + r % 7))
+        for r in range(reps)
+    ]
+    if reps > 1:
+        instances[1] = flatten_jobset(jobs_from_dags([], []))
+    if reps > 2:
+        unsorted = instances[2]
+        instances[2] = dataclasses.replace(
+            unsorted,
+            arrivals=np.ascontiguousarray(unsorted.arrivals[::-1]),
+        )
+        assert not np.all(
+            instances[2].arrivals[1:] >= instances[2].arrivals[:-1]
+        )
+    assert_batch_matches_reference(instances, m=4, k=2, steals_per_tick=8)
 
 
 # ----------------------------------------------------------------------
@@ -284,56 +344,3 @@ def test_sweep_facade_flat_matches_reference():
     assert [(c.params, c.metrics) for c in ref.cells] == [
         (c.params, c.metrics) for c in flat.cells
     ]
-
-
-# ----------------------------------------------------------------------
-# numba request ergonomics (REPRO_NUMBA)
-# ----------------------------------------------------------------------
-
-
-def _reset_numba_resolution(monkeypatch):
-    monkeypatch.setattr(flat_engine, "_numba_scan", None)
-    monkeypatch.setattr(flat_engine, "_numba_resolved", False)
-    monkeypatch.setattr(flat_engine, "_numba_warned", False)
-
-
-def test_numba_requested_but_missing_warns_once(monkeypatch):
-    """REPRO_NUMBA=1 without numba: one RuntimeWarning, then silence."""
-    try:
-        import numba  # noqa: F401
-
-        pytest.skip("numba is importable here; the fallback path is moot")
-    except ImportError:
-        pass
-    _reset_numba_resolution(monkeypatch)
-    monkeypatch.setenv("REPRO_NUMBA", "1")
-    jobset = random_instance(4)
-    with pytest.warns(RuntimeWarning, match="numba is not importable"):
-        first = _run_flat(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        second = _run_flat(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    assert_identical(first, second)
-
-
-def test_numba_disabled_is_silent(monkeypatch):
-    _reset_numba_resolution(monkeypatch)
-    monkeypatch.setenv("REPRO_NUMBA", "0")
-    jobset = random_instance(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = _run_flat(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    ref = _run_work_stealing(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    assert_identical(ref, result)
-
-
-def test_numba_default_resolution_is_silent(monkeypatch):
-    """Unset REPRO_NUMBA auto-detects without warning either way."""
-    _reset_numba_resolution(monkeypatch)
-    monkeypatch.delenv("REPRO_NUMBA", raising=False)
-    jobset = random_instance(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = _run_flat(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    ref = _run_work_stealing(jobset, m=4, k=2, steals_per_tick=8, seed=0)
-    assert_identical(ref, result)

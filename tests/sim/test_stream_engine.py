@@ -1,9 +1,11 @@
-"""Streaming engine vs materialized flat engine: bit-identity (ISSUE 7).
+"""Streaming engine vs materialized ``engine="flat"``: bit-identity.
 
 The headline claim of ``repro.run(..., stream=...)`` is that streaming
 is *purely* an execution strategy: the scheduler, the RNG stream, and
-every per-tick decision are identical to ``engine="flat"`` on the
-materialized instance -- only the memory profile changes.  The decisive
+every per-tick decision are identical to ``repro.run("flat", ...)`` (the
+compiled kernel, or the reference engine where the kernel is out of
+scope) on the materialized instance -- only the memory profile
+changes.  The decisive
 assertions compare ``max_flow`` with ``==`` (never ``approx``) and the
 full ``SimulationStats`` dict field by field, across chunk sizes, k,
 sigma, speeds and seeds.  Compaction frequency (``_compact_min``) must
@@ -18,7 +20,6 @@ import pytest
 import repro
 from repro.errors import SweepConfigError
 from repro.obs import Telemetry
-from repro.sim.flat_engine import _run_flat
 from repro.sim.stream_engine import StreamResult, _run_stream
 from repro.workloads.distributions import (
     BingDistribution,
@@ -41,9 +42,13 @@ def make_stream(
     return StreamSpec(spec, chunk_jobs=chunk_jobs)
 
 
+def run_flat(instance, m, seed, **engine_kw):
+    return repro.run("flat", instance, m=m, seed=seed, **engine_kw)
+
+
 def assert_equivalent(sr: StreamResult, stream: StreamSpec, **engine_kw):
     """Stream result vs the materialized flat run on the same seed."""
-    fr = _run_flat(stream.materialize(sr.seed), sr.m, seed=sr.seed, **engine_kw)
+    fr = run_flat(stream.materialize(sr.seed), sr.m, sr.seed, **engine_kw)
     assert sr.max_flow == fr.max_flow  # bit-identical, never approx
     assert sr.argmax_job == fr.argmax_flow
     assert sr.makespan == fr.makespan
@@ -124,7 +129,7 @@ class TestOnlineMetrics:
     def test_quantile_estimates_near_exact_flows(self):
         stream = make_stream(n_jobs=800, chunk_jobs=128)
         sr = _run_stream(stream, 4, k=4, seed=1, quantiles=(0.5, 0.9, 0.99))
-        fr = _run_flat(stream.materialize(1), 4, seed=1, k=4)
+        fr = run_flat(stream.materialize(1), 4, 1, k=4)
         flows = fr.flows
         for q, est in sr.quantiles.items():
             rank = float(np.mean(flows <= est))

@@ -72,8 +72,9 @@ DERIVED_RATIOS = {
         "test_flatten_jobset_cached",
         "test_flatten_jobset",
     ),
-    # engine="flat" vs the reference tick engine, per mirrored
-    # configuration (same instance, knobs and seed on both sides).
+    # engine="flat" (the compiled kernel at R=1) vs the reference tick
+    # engine, per mirrored configuration (same instance, knobs and seed
+    # on both sides).
     # The contention ratio (m=64, sigma=64 -- victim draws dominate)
     # carries the ISSUE-6 floor: bench_gate.py
     # --min-derived flat_vs_reference_contention:5 enforces it.
@@ -92,24 +93,6 @@ DERIVED_RATIOS = {
     "flat_vs_reference_contention": (
         "test_flat_engine_throughput_contention",
         "test_tick_engine_throughput_contention",
-    ),
-    # Streaming execution (chunked generation + window compaction +
-    # online stats, quantiles off) vs materializing the instance and
-    # running engine="flat" -- same workload, knobs and seed, with the
-    # flat side paying materialization inside the timed region.  The
-    # ISSUE-7 floor: bench_gate.py --min-derived stream_vs_flat:0.9.
-    "stream_vs_flat": (
-        "test_stream_engine_throughput",
-        "test_flat_materialized_throughput",
-    ),
-    # Rep-batched arena execution (ISSUE 10) vs R serial engine="flat"
-    # calls over the same replicates, seeds and knobs (bit-identical per
-    # rep).  The multi-rep cell-evaluation speedup the sweep layer gets
-    # from fusing a cell's repetitions; bench_gate.py
-    # --min-derived batch_vs_flat:1.5 enforces the floor.
-    "batch_vs_flat": (
-        "test_batch_engine_multi_rep",
-        "test_flat_engine_multi_rep",
     ),
 }
 
