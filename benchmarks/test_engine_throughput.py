@@ -4,8 +4,10 @@ These are conventional pytest-benchmark measurements (multiple rounds)
 of the engines and the OPT bound, so regressions in the hot loops show
 up as timing changes rather than only as slower reproduction runs.
 
-The ``test_flat_engine_throughput_*`` benchmarks mirror the
-``test_tick_engine_throughput_*`` configurations exactly (same
+The ``test_tick_engine_throughput_*`` benchmarks time the reference
+tick engine (``repro.run("work-stealing")``; ``WorkStealingScheduler.run``
+takes the kernel for these configurations).  The
+``test_flat_engine_throughput_*`` benchmarks mirror them exactly (same
 instance, same knobs, same seed) but run through
 ``repro.run(engine="flat")`` -- the compiled kernel -- on the CSR
 instance, the path sweep workers execute.  ``tools/bench_report.py``
@@ -23,7 +25,6 @@ import pytest
 import repro
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import opt_lower_bound
-from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.flat import flatten_jobset
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
@@ -58,8 +59,9 @@ def test_event_engine_throughput(benchmark, throughput_jobset):
 
 def test_tick_engine_throughput_admit_first(benchmark, throughput_jobset):
     r = benchmark(
-        lambda: WorkStealingScheduler(k=0, steals_per_tick=64).run(
-            throughput_jobset, m=16, seed=0
+        lambda: repro.run(
+            "work-stealing", throughput_jobset, m=16, seed=0, k=0,
+            steals_per_tick=64,
         )
     )
     assert r.stats.busy_steps == throughput_jobset.total_work
@@ -67,8 +69,9 @@ def test_tick_engine_throughput_admit_first(benchmark, throughput_jobset):
 
 def test_tick_engine_throughput_steal_first(benchmark, throughput_jobset):
     r = benchmark(
-        lambda: WorkStealingScheduler(k=16, steals_per_tick=64).run(
-            throughput_jobset, m=16, seed=0
+        lambda: repro.run(
+            "work-stealing", throughput_jobset, m=16, seed=0, k=16,
+            steals_per_tick=64,
         )
     )
     assert r.stats.busy_steps == throughput_jobset.total_work
@@ -76,8 +79,9 @@ def test_tick_engine_throughput_steal_first(benchmark, throughput_jobset):
 
 def test_tick_engine_throughput_theory_mode(benchmark, throughput_jobset):
     r = benchmark(
-        lambda: WorkStealingScheduler(k=4, steals_per_tick=1).run(
-            throughput_jobset, m=16, seed=0
+        lambda: repro.run(
+            "work-stealing", throughput_jobset, m=16, seed=0, k=4,
+            steals_per_tick=1,
         )
     )
     assert r.stats.busy_steps == throughput_jobset.total_work
@@ -117,8 +121,9 @@ def test_flat_engine_throughput_theory_mode(benchmark, throughput_flat):
 
 def test_tick_engine_throughput_contention(benchmark, contention_jobset):
     r = benchmark(
-        lambda: WorkStealingScheduler(k=0, steals_per_tick=64).run(
-            contention_jobset, m=64, seed=0
+        lambda: repro.run(
+            "work-stealing", contention_jobset, m=64, seed=0, k=0,
+            steals_per_tick=64,
         )
     )
     assert r.stats.busy_steps == contention_jobset.total_work

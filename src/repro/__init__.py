@@ -62,6 +62,10 @@ byte-identical sweep cell, so refinement and repetition are nearly
 free; see EXPERIMENTS.md ("Ask a question, not a grid").
 """
 
+# First: starts the compiled kernel's build in the background, so it
+# overlaps the rest of the import (see repro.sim._cext).
+import repro.sim._cext  # noqa: F401  isort: skip
+
 from repro.core import (
     AdmitFirstScheduler,
     BwfScheduler,
@@ -124,7 +128,7 @@ from repro.obs import Telemetry
 from repro.sim.stream_engine import StreamResult
 from repro.workloads import StreamSpec, WorkloadSpec
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 
 def merge_caches(sources, dest, telemetry=None):

@@ -105,6 +105,21 @@ def _resolve_speed(
     return 1.0
 
 
+def _kernel_knobs(scheduler: Any, engine: str) -> Optional[Dict[str, Any]]:
+    """Engine knobs of a run that may take the compiled kernel, else None.
+
+    ``"flat"`` runs and unmodified
+    :class:`~repro.core.work_stealing.WorkStealingScheduler` instances
+    choose between the kernel and the reference engine; nothing else
+    does.
+    """
+    if engine == "flat":
+        return {}
+    from repro.core.work_stealing import _plain_engine_kwargs
+
+    return _plain_engine_kwargs(scheduler)
+
+
 def run(
     scheduler: Union[Scheduler, type, str],
     jobset: Any = None,
@@ -154,8 +169,10 @@ def run(
     telemetry:
         Optional :class:`repro.obs.Telemetry`; when given, ``run.start``
         and ``run.done`` events are emitted around the simulation
-        (``"flat"`` runs tag ``run.done`` with the ``path`` taken,
-        ``"cext"`` or ``"reference"``).  Never alters the schedule.
+        (``"flat"`` and :class:`~repro.core.work_stealing.WorkStealingScheduler`
+        runs tag ``run.done`` with the ``path`` taken, ``"cext"`` or
+        ``"reference"``, and emit ``dispatch.slow_path`` with the
+        reasons when it is the reference).  Never alters the schedule.
     **engine_kwargs:
         Forwarded to the dispatch target (e.g. ``k=16`` for
         ``"work-stealing"``, ``trace=...``/``sampler=...`` for
@@ -272,12 +289,14 @@ def run(
         n_jobs=_n_jobs(jobset),
     )
     done_tags: Dict[str, Any] = {}
-    if engine == "flat":
+    knobs = _kernel_knobs(scheduler, engine)
+    if knobs is not None:
         # Record which path the run takes and why (run_batch also emits
-        # a one-time RuntimeWarning; this event records every run).
+        # a one-time RuntimeWarning for "flat"; this event records every
+        # run).
         from repro.sim.batch_engine import _slow_path_reasons
 
-        reasons = _slow_path_reasons(**engine_kwargs)
+        reasons = _slow_path_reasons(**knobs, **engine_kwargs)
         if reasons:
             telemetry.emit(
                 "dispatch.slow_path",

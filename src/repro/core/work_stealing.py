@@ -18,14 +18,23 @@ knob is ``k``:
   worse at high utilization, which our benches reproduce.
 
 Both variants are non-clairvoyant and randomized (victim selection only).
+
+:meth:`WorkStealingScheduler.run` evaluates the paper's configurations
+(uniform victims, single-node steals, FIFO admission, no trace or
+sampler) on the compiled tick kernel, :func:`repro.sim.run_batch` at one
+replicate, and every other configuration on the reference engine
+(:func:`repro.sim.engine._run_work_stealing`).  The two are pinned
+bit-identical, so the choice only changes speed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.core.base import Scheduler
+from repro.dag.flat import FlatInstance, to_jobset
 from repro.dag.job import JobSet
+from repro.sim.batch_engine import _scope_reasons, run_batch
 from repro.sim.engine import _run_work_stealing
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
@@ -50,6 +59,14 @@ class WorkStealingScheduler(Scheduler):
     Randomness is confined to victim selection; pass ``seed`` to
     :meth:`run` for reproducible runs.  Each steal attempt costs one time
     step, exactly as in the paper's analysis.
+
+    :meth:`run` takes the compiled kernel whenever the configuration is
+    inside its scope (uniform victims, whole-node steals, FIFO
+    admission, no ``trace`` or ``sampler``) and the reference engine
+    otherwise, silently: results are bit-identical either way.  Such
+    schedulers also accept a :class:`~repro.dag.flat.FlatInstance`
+    (:attr:`consumes_flat`).  A host without a working C compiler runs
+    the reference engine with a one-time :class:`RuntimeWarning`.
     """
 
     def __init__(
@@ -97,28 +114,62 @@ class WorkStealingScheduler(Scheduler):
             suffix += f"/{self.admission}-admission"
         return base + suffix
 
+    def _engine_kwargs(self) -> Dict[str, Any]:
+        """This scheduler's configuration as engine keyword arguments."""
+        return {
+            "k": self.k,
+            "steals_per_tick": self.steals_per_tick,
+            "victim_policy": self.victim_policy,
+            "steal_half": self.steal_half,
+            "admission": self.admission,
+        }
+
+    @property
+    def consumes_flat(self) -> bool:
+        """Whether :meth:`run` takes a raw :class:`FlatInstance`.
+
+        True when the configuration runs on the kernel and ``run`` is not
+        overridden; the sweep layer then hands pool workers the attached
+        CSR arrays instead of rebuilding a :class:`JobSet`.
+        """
+        kwargs = _plain_engine_kwargs(self)
+        return kwargs is not None and not _scope_reasons(**kwargs)
+
     def run(
         self,
-        jobset: JobSet,
+        jobset: Union[JobSet, FlatInstance],
         m: int,
         speed: float = 1.0,
         seed: SeedLike = None,
         trace: Optional[TraceRecorder] = None,
         sampler: Optional[SystemSampler] = None,
     ) -> ScheduleResult:
-        return _run_work_stealing(
-            jobset,
-            m=m,
-            speed=speed,
-            k=self.k,
-            seed=seed,
-            trace=trace,
-            steals_per_tick=self.steals_per_tick,
-            victim_policy=self.victim_policy,
-            steal_half=self.steal_half,
-            admission=self.admission,
-            sampler=sampler,
-        )
+        kwargs = self._engine_kwargs()
+        if _scope_reasons(trace=trace, sampler=sampler, **kwargs):
+            if isinstance(jobset, FlatInstance):
+                jobset = to_jobset(jobset)
+            return _run_work_stealing(
+                jobset, m=m, speed=speed, seed=seed, trace=trace,
+                sampler=sampler, **kwargs,
+            )
+        return run_batch(
+            [jobset], m, speed=speed, seeds=[seed], **kwargs
+        )[0]
+
+
+def _plain_engine_kwargs(scheduler: Any) -> Optional[Dict[str, Any]]:
+    """Engine kwargs of an unmodified :class:`WorkStealingScheduler`.
+
+    ``None`` for anything else, including subclasses that override
+    ``run``: those may do anything, so neither telemetry nor the sweep
+    layer may assume which engine they reach.
+    """
+    if (
+        isinstance(scheduler, WorkStealingScheduler)
+        and type(scheduler).run is WorkStealingScheduler.run
+    ):
+        return scheduler._engine_kwargs()
+    return None
 
 
 class AdmitFirstScheduler(WorkStealingScheduler):

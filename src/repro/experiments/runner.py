@@ -88,27 +88,15 @@ def run_figure2_cell(
 
     Runs ``scale.reps`` independent workload draws and averages the max
     flow of each scheduler across them, converting to milliseconds with
-    the config's time unit.
-
-    Cells with enough repetitions evaluate the work-stealing lineup
-    members through :func:`repro.sim.batch_engine.run_batch` -- all reps
-    in one arena, same derived seeds, bit-identical means (the
-    accumulation order per scheduler is unchanged: rep 0, 1, ...).
-    The rep floor is :data:`repro.experiments.sweep._BATCH_MIN_REPS`,
-    the same as :func:`repro.experiments.sweep._grid_sweep`'s.
+    the config's time unit.  Each draw is built, run through
+    :func:`run_schedulers` and dropped before the next, so one instance
+    is alive at a time.  The two work-stealing schedulers run on the
+    compiled kernel (see :class:`~repro.core.work_stealing.WorkStealingScheduler`),
+    bit-identical to the reference engine.
     """
-    from repro.experiments import sweep as sweep_mod
-    from repro.sim.batch_engine import batch_options, run_batch
-
     lineup = figure2_schedulers(cfg, include_fifo)
-    batchable: Dict[int, Dict[str, Any]] = {}
-    if scale.reps >= sweep_mod._BATCH_MIN_REPS:
-        for i, sched in enumerate(lineup):
-            engine_kwargs = batch_options(sched)
-            if engine_kwargs is not None:
-                batchable[i] = engine_kwargs
-
-    def build_rep(rep: int) -> JobSet:
+    sums: Dict[str, float] = {}
+    for rep in range(scale.reps):
         cell_seed = derive_seed(seed, int(qps), rep)
         spec = WorkloadSpec(
             distribution=cfg.distribution_factory(),
@@ -118,43 +106,8 @@ def run_figure2_cell(
             units_per_ms=cfg.units_per_ms,
             target_chunks=cfg.target_chunks,
         )
-        return spec.build(seed=cell_seed)
-
-    sums: Dict[str, float] = {}
-    if batchable:
-        jobsets = [build_rep(rep) for rep in range(scale.reps)]
-        batch_results: Dict[int, List[ScheduleResult]] = {}
-        for i, engine_kwargs in batchable.items():
-            # The exact seeds run_schedulers would derive, per rep.
-            rep_seeds = [
-                derive_seed(derive_seed(seed, int(qps), rep), 1000 + i)
-                for rep in range(scale.reps)
-            ]
-            batch_results[i] = run_batch(
-                jobsets, m=cfg.m, seeds=rep_seeds, **engine_kwargs
-            )
-        for rep in range(scale.reps):
-            cell_seed = derive_seed(seed, int(qps), rep)
-            for i, sched in enumerate(lineup):
-                if i in batch_results:
-                    res = batch_results[i][rep]
-                else:
-                    res = sched.run(
-                        jobsets[rep],
-                        m=cfg.m,
-                        speed=1.0,
-                        seed=derive_seed(cell_seed, 1000 + i),
-                    )
-                sums[sched.name] = (
-                    sums.get(sched.name, 0.0)
-                    + res.max_flow * cfg.time_unit_ms
-                )
-        return {name: total / scale.reps for name, total in sums.items()}
-
-    for rep in range(scale.reps):
-        cell_seed = derive_seed(seed, int(qps), rep)
         results = run_schedulers(
-            build_rep(rep),
+            spec.build(seed=cell_seed),
             lineup,
             m=cfg.m,
             seed=cell_seed,

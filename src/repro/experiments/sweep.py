@@ -238,9 +238,9 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     maybe_inject("dispatch", index=task_index)
     scheduler = factory(**params)
     if isinstance(instance_handle, dict):
-        # Flat-consuming schedulers (engine="flat") take the attached
-        # CSR arrays directly -- zero-copy end to end, no per-worker
-        # object-graph rebuild.
+        # Flat-consuming schedulers (engine="flat", in-scope
+        # WorkStealingScheduler) take the attached CSR arrays directly --
+        # zero-copy end to end, no per-worker object-graph rebuild.
         if getattr(scheduler, "consumes_flat", False):
             jobset = attach_flat(instance_handle)
         else:
@@ -259,11 +259,11 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     }
 
 
-#: Minimum number of cold repetitions of one cell before the sweep (and
-#: the Figure 2 runner) fuses them into a single batched task.  Below
-#: this, the arena build and the one-time kernel compile are not worth
-#: amortizing: Figure 2 at its shipped scales runs 3 reps or fewer and
-#: stays on the per-rep path.
+#: Minimum number of cold repetitions of one cell before the sweep fuses
+#: them into a single batched task.  Per-rep tasks run the same kernel
+#: at R=1, so the floor does not decide speed much; it keeps small cells
+#: as per-rep tasks, each checkpointed into the cache as it finishes,
+#: so an aborted sweep resumes at rep granularity.
 _BATCH_MIN_REPS = 4
 
 

@@ -22,10 +22,14 @@ evaluates R replicate :class:`~repro.dag.flat.FlatInstance` CSR
 instances in one block-structured arena with an on-demand-compiled C
 kernel -- bit-identical per rep to the reference engine (same
 schedules, stats, and RNG post-state).  ``repro.run(..., engine="flat")``
-is that kernel at R=1, and the sweep layer batches eligible multi-rep
-cells through it automatically.  Knobs outside the kernel's scope, or a
-host without a working C compiler, run the reference engine instead
-(identical results, warned once).
+and :meth:`WorkStealingScheduler.run <repro.core.work_stealing.WorkStealingScheduler.run>`
+(so every figure of the paper) are that kernel at R=1, and the sweep
+layer batches eligible multi-rep cells through it automatically.  Knobs
+outside the kernel's scope run the reference engine instead (identical
+results; warned once for ``"flat"``), and so does everything on a host
+without a working C compiler (warned once).  Importing this package
+starts the kernel's compile in the background (:mod:`repro.sim._cext`),
+so the cold build overlaps start-up.
 
 :mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``) runs
 the same tick semantics over a sliding window of a lazy arrival stream:
@@ -40,6 +44,7 @@ execution state), :class:`~repro.sim.deque.WorkStealingDeque`,
 invariant audits).
 """
 
+from repro.sim import _cext  # noqa: F401  first: starts the kernel build
 from repro.sim.result import (
     ScheduleResult,
     SimulationStats,

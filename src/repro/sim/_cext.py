@@ -18,12 +18,23 @@ why, and :mod:`repro.sim.batch_engine` turns it into a one-time
 shared-object cache directory (default:
 ``<tempdir>/repro-cext-<uid>``).
 
+The cold build is hidden behind the rest of start-up: importing this
+module (the first import of :mod:`repro` and of :mod:`repro.sim`)
+starts the compiler in the background when a compiler exists and no
+cached object does, and :func:`resolve_batch_kernel` waits on that
+build instead of compiling again.  A fork resolves the kernel first
+(the :func:`os.register_at_fork` hook in :mod:`repro.sim.batch_engine`),
+so forked pool workers inherit it rather than each compiling it, and
+interpreter exit finishes an in-flight build so the cache is left warm
+and no temporary file behind.
+
 Resolution is cached per process; tests reset the module globals to
 probe each path.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
@@ -51,6 +62,9 @@ _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 
 _cext_fn: Any = None
 _cext_resolved = False
+
+#: The compile started at import and not yet waited on, if any.
+_pending: Optional["_Build"] = None
 
 #: Why the kernel could not be built or loaded (None while it is usable
 #: or not yet resolved).
@@ -87,49 +101,104 @@ def _bind(lib: ctypes.CDLL) -> Any:
     return fn
 
 
+def _so_path() -> Path:
+    """Where the shared object for the current kernel source is cached."""
+    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
+    return _cache_dir() / f"batch_kernel-{digest}.so"
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+class _Build:
+    """One running compile of the kernel into ``so_path``.
+
+    The compiler writes a unique temp name that :meth:`finish` renames
+    atomically into place: two processes racing to build the same
+    kernel both succeed.
+    """
+
+    def __init__(self, compiler: str, so_path: Path) -> None:
+        so_path.parent.mkdir(parents=True, exist_ok=True)
+        fd, self.tmp_name = tempfile.mkstemp(
+            suffix=".so", prefix="batch_kernel-", dir=so_path.parent
+        )
+        os.close(fd)
+        self.so_path = so_path
+        try:
+            self.proc = subprocess.Popen(
+                [
+                    compiler, "-O2", "-shared", "-fPIC", "-o",
+                    self.tmp_name, str(_KERNEL_SOURCE),
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        except BaseException:
+            _unlink_quietly(self.tmp_name)
+            raise
+
+    def finish(self) -> None:
+        """Wait for the compiler; raises on compiler failure."""
+        try:
+            out, err = self.proc.communicate()
+            if self.proc.returncode != 0:
+                raise subprocess.CalledProcessError(
+                    self.proc.returncode, self.proc.args, out, err
+                )
+            os.replace(self.tmp_name, self.so_path)
+        except BaseException:
+            _unlink_quietly(self.tmp_name)
+            raise
+
+
 def _compile(compiler: str, so_path: Path) -> None:
     """Build the kernel into ``so_path``; raises on compiler failure."""
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    # Compile to a unique temp name, then atomically rename: two
-    # processes racing to build the same kernel both succeed.
-    fd, tmp_name = tempfile.mkstemp(
-        suffix=".so", prefix="batch_kernel-", dir=so_path.parent
-    )
-    os.close(fd)
+    _Build(compiler, so_path).finish()
+
+
+def start_background_build() -> None:
+    """Start compiling the kernel without waiting for it.
+
+    Does nothing when the kernel is already resolved, a build is already
+    running, no compiler exists, or the shared object is cached.  A
+    build that cannot start (an unwritable cache directory, say) is not
+    an error here: :func:`resolve_batch_kernel` retries it and records
+    why it failed.
+    """
+    global _pending
+    if _cext_resolved or _pending is not None:
+        return
     try:
-        subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-shared",
-                "-fPIC",
-                "-o",
-                tmp_name,
-                str(_KERNEL_SOURCE),
-            ],
-            check=True,
-            capture_output=True,
-        )
-        os.replace(tmp_name, so_path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+        compiler = _find_compiler()
+        if compiler is None:
+            return
+        so_path = _so_path()
+        if not so_path.exists():
+            _pending = _Build(compiler, so_path)
+    except OSError:
+        pass
 
 
 def _build_and_load() -> Any:
     """Compile (if not cached) and load the kernel; raises on failure.
 
-    A cached object that fails to load (truncated, corrupt, or built for
-    another ABI) is unlinked and rebuilt once.
+    Waits on the background build if one is running.  A cached object
+    that fails to load (truncated, corrupt, or built for another ABI) is
+    unlinked and rebuilt once.
     """
+    global _pending
+    build, _pending = _pending, None
+    if build is not None:
+        build.finish()
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
-    so_path = _cache_dir() / f"batch_kernel-{digest}.so"
+    so_path = _so_path()
     if not so_path.exists():
         _compile(compiler, so_path)
     try:
@@ -161,3 +230,13 @@ def resolve_batch_kernel() -> Any:
         _cext_fn = None
     _cext_resolved = True
     return _cext_fn
+
+
+def _finish_pending_build() -> None:
+    """At exit: resolve the kernel if the background build still runs."""
+    if _pending is not None:
+        resolve_batch_kernel()
+
+
+atexit.register(_finish_pending_build)
+start_background_build()

@@ -50,6 +50,7 @@ Telemetry: with a sink attached, :func:`run_batch` emits
 from __future__ import annotations
 
 import ctypes
+import os
 import time
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -136,13 +137,29 @@ def _warn_slow_path(reasons: tuple) -> None:
             f"({_cext.unavailable_reason})"
         )
     warnings.warn(
-        f"this run ({', '.join(reasons)}) is outside the compiled "
-        f"kernel's scope and falls back to the slower reference engine"
+        f"runs with {', '.join(reasons)} are outside the compiled "
+        f"kernel's scope and fall back to the slower reference engine"
         f"{cause}; results are identical, only slower (this warning is "
-        f"shown once per process)",
+        f"shown once per process, forked workers included)",
         RuntimeWarning,
         stacklevel=3,
     )
+
+
+def _before_fork() -> None:
+    """Resolve the kernel before a fork; warn once if it is unusable.
+
+    This finishes the background build started at import, so forked
+    pool workers inherit the loaded kernel instead of each compiling
+    it.  On a host where the kernel cannot be built, the workers inherit
+    the warned flag: a pool warns once, not once per worker.
+    """
+    if resolve_batch_kernel() is None:
+        _warn_slow_path(("kernel=unavailable",))
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_before_fork)
 
 
 class _BatchTables:
@@ -151,13 +168,17 @@ class _BatchTables:
     Everything is derived in one vectorized numpy pass over the
     concatenation of the replicates' CSR arrays, on a shared global id
     space (node ids offset by ``node_off[r]``, edge targets rebased, a
-    job's roots contiguous in the global ascending root list).  Cached
-    on the first instance of the tuple, so a sweep evaluating many grid
-    points over the same R replicates builds the arena once.
+    job's roots contiguous in the global ascending root list).  A single
+    replicate needs no rebasing: its CSR arrays are used as they are
+    (the kernel only reads them, so read-only shared-memory views
+    work).  Cached on the first instance of the tuple, so a sweep
+    evaluating many grid points over the same R replicates builds the
+    arena once.
     """
 
     __slots__ = (
-        "flats",
+        "others",
+        "arrivals",
         "node_off",
         "job_off",
         "works",
@@ -190,24 +211,36 @@ class _BatchTables:
         total_jobs = int(job_off[-1])
         total_edges = int(edge_off[-1])
 
-        works = np.concatenate(
-            [f.node_works for f in flats] or [np.zeros(0, np.int64)]
-        ).astype(np.int64, copy=False)
-        eo = np.empty(total_nodes + 1, dtype=np.int64)
-        eo[-1] = total_edges
-        for r, f in enumerate(flats):
-            eo[node_off[r] : node_off[r + 1]] = (
-                f.edge_offsets[:-1] + edge_off[r]
+        if reps == 1:
+            (f,) = flats
+            works, eo, et, jno = (
+                np.ascontiguousarray(a, dtype=np.int64)
+                for a in (
+                    f.node_works, f.edge_offsets, f.edge_targets,
+                    f.job_node_offsets,
+                )
             )
-        et = np.empty(total_edges, dtype=np.int64)
-        for r, f in enumerate(flats):
-            et[edge_off[r] : edge_off[r + 1]] = f.edge_targets + node_off[r]
-        jno = np.empty(total_jobs + 1, dtype=np.int64)
-        jno[-1] = total_nodes
-        for r, f in enumerate(flats):
-            jno[job_off[r] : job_off[r + 1]] = (
-                f.job_node_offsets[:-1] + node_off[r]
-            )
+        else:
+            works = np.concatenate(
+                [f.node_works for f in flats]
+            ).astype(np.int64, copy=False)
+            eo = np.empty(total_nodes + 1, dtype=np.int64)
+            eo[-1] = total_edges
+            for r, f in enumerate(flats):
+                eo[node_off[r] : node_off[r + 1]] = (
+                    f.edge_offsets[:-1] + edge_off[r]
+                )
+            et = np.empty(total_edges, dtype=np.int64)
+            for r, f in enumerate(flats):
+                et[edge_off[r] : edge_off[r + 1]] = (
+                    f.edge_targets + node_off[r]
+                )
+            jno = np.empty(total_jobs + 1, dtype=np.int64)
+            jno[-1] = total_nodes
+            for r, f in enumerate(flats):
+                jno[job_off[r] : job_off[r + 1]] = (
+                    f.job_node_offsets[:-1] + node_off[r]
+                )
 
         # Derived tables, one vectorized pass over the union: in-degrees,
         # chain links (sole successor with in-degree 1), roots.
@@ -224,7 +257,12 @@ class _BatchTables:
         roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
         job_sizes = np.diff(jno)
 
-        self.flats = tuple(flats)
+        # The cache lives on flats[0], so holding it here would make a
+        # reference cycle; the others are held so their ids stay unique.
+        self.others = tuple(flats[1:])
+        self.arrivals = np.concatenate(
+            [np.asarray(f.arrivals, dtype=np.float64) for f in flats]
+        )
         self.node_off = node_off
         self.job_off = job_off
         self.works = np.ascontiguousarray(works)
@@ -252,11 +290,7 @@ class _BatchTables:
     def arr_ticks(self, speed: float) -> np.ndarray:
         ticks = self.arr_cache.get(speed)
         if ticks is None:
-            arr = np.concatenate(
-                [np.asarray(f.arrivals, dtype=np.float64) for f in self.flats]
-                or [np.zeros(0, np.float64)]
-            )
-            ticks = np.ceil(arr * speed - 1e-9).astype(np.int64)
+            ticks = np.ceil(self.arrivals * speed - 1e-9).astype(np.int64)
             self.arr_cache[speed] = ticks
         return ticks
 
@@ -265,8 +299,9 @@ def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
     """Cached :class:`_BatchTables` for this exact replicate tuple.
 
     Attached to the first instance (derived state, not content); the
-    entry holds strong references to every member, so
-    the id-tuple key cannot alias a recycled object.
+    entry holds strong references to every other member, so the
+    id-tuple key cannot alias a recycled object, and none to the first,
+    so dropping it frees the arena without waiting for the cyclic GC.
     """
     key = tuple(id(f) for f in flats)
     anchor = flats[0]
@@ -562,19 +597,9 @@ def batch_options(scheduler: Any) -> Optional[Dict[str, Any]]:
     if engine in ("work-stealing", "flat"):
         kwargs = dict(getattr(scheduler, "engine_kwargs", None) or {})
     else:
-        from repro.core.work_stealing import WorkStealingScheduler
+        from repro.core.work_stealing import _plain_engine_kwargs
 
-        if (
-            isinstance(scheduler, WorkStealingScheduler)
-            and type(scheduler).run is WorkStealingScheduler.run
-        ):
-            kwargs = {
-                "k": scheduler.k,
-                "steals_per_tick": scheduler.steals_per_tick,
-                "victim_policy": scheduler.victim_policy,
-                "steal_half": scheduler.steal_half,
-                "admission": scheduler.admission,
-            }
-        else:
+        kwargs = _plain_engine_kwargs(scheduler)
+        if kwargs is None:
             return None
     return None if _scope_reasons(**kwargs) else kwargs

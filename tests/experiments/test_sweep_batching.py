@@ -7,14 +7,17 @@ reps of a batch-eligible scheduler through
 :class:`SweepResult` -- and byte-identical cache cell files -- as the
 same sweep on the per-rep path (the threshold monkeypatched out of
 reach).  These tests pin that, plus the threshold, the cell_timeout
-exclusion, the ``batch.*`` telemetry, and the figure-runner's use of the
-same machinery.
+exclusion and the ``batch.*`` telemetry.  Per-rep tasks of in-scope
+work-stealing schedulers receive the shared flat instance directly, and
+the Figure 2 runner (per-rep, on the kernel) equals a reference-engine
+recomputation.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import repro
 from repro.core.work_stealing import (
     WeightedWorkStealingScheduler,
     WorkStealingScheduler,
@@ -25,7 +28,9 @@ from repro.experiments import sweep as sweep_mod
 from repro.experiments.config import FIG2A, ExperimentScale
 from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.obs.telemetry import Telemetry
-from repro.sim.rng import make_rng
+from repro.sim.engine import _run_work_stealing
+from repro.sim.rng import derive_seed, make_rng
+from repro.workloads import BingDistribution, WorkloadSpec
 
 
 def tiny_jobset_factory(rep_seed):
@@ -151,11 +156,53 @@ def test_resume_from_serial_cache(monkeypatch, tmp_path):
     assert_same_result(serial, batched)
 
 
-def test_figure_runner_batched_matches_serial(monkeypatch):
-    from repro.experiments.runner import run_figure2_cell
+def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
+    """In-scope WorkStealingScheduler cells get the attached FlatInstance;
+    out-of-scope ones still get a JobSet."""
+    seen = []
+    routed_run = WorkStealingScheduler.run
 
-    scale = ExperimentScale(n_jobs=40, reps=4)
-    batched = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
-    per_rep_only(monkeypatch)
-    serial = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
-    assert batched == serial
+    def spy(self, jobset, *args, **kwargs):
+        seen.append((self.victim_policy, type(jobset).__name__))
+        return routed_run(self, jobset, *args, **kwargs)
+
+    monkeypatch.setattr(WorkStealingScheduler, "run", spy)
+    spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=20, m=4)
+    for policy in ("uniform", "round-robin"):
+        repro.sweep(
+            WorkStealingScheduler(steals_per_tick=8, victim_policy=policy),
+            {"k": [0, 2]}, spec, m=4, reps=2, seed=5, max_workers=1,
+        )
+    assert sorted(set(seen)) == [
+        ("round-robin", "JobSet"), ("uniform", "FlatInstance")
+    ]
+
+
+def test_figure_runner_matches_reference_recomputation():
+    """Figure 2 cells (kernel, one rep at a time) equal the same cell
+    recomputed on the reference engine."""
+    from repro.experiments.runner import figure2_schedulers, run_figure2_cell
+
+    scale = ExperimentScale(n_jobs=40, reps=3)
+    got = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
+    sums = {}
+    for rep in range(scale.reps):
+        cell_seed = derive_seed(3, 500, rep)
+        jobset = WorkloadSpec(
+            distribution=FIG2A.distribution_factory(), qps=500.0,
+            n_jobs=scale.n_jobs, m=FIG2A.m, units_per_ms=FIG2A.units_per_ms,
+            target_chunks=FIG2A.target_chunks,
+        ).build(seed=cell_seed)
+        for i, sched in enumerate(figure2_schedulers(FIG2A)):
+            run_seed = derive_seed(cell_seed, 1000 + i)
+            if isinstance(sched, WorkStealingScheduler):
+                res = _run_work_stealing(
+                    jobset, m=FIG2A.m, seed=run_seed,
+                    **sched._engine_kwargs(),
+                )
+            else:
+                res = sched.run(jobset, m=FIG2A.m, seed=run_seed)
+            sums[sched.name] = (
+                sums.get(sched.name, 0.0) + res.max_flow * FIG2A.time_unit_ms
+            )
+    assert got == {name: total / scale.reps for name, total in sums.items()}

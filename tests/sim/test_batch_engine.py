@@ -18,12 +18,22 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
 * the per-replicate fallbacks (empty instance, unsorted hand-built
   arrivals) and whole-batch fallbacks (delegating knobs, no compiler,
   a failing compiler, a corrupt cached kernel);
+* the import-time background build: awaited once, finished before a
+  fork, and failing or skipped exactly like the synchronous build;
+* the arena cache's memory behaviour (no reference cycle, no copies at
+  R=1);
 * the ``engine="flat"`` facade, the slow-path vocabulary and warnings.
 """
 
 import dataclasses
+import gc
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +266,7 @@ def test_determinism():
 def _reset_cext_resolution(monkeypatch, tmp_path=None):
     monkeypatch.setattr(_cext, "_cext_fn", None)
     monkeypatch.setattr(_cext, "_cext_resolved", False)
+    monkeypatch.setattr(_cext, "_pending", None)
     monkeypatch.setattr(_cext, "unavailable_reason", None)
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     if tmp_path is not None:
@@ -329,10 +340,243 @@ def test_corrupt_cached_kernel_is_rebuilt(monkeypatch, tmp_path):
         )
 
 
+def _count_compiles(monkeypatch):
+    """Record every child process started; returns the list of argvs."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(args, *a, **kw):
+        started.append(list(args))
+        return real_popen(args, *a, **kw)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def test_background_build_is_awaited_never_restarted(monkeypatch, tmp_path):
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    started = _count_compiles(monkeypatch)
+    _cext.start_background_build()
+    _cext.start_background_build()  # already running: not started again
+    assert _cext._pending is not None
+    assert len(started) == 1
+    assert _cext.resolve_batch_kernel() is not None
+    assert _cext._pending is None
+    assert len(started) == 1
+    assert list(tmp_path.glob("*.so")) == [_cext._so_path()]
+    _cext.start_background_build()  # resolved: nothing to start
+    assert len(started) == 1
+
+
+def test_child_forked_mid_build_loads_the_shared_object(
+    monkeypatch, tmp_path
+):
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    started = _count_compiles(monkeypatch)
+    instance = random_instance(830)
+    expected = run_reference(instance, m=3, k=1, steals_per_tick=4, seed=5)
+    _cext.start_background_build()
+    assert _cext._pending is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child: inherit the kernel, never compile
+        code = 1
+        try:
+            got = run_batch(
+                [instance], m=3, k=1, steals_per_tick=4, seeds=[5]
+            )[0]
+            if (
+                _cext._pending is None
+                and _cext._cext_fn is not None
+                and len(started) == 1
+                and np.array_equal(got.completions, expected.completions)
+            ):
+                code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert _cext._pending is None and _cext._cext_fn is not None
+    assert len(started) == 1
+
+
+def test_fork_without_compiler_warns_once_for_all_workers(monkeypatch):
+    """The parent warns before forking; forked workers fall back
+    silently instead of each warning again."""
+    _reset_cext_resolution(monkeypatch)
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+    instance = random_instance(835)
+    expected = run_reference(instance, m=3, k=1, steals_per_tick=4, seed=5)
+    with pytest.warns(RuntimeWarning, match="kernel=unavailable"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = run_batch(
+                    [instance], m=3, k=1, steals_per_tick=4, seeds=[5]
+                )[0]
+            if np.array_equal(got.completions, expected.completions):
+                code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_failing_background_build_warns_once_with_compiler_stderr(
+    monkeypatch, tmp_path
+):
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    compiler = tmp_path / "broken-cc"
+    compiler.write_text(
+        "#!/bin/sh\necho 'kernel.c:1: error: toolchain is broken' >&2\n"
+        "exit 1\n"
+    )
+    compiler.chmod(0o755)
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: str(compiler))
+    _cext.start_background_build()
+    assert _cext._pending is not None
+    instances = replicate_instances(840, 2)
+    with pytest.warns(RuntimeWarning, match="toolchain is broken") as record:
+        first = run_batch(instances, m=4, k=2, steals_per_tick=8, seeds=[1, 2])
+    assert len([w for w in record if w.category is RuntimeWarning]) == 1
+    assert "toolchain is broken" in _cext.unavailable_reason
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        second = run_batch(
+            instances, m=4, k=2, steals_per_tick=8, seeds=[1, 2]
+        )
+    reference = _reference_runs(
+        instances, [1, 2], m=4, k=2, steals_per_tick=8
+    )
+    for a, b, ref in zip(first, second, reference):
+        assert_identical(ref, a)
+        assert_identical(ref, b)
+    assert not list(tmp_path.glob("*.so"))
+
+
+def test_no_build_started_with_cached_object_or_without_compiler(
+    monkeypatch, tmp_path
+):
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    assert _cext.resolve_batch_kernel() is not None  # caches the object
+    started = _count_compiles(monkeypatch)
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    _cext.start_background_build()
+    assert _cext._pending is None
+    assert _cext.resolve_batch_kernel() is not None
+
+    _reset_cext_resolution(monkeypatch, tmp_path / "empty")
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+    _cext.start_background_build()
+    assert _cext._pending is None
+    assert started == []
+
+
+def test_unusable_cache_directory_fails_at_resolution(monkeypatch, tmp_path):
+    """A build that cannot start is no import error; resolving says why."""
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    _reset_cext_resolution(monkeypatch, not_a_dir / "cache")
+    _cext.start_background_build()
+    assert _cext._pending is None
+    assert _cext.resolve_batch_kernel() is None
+    assert "NotADirectoryError" in _cext.unavailable_reason
+
+
+def test_reset_forgets_an_in_flight_build(monkeypatch, tmp_path):
+    _reset_cext_resolution(monkeypatch, tmp_path / "a")
+    _cext.start_background_build()
+    build = _cext._pending
+    assert build is not None
+    try:
+        _reset_cext_resolution(monkeypatch, tmp_path / "b")
+        assert _cext._pending is None
+        monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+        assert _cext.resolve_batch_kernel() is None
+        assert "no C compiler" in _cext.unavailable_reason
+    finally:
+        build.finish()  # reap the forgotten compiler
+
+
+def test_import_starts_the_build_in_a_fresh_interpreter(tmp_path):
+    """Importing repro starts the compile; a warm cache or a PATH with
+    no compiler starts none (checked in fresh interpreters)."""
+    src = Path(_cext.__file__).resolve().parents[2]
+    probe = (
+        "import repro.sim._cext as c; "
+        "print(c._pending is not None, c.resolve_batch_kernel() is not None)"
+    )
+
+    def fresh(**overrides):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env["REPRO_CEXT_CACHE"] = str(tmp_path / "cache")
+        env.update(overrides)
+        return subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+
+    assert fresh() == ["True", "True"]
+    assert fresh() == ["False", "True"]  # cached shared object
+    empty = tmp_path / "empty-bin"
+    empty.mkdir()
+    assert fresh(
+        PATH=str(empty), REPRO_CEXT_CACHE=str(tmp_path / "other")
+    ) == ["False", "False"]
+
+
 def test_kernel_is_actually_loaded_here():
     """This environment has a C compiler: the native path must engage
     (otherwise the whole suite silently pins reference==reference)."""
     assert _cext.resolve_batch_kernel() is not None
+
+
+# ----------------------------------------------------------------------
+# Arena cache memory
+# ----------------------------------------------------------------------
+
+
+def test_arena_dies_with_its_instances_without_cyclic_gc():
+    """The cached arena makes no reference cycle: with the collector
+    off, every replicate dies on ``del``, at R=1 and R>1."""
+    gc.disable()
+    try:
+        single = flatten_jobset(random_instance(850))
+        pair = [flatten_jobset(random_instance(851 + r)) for r in range(2)]
+        run_batch([single], m=3, k=1, steals_per_tick=4, seeds=[1])
+        run_batch(pair, m=3, k=1, steals_per_tick=4, seeds=[1, 2])
+        refs = [weakref.ref(f) for f in [single, *pair]]
+        del single, pair
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_single_replicate_arena_aliases_read_only_instance_arrays():
+    """At R=1 the kernel reads the instance's own CSR arrays, which may
+    be read-only shared-memory views."""
+    flat = flatten_jobset(random_instance(860, n_jobs=8))
+    frozen = {}
+    for name in ("node_works", "edge_offsets", "edge_targets",
+                 "job_node_offsets", "arrivals", "weights"):
+        arr = np.array(getattr(flat, name))
+        arr.setflags(write=False)
+        frozen[name] = arr
+    flat = dataclasses.replace(flat, **frozen)
+    got = run_batch([flat], m=4, k=2, steals_per_tick=4, seeds=[3])[0]
+    tables = batch_engine._batch_tables([flat])
+    for name, alias in (("node_works", tables.works),
+                        ("edge_offsets", tables.eo),
+                        ("edge_targets", tables.et)):
+        assert np.shares_memory(frozen[name], alias), name
+    assert_identical(run_reference(flat, m=4, k=2, steals_per_tick=4,
+                                   seed=3), got)
 
 
 # ----------------------------------------------------------------------
@@ -487,6 +731,41 @@ def test_run_facade_emits_dispatch_slow_path(monkeypatch):
     ]
     done = [e for e in tel2.events if e["event"] == "run.done"]
     assert done[0]["path"] == "cext"
+
+
+def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
+    """Scheduler instances report the path they take, like ``"flat"``,
+    and an out-of-scope configuration warns nothing."""
+    from repro.core.work_stealing import WorkStealingScheduler
+    from repro.obs.telemetry import Telemetry
+    from repro.sim.trace import TraceRecorder
+
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
+    jobset = random_instance(7)
+
+    def events(scheduler, **kwargs):
+        tel = Telemetry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repro.run(scheduler, jobset, m=4, seed=8, telemetry=tel, **kwargs)
+        slow = [e for e in tel.events if e["event"] == "dispatch.slow_path"]
+        done = [e for e in tel.events if e["event"] == "run.done"]
+        return slow, done[0]
+
+    slow, done = events(WorkStealingScheduler(k=2, steals_per_tick=8))
+    assert slow == [] and done["path"] == "cext"
+
+    slow, done = events(WorkStealingScheduler(victim_policy="round-robin"))
+    assert [e["reasons"] for e in slow] == [["victim_policy='round-robin'"]]
+    assert slow[0]["engine"] == "scheduler"
+    assert done["path"] == "reference"
+
+    slow, done = events(WorkStealingScheduler(k=2), trace=TraceRecorder())
+    assert [e["reasons"] for e in slow] == [["trace=<TraceRecorder>"]]
+    assert done["path"] == "reference"
+
+    slow, done = events(repro.FifoScheduler())
+    assert slow == [] and "path" not in done
 
 
 def test_slow_path_reasons_vocabulary(monkeypatch):

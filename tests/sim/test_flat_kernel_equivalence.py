@@ -23,18 +23,24 @@ engine is exercised from elsewhere:
 * an R>1 arm: ragged replicate batches with empty and unsorted
   replicates in one arena, each compared with its own reference run
   (:func:`assert_batch_matches_reference`, also the comparison of
-  ``tests/sim/test_batch_engine.py``).
+  ``tests/sim/test_batch_engine.py``);
+* a routed arm: :meth:`WorkStealingScheduler.run`, which takes the
+  kernel for in-scope configurations and the reference engine (with no
+  warning) for the rest, on randomized configurations.
 
 Equality below always means *full* equality: completions array,
 ``stats.as_dict()``, scheduler label and recorded seed.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core import work_stealing
+from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.builders import chain, random_layered_dag, single_node
 from repro.dag.flat import flatten_jobset, to_jobset
 from repro.dag.job import JobSet, jobs_from_dags
@@ -302,6 +308,91 @@ def test_ragged_batch_with_empty_and_unsorted_reps(reps):
             instances[2].arrivals[1:] >= instances[2].arrivals[:-1]
         )
     assert_batch_matches_reference(instances, m=4, k=2, steals_per_tick=8)
+
+
+# ----------------------------------------------------------------------
+# WorkStealingScheduler.run: routed to the kernel when in scope
+# ----------------------------------------------------------------------
+
+
+def random_config(rng):
+    """Random machine and in-scope knobs: (m, speed, k, steals_per_tick)."""
+    return (
+        int(rng.integers(1, 10)),
+        float(rng.choice([1.0, 1.5, 2.0])),
+        int(rng.choice([0, 1, 2, 4, 16])),
+        int(rng.choice([1, 2, 8, 64])),
+    )
+
+
+def assert_routed_matches_reference(scheduler, jobset, m, speed, seed,
+                                    observers=dict):
+    """Scheduler.run vs the reference: schedule, stats, RNG post-state.
+
+    ``observers()`` returns fresh ``trace``/``sampler`` keyword arguments
+    for each of the two runs.
+    """
+    g_run = np.random.default_rng(seed)
+    g_ref = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scheduler.run(jobset, m=m, speed=speed, seed=g_run, **observers())
+    ref = _run_work_stealing(
+        jobset, m=m, speed=speed, seed=g_ref,
+        **scheduler._engine_kwargs(), **observers(),
+    )
+    assert_identical(ref, got)
+    assert g_run.bit_generator.state == g_ref.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_routed_scheduler_matches_reference(case, monkeypatch):
+    rng = np.random.default_rng(7000 + case)
+    m, speed, k, sigma = random_config(rng)
+    jobset = random_instance(
+        7000 + case, n_jobs=int(rng.integers(1, 14)),
+        gap_scale=float(rng.choice([0.5, 4.0])),
+    )
+    scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma)
+    assert scheduler.consumes_flat
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("an in-scope run took the reference engine")
+
+    monkeypatch.setattr(work_stealing, "_run_work_stealing", no_reference)
+    assert_routed_matches_reference(scheduler, jobset, m, speed, case)
+    # The flat form, as sweep workers hand it over, with an int seed.
+    monkeypatch.undo()
+    assert_identical(
+        _run_work_stealing(jobset, m=m, speed=speed, seed=case, k=k,
+                           steals_per_tick=sigma),
+        scheduler.run(flatten_jobset(jobset), m=m, speed=speed, seed=case),
+    )
+
+
+@pytest.mark.parametrize("case,knobs,observers", [
+    (0, dict(victim_policy="round-robin"), dict),
+    (1, dict(victim_policy="max-deque"), dict),
+    (2, dict(steal_half=True), dict),
+    (3, dict(admission="weight"), dict),
+    (4, {}, lambda: dict(sampler=SystemSampler(every=8))),
+    (5, {}, lambda: dict(trace=repro.TraceRecorder())),
+])
+def test_routed_out_of_scope_runs_reference_without_warning(
+    case, knobs, observers, monkeypatch
+):
+    # Armed: a run_batch fallback would warn, and warnings are errors.
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
+    rng = np.random.default_rng(7100 + case)
+    m, speed, k, sigma = random_config(rng)
+    jobset = random_instance(7100 + case, n_jobs=8)
+    scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma, **knobs)
+    assert scheduler.consumes_flat == (not knobs)
+    assert_routed_matches_reference(
+        scheduler, jobset, m, speed, case, observers
+    )
+    assert not batch_engine._SLOW_PATH_WARNED
 
 
 # ----------------------------------------------------------------------

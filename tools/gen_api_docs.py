@@ -58,14 +58,15 @@ There is one fast kernel: ``repro.sim.run_batch`` evaluates R
 replicate ``FlatInstance`` instances in one block-structured arena with
 an on-demand-compiled C kernel, bit-identical per rep to the reference
 engine (randomized differential oracle,
-``tests/sim/test_flat_kernel_equivalence.py``).  ``engine="flat"`` is
-that kernel at R=1, consuming attached shared-memory instances
+``tests/sim/test_flat_kernel_equivalence.py``).  ``engine="flat"`` and
+every in-scope ``WorkStealingScheduler.run`` (so the paper's figures)
+are that kernel at R=1, consuming attached shared-memory instances
 directly in sweep workers, and sweeps batch eligible cells with at
 least 4 cold reps through it automatically (cache cells stay
 byte-identical to the per-rep path).  Configurations outside the
 kernel's scope, and hosts where it cannot be built, run the reference
-engine instead: they warn once and emit a ``dispatch.slow_path``
-telemetry event naming the cause. Engine throughput is tracked in
+engine instead and emit a ``dispatch.slow_path`` telemetry event naming
+the cause; ``"flat"`` runs and a missing compiler also warn once. Engine throughput is tracked in
 ``BENCH_engine.json`` (regenerate with ``make bench-report``;
 ``tools/bench_gate.py`` enforces the budgets, including the
 ``--min-derived`` flat-vs-reference speedup floor).
