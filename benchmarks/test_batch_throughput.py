@@ -3,9 +3,9 @@
 Measures the figure-mirror regime -- R independent replicate instances
 of one Figure-2-style cell (Bing distribution, qps=1000, 500 jobs,
 m=16, steal-16-first with sigma=64) evaluated in one
-:func:`repro.sim.batch_engine.run_batch` call, the way the sweep layer
-dispatches a fused cell (bit-identical per rep to the reference engine;
-the oracle suites pin that).  ``REPRO_BENCH_BATCH_REPS`` overrides the
+:func:`repro.sim.batch_engine.run_batch` call, the public replicate API
+(bit-identical per rep to the reference engine; the oracle suites pin
+that).  ``REPRO_BENCH_BATCH_REPS`` overrides the
 replicate count (default 8).
 """
 
@@ -18,8 +18,7 @@ from repro.sim.rng import derive_seed
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 
-#: Replicates per batch -- the multi-rep regime the sweep layer batches
-#: (>= its rep floor of 4).
+#: Replicates per batch.
 REPS = max(2, int(os.environ.get("REPRO_BENCH_BATCH_REPS", "8")))
 
 

@@ -25,9 +25,7 @@ from repro.experiments.parallel import (
     attach_jobset,
     shared_memory_available,
 )
-# _grid_sweep is the non-deprecated executor behind repro.sweep; the
-# public grid_sweep shim warns (DeprecationWarning, an error under the
-# repo's filterwarnings) and would abort the bench run.
+# _grid_sweep is the executor behind repro.sweep.
 from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec

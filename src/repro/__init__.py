@@ -111,7 +111,6 @@ from repro.sim import (
     derive_seed,
     make_rng,
     run_centralized,
-    run_work_stealing,  # deprecated shim; importable, not in __all__
 )
 from repro.api import ablate, run, search, sweep
 from repro.errors import (
@@ -128,7 +127,7 @@ from repro.obs import Telemetry
 from repro.sim.stream_engine import StreamResult
 from repro.workloads import StreamSpec, WorkloadSpec
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 
 def merge_caches(sources, dest, telemetry=None):

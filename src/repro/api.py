@@ -1,10 +1,8 @@
 """The :func:`repro.run` facade: one entrypoint for every engine.
 
-Before ISSUE 3 the package exposed four divergent ways to simulate a
-schedule -- :meth:`repro.core.base.Scheduler.run`,
-``run_work_stealing``, ``run_speedup_fifo`` and ``run_speedup_equi`` --
-with inconsistently named knobs (``m`` vs ``num_workers``, ``speed`` vs
-``augmentation``).  :func:`run` folds them behind a single call:
+:func:`run` is the single way to simulate a schedule, with normalized
+knobs (``m`` or its alias ``num_workers``, ``speed`` or its alias
+``augmentation``):
 
 * pass a :class:`~repro.core.base.Scheduler` *instance* (or a Scheduler
   subclass, instantiated with defaults) to dispatch through its
@@ -19,12 +17,9 @@ with inconsistently named knobs (``m`` vs ``num_workers``, ``speed`` vs
   kernel's scope, or a host without a C compiler, run the reference
   engine with a one-time warning) or ``"speedup-fifo"`` /
   ``"speedup-equi"`` (the speedup-curves engines, which take a
-  :class:`~repro.speedup.model.SpeedupJobSet`).
-
-The old module-level entrypoints survive as thin shims that emit one
-:class:`DeprecationWarning` per process and forward unchanged -- results
-stay bit-identical, and tier-1 CI runs with ``-W
-error::DeprecationWarning`` to keep internal code off them.
+  :class:`~repro.speedup.model.SpeedupJobSet`).  An engine name is
+  wrapped in the same :class:`_EngineScheduler` adapter
+  :func:`repro.sweep` uses, so both facades share one name table.
 
 The facade is also where observability attaches: pass
 ``telemetry=Telemetry(...)`` and the run emits ``run.start`` /
@@ -35,7 +30,7 @@ bit-identical -- the engines never see the telemetry object at all.
 
 ISSUE 4 adds the sibling :func:`repro.sweep` facade: the same scheduler
 forms and keyword normalization, dispatched to
-:func:`~repro.experiments.sweep.grid_sweep`'s fault-tolerant executor
+:func:`~repro.experiments.sweep._grid_sweep`'s fault-tolerant executor
 (per-cell deadlines, bounded retries, pool respawn, lossless resume).
 One mental model covers both: ``repro.run`` simulates one instance,
 ``repro.sweep`` crosses a parameter grid over generated instances.
@@ -44,6 +39,7 @@ One mental model covers both: ``repro.run`` simulates one instance,
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
@@ -105,16 +101,16 @@ def _resolve_speed(
     return 1.0
 
 
-def _kernel_knobs(scheduler: Any, engine: str) -> Optional[Dict[str, Any]]:
+def _kernel_knobs(scheduler: Scheduler) -> Optional[Dict[str, Any]]:
     """Engine knobs of a run that may take the compiled kernel, else None.
 
-    ``"flat"`` runs and unmodified
+    ``"flat"`` engine adapters and unmodified
     :class:`~repro.core.work_stealing.WorkStealingScheduler` instances
     choose between the kernel and the reference engine; nothing else
     does.
     """
-    if engine == "flat":
-        return {}
+    if isinstance(scheduler, _EngineScheduler):
+        return scheduler.engine_kwargs if scheduler.engine == "flat" else None
     from repro.core.work_stealing import _plain_engine_kwargs
 
     return _plain_engine_kwargs(scheduler)
@@ -205,75 +201,28 @@ def run(
             + _STREAM_COMBINATIONS
         )
 
-    if isinstance(scheduler, type) and issubclass(scheduler, Scheduler):
-        scheduler = scheduler()
-
-    if isinstance(scheduler, Scheduler):
-        label = scheduler.name
-        engine = "scheduler"
-
-        def dispatch() -> ScheduleResult:
-            return scheduler.run(
-                jobset, m=size, speed=s, seed=seed, **engine_kwargs
-            )
-
-    elif isinstance(scheduler, str):
-        label = scheduler
+    engine = "scheduler"
+    if isinstance(scheduler, str):
         engine = scheduler
-        if scheduler == "work-stealing":
-            from repro.sim.engine import _run_work_stealing
-
-            def dispatch() -> ScheduleResult:
-                return _run_work_stealing(
-                    jobset, m=size, speed=s, seed=seed, **engine_kwargs
-                )
-
-        elif scheduler == "flat":
-            from repro.sim.batch_engine import run_batch
-
-            def dispatch() -> ScheduleResult:
-                return run_batch(
-                    [jobset],
-                    m=size,
-                    speed=s,
-                    seeds=[seed],
-                    **engine_kwargs,
-                )[0]
-
-        elif scheduler in ("speedup-fifo", "speedup-equi"):
-            from repro.speedup.engine import (
-                _run_speedup_equi,
-                _run_speedup_fifo,
+        if engine in ("speedup-fifo", "speedup-equi") and seed is not None:
+            raise TypeError(
+                f"{engine!r} is deterministic and takes no seed; "
+                f"got seed={seed!r}"
             )
-
-            target = (
-                _run_speedup_fifo
-                if scheduler == "speedup-fifo"
-                else _run_speedup_equi
-            )
-            if seed is not None:
-                raise TypeError(
-                    f"{scheduler!r} is deterministic and takes no seed; "
-                    f"got seed={seed!r}"
-                )
-            if engine_kwargs:
-                raise TypeError(
-                    f"{scheduler!r} accepts no extra engine arguments; "
-                    f"got {sorted(engine_kwargs)}"
-                )
-
-            def dispatch() -> ScheduleResult:
-                return target(jobset, m=size, speed=s)
-
-        else:
-            raise ValueError(
-                f"unknown engine name {scheduler!r}; "
-                f"expected one of {ENGINE_NAMES} or a Scheduler"
-            )
-    else:
+        # Engine knobs travel in the adapter, not in the run call.
+        scheduler = _EngineScheduler(engine, **engine_kwargs)
+        engine_kwargs = {}
+    elif isinstance(scheduler, type) and issubclass(scheduler, Scheduler):
+        scheduler = scheduler()
+    if not isinstance(scheduler, Scheduler):
         raise TypeError(
             f"scheduler must be a Scheduler, a Scheduler subclass, or an "
             f"engine name string, got {type(scheduler).__name__}"
+        )
+
+    def dispatch() -> ScheduleResult:
+        return scheduler.run(
+            jobset, m=size, speed=s, seed=seed, **engine_kwargs
         )
 
     if telemetry is None:
@@ -281,7 +230,7 @@ def run(
 
     telemetry.emit(
         "run.start",
-        scheduler=label,
+        scheduler=scheduler.name,
         engine=engine,
         m=size,
         speed=s,
@@ -289,7 +238,7 @@ def run(
         n_jobs=_n_jobs(jobset),
     )
     done_tags: Dict[str, Any] = {}
-    knobs = _kernel_knobs(scheduler, engine)
+    knobs = _kernel_knobs(scheduler)
     if knobs is not None:
         # Record which path the run takes and why (run_batch also emits
         # a one-time RuntimeWarning for "flat"; this event records every
@@ -408,12 +357,13 @@ def _run_streaming(
 class _EngineScheduler(Scheduler):
     """Adapter presenting a named engine as a :class:`Scheduler`.
 
-    Exists so :func:`sweep` can cross a parameter grid over an engine
-    name exactly as it does over a scheduler class: the sweep's grid
-    keyword arguments become engine keyword arguments (e.g. ``k=16``
-    for ``"work-stealing"``).  Module-level and attribute-only, hence
-    picklable across pool workers; its ``repr`` is content-stable so
-    the cell cache can key on it.
+    The one engine-name table: :func:`run` wraps an engine name in it,
+    and :func:`sweep` crosses a parameter grid over it exactly as it
+    does over a scheduler class, the grid's keyword arguments becoming
+    engine keyword arguments (e.g. ``k=16`` for ``"work-stealing"``).
+    Module-level and attribute-only, hence picklable across pool
+    workers; its ``repr`` is content-stable so the cell cache can key
+    on it.
     """
 
     def __init__(self, engine: str, **engine_kwargs: Any):
@@ -462,8 +412,6 @@ class _EngineScheduler(Scheduler):
                 return _run_work_stealing(
                     jobset, m=m, speed=speed, seed=seed, **kwargs
                 )
-            # One cell on the kernel at R=1; the sweep dispatch layer
-            # does the cross-rep batching (see _grid_sweep).
             from repro.sim.batch_engine import run_batch
 
             return run_batch(
@@ -540,13 +488,7 @@ def _as_factory(scheduler: Union[Scheduler, type, str, Callable]) -> Callable:
     if isinstance(scheduler, Scheduler):
         return _InstanceFactory(scheduler)
     if isinstance(scheduler, str):
-        if scheduler not in ENGINE_NAMES:
-            raise SweepConfigError(
-                f"unknown engine name {scheduler!r}; "
-                f"expected one of {ENGINE_NAMES} or a Scheduler"
-            )
-        import functools
-
+        _EngineScheduler(scheduler)  # fails fast on an unknown name
         return functools.partial(_EngineScheduler, scheduler)
     if callable(scheduler):
         return scheduler
@@ -603,7 +545,7 @@ def sweep(
           pool workers straight on the attached shared-memory CSR
           arrays, skipping the per-worker object-graph rebuild;
         * any other *callable* -- passed through unchanged, i.e. the
-          raw :func:`~repro.experiments.sweep.grid_sweep` contract.
+          raw :func:`~repro.experiments.sweep._grid_sweep` contract.
     grid:
         Parameter name -> values to sweep (full cross product).
     workload:
@@ -621,7 +563,7 @@ def sweep(
         Resource augmentation factor (default 1.0); aliases, pass
         exactly one.
     reps, seed, metrics, max_workers, cache, resume, telemetry:
-        Forwarded to :func:`~repro.experiments.sweep.grid_sweep`
+        Forwarded to :func:`~repro.experiments.sweep._grid_sweep`
         unchanged.
     cell_timeout, retries:
         Fault-tolerance knobs (see
@@ -639,7 +581,7 @@ def sweep(
         cache, and a final ``resume=True`` sweep over it is
         bit-identical to an unsharded run.  Requires an explicit
         ``cache`` (or ``REPRO_CACHE``).  See
-        :func:`repro.experiments.sweep.grid_sweep` and EXPERIMENTS.md.
+        :func:`repro.experiments.sweep._grid_sweep` and EXPERIMENTS.md.
 
     Returns
     -------

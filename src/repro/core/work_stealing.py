@@ -91,7 +91,7 @@ class WorkStealingScheduler(Scheduler):
         #: Acquisition cost model: 1 = the paper's theoretical unit-time
         #: steal; larger values model cheap (sub-unit-time) steals as in
         #: the paper's TBB experiments.  See
-        #: :func:`repro.sim.engine.run_work_stealing`.
+        #: :func:`repro.sim.engine._run_work_stealing`.
         self.steals_per_tick = int(steals_per_tick)
         #: Victim selection (see :mod:`repro.sim.policies`).
         self.victim_policy = victim_policy

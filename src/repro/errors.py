@@ -51,8 +51,7 @@ class SweepConfigError(ReproError, ValueError):
     """A sweep was configured with invalid arguments (user error).
 
     Subclasses :class:`ValueError` so pre-1.2 ``except ValueError``
-    handlers around :func:`~repro.experiments.sweep.grid_sweep` keep
-    catching it.
+    handlers around :func:`repro.sweep` keep catching it.
     """
 
 

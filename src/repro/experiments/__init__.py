@@ -52,11 +52,6 @@ search`` / ``ablate`` (and the :func:`repro.search` /
 questions on top of the cached sweep path; see
 :mod:`repro.experiments.search` / :mod:`repro.experiments.ablate`.
 Subcommand exit codes live in :mod:`repro.experiments.exitcodes`.
-
-Deprecated (ISSUE 9): the package-level ``grid_sweep`` and
-``run_figure2_cells`` names remain importable but warn once per
-process on call -- use :func:`repro.sweep` (or the figure functions)
-instead.
 """
 
 from repro.experiments.ablate import AblationDelta, AblationReport, ablate
@@ -87,7 +82,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import (
     run_figure2_cell,
-    run_figure2_cells,
     run_schedulers,
 )
 from repro.experiments.figures import (
@@ -127,7 +121,7 @@ from repro.experiments.search import (
     successive_halving,
     threshold_search,
 )
-from repro.experiments.sweep import METRICS, SweepCell, SweepResult, grid_sweep
+from repro.experiments.sweep import METRICS, SweepCell, SweepResult
 from repro.experiments.verify import (
     ShapeCheck,
     render_verification,
@@ -155,7 +149,6 @@ __all__ = [
     "parallel_map",
     "reclaim_shared_memory",
     "run_figure2_cell",
-    "run_figure2_cells",
     "run_schedulers",
     "figure2",
     "figure3",
@@ -178,7 +171,6 @@ __all__ = [
     "render_histogram",
     "render_chart",
     "ShapeCheck",
-    "grid_sweep",
     "SweepResult",
     "SweepCell",
     "METRICS",

@@ -121,7 +121,7 @@ class SweepCache:
     ) -> None:
         self.root = resolve_cache_dir(root)
         #: Optional :class:`repro.obs.Telemetry`; when bound (directly or
-        #: by ``grid_sweep(telemetry=...)``), every load/store emits a
+        #: by ``repro.sweep(telemetry=...)``), every load/store emits a
         #: ``cache.*`` event.  Never affects what is stored or returned.
         self.telemetry = telemetry
 

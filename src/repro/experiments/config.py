@@ -65,7 +65,7 @@ class Figure2Config:
 
     Attributes mirror the paper's experimental constants; see the module
     docstring.  ``steals_per_tick`` selects the practical steal-cost
-    model (see :func:`repro.sim.engine.run_work_stealing`) matching the
+    model (see :func:`repro.sim.engine._run_work_stealing`) matching the
     paper's TBB testbed, where steals are microseconds against
     millisecond jobs.
     """

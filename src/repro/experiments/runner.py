@@ -9,8 +9,7 @@ The two building blocks every figure uses:
   for reference), average over repetitions;
 * :func:`_run_figure2_cells` -- a whole QPS sweep of such cells, fanned
   out over a process pool (see :mod:`repro.experiments.parallel`); the
-  public ``run_figure2_cells`` name survives as a warn-once deprecated
-  shim (ISSUE 9) -- use the figure functions or :func:`repro.sweep`.
+  figure functions and :func:`repro.sweep` are its public faces.
 
 Seed discipline: a cell's seed is derived from the experiment seed and
 the cell coordinates via :func:`repro.sim.rng.derive_seed`, so any single
@@ -299,22 +298,6 @@ def _run_figure2_cells(
             manifest=str(manifest_path) if manifest_path else None,
         )
     return results  # type: ignore[return-value]
-
-
-def run_figure2_cells(*args: Any, **kwargs: Any) -> List[Dict[str, float]]:
-    """Deprecated public alias of the Figure-2 cell sweep.
-
-    The figure functions in :mod:`repro.experiments.figures` are the
-    supported way to regenerate paper panels, and :func:`repro.sweep`
-    the supported way to run your own grids; both route through the
-    private executor.  This shim warns once per process
-    (:mod:`repro._deprecation`) and forwards verbatim -- results are
-    bit-identical.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once("repro.experiments.run_figure2_cells", "repro.sweep")
-    return _run_figure2_cells(*args, **kwargs)
 
 
 def mean_and_spread(values: List[float]) -> Dict[str, float]:

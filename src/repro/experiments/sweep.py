@@ -16,11 +16,9 @@ Example -- re-deriving the paper's k sweep in three lines::
     )
     print(sweep.render())
 
-Entry points: :func:`repro.sweep` is the public facade (ISSUE 4); the
-module-level ``grid_sweep`` name survives as a warn-once deprecated
-shim over the private :func:`_grid_sweep` executor (ISSUE 9), exactly
-like the ``run_work_stealing`` shim of ISSUE 3.  The executor also
-powers the adaptive layers: :mod:`repro.experiments.search` evaluates
+Entry points: :func:`repro.sweep` is the public facade over the
+private :func:`_grid_sweep` executor.  The executor also powers the
+adaptive layers: :mod:`repro.experiments.search` evaluates
 arbitrary subsets of a grid via ``cells=`` (global cell identity, so
 search evaluations are byte-identical to exhaustive-sweep cells), and
 :mod:`repro.experiments.ablate` runs single-configuration "grids"
@@ -259,80 +257,6 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     }
 
 
-#: Minimum number of cold repetitions of one cell before the sweep fuses
-#: them into a single batched task.  Per-rep tasks run the same kernel
-#: at R=1, so the floor does not decide speed much; it keeps small cells
-#: as per-rep tasks, each checkpointed into the cache as it finishes,
-#: so an aborted sweep resumes at rep granularity.
-_BATCH_MIN_REPS = 4
-
-
-def _sweep_batch_task(task) -> Dict[str, Any]:
-    """All cold repetitions of one batch-eligible cell, as one task.
-
-    ``task`` is ``(engine_kwargs, handles, m, speed, run_seeds, metrics,
-    task_indices)``: the per-rep instance handles and coordinate-derived
-    run seeds of the fused (cell, rep) tasks, plus the cell's engine
-    configuration as validated by
-    :func:`repro.sim.batch_engine.batch_options`.  The whole batch is
-    evaluated in one :func:`~repro.sim.batch_engine.run_batch` arena;
-    results are bit-identical per rep to the unbatched
-    :func:`_sweep_rep_task` path, so cache cells written from either
-    dispatch are byte-identical.  Re-running the batch after a crash or
-    injected fault reproduces every rep exactly (coordinate-derived
-    seeds, like the rep task).
-
-    Returns ``{"batch": [per-rep payloads...], "wall_s", "pid"}`` where
-    each per-rep payload has the :func:`_sweep_rep_task` shape; per-rep
-    ``wall_s`` is the batch wall time amortized evenly (individual rep
-    attribution inside one arena call is not meaningful).
-    """
-    from repro.sim.batch_engine import run_batch
-
-    (engine_kwargs, handles, m, speed, run_seeds, metrics,
-     task_indices) = task
-    for i in task_indices:
-        maybe_inject("dispatch", index=i)
-    instances = [
-        attach_flat(h) if isinstance(h, dict) else h for h in handles
-    ]
-    for i in task_indices:
-        maybe_inject("cell", index=i)
-    t0 = time.perf_counter()
-    results = run_batch(
-        instances, m=m, speed=speed, seeds=list(run_seeds), **engine_kwargs
-    )
-    wall = time.perf_counter() - t0
-    amortized = round(wall / len(results), 6)
-    pid = os.getpid()
-    return {
-        "batch": [
-            {
-                "metrics": {name: METRICS[name](r) for name in metrics},
-                "wall_s": amortized,
-                "pid": pid,
-                "stats": r.stats.as_dict(),
-            }
-            for r in results
-        ],
-        "wall_s": round(wall, 6),
-        "pid": pid,
-    }
-
-
-def _sweep_task(unit) -> Dict[str, Any]:
-    """Top-level dispatcher over tagged sweep units.
-
-    ``unit`` is ``("rep", rep_task)`` or ``("batch", batch_task)`` --
-    one picklable entry point for :func:`parallel_map` regardless of how
-    the planner grouped the cold tasks.
-    """
-    kind, payload = unit
-    if kind == "rep":
-        return _sweep_rep_task(payload)
-    return _sweep_batch_task(payload)
-
-
 def _materialize_rep_instance(
     jobset_factory: Callable[[int], JobSet],
     jobset_seed: int,
@@ -417,15 +341,10 @@ def _grid_sweep(
         and fallback rules.  Results are aggregated in deterministic
         (cell, rep) order, so parallel and serial sweeps are
         bit-identical.  Lambda scheduler factories cannot cross process
-        boundaries and run serially (with a one-time warning).
-
-        Cells with >= 4 cold repetitions of a batch-eligible
-        configuration (see :func:`repro.sim.batch_engine.batch_options`)
-        are fused into one task evaluating every rep in a single
-        :func:`~repro.sim.batch_engine.run_batch` arena -- bit-identical
-        per rep, so cache cells and aggregated means are unchanged;
-        only the wall time drops.  Sweeps with a ``cell_timeout`` stay
-        unbatched so the deadline keeps covering exactly one simulation.
+        boundaries and run serially (with a one-time warning).  Every
+        cold (cell, repetition) pair is one task running one
+        simulation, so a ``cell_timeout`` deadline always covers exactly
+        one run and each finished rep is checkpointed on its own.
     cache:
         A :class:`~repro.experiments.cache.SweepCache`, a directory
         path, or None.  When set, generated instances (for factories
@@ -443,13 +362,11 @@ def _grid_sweep(
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When given, the sweep
         emits structured events (``sweep.start``, ``shm.publish``,
-        ``dispatch.*``, ``batch.start`` / ``batch.flush`` /
-        ``batch.done`` around fused rep batches,
-        ``cache.*``, ``fault.*`` / ``pool.respawn`` for
-        every recovery action, ``cell.run`` with per-cell wall
-        time / worker pid / engine stats, ``cell.cached``,
-        ``sweep.done``) and writes a run manifest (config hash, rep
-        seeds, instance content hashes, package versions, timings) under
+        ``dispatch.*``, ``cache.*``, ``fault.*`` / ``pool.respawn``
+        for every recovery action, ``cell.run`` with per-rep wall time
+        / worker pid / engine stats, ``cell.cached``, ``sweep.done``)
+        and writes a run manifest (config hash, rep seeds, instance
+        content hashes, package versions, timings) under
         ``<cache>/manifests/`` -- or next to the telemetry log file when
         no cache is in play.  Telemetry never changes any result: the
         sweep is bit-identical with it on or off.
@@ -555,7 +472,7 @@ def _grid_sweep(
         # resume without a cache historically no-opped; resolve the
         # documented precedence chain instead so `resume=True` alone
         # picks up REPRO_CACHE or the default dir (matches the CLI and
-        # run_figure2_cells).
+        # the Figure 2 runner).
         cache = SweepCache()
     if telemetry is None:
         # CLI path: the --telemetry flag routes through REPRO_TELEMETRY
@@ -747,131 +664,49 @@ def _grid_sweep(
         def handle_for(rep: int):
             return shared[rep].handle if use_shm else rep_jobsets[rep]
 
-        # Batched dispatch (ISSUE 10): when a grid point has enough cold
-        # repetitions and its scheduler is batch-eligible (see
-        # batch_options), fuse them into ONE task evaluating all reps in
-        # a single run_batch arena -- bit-identical per rep, so the
-        # cache cells written from a batched task are byte-identical to
-        # serial-rep cells.  Per-cell deadlines keep per-simulation
-        # semantics, so timed sweeps stay unbatched (a fused task would
-        # silently get R simulations per deadline).
-        from repro.sim.batch_engine import batch_options
+        cold_tasks = [
+            (
+                scheduler_factory,
+                tasks[i][0],
+                handle_for(tasks[i][1]),
+                m,
+                speed,
+                tasks[i][2],
+                metric_names,
+                i,
+            )
+            for i in cold_indices
+        ]
 
-        timeout_active = cell_timeout is not None or bool(
-            os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-        )
-        cell_groups: Dict[int, List[int]] = {}
-        for i in cold_indices:
-            cell_groups.setdefault(i // reps, []).append(i)
-
-        cold_units: List[tuple] = []
-        n_batches = 0
-        n_batched_reps = 0
-        for local_cell in sorted(cell_groups):
-            idxs = cell_groups[local_cell]
-            engine_kwargs = None
-            if not timeout_active and len(idxs) >= _BATCH_MIN_REPS:
-                try:
-                    engine_kwargs = batch_options(
-                        scheduler_factory(**tasks[idxs[0]][0])
-                    )
-                except Exception:
-                    # A factory that fails in the parent will fail in
-                    # the workers too; let the per-rep path surface it
-                    # through the supervised executor's error handling.
-                    engine_kwargs = None
-            if engine_kwargs is None:
-                for i in idxs:
-                    cold_units.append((
-                        "rep",
-                        (
-                            scheduler_factory,
-                            tasks[i][0],
-                            handle_for(tasks[i][1]),
-                            m,
-                            speed,
-                            tasks[i][2],
-                            metric_names,
-                            i,
-                        ),
-                    ))
-            else:
-                n_batches += 1
-                n_batched_reps += len(idxs)
-                if telemetry is not None:
-                    telemetry.emit(
-                        "batch.start",
-                        params=tasks[idxs[0]][0],
-                        n_reps=len(idxs),
-                        m=m,
-                        speed=speed,
-                    )
-                cold_units.append((
-                    "batch",
-                    (
-                        engine_kwargs,
-                        [handle_for(tasks[i][1]) for i in idxs],
-                        m,
-                        speed,
-                        [tasks[i][2] for i in idxs],
-                        metric_names,
-                        tuple(idxs),
-                    ),
-                ))
-
-        def unit_payloads(unit: tuple, payload: Dict[str, Any]):
-            """(task index, per-rep payload) pairs of one finished unit."""
-            if unit[0] == "rep":
-                return [(unit[1][7], payload)]
-            return list(zip(unit[1][6], payload["batch"]))
-
-        def checkpoint(unit_idx: int, payload: Dict[str, Any]) -> None:
+        def checkpoint(cold_idx: int, payload: Dict[str, Any]) -> None:
             # Flush each finished cell to the cache the moment its
             # result lands in the parent (completion order), so a sweep
             # killed mid-flight loses nothing already computed: the
             # rerun resumes from these cells.  A checkpoint-write
             # failure must not abort the sweep -- the result is still
             # in memory; only resumability degrades.
-            unit = cold_units[unit_idx]
-            if unit[0] == "batch" and telemetry is not None:
-                telemetry.emit(
-                    "batch.flush",
-                    params=tasks[unit[1][6][0]][0],
-                    n_reps=len(unit[1][6]),
-                    wall_s=payload["wall_s"],
-                    pid=payload["pid"],
-                )
-            if cache is None:
+            key = task_keys[cold_indices[cold_idx]]
+            if cache is None or key is None:
                 return
-            for i, rep_payload in unit_payloads(unit, payload):
-                if task_keys[i] is None:
-                    continue
-                try:
-                    cache.store_cell(task_keys[i], rep_payload["metrics"])
-                except Exception as exc:
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "cache.store_failed",
-                            key=task_keys[i],
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+            try:
+                cache.store_cell(key, payload["metrics"])
+            except Exception as exc:
+                if telemetry is not None:
+                    telemetry.emit(
+                        "cache.store_failed",
+                        key=key,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
 
         cold_results = parallel_map(
-            _sweep_task,
-            cold_units,
+            _sweep_rep_task,
+            cold_tasks,
             max_workers=max_workers,
             telemetry=telemetry,
             cell_timeout=cell_timeout,
             retries=retries,
             on_result=checkpoint,
         )
-        if n_batches and telemetry is not None:
-            telemetry.emit(
-                "batch.done",
-                n_batches=n_batches,
-                n_batched_reps=n_batched_reps,
-                n_unbatched=len(cold_indices) - n_batched_reps,
-            )
     finally:
         for s in shared:
             s.close()
@@ -881,21 +716,20 @@ def _grid_sweep(
         reclaim_shared_memory(telemetry)
 
     rep_metrics: List[Dict[str, float]] = [None] * len(tasks)  # type: ignore
-    for unit, payload in zip(cold_units, cold_results):
-        for i, rep_payload in unit_payloads(unit, payload):
-            values = rep_payload["metrics"]
-            rep_metrics[i] = values
-            if telemetry is not None:
-                telemetry.emit(
-                    "cell.run",
-                    params=tasks[i][0],
-                    rep=tasks[i][1],
-                    seed=tasks[i][2],
-                    wall_s=rep_payload["wall_s"],
-                    pid=rep_payload["pid"],
-                    stats=rep_payload["stats"],
-                    metrics=values,
-                )
+    for i, payload in zip(cold_indices, cold_results):
+        values = payload["metrics"]
+        rep_metrics[i] = values
+        if telemetry is not None:
+            telemetry.emit(
+                "cell.run",
+                params=tasks[i][0],
+                rep=tasks[i][1],
+                seed=tasks[i][2],
+                wall_s=payload["wall_s"],
+                pid=payload["pid"],
+                stats=payload["stats"],
+                metrics=values,
+            )
     for i, values in cached_results.items():
         rep_metrics[i] = values
         if telemetry is not None:
@@ -980,19 +814,3 @@ def _grid_sweep(
         n_cold=len(cold_indices),
         n_cached=len(cached_results),
     )
-
-
-def grid_sweep(*args: Any, **kwargs: Any) -> SweepResult:
-    """Deprecated public alias of the grid-sweep executor.
-
-    Call :func:`repro.sweep` instead: the facade accepts every scheduler
-    form (class, configured prototype instance, engine name, raw
-    factory), normalizes the keyword aliases (``num_workers``≡``m``,
-    ``augmentation``≡``speed``), and dispatches here unchanged --
-    results are bit-identical.  This shim warns once per process
-    (:mod:`repro._deprecation`) and forwards verbatim.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once("repro.experiments.grid_sweep", "repro.sweep")
-    return _grid_sweep(*args, **kwargs)

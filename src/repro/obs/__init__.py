@@ -3,8 +3,8 @@
 Three layers (see docs/OBSERVABILITY.md for the full schema):
 
 * :class:`Telemetry` -- the JSONL event sink threaded through
-  :func:`repro.run`, :func:`~repro.experiments.sweep.grid_sweep`,
-  :func:`~repro.experiments.runner.run_figure2_cells`, the dispatch
+  :func:`repro.run`, :func:`repro.sweep`, the Figure 2 runner
+  (:func:`~repro.experiments.runner._run_figure2_cells`), the dispatch
   layer, and the cache via optional ``telemetry=`` arguments;
 * run manifests (:func:`build_manifest` / :func:`write_manifest`) --
   the reproducibility record one sweep leaves next to its cache dir;

@@ -2,8 +2,9 @@
 
 One ``Telemetry`` object is threaded (explicitly, as an optional
 ``telemetry=`` argument) through every execution layer -- the
-:func:`repro.run` facade, :func:`~repro.experiments.sweep.grid_sweep`,
-:func:`~repro.experiments.runner.run_figure2_cells`,
+:func:`repro.run` facade, :func:`repro.sweep`
+(:func:`~repro.experiments.sweep._grid_sweep`), the Figure 2 runner
+(:func:`~repro.experiments.runner._run_figure2_cells`),
 :func:`~repro.experiments.parallel.parallel_map` and
 :class:`~repro.experiments.cache.SweepCache` -- each of which *emits*
 events into it.  ``telemetry=None`` (the default everywhere) keeps every

@@ -8,9 +8,10 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
   node completions, so the engine jumps between those events; this is
   exact and far faster than stepping time.
 
-* :func:`~repro.sim.engine.run_work_stealing` -- a discrete-time engine
-  for the randomized work-stealing schedulers (admit-first and
-  steal-k-first, Section 4 of the paper).  The paper defines one *time
+* :func:`~repro.sim.engine._run_work_stealing` (reached as
+  ``repro.run("work-stealing", ...)``) -- a discrete-time engine for the
+  randomized work-stealing schedulers (admit-first and steal-k-first,
+  Section 4 of the paper).  The paper defines one *time
   step* as the time an ``s``-speed processor needs for one unit of work
   and charges one time step per steal attempt; the engine simulates in
   exactly those integer ticks, so runs are bit-reproducible for a given
@@ -23,8 +24,9 @@ instances in one block-structured arena with an on-demand-compiled C
 kernel -- bit-identical per rep to the reference engine (same
 schedules, stats, and RNG post-state).  ``repro.run(..., engine="flat")``
 and :meth:`WorkStealingScheduler.run <repro.core.work_stealing.WorkStealingScheduler.run>`
-(so every figure of the paper) are that kernel at R=1, and the sweep
-layer batches eligible multi-rep cells through it automatically.  Knobs
+(so every figure of the paper, one (cell, rep) task at a time) are
+that kernel at R=1; callers with several replicates of one
+configuration pass them to ``run_batch`` together.  Knobs
 outside the kernel's scope run the reference engine instead (identical
 results; warned once for ``"flat"``), and so does everything on a host
 without a working C compiler (warned once).  Importing this package
@@ -59,7 +61,6 @@ from repro.sim.deque import WorkStealingDeque
 from repro.sim.queue import GlobalAdmissionQueue, WeightedAdmissionQueue
 from repro.sim.jobstate import JobExecution
 from repro.sim.events import run_centralized
-from repro.sim.engine import run_work_stealing
 from repro.sim.trace import TraceRecorder, TraceInterval, audit_trace
 from repro.sim.policies import (
     MaxDequeVictim,
@@ -75,7 +76,7 @@ from repro.sim.checkpoint import (
     save_checkpoint,
 )
 from repro.sim.sampling import SystemSample, SystemSampler
-from repro.sim.batch_engine import batch_options, run_batch
+from repro.sim.batch_engine import run_batch
 from repro.sim.stream_engine import StreamResult
 from repro.sim.timeline import job_symbol, render_timeline, worker_utilization
 
@@ -92,7 +93,6 @@ __all__ = [
     "SystemSampler",
     "StreamResult",
     "run_batch",
-    "batch_options",
     "save_checkpoint",
     "load_checkpoint",
     "list_checkpoints",
@@ -112,7 +112,6 @@ __all__ = [
     "WeightedAdmissionQueue",
     "JobExecution",
     "run_centralized",
-    "run_work_stealing",
     "TraceRecorder",
     "TraceInterval",
     "audit_trace",

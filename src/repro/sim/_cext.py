@@ -1,7 +1,8 @@
 """Compile-on-demand loader for the C tick kernel.
 
-The fast path of every ``engine="flat"`` run and every batched sweep
-cell (:mod:`repro.sim.batch_engine`) is a C transcription of the
+The fast path of every ``engine="flat"`` run, every in-scope
+``WorkStealingScheduler.run`` and every ``run_batch`` call
+(:mod:`repro.sim.batch_engine`) is a C transcription of the
 reference engine's native-scope semantics
 (``src/repro/sim/_batch_kernel.c``).  Nothing is installed and no build
 backend is required: the source ships with the package and is compiled

@@ -1,10 +1,12 @@
 """The fast tick kernel: one compiled arena for R replicates.
 
-Every experiment layer above the simulator -- figure sweeps,
-:func:`repro.sweep`, successive-halving rounds in :func:`repro.search`,
-ablation deltas -- evaluates *many replicate instances of the same
-cell*, and ``repro.run("flat", ...)`` evaluates one.  Both go through
-:func:`run_batch` (the latter at R=1):
+Every in-scope work-stealing simulation reaches :func:`run_batch`:
+``repro.run("flat", ...)`` and
+:meth:`~repro.core.work_stealing.WorkStealingScheduler.run` call it at
+one replicate, which is how figure sweeps, :func:`repro.sweep`,
+:func:`repro.search` rounds and ablation deltas run each (cell, rep)
+task.  Callers holding several replicates of one configuration can
+pass them all at once (R > 1), the public replicate API:
 
 * :func:`run_batch` concatenates R :class:`~repro.dag.flat.FlatInstance`
   replicates into one block-structured SoA arena -- node/job/edge
@@ -37,9 +39,6 @@ cell*, and ``repro.run("flat", ...)`` evaluates one.  Both go through
   So does a hand-built replicate whose arrivals are not sorted (the
   reference re-sorts and re-ids it), silently: that is a property of
   the instance, not of the configuration.
-* :func:`batch_options` is the eligibility probe the sweep layer uses
-  to decide whether a scheduler's (cell, rep) tasks may be fused into
-  one batched task (see :mod:`repro.experiments.sweep`).
 
 Telemetry: with a sink attached, :func:`run_batch` emits
 ``batch.start`` (plan: rep count, kernel path), per-replicate
@@ -65,7 +64,7 @@ from repro.sim.engine import _run_work_stealing, _scheduler_label
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
-__all__ = ["run_batch", "batch_options"]
+__all__ = ["run_batch"]
 
 
 # ----------------------------------------------------------------------
@@ -576,30 +575,3 @@ def run_batch(
             kernel=path,
         )
     return results  # type: ignore[return-value]
-
-
-def batch_options(scheduler: Any) -> Optional[Dict[str, Any]]:
-    """Engine kwargs for :func:`run_batch` if ``scheduler`` is batchable.
-
-    The sweep layer calls this on one probe instance per grid point to
-    decide whether that cell's (rep) tasks may be fused into a single
-    batched task.  Batchable means the scheduler is a plain engine
-    adapter (``repro.run``'s ``work-stealing`` / ``flat`` engines) or an
-    unmodified :class:`~repro.core.work_stealing.WorkStealingScheduler`,
-    with every knob inside the kernel's native scope -- for those the
-    reference engine and the kernel are pinned bit-identical, so fusing
-    reps cannot change any number.  Returns ``None`` for
-    anything else (custom schedulers, subclasses overriding ``run``,
-    weighted admission, non-uniform victim policies, ``steal_half``,
-    traces, samplers).
-    """
-    engine = getattr(scheduler, "engine", None)
-    if engine in ("work-stealing", "flat"):
-        kwargs = dict(getattr(scheduler, "engine_kwargs", None) or {})
-    else:
-        from repro.core.work_stealing import _plain_engine_kwargs
-
-        kwargs = _plain_engine_kwargs(scheduler)
-        if kwargs is None:
-            return None
-    return None if _scope_reasons(**kwargs) else kwargs

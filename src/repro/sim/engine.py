@@ -638,18 +638,3 @@ def _run_work_stealing(
         stats=stats,
         seed=recorded_seed,
     )
-
-
-def run_work_stealing(*args, **kwargs) -> ScheduleResult:
-    """Deprecated alias of the tick engine; use :func:`repro.run`.
-
-    Forwards every argument unchanged to the private implementation, so
-    results stay bit-identical; emits one :class:`DeprecationWarning`
-    per process.  Schedulers should be run through :func:`repro.run`
-    (or :meth:`repro.core.base.Scheduler.run`), which also accepts
-    ``telemetry=``.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once("repro.sim.engine.run_work_stealing", "repro.run")
-    return _run_work_stealing(*args, **kwargs)

@@ -1,7 +1,7 @@
 """System-state sampling for the work-stealing engine.
 
 A :class:`SystemSampler` passed to
-:func:`repro.sim.engine.run_work_stealing` snapshots the scheduler's
+:func:`repro.sim.engine._run_work_stealing` snapshots the scheduler's
 internal state -- busy workers, global-queue length, stealable deques,
 completed jobs -- at (approximately) regular tick intervals.  This is
 the instrumentation behind the Section 6 narrative: under admit-first at

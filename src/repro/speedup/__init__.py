@@ -31,7 +31,6 @@ from repro.speedup.model import (
     SpeedupJobSet,
     Sqrt,
 )
-from repro.speedup.engine import run_speedup_fifo, run_speedup_equi
 from repro.speedup.convert import dag_to_speedup_job, jobset_to_speedup
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "Phase",
     "SpeedupJob",
     "SpeedupJobSet",
-    "run_speedup_fifo",
-    "run_speedup_equi",
     "dag_to_speedup_job",
     "jobset_to_speedup",
 ]

@@ -5,14 +5,14 @@ therefore processing rates -- are constant, so the engine jumps between
 events exactly like the centralized DAG engine.  Two allocation
 policies:
 
-* **FIFO-greedy** (:func:`run_speedup_fifo`): serve jobs in arrival
-  order, giving each the processors it can still use
+* **FIFO-greedy** (``repro.run("speedup-fifo", ...)``): serve jobs in
+  arrival order, giving each the processors it can still use
   (``useful_processors`` of its current phase) until the machine is
   exhausted -- the speedup-curves analogue of the paper's FIFO.
-* **EQUI** (:func:`run_speedup_equi`): split the machine evenly among
-  active jobs (earlier arrivals get the remainder), the classic
-  Edmonds-Pruhs policy that is scalable for *average* flow in this
-  model.
+* **EQUI** (``repro.run("speedup-equi", ...)``): split the machine
+  evenly among active jobs (earlier arrivals get the remainder), the
+  classic Edmonds-Pruhs policy that is scalable for *average* flow in
+  this model.
 
 Results come back as :class:`~repro.sim.result.ScheduleResult`, so every
 metric in :mod:`repro.metrics` applies unchanged.
@@ -179,19 +179,3 @@ def _run_speedup_equi(
 ) -> ScheduleResult:
     """EQUI (equal-split) allocation -- the classic average-flow policy."""
     return _run_speedup(jobset, m, speed, _equi_allocation, "speedup-equi")
-
-
-def run_speedup_fifo(*args, **kwargs) -> ScheduleResult:
-    """Deprecated alias; use ``repro.run("speedup-fifo", jobset, m=...)``."""
-    from repro._deprecation import warn_once
-
-    warn_once("repro.speedup.engine.run_speedup_fifo", "repro.run")
-    return _run_speedup_fifo(*args, **kwargs)
-
-
-def run_speedup_equi(*args, **kwargs) -> ScheduleResult:
-    """Deprecated alias; use ``repro.run("speedup-equi", jobset, m=...)``."""
-    from repro._deprecation import warn_once
-
-    warn_once("repro.speedup.engine.run_speedup_equi", "repro.run")
-    return _run_speedup_equi(*args, **kwargs)

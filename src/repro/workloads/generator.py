@@ -197,7 +197,7 @@ class WorkloadSpec:
     def __call__(self, seed: SeedLike = None) -> JobSet:
         """Alias for :meth:`build`, so a spec *is* a jobset factory.
 
-        ``grid_sweep`` and friends accept any ``Callable[[int], JobSet]``;
+        :func:`repro.sweep` and friends accept any ``Callable[[int], JobSet]``;
         passing the spec itself (instead of a lambda around it) keeps the
         factory picklable for process pools and lets the sweep layer
         discover :meth:`cache_key`/:meth:`build_flat` for instance

@@ -5,12 +5,16 @@ import pytest
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import OptLowerBound
 from repro.experiments.config import ExperimentScale, FIG2A
+from repro.core.work_stealing import WorkStealingScheduler
 from repro.experiments.runner import (
     figure2_schedulers,
     mean_and_spread,
     run_figure2_cell,
     run_schedulers,
 )
+from repro.sim.engine import _run_work_stealing
+from repro.sim.rng import derive_seed
+from repro.workloads import WorkloadSpec
 
 TINY = ExperimentScale(n_jobs=120, reps=1)
 
@@ -67,3 +71,31 @@ class TestMeanAndSpread:
     def test_values(self):
         s = mean_and_spread([1.0, 2.0, 3.0])
         assert s == {"mean": 2.0, "min": 1.0, "max": 3.0}
+
+
+def test_figure_runner_matches_reference_recomputation():
+    """Figure 2 cells (kernel, one rep at a time) equal the same cell
+    recomputed on the reference engine."""
+    scale = ExperimentScale(n_jobs=40, reps=3)
+    got = run_figure2_cell(FIG2A, qps=500.0, scale=scale, seed=3)
+    sums = {}
+    for rep in range(scale.reps):
+        cell_seed = derive_seed(3, 500, rep)
+        jobset = WorkloadSpec(
+            distribution=FIG2A.distribution_factory(), qps=500.0,
+            n_jobs=scale.n_jobs, m=FIG2A.m, units_per_ms=FIG2A.units_per_ms,
+            target_chunks=FIG2A.target_chunks,
+        ).build(seed=cell_seed)
+        for i, sched in enumerate(figure2_schedulers(FIG2A)):
+            run_seed = derive_seed(cell_seed, 1000 + i)
+            if isinstance(sched, WorkStealingScheduler):
+                res = _run_work_stealing(
+                    jobset, m=FIG2A.m, seed=run_seed,
+                    **sched._engine_kwargs(),
+                )
+            else:
+                res = sched.run(jobset, m=FIG2A.m, seed=run_seed)
+            sums[sched.name] = (
+                sums.get(sched.name, 0.0) + res.max_flow * FIG2A.time_unit_ms
+            )
+    assert got == {name: total / scale.reps for name, total in sums.items()}

@@ -2,12 +2,17 @@
 
 import pytest
 
+import repro
+import repro.sim.engine
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.builders import single_node
 from repro.dag.job import jobs_from_dags
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import METRICS, SweepResult
 from repro.experiments.sweep import _grid_sweep as grid_sweep
+from repro.obs.telemetry import Telemetry
 from repro.sim.rng import make_rng
+from repro.workloads import BingDistribution, WorkloadSpec
 
 
 def tiny_jobset_factory(rep_seed):
@@ -124,3 +129,81 @@ class TestResultSerialization:
         assert back.max_flow == r.max_flow
         assert back.stats.busy_steps == r.stats.busy_steps
         assert back.seed == 7
+
+
+def small_spec():
+    return WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=20, m=4)
+
+
+def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
+    """In-scope WorkStealingScheduler cells get the attached FlatInstance;
+    out-of-scope ones still get a JobSet."""
+    seen = []
+    routed_run = WorkStealingScheduler.run
+
+    def spy(self, jobset, *args, **kwargs):
+        seen.append((self.victim_policy, type(jobset).__name__))
+        return routed_run(self, jobset, *args, **kwargs)
+
+    monkeypatch.setattr(WorkStealingScheduler, "run", spy)
+    for policy in ("uniform", "round-robin"):
+        repro.sweep(
+            WorkStealingScheduler(steals_per_tick=8, victim_policy=policy),
+            {"k": [0, 2]}, small_spec(), m=4, reps=2, seed=5, max_workers=1,
+        )
+    assert sorted(set(seen)) == [
+        ("round-robin", "JobSet"), ("uniform", "FlatInstance")
+    ]
+
+
+def test_reference_engine_sweep_runs_the_reference_for_every_rep(
+    monkeypatch,
+):
+    """A ``"work-stealing"`` sweep is a sweep over the oracle: every
+    (cell, rep) runs the reference engine, however many reps a cell has,
+    and the numbers equal the kernel's."""
+    calls = []
+    reference = repro.sim.engine._run_work_stealing
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(repro.sim.engine, "_run_work_stealing", counting)
+    oracle = repro.sweep(
+        "work-stealing", {"k": [0, 4]}, small_spec(), m=4, reps=4,
+        max_workers=1,
+    )
+    assert sorted(calls) == [0] * 4 + [4] * 4
+    kernel = repro.sweep(
+        "flat", {"k": [0, 4]}, small_spec(), m=4, reps=4, max_workers=1
+    )
+    assert len(calls) == 8
+    assert [(c.params, c.metrics) for c in oracle.cells] == [
+        (c.params, c.metrics) for c in kernel.cells
+    ]
+
+
+def test_every_rep_reports_its_own_cell_run(monkeypatch):
+    """Each cold (cell, rep) is one task and one ``cell.run`` event that
+    carries that task's worker-measured wall time; nothing is fused."""
+    walls = []
+    rep_task = sweep_mod._sweep_rep_task
+
+    def recording(task):
+        payload = rep_task(task)
+        walls.append(payload["wall_s"])
+        return payload
+
+    monkeypatch.setattr(sweep_mod, "_sweep_rep_task", recording)
+    tel = Telemetry()
+    repro.sweep(
+        "flat", {"k": [0, 4]}, small_spec(), m=4, reps=6, max_workers=1,
+        telemetry=tel,
+    )
+    runs = [e for e in tel.events if e["event"] == "cell.run"]
+    assert [(e["params"]["k"], e["rep"]) for e in runs] == [
+        (k, rep) for k in (0, 4) for rep in range(6)
+    ]
+    assert [e["wall_s"] for e in runs] == walls
+    assert not [e for e in tel.events if e["event"].startswith("batch.")]

@@ -1,4 +1,4 @@
-"""The repro.run() facade: dispatch, aliases, shims, telemetry identity.
+"""The repro.run() facade: dispatch, aliases, telemetry identity.
 
 Pins the ISSUE-3 API contract:
 
@@ -6,8 +6,7 @@ Pins the ISSUE-3 API contract:
   underlying engine directly;
 * the historical keyword spellings (``num_workers``/``m``,
   ``augmentation``/``speed``) normalize, and conflicts fail loudly;
-* the deprecated module-level entrypoints still work, stay
-  bit-identical, and warn exactly once per process;
+* the facade itself never emits a DeprecationWarning;
 * telemetry is observationally inert: schedules with a live sink are
   bit-identical to uninstrumented ones, and a sweep's event log passes
   the audit and agrees with its own SimulationStats.
@@ -18,7 +17,6 @@ import warnings
 import pytest
 
 import repro
-from repro import _deprecation
 from repro.core.fifo import FifoScheduler
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
@@ -134,53 +132,8 @@ class TestAliases:
 
 
 class TestDeprecatedShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(_deprecation, "_WARNED", set())
-
-    def test_run_work_stealing_shim_bit_identical(self, jobset):
-        from repro.sim.engine import run_work_stealing
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_work_stealing(jobset, m=4, seed=3, k=2)
-        new = repro.run("work-stealing", jobset, m=4, seed=3, k=2)
-        same_result(old, new)
-
-    def test_speedup_shims_bit_identical(self, speedup_jobset):
-        from repro.speedup.engine import run_speedup_equi, run_speedup_fifo
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_fifo = run_speedup_fifo(speedup_jobset, m=4)
-            old_equi = run_speedup_equi(speedup_jobset, m=4)
-        same_result(old_fifo, repro.run("speedup-fifo", speedup_jobset, m=4))
-        same_result(old_equi, repro.run("speedup-equi", speedup_jobset, m=4))
-
-    def test_shim_warns_exactly_once(self, jobset):
-        from repro.sim.engine import run_work_stealing
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_work_stealing(jobset, m=2, seed=0)
-            run_work_stealing(jobset, m=2, seed=0)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.run" in str(deprecations[0].message)
-
-    def test_each_shim_warns_independently(self, speedup_jobset):
-        from repro.speedup.engine import run_speedup_equi, run_speedup_fifo
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_speedup_fifo(speedup_jobset, m=2)
-            run_speedup_equi(speedup_jobset, m=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
+    """The pre-facade shims were removed in 1.10.0; the facade that
+    replaced them must never warn."""
 
     def test_facade_itself_never_warns(self, jobset):
         with warnings.catch_warnings():

@@ -4,7 +4,7 @@ Pins the ISSUE-4 API contract, mirroring ``test_run_facade.py``:
 
 * every accepted scheduler form (class, prototype instance, engine
   name, raw factory callable) dispatches to
-  :func:`repro.experiments.sweep.grid_sweep` bit-identically;
+  :func:`repro.experiments.sweep._grid_sweep` bit-identically;
 * the ``run()`` keyword normalizations apply unchanged
   (``num_workers``/``m``, ``augmentation``/``speed``);
 * fault-tolerance and caching knobs (``cell_timeout``, ``retries``,
@@ -198,7 +198,7 @@ class TestKnobThreading:
     def test_exported_and_documented(self):
         assert "sweep" in repro.__all__
         assert repro.sweep is not None
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
 
 class TestSharding:

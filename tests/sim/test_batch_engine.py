@@ -43,7 +43,7 @@ from repro.dag.builders import chain, single_node
 from repro.dag.flat import flatten_jobset
 from repro.dag.job import jobs_from_dags
 from repro.sim import _cext, batch_engine
-from repro.sim.batch_engine import batch_options, run_batch
+from repro.sim.batch_engine import run_batch
 from repro.sim.engine import _run_work_stealing
 from repro.sim.rng import derive_seed
 from repro.workloads import (
@@ -580,59 +580,6 @@ def test_single_replicate_arena_aliases_read_only_instance_arrays():
 
 
 # ----------------------------------------------------------------------
-# batch_options eligibility probe
-# ----------------------------------------------------------------------
-
-
-def test_batch_options_accepts_plain_work_stealing():
-    from repro.core.work_stealing import (
-        AdmitFirstScheduler,
-        WeightedWorkStealingScheduler,
-        WorkStealingScheduler,
-    )
-
-    assert batch_options(WorkStealingScheduler(k=16, steals_per_tick=64)) == {
-        "k": 16,
-        "steals_per_tick": 64,
-        "victim_policy": "uniform",
-        "steal_half": False,
-        "admission": "fifo",
-    }
-    # Subclass with an *inherited* run is still the pinned algorithm.
-    assert batch_options(AdmitFirstScheduler()) is not None
-    # Weighted admission is outside the kernel's native scope.
-    assert batch_options(WeightedWorkStealingScheduler()) is None
-    # Out-of-scope knobs on the plain class are rejected too.
-    assert batch_options(WorkStealingScheduler(victim_policy="max-deque")) is None
-    assert batch_options(WorkStealingScheduler(steal_half=True)) is None
-
-
-def test_batch_options_rejects_custom_run():
-    from repro.core.work_stealing import WorkStealingScheduler
-
-    class Custom(WorkStealingScheduler):
-        def run(self, jobset, m, speed=1.0, seed=None, **kw):
-            return super().run(jobset, m, speed=speed, seed=seed, **kw)
-
-    assert batch_options(Custom()) is None
-    assert batch_options(object()) is None
-
-
-def test_batch_options_accepts_engine_adapters():
-    from repro.api import _EngineScheduler
-
-    assert batch_options(
-        _EngineScheduler("flat", k=4, steals_per_tick=8)
-    ) == {"k": 4, "steals_per_tick": 8}
-    assert batch_options(_EngineScheduler("flat")) == {}
-    assert batch_options(_EngineScheduler("work-stealing", k=2)) == {"k": 2}
-    assert batch_options(
-        _EngineScheduler("flat", victim_policy="round-robin")
-    ) is None
-    assert batch_options(_EngineScheduler("speedup-fifo")) is None
-
-
-# ----------------------------------------------------------------------
 # repro.run() facade integration
 # ----------------------------------------------------------------------
 
@@ -648,28 +595,6 @@ def test_run_facade_batch_engine():
         batch, repro.run("flat", flatten_jobset(jobset), seed=1, **kwargs)
     )
     assert_identical(batch, _run_work_stealing(jobset, seed=1, **kwargs))
-
-
-def test_sweep_facade_batch_engine_matches_flat(monkeypatch):
-    """A ``"flat"`` sweep with fused (batched) cells equals the per-rep one."""
-    from repro.experiments import sweep as sweep_mod
-    from repro.obs.telemetry import Telemetry
-
-    spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=30, m=4)
-    grid = {"k": [0, 4]}
-    tel = Telemetry()
-    batched = repro.sweep(
-        "flat", grid, spec, m=4, reps=4, seed=11, max_workers=1,
-        telemetry=tel,
-    )
-    assert [e for e in tel.events if e["event"] == "batch.start"]
-    monkeypatch.setattr(sweep_mod, "_BATCH_MIN_REPS", 1 << 30)
-    per_rep = repro.sweep(
-        "flat", grid, spec, m=4, reps=4, seed=11, max_workers=1
-    )
-    assert [(c.params, c.metrics) for c in batched.cells] == [
-        (c.params, c.metrics) for c in per_rep.cells
-    ]
 
 
 def test_batch_engine_name_is_gone():
