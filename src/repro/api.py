@@ -287,7 +287,7 @@ def _run_streaming(
     this guards against, so misconfiguration must be caught before any
     simulation starts.
     """
-    from repro.sim.stream_engine import _run_stream
+    from repro.sim.stream_engine import _run_stream, _stream_reasons
     from repro.workloads.stream import StreamSpec
 
     if jobset is not None:
@@ -332,6 +332,12 @@ def _run_streaming(
         seed=seed,
         n_jobs=stream.n_jobs,
     )
+    # The engine emits dispatch.slow_path itself; run.done records the
+    # path here too, as it does for materialized runs.
+    reasons = _stream_reasons(
+        engine_kwargs.get("utilization_window"),
+        engine_kwargs.get("_fast_forward", True),
+    )
     t0 = time.perf_counter()
     result = _run_stream(
         stream, size, speed=s, seed=seed, telemetry=telemetry, **engine_kwargs
@@ -345,6 +351,8 @@ def _run_streaming(
         wall_s=round(time.perf_counter() - t0, 6),
         max_flow=result.max_flow,
         stats=result.stats.as_dict(),
+        path="python" if reasons else "cext",
+        reasons=list(reasons),
     )
     return result
 

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 class OnlineMax:
     """Exact running maximum with the argmax key that achieved it."""
@@ -250,6 +252,40 @@ class OnlineFlowStats:
             self.last_completion = completion
         for sketch in self.sketches.values():
             sketch.update(flow)
+
+    def observe_many(
+        self,
+        flows: np.ndarray,
+        completions: np.ndarray,
+        job_ids: np.ndarray,
+    ) -> None:
+        """Record a batch of completions, in order, as :meth:`observe` would.
+
+        The result is bit-identical to calling :meth:`observe` once per
+        element: the sum is accumulated sequentially (not pairwise), the
+        argmax is the first strict maximum, and every sketch sees the
+        flows in order.
+        """
+        if not len(flows):
+            return
+        self.count += len(flows)
+        self.flow_sum = float(
+            np.add.accumulate(np.concatenate(([self.flow_sum], flows)))[-1]
+        )
+        top = int(np.argmax(flows))
+        if flows[top] > self.max_flow:
+            self.max_flow = float(flows[top])
+            self.argmax_job = int(job_ids[top])
+            self.argmax_completion = float(completions[top])
+        last = float(completions.max())
+        if last > self.last_completion:
+            self.last_completion = last
+        if self.sketches:
+            values = flows.tolist()
+            for sketch in self.sketches.values():
+                update = sketch.update
+                for x in values:
+                    update(x)
 
     @property
     def mean_flow(self) -> float:

@@ -1,33 +1,59 @@
-/* Rep-batched work-stealing tick kernel (engine="flat", run_batch).
+/* Work-stealing tick kernel (engine="flat", run_batch, streaming).
  *
- * One replicate of the batched arena, executed start to finish: the
- * steal-k-first tick loop in its native scope (uniform victims, FIFO
- * admission, single-entry steals) over the block-structured SoA arena
- * built by repro.sim.batch_engine -- phase A completion cascades,
- * phase B admission / burn / live-attempt branches, the three
- * fast-forwards, sub-tick execution when steals_per_tick > 1.  The
- * reference engine (repro/sim/engine.py::_run_work_stealing) defines the
- * semantics, bit for bit -- same completions, same stats counters, same
- * RNG draw cadence -- and tests/sim/test_flat_kernel_equivalence.py and
- * tests/sim/test_batch_engine.py enforce the identity.
+ * The steal-k-first tick loop in its native scope (uniform victims, FIFO
+ * admission, single-entry steals) over a window of jobs in SoA tables
+ * built by repro.sim.batch_engine or repro.sim.stream_engine -- phase A
+ * completion cascades, phase B admission / burn / live-attempt branches,
+ * the three fast-forwards, sub-tick execution when steals_per_tick > 1.
+ * The reference engine (repro/sim/engine.py::_run_work_stealing) defines
+ * the semantics, bit for bit -- same completions, same stats counters,
+ * same RNG draw cadence -- and tests/sim/test_flat_kernel_equivalence.py,
+ * tests/sim/test_batch_engine.py and tests/sim/test_stream_engine.py
+ * enforce the identity.
  *
- * Arena addressing: node- and job-indexed arrays use *global* (arena)
- * ids; the caller passes job-indexed pointers pre-offset to this rep's
- * segment (jro, arr_ticks) and worker-indexed pointers offset by
- * rep * m.  Victim draws come from a 4096-slot block per rep, refilled
- * by calling back into Python (refill_fn) so the PCG64 stream is drawn
- * by the *same* numpy Generator calls as the reference engine's
- * UniformVictim -- exact post-state identity, not just equal victim
- * sequences.
+ * Resumable: the loop-top scalars live in a caller-owned int64 state
+ * vector (layout: the S_* slots below, mirrored in repro.sim._cext),
+ * loaded into locals on entry and stored on exit.  The loop returns to
+ * its caller at a stop point and continues from the same state when
+ * called again:
  *
- * Returns 0 on success, 1 when max_ticks is exceeded (the caller raises
- * the same RuntimeError as the reference engine).
+ *   0  done: `completed` reached n_total;
+ *   1  t reached max_ticks (the caller raises the engine's RuntimeError);
+ *   2  the window ran out of arrivals while `more` says the stream has
+ *      further jobs -- mid-release, so the caller appends a segment and
+ *      calls again with next_at unchanged (<= t), re-entering the
+ *      release block;
+ *   3  a checkpoint is due: right after a full release, once
+ *      `completed` >= ckpt_at.  next_at > t holds there, so the next
+ *      call skips the release block and continues exactly where the
+ *      loop stopped.
+ *
+ * A materialized run (run_batch) is one call over the whole instance
+ * with no stop point: n_total = n, more = 0, ckpt_at = INT64_MAX.
+ *
+ * Table addressing: node- and job-indexed arrays use *global* (arena or
+ * window) ids; the caller passes job-indexed pointers pre-offset to this
+ * rep's segment (jro, arr_ticks) and worker-indexed pointers offset by
+ * rep * m.  Completed jobs are appended, in completion order, to `log`
+ * when it is not NULL (its length is the S_NLOG slot).  Victim draws
+ * come from a 4096-slot block per rep, refilled by calling back into
+ * Python (refill_fn) so the PCG64 stream is drawn by the *same* numpy
+ * Generator calls as the reference engine's UniformVictim -- exact
+ * post-state identity, not just equal victim sequences.
  */
 
 #include <stdint.h>
 
 #define BLOCK 4096
 #define IDLE_AT (((int64_t)1) << 62)
+
+/* State-vector slots (repro.sim._cext mirrors them). */
+enum {
+    S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
+    S_NF, S_NE_COUNT,
+    S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ, /* stat counters */
+    S_NLOG, N_STATE
+};
 
 typedef void (*refill_fn)(int64_t rep);
 
@@ -49,6 +75,8 @@ typedef struct {
     int64_t *dq_next;
     int64_t *dq_prev;
     int64_t *rdy;
+    int64_t *log;     /* completion-order job log, or NULL */
+    int64_t nlog;
     double speed;
     int64_t m;
     /* run-wide scalars */
@@ -129,6 +157,8 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
     if (u == 0) {
         s->completions[j] = (double)(end_tick + 1) / s->speed;
         s->completed++;
+        if (s->log)
+            s->log[s->nlog++] = j;
     }
     if (lo != hi) {
         if (hi - lo == 1) {
@@ -182,9 +212,6 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
     }
 }
 
-/* io[] layout (out): 0 steal_attempts, 1 failed_steals, 2 idle_steps,
- * 3 admission_wait_ticks, 4 ff_skipped_ticks, 5 max_queue_depth,
- * 6 elapsed_ticks, 7 completed. */
 int64_t repro_batch_run_rep(
     const int64_t *works, const int64_t *eo, const int64_t *et,
     const int64_t *chain, const int64_t *job_of,
@@ -196,18 +223,24 @@ int64_t repro_batch_run_rep(
     int64_t *dq_head, int64_t *dq_tail,
     int64_t *dq_next, int64_t *dq_prev, int64_t *rdy,
     int64_t *raw,            /* this rep's 4096-draw victim block */
-    int64_t n, int64_t m, int64_t k, int64_t sigma,
-    int64_t max_ticks, double speed,
-    int64_t *io, refill_fn refill, int64_t rep)
+    int64_t *log,            /* completion-order job log, or NULL */
+    int64_t n,               /* jobs in the window */
+    int64_t n_total,         /* run until this many jobs completed */
+    int64_t more,            /* nonzero: jobs beyond the window follow */
+    int64_t m, int64_t k, int64_t sigma,
+    int64_t max_ticks, int64_t ckpt_at, double speed,
+    int64_t *state, refill_fn refill, int64_t rep)
 {
     St st;
-    int64_t st_att = 0, st_fail = 0, st_idle = 0;
-    int64_t st_admwait = 0, st_ff = 0, st_maxq = 0;
-    int64_t q_head = 0;  /* global FIFO queue == job ids [q_head, next_arr) */
-    int64_t next_arr = 0;
-    int64_t next_at = arr_ticks[0];
-    int64_t t = next_at; /* nothing can happen before the first arrival */
-    int64_t p = 0;       /* next unconsumed draw in the current block */
+    int64_t t = state[S_T];
+    int64_t next_arr = state[S_NEXT_ARR];
+    int64_t next_at = state[S_NEXT_AT];
+    int64_t q_head = state[S_Q_HEAD]; /* FIFO queue == jobs [q_head, next_arr) */
+    int64_t p = state[S_P];           /* next unconsumed draw in the block */
+    int64_t st_att = state[S_ATT], st_fail = state[S_FAIL];
+    int64_t st_idle = state[S_IDLE], st_admwait = state[S_ADMWAIT];
+    int64_t st_ff = state[S_FF], st_maxq = state[S_MAXQ];
+    int64_t rc = 0;
     int64_t i;
 
     st.works = works;
@@ -225,30 +258,41 @@ int64_t repro_batch_run_rep(
     st.dq_next = dq_next;
     st.dq_prev = dq_prev;
     st.rdy = rdy;
+    st.log = log;
+    st.nlog = state[S_NLOG];
     st.speed = speed;
     st.m = m;
-    st.n_busy = 0;
-    st.completed = 0;
-    st.nf = IDLE_AT;
-    st.ne_count = 0;
+    st.n_busy = state[S_N_BUSY];
+    st.completed = state[S_COMPLETED];
+    st.nf = state[S_NF];
+    st.ne_count = state[S_NE_COUNT];
 
-    while (st.completed < n) {
+    while (st.completed < n_total) {
         /* ---- release arrivals due at or before the current tick ---- */
         if (next_at <= t) {
             int64_t ql;
             while (next_arr < n && arr_ticks[next_arr] <= t)
                 next_arr++;
-            next_at = (next_arr < n) ? arr_ticks[next_arr] : max_ticks + 1;
+            if (next_arr < n) {
+                next_at = arr_ticks[next_arr];
+            } else if (more) {
+                rc = 2; /* pull a segment, then re-enter this block */
+                goto stop;
+            } else {
+                next_at = IDLE_AT; /* no further arrivals, ever */
+            }
             ql = next_arr - q_head;
             if (ql > st_maxq)
                 st_maxq = ql;
+            if (st.completed >= ckpt_at) {
+                rc = 3;
+                goto stop;
+            }
         }
 
         if (t >= max_ticks) {
-            io[0] = st_att; io[1] = st_fail; io[2] = st_idle;
-            io[3] = st_admwait; io[4] = st_ff; io[5] = st_maxq;
-            io[6] = t; io[7] = st.completed;
-            return 1;
+            rc = 1;
+            goto stop;
         }
 
         /* ---- fast-forward: whole system empty ---- */
@@ -467,8 +511,22 @@ int64_t repro_batch_run_rep(
         t += 1;
     }
 
-    io[0] = st_att; io[1] = st_fail; io[2] = st_idle;
-    io[3] = st_admwait; io[4] = st_ff; io[5] = st_maxq;
-    io[6] = t; io[7] = st.completed;
-    return 0;
+stop:
+    state[S_T] = t;
+    state[S_NEXT_ARR] = next_arr;
+    state[S_NEXT_AT] = next_at;
+    state[S_Q_HEAD] = q_head;
+    state[S_P] = p;
+    state[S_N_BUSY] = st.n_busy;
+    state[S_COMPLETED] = st.completed;
+    state[S_NF] = st.nf;
+    state[S_NE_COUNT] = st.ne_count;
+    state[S_ATT] = st_att;
+    state[S_FAIL] = st_fail;
+    state[S_IDLE] = st_idle;
+    state[S_ADMWAIT] = st_admwait;
+    state[S_FF] = st_ff;
+    state[S_MAXQ] = st_maxq;
+    state[S_NLOG] = st.nlog;
+    return rc;
 }

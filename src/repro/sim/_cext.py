@@ -1,8 +1,9 @@
 """Compile-on-demand loader for the C tick kernel.
 
 The fast path of every ``engine="flat"`` run, every in-scope
-``WorkStealingScheduler.run`` and every ``run_batch`` call
-(:mod:`repro.sim.batch_engine`) is a C transcription of the
+``WorkStealingScheduler.run``, every ``run_batch`` call
+(:mod:`repro.sim.batch_engine`) and every in-scope streaming run
+(:mod:`repro.sim.stream_engine`) is a C transcription of the
 reference engine's native-scope semantics
 (``src/repro/sim/_batch_kernel.c``).  Nothing is installed and no build
 backend is required: the source ships with the package and is compiled
@@ -45,6 +46,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 #: Victim-draw block size; must match the C kernel's BLOCK constant and
 #: UniformVictim's default block (one block = one
 #: ``rng.integers(0, m - 1, size=BLOCK)`` call).
@@ -58,6 +61,36 @@ IDLE_AT = 1 << 62
 #: draw block is exhausted; Python refills it in place from that rep's
 #: Generator (keeping the PCG64 stream bit-identical to the reference).
 REFILL_CFUNC = ctypes.CFUNCTYPE(None, ctypes.c_int64)
+
+#: Slots of the kernel's int64 state vector (the C kernel's S_* enum):
+#: the loop-top scalars, the six stat counters, and the length of the
+#: completion log.
+(
+    S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
+    S_NF, S_NE_COUNT,
+    S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ,
+    S_NLOG, N_STATE,
+) = range(17)
+
+#: Kernel return codes: run complete, ``max_ticks`` reached, the window
+#: ran out of arrivals (pull a segment), a checkpoint is due.
+DONE, MAX_TICKS, NEED_SEGMENT, CHECKPOINT = range(4)
+
+#: ``ckpt_at`` for a run without checkpoints.
+NO_CHECKPOINT = (1 << 63) - 1
+
+
+def fresh_state(first_arrival_tick: int) -> np.ndarray:
+    """The state vector of a run that has not started.
+
+    Nothing can happen before the first arrival, so the clock starts
+    there, with that arrival due.
+    """
+    state = np.zeros(N_STATE, dtype=np.int64)
+    state[S_T] = state[S_NEXT_AT] = first_arrival_tick
+    state[S_NF] = IDLE_AT
+    return state
+
 
 _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 
@@ -93,10 +126,10 @@ def _bind(lib: ctypes.CDLL) -> Any:
     fn = lib.repro_batch_run_rep
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    # 21 array pointers, 5 int64 scalars, speed, io pointer, callback,
-    # rep index -- the exact order of the C signature.
+    # 22 array pointers, 8 int64 scalars, speed, state pointer,
+    # callback, rep index -- the exact order of the C signature.
     fn.argtypes = (
-        [ptr] * 21 + [i64] * 5 + [ctypes.c_double, ptr, REFILL_CFUNC, i64]
+        [ptr] * 22 + [i64] * 8 + [ctypes.c_double, ptr, REFILL_CFUNC, i64]
     )
     fn.restype = i64
     return fn

@@ -38,7 +38,9 @@ pass them all at once (R > 1), the public replicate API:
   :class:`RuntimeWarning` naming the cause (:func:`_slow_path_reasons`).
   So does a hand-built replicate whose arrivals are not sorted (the
   reference re-sorts and re-ids it), silently: that is a property of
-  the instance, not of the configuration.
+  the instance, not of the configuration.  A hand-built replicate whose
+  CSR arrays are malformed raises :class:`ValueError` before the kernel
+  reads them (checked once per cached arena).
 
 Telemetry: with a sink attached, :func:`run_batch` emits
 ``batch.start`` (plan: rep count, kernel path), per-replicate
@@ -59,7 +61,22 @@ import numpy as np
 from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
 from repro.sim import _cext
-from repro.sim._cext import BLOCK, IDLE_AT, REFILL_CFUNC, resolve_batch_kernel
+from repro.sim._cext import (
+    BLOCK,
+    IDLE_AT,
+    NO_CHECKPOINT,
+    REFILL_CFUNC,
+    S_ADMWAIT,
+    S_ATT,
+    S_COMPLETED,
+    S_FAIL,
+    S_FF,
+    S_IDLE,
+    S_MAXQ,
+    S_T,
+    fresh_state,
+    resolve_batch_kernel,
+)
 from repro.sim.engine import _run_work_stealing, _scheduler_label
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
@@ -105,7 +122,7 @@ def _scope_reasons(
 
 
 def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
-    """Why a run with these knobs takes the reference engine, if it does.
+    """Why a run with these knobs takes a Python engine, if it does.
 
     :func:`_scope_reasons`, then ``kernel=unavailable`` when the
     compiled kernel cannot be built or loaded on this host.  Empty means
@@ -119,11 +136,13 @@ def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
 
 
 def _warn_slow_path(reasons: tuple) -> None:
-    """One-time RuntimeWarning when a run falls back to the reference.
+    """One-time RuntimeWarning when a run falls back to a Python engine.
 
-    Warned once per process; the paired ``dispatch.slow_path``
-    telemetry event (emitted by the :func:`repro.run` facade) records
-    every occurrence for machine consumption.
+    The fallback is the reference engine for materialized runs and the
+    Python window loop for streaming runs.  Warned once per process;
+    the paired ``dispatch.slow_path`` telemetry event (emitted by the
+    :func:`repro.run` facade and the streaming engine) records every
+    occurrence for machine consumption.
     """
     global _SLOW_PATH_WARNED
     if _SLOW_PATH_WARNED or not reasons:
@@ -137,8 +156,9 @@ def _warn_slow_path(reasons: tuple) -> None:
         )
     warnings.warn(
         f"runs with {', '.join(reasons)} are outside the compiled "
-        f"kernel's scope and fall back to the slower reference engine"
-        f"{cause}; results are identical, only slower (this warning is "
+        f"kernel's scope and fall back to a slower Python engine (the "
+        f"reference engine, or the Python window loop for streaming "
+        f"runs){cause}; results are identical, only slower (this warning is "
         f"shown once per process, forked workers included)",
         RuntimeWarning,
         stacklevel=3,
@@ -159,6 +179,56 @@ def _before_fork() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_before_fork)
+
+
+def _check_csr(flat: FlatInstance) -> None:
+    """Raise :class:`ValueError` unless ``flat``'s CSR offsets are sound.
+
+    The compiled kernel indexes its tables without bounds checks, so a
+    malformed hand-built instance must be refused here rather than read
+    out of bounds there.  This checks the offsets and the edge-target
+    range; :func:`_check_jobs` checks the derived tables.
+    """
+    n_nodes = flat.n_nodes
+    eo = flat.edge_offsets
+    et = flat.edge_targets
+    jno = flat.job_node_offsets
+    if eo[0] != 0 or eo[-1] != len(et) or np.any(eo[1:] < eo[:-1]):
+        raise ValueError(
+            "malformed FlatInstance: edge_offsets must be non-decreasing, "
+            f"start at 0 and end at len(edge_targets) = {len(et)}"
+        )
+    if jno[0] != 0 or jno[-1] != n_nodes or np.any(jno[1:] < jno[:-1]):
+        raise ValueError(
+            "malformed FlatInstance: job_node_offsets must be "
+            f"non-decreasing, start at 0 and end at n_nodes = {n_nodes}"
+        )
+    if len(et) and (et.min() < 0 or et.max() >= n_nodes):
+        raise ValueError(
+            f"malformed FlatInstance: edge_targets must lie in "
+            f"[0, n_nodes = {n_nodes})"
+        )
+
+
+def _check_jobs(
+    outdeg: np.ndarray, et: np.ndarray, job_of: np.ndarray, jro: np.ndarray
+) -> None:
+    """Every edge stays inside its source's job; every job has a root.
+
+    Run on the derived tables of instances :func:`_check_csr` accepted:
+    node out-degrees, edge targets, each node's job and each job's
+    root-list offsets.  Admission starts a job at its first root.
+    """
+    if len(et) and np.any(np.repeat(job_of, outdeg) != job_of[et]):
+        raise ValueError(
+            "malformed FlatInstance: every edge must stay inside its "
+            "source node's job"
+        )
+    if np.any(jro[1:] <= jro[:-1]):
+        raise ValueError(
+            "malformed FlatInstance: every job needs at least one node "
+            "without predecessors"
+        )
 
 
 class _BatchTables:
@@ -196,6 +266,8 @@ class _BatchTables:
     )
 
     def __init__(self, flats: Sequence[FlatInstance]) -> None:
+        for f in flats:
+            _check_csr(f)
         reps = len(flats)
         n_nodes = np.array([f.n_nodes for f in flats], dtype=np.int64)
         n_jobs = np.array([f.n_jobs for f in flats], dtype=np.int64)
@@ -272,6 +344,7 @@ class _BatchTables:
             np.arange(total_jobs, dtype=np.int64), job_sizes
         )
         self.jro = np.searchsorted(roots, jno).astype(np.int64, copy=False)
+        _check_jobs(outdeg, et, self.job_of, self.jro)
         self.roots = roots
         self.preds_master = indeg
         self.unfin_master = job_sizes.astype(np.int64, copy=False)
@@ -315,6 +388,23 @@ def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
 def _ptr(arr: np.ndarray, offset: int = 0) -> ctypes.c_void_p:
     """A C pointer to ``arr[offset]`` (8-byte elements only)."""
     return ctypes.c_void_p(arr.ctypes.data + 8 * int(offset))
+
+
+def _kernel_stats(
+    state: np.ndarray, busy_steps: int, admissions: int
+) -> SimulationStats:
+    """The :class:`SimulationStats` of a finished kernel run."""
+    stats = SimulationStats()
+    stats.busy_steps = busy_steps
+    stats.steal_attempts = int(state[S_ATT])
+    stats.failed_steals = int(state[S_FAIL])
+    stats.admissions = admissions
+    stats.idle_steps = int(state[S_IDLE])
+    stats.elapsed_ticks = int(state[S_T])
+    stats.admission_wait_ticks = int(state[S_ADMWAIT])
+    stats.ff_skipped_ticks = int(state[S_FF])
+    stats.max_queue_depth = int(state[S_MAXQ])
+    return stats
 
 
 def _empty_result(
@@ -464,7 +554,6 @@ def run_batch(
         dq_prev = np.empty(max(1, total_nodes), dtype=np.int64)
         rdy = np.empty(max(1, total_nodes), dtype=np.int64)
         raw = np.zeros((reps, BLOCK), dtype=np.int64)
-        io = np.zeros((reps, 8), dtype=np.int64)
 
     results: List[Optional[ScheduleResult]] = [None] * reps
     for r in range(reps):
@@ -503,6 +592,8 @@ def run_batch(
                 ) * 4
             else:
                 rep_max_ticks = max_ticks
+            # One call over the whole replicate, no stop point.
+            state = fresh_state(int(arr_ticks[job_off[r]]))
             rc = kernel(
                 _ptr(tables.works),
                 _ptr(tables.eo),
@@ -525,32 +616,27 @@ def run_batch(
                 _ptr(dq_prev),
                 _ptr(rdy),
                 _ptr(row),
+                None,
                 n_r,
+                n_r,
+                0,
                 m,
                 int(k),
                 sigma,
                 rep_max_ticks,
+                NO_CHECKPOINT,
                 float(speed),
-                _ptr(io, r * 8),
+                _ptr(state),
                 cb,
                 r,
             )
             if rc != 0:
                 raise RuntimeError(
                     f"work-stealing run exceeded max_ticks={rep_max_ticks} "
-                    f"({int(io[r, 7])}/{n_r} jobs complete) -- instance "
-                    f"may be overloaded"
+                    f"({int(state[S_COMPLETED])}/{n_r} jobs complete) -- "
+                    f"instance may be overloaded"
                 )
-            stats = SimulationStats()
-            stats.busy_steps = tables.total_works[r]
-            stats.steal_attempts = int(io[r, 0])
-            stats.failed_steals = int(io[r, 1])
-            stats.admissions = n_r
-            stats.idle_steps = int(io[r, 2])
-            stats.elapsed_ticks = int(io[r, 6])
-            stats.admission_wait_ticks = int(io[r, 3])
-            stats.ff_skipped_ticks = int(io[r, 4])
-            stats.max_queue_depth = int(io[r, 5])
+            stats = _kernel_stats(state, tables.total_works[r], n_r)
             results[r] = ScheduleResult(
                 scheduler=label,
                 m=m,

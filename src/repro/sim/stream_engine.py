@@ -1,4 +1,4 @@
-"""Streaming tick kernel: bounded-memory runs over lazy arrival streams.
+"""Streaming tick engine: bounded-memory runs over lazy arrival streams.
 
 ``engine="flat"``'s streaming sibling for the case the paper describes --
 an *online* system where jobs arrive over time and nobody holds the
@@ -9,27 +9,44 @@ them, completed jobs are retired and their arrays compacted away, and
 metrics are accumulated online (:mod:`repro.metrics.online`), so peak
 memory is O(live jobs + one chunk) instead of O(total jobs).
 
+Execution
+---------
+Every run simulates over a *window* of jobs, and takes one of two
+paths, chosen by :func:`repro.sim.batch_engine._slow_path_reasons`:
+
+* **The compiled kernel** (``_batch_kernel.c``, the one that runs
+  ``engine="flat"``), for every configuration it covers.  The window
+  tables are int64 numpy arrays.  The kernel's tick loop runs over them
+  until a stop point -- the window ran out of arrivals, a checkpoint is
+  due, ``max_ticks`` was reached, or the run is done -- and returns with
+  its loop-top state in a state vector.  Between calls,
+  :func:`_kernel_window` pulls the next segment (appending to the
+  tables), compacts the retired prefix (slicing the tables and re-basing
+  every id, the linked-list deques included), writes checkpoints, and
+  drains the kernel's completion-order log into the online accumulators.
+* **The Python window loop** (:func:`_python_window`), the one Python
+  transcription of the tick loop, for the rest: a
+  ``utilization_window`` (a sampler), ``_fast_forward=False``, or a host
+  where the kernel cannot be built (warned once per process, like
+  ``run_batch``).  Its window tables are Python lists mutated in place.
+
 Semantics
 ---------
-This is the one Python transcription of the tick loop.  It is pinned,
-bit for bit, to the reference engine
-(:func:`repro.sim.engine._run_work_stealing`) and the compiled kernel
-(:mod:`repro.sim.batch_engine`): same phases, same fast-forwards
-(completion-driven phase A over absolute finish ticks, chain links,
-burst-resolved steal draws), same victim-draw blocks, same counters --
-re-based onto a *window* of jobs:
+Both paths are pinned, bit for bit, to the reference engine
+(:func:`repro.sim.engine._run_work_stealing`): same phases, same
+fast-forwards (completion-driven phase A over absolute finish ticks,
+chain links, burst-resolved steal draws), same victim-draw blocks, same
+counters -- re-based onto the window:
 
-* node/job tables are window-local Python lists, **mutated in place**
-  (appended at segment pulls, prefix-deleted and id-rewritten at
-  compactions), so the hot loop indexes plain lists and pays nothing
-  for the windowing;
 * the retire frontier is the first incomplete window job; everything
   before it is dead state.  Compaction (at segment pulls and
   checkpoints, once a chunk's worth of jobs has retired) slides the
   window: each job is appended once and removed once, amortized O(1);
 * per-job completions feed :class:`~repro.metrics.online.
-  OnlineFlowStats` instead of a completions array.  The running max is
-  over the *identical* per-job flow floats the materialized engine
+  OnlineFlowStats`, in completion order, instead of a completions
+  array.  Both paths feed it the identical flow floats in the identical
+  order, so every :class:`StreamResult` field is identical between
+  them.  The running max is over the flows the materialized engine
   computes, so ``StreamResult.max_flow`` is bit-identical to
   ``repro.run("flat", stream.materialize(seed), m=m, seed=seed, ...)``,
   as are all final :class:`~repro.sim.result.SimulationStats` counters
@@ -48,7 +65,7 @@ even "irreproducible" runs checkpoint and resume exactly.
 Checkpoint/restore
 ------------------
 With ``checkpoint_dir`` set, the engine durably snapshots its complete
-mutable state (window lists, worker arrays, queues, the victim RNG's
+mutable state (window tables, worker arrays, queues, the victim RNG's
 state and current draw block, the stream cursor, the online-metric
 accumulators) every ``checkpoint_every`` completed jobs via
 :mod:`repro.sim.checkpoint`, and writes a :mod:`repro.obs` manifest
@@ -58,7 +75,8 @@ condition is false by construction (every due arrival was released, so
 ``next_at > t``), and execution re-enters the loop at exactly the
 sampler/fast-forward point the uninterrupted run would have reached --
 hence a killed-and-resumed run reproduces the uninterrupted run's
-floats identically.  The ``checkpoint`` fault stage
+floats identically.  Both paths write the same format, so either
+resumes the other's checkpoints.  The ``checkpoint`` fault stage
 (:mod:`repro.testing.faults`) fires right *after* each durable save,
 giving chaos tests a deterministic kill point that always leaves a
 valid checkpoint behind.
@@ -77,12 +95,47 @@ import numpy as np
 from repro.errors import SweepConfigError
 from repro.metrics.online import OnlineFlowStats, WindowedUtilization
 from repro.obs.manifest import build_manifest, write_manifest
+from repro.sim._cext import (
+    BLOCK as _BLOCK,
+    CHECKPOINT,
+    DONE,
+    IDLE_AT as _IDLE_AT,
+    MAX_TICKS,
+    N_STATE,
+    NO_CHECKPOINT,
+    REFILL_CFUNC,
+    S_ADMWAIT,
+    S_ATT,
+    S_COMPLETED,
+    S_FAIL,
+    S_FF,
+    S_IDLE,
+    S_MAXQ,
+    S_N_BUSY,
+    S_NE_COUNT,
+    S_NEXT_ARR,
+    S_NEXT_AT,
+    S_NF,
+    S_NLOG,
+    S_P,
+    S_Q_HEAD,
+    S_T,
+    fresh_state,
+    resolve_batch_kernel,
+)
+from repro.sim.batch_engine import (
+    _check_csr,
+    _check_jobs,
+    _kernel_stats,
+    _ptr,
+    _slow_path_reasons,
+    _warn_slow_path,
+)
 from repro.sim.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim._cext import BLOCK as _BLOCK, IDLE_AT as _IDLE_AT
 from repro.sim.engine import _scheduler_label
 from repro.sim.result import SimulationStats
 from repro.sim.rng import make_rng
@@ -96,6 +149,25 @@ PathLike = Union[str, Path]
 #: longer bursts amortize a per-value position index over the block
 #: (measured crossover on the 500-job reference workload).
 _SHORT_BURST = 8
+
+#: Checkpoint state keys of the kernel's state-vector slots.  The queue
+#: head and the non-empty-deque count are not stored: a checkpoint holds
+#: the queue and the deques themselves.
+_STATE_KEYS = (
+    ("t", S_T),
+    ("next_arr", S_NEXT_ARR),
+    ("next_at", S_NEXT_AT),
+    ("p", S_P),
+    ("n_busy", S_N_BUSY),
+    ("completed", S_COMPLETED),
+    ("nf", S_NF),
+    ("st_att", S_ATT),
+    ("st_fail", S_FAIL),
+    ("st_idle", S_IDLE),
+    ("st_admwait", S_ADMWAIT),
+    ("st_ff", S_FF),
+    ("st_maxq", S_MAXQ),
+)
 
 
 @dataclass
@@ -170,6 +242,169 @@ def _config_token(
     )
 
 
+def _stream_reasons(
+    utilization_window: Optional[int] = None, _fast_forward: bool = True
+) -> tuple:
+    """Why a streaming run with these knobs takes the Python window loop.
+
+    Empty means the run takes the compiled kernel.  A
+    ``utilization_window`` attaches a sampler, which the kernel does
+    not take.
+    """
+    return _slow_path_reasons(
+        sampler=utilization_window, _fast_forward=_fast_forward
+    )
+
+
+def _segment_tables(
+    seg,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one segment and derive its kernel tables.
+
+    Returns the segment-local in-degrees, chain links (sole successor
+    with in-degree 1, else -1), ascending root list, per-job root
+    offsets (``jro``, ``n_jobs + 1`` entries) and each node's job: the
+    vectorized ``_BatchTables`` computations.  Edges never cross jobs,
+    so per-segment derivation equals whole-instance derivation
+    restricted to the segment.
+    """
+    _check_csr(seg)
+    eo_np = seg.edge_offsets
+    et_np = seg.edge_targets
+    indeg = np.bincount(et_np, minlength=seg.n_nodes)
+    outdeg = np.diff(eo_np)
+    chain_np = np.full(seg.n_nodes, -1, dtype=np.int64)
+    cand = np.flatnonzero(outdeg == 1)
+    if cand.size:
+        tgt = et_np[eo_np[cand]]
+        ok = indeg[tgt] == 1
+        chain_np[cand[ok]] = tgt[ok]
+    roots_np = np.flatnonzero(indeg == 0)
+    jro_np = np.searchsorted(roots_np, seg.job_node_offsets)
+    job_of = np.repeat(
+        np.arange(seg.n_jobs, dtype=np.int64), np.diff(seg.job_node_offsets)
+    )
+    _check_jobs(outdeg, et_np, job_of, jro_np)
+    return indeg, chain_np, roots_np, jro_np, job_of
+
+
+def _max_ticks_bound(
+    user_max_ticks: Optional[int],
+    total_work_seen: int,
+    cursor: StreamCursor,
+    speed: float,
+    k: int,
+    m: int,
+) -> int:
+    """The reference feasibility bound, over the generated prefix.
+
+    Grows as segments arrive; once the stream is exhausted it equals
+    the bound the reference computes for the full instance.
+    """
+    if user_max_ticks is not None:
+        return user_max_ticks
+    last_tick = int(np.ceil(cursor.last_arrival * speed - 1e-9))
+    return (
+        int(total_work_seen + (k + 2) * cursor.emitted + last_tick + 64 * m + 64)
+        * 4
+    )
+
+
+class _Checkpointer:
+    """Durable checkpoint writes of one run: files, manifests, telemetry."""
+
+    def __init__(
+        self,
+        directory: PathLike,
+        keep: int,
+        token: str,
+        config: Dict[str, Any],
+        seed: int,
+        telemetry: Optional[Any],
+    ) -> None:
+        self.directory = directory
+        self.keep = keep
+        self.token = token
+        self.config = config
+        self.seed = seed
+        self.telemetry = telemetry
+        self.index = 0  #: index of the next checkpoint file
+        self.written = 0  #: checkpoints written by the run, resumes included
+
+    def save(self, arrays: Dict[str, np.ndarray], state: Dict[str, Any]) -> None:
+        """Write one checkpoint, then fire the ``checkpoint`` fault stage."""
+        state["checkpoints_written"] = self.written + 1
+        state["seed"] = self.seed
+        completed = state["completed"]
+        t = state["t"]
+        path = save_checkpoint(
+            self.directory,
+            self.index,
+            arrays,
+            state,
+            self.token,
+            keep=self.keep,
+        )
+        manifest = build_manifest(
+            "stream-checkpoint",
+            config=self.config,
+            seed=self.seed,
+            extra={
+                "checkpoint": str(path),
+                "completed": completed,
+                "tick": t,
+                "ckpt_index": self.index,
+            },
+        )
+        write_manifest(manifest, Path(self.directory) / "manifests")
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                "ckpt.save",
+                path=str(path),
+                completed=completed,
+                tick=t,
+                index=self.index,
+            )
+        saved_index = self.index
+        self.index += 1
+        self.written += 1
+        # Deterministic chaos hook: fires AFTER the durable write, so a
+        # kill here always leaves a valid checkpoint to resume from.
+        maybe_inject("checkpoint", index=saved_index)
+
+
+@dataclass
+class _Run:
+    """Everything either path needs: configuration and shared state.
+
+    ``rng``, ``cursor``, ``fstats``, ``util`` and ``raw`` are already
+    restored when the run resumes; ``restored`` then holds the
+    checkpoint's ``(arrays, state)`` for the path's own tables.
+    """
+
+    n: int
+    m: int
+    speed: float
+    k: int
+    sigma: int
+    max_ticks: Optional[int]
+    compact_min: int
+    checkpoint_every: int
+    cursor: StreamCursor
+    rng: np.random.Generator
+    raw: Optional[np.ndarray]  #: the current victim-draw block (m > 1)
+    fstats: OnlineFlowStats
+    util: Optional[WindowedUtilization]
+    ckpt: Optional[_Checkpointer]
+    restored: Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]
+    telemetry: Optional[Any]
+    fast_forward: bool
+
+
+#: What a path returns: final stats, peak live jobs, segments, compactions.
+_PathOutcome = Tuple[SimulationStats, int, int, int]
+
+
 def _run_stream(
     stream: StreamSpec,
     m: int,
@@ -201,7 +436,8 @@ def _run_stream(
     utilization_window:
         When set, attach a :class:`~repro.metrics.online.
         WindowedUtilization` sampler with this window size (in ticks)
-        and return it on the result.
+        and return it on the result.  Runs with a sampler take the
+        Python window loop.
     checkpoint_dir / checkpoint_every / keep_checkpoints / resume:
         Durable state snapshots every ``checkpoint_every`` completed
         jobs; ``resume=True`` restores the newest complete checkpoint
@@ -254,7 +490,6 @@ def _run_stream(
         if utilization_window is not None
         else None
     )
-    sampler: Optional[SystemSampler] = util  # duck-typed protocol
 
     # ---- fresh initial state -------------------------------------------
     # StreamCursor validates the seed type and replaces None with drawn
@@ -290,6 +525,157 @@ def _run_stream(
             utilization=util,
         )
 
+    reasons = _stream_reasons(utilization_window, _fast_forward)
+    _warn_slow_path(reasons)
+    path = "python" if reasons else "cext"
+
+    # The first victim-draw block, drawn up front like UniformVictim's.
+    raw = rng.integers(0, m - 1, size=_BLOCK) if m > 1 else None
+
+    ckpt = None
+    if checkpoint_dir is not None:
+        ckpt = _Checkpointer(
+            checkpoint_dir,
+            keep_checkpoints,
+            token,
+            config={
+                "stream": stream.spec_token(),
+                "m": m,
+                "speed": speed,
+                "k": k,
+                "steals_per_tick": sigma,
+                "quantiles": [float(q) for q in quantiles],
+                "utilization_window": utilization_window,
+            },
+            seed=seed_eff,
+            telemetry=telemetry,
+        )
+
+    # ---- restore from the newest checkpoint, if asked -------------------
+    # The state both paths share is restored here; each path restores
+    # its own tables from ``restored``.
+    restored = None
+    resumed_from: Optional[int] = None
+    if resume and ckpt is not None:
+        found = latest_checkpoint(ckpt.directory)
+        if found is not None:
+            arrays, st = load_checkpoint(found, token)
+            restored = (arrays, st)
+            if m > 1:
+                raw = np.array(arrays["raw"], dtype=np.int64)
+            rng.bit_generator.state = st["rng_state"]
+            cursor = StreamCursor.restore(stream, st["cursor"])
+            fstats.load_state(st["fstats"])
+            if util is not None:
+                util.load_state(st["util"])
+            ckpt.index = int(st["index"]) + 1
+            ckpt.written = int(st["checkpoints_written"])
+            resumed_from = int(st["completed"])
+            if telemetry is not None:
+                telemetry.emit(
+                    "ckpt.restore",
+                    path=str(found),
+                    completed=resumed_from,
+                    tick=int(st["t"]),
+                )
+
+    if telemetry is not None:
+        if reasons:
+            telemetry.emit(
+                "dispatch.slow_path", engine="stream", reasons=list(reasons)
+            )
+        telemetry.emit(
+            "stream.start",
+            n_jobs=n,
+            chunk_jobs=stream.chunk_jobs,
+            m=m,
+            k=k,
+            steals_per_tick=sigma,
+            speed=speed,
+            seed=seed_eff,
+            resumed_from=resumed_from,
+            path=path,
+            reasons=list(reasons),
+        )
+
+    run = _Run(
+        n=n,
+        m=m,
+        speed=speed,
+        k=k,
+        sigma=sigma,
+        max_ticks=max_ticks,
+        compact_min=compact_min,
+        checkpoint_every=checkpoint_every,
+        cursor=cursor,
+        rng=rng,
+        raw=raw,
+        fstats=fstats,
+        util=util,
+        ckpt=ckpt,
+        restored=restored,
+        telemetry=telemetry,
+        fast_forward=_fast_forward,
+    )
+    stats, peak_live, segments_generated, compactions = (
+        _python_window(run) if reasons else _kernel_window(run)
+    )
+
+    result = StreamResult(
+        scheduler=label,
+        m=m,
+        speed=speed,
+        seed=seed_eff,
+        n_jobs=n,
+        max_flow=fstats.max_flow,
+        argmax_job=fstats.argmax_job,
+        mean_flow=fstats.mean_flow,
+        quantiles=fstats.quantile_estimates(),
+        makespan=fstats.last_completion,
+        stats=stats,
+        peak_live_jobs=peak_live,
+        segments_generated=segments_generated,
+        compactions=compactions,
+        checkpoints_written=ckpt.written if ckpt is not None else 0,
+        resumed_from=resumed_from,
+        utilization=util,
+    )
+    if telemetry is not None:
+        telemetry.emit(
+            "stream.done",
+            max_flow=result.max_flow,
+            completed=n,
+            elapsed_ticks=stats.elapsed_ticks,
+            peak_live_jobs=peak_live,
+            segments=segments_generated,
+            compactions=compactions,
+            checkpoints=result.checkpoints_written,
+            path=path,
+            reasons=list(reasons),
+        )
+    return result
+
+
+def _python_window(run: _Run) -> _PathOutcome:
+    """The Python window loop: the tick loop over window-local lists.
+
+    Serves the configurations outside the compiled kernel's scope (a
+    sampler, ``_fast_forward=False``) and hosts without the kernel.
+    """
+    n = run.n
+    m = run.m
+    speed = run.speed
+    k = run.k
+    sigma = run.sigma
+    cursor = run.cursor
+    rng = run.rng
+    fstats = run.fstats
+    util = run.util
+    sampler: Optional[SystemSampler] = util  # duck-typed protocol
+    compact_min = run.compact_min
+    checkpoint_every = run.checkpoint_every
+    telemetry = run.telemetry
+
     # Window-local tables: plain lists, only ever mutated IN PLACE (slice
     # assignment / del / extend), never rebound -- _complete()'s
     # default-bound references and the hot loop's locals must keep
@@ -314,12 +700,8 @@ def _run_stream(
     queue: deque = deque()  # FIFO of waiting window job ids
     ne: set = set()  # workers with a non-empty deque
 
-    if m > 1:
-        raw_np = rng.integers(0, m - 1, size=_BLOCK)
-        raw = raw_np.tolist()
-    else:
-        raw_np = None
-        raw = None
+    raw_np = run.raw
+    raw = raw_np.tolist() if raw_np is not None else None
     p = 0  # next unconsumed draw position in the current block
     pos_of: Dict[int, list] = {}
 
@@ -335,8 +717,6 @@ def _run_stream(
     peak_live = 0
     segments_generated = 0
     compactions = 0
-    ckpt_index = 0
-    checkpoints_written = 0
     last_ckpt_completed = 0
     resumed_from: Optional[int] = None
 
@@ -348,76 +728,57 @@ def _run_stream(
     st_maxq = 0
     boundary = False  # force a sampler snapshot at the next loop top
 
-    # ---- restore from the newest checkpoint, if asked -------------------
-    if resume and checkpoint_dir is not None:
-        found = latest_checkpoint(checkpoint_dir)
-        if found is not None:
-            arrays, st = load_checkpoint(found, token)
-            works[:] = arrays["works"].tolist()
-            eo[:] = arrays["eo"].tolist()
-            et[:] = arrays["et"].tolist()
-            chain[:] = arrays["chain"].tolist()
-            job_of[:] = arrays["job_of"].tolist()
-            preds[:] = arrays["preds"].tolist()
-            jno[:] = arrays["jno"].tolist()
-            jro[:] = arrays["jro"].tolist()
-            roots_l[:] = arrays["roots"].tolist()
-            unfin[:] = arrays["unfin"].tolist()
-            arr_ticks[:] = arrays["arr_ticks"].tolist()
-            arrivals_w[:] = arrays["arrivals"].tolist()
-            cur[:] = arrays["cur"].tolist()
-            fin[:] = arrays["fin"].tolist()
-            fails[:] = arrays["fails"].tolist()
-            queue.clear()
-            queue.extend(arrays["queue"].tolist())
-            dq_flat = arrays["deque_items"]
-            dq_off = arrays["deque_offsets"].tolist()
-            for i in range(m):
-                deques[i].clear()
-                for x in range(dq_off[i], dq_off[i + 1]):
-                    deques[i].append((int(dq_flat[x, 0]), int(dq_flat[x, 1])))
-            ne.clear()
-            ne.update(int(v) for v in arrays["ne"].tolist())
-            if m > 1:
-                raw_np = np.ascontiguousarray(arrays["raw"])
-                raw = raw_np.tolist()
-            p = int(st["p"])
-            pos_of = {}  # lazily rebuilt; depends only on raw_np and p
-            rng.bit_generator.state = st["rng_state"]
-            cursor = StreamCursor.restore(stream, st["cursor"])
-            fstats.load_state(st["fstats"])
-            if util is not None:
-                util.load_state(st["util"])
-            t = int(st["t"])
-            next_arr = int(st["next_arr"])
-            next_at = int(st["next_at"])
-            completed = int(st["completed"])
-            n_busy = int(st["n_busy"])
-            nf = int(st["nf"])
-            job_base = int(st["job_base"])
-            frontier = int(st["frontier"])
-            total_work_seen = int(st["total_work_seen"])
-            peak_live = int(st["peak_live"])
-            segments_generated = int(st["segments"])
-            compactions = int(st["compactions"])
-            ckpt_index = int(st["index"]) + 1
-            checkpoints_written = int(st["checkpoints_written"])
-            last_ckpt_completed = completed
-            st_att = int(st["st_att"])
-            st_fail = int(st["st_fail"])
-            st_idle = int(st["st_idle"])
-            st_admwait = int(st["st_admwait"])
-            st_ff = int(st["st_ff"])
-            st_maxq = int(st["st_maxq"])
-            boundary = bool(st["boundary"])
-            resumed_from = completed
-            if telemetry is not None:
-                telemetry.emit(
-                    "ckpt.restore",
-                    path=str(found),
-                    completed=completed,
-                    tick=t,
-                )
+    # ---- restore the window from the checkpoint, if resuming ------------
+    if run.restored is not None:
+        arrays, st = run.restored
+        works[:] = arrays["works"].tolist()
+        eo[:] = arrays["eo"].tolist()
+        et[:] = arrays["et"].tolist()
+        chain[:] = arrays["chain"].tolist()
+        job_of[:] = arrays["job_of"].tolist()
+        preds[:] = arrays["preds"].tolist()
+        jno[:] = arrays["jno"].tolist()
+        jro[:] = arrays["jro"].tolist()
+        roots_l[:] = arrays["roots"].tolist()
+        unfin[:] = arrays["unfin"].tolist()
+        arr_ticks[:] = arrays["arr_ticks"].tolist()
+        arrivals_w[:] = arrays["arrivals"].tolist()
+        cur[:] = arrays["cur"].tolist()
+        fin[:] = arrays["fin"].tolist()
+        fails[:] = arrays["fails"].tolist()
+        queue.clear()
+        queue.extend(arrays["queue"].tolist())
+        dq_flat = arrays["deque_items"]
+        dq_off = arrays["deque_offsets"].tolist()
+        for i in range(m):
+            deques[i].clear()
+            for x in range(dq_off[i], dq_off[i + 1]):
+                deques[i].append((int(dq_flat[x, 0]), int(dq_flat[x, 1])))
+        ne.clear()
+        ne.update(int(v) for v in arrays["ne"].tolist())
+        p = int(st["p"])
+        pos_of = {}  # lazily rebuilt; depends only on raw_np and p
+        t = int(st["t"])
+        next_arr = int(st["next_arr"])
+        next_at = int(st["next_at"])
+        completed = int(st["completed"])
+        n_busy = int(st["n_busy"])
+        nf = int(st["nf"])
+        job_base = int(st["job_base"])
+        frontier = int(st["frontier"])
+        total_work_seen = int(st["total_work_seen"])
+        peak_live = int(st["peak_live"])
+        segments_generated = int(st["segments"])
+        compactions = int(st["compactions"])
+        last_ckpt_completed = completed
+        st_att = int(st["st_att"])
+        st_fail = int(st["st_fail"])
+        st_idle = int(st["st_idle"])
+        st_admwait = int(st["st_admwait"])
+        st_ff = int(st["st_ff"])
+        st_maxq = int(st["st_maxq"])
+        boundary = bool(st["boundary"])
+        resumed_from = completed
 
     # Hot-path mirrors of the OnlineFlowStats scalar fields.  A method
     # call per completion costs more than the whole inlined update, so
@@ -436,37 +797,20 @@ def _run_stream(
     # Helper closures: every name the tick loop reads is either passed
     # explicitly or bound as a default argument here.  A free reference
     # from any nested function would turn that name into a cell variable
-    # of _run_stream, downgrading every hot-loop access from LOAD_FAST
-    # to LOAD_DEREF -- a measured ~20% throughput loss.  Only the names
-    # _complete must rebind (completed/n_busy/nf/idles_dirty, plus
-    # job_base) stay cells.
-    user_max_ticks = max_ticks
-
+    # of _python_window, downgrading every hot-loop access from
+    # LOAD_FAST to LOAD_DEREF -- a measured ~20% throughput loss.  Only
+    # the names _complete must rebind (completed/n_busy/nf/idles_dirty,
+    # plus job_base) stay cells.
     def _bound(
         total_work_seen: int,
         cursor=cursor,
         speed=speed,
         k=k,
         m=m,
-        user_max_ticks=user_max_ticks,
+        user_max_ticks=run.max_ticks,
     ) -> int:
-        """The reference feasibility bound, over the generated prefix.
-
-        Grows as segments arrive; once the stream is exhausted it equals
-        the bound the reference computes for the full instance.
-        """
-        if user_max_ticks is not None:
-            return user_max_ticks
-        last_tick = int(np.ceil(cursor.last_arrival * speed - 1e-9))
-        return (
-            int(
-                total_work_seen
-                + (k + 2) * cursor.emitted
-                + last_tick
-                + 64 * m
-                + 64
-            )
-            * 4
+        return _max_ticks_bound(
+            user_max_ticks, total_work_seen, cursor, speed, k, m
         )
 
     def _append_segment(
@@ -485,26 +829,9 @@ def _run_stream(
         arrivals_w=arrivals_w,
         speed=speed,
     ) -> int:
-        """Extend the window tables with one segment; returns its work.
-
-        The per-segment derived tables (in-degrees, chain links, roots)
-        are the vectorized _KernelTables computations; edges never cross
-        jobs, so per-segment derivation equals whole-instance derivation
-        restricted to the segment.
-        """
-        eo_np = seg.edge_offsets
-        et_np = seg.edge_targets
+        """Extend the window tables with one segment; returns its work."""
+        indeg, chain_np, roots_np, jro_np, seg_job_of = _segment_tables(seg)
         jno_np = seg.job_node_offsets
-        n_nodes = seg.n_nodes
-        indeg = np.bincount(et_np, minlength=n_nodes)
-        outdeg = np.diff(eo_np)
-        chain_np = np.full(n_nodes, -1, dtype=np.int64)
-        cand = np.flatnonzero(outdeg == 1)
-        if cand.size:
-            tgt = et_np[eo_np[cand]]
-            ok = indeg[tgt] == 1
-            chain_np[cand[ok]] = tgt[ok]
-        roots_np = np.flatnonzero(indeg == 0)
         job_sizes = np.diff(jno_np)
 
         node_base = len(works)
@@ -518,22 +845,15 @@ def _run_stream(
             gc.disable()
         try:
             works.extend(seg.node_works.tolist())
-            eo.extend((eo_np[1:] + edge_base).tolist())
-            et.extend((et_np + node_base).tolist())
+            eo.extend((seg.edge_offsets[1:] + edge_base).tolist())
+            et.extend((seg.edge_targets + node_base).tolist())
             chain.extend(
                 np.where(chain_np >= 0, chain_np + node_base, -1).tolist()
             )
-            job_of.extend(
-                (
-                    np.repeat(np.arange(seg.n_jobs, dtype=np.int64), job_sizes)
-                    + jb_local
-                ).tolist()
-            )
+            job_of.extend((seg_job_of + jb_local).tolist())
             preds.extend(indeg.tolist())
             jno.extend((jno_np[1:] + node_base).tolist())
-            jro.extend(
-                (np.searchsorted(roots_np, jno_np[1:]) + root_base).tolist()
-            )
+            jro.extend((jro_np[1:] + root_base).tolist())
             roots_l.extend((roots_np + node_base).tolist())
             unfin.extend(job_sizes.tolist())
             arr_ticks.extend(
@@ -708,9 +1028,6 @@ def _run_stream(
         fstats=fstats,
         util=util,
         m=m,
-        k=k,
-        sigma=sigma,
-        speed=speed,
     ) -> None:
         """Durably snapshot every mutable value the loop can observe.
 
@@ -718,7 +1035,6 @@ def _run_stream(
         every tick); the window lists and accumulators are default-bound
         (mutated in place, never rebound).
         """
-        nonlocal ckpt_index, checkpoints_written
         dq_off = [0]
         dq_items: List[List[int]] = []
         for i in range(m):
@@ -749,88 +1065,34 @@ def _run_stream(
                 raw_np if raw_np is not None else np.zeros(0, dtype=np.int64)
             ),
         }
-        state = {
-            "t": t,
-            "next_arr": next_arr,
-            "next_at": next_at,
-            "completed": completed,
-            "n_busy": n_busy,
-            "nf": nf,
-            "p": p,
-            "job_base": job_base,
-            "frontier": frontier,
-            "total_work_seen": total_work_seen,
-            "peak_live": peak_live,
-            "segments": segments_generated,
-            "compactions": compactions,
-            "checkpoints_written": checkpoints_written + 1,
-            "st_att": st_att,
-            "st_fail": st_fail,
-            "st_idle": st_idle,
-            "st_admwait": st_admwait,
-            "st_ff": st_ff,
-            "st_maxq": st_maxq,
-            "boundary": boundary,
-            "rng_state": rng.bit_generator.state,
-            "cursor": cursor.state_dict(),
-            "fstats": fstats.state_dict(),
-            "util": util.state_dict() if util is not None else None,
-            "seed": seed_eff,
-        }
-        path = save_checkpoint(
-            checkpoint_dir,
-            ckpt_index,
+        run.ckpt.save(
             arrays,
-            state,
-            token,
-            keep=keep_checkpoints,
-        )
-        manifest = build_manifest(
-            "stream-checkpoint",
-            config={
-                "stream": stream.spec_token(),
-                "m": m,
-                "speed": speed,
-                "k": k,
-                "steals_per_tick": sigma,
-                "quantiles": [float(q) for q in quantiles],
-                "utilization_window": utilization_window,
-            },
-            seed=seed_eff,
-            extra={
-                "checkpoint": str(path),
+            {
+                "t": t,
+                "next_arr": next_arr,
+                "next_at": next_at,
                 "completed": completed,
-                "tick": t,
-                "ckpt_index": ckpt_index,
+                "n_busy": n_busy,
+                "nf": nf,
+                "p": p,
+                "job_base": job_base,
+                "frontier": frontier,
+                "total_work_seen": total_work_seen,
+                "peak_live": peak_live,
+                "segments": segments_generated,
+                "compactions": compactions,
+                "st_att": st_att,
+                "st_fail": st_fail,
+                "st_idle": st_idle,
+                "st_admwait": st_admwait,
+                "st_ff": st_ff,
+                "st_maxq": st_maxq,
+                "boundary": boundary,
+                "rng_state": rng.bit_generator.state,
+                "cursor": cursor.state_dict(),
+                "fstats": fstats.state_dict(),
+                "util": util.state_dict() if util is not None else None,
             },
-        )
-        write_manifest(manifest, Path(checkpoint_dir) / "manifests")
-        if telemetry is not None:
-            telemetry.emit(
-                "ckpt.save",
-                path=str(path),
-                completed=completed,
-                tick=t,
-                index=ckpt_index,
-            )
-        saved_index = ckpt_index
-        ckpt_index += 1
-        checkpoints_written += 1
-        # Deterministic chaos hook: fires AFTER the durable write, so a
-        # kill here always leaves a valid checkpoint to resume from.
-        maybe_inject("checkpoint", index=saved_index)
-
-    if telemetry is not None:
-        telemetry.emit(
-            "stream.start",
-            n_jobs=n,
-            chunk_jobs=stream.chunk_jobs,
-            m=m,
-            k=k,
-            steals_per_tick=sigma,
-            speed=speed,
-            seed=seed_eff,
-            resumed_from=resumed_from,
         )
 
     if resumed_from is None:
@@ -841,8 +1103,8 @@ def _run_stream(
         t = next_at  # nothing can happen before the first arrival
 
     max_ticks_eff = _bound(total_work_seen)
-    ckpt_enabled = checkpoint_dir is not None
-    ff = _fast_forward
+    ckpt_enabled = run.ckpt is not None
+    ff = run.fast_forward
 
     idles: List[int] = []
     idles_dirty = True
@@ -1338,35 +1600,395 @@ def _run_stream(
     stats.admission_wait_ticks = st_admwait
     stats.ff_skipped_ticks = st_ff
     stats.max_queue_depth = st_maxq
+    return stats, peak_live, segments_generated, compactions
 
-    result = StreamResult(
-        scheduler=label,
-        m=m,
-        speed=speed,
-        seed=seed_eff,
-        n_jobs=n,
-        max_flow=fstats.max_flow,
-        argmax_job=fstats.argmax_job,
-        mean_flow=fstats.mean_flow,
-        quantiles=fstats.quantile_estimates(),
-        makespan=fstats.last_completion,
-        stats=stats,
-        peak_live_jobs=peak_live,
-        segments_generated=segments_generated,
-        compactions=compactions,
-        checkpoints_written=checkpoints_written,
-        resumed_from=resumed_from,
-        utilization=util,
-    )
-    if telemetry is not None:
-        telemetry.emit(
-            "stream.done",
-            max_flow=result.max_flow,
-            completed=completed,
-            elapsed_ticks=t,
-            peak_live_jobs=peak_live,
-            segments=segments_generated,
-            compactions=compactions,
-            checkpoints=checkpoints_written,
+
+def _rebase(ids: np.ndarray, cut: int) -> np.ndarray:
+    """Node ids shifted down by ``cut``; -1 (none) stays -1."""
+    return np.where(ids >= 0, ids - cut, -1)
+
+
+class _KernelWindow:
+    """The kernel path's window: int64 numpy tables in window-local ids.
+
+    Node-, edge- and job-indexed tables are rebuilt (appended to at
+    segment pulls, sliced at compactions); worker arrays, the victim-draw
+    block and the kernel's state vector keep their identity.  The deques
+    are linked lists: ``dq_head``/``dq_tail`` per worker and
+    ``dq_next``/``dq_prev`` per node, with each queued node's ready tick
+    in ``rdy``.  The FIFO queue is the job range ``[q_head, next_arr)``.
+    """
+
+    def __init__(self, m: int, raw: Optional[np.ndarray]) -> None:
+        def empty() -> np.ndarray:
+            return np.zeros(0, dtype=np.int64)
+
+        self.works = empty()
+        self.eo = np.zeros(1, dtype=np.int64)
+        self.et = empty()
+        self.chain = empty()
+        self.job_of = empty()
+        self.preds = empty()
+        self.dq_next = empty()
+        self.dq_prev = empty()
+        self.rdy = empty()
+        self.jno = np.zeros(1, dtype=np.int64)
+        self.jro = np.zeros(1, dtype=np.int64)
+        self.roots = empty()
+        self.unfin = empty()
+        self.arr_ticks = empty()
+        self.arrivals = np.zeros(0, dtype=np.float64)
+        self.cur = np.full(m, -1, dtype=np.int64)
+        self.fin = np.full(m, _IDLE_AT, dtype=np.int64)
+        self.fails = np.zeros(m, dtype=np.int64)
+        self.idles = np.zeros(m, dtype=np.int64)
+        self.dq_head = np.full(m, -1, dtype=np.int64)
+        self.dq_tail = np.full(m, -1, dtype=np.int64)
+        # With one worker there are no victims and the block is unused.
+        self.raw = raw if raw is not None else np.zeros(_BLOCK, dtype=np.int64)
+        self.state = np.zeros(N_STATE, dtype=np.int64)
+        self._scratch()
+
+    def _scratch(self) -> None:
+        """Size the completion outputs to the window: a call completes
+        at most every window job once."""
+        wn = len(self.unfin)
+        self.completions = np.zeros(wn, dtype=np.float64)
+        self.log = np.zeros(wn, dtype=np.int64)
+
+    def append(self, seg, speed: float) -> int:
+        """Extend the tables with one segment; returns its work."""
+        indeg, chain_np, roots_np, jro_np, job_of = _segment_tables(seg)
+        node_base = len(self.works)
+        n_nodes = seg.n_nodes
+        cat = np.concatenate
+        self.works = cat((self.works, seg.node_works))
+        self.eo = cat((self.eo, seg.edge_offsets[1:] + len(self.et)))
+        self.et = cat((self.et, seg.edge_targets + node_base))
+        self.chain = cat(
+            (self.chain, np.where(chain_np >= 0, chain_np + node_base, -1))
         )
-    return result
+        self.job_of = cat((self.job_of, job_of + len(self.unfin)))
+        self.preds = cat((self.preds, indeg))
+        unlinked = np.full(n_nodes, -1, dtype=np.int64)
+        self.dq_next = cat((self.dq_next, unlinked))
+        self.dq_prev = cat((self.dq_prev, unlinked))
+        self.rdy = cat((self.rdy, unlinked))
+        self.jno = cat((self.jno, seg.job_node_offsets[1:] + node_base))
+        self.jro = cat((self.jro, jro_np[1:] + len(self.roots)))
+        self.roots = cat((self.roots, roots_np + node_base))
+        self.unfin = cat((self.unfin, np.diff(seg.job_node_offsets)))
+        self.arr_ticks = cat((
+            self.arr_ticks,
+            np.ceil(seg.arrivals * speed - 1e-9).astype(np.int64),
+        ))
+        self.arrivals = cat((self.arrivals, seg.arrivals))
+        self._scratch()
+        return int(seg.node_works.sum())
+
+    def advance_frontier(self, frontier: int) -> int:
+        """The first incomplete window job at or after ``frontier``."""
+        busy = np.flatnonzero(self.unfin[frontier:])
+        return frontier + int(busy[0]) if busy.size else len(self.unfin)
+
+    def compact(self, fr: int) -> None:
+        """Drop the first ``fr`` (retired) jobs and re-base every id.
+
+        Retired jobs are fully complete: no worker, deque entry or queued
+        job references the dropped prefix.  Absolute quantities (ticks,
+        ``fin``, ``nf``, the RNG stream) are untouched.
+        """
+        node_cut = int(self.jno[fr])
+        e_cut = int(self.eo[node_cut])
+        root_cut = int(self.jro[fr])
+        self.works = self.works[node_cut:].copy()
+        self.eo = self.eo[node_cut:] - e_cut
+        self.et = self.et[e_cut:] - node_cut
+        self.chain = _rebase(self.chain[node_cut:], node_cut)
+        self.job_of = self.job_of[node_cut:] - fr
+        self.preds = self.preds[node_cut:].copy()
+        self.dq_next = _rebase(self.dq_next[node_cut:], node_cut)
+        self.dq_prev = _rebase(self.dq_prev[node_cut:], node_cut)
+        self.rdy = self.rdy[node_cut:].copy()
+        self.roots = self.roots[root_cut:] - node_cut
+        self.jro = self.jro[fr:] - root_cut
+        self.jno = self.jno[fr:] - node_cut
+        self.unfin = self.unfin[fr:].copy()
+        self.arr_ticks = self.arr_ticks[fr:].copy()
+        self.arrivals = self.arrivals[fr:].copy()
+        for arr in (self.cur, self.dq_head, self.dq_tail):
+            arr[arr >= 0] -= node_cut
+        self.state[S_NEXT_ARR] -= fr
+        self.state[S_Q_HEAD] -= fr
+        self._scratch()
+
+    def call(
+        self,
+        kernel: Any,
+        n_total: int,
+        more: bool,
+        m: int,
+        k: int,
+        sigma: int,
+        max_ticks: int,
+        ckpt_at: int,
+        speed: float,
+        refill: Any,
+    ) -> int:
+        """Run the kernel to its next stop point; returns its status."""
+        self.state[S_NLOG] = 0
+        return kernel(
+            _ptr(self.works),
+            _ptr(self.eo),
+            _ptr(self.et),
+            _ptr(self.chain),
+            _ptr(self.job_of),
+            _ptr(self.jro),
+            _ptr(self.roots),
+            _ptr(self.arr_ticks),
+            _ptr(self.preds),
+            _ptr(self.unfin),
+            _ptr(self.completions),
+            _ptr(self.cur),
+            _ptr(self.fin),
+            _ptr(self.fails),
+            _ptr(self.idles),
+            _ptr(self.dq_head),
+            _ptr(self.dq_tail),
+            _ptr(self.dq_next),
+            _ptr(self.dq_prev),
+            _ptr(self.rdy),
+            _ptr(self.raw),
+            _ptr(self.log),
+            len(self.unfin),
+            n_total,
+            int(more),
+            m,
+            k,
+            sigma,
+            max_ticks,
+            ckpt_at,
+            float(speed),
+            _ptr(self.state),
+            refill,
+            0,
+        )
+
+    def drain(self, fstats: OnlineFlowStats, job_base: int) -> None:
+        """Feed the call's completions to ``fstats`` in completion order."""
+        jobs = self.log[: int(self.state[S_NLOG])]
+        completions = self.completions[jobs]
+        flows = completions - self.arrivals[jobs]
+        flows[flows < 0.0] = 0.0
+        fstats.observe_many(flows, completions, jobs + job_base)
+
+    # -- checkpoint round-trip --------------------------------------------
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The checkpoint arrays, in the format both paths share."""
+        items: List[Tuple[int, int]] = []
+        offsets = [0]
+        for i in range(len(self.cur)):
+            g = int(self.dq_head[i])
+            while g >= 0:
+                items.append((g, int(self.rdy[g])))
+                g = int(self.dq_next[g])
+            offsets.append(len(items))
+        m = len(self.cur)
+        return {
+            "works": self.works,
+            "eo": self.eo,
+            "et": self.et,
+            "chain": self.chain,
+            "job_of": self.job_of,
+            "preds": self.preds,
+            "jno": self.jno,
+            "jro": self.jro,
+            "roots": self.roots,
+            "unfin": self.unfin,
+            "arr_ticks": self.arr_ticks,
+            "arrivals": self.arrivals,
+            "cur": self.cur,
+            "fin": self.fin,
+            "fails": self.fails,
+            "queue": np.arange(
+                self.state[S_Q_HEAD], self.state[S_NEXT_ARR], dtype=np.int64
+            ),
+            "deque_items": np.asarray(items, dtype=np.int64).reshape(-1, 2),
+            "deque_offsets": np.asarray(offsets, dtype=np.int64),
+            "ne": np.flatnonzero(self.dq_head >= 0).astype(np.int64),
+            "raw": self.raw if m > 1 else np.zeros(0, dtype=np.int64),
+        }
+
+    def load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Restore the tables, worker arrays and deques of a checkpoint."""
+        for name in (
+            "works", "eo", "et", "chain", "job_of", "preds", "jno", "jro",
+            "roots", "unfin", "arr_ticks",
+        ):
+            setattr(self, name, np.array(arrays[name], dtype=np.int64))
+        self.arrivals = np.array(arrays["arrivals"], dtype=np.float64)
+        self.cur[:] = arrays["cur"]
+        self.fin[:] = arrays["fin"]
+        self.fails[:] = arrays["fails"]
+        n_nodes = len(self.works)
+        self.dq_next = np.full(n_nodes, -1, dtype=np.int64)
+        self.dq_prev = np.full(n_nodes, -1, dtype=np.int64)
+        self.rdy = np.full(n_nodes, -1, dtype=np.int64)
+        items = arrays["deque_items"]
+        offsets = arrays["deque_offsets"]
+        for i in range(len(self.cur)):
+            nodes = items[offsets[i] : offsets[i + 1], 0]
+            if not nodes.size:
+                continue
+            self.rdy[nodes] = items[offsets[i] : offsets[i + 1], 1]
+            self.dq_head[i] = nodes[0]
+            self.dq_tail[i] = nodes[-1]
+            self.dq_next[nodes[:-1]] = nodes[1:]
+            self.dq_prev[nodes[1:]] = nodes[:-1]
+        self._scratch()
+
+
+def _kernel_window(run: _Run) -> _PathOutcome:
+    """The kernel driver: pulls, compactions and checkpoints between calls.
+
+    Every stop point of the compiled loop corresponds to one place in
+    the Python window loop (the segment pull inside the release block,
+    the checkpoint right after it, the ``max_ticks`` raise), and the
+    driver does there what that loop does, so the two paths produce
+    identical results and identical checkpoints.
+    """
+    kernel = resolve_batch_kernel()
+    n = run.n
+    m = run.m
+    speed = run.speed
+    k = run.k
+    cursor = run.cursor
+    rng = run.rng
+    telemetry = run.telemetry
+    w = _KernelWindow(m, run.raw)
+    state = w.state
+    raw = w.raw
+
+    def _refill(rep: int) -> None:
+        raw[:] = rng.integers(0, m - 1, size=_BLOCK)
+
+    refill = REFILL_CFUNC(_refill)
+
+    job_base = 0  # global id of window job 0
+    frontier = 0  # window-local: all jobs < frontier are complete
+    total_work_seen = 0
+    peak_live = 0
+    segments_generated = 0
+    compactions = 0
+    if run.restored is not None:
+        arrays, st = run.restored
+        w.load_arrays(arrays)
+        for key, slot in _STATE_KEYS:
+            state[slot] = int(st[key])
+        queue = arrays["queue"]
+        state[S_Q_HEAD] = queue[0] if queue.size else state[S_NEXT_ARR]
+        state[S_NE_COUNT] = int(np.count_nonzero(w.dq_head >= 0))
+        job_base = int(st["job_base"])
+        frontier = int(st["frontier"])
+        total_work_seen = int(st["total_work_seen"])
+        peak_live = int(st["peak_live"])
+        segments_generated = int(st["segments"])
+        compactions = int(st["compactions"])
+
+    def compact() -> None:
+        nonlocal frontier, job_base, compactions
+        w.compact(frontier)
+        job_base += frontier
+        frontier = 0
+        compactions += 1
+
+    def pull() -> None:
+        """Generate the next chunk; retire-compact first when worthwhile."""
+        nonlocal frontier, total_work_seen, segments_generated, peak_live
+        completed = int(state[S_COMPLETED])
+        frontier = w.advance_frontier(frontier)
+        if frontier >= run.compact_min:
+            retired = frontier
+            before = len(w.unfin)
+            compact()
+            if telemetry is not None:
+                telemetry.emit(
+                    "stream.compact",
+                    retired=retired,
+                    window_before=before,
+                    window_after=len(w.unfin),
+                    completed=completed,
+                )
+        seg = cursor.next_segment()
+        assert seg is not None  # the kernel stops only while more follow
+        total_work_seen += w.append(seg, speed)
+        segments_generated += 1
+        live = cursor.emitted - completed
+        if live > peak_live:
+            peak_live = live
+        if telemetry is not None:
+            telemetry.emit(
+                "stream.segment",
+                index=segments_generated - 1,
+                jobs=seg.n_jobs,
+                window_jobs=len(w.unfin),
+                live=live,
+            )
+
+    if run.restored is None:
+        pull()
+        state[:] = fresh_state(int(w.arr_ticks[0]))
+
+    every = run.checkpoint_every
+    last_ckpt_completed = int(state[S_COMPLETED])
+    max_ticks_eff = _max_ticks_bound(
+        run.max_ticks, total_work_seen, cursor, speed, k, m
+    )
+    while True:
+        ckpt_at = (
+            last_ckpt_completed + every
+            if run.ckpt is not None
+            else NO_CHECKPOINT
+        )
+        rc = w.call(
+            kernel, n, not cursor.exhausted, m, k, run.sigma,
+            max_ticks_eff, ckpt_at, speed, refill,
+        )
+        w.drain(run.fstats, job_base)
+        if rc == DONE:
+            break
+        if rc == MAX_TICKS:
+            raise RuntimeError(
+                f"work-stealing run exceeded max_ticks={max_ticks_eff} "
+                f"({int(state[S_COMPLETED])}/{n} jobs complete) -- stream "
+                f"may be overloaded"
+            )
+        if rc == CHECKPOINT:
+            frontier = w.advance_frontier(frontier)
+            if frontier:
+                compact()
+            st = {key: int(state[slot]) for key, slot in _STATE_KEYS}
+            st.update(
+                job_base=job_base,
+                frontier=frontier,
+                total_work_seen=total_work_seen,
+                peak_live=peak_live,
+                segments=segments_generated,
+                compactions=compactions,
+                boundary=False,
+                rng_state=rng.bit_generator.state,
+                cursor=cursor.state_dict(),
+                fstats=run.fstats.state_dict(),
+                util=None,
+            )
+            run.ckpt.save(w.to_arrays(), st)
+            last_ckpt_completed = st["completed"]
+        else:  # NEED_SEGMENT
+            pull()
+            max_ticks_eff = _max_ticks_bound(
+                run.max_ticks, total_work_seen, cursor, speed, k, m
+            )
+
+    stats = _kernel_stats(state, total_work_seen, n)
+    return stats, peak_live, segments_generated, compactions

@@ -164,6 +164,22 @@ class TestOnlineFlowStats:
     def test_mean_nan_when_empty(self):
         assert math.isnan(OnlineFlowStats().mean_flow)
 
+    def test_observe_many_is_observe_in_order(self, rng):
+        """The batch update is bit-identical to the per-element loop:
+        sequential sum, first strict argmax (ties included), sketches
+        fed in order -- across several batches, an empty one too."""
+        n = 3000
+        flows = np.round(rng.lognormal(1.5, 1.0, size=n), 1)  # ties
+        completions = rng.uniform(0.0, 500.0, size=n)
+        ids = rng.permutation(n) + 10**6
+        loop = OnlineFlowStats(quantiles=(0.5, 0.9, 0.99))
+        for j in range(n):
+            loop.observe(float(flows[j]), float(completions[j]), int(ids[j]))
+        batched = OnlineFlowStats(quantiles=(0.5, 0.9, 0.99))
+        for lo, hi in ((0, 1), (1, 700), (700, 700), (700, 2999), (2999, n)):
+            batched.observe_many(flows[lo:hi], completions[lo:hi], ids[lo:hi])
+        assert batched.state_dict() == loop.state_dict()
+
     def test_state_roundtrip_continues_identically(self, rng):
         n = 600
         flows = rng.exponential(3.0, size=n)

@@ -40,7 +40,7 @@ import pytest
 
 import repro
 from repro.dag.builders import chain, single_node
-from repro.dag.flat import flatten_jobset
+from repro.dag.flat import FlatInstance, flatten_jobset
 from repro.dag.job import jobs_from_dags
 from repro.sim import _cext, batch_engine
 from repro.sim.batch_engine import run_batch
@@ -246,6 +246,70 @@ def test_max_ticks_overload_error_matches():
             instances, m=2, k=0, steals_per_tick=1,
             seeds=[0, 1], max_ticks=5,
         )
+
+
+def _flat(node_works, edge_offsets, edge_targets, job_node_offsets):
+    n_jobs = len(job_node_offsets) - 1
+    return FlatInstance(
+        node_works=node_works,
+        edge_offsets=edge_offsets,
+        edge_targets=edge_targets,
+        job_node_offsets=job_node_offsets,
+        arrivals=np.zeros(n_jobs),
+        weights=np.ones(n_jobs),
+    )
+
+
+_MALFORMED = {
+    "target-out-of-range": ([1, 1], [0, 1, 1], [100000000], [0, 2]),
+    "negative-target": ([1, 1], [0, 1, 1], [-1], [0, 2]),
+    "edge-crosses-jobs": ([1, 1], [0, 1, 1], [1], [0, 1, 2]),
+    "edge-offsets-start": ([1, 1], [1, 1, 1], [1], [0, 2]),
+    "edge-offsets-decrease": ([1, 1, 1], [0, 2, 1, 2], [1, 2], [0, 3]),
+    "edge-offsets-end": ([1, 1], [0, 1, 1], [1, 0], [0, 2]),
+    "job-offsets-start": ([1, 1], [0, 0, 0], [], [1, 2]),
+    "job-offsets-decrease": ([1, 1], [0, 0, 0], [], [0, 2, 1, 2]),
+    "job-offsets-end": ([1, 1], [0, 0, 0], [], [0, 1]),
+    "job-without-root": ([1, 1], [0, 1, 2], [1, 0], [0, 2]),
+    "empty-job": ([1], [0, 0], [], [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_instance_is_refused_before_the_kernel(case):
+    from repro.sim.stream_engine import _segment_tables
+
+    flat = _flat(*_MALFORMED[case])
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        run_batch([flat], 2, seeds=[0])
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        _segment_tables(flat)  # the per-segment check of streaming runs
+
+
+def test_malformed_instance_does_not_crash_the_interpreter():
+    """Out-of-range edge targets used to be read by the kernel as they
+    are: a segfault.  In a subprocess, so a crash fails this test by
+    exit code instead of killing the test session."""
+    src = Path(_cext.__file__).resolve().parents[2]
+    probe = (
+        "import numpy as np\n"
+        "from repro.dag.flat import FlatInstance\n"
+        "from repro.sim.batch_engine import run_batch\n"
+        "f = FlatInstance(node_works=[1, 1], edge_offsets=[0, 1, 1],\n"
+        "    edge_targets=[100000000], job_node_offsets=[0, 2],\n"
+        "    arrivals=[0.0], weights=[1.0])\n"
+        "try:\n"
+        "    run_batch([f], 2, seeds=[0])\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.startswith("refused: malformed FlatInstance")
 
 
 def test_determinism():

@@ -7,6 +7,9 @@ run killed at an arbitrary checkpoint boundary (deterministically, via
 ``REPRO_FAULTS="kill:checkpoint:index=K"``) and resumed with
 ``resume=True`` must reproduce the uninterrupted run float for float --
 max flow, full stats, P^2 sketches, utilization integral, everything.
+Both execution paths (the compiled kernel and the Python window loop)
+write the same checkpoint format, so a checkpoint written on either
+path resumes on the other.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CacheCorruptError, SweepConfigError
+from repro.sim import batch_engine
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     checkpoint_path,
@@ -191,12 +195,17 @@ class TestEngineCheckpointing:
 
 _KILL_SCRIPT = """
 import sys
+from repro.sim import batch_engine
 from repro.sim.stream_engine import _run_stream
 from tests.sim.test_checkpoint import make_stream
 
+if sys.argv[4] == "python":
+    batch_engine.resolve_batch_kernel = lambda: None
+    batch_engine._SLOW_PATH_WARNED = True
+util = None if sys.argv[3] == "none" else int(sys.argv[3])
 _run_stream(
     make_stream(), 4, k=4, seed=int(sys.argv[2]),
-    quantiles=(0.5, 0.9, 0.99), utilization_window=256,
+    quantiles=(0.5, 0.9, 0.99), utilization_window=util,
     checkpoint_dir=sys.argv[1], checkpoint_every=500,
 )
 """
@@ -214,46 +223,87 @@ _RESUME_ONLY = {
 }
 
 
+def _kill_and_resume(
+    tmp_path, monkeypatch, kill_index, util=None, kill_on="cext",
+    resume_on="cext",
+):
+    """Kill a run at checkpoint ``kill_index``, resume it, compare.
+
+    ``kill_on`` / ``resume_on`` pick the path of the killed subprocess
+    and of the in-process resume: ``"cext"`` (the compiled kernel, when
+    the configuration allows it) or ``"python"`` (the Python window
+    loop, forced as on a host without the kernel).
+    """
+    seed = 31
+    stream = make_stream()
+    kw = dict(quantiles=(0.5, 0.9, 0.99), utilization_window=util)
+    reference = _run_stream(stream, 4, k=4, seed=seed, **kw)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+    )
+    env["REPRO_FAULTS"] = f"kill:checkpoint:index={kill_index}"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _KILL_SCRIPT, str(tmp_path), str(seed),
+            "none" if util is None else str(util), kill_on,
+        ],
+        env=env,
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == KILL_EXIT_CODE, proc.stderr
+    assert latest_checkpoint(tmp_path) is not None
+
+    if resume_on == "python":
+        monkeypatch.setattr(
+            batch_engine, "resolve_batch_kernel", lambda: None
+        )
+        monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
+    resumed = _run_stream(
+        stream, 4, k=4, seed=seed,
+        checkpoint_dir=tmp_path, checkpoint_every=500, resume=True, **kw,
+    )
+    assert resumed.resumed_from is not None
+    assert 0 < resumed.resumed_from < stream.n_jobs
+
+    ref, res = reference.summary(), resumed.summary()
+    assert set(ref) | _RESUME_ONLY == set(res) | _RESUME_ONLY
+    for key in set(ref) - _RESUME_ONLY:
+        assert res[key] == ref[key], key
+    return reference, resumed
+
+
 class TestKillResume:
     @pytest.mark.parametrize("kill_index", [0, 2])
-    def test_killed_run_resumes_float_identically(self, tmp_path, kill_index):
-        seed = 31
-        stream = make_stream()
-        reference = _run_stream(
-            stream, 4, k=4, seed=seed,
-            quantiles=(0.5, 0.9, 0.99), utilization_window=256,
+    def test_killed_run_resumes_float_identically(
+        self, tmp_path, monkeypatch, kill_index
+    ):
+        # A sampler: the Python window loop on both sides.
+        reference, resumed = _kill_and_resume(
+            tmp_path, monkeypatch, kill_index, util=256
         )
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT)]
-        )
-        env["REPRO_FAULTS"] = f"kill:checkpoint:index={kill_index}"
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILL_SCRIPT, str(tmp_path), str(seed)],
-            env=env,
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == KILL_EXIT_CODE, proc.stderr
-        assert latest_checkpoint(tmp_path) is not None
-
-        resumed = _run_stream(
-            stream, 4, k=4, seed=seed,
-            quantiles=(0.5, 0.9, 0.99), utilization_window=256,
-            checkpoint_dir=tmp_path, checkpoint_every=500, resume=True,
-        )
-        assert resumed.resumed_from is not None
-        assert 0 < resumed.resumed_from < stream.n_jobs
-
-        ref, res = reference.summary(), resumed.summary()
-        assert set(ref) | _RESUME_ONLY == set(res) | _RESUME_ONLY
-        for key in set(ref) - _RESUME_ONLY:
-            assert res[key] == ref[key], key
         # The utilization integral survives the round-trip exactly too.
         assert (
             resumed.utilization.busy_integral
             == reference.utilization.busy_integral
         )
+
+    @pytest.mark.parametrize("kill_index", [0, 2])
+    def test_kernel_path_killed_run_resumes_float_identically(
+        self, tmp_path, monkeypatch, kill_index
+    ):
+        _kill_and_resume(tmp_path, monkeypatch, kill_index)
+
+    def test_kernel_checkpoint_resumes_on_python_path(
+        self, tmp_path, monkeypatch
+    ):
+        _kill_and_resume(tmp_path, monkeypatch, 1, resume_on="python")
+
+    def test_python_checkpoint_resumes_on_kernel_path(
+        self, tmp_path, monkeypatch
+    ):
+        _kill_and_resume(tmp_path, monkeypatch, 1, kill_on="python")

@@ -10,6 +10,11 @@ assertions compare ``max_flow`` with ``==`` (never ``approx``) and the
 full ``SimulationStats`` dict field by field, across chunk sizes, k,
 sigma, speeds and seeds.  Compaction frequency (``_compact_min``) must
 be unobservable for the same reason.
+
+A stream runs on the compiled kernel, driven window by window, or on
+the Python window loop (a sampler, ``_fast_forward=False``, no
+kernel).  The two paths must agree on every ``StreamResult`` field,
+online estimates included, with ``==``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ import pytest
 import repro
 from repro.errors import SweepConfigError
 from repro.obs import Telemetry
+from repro.sim import batch_engine
+from repro.sim.batch_engine import run_batch
+from repro.sim.engine import _run_work_stealing
 from repro.sim.stream_engine import StreamResult, _run_stream
 from repro.workloads.distributions import (
     BingDistribution,
@@ -40,6 +48,19 @@ def make_stream(
         target_chunks=target_chunks,
     )
     return StreamSpec(spec, chunk_jobs=chunk_jobs)
+
+
+def python_path(monkeypatch):
+    """Take the Python window loop, as on a host without the kernel."""
+    monkeypatch.setattr(batch_engine, "resolve_batch_kernel", lambda: None)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
+
+
+def assert_same_result(a: StreamResult, b: StreamResult) -> None:
+    """Every field of two runs is ``==``: online estimates included."""
+    assert a.summary() == b.summary()
+    assert a.quantiles == b.quantiles
+    assert a.stats.as_dict() == b.stats.as_dict()
 
 
 def run_flat(instance, m, seed, **engine_kw):
@@ -64,23 +85,44 @@ def assert_equivalent(sr: StreamResult, stream: StreamSpec, **engine_kw):
 # ----------------------------------------------------------------------
 
 
+GRID = [
+    (400, 128, 4, 0, 1, 1.0),
+    (400, 64, 8, 16, 1, 1.0),
+    (800, 100, 16, 16, 4, 1.0),
+    (400, 400, 4, 4, 4, 1.5),  # single chunk, augmented speed
+    (300, 50, 1, 0, 1, 1.0),  # one worker
+]
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "n,chunk,m,k,sigma,speed",
-        [
-            (400, 128, 4, 0, 1, 1.0),
-            (400, 64, 8, 16, 1, 1.0),
-            (800, 100, 16, 16, 4, 1.0),
-            (400, 400, 4, 4, 4, 1.5),  # single chunk, augmented speed
-            (300, 50, 1, 0, 1, 1.0),  # one worker
-        ],
-    )
+    @pytest.mark.parametrize("n,chunk,m,k,sigma,speed", GRID)
     def test_matches_materialized_flat(self, n, chunk, m, k, sigma, speed):
         stream = make_stream(n_jobs=n, chunk_jobs=chunk, m=m)
         sr = _run_stream(
             stream, m, speed=speed, k=k, seed=7, steals_per_tick=sigma
         )
         assert_equivalent(sr, stream, speed=speed, k=k, steals_per_tick=sigma)
+
+    @pytest.mark.parametrize("n,chunk,m,k,sigma,speed", GRID)
+    def test_kernel_and_python_paths_agree(
+        self, n, chunk, m, k, sigma, speed, monkeypatch
+    ):
+        stream = make_stream(n_jobs=n, chunk_jobs=chunk, m=m)
+        kw = dict(
+            speed=speed, k=k, seed=7, steals_per_tick=sigma,
+            quantiles=(0.5, 0.9, 0.99), _compact_min=chunk // 2,
+        )
+        tel = Telemetry()
+        kernel = _run_stream(stream, m, telemetry=tel, **kw)
+        paths = [e["path"] for e in tel.events if e["event"] == "stream.start"]
+        assert paths == ["cext"]
+        python_path(monkeypatch)
+        python = _run_stream(stream, m, **kw)
+        assert_same_result(kernel, python)
+        assert kernel.compactions > 0 or chunk == n
+        assert_equivalent(
+            python, stream, speed=speed, k=k, steals_per_tick=sigma
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2026])
     def test_across_seeds(self, seed):
@@ -212,10 +254,33 @@ class TestEdgeCases:
         with pytest.raises(SweepConfigError, match="checkpoint_dir"):
             _run_stream(stream, 4, seed=0, resume=True)
 
-    def test_max_ticks_overload_guard(self):
+    def test_max_ticks_overload_guard(self, monkeypatch):
         stream = make_stream(n_jobs=100, chunk_jobs=50)
         with pytest.raises(RuntimeError, match="max_ticks"):
             _run_stream(stream, 4, seed=0, max_ticks=3)
+
+        # Exhaustion mid-run: both stream paths stop at the same tick
+        # with the same completed count, and run_batch (the kernel on
+        # the materialized instance) raises the reference engine's text.
+        cap = _run_stream(stream, 4, seed=0).stats.elapsed_ticks // 2
+        with pytest.raises(RuntimeError) as kernel_err:
+            _run_stream(stream, 4, seed=0, max_ticks=cap)
+        with pytest.raises(RuntimeError) as batch_err:
+            run_batch([stream.materialize(0)], 4, seeds=[0], max_ticks=cap)
+        with pytest.raises(RuntimeError) as ref_err:
+            _run_work_stealing(
+                repro.to_jobset(stream.materialize(0)), 4, seed=0,
+                max_ticks=cap,
+            )
+        python_path(monkeypatch)
+        with pytest.raises(RuntimeError) as python_err:
+            _run_stream(stream, 4, seed=0, max_ticks=cap)
+        assert str(kernel_err.value) == str(python_err.value)
+        assert str(batch_err.value) == str(ref_err.value)
+        count = str(ref_err.value).split("(")[1].split(" ")[0]
+        assert count in str(kernel_err.value)
+        done, total = map(int, count.split("/"))
+        assert 0 < done < total == 100
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +305,35 @@ class TestRunFacade:
         )
         assert set(sr.quantiles) == {0.5}
         assert sr.utilization is not None
+
+    def test_telemetry_tags_the_path_taken(self, monkeypatch):
+        stream = make_stream(n_jobs=100, chunk_jobs=25)
+        tel = Telemetry()
+        repro.run("flat", stream=stream, m=4, seed=0, telemetry=tel)
+        monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
+        with pytest.warns(RuntimeWarning, match="slower Python engine"):
+            repro.run(
+                "flat", stream=stream, m=4, seed=0, telemetry=tel,
+                utilization_window=64,
+            )
+        tagged = [
+            (e["event"], e["path"], e["reasons"])
+            for e in tel.events
+            if e["event"] in ("stream.start", "stream.done", "run.done")
+        ]
+        fallback = ["sampler=<SystemSampler>"]
+        assert tagged == [
+            ("stream.start", "cext", []),
+            ("stream.done", "cext", []),
+            ("run.done", "cext", []),
+            ("stream.start", "python", fallback),
+            ("stream.done", "python", fallback),
+            ("run.done", "python", fallback),
+        ]
+        slow = [e for e in tel.events if e["event"] == "dispatch.slow_path"]
+        assert [(e["engine"], e["reasons"]) for e in slow] == [
+            ("stream", fallback)
+        ]
 
     def test_telemetry_wraps_stream_events(self):
         stream = make_stream(n_jobs=100, chunk_jobs=25)
