@@ -3,9 +3,9 @@
 ``test_stream_engine_throughput`` and
 ``test_flat_materialized_throughput`` run the same workload, knobs and
 seed on the compiled kernel: one from a :class:`StreamSpec` in
-2048-job segments (the kernel driven window by window, with segment
-pulls and compactions between calls), the other materialized inside
-the timed region and run in one kernel call (the stream pays
+2048-job segments (the stream driver with the kernel as its step,
+segment pulls and compactions between steps), the other materialized
+inside the timed region and run in one kernel call (the stream pays
 generation during the run, so the flat side pays it too).  Each is
 tracked on its own in ``BENCH_engine.json``; their ratio is not gated,
 because it compares two different drivers rather than an overhead.
@@ -13,8 +13,8 @@ The pair runs with ``quantiles=()`` so it isolates the execution
 strategy; ``test_stream_engine_online_metrics`` tracks the
 full-metrics configuration (three P^2 sketches + windowed utilization)
 separately.  Its utilization sampler is outside the kernel's scope, so
-it runs the Python window loop: sketch and loop cost regressions are
-visible there but priced apart from the kernel path.
+the same driver runs it with the Python step: sketch and step cost
+regressions are visible there but priced apart from the kernel path.
 
 The configuration is a sustained-load regime (qps=1000, m=8): enough
 queueing that the tick loop does real scheduling work, which is

@@ -54,7 +54,7 @@ import ctypes
 import os
 import time
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -138,9 +138,10 @@ def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
 def _warn_slow_path(reasons: tuple) -> None:
     """One-time RuntimeWarning when a run falls back to a Python engine.
 
-    The fallback is the reference engine for materialized runs and the
-    Python window loop for streaming runs.  Warned once per process;
-    the paired ``dispatch.slow_path`` telemetry event (emitted by the
+    The fallback is the reference engine for materialized runs and, for
+    streaming runs, the stream driver's Python step in place of the
+    compiled one.  Warned once per process; the paired
+    ``dispatch.slow_path`` telemetry event (emitted by the
     :func:`repro.run` facade and the streaming engine) records every
     occurrence for machine consumption.
     """
@@ -157,9 +158,10 @@ def _warn_slow_path(reasons: tuple) -> None:
     warnings.warn(
         f"runs with {', '.join(reasons)} are outside the compiled "
         f"kernel's scope and fall back to a slower Python engine (the "
-        f"reference engine, or the Python window loop for streaming "
-        f"runs){cause}; results are identical, only slower (this warning is "
-        f"shown once per process, forked workers included)",
+        f"reference engine, or the Python step of the stream driver for "
+        f"streaming runs){cause}; results are identical, only slower "
+        f"(this warning is shown once per process, forked workers "
+        f"included)",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -229,6 +231,34 @@ def _check_jobs(
             "malformed FlatInstance: every job needs at least one node "
             "without predecessors"
         )
+
+
+def _derive_tables(
+    eo: np.ndarray, et: np.ndarray, jno: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's derived tables of CSR arrays :func:`_check_csr` accepted.
+
+    Returns the in-degrees, chain links (a node's sole successor when
+    that successor has in-degree 1, else -1), the ascending root list,
+    each job's root offsets (``jro``, one entry per job plus one) and
+    each node's job, after :func:`_check_jobs` has checked them.  Edges
+    never cross jobs, so deriving a concatenation equals concatenating
+    the derivations, re-based.
+    """
+    n_nodes = int(jno[-1])
+    indeg = np.bincount(et, minlength=n_nodes).astype(np.int64, copy=False)
+    outdeg = np.diff(eo)
+    chain = np.full(n_nodes, -1, dtype=np.int64)
+    cand = np.flatnonzero(outdeg == 1)
+    if cand.size:
+        tgt = et[eo[cand]]
+        ok = indeg[tgt] == 1
+        chain[cand[ok]] = tgt[ok]
+    roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
+    jro = np.searchsorted(roots, jno).astype(np.int64, copy=False)
+    job_of = np.repeat(np.arange(len(jno) - 1, dtype=np.int64), np.diff(jno))
+    _check_jobs(outdeg, et, job_of, jro)
+    return indeg, chain, roots, jro, job_of
 
 
 class _BatchTables:
@@ -313,20 +343,8 @@ class _BatchTables:
                     f.job_node_offsets[:-1] + node_off[r]
                 )
 
-        # Derived tables, one vectorized pass over the union: in-degrees,
-        # chain links (sole successor with in-degree 1), roots.
-        indeg = np.bincount(et, minlength=total_nodes).astype(
-            np.int64, copy=False
-        )
-        outdeg = np.diff(eo)
-        chain = np.full(total_nodes, -1, dtype=np.int64)
-        cand = np.flatnonzero(outdeg == 1)
-        if cand.size:
-            tgt = et[eo[cand]]
-            ok = indeg[tgt] == 1
-            chain[cand[ok]] = tgt[ok]
-        roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
-        job_sizes = np.diff(jno)
+        # Derived tables, one vectorized pass over the union.
+        indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
 
         # The cache lives on flats[0], so holding it here would make a
         # reference cycle; the others are held so their ids stay unique.
@@ -340,14 +358,11 @@ class _BatchTables:
         self.eo = eo
         self.et = et
         self.chain = chain
-        self.job_of = np.repeat(
-            np.arange(total_jobs, dtype=np.int64), job_sizes
-        )
-        self.jro = np.searchsorted(roots, jno).astype(np.int64, copy=False)
-        _check_jobs(outdeg, et, self.job_of, self.jro)
+        self.job_of = job_of
+        self.jro = jro
         self.roots = roots
         self.preds_master = indeg
-        self.unfin_master = job_sizes.astype(np.int64, copy=False)
+        self.unfin_master = np.diff(jno)
         self.total_works = [int(f.node_works.sum()) for f in flats]
         self.n_jobs = [int(x) for x in n_jobs]
         # Per replicate: a hand-built FlatInstance with unsorted

@@ -11,28 +11,31 @@ memory is O(live jobs + one chunk) instead of O(total jobs).
 
 Execution
 ---------
-Every run simulates over a *window* of jobs, and takes one of two
-paths, chosen by :func:`repro.sim.batch_engine._slow_path_reasons`:
+Every run simulates over a *window* of jobs (:class:`_Window`): int64
+numpy tables in window-local ids, the linked-list deques, and a state
+vector holding the tick loop's loop-top scalars.  One driver,
+:func:`_drive`, runs it.  It calls a *step*, which runs the tick loop
+over the window until a stop point -- the window ran out of arrivals, a
+checkpoint is due, ``max_ticks`` was reached, or the run is done -- and
+returns the stop status.  Between steps the driver drains the step's
+completion-order log into the online accumulators, pulls the next
+segment (appending to the tables), compacts the retired prefix (slicing
+the tables and re-basing every id, the deques included) and writes
+checkpoints.  There are two steps with one contract, chosen by
+:func:`repro.sim.batch_engine._slow_path_reasons`:
 
-* **The compiled kernel** (``_batch_kernel.c``, the one that runs
-  ``engine="flat"``), for every configuration it covers.  The window
-  tables are int64 numpy arrays.  The kernel's tick loop runs over them
-  until a stop point -- the window ran out of arrivals, a checkpoint is
-  due, ``max_ticks`` was reached, or the run is done -- and returns with
-  its loop-top state in a state vector.  Between calls,
-  :func:`_kernel_window` pulls the next segment (appending to the
-  tables), compacts the retired prefix (slicing the tables and re-basing
-  every id, the linked-list deques included), writes checkpoints, and
-  drains the kernel's completion-order log into the online accumulators.
-* **The Python window loop** (:func:`_python_window`), the one Python
-  transcription of the tick loop, for the rest: a
-  ``utilization_window`` (a sampler), ``_fast_forward=False``, or a host
-  where the kernel cannot be built (warned once per process, like
-  ``run_batch``).  Its window tables are Python lists mutated in place.
+* **The compiled step** (``_Window.call``): the C kernel
+  (``_batch_kernel.c``, the one that runs ``engine="flat"``), for every
+  configuration it covers.
+* **The Python step** (:func:`_python_step`), a transcription of the
+  kernel's loop, for the rest: a ``utilization_window`` (a sampler),
+  ``_fast_forward=False``, or a host where the kernel cannot be built
+  (warned once per process, like ``run_batch``).  It converts the tables
+  to lists once per call and writes the mutable ones back on return.
 
 Semantics
 ---------
-Both paths are pinned, bit for bit, to the reference engine
+Both steps are pinned, bit for bit, to the reference engine
 (:func:`repro.sim.engine._run_work_stealing`): same phases, same
 fast-forwards (completion-driven phase A over absolute finish ticks,
 chain links, burst-resolved steal draws), same victim-draw blocks, same
@@ -44,7 +47,7 @@ counters -- re-based onto the window:
   window: each job is appended once and removed once, amortized O(1);
 * per-job completions feed :class:`~repro.metrics.online.
   OnlineFlowStats`, in completion order, instead of a completions
-  array.  Both paths feed it the identical flow floats in the identical
+  array.  Both steps log the identical completions in the identical
   order, so every :class:`StreamResult` field is identical between
   them.  The running max is over the flows the materialized engine
   computes, so ``StreamResult.max_flow`` is bit-identical to
@@ -75,20 +78,20 @@ condition is false by construction (every due arrival was released, so
 ``next_at > t``), and execution re-enters the loop at exactly the
 sampler/fast-forward point the uninterrupted run would have reached --
 hence a killed-and-resumed run reproduces the uninterrupted run's
-floats identically.  Both paths write the same format, so either
-resumes the other's checkpoints.  The ``checkpoint`` fault stage
-(:mod:`repro.testing.faults`) fires right *after* each durable save,
-giving chaos tests a deterministic kill point that always leaves a
-valid checkpoint behind.
+floats identically.  The driver writes every checkpoint, so a
+checkpoint taken under either step resumes under the other.  The
+``checkpoint`` fault stage (:mod:`repro.testing.faults`) fires right
+*after* each durable save, giving chaos tests a deterministic kill
+point that always leaves a valid checkpoint behind.
 """
 
 from __future__ import annotations
 
-import gc
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +105,7 @@ from repro.sim._cext import (
     IDLE_AT as _IDLE_AT,
     MAX_TICKS,
     N_STATE,
+    NEED_SEGMENT,
     NO_CHECKPOINT,
     REFILL_CFUNC,
     S_ADMWAIT,
@@ -125,7 +129,7 @@ from repro.sim._cext import (
 )
 from repro.sim.batch_engine import (
     _check_csr,
-    _check_jobs,
+    _derive_tables,
     _kernel_stats,
     _ptr,
     _slow_path_reasons,
@@ -144,11 +148,6 @@ from repro.testing.faults import maybe_inject
 from repro.workloads.stream import StreamCursor, StreamSpec
 
 PathLike = Union[str, Path]
-
-#: Live-attempt bursts shorter than this scan the draw list directly;
-#: longer bursts amortize a per-value position index over the block
-#: (measured crossover on the 500-job reference workload).
-_SHORT_BURST = 8
 
 #: Checkpoint state keys of the kernel's state-vector slots.  The queue
 #: head and the non-empty-deque count are not stored: a checkpoint holds
@@ -245,7 +244,7 @@ def _config_token(
 def _stream_reasons(
     utilization_window: Optional[int] = None, _fast_forward: bool = True
 ) -> tuple:
-    """Why a streaming run with these knobs takes the Python window loop.
+    """Why a streaming run with these knobs takes the Python step.
 
     Empty means the run takes the compiled kernel.  A
     ``utilization_window`` attaches a sampler, which the kernel does
@@ -261,31 +260,14 @@ def _segment_tables(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate one segment and derive its kernel tables.
 
-    Returns the segment-local in-degrees, chain links (sole successor
-    with in-degree 1, else -1), ascending root list, per-job root
-    offsets (``jro``, ``n_jobs + 1`` entries) and each node's job: the
-    vectorized ``_BatchTables`` computations.  Edges never cross jobs,
-    so per-segment derivation equals whole-instance derivation
-    restricted to the segment.
+    :func:`~repro.sim.batch_engine._derive_tables` of the segment:
+    in-degrees, chain links, roots, ``jro`` and each node's job, in
+    segment-local ids.
     """
     _check_csr(seg)
-    eo_np = seg.edge_offsets
-    et_np = seg.edge_targets
-    indeg = np.bincount(et_np, minlength=seg.n_nodes)
-    outdeg = np.diff(eo_np)
-    chain_np = np.full(seg.n_nodes, -1, dtype=np.int64)
-    cand = np.flatnonzero(outdeg == 1)
-    if cand.size:
-        tgt = et_np[eo_np[cand]]
-        ok = indeg[tgt] == 1
-        chain_np[cand[ok]] = tgt[ok]
-    roots_np = np.flatnonzero(indeg == 0)
-    jro_np = np.searchsorted(roots_np, seg.job_node_offsets)
-    job_of = np.repeat(
-        np.arange(seg.n_jobs, dtype=np.int64), np.diff(seg.job_node_offsets)
+    return _derive_tables(
+        seg.edge_offsets, seg.edge_targets, seg.job_node_offsets
     )
-    _check_jobs(outdeg, et_np, job_of, jro_np)
-    return indeg, chain_np, roots_np, jro_np, job_of
 
 
 def _max_ticks_bound(
@@ -375,11 +357,11 @@ class _Checkpointer:
 
 @dataclass
 class _Run:
-    """Everything either path needs: configuration and shared state.
+    """Everything the driver needs: configuration and shared state.
 
     ``rng``, ``cursor``, ``fstats``, ``util`` and ``raw`` are already
     restored when the run resumes; ``restored`` then holds the
-    checkpoint's ``(arrays, state)`` for the path's own tables.
+    checkpoint's ``(arrays, state)`` for the window.
     """
 
     n: int
@@ -398,11 +380,6 @@ class _Run:
     ckpt: Optional[_Checkpointer]
     restored: Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]
     telemetry: Optional[Any]
-    fast_forward: bool
-
-
-#: What a path returns: final stats, peak live jobs, segments, compactions.
-_PathOutcome = Tuple[SimulationStats, int, int, int]
 
 
 def _run_stream(
@@ -437,7 +414,7 @@ def _run_stream(
         When set, attach a :class:`~repro.metrics.online.
         WindowedUtilization` sampler with this window size (in ticks)
         and return it on the result.  Runs with a sampler take the
-        Python window loop.
+        Python step.
     checkpoint_dir / checkpoint_every / keep_checkpoints / resume:
         Durable state snapshots every ``checkpoint_every`` completed
         jobs; ``resume=True`` restores the newest complete checkpoint
@@ -552,8 +529,8 @@ def _run_stream(
         )
 
     # ---- restore from the newest checkpoint, if asked -------------------
-    # The state both paths share is restored here; each path restores
-    # its own tables from ``restored``.
+    # The run-wide state is restored here; the driver restores the
+    # window from ``restored``.
     restored = None
     resumed_from: Optional[int] = None
     if resume and ckpt is not None:
@@ -615,11 +592,13 @@ def _run_stream(
         ckpt=ckpt,
         restored=restored,
         telemetry=telemetry,
-        fast_forward=_fast_forward,
     )
-    stats, peak_live, segments_generated, compactions = (
-        _python_window(run) if reasons else _kernel_window(run)
+    step: _Step = (
+        partial(_python_step, sampler=util, fast_forward=_fast_forward)
+        if reasons
+        else _Window.call
     )
+    stats, peak_live, segments_generated, compactions = _drive(run, step)
 
     result = StreamResult(
         scheduler=label,
@@ -656,960 +635,13 @@ def _run_stream(
     return result
 
 
-def _python_window(run: _Run) -> _PathOutcome:
-    """The Python window loop: the tick loop over window-local lists.
-
-    Serves the configurations outside the compiled kernel's scope (a
-    sampler, ``_fast_forward=False``) and hosts without the kernel.
-    """
-    n = run.n
-    m = run.m
-    speed = run.speed
-    k = run.k
-    sigma = run.sigma
-    cursor = run.cursor
-    rng = run.rng
-    fstats = run.fstats
-    util = run.util
-    sampler: Optional[SystemSampler] = util  # duck-typed protocol
-    compact_min = run.compact_min
-    checkpoint_every = run.checkpoint_every
-    telemetry = run.telemetry
-
-    # Window-local tables: plain lists, only ever mutated IN PLACE (slice
-    # assignment / del / extend), never rebound -- _complete()'s
-    # default-bound references and the hot loop's locals must keep
-    # pointing at the same objects across pulls and compactions.
-    works: List[int] = []
-    eo: List[int] = [0]
-    et: List[int] = []
-    chain: List[int] = []
-    job_of: List[int] = []
-    preds: List[int] = []
-    jno: List[int] = [0]
-    jro: List[int] = [0]
-    roots_l: List[int] = []
-    unfin: List[int] = []
-    arr_ticks: List[int] = []
-    arrivals_w: List[float] = []
-
-    cur = [-1] * m  # current global node id, -1 when idle
-    fin = [_IDLE_AT] * m  # absolute tick at whose END cur[i] completes
-    fails = [0] * m  # consecutive failed steals (admission unlock)
-    deques: List[deque] = [deque() for _ in range(m)]
-    queue: deque = deque()  # FIFO of waiting window job ids
-    ne: set = set()  # workers with a non-empty deque
-
-    raw_np = run.raw
-    raw = raw_np.tolist() if raw_np is not None else None
-    p = 0  # next unconsumed draw position in the current block
-    pos_of: Dict[int, list] = {}
-
-    t = 0
-    next_arr = 0  # window-local index of the next unreleased job
-    next_at = 0  # tick of that job's arrival (set after the first pull)
-    completed = 0
-    n_busy = 0
-    nf = _IDLE_AT  # min over busy workers of fin[i]
-    job_base = 0  # global id of window job 0
-    frontier = 0  # window-local: all jobs < frontier are complete
-    total_work_seen = 0
-    peak_live = 0
-    segments_generated = 0
-    compactions = 0
-    last_ckpt_completed = 0
-    resumed_from: Optional[int] = None
-
-    st_att = 0
-    st_fail = 0
-    st_idle = 0
-    st_admwait = 0
-    st_ff = 0
-    st_maxq = 0
-    boundary = False  # force a sampler snapshot at the next loop top
-
-    # ---- restore the window from the checkpoint, if resuming ------------
-    if run.restored is not None:
-        arrays, st = run.restored
-        works[:] = arrays["works"].tolist()
-        eo[:] = arrays["eo"].tolist()
-        et[:] = arrays["et"].tolist()
-        chain[:] = arrays["chain"].tolist()
-        job_of[:] = arrays["job_of"].tolist()
-        preds[:] = arrays["preds"].tolist()
-        jno[:] = arrays["jno"].tolist()
-        jro[:] = arrays["jro"].tolist()
-        roots_l[:] = arrays["roots"].tolist()
-        unfin[:] = arrays["unfin"].tolist()
-        arr_ticks[:] = arrays["arr_ticks"].tolist()
-        arrivals_w[:] = arrays["arrivals"].tolist()
-        cur[:] = arrays["cur"].tolist()
-        fin[:] = arrays["fin"].tolist()
-        fails[:] = arrays["fails"].tolist()
-        queue.clear()
-        queue.extend(arrays["queue"].tolist())
-        dq_flat = arrays["deque_items"]
-        dq_off = arrays["deque_offsets"].tolist()
-        for i in range(m):
-            deques[i].clear()
-            for x in range(dq_off[i], dq_off[i + 1]):
-                deques[i].append((int(dq_flat[x, 0]), int(dq_flat[x, 1])))
-        ne.clear()
-        ne.update(int(v) for v in arrays["ne"].tolist())
-        p = int(st["p"])
-        pos_of = {}  # lazily rebuilt; depends only on raw_np and p
-        t = int(st["t"])
-        next_arr = int(st["next_arr"])
-        next_at = int(st["next_at"])
-        completed = int(st["completed"])
-        n_busy = int(st["n_busy"])
-        nf = int(st["nf"])
-        job_base = int(st["job_base"])
-        frontier = int(st["frontier"])
-        total_work_seen = int(st["total_work_seen"])
-        peak_live = int(st["peak_live"])
-        segments_generated = int(st["segments"])
-        compactions = int(st["compactions"])
-        last_ckpt_completed = completed
-        st_att = int(st["st_att"])
-        st_fail = int(st["st_fail"])
-        st_idle = int(st["st_idle"])
-        st_admwait = int(st["st_admwait"])
-        st_ff = int(st["st_ff"])
-        st_maxq = int(st["st_maxq"])
-        boundary = bool(st["boundary"])
-        resumed_from = completed
-
-    # Hot-path mirrors of the OnlineFlowStats scalar fields.  A method
-    # call per completion costs more than the whole inlined update, so
-    # the tick loop maintains these as plain locals and syncs them into
-    # ``fstats`` only where its state is actually read: checkpoint
-    # saves and the end of the run.  Sketch updates are the one
-    # per-completion cost that cannot be deferred; with no quantiles
-    # configured the tuple is empty and the loop is free.
-    fs_max = fstats.max_flow
-    fs_amax_job = fstats.argmax_job
-    fs_amax_c = fstats.argmax_completion
-    fs_sum = fstats.flow_sum
-    fs_last = fstats.last_completion
-    sk_updates = tuple(s.update for s in fstats.sketches.values())
-
-    # Helper closures: every name the tick loop reads is either passed
-    # explicitly or bound as a default argument here.  A free reference
-    # from any nested function would turn that name into a cell variable
-    # of _python_window, downgrading every hot-loop access from
-    # LOAD_FAST to LOAD_DEREF -- a measured ~20% throughput loss.  Only
-    # the names _complete must rebind (completed/n_busy/nf/idles_dirty,
-    # plus job_base) stay cells.
-    def _bound(
-        total_work_seen: int,
-        cursor=cursor,
-        speed=speed,
-        k=k,
-        m=m,
-        user_max_ticks=run.max_ticks,
-    ) -> int:
-        return _max_ticks_bound(
-            user_max_ticks, total_work_seen, cursor, speed, k, m
-        )
-
-    def _append_segment(
-        seg,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        speed=speed,
-    ) -> int:
-        """Extend the window tables with one segment; returns its work."""
-        indeg, chain_np, roots_np, jro_np, seg_job_of = _segment_tables(seg)
-        jno_np = seg.job_node_offsets
-        job_sizes = np.diff(jno_np)
-
-        node_base = len(works)
-        jb_local = len(unfin)
-        edge_base = len(et)
-        root_base = len(roots_l)
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            # Appends materialize millions of acyclic ints; gen-2 passes
-            # over the growing lists would dominate the pull.
-            gc.disable()
-        try:
-            works.extend(seg.node_works.tolist())
-            eo.extend((seg.edge_offsets[1:] + edge_base).tolist())
-            et.extend((seg.edge_targets + node_base).tolist())
-            chain.extend(
-                np.where(chain_np >= 0, chain_np + node_base, -1).tolist()
-            )
-            job_of.extend((seg_job_of + jb_local).tolist())
-            preds.extend(indeg.tolist())
-            jno.extend((jno_np[1:] + node_base).tolist())
-            jro.extend((jro_np[1:] + root_base).tolist())
-            roots_l.extend((roots_np + node_base).tolist())
-            unfin.extend(job_sizes.tolist())
-            arr_ticks.extend(
-                np.ceil(seg.arrivals * speed - 1e-9).astype(np.int64).tolist()
-            )
-            arrivals_w.extend(seg.arrivals.tolist())
-        finally:
-            if was_enabled:
-                gc.enable()
-        return int(seg.node_works.sum())
-
-    def _advance_frontier(frontier: int, unfin=unfin) -> int:
-        wn = len(unfin)
-        while frontier < wn and unfin[frontier] == 0:
-            frontier += 1
-        return frontier
-
-    def _compact(
-        frontier: int,
-        next_arr: int,
-        job_base: int,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        cur=cur,
-        deques=deques,
-        queue=queue,
-        m=m,
-    ) -> Tuple[int, int, int]:
-        """Drop the retired prefix and rewrite all live ids, in place.
-
-        Returns the shifted ``(frontier, next_arr, job_base)``.  Only
-        window-local *indices* change; every absolute quantity (ticks,
-        fin, nf, the RNG stream) is untouched, so compaction is
-        unobservable in the results (asserted via the ``_compact_min``
-        knob).  Retired jobs are fully complete: no worker, deque entry,
-        or queued job can reference the dropped prefix.
-        """
-        nonlocal compactions
-        fr = frontier
-        if fr == 0:
-            return frontier, next_arr, job_base
-        node_cut = jno[fr]
-        e_cut = eo[node_cut]
-        root_cut = jro[fr]
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            works[:] = works[node_cut:]
-            eo[:] = [x - e_cut for x in eo[node_cut:]]
-            et[:] = [x - node_cut for x in et[e_cut:]]
-            chain[:] = [
-                x - node_cut if x >= 0 else -1 for x in chain[node_cut:]
-            ]
-            job_of[:] = [x - fr for x in job_of[node_cut:]]
-            preds[:] = preds[node_cut:]
-            roots_l[:] = [x - node_cut for x in roots_l[root_cut:]]
-            jro[:] = [x - root_cut for x in jro[fr:]]
-            jno[:] = [x - node_cut for x in jno[fr:]]
-            del unfin[:fr]
-            del arr_ticks[:fr]
-            del arrivals_w[:fr]
-        finally:
-            if was_enabled:
-                gc.enable()
-        for i in range(m):
-            if cur[i] >= 0:
-                cur[i] -= node_cut
-            dq = deques[i]
-            if dq:
-                items = [(g - node_cut, rdy) for g, rdy in dq]
-                dq.clear()
-                dq.extend(items)
-        if queue:
-            items2 = [j - fr for j in queue]
-            queue.clear()
-            queue.extend(items2)
-        compactions += 1
-        return 0, next_arr - fr, job_base + fr
-
-    def _pull_segment(
-        completed: int,
-        frontier: int,
-        next_arr: int,
-        job_base: int,
-        cursor=cursor,
-        unfin=unfin,
-        compact_min=compact_min,
-    ) -> Tuple[int, int, int]:
-        """Generate the next chunk; retire-compact first when worthwhile.
-
-        Returns the (possibly shifted) ``(frontier, next_arr, job_base)``.
-        """
-        nonlocal peak_live, segments_generated, total_work_seen
-        frontier = _advance_frontier(frontier)
-        if frontier >= compact_min:
-            retired = frontier
-            before = len(unfin)
-            frontier, next_arr, job_base = _compact(
-                frontier, next_arr, job_base
-            )
-            if telemetry is not None:
-                telemetry.emit(
-                    "stream.compact",
-                    retired=retired,
-                    window_before=before,
-                    window_after=len(unfin),
-                    completed=completed,
-                )
-        seg = cursor.next_segment()
-        assert seg is not None  # caller checks cursor.exhausted first
-        total_work_seen += _append_segment(seg)
-        segments_generated += 1
-        live = cursor.emitted - completed
-        if live > peak_live:
-            peak_live = live
-        if telemetry is not None:
-            telemetry.emit(
-                "stream.segment",
-                index=segments_generated - 1,
-                jobs=seg.n_jobs,
-                window_jobs=len(unfin),
-                live=live,
-            )
-        return frontier, next_arr, job_base
-
-    def _save_ckpt(
-        t: int,
-        next_arr: int,
-        next_at: int,
-        p: int,
-        job_base: int,
-        frontier: int,
-        boundary: bool,
-        raw_np,
-        st_att: int,
-        st_fail: int,
-        st_idle: int,
-        st_admwait: int,
-        st_ff: int,
-        st_maxq: int,
-        works=works,
-        eo=eo,
-        et=et,
-        chain=chain,
-        job_of=job_of,
-        preds=preds,
-        jno=jno,
-        jro=jro,
-        roots_l=roots_l,
-        unfin=unfin,
-        arr_ticks=arr_ticks,
-        arrivals_w=arrivals_w,
-        cur=cur,
-        fin=fin,
-        fails=fails,
-        deques=deques,
-        queue=queue,
-        ne=ne,
-        rng=rng,
-        cursor=cursor,
-        fstats=fstats,
-        util=util,
-        m=m,
-    ) -> None:
-        """Durably snapshot every mutable value the loop can observe.
-
-        The loop-state scalars arrive as arguments (they are rebound
-        every tick); the window lists and accumulators are default-bound
-        (mutated in place, never rebound).
-        """
-        dq_off = [0]
-        dq_items: List[List[int]] = []
-        for i in range(m):
-            for g, rdy in deques[i]:
-                dq_items.append([g, rdy])
-            dq_off.append(len(dq_items))
-        arrays = {
-            "works": np.asarray(works, dtype=np.int64),
-            "eo": np.asarray(eo, dtype=np.int64),
-            "et": np.asarray(et, dtype=np.int64),
-            "chain": np.asarray(chain, dtype=np.int64),
-            "job_of": np.asarray(job_of, dtype=np.int64),
-            "preds": np.asarray(preds, dtype=np.int64),
-            "jno": np.asarray(jno, dtype=np.int64),
-            "jro": np.asarray(jro, dtype=np.int64),
-            "roots": np.asarray(roots_l, dtype=np.int64),
-            "unfin": np.asarray(unfin, dtype=np.int64),
-            "arr_ticks": np.asarray(arr_ticks, dtype=np.int64),
-            "arrivals": np.asarray(arrivals_w, dtype=np.float64),
-            "cur": np.asarray(cur, dtype=np.int64),
-            "fin": np.asarray(fin, dtype=np.int64),
-            "fails": np.asarray(fails, dtype=np.int64),
-            "queue": np.asarray(list(queue), dtype=np.int64),
-            "deque_items": np.asarray(dq_items, dtype=np.int64).reshape(-1, 2),
-            "deque_offsets": np.asarray(dq_off, dtype=np.int64),
-            "ne": np.asarray(sorted(ne), dtype=np.int64),
-            "raw": (
-                raw_np if raw_np is not None else np.zeros(0, dtype=np.int64)
-            ),
-        }
-        run.ckpt.save(
-            arrays,
-            {
-                "t": t,
-                "next_arr": next_arr,
-                "next_at": next_at,
-                "completed": completed,
-                "n_busy": n_busy,
-                "nf": nf,
-                "p": p,
-                "job_base": job_base,
-                "frontier": frontier,
-                "total_work_seen": total_work_seen,
-                "peak_live": peak_live,
-                "segments": segments_generated,
-                "compactions": compactions,
-                "st_att": st_att,
-                "st_fail": st_fail,
-                "st_idle": st_idle,
-                "st_admwait": st_admwait,
-                "st_ff": st_ff,
-                "st_maxq": st_maxq,
-                "boundary": boundary,
-                "rng_state": rng.bit_generator.state,
-                "cursor": cursor.state_dict(),
-                "fstats": fstats.state_dict(),
-                "util": util.state_dict() if util is not None else None,
-            },
-        )
-
-    if resumed_from is None:
-        frontier, next_arr, job_base = _pull_segment(
-            completed, frontier, next_arr, job_base
-        )
-        next_at = arr_ticks[0]
-        t = next_at  # nothing can happen before the first arrival
-
-    max_ticks_eff = _bound(total_work_seen)
-    ckpt_enabled = run.ckpt is not None
-    ff = run.fast_forward
-
-    idles: List[int] = []
-    idles_dirty = True
-
-    def _complete(
-        i: int,
-        end_tick: int,
-        # Free variables rebound as defaults (LOAD_FAST instead of
-        # LOAD_DEREF); valid because the window lists are only ever
-        # mutated in place, never rebound.
-        works=works,
-        chain=chain,
-        job_of=job_of,
-        eo=eo,
-        et=et,
-        preds=preds,
-        unfin=unfin,
-        cur=cur,
-        fin=fin,
-        deques=deques,
-        ne=ne,
-        arrivals_w=arrivals_w,
-        speed=speed,
-        sk_updates=sk_updates,
-    ) -> None:
-        """Finish worker ``i``'s current node at the end of ``end_tick``.
-
-        The reference cascade: decrement the job's unfinished count,
-        enable successors (first enabled child continues on this worker,
-        the rest push onto its deque), else pop the worker's own deque
-        LIFO, else go idle; a chain link skips the successor walk when
-        the outcome is forced.  Job completion feeds the online
-        accumulators.  Phase A inlines a copy of this body; keep the two
-        in sync.
-        """
-        nonlocal completed, n_busy, nf, idles_dirty
-        nonlocal fs_max, fs_amax_job, fs_amax_c, fs_sum, fs_last
-        g = cur[i]
-        j = job_of[g]
-        u = unfin[j] - 1
-        unfin[j] = u
-        cn = chain[g]
-        if cn >= 0:
-            cur[i] = cn
-            f = end_tick + works[cn]
-            fin[i] = f
-            if f < nf:
-                nf = f
-            return
-        lo = eo[g]
-        hi = eo[g + 1]
-        if u == 0:
-            c = (end_tick + 1) / speed
-            flow = c - arrivals_w[j]
-            if flow < 0.0:
-                flow = 0.0
-            fs_sum += flow
-            if flow > fs_max:
-                fs_max = flow
-                fs_amax_job = job_base + j
-                fs_amax_c = c
-            if c > fs_last:
-                fs_last = c
-            if sk_updates:
-                for _upd in sk_updates:
-                    _upd(flow)
-            completed += 1
-        if lo != hi:
-            if hi - lo == 1:
-                s2 = et[lo]
-                pc = preds[s2] - 1
-                preds[s2] = pc
-                if pc == 0:
-                    cur[i] = s2
-                    f = end_tick + works[s2]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                    return
-            else:
-                first = -1
-                extras = None
-                for s2 in et[lo:hi]:
-                    pc = preds[s2] - 1
-                    preds[s2] = pc
-                    if pc == 0:
-                        if first < 0:
-                            first = s2
-                        elif extras is None:
-                            extras = [s2]
-                        else:
-                            extras.append(s2)
-                if first >= 0:
-                    cur[i] = first
-                    f = end_tick + works[first]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                    if extras is not None:
-                        dq = deques[i]
-                        if not dq:
-                            ne.add(i)
-                        nt = end_tick + 1
-                        for s2 in extras:
-                            dq.append((s2, nt))
-                    return
-        dq = deques[i]
-        if dq:
-            g2 = dq.pop()[0]
-            if not dq:
-                ne.discard(i)
-            cur[i] = g2
-            f = end_tick + works[g2]
-            fin[i] = f
-            if f < nf:
-                nf = f
-        else:
-            cur[i] = -1
-            fin[i] = _IDLE_AT
-            n_busy -= 1
-            idles_dirty = True
-
-    while completed < n:
-        # ---- release arrivals due at or before the current tick ---------
-        # Draining the window may require pulling the next segment to
-        # learn the next arrival tick (one-chunk generation lookahead,
-        # the stream's only one).
-        if next_at <= t:
-            while True:
-                wn = len(unfin)
-                while next_arr < wn and arr_ticks[next_arr] <= t:
-                    queue.append(next_arr)
-                    next_arr += 1
-                if next_arr < wn:
-                    next_at = arr_ticks[next_arr]
-                    break
-                if cursor.exhausted:
-                    next_at = _IDLE_AT  # no further arrivals, ever
-                    break
-                frontier, next_arr, job_base = _pull_segment(
-                    completed, frontier, next_arr, job_base
-                )
-                max_ticks_eff = _bound(total_work_seen)
-            ql = len(queue)
-            if ql > st_maxq:
-                st_maxq = ql
-            if (
-                ckpt_enabled
-                and completed - last_ckpt_completed >= checkpoint_every
-            ):
-                # Post-release is a clean cut: every arrival <= t is
-                # released, so on resume the release block is skipped
-                # (next_at > t) and the loop continues exactly here.
-                frontier = _advance_frontier(frontier)
-                frontier, next_arr, job_base = _compact(
-                    frontier, next_arr, job_base
-                )
-                # Flush the hot-path mirrors so the serialized fstats
-                # state is current (count tracks completed exactly).
-                fstats.max_flow = fs_max
-                fstats.argmax_job = fs_amax_job
-                fstats.argmax_completion = fs_amax_c
-                fstats.flow_sum = fs_sum
-                fstats.last_completion = fs_last
-                fstats.count = completed
-                _save_ckpt(
-                    t, next_arr, next_at, p, job_base, frontier,
-                    boundary, raw_np, st_att, st_fail, st_idle,
-                    st_admwait, st_ff, st_maxq,
-                )
-                last_ckpt_completed = completed
-
-        if t >= max_ticks_eff:
-            raise RuntimeError(
-                f"work-stealing run exceeded max_ticks={max_ticks_eff} "
-                f"({completed}/{n} jobs complete) -- stream may be overloaded"
-            )
-
-        if sampler is not None:
-            if boundary:
-                sampler.record_boundary(t, n_busy, len(queue), len(ne), completed)
-                boundary = False
-            else:
-                sampler.maybe_record(t, n_busy, len(queue), len(ne), completed)
-
-        if ff:
-            # ---- fast-forward: whole system empty -----------------------
-            if n_busy == 0 and not queue:
-                gap = next_at - t
-                for i in range(m):
-                    f = fails[i] + gap * sigma
-                    fails[i] = f if f < k else k
-                st_idle += gap * m
-                st_ff += gap
-                if sampler is not None:
-                    sampler.record_boundary(t, 0, 0, len(ne), completed)
-                    boundary = True
-                t += gap
-                continue
-
-            # ---- fast-forward: every worker busy ------------------------
-            if n_busy == m:
-                blind = nf - t
-                if blind > 0:
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(
-                            t, n_busy, len(queue), len(ne), completed
-                        )
-                        boundary = True
-                    t += blind
-                    continue
-
-            # ---- fast-forward: nothing stealable, nothing admissible ----
-            elif not ne and n_busy > 0 and not queue:
-                delta = nf - t + 1
-                if next_at < _IDLE_AT and next_at - t < delta:
-                    delta = next_at - t
-                blind = delta - 1
-                if blind >= 1:
-                    n_idle = m - n_busy
-                    for i in range(m):
-                        if cur[i] < 0:
-                            f = fails[i] + blind * sigma
-                            fails[i] = f if f < k else k
-                    st_att += blind * n_idle * sigma
-                    st_fail += blind * n_idle * sigma
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(t, n_busy, 0, 0, completed)
-                        boundary = True
-                    t += blind
-                    continue
-
-        # ---- general tick -------------------------------------------------
-        if idles_dirty:
-            idles = []
-            for i in range(m):
-                if cur[i] < 0:
-                    idles.append(i)
-            idles_dirty = False
-
-        # Phase A: inlined copy of _complete() minus the nf upkeep (nf is
-        # recomputed wholesale).
-        if nf == t:
-            nt = t + 1
-            nfi = _IDLE_AT
-            for i in range(m):
-                f = fin[i]
-                if f == t:
-                    g = cur[i]
-                    j = job_of[g]
-                    u = unfin[j] - 1
-                    unfin[j] = u
-                    cn = chain[g]
-                    if cn >= 0:
-                        cur[i] = cn
-                        f = t + works[cn]
-                        fin[i] = f
-                        if f < nfi:
-                            nfi = f
-                        continue
-                    lo = eo[g]
-                    hi = eo[g + 1]
-                    if u == 0:
-                        c = nt / speed
-                        flow = c - arrivals_w[j]
-                        if flow < 0.0:
-                            flow = 0.0
-                        fs_sum += flow
-                        if flow > fs_max:
-                            fs_max = flow
-                            fs_amax_job = job_base + j
-                            fs_amax_c = c
-                        if c > fs_last:
-                            fs_last = c
-                        if sk_updates:
-                            for _upd in sk_updates:
-                                _upd(flow)
-                        completed += 1
-                    if lo != hi:
-                        if hi - lo == 1:
-                            s2 = et[lo]
-                            pc = preds[s2] - 1
-                            preds[s2] = pc
-                            if pc == 0:
-                                cur[i] = s2
-                                f = t + works[s2]
-                                fin[i] = f
-                                if f < nfi:
-                                    nfi = f
-                                continue
-                        else:
-                            first = -1
-                            extras = None
-                            for s2 in et[lo:hi]:
-                                pc = preds[s2] - 1
-                                preds[s2] = pc
-                                if pc == 0:
-                                    if first < 0:
-                                        first = s2
-                                    elif extras is None:
-                                        extras = [s2]
-                                    else:
-                                        extras.append(s2)
-                            if first >= 0:
-                                cur[i] = first
-                                f = t + works[first]
-                                fin[i] = f
-                                if f < nfi:
-                                    nfi = f
-                                if extras is not None:
-                                    dq = deques[i]
-                                    if not dq:
-                                        ne.add(i)
-                                    for s2 in extras:
-                                        dq.append((s2, nt))
-                                continue
-                    dq = deques[i]
-                    if dq:
-                        g2 = dq.pop()[0]
-                        if not dq:
-                            ne.discard(i)
-                        cur[i] = g2
-                        f = t + works[g2]
-                        fin[i] = f
-                    else:
-                        cur[i] = -1
-                        f = _IDLE_AT
-                        fin[i] = f
-                        n_busy -= 1
-                        idles_dirty = True
-                if f < nfi:
-                    nfi = f
-            nf = nfi
-
-        # Phase B: idle workers acquire work in the reference's branch
-        # order (admission, burn, live attempts) with the same RNG draw
-        # count; failed live attempts resolve in bulk against the block.
-        for i in idles:
-            budget = sigma
-            while budget > 0:
-                fi = fails[i]
-                if fi >= k and queue:
-                    jb = queue.popleft()
-                    ro = jro[jb]
-                    rhi = jro[jb + 1]
-                    r0 = roots_l[ro]
-                    cur[i] = r0
-                    fails[i] = 0
-                    n_busy += 1
-                    idles_dirty = True
-                    st_admwait += t - arr_ticks[jb]
-                    if rhi - ro > 1:
-                        dq = deques[i]
-                        if not dq:
-                            ne.add(i)
-                        for x in range(ro + 1, rhi):
-                            dq.append((roots_l[x], t))
-                    if sigma > 1:
-                        if works[r0] == 1:
-                            _complete(i, t)
-                        else:
-                            f = t + works[r0] - 1
-                            fin[i] = f
-                            if f < nf:
-                                nf = f
-                    else:
-                        f = t + works[r0]
-                        fin[i] = f
-                        if f < nf:
-                            nf = f
-                    break
-                if not ne:
-                    if queue and k - fi <= budget:
-                        burned = k - fi
-                    else:
-                        burned = budget
-                    f2 = fi + burned
-                    fails[i] = f2 if f2 < k else k
-                    st_att += burned
-                    st_fail += burned
-                    budget -= burned
-                    if budget > 0:
-                        continue
-                    break
-                allowed = budget
-                if queue:
-                    d = k - fi
-                    if d < allowed:
-                        allowed = d
-                got = -1
-                while True:
-                    if p == _BLOCK:
-                        raw_np = rng.integers(0, m - 1, size=_BLOCK)
-                        raw = raw_np.tolist()
-                        p = 0
-                        pos_of = {}
-                    stop = p + allowed
-                    if stop > _BLOCK:
-                        stop = _BLOCK
-                    if allowed < _SHORT_BURST or 2 * len(ne) >= m - 1:
-                        got = -1
-                        for jdx in range(p, stop):
-                            v = raw[jdx]
-                            if v >= i:
-                                v += 1
-                            if deques[v]:
-                                got = jdx
-                                break
-                    else:
-                        best = stop
-                        for s in ne:
-                            if s == i:
-                                continue
-                            c2 = s if s < i else s - 1
-                            entry = pos_of.get(c2)
-                            if entry is None:
-                                lst = np.flatnonzero(raw_np == c2).tolist()
-                                lst.append(_BLOCK)
-                                entry = [lst, 0]
-                                pos_of[c2] = entry
-                            lst = entry[0]
-                            q = entry[1]
-                            pos = lst[q]
-                            while pos < p:
-                                q += 1
-                                pos = lst[q]
-                            entry[1] = q
-                            if pos < best:
-                                best = pos
-                        got = best if best < stop else -1
-                    if got >= 0:
-                        n_failed = got - p
-                        fails[i] += n_failed
-                        st_att += n_failed + 1
-                        st_fail += n_failed
-                        budget -= n_failed + 1
-                        p = got + 1
-                        break
-                    n_failed = stop - p
-                    fails[i] += n_failed
-                    st_att += n_failed
-                    st_fail += n_failed
-                    budget -= n_failed
-                    allowed -= n_failed
-                    p = stop
-                    if allowed == 0:
-                        break
-                if got < 0:
-                    continue
-                v = raw[got]
-                victim = v + 1 if v >= i else v
-                vdq = deques[victim]
-                g2, rdy = vdq.popleft()
-                if not vdq:
-                    ne.discard(victim)
-                cur[i] = g2
-                fails[i] = 0
-                n_busy += 1
-                idles_dirty = True
-                if sigma > 1 and rdy <= t:
-                    if works[g2] == 1:
-                        _complete(i, t)
-                    else:
-                        f = t + works[g2] - 1
-                        fin[i] = f
-                        if f < nf:
-                            nf = f
-                else:
-                    f = t + works[g2]
-                    fin[i] = f
-                    if f < nf:
-                        nf = f
-                break
-
-        t += 1
-
-    fstats.max_flow = fs_max
-    fstats.argmax_job = fs_amax_job
-    fstats.argmax_completion = fs_amax_c
-    fstats.flow_sum = fs_sum
-    fstats.last_completion = fs_last
-    fstats.count = completed
-
-    stats = SimulationStats()
-    stats.busy_steps = total_work_seen
-    stats.steal_attempts = st_att
-    stats.failed_steals = st_fail
-    stats.admissions = n
-    stats.idle_steps = st_idle
-    stats.elapsed_ticks = t
-    stats.admission_wait_ticks = st_admwait
-    stats.ff_skipped_ticks = st_ff
-    stats.max_queue_depth = st_maxq
-    return stats, peak_live, segments_generated, compactions
-
-
 def _rebase(ids: np.ndarray, cut: int) -> np.ndarray:
     """Node ids shifted down by ``cut``; -1 (none) stays -1."""
     return np.where(ids >= 0, ids - cut, -1)
 
 
-class _KernelWindow:
-    """The kernel path's window: int64 numpy tables in window-local ids.
+class _Window:
+    """The run's window: int64 numpy tables in window-local ids.
 
     Node-, edge- and job-indexed tables are rebuilt (appended to at
     segment pulls, sliced at compactions); worker arrays, the victim-draw
@@ -1617,6 +649,8 @@ class _KernelWindow:
     are linked lists: ``dq_head``/``dq_tail`` per worker and
     ``dq_next``/``dq_prev`` per node, with each queued node's ready tick
     in ``rdy``.  The FIFO queue is the job range ``[q_head, next_arr)``.
+    ``boundary`` is the sampler's pending boundary snapshot, the one
+    loop-top value the kernel does not keep (it takes no sampler).
     """
 
     def __init__(self, m: int, raw: Optional[np.ndarray]) -> None:
@@ -1647,6 +681,7 @@ class _KernelWindow:
         # With one worker there are no victims and the block is unused.
         self.raw = raw if raw is not None else np.zeros(_BLOCK, dtype=np.int64)
         self.state = np.zeros(N_STATE, dtype=np.int64)
+        self.boundary = False
         self._scratch()
 
     def _scratch(self) -> None:
@@ -1724,7 +759,6 @@ class _KernelWindow:
 
     def call(
         self,
-        kernel: Any,
         n_total: int,
         more: bool,
         m: int,
@@ -1733,11 +767,10 @@ class _KernelWindow:
         max_ticks: int,
         ckpt_at: int,
         speed: float,
-        refill: Any,
+        refill: Callable[[int], None],
     ) -> int:
-        """Run the kernel to its next stop point; returns its status."""
-        self.state[S_NLOG] = 0
-        return kernel(
+        """The compiled step: run the kernel to its next stop point."""
+        return resolve_batch_kernel()(
             _ptr(self.works),
             _ptr(self.eo),
             _ptr(self.et),
@@ -1770,7 +803,7 @@ class _KernelWindow:
             ckpt_at,
             float(speed),
             _ptr(self.state),
-            refill,
+            REFILL_CFUNC(refill),
             0,
         )
 
@@ -1785,7 +818,7 @@ class _KernelWindow:
     # -- checkpoint round-trip --------------------------------------------
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The checkpoint arrays, in the format both paths share."""
+        """The checkpoint arrays."""
         items: List[Tuple[int, int]] = []
         offsets = [0]
         for i in range(len(self.cur)):
@@ -1849,16 +882,409 @@ class _KernelWindow:
         self._scratch()
 
 
-def _kernel_window(run: _Run) -> _PathOutcome:
-    """The kernel driver: pulls, compactions and checkpoints between calls.
+#: A step runs the window from its state vector to the next stop point
+#: and returns the stop status: ``_Window.call`` (the compiled kernel)
+#: or :func:`_python_step`.  Arguments: the window, then ``n_total,
+#: more, m, k, sigma, max_ticks, ckpt_at, speed, refill``.
+_Step = Callable[..., int]
 
-    Every stop point of the compiled loop corresponds to one place in
-    the Python window loop (the segment pull inside the release block,
-    the checkpoint right after it, the ``max_ticks`` raise), and the
-    driver does there what that loop does, so the two paths produce
-    identical results and identical checkpoints.
+#: The window tables a step writes (the draw block aside).
+_STEP_MUTABLE = (
+    "preds", "unfin", "cur", "fin", "fails",
+    "dq_head", "dq_tail", "dq_next", "dq_prev", "rdy",
+)
+
+
+def _python_step(
+    w: _Window,
+    n_total: int,
+    more: bool,
+    m: int,
+    k: int,
+    sigma: int,
+    max_ticks: int,
+    ckpt_at: int,
+    speed: float,
+    refill: Callable[[int], None],
+    *,
+    sampler: Optional[SystemSampler] = None,
+    fast_forward: bool = True,
+) -> int:
+    """The Python step: ``repro_batch_run_rep``'s loop, transcribed.
+
+    Same contract as the compiled step: it runs the window from its
+    state vector to the next stop point and returns the same status,
+    having advanced the window's tables, deques, draw block, completions
+    and completion log as the kernel would.  The tables are converted to
+    lists once per call and the mutable ones are written back on return.
+    It adds what the kernel does not take: a ``sampler``, called where
+    the reference engine calls it (``w.boundary`` carries a
+    fast-forward's pending boundary snapshot across calls), and
+    ``fast_forward=False``.
     """
-    kernel = resolve_batch_kernel()
+    works = w.works.tolist()
+    eo = w.eo.tolist()
+    et = w.et.tolist()
+    chain = w.chain.tolist()
+    job_of = w.job_of.tolist()
+    jro = w.jro.tolist()
+    roots = w.roots.tolist()
+    arr_ticks = w.arr_ticks.tolist()
+    mutable = [a.tolist() for a in attrgetter(*_STEP_MUTABLE)(w)]
+    (
+        preds, unfin, cur, fin, fails, dq_head, dq_tail, dq_next, dq_prev,
+        rdy,
+    ) = mutable
+    raw = w.raw.tolist()
+    n = len(unfin)
+    ne = set(np.flatnonzero(w.dq_head >= 0).tolist())  # non-empty deques
+    log: List[int] = []  # jobs completed by this call, in order
+    comp: List[float] = []  # and their completion times
+
+    state = w.state.tolist()
+    t = state[S_T]
+    next_arr = state[S_NEXT_ARR]
+    next_at = state[S_NEXT_AT]
+    q_head = state[S_Q_HEAD]
+    p = state[S_P]
+    n_busy = state[S_N_BUSY]
+    completed0 = completed = state[S_COMPLETED]
+    nf = state[S_NF]
+    st_att = state[S_ATT]
+    st_fail = state[S_FAIL]
+    st_idle = state[S_IDLE]
+    st_admwait = state[S_ADMWAIT]
+    st_ff = state[S_FF]
+    st_maxq = state[S_MAXQ]
+    boundary = w.boundary
+
+    # The helpers bind every name they read as a default argument, and
+    # no comprehension reads a local, so the loop's locals stay fast
+    # locals rather than closure cells.
+    def _push(
+        i: int,
+        g: int,
+        ready: int,
+        dq_head=dq_head,
+        dq_tail=dq_tail,
+        dq_next=dq_next,
+        dq_prev=dq_prev,
+        rdy=rdy,
+        ne=ne,
+    ) -> None:
+        """``dq_push``: append node ``g`` to worker ``i``'s deque."""
+        tail = dq_tail[i]
+        rdy[g] = ready
+        dq_next[g] = -1
+        dq_prev[g] = tail
+        if tail < 0:
+            dq_head[i] = g
+            ne.add(i)
+        else:
+            dq_next[tail] = g
+        dq_tail[i] = g
+
+    def _complete(
+        i: int,
+        end_tick: int,
+        works=works,
+        eo=eo,
+        et=et,
+        chain=chain,
+        job_of=job_of,
+        preds=preds,
+        unfin=unfin,
+        cur=cur,
+        fin=fin,
+        dq_head=dq_head,
+        dq_tail=dq_tail,
+        dq_prev=dq_prev,
+        dq_next=dq_next,
+        ne=ne,
+        log=log,
+        comp=comp,
+        push=_push,
+        speed=speed,
+    ) -> int:
+        """``complete_node``: finish worker ``i``'s node at the end of
+        ``end_tick``; returns the worker's new finish tick (``IDLE_AT``
+        when it went idle)."""
+        g = cur[i]
+        j = job_of[g]
+        u = unfin[j] - 1
+        unfin[j] = u
+        g2 = chain[g]
+        if g2 < 0:
+            if u == 0:
+                log.append(j)
+                comp.append((end_tick + 1) / speed)
+            for x in range(eo[g], eo[g + 1]):
+                s2 = et[x]
+                pc = preds[s2] - 1
+                preds[s2] = pc
+                if pc == 0:
+                    if g2 < 0:
+                        g2 = s2
+                    else:  # an enabled sibling, ready next tick
+                        push(i, s2, end_tick + 1)
+            if g2 < 0:  # dq_pop_back: LIFO, own-deque continuation
+                g2 = dq_tail[i]
+                if g2 < 0:
+                    cur[i] = -1
+                    fin[i] = _IDLE_AT
+                    return _IDLE_AT
+                prev = dq_prev[g2]
+                dq_tail[i] = prev
+                if prev < 0:
+                    dq_head[i] = -1
+                    ne.discard(i)
+                else:
+                    dq_next[prev] = -1
+        cur[i] = g2
+        f = fin[i] = end_tick + works[g2]
+        return f
+
+    rc = DONE
+    while completed < n_total:
+        # ---- release arrivals due at or before the current tick --------
+        if next_at <= t:
+            while next_arr < n and arr_ticks[next_arr] <= t:
+                next_arr += 1
+            if next_arr < n:
+                next_at = arr_ticks[next_arr]
+            elif more:
+                rc = NEED_SEGMENT  # pull a segment, then re-enter here
+                break
+            else:
+                next_at = _IDLE_AT  # no further arrivals, ever
+            if next_arr - q_head > st_maxq:
+                st_maxq = next_arr - q_head
+            if completed >= ckpt_at:
+                rc = CHECKPOINT
+                break
+
+        if t >= max_ticks:
+            rc = MAX_TICKS
+            break
+
+        if sampler is not None:
+            if boundary:
+                sampler.record_boundary(
+                    t, n_busy, next_arr - q_head, len(ne), completed
+                )
+                boundary = False
+            else:
+                sampler.maybe_record(
+                    t, n_busy, next_arr - q_head, len(ne), completed
+                )
+
+        if fast_forward:
+            # ---- fast-forward: whole system empty ----------------------
+            if n_busy == 0 and q_head == next_arr:
+                gap = next_at - t
+                for i in range(m):
+                    f = fails[i] + gap * sigma
+                    fails[i] = f if f < k else k
+                st_idle += gap * m
+                st_ff += gap
+                if sampler is not None:
+                    sampler.record_boundary(t, 0, 0, len(ne), completed)
+                    boundary = True
+                t += gap
+                continue
+
+            # ---- fast-forward: every worker busy -----------------------
+            if n_busy == m:
+                blind = nf - t
+                if blind > 0:
+                    st_ff += blind
+                    if sampler is not None:
+                        sampler.record_boundary(
+                            t, n_busy, next_arr - q_head, len(ne), completed
+                        )
+                        boundary = True
+                    t += blind
+                    continue
+
+            # ---- fast-forward: nothing stealable, nothing admissible ---
+            elif not ne and n_busy > 0 and q_head == next_arr:
+                delta = nf - t + 1
+                if next_arr < n and next_at - t < delta:
+                    delta = next_at - t
+                blind = delta - 1
+                if blind >= 1:
+                    n_idle = m - n_busy
+                    for i in range(m):
+                        if cur[i] < 0:
+                            f = fails[i] + blind * sigma
+                            fails[i] = f if f < k else k
+                    st_att += blind * n_idle * sigma
+                    st_fail += blind * n_idle * sigma
+                    st_ff += blind
+                    if sampler is not None:
+                        sampler.record_boundary(t, n_busy, 0, 0, completed)
+                        boundary = True
+                    t += blind
+                    continue
+
+        # ---- general tick ----------------------------------------------
+        # Workers idle at the start of the tick, before phase A: workers
+        # idled by a completion cascade act from the next tick on.
+        idles = [i for i, g in enumerate(cur) if g < 0] if n_busy < m else ()
+
+        # Phase A: completion cascades; nf is recomputed wholesale.
+        if nf == t:
+            for i in range(m):
+                if fin[i] == t and _complete(i, t) == _IDLE_AT:
+                    n_busy -= 1
+            nf = min(fin)
+
+        # Phase B: idle workers admit, burn or steal.  ``g`` is the node
+        # a worker acquires, ``ready`` whether it may run this tick.
+        for i in idles:
+            budget = sigma
+            g = -1
+            ready = True
+            while budget > 0:
+                fi = fails[i]
+                if fi >= k and q_head != next_arr:
+                    # Admit the head-of-line job.
+                    ro = jro[q_head]
+                    g = roots[ro]
+                    for x in range(ro + 1, jro[q_head + 1]):
+                        _push(i, roots[x], t)
+                    st_admwait += t - arr_ticks[q_head]
+                    q_head += 1
+                    break
+                if not ne:
+                    # Nothing stealable: burn just enough to unlock
+                    # admission when the queue is non-empty, else the
+                    # whole budget -- no draws.
+                    if q_head != next_arr and k - fi <= budget:
+                        burned = k - fi
+                    else:
+                        burned = budget
+                    f = fi + burned
+                    fails[i] = f if f < k else k
+                    st_att += burned
+                    st_fail += burned
+                    budget -= burned
+                    continue
+                # Live steal attempts against the draw block.
+                allowed = budget
+                if q_head != next_arr and k - fi < allowed:
+                    allowed = k - fi
+                got = -1
+                while True:
+                    if p == _BLOCK:
+                        refill(0)
+                        raw = w.raw.tolist()
+                        p = 0
+                    stop = p + allowed
+                    if stop > _BLOCK:
+                        stop = _BLOCK
+                    for jdx in range(p, stop):
+                        v = raw[jdx]
+                        if v >= i:
+                            v += 1
+                        if dq_head[v] >= 0:
+                            got = jdx
+                            break
+                    if got >= 0:
+                        n_failed = got - p
+                        fails[i] += n_failed
+                        st_att += n_failed + 1
+                        st_fail += n_failed
+                        budget -= n_failed + 1
+                        p = got + 1
+                        break
+                    n_failed = stop - p
+                    fails[i] += n_failed
+                    st_att += n_failed
+                    st_fail += n_failed
+                    budget -= n_failed
+                    allowed -= n_failed
+                    p = stop
+                    if allowed == 0:
+                        break
+                if got < 0:
+                    continue  # budget spent or admission unlocked
+                # dq_pop_front: FIFO, steal.
+                v = raw[got]
+                victim = v + 1 if v >= i else v
+                g = dq_head[victim]
+                nxt = dq_next[g]
+                dq_head[victim] = nxt
+                if nxt < 0:
+                    dq_tail[victim] = -1
+                    ne.discard(victim)
+                else:
+                    dq_prev[nxt] = -1
+                # Same-tick execution only if it was ready at tick start.
+                ready = rdy[g] <= t
+                break
+            if g < 0:
+                continue
+            # The admission or steal consumes the rest of the tick.
+            cur[i] = g
+            fails[i] = 0
+            n_busy += 1
+            if sigma > 1 and ready:
+                if works[g] == 1:
+                    f = _complete(i, t)
+                    if f == _IDLE_AT:
+                        n_busy -= 1
+                else:
+                    f = fin[i] = t + works[g] - 1
+            else:
+                f = fin[i] = t + works[g]
+            if f < nf:
+                nf = f
+        t += 1
+        completed = completed0 + len(log)
+
+    for name, values in zip(_STEP_MUTABLE, mutable):
+        getattr(w, name)[:] = values
+    nlog = state[S_NLOG]
+    if log:
+        w.log[nlog : nlog + len(log)] = log
+        w.completions[log] = comp
+    for slot, value in (
+        (S_T, t),
+        (S_NEXT_ARR, next_arr),
+        (S_NEXT_AT, next_at),
+        (S_Q_HEAD, q_head),
+        (S_P, p),
+        (S_N_BUSY, n_busy),
+        (S_COMPLETED, completed),
+        (S_NF, nf),
+        (S_NE_COUNT, len(ne)),
+        (S_ATT, st_att),
+        (S_FAIL, st_fail),
+        (S_IDLE, st_idle),
+        (S_ADMWAIT, st_admwait),
+        (S_FF, st_ff),
+        (S_MAXQ, st_maxq),
+        (S_NLOG, nlog + len(log)),
+    ):
+        w.state[slot] = value
+    w.boundary = boundary
+    return rc
+
+
+def _drive(
+    run: _Run, step: _Step
+) -> Tuple[SimulationStats, int, int, int]:
+    """The stream driver: pulls, compactions and checkpoints between steps.
+
+    ``step`` runs the window to its next stop point.  Between steps the
+    driver drains the completion log into the online accumulators, then
+    acts on the stop status: it pulls the next segment (compacting the
+    retired prefix first when a chunk's worth has retired), writes a
+    checkpoint, or raises the engine's ``max_ticks`` error.  Returns the
+    final stats, the peak live-job count, the segments generated and the
+    compactions.
+    """
     n = run.n
     m = run.m
     speed = run.speed
@@ -1866,14 +1292,12 @@ def _kernel_window(run: _Run) -> _PathOutcome:
     cursor = run.cursor
     rng = run.rng
     telemetry = run.telemetry
-    w = _KernelWindow(m, run.raw)
+    w = _Window(m, run.raw)
     state = w.state
     raw = w.raw
 
-    def _refill(rep: int) -> None:
+    def refill(rep: int) -> None:
         raw[:] = rng.integers(0, m - 1, size=_BLOCK)
-
-    refill = REFILL_CFUNC(_refill)
 
     job_base = 0  # global id of window job 0
     frontier = 0  # window-local: all jobs < frontier are complete
@@ -1889,6 +1313,7 @@ def _kernel_window(run: _Run) -> _PathOutcome:
         queue = arrays["queue"]
         state[S_Q_HEAD] = queue[0] if queue.size else state[S_NEXT_ARR]
         state[S_NE_COUNT] = int(np.count_nonzero(w.dq_head >= 0))
+        w.boundary = bool(st["boundary"])
         job_base = int(st["job_base"])
         frontier = int(st["frontier"])
         total_work_seen = int(st["total_work_seen"])
@@ -1921,7 +1346,7 @@ def _kernel_window(run: _Run) -> _PathOutcome:
                     completed=completed,
                 )
         seg = cursor.next_segment()
-        assert seg is not None  # the kernel stops only while more follow
+        assert seg is not None  # a step stops for one only while more follow
         total_work_seen += w.append(seg, speed)
         segments_generated += 1
         live = cursor.emitted - completed
@@ -1951,8 +1376,9 @@ def _kernel_window(run: _Run) -> _PathOutcome:
             if run.ckpt is not None
             else NO_CHECKPOINT
         )
-        rc = w.call(
-            kernel, n, not cursor.exhausted, m, k, run.sigma,
+        state[S_NLOG] = 0
+        rc = step(
+            w, n, not cursor.exhausted, m, k, run.sigma,
             max_ticks_eff, ckpt_at, speed, refill,
         )
         w.drain(run.fstats, job_base)
@@ -1965,6 +1391,9 @@ def _kernel_window(run: _Run) -> _PathOutcome:
                 f"may be overloaded"
             )
         if rc == CHECKPOINT:
+            # Right after a full release, every arrival <= t is released:
+            # on resume the step skips the release block (next_at > t)
+            # and continues exactly here.
             frontier = w.advance_frontier(frontier)
             if frontier:
                 compact()
@@ -1976,11 +1405,11 @@ def _kernel_window(run: _Run) -> _PathOutcome:
                 peak_live=peak_live,
                 segments=segments_generated,
                 compactions=compactions,
-                boundary=False,
+                boundary=w.boundary,
                 rng_state=rng.bit_generator.state,
                 cursor=cursor.state_dict(),
                 fstats=run.fstats.state_dict(),
-                util=None,
+                util=run.util.state_dict() if run.util is not None else None,
             )
             run.ckpt.save(w.to_arrays(), st)
             last_ckpt_completed = st["completed"]

@@ -302,7 +302,10 @@ class TestRecoveryBitIdentical:
         retry + respawn with bit-identical results, no leaked shared
         memory, and telemetry recording every recovery action."""
         before = shm_entries()
-        faults("kill:cell:index=1;hang:cell:index=3:seconds=20")
+        # The kill's respawn tears down the whole pool, so it can end a
+        # hang that already started before its deadline.  A second hang
+        # then catches the retry: the deadline always fires at least once.
+        faults("kill:cell:index=1;hang:cell:index=3:seconds=20:times=2")
         tel = Telemetry()
         assert (
             disturbed_cells(telemetry=tel, cell_timeout=2.0, retries=4)

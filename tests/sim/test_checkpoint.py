@@ -7,9 +7,9 @@ run killed at an arbitrary checkpoint boundary (deterministically, via
 ``REPRO_FAULTS="kill:checkpoint:index=K"``) and resumed with
 ``resume=True`` must reproduce the uninterrupted run float for float --
 max flow, full stats, P^2 sketches, utilization integral, everything.
-Both execution paths (the compiled kernel and the Python window loop)
-write the same checkpoint format, so a checkpoint written on either
-path resumes on the other.
+One driver writes every checkpoint, whichever step (the compiled kernel
+or the Python step) runs the tick loop, so a checkpoint written on
+either path resumes on the other.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def _kill_and_resume(
 
     ``kill_on`` / ``resume_on`` pick the path of the killed subprocess
     and of the in-process resume: ``"cext"`` (the compiled kernel, when
-    the configuration allows it) or ``"python"`` (the Python window
-    loop, forced as on a host without the kernel).
+    the configuration allows it) or ``"python"`` (the Python step,
+    forced as on a host without the kernel).
     """
     seed = 31
     stream = make_stream()
@@ -282,7 +282,7 @@ class TestKillResume:
     def test_killed_run_resumes_float_identically(
         self, tmp_path, monkeypatch, kill_index
     ):
-        # A sampler: the Python window loop on both sides.
+        # A sampler: the Python step on both sides.
         reference, resumed = _kill_and_resume(
             tmp_path, monkeypatch, kill_index, util=256
         )

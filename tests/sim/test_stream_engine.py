@@ -11,9 +11,9 @@ full ``SimulationStats`` dict field by field, across chunk sizes, k,
 sigma, speeds and seeds.  Compaction frequency (``_compact_min``) must
 be unobservable for the same reason.
 
-A stream runs on the compiled kernel, driven window by window, or on
-the Python window loop (a sampler, ``_fast_forward=False``, no
-kernel).  The two paths must agree on every ``StreamResult`` field,
+One driver runs a stream window by window, with the compiled kernel or
+the Python step (a sampler, ``_fast_forward=False``, no kernel) as the
+tick loop.  The two paths must agree on every ``StreamResult`` field,
 online estimates included, with ``==``.
 """
 
@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.errors import SweepConfigError
+from repro.metrics.online import WindowedUtilization
 from repro.obs import Telemetry
 from repro.sim import batch_engine
 from repro.sim.batch_engine import run_batch
@@ -51,7 +52,7 @@ def make_stream(
 
 
 def python_path(monkeypatch):
-    """Take the Python window loop, as on a host without the kernel."""
+    """Take the Python step, as on a host without the kernel."""
     monkeypatch.setattr(batch_engine, "resolve_batch_kernel", lambda: None)
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
 
@@ -123,6 +124,29 @@ class TestBitIdentity:
         assert_equivalent(
             python, stream, speed=speed, k=k, steals_per_tick=sigma
         )
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    @pytest.mark.parametrize("n,chunk,m,k,sigma,speed", GRID)
+    def test_sampler_sees_what_the_reference_engine_shows_it(
+        self, n, chunk, m, k, sigma, speed, fast_forward
+    ):
+        """The utilization sampler is called at the reference engine's
+        points with the reference engine's values: the whole sampler
+        state is ``==`` after a stream and after the materialized
+        reference run."""
+        stream = make_stream(n_jobs=n, chunk_jobs=chunk, m=m)
+        kw = dict(
+            speed=speed, k=k, seed=7, steals_per_tick=sigma,
+            _fast_forward=fast_forward,
+        )
+        sr = _run_stream(
+            stream, m, utilization_window=64, _compact_min=chunk // 2, **kw
+        )
+        util = WindowedUtilization(m, 64)
+        _run_work_stealing(
+            repro.to_jobset(stream.materialize(7)), m, sampler=util, **kw
+        )
+        assert sr.utilization.state_dict() == util.state_dict()
 
     @pytest.mark.parametrize("seed", [0, 1, 2026])
     def test_across_seeds(self, seed):
