@@ -116,6 +116,26 @@ def _kernel_knobs(scheduler: Scheduler) -> Optional[Dict[str, Any]]:
     return _plain_engine_kwargs(scheduler)
 
 
+def _slow_path_reasons(
+    scheduler: Scheduler, engine_kwargs: Dict[str, Any]
+) -> Optional[tuple]:
+    """Why a run takes a Python engine (empty: the compiled path).
+
+    ``None`` when the scheduler does not choose between a compiled and a
+    Python path.
+    """
+    knobs = _kernel_knobs(scheduler)
+    if knobs is not None:
+        from repro.sim.batch_engine import _slow_path_reasons as ws_reasons
+
+        return ws_reasons(**knobs, **engine_kwargs)
+    if scheduler.dynamic_priority is not None:
+        from repro.sim.events import _slow_path_reasons as event_reasons
+
+        return event_reasons(scheduler.dynamic_priority)
+    return None
+
+
 def run(
     scheduler: Union[Scheduler, type, str],
     jobset: Any = None,
@@ -165,10 +185,13 @@ def run(
     telemetry:
         Optional :class:`repro.obs.Telemetry`; when given, ``run.start``
         and ``run.done`` events are emitted around the simulation
-        (``"flat"`` and :class:`~repro.core.work_stealing.WorkStealingScheduler`
-        runs tag ``run.done`` with the ``path`` taken, ``"cext"`` or
-        ``"reference"``, and emit ``dispatch.slow_path`` with the
-        reasons when it is the reference).  Never alters the schedule.
+        (``"flat"``, :class:`~repro.core.work_stealing.WorkStealingScheduler`
+        and centralized-scheduler runs -- FIFO, BWF, LIFO, SJF,
+        random priority, LAS, SRW -- tag ``run.done`` with the ``path``
+        taken, ``"cext"`` or ``"reference"``, and emit
+        ``dispatch.slow_path`` with the reasons when it is the
+        reference: ``kernel=unavailable``, an out-of-scope knob, or
+        ``dynamic=True``).  Never alters the schedule.
     **engine_kwargs:
         Forwarded to the dispatch target (e.g. ``k=16`` for
         ``"work-stealing"``, ``trace=...``/``sampler=...`` for
@@ -238,14 +261,11 @@ def run(
         n_jobs=_n_jobs(jobset),
     )
     done_tags: Dict[str, Any] = {}
-    knobs = _kernel_knobs(scheduler)
-    if knobs is not None:
-        # Record which path the run takes and why (run_batch also emits
-        # a one-time RuntimeWarning for "flat"; this event records every
-        # run).
-        from repro.sim.batch_engine import _slow_path_reasons
-
-        reasons = _slow_path_reasons(**knobs, **engine_kwargs)
+    reasons = _slow_path_reasons(scheduler, engine_kwargs)
+    if reasons is not None:
+        # Record which path the run takes and why (the engines also emit
+        # a one-time RuntimeWarning when the kernel is unavailable; this
+        # event records every run).
         if reasons:
             telemetry.emit(
                 "dispatch.slow_path",

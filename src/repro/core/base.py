@@ -35,6 +35,14 @@ class Scheduler(ABC):
     #: reports to label baselines.
     clairvoyant: bool = False
 
+    #: For policies that run on the centralized event loop
+    #: (:func:`repro.sim.events.run_centralized`): whether a job's
+    #: priority can change while it is alive.  False means the compiled
+    #: loop, True the Python one; ``None`` (the default) for schedulers
+    #: that do not run on that loop.  :func:`repro.run`'s telemetry
+    #: reads it to record the path a run takes.
+    dynamic_priority: Optional[bool] = None
+
     @property
     @abstractmethod
     def name(self) -> str:

@@ -42,6 +42,8 @@ class LeastAttainedServiceScheduler(Scheduler):
     the foreground-background behaviour.
     """
 
+    dynamic_priority = True
+
     @property
     def name(self) -> str:
         return "las"
@@ -75,6 +77,7 @@ class ShortestRemainingWorkScheduler(Scheduler):
     """
 
     clairvoyant = True
+    dynamic_priority = True
 
     @property
     def name(self) -> str:

@@ -34,6 +34,8 @@ class FifoScheduler(Scheduler):
     "breaking ties arbitrarily".
     """
 
+    dynamic_priority = False
+
     @property
     def name(self) -> str:
         return "fifo"

@@ -6,7 +6,12 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
   centralized preemptive schedulers (FIFO, BWF, the list-scheduling
   baselines).  Processor assignment can only change at job arrivals and
   node completions, so the engine jumps between those events; this is
-  exact and far faster than stepping time.
+  exact and far faster than stepping time.  Static-priority runs take a
+  compiled event loop (the second entry point of the same C kernel
+  source) that does the Python loop's float operations in the same
+  order, so completions are ``==``; ``dynamic=True`` policies (LAS,
+  SRW) and hosts without a compiler run the Python loop, which is also
+  the oracle.
 
 * :func:`~repro.sim.engine._run_work_stealing` (reached as
   ``repro.run("work-stealing", ...)``) -- a discrete-time engine for the
@@ -29,9 +34,10 @@ that kernel at R=1; callers with several replicates of one
 configuration pass them to ``run_batch`` together.  Knobs
 outside the kernel's scope run the reference engine instead (identical
 results; warned once for ``"flat"``), and so does everything on a host
-without a working C compiler (warned once).  Importing this package
-starts the kernel's compile in the background (:mod:`repro.sim._cext`),
-so the cold build overlaps start-up.
+without a working C compiler (warned once; centralized runs then take
+the Python event loop).  Importing this package starts the kernel's
+compile in the background (:mod:`repro.sim._cext`), so the cold build
+overlaps start-up.
 
 :mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``) runs
 the same tick semantics over a sliding window of a lazy arrival stream:

@@ -1,4 +1,5 @@
-/* Work-stealing tick kernel (engine="flat", run_batch, streaming).
+/* Work-stealing tick kernel (engine="flat", run_batch, streaming), and
+ * the centralized event loop (repro_centralized_run, at the end).
  *
  * The steal-k-first tick loop in its native scope (uniform victims, FIFO
  * admission, single-entry steals) over a window of jobs in SoA tables
@@ -43,6 +44,8 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define BLOCK 4096
 #define IDLE_AT (((int64_t)1) << 62)
@@ -528,5 +531,291 @@ stop:
     state[S_FF] = st_ff;
     state[S_MAXQ] = st_maxq;
     state[S_NLOG] = st.nlog;
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Centralized static-priority event loop                              */
+/* ------------------------------------------------------------------ */
+
+/* repro_centralized_run: FIFO, BWF and the list-scheduling baselines.
+ *
+ * A C transcription of the event loop in repro/sim/events.py
+ * (_run_centralized_reference) for static priorities: the caller
+ * evaluates the priority key once per job and passes each job's rank;
+ * active jobs are served in ascending rank.  Every float operation is
+ * the reference loop's, in the same order -- dt = min(rem) / speed, the
+ * arrival cap, the clamp to >= 0, t + dt, speed * dt,
+ * busy += delta * len(assigned), rem -= delta and the EPS tests -- so
+ * completions compare with ==.  Built with -ffp-contract=off: a fused
+ * multiply-add would round differently.
+ *
+ * Each job's ready list is a doubly linked list over global node ids
+ * kept in the reference's list order: roots ascending, a completed node
+ * unlinked in place, enabled successors appended in CSR order.  When a
+ * job has more ready nodes than free processors, it gets the first
+ * `avail` of its ready nodes sorted by (rem >= work, id).
+ *
+ * Resumable only at event boundaries, for the trace buffer: with
+ * tr_cap > 0 each event with dt > 0 appends one (slot, job, local node)
+ * int64 row and one (start, end) double row per assigned node, and the
+ * loop returns CR_TRACE_FULL before an event that might not fit.  The
+ * caller drains the rows, resets C_NROWS and calls again.
+ *
+ * ws (int64) holds, back to back: preds[N], unfin[n], rd_next[N],
+ * rd_prev[N], rd_head[n], rd_tail[n], rd_len[n], act[n], asg[m],
+ * asg_job[m] and keys[the largest job's node count]; the first call
+ * (C_STARTED == 0) initializes it.  act lists the active jobs in
+ * ascending rank.
+ */
+
+#define EPS 1e-9
+
+/* Centralized state slots (repro.sim._cext mirrors them). */
+enum {
+    C_STARTED, C_NEXT_ARR, C_N_ACTIVE, C_REMAINING, C_N_EVENTS, C_NROWS,
+    N_CSTATE
+};
+enum { CF_T, CF_BUSY, N_CFSTATE };
+
+/* Return codes. */
+enum { CR_DONE, CR_TRACE_FULL, CR_STALLED };
+
+static int cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+int64_t repro_centralized_run(
+    const int64_t *works, const int64_t *eo, const int64_t *et,
+    const int64_t *jno,      /* job node offsets, n + 1 entries */
+    const int64_t *indeg,    /* per-node in-degrees */
+    const int64_t *roots,    /* global ascending root list */
+    const int64_t *jro,      /* job-indexed root offsets, n + 1 entries */
+    const double *arrivals,
+    const int64_t *rank,     /* job -> service rank (distinct) */
+    int64_t *ws, double *rem, double *completions,
+    int64_t *tr_rows, double *tr_times, int64_t tr_cap,
+    int64_t n, int64_t n_nodes, int64_t m,
+    double speed, int64_t *state, double *fstate)
+{
+    int64_t *preds = ws;
+    int64_t *unfin = preds + n_nodes;
+    int64_t *rd_next = unfin + n;
+    int64_t *rd_prev = rd_next + n_nodes;
+    int64_t *rd_head = rd_prev + n_nodes;
+    int64_t *rd_tail = rd_head + n;
+    int64_t *rd_len = rd_tail + n;
+    int64_t *act = rd_len + n;
+    int64_t *asg = act + n;
+    int64_t *asg_job = asg + m;
+    int64_t *keys = asg_job + m;
+    int64_t next_arr, n_active, remaining, n_events, nrows;
+    double t, busy;
+    int64_t rc = CR_DONE;
+    int64_t j, g, x;
+
+    if (!state[C_STARTED]) {
+        for (g = 0; g < n_nodes; g++) {
+            preds[g] = indeg[g];
+            rem[g] = (double)works[g];
+        }
+        for (j = 0; j < n; j++) {
+            int64_t prev = -1;
+            unfin[j] = jno[j + 1] - jno[j];
+            rd_head[j] = -1;
+            rd_len[j] = jro[j + 1] - jro[j];
+            for (x = jro[j]; x < jro[j + 1]; x++) {
+                g = roots[x];
+                rd_prev[g] = prev;
+                if (prev < 0)
+                    rd_head[j] = g;
+                else
+                    rd_next[prev] = g;
+                prev = g;
+            }
+            if (prev >= 0)
+                rd_next[prev] = -1;
+            rd_tail[j] = prev;
+        }
+        state[C_STARTED] = 1;
+        state[C_NEXT_ARR] = 0;
+        state[C_N_ACTIVE] = 0;
+        state[C_REMAINING] = n;
+        state[C_N_EVENTS] = 0;
+        state[C_NROWS] = 0;
+        fstate[CF_T] = n > 0 ? arrivals[0] : 0.0;
+        fstate[CF_BUSY] = 0.0;
+    }
+    next_arr = state[C_NEXT_ARR];
+    n_active = state[C_N_ACTIVE];
+    remaining = state[C_REMAINING];
+    n_events = state[C_N_EVENTS];
+    nrows = state[C_NROWS];
+    t = fstate[CF_T];
+    busy = fstate[CF_BUSY];
+
+    while (remaining > 0) {
+        int64_t n_asg = 0, avail = m, a, scanned, finished = 0;
+        double dt, t_next, delta;
+
+        if (tr_cap > 0 && nrows + m > tr_cap) {
+            rc = CR_TRACE_FULL;
+            goto stop;
+        }
+
+        /* ---- release arrivals due at (or EPS-before) t ---- */
+        while (next_arr < n && arrivals[next_arr] <= t + EPS) {
+            /* insort by rank: after every active job of lower rank */
+            int64_t r = rank[next_arr], lo = 0, hi = n_active;
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (rank[act[mid]] < r)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            memmove(act + lo + 1, act + lo, (size_t)(n_active - lo) * 8);
+            act[lo] = next_arr;
+            n_active++;
+            next_arr++;
+        }
+
+        if (n_active == 0) {
+            t = arrivals[next_arr]; /* system empty: jump */
+            continue;
+        }
+
+        /* ---- assignment: serve jobs in rank order ---- */
+        for (a = 0; a < n_active && avail > 0; a++) {
+            int64_t len;
+            j = act[a];
+            len = rd_len[j];
+            if (len > avail) {
+                /* Partial progress first, then lowest id: flag in
+                 * bit 62, global id below (ids order like local ids). */
+                int64_t c = 0;
+                for (g = rd_head[j]; g >= 0; g = rd_next[g])
+                    keys[c++] = ((int64_t)(rem[g] >= (double)works[g]) << 62)
+                                | g;
+                qsort(keys, (size_t)c, sizeof(int64_t), cmp_i64);
+                for (x = 0; x < avail; x++) {
+                    asg[n_asg] = keys[x] & ((((int64_t)1) << 62) - 1);
+                    asg_job[n_asg++] = j;
+                }
+                avail = 0;
+            } else {
+                for (g = rd_head[j]; g >= 0; g = rd_next[g]) {
+                    asg[n_asg] = g;
+                    asg_job[n_asg++] = j;
+                }
+                avail -= len;
+            }
+        }
+        scanned = a;
+        if (n_asg == 0) {
+            rc = CR_STALLED; /* active jobs with nothing ready: a cycle */
+            goto stop;
+        }
+
+        /* ---- next event time ---- */
+        dt = rem[asg[0]];
+        for (x = 1; x < n_asg; x++)
+            if (rem[asg[x]] < dt)
+                dt = rem[asg[x]];
+        dt = dt / speed;
+        if (next_arr < n) {
+            double dt_arrival = arrivals[next_arr] - t;
+            if (dt_arrival < dt)
+                dt = dt_arrival;
+        }
+        if (dt < 0.0)
+            dt = 0.0;
+
+        /* ---- advance ---- */
+        t_next = t + dt;
+        delta = speed * dt;
+        busy += delta * (double)n_asg;
+        if (tr_cap > 0 && dt > 0.0) {
+            for (x = 0; x < n_asg; x++) {
+                int64_t *row = tr_rows + 3 * nrows;
+                row[0] = x;
+                row[1] = asg_job[x];
+                row[2] = asg[x] - jno[asg_job[x]];
+                tr_times[2 * nrows] = t;
+                tr_times[2 * nrows + 1] = t_next;
+                nrows++;
+            }
+        }
+        for (x = 0; x < n_asg; x++)
+            rem[asg[x]] -= delta;
+
+        /* ---- node completions, in assignment order ---- */
+        for (x = 0; x < n_asg; x++) {
+            int64_t p, q, e;
+            g = asg[x];
+            if (!(rem[g] <= EPS && preds[g] == 0))
+                continue;
+            j = asg_job[x];
+            rem[g] = 0.0;
+            p = rd_prev[g];
+            q = rd_next[g];
+            if (p < 0)
+                rd_head[j] = q;
+            else
+                rd_next[p] = q;
+            if (q < 0)
+                rd_tail[j] = p;
+            else
+                rd_prev[q] = p;
+            rd_len[j]--;
+            preds[g] = -1;
+            unfin[j]--;
+            for (e = eo[g]; e < eo[g + 1]; e++) {
+                int64_t s2 = et[e];
+                if (--preds[s2] == 0) {
+                    int64_t tail = rd_tail[j];
+                    rd_prev[s2] = tail;
+                    rd_next[s2] = -1;
+                    if (tail < 0)
+                        rd_head[j] = s2;
+                    else
+                        rd_next[tail] = s2;
+                    rd_tail[j] = s2;
+                    rd_len[j]++;
+                }
+            }
+            if (unfin[j] == 0) {
+                completions[j] = t_next;
+                finished++;
+            }
+        }
+
+        if (finished) {
+            /* Finished jobs were all served, so they sit in act[0,
+             * scanned): compact that prefix, then close the gap. */
+            int64_t w = 0;
+            for (a = 0; a < scanned; a++)
+                if (unfin[act[a]] > 0)
+                    act[w++] = act[a];
+            memmove(act + w, act + scanned,
+                    (size_t)(n_active - scanned) * 8);
+            n_active -= finished;
+            remaining -= finished;
+        }
+
+        n_events++;
+        t = t_next;
+    }
+
+stop:
+    state[C_NEXT_ARR] = next_arr;
+    state[C_N_ACTIVE] = n_active;
+    state[C_REMAINING] = remaining;
+    state[C_N_EVENTS] = n_events;
+    state[C_NROWS] = nrows;
+    fstate[CF_T] = t;
+    fstate[CF_BUSY] = busy;
     return rc;
 }

@@ -1,11 +1,13 @@
-"""Compile-on-demand loader for the C tick kernel.
+"""Compile-on-demand loader for the C kernels.
 
 The fast path of every ``engine="flat"`` run, every in-scope
 ``WorkStealingScheduler.run``, every ``run_batch`` call
 (:mod:`repro.sim.batch_engine`) and every in-scope streaming run
 (:mod:`repro.sim.stream_engine`) is a C transcription of the
-reference engine's native-scope semantics
-(``src/repro/sim/_batch_kernel.c``).  Nothing is installed and no build
+reference engine's native-scope semantics, and the fast path of every
+static-priority centralized run (:mod:`repro.sim.events`) is a C
+transcription of the centralized event loop; both live in
+``src/repro/sim/_batch_kernel.c``.  Nothing is installed and no build
 backend is required: the source ships with the package and is compiled
 once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
 into a content-addressed shared object under a per-user cache
@@ -30,6 +32,13 @@ so forked pool workers inherit it rather than each compiling it, and
 interpreter exit finishes an in-flight build so the cache is left warm
 and no temporary file behind.
 
+The centralized loop does floating-point arithmetic that must round
+exactly like the Python loop it transcribes, so the build pins
+:data:`CFLAGS`: ``-ffp-contract=off`` (no fused multiply-add, which
+aarch64 compilers emit by default) and never ``-ffast-math``.  The
+flags are part of the cached object's content hash, so changing them
+rebuilds rather than reusing an object built under other flags.
+
 Resolution is cached per process; tests reset the module globals to
 probe each path.
 """
@@ -44,9 +53,10 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Victim-draw block size; must match the C kernel's BLOCK constant and
 #: UniformVictim's default block (one block = one
@@ -79,6 +89,23 @@ DONE, MAX_TICKS, NEED_SEGMENT, CHECKPOINT = range(4)
 #: ``ckpt_at`` for a run without checkpoints.
 NO_CHECKPOINT = (1 << 63) - 1
 
+#: Slots of the centralized loop's int64 and float64 state vectors
+#: (the C kernel's C_* and CF_* enums).
+C_STARTED, C_NEXT_ARR, C_N_ACTIVE, C_REMAINING, C_N_EVENTS, C_NROWS, \
+    N_CSTATE = range(7)
+CF_T, CF_BUSY, N_CFSTATE = range(3)
+
+#: Centralized loop return codes: run complete, trace buffer full (drain
+#: it and call again), active jobs with no ready node (a cyclic job).
+CR_DONE, CR_TRACE_FULL, CR_STALLED = range(3)
+
+#: Compiler flags of the kernel build.  Part of the cache key.  -O1, not
+#: -O2: both loops are branchy pointer chasing that -O2's extra passes
+#: do not speed up (the end-to-end workloads run equally fast), while
+#: the cold build sits on the start-up critical path and -O2 takes about
+#: 50% longer (0.37 s vs 0.24 s on a 2-vCPU x86-64 host, gcc 12).
+CFLAGS = ("-O1", "-ffp-contract=off", "-shared", "-fPIC")
+
 
 def fresh_state(first_arrival_tick: int) -> np.ndarray:
     """The state vector of a run that has not started.
@@ -86,6 +113,8 @@ def fresh_state(first_arrival_tick: int) -> np.ndarray:
     Nothing can happen before the first arrival, so the clock starts
     there, with that arrival due.
     """
+    import numpy as np  # not at module top: see the import note below
+
     state = np.zeros(N_STATE, dtype=np.int64)
     state[S_T] = state[S_NEXT_AT] = first_arrival_tick
     state[S_NF] = IDLE_AT
@@ -95,6 +124,7 @@ def fresh_state(first_arrival_tick: int) -> np.ndarray:
 _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 
 _cext_fn: Any = None
+_centralized_fn: Any = None
 _cext_resolved = False
 
 #: The compile started at import and not yet waited on, if any.
@@ -122,23 +152,34 @@ def _find_compiler() -> Optional[str]:
 
 
 def _bind(lib: ctypes.CDLL) -> Any:
-    """Attach argtypes/restype to the kernel entry point."""
+    """Attach argtypes/restype to both entry points.
+
+    Returns the tick kernel's and stores the centralized loop's in
+    ``_centralized_fn``.
+    """
+    global _centralized_fn
     fn = lib.repro_batch_run_rep
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
+    f64 = ctypes.c_double
     # 22 array pointers, 8 int64 scalars, speed, state pointer,
     # callback, rep index -- the exact order of the C signature.
-    fn.argtypes = (
-        [ptr] * 22 + [i64] * 8 + [ctypes.c_double, ptr, REFILL_CFUNC, i64]
-    )
+    fn.argtypes = [ptr] * 22 + [i64] * 8 + [f64, ptr, REFILL_CFUNC, i64]
     fn.restype = i64
+    cfn = lib.repro_centralized_run
+    # 14 array pointers, tr_cap, n, n_nodes, m, speed, two state
+    # pointers.
+    cfn.argtypes = [ptr] * 14 + [i64] * 4 + [f64, ptr, ptr]
+    cfn.restype = i64
+    _centralized_fn = cfn
     return fn
 
 
 def _so_path() -> Path:
-    """Where the shared object for the current kernel source is cached."""
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes()).hexdigest()[:16]
-    return _cache_dir() / f"batch_kernel-{digest}.so"
+    """Where the shared object for the current source and flags is cached."""
+    h = hashlib.sha256(" ".join(CFLAGS).encode() + b"\0")
+    h.update(_KERNEL_SOURCE.read_bytes())
+    return _cache_dir() / f"batch_kernel-{h.hexdigest()[:16]}.so"
 
 
 def _unlink_quietly(path: str) -> None:
@@ -166,8 +207,8 @@ class _Build:
         try:
             self.proc = subprocess.Popen(
                 [
-                    compiler, "-O2", "-shared", "-fPIC", "-o",
-                    self.tmp_name, str(_KERNEL_SOURCE),
+                    compiler, *CFLAGS, "-o", self.tmp_name,
+                    str(_KERNEL_SOURCE),
                 ],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
@@ -266,6 +307,15 @@ def resolve_batch_kernel() -> Any:
     return _cext_fn
 
 
+def resolve_centralized_kernel() -> Any:
+    """The compiled centralized loop, or ``None`` when unavailable.
+
+    Resolved with the tick kernel: both entry points live in one shared
+    object.
+    """
+    return None if resolve_batch_kernel() is None else _centralized_fn
+
+
 def _finish_pending_build() -> None:
     """At exit: resolve the kernel if the background build still runs."""
     if _pending is not None:
@@ -273,4 +323,7 @@ def _finish_pending_build() -> None:
 
 
 atexit.register(_finish_pending_build)
+# This module is the first one ``import repro`` loads, and it does not
+# import numpy, so the compiler starts before numpy and the rest of the
+# package load and the build overlaps all of it.
 start_background_build()

@@ -9,6 +9,29 @@ at a *job arrival* or a *node completion* -- so the engine jumps directly
 between those events instead of stepping time, which is exact and keeps
 the run cost proportional to the number of nodes, not the schedule length.
 
+Two implementations of the one loop:
+
+* the compiled loop (``repro_centralized_run`` in
+  ``src/repro/sim/_batch_kernel.c``), which every static-priority run
+  takes: Python evaluates the priority key once per job, ranks the jobs
+  by ``(key, job_id)`` -- the order the Python loop's sorted insertion
+  keeps -- and the C loop walks the CSR tables of
+  :func:`~repro.dag.flat.flatten_jobset` (cached on the JobSet) with
+  that rank;
+* :func:`_run_centralized_reference`, the Python loop, which is the
+  oracle, runs ``dynamic=True`` policies (LAS, SRW) and runs everything
+  on a host where the kernel cannot be built (warned once, like the
+  work-stealing fallback).
+
+**Float contract.**  The C loop does the Python loop's float operations
+in the same order -- ``dt = min(rem) / speed``, the arrival cap, the
+clamp to ``>= 0``, ``t + dt``, ``speed * dt``, ``busy += delta *
+len(assigned)``, ``rem -= delta`` and the :data:`EPS` tests -- and is
+built with ``-ffp-contract=off``, so completions compare with ``==``.
+Each job's ready-node order matches too, so traced runs record the same
+``(slot, job, node, start, end)`` rows
+(``tests/sim/test_centralized_kernel_equivalence.py`` pins all of it).
+
 The engine enforces non-clairvoyance structurally: the priority key sees
 only arrival metadata (id, arrival time, weight) unless a policy opts into
 clairvoyance explicitly (see :mod:`repro.core.greedy`).
@@ -17,21 +40,75 @@ clairvoyance explicitly (see :mod:`repro.core.greedy`).
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.job import JobSet
+from repro.dag.flat import FlatInstance, flatten_jobset
+from repro.dag.job import Job, JobSet
+from repro.sim._cext import (
+    C_N_EVENTS,
+    C_NROWS,
+    CF_BUSY,
+    CR_STALLED,
+    CR_TRACE_FULL,
+    N_CFSTATE,
+    N_CSTATE,
+    resolve_centralized_kernel,
+)
+from repro.sim.batch_engine import _batch_tables, _ptr, _warn_slow_path
 from repro.sim.jobstate import JobExecution
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.trace import TraceRecorder
 
 #: Comparison tolerance for event times and remaining work, in work units.
 #: Node works are integers and speeds are small rationals, so genuine
-#: event-time gaps are never this small.
+#: event-time gaps are never this small.  The C loop's EPS is the same.
 EPS = 1e-9
 
+#: Rows of the compiled loop's trace buffer (at least ``m`` are used):
+#: Python drains it into the TraceRecorder each time it fills.
+TRACE_ROWS = 4096
+
 PriorityKey = Callable[[JobExecution], Tuple]
+
+
+def _fifo_key(je: Any) -> Tuple:
+    return (je.arrival, je.job_id)
+
+
+class _JobView:
+    """What a static priority key may read: a job's arrival metadata."""
+
+    __slots__ = ("job", "job_id", "arrival", "weight")
+
+    def __init__(self, job: Job) -> None:
+        self.job = job
+        self.job_id = job.job_id
+        self.arrival = job.arrival
+        self.weight = job.weight
+
+
+def _ranks(jobset: JobSet, priority_key: PriorityKey) -> np.ndarray:
+    """Each job's service rank: its place in ``(key, job_id)`` order.
+
+    The key is evaluated once per job, on a :class:`_JobView`; the
+    order is the one the Python loop's ``insort`` keeps ``active`` in.
+    """
+    keys = [(priority_key(_JobView(job)), job.job_id) for job in jobset]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys), dtype=np.int64)
+    return rank
+
+
+def _slow_path_reasons(dynamic: bool) -> Tuple[str, ...]:
+    """Why a centralized run takes the Python loop, if it does."""
+    if dynamic:
+        return ("dynamic=True",)
+    if resolve_centralized_kernel() is None:
+        return ("kernel=unavailable",)
+    return ()
 
 
 def run_centralized(
@@ -55,16 +132,18 @@ def run_centralized(
         Processor speed ``s >= 1`` (resource augmentation).  A node of
         work ``w`` occupies one processor for ``w / s`` time units.
     priority_key:
-        Maps a :class:`JobExecution` to a sortable tuple; *lower sorts
-        first* and is served first.  Must be static over a job's lifetime
-        (the engine sorts at insertion only).  Defaults to FIFO order
-        ``(arrival, job_id)``.
+        Maps a job to a sortable tuple; *lower sorts first* and is
+        served first.  Must be static over a job's lifetime: it is
+        evaluated once per job, on a view holding only ``job``,
+        ``job_id``, ``arrival`` and ``weight``.  Defaults to FIFO order
+        ``(arrival, job_id)``.  With ``dynamic=True`` it receives the
+        live :class:`JobExecution` at every event instead.
     scheduler_name:
         Label stored on the result.
     trace:
         Optional :class:`TraceRecorder`; when given, every contiguous
         (node, processor-slot) execution segment is recorded for
-        invariant auditing.  Tracing roughly doubles run time.
+        invariant auditing.
     dynamic:
         Set to True when ``priority_key`` can change over a job's
         lifetime (e.g. least-attained-service reads
@@ -86,6 +165,11 @@ def run_centralized(
 
     Notes
     -----
+    Static priorities run on the compiled loop when the kernel builds
+    (see the module docstring); ``dynamic=True`` and hosts without the
+    kernel run :func:`_run_centralized_reference`.  Both give the same
+    completions, stats and trace rows.
+
     Within a job, ready nodes are assigned deterministically: nodes with
     partial progress first (avoiding gratuitous preemption churn), then by
     node id.  The paper allows an arbitrary choice here (Section 3), so
@@ -96,8 +180,112 @@ def run_centralized(
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
     if priority_key is None:
-        priority_key = lambda je: (je.arrival, je.job_id)  # noqa: E731 - FIFO
+        priority_key = _fifo_key
 
+    reasons = _slow_path_reasons(dynamic)
+    if reasons:
+        if not dynamic:
+            _warn_slow_path(reasons)
+        return _run_centralized_reference(
+            jobset, m, speed, priority_key, scheduler_name, trace, dynamic
+        )
+    completions, n_events, busy_work = _run_centralized_flat(
+        resolve_centralized_kernel(),
+        flatten_jobset(jobset),
+        m,
+        speed,
+        _ranks(jobset, priority_key),
+        trace,
+    )
+    stats = SimulationStats()
+    stats.n_events = n_events
+    stats.busy_steps = int(round(busy_work))
+    return ScheduleResult(
+        scheduler=scheduler_name,
+        m=m,
+        speed=speed,
+        arrivals=np.asarray(jobset.arrivals, dtype=np.float64),
+        completions=completions,
+        weights=np.asarray(jobset.weights, dtype=np.float64),
+        stats=stats,
+    )
+
+
+def _run_centralized_flat(
+    fn: Any,
+    flat: FlatInstance,
+    m: int,
+    speed: float,
+    rank: np.ndarray,
+    trace: Optional[TraceRecorder] = None,
+) -> Tuple[np.ndarray, int, float]:
+    """Run the compiled loop ``fn`` on ``flat`` with per-job service ranks.
+
+    Returns the completions, the event count and the executed work
+    before rounding.  Raises :class:`ValueError` on a malformed
+    instance (bad CSR arrays, unsorted arrivals, a cyclic job) or a
+    rank array of the wrong length.
+    """
+    tables = _batch_tables([flat])
+    n = flat.n_jobs
+    if not tables.sorted_ok[0]:
+        raise ValueError(
+            "malformed FlatInstance: arrivals must be non-decreasing"
+        )
+    rank = np.ascontiguousarray(rank, dtype=np.int64)
+    if len(rank) != n:
+        raise ValueError(f"need one rank per job ({n}), got {len(rank)}")
+    n_nodes = flat.n_nodes
+    max_job = int(tables.unfin_master.max()) if n else 0
+    ws = np.empty(3 * n_nodes + 5 * n + 2 * m + max_job, dtype=np.int64)
+    rem = np.empty(n_nodes, dtype=np.float64)
+    completions = np.zeros(n, dtype=np.float64)
+    cap = max(TRACE_ROWS, m) if trace is not None else 0
+    rows = np.empty((cap, 3), dtype=np.int64)
+    times = np.empty((cap, 2), dtype=np.float64)
+    state = np.zeros(N_CSTATE, dtype=np.int64)
+    fstate = np.zeros(N_CFSTATE, dtype=np.float64)
+    args = [
+        _ptr(tables.works), _ptr(tables.eo), _ptr(tables.et),
+        _ptr(flat.job_node_offsets), _ptr(tables.preds_master),
+        _ptr(tables.roots), _ptr(tables.jro), _ptr(flat.arrivals),
+        _ptr(rank), _ptr(ws), _ptr(rem),
+        _ptr(completions), _ptr(rows), _ptr(times),
+        cap, n, n_nodes, int(m), float(speed), _ptr(state), _ptr(fstate),
+    ]
+    while True:
+        rc = fn(*args)
+        k = int(state[C_NROWS])
+        if k:
+            for (slot, job, node), (start, end) in zip(
+                rows[:k].tolist(), times[:k].tolist()
+            ):
+                trace.record(slot, job, node, start, end)
+            state[C_NROWS] = 0
+        if rc != CR_TRACE_FULL:
+            break
+    if rc == CR_STALLED:
+        raise ValueError(
+            "malformed FlatInstance: a job has unfinished nodes but none "
+            "ready (its DAG has a cycle)"
+        )
+    return completions, int(state[C_N_EVENTS]), float(fstate[CF_BUSY])
+
+
+def _run_centralized_reference(
+    jobset: JobSet,
+    m: int,
+    speed: float,
+    priority_key: PriorityKey,
+    scheduler_name: str = "centralized",
+    trace: Optional[TraceRecorder] = None,
+    dynamic: bool = False,
+) -> ScheduleResult:
+    """The centralized event loop in Python: the oracle.
+
+    Same arguments as :func:`run_centralized`, already validated; the
+    priority key receives the live :class:`JobExecution`.
+    """
     n = len(jobset)
     completions = np.zeros(n, dtype=np.float64)
     arrivals = np.asarray(jobset.arrivals, dtype=np.float64)

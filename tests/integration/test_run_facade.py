@@ -17,7 +17,17 @@ import warnings
 import pytest
 
 import repro
+from repro.core.bwf import BwfScheduler
+from repro.core.dynamic import (
+    LeastAttainedServiceScheduler,
+    ShortestRemainingWorkScheduler,
+)
 from repro.core.fifo import FifoScheduler
+from repro.core.greedy import (
+    LifoScheduler,
+    RandomPriorityScheduler,
+    SjfScheduler,
+)
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
 from repro.sim.engine import _run_work_stealing
@@ -168,6 +178,52 @@ class TestTelemetryIdentity:
         # The contract is structural: engines never see the sink at all.
         result = repro.run(WorkStealingScheduler(k=2), jobset, m=4, seed=0)
         assert result.stats.steal_attempts is not None
+
+
+class TestCentralizedPathTelemetry:
+    """FIFO, BWF, LIFO, SJF and random priority report the path they
+    take; the Python loop always says why it ran."""
+
+    STATIC = (
+        FifoScheduler,
+        BwfScheduler,
+        LifoScheduler,
+        SjfScheduler,
+        RandomPriorityScheduler,
+    )
+
+    @staticmethod
+    def events(scheduler, jobset):
+        tel = Telemetry()
+        result = repro.run(scheduler, jobset, m=4, seed=3, telemetry=tel)
+        slow = tel.of_kind("dispatch.slow_path")
+        (done,) = tel.of_kind("run.done")
+        return result, slow, done
+
+    @pytest.mark.parametrize("cls", STATIC)
+    def test_static_policies_take_the_compiled_loop(self, jobset, cls):
+        _, slow, done = self.events(cls(), jobset)
+        assert slow == [] and done["path"] == "cext"
+
+    @pytest.mark.parametrize(
+        "cls", [LeastAttainedServiceScheduler, ShortestRemainingWorkScheduler]
+    )
+    def test_dynamic_policies_say_why(self, jobset, cls):
+        _, slow, done = self.events(cls(), jobset)
+        assert [e["reasons"] for e in slow] == [["dynamic=True"]]
+        assert done["path"] == "reference"
+
+    @pytest.mark.parametrize("cls", STATIC)
+    def test_unavailable_kernel_says_why(self, monkeypatch, jobset, cls):
+        from repro.sim import batch_engine, events
+
+        fast = repro.run(cls(), jobset, m=4, seed=3)
+        monkeypatch.setattr(events, "resolve_centralized_kernel", lambda: None)
+        monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
+        slow_result, slow, done = self.events(cls(), jobset)
+        assert [e["reasons"] for e in slow] == [["kernel=unavailable"]]
+        assert done["path"] == "reference"
+        same_result(fast, slow_result)
 
 
 class TestSweepTelemetryEndToEnd:

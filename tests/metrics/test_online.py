@@ -8,7 +8,9 @@ are pinned here.
 * ``OnlineMax`` / ``OnlineFlowStats`` max, mean, count, last completion:
   **exact**, compared ``==`` against offline numpy reductions.
 * ``P2Quantile``: an estimate; asserted within the documented tolerance
-  (10% relative or 0.05 absolute rank error) on unimodal distributions.
+  on unimodal distributions: 0.05 absolute rank error at every tested
+  quantile, and 10% relative error at the median (docs/STREAMING.md
+  explains why tail quantiles carry no relative bound).
 * ``WindowedUtilization``: step-hold integration asserted exactly equal
   to a brute-force per-tick replay of the same sample sequence.
 * Every accumulator's ``state_dict``/``load_state`` round-trip must
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -79,7 +82,8 @@ class TestP2Quantile:
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("shape", ["lognormal", "uniform", "exponential"])
     def test_rank_error_within_tolerance(self, q, shape):
-        rng = np.random.default_rng(hash((q, shape)) % (1 << 32))
+        # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+        rng = np.random.default_rng(zlib.crc32(f"{shape}-{q}".encode()))
         n = 5000
         if shape == "lognormal":
             xs = rng.lognormal(2.0, 1.0, size=n)
@@ -93,9 +97,12 @@ class TestP2Quantile:
         assert sk.count == n
         # Documented contract: within 0.05 rank error on unimodal input.
         assert rank_error(sk.value(), xs, q) < 0.05
-        # And within 10% relative of the exact value for these shapes.
-        exact = float(np.quantile(xs, q))
-        assert sk.value() == pytest.approx(exact, rel=0.10, abs=1e-9)
+        if q == 0.5:
+            # And within 10% relative of the exact median.  Tail values
+            # have no relative bound: P^2 misses 10% on up to 1.6% of
+            # heavy-tailed draws (docs/STREAMING.md).
+            exact = float(np.quantile(xs, q))
+            assert sk.value() == pytest.approx(exact, rel=0.10, abs=1e-9)
 
     def test_exact_below_six_observations(self):
         xs = [7.0, 1.0, 5.0, 3.0]

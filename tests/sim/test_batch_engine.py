@@ -27,7 +27,6 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
 
 import dataclasses
 import gc
-import hashlib
 import os
 import subprocess
 import sys
@@ -329,6 +328,7 @@ def test_determinism():
 
 def _reset_cext_resolution(monkeypatch, tmp_path=None):
     monkeypatch.setattr(_cext, "_cext_fn", None)
+    monkeypatch.setattr(_cext, "_centralized_fn", None)
     monkeypatch.setattr(_cext, "_cext_resolved", False)
     monkeypatch.setattr(_cext, "_pending", None)
     monkeypatch.setattr(_cext, "unavailable_reason", None)
@@ -390,8 +390,8 @@ def test_failing_compiler_warns_once_and_matches_reference(
 def test_corrupt_cached_kernel_is_rebuilt(monkeypatch, tmp_path):
     """Garbage bytes at the cached path: unlinked, rebuilt, loaded."""
     _reset_cext_resolution(monkeypatch, tmp_path)
-    digest = hashlib.sha256(_cext._KERNEL_SOURCE.read_bytes()).hexdigest()
-    so_path = tmp_path / f"batch_kernel-{digest[:16]}.so"
+    so_path = _cext._so_path()
+    assert so_path.parent == tmp_path
     so_path.write_bytes(b"this is not a shared object\n" * 64)
     assert _cext.resolve_batch_kernel() is not None
     assert so_path.stat().st_size > 64 * 28
@@ -430,6 +430,28 @@ def test_background_build_is_awaited_never_restarted(monkeypatch, tmp_path):
     assert list(tmp_path.glob("*.so")) == [_cext._so_path()]
     _cext.start_background_build()  # resolved: nothing to start
     assert len(started) == 1
+
+
+def test_build_pins_float_semantics(monkeypatch, tmp_path):
+    """The centralized loop's floats must round like Python's: the
+    compiler runs with -ffp-contract=off and never -ffast-math."""
+    _reset_cext_resolution(monkeypatch, tmp_path)
+    started = _count_compiles(monkeypatch)
+    assert _cext.resolve_batch_kernel() is not None
+    (argv,) = started
+    assert "-ffp-contract=off" in argv
+    assert not any("fast-math" in arg for arg in argv)
+    assert argv[1 : 1 + len(_cext.CFLAGS)] == list(_cext.CFLAGS)
+
+
+def test_compiler_flags_are_part_of_the_cache_key(monkeypatch, tmp_path):
+    """Changing only the flags must not reuse an object built under the
+    old ones."""
+    monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+    before = _cext._so_path()
+    monkeypatch.setattr(_cext, "CFLAGS", _cext.CFLAGS + ("-g",))
+    after = _cext._so_path()
+    assert before != after and before.parent == after.parent
 
 
 def test_child_forked_mid_build_loads_the_shared_object(
@@ -754,7 +776,7 @@ def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
     assert done["path"] == "reference"
 
     slow, done = events(repro.FifoScheduler())
-    assert slow == [] and "path" not in done
+    assert slow == [] and done["path"] == "cext"
 
 
 def test_slow_path_reasons_vocabulary(monkeypatch):
