@@ -1,11 +1,12 @@
-"""Rep-batched execution benchmark: one arena for R replicates.
+"""Replicate-API benchmark: R replicates in one ``run_batch`` call.
 
 Measures the figure-mirror regime -- R independent replicate instances
 of one Figure-2-style cell (Bing distribution, qps=1000, 500 jobs,
 m=16, steal-16-first with sigma=64) evaluated in one
-:func:`repro.sim.batch_engine.run_batch` call, the public replicate API
-(bit-identical per rep to the reference engine; the oracle suites pin
-that).  ``REPRO_BENCH_BATCH_REPS`` overrides the
+:func:`repro.sim.batch_engine.run_batch` call, the public replicate API,
+which runs one kernel call per replicate over tables cached on each
+instance (bit-identical per rep to the reference engine; the oracle
+suites pin that).  ``REPRO_BENCH_BATCH_REPS`` overrides the
 replicate count (default 8).
 """
 

@@ -101,41 +101,6 @@ def _resolve_speed(
     return 1.0
 
 
-def _kernel_knobs(scheduler: Scheduler) -> Optional[Dict[str, Any]]:
-    """Engine knobs of a run that may take the compiled kernel, else None.
-
-    ``"flat"`` engine adapters and unmodified
-    :class:`~repro.core.work_stealing.WorkStealingScheduler` instances
-    choose between the kernel and the reference engine; nothing else
-    does.
-    """
-    if isinstance(scheduler, _EngineScheduler):
-        return scheduler.engine_kwargs if scheduler.engine == "flat" else None
-    from repro.core.work_stealing import _plain_engine_kwargs
-
-    return _plain_engine_kwargs(scheduler)
-
-
-def _slow_path_reasons(
-    scheduler: Scheduler, engine_kwargs: Dict[str, Any]
-) -> Optional[tuple]:
-    """Why a run takes a Python engine (empty: the compiled path).
-
-    ``None`` when the scheduler does not choose between a compiled and a
-    Python path.
-    """
-    knobs = _kernel_knobs(scheduler)
-    if knobs is not None:
-        from repro.sim.batch_engine import _slow_path_reasons as ws_reasons
-
-        return ws_reasons(**knobs, **engine_kwargs)
-    if scheduler.dynamic_priority is not None:
-        from repro.sim.events import _slow_path_reasons as event_reasons
-
-        return event_reasons(scheduler.dynamic_priority)
-    return None
-
-
 def run(
     scheduler: Union[Scheduler, type, str],
     jobset: Any = None,
@@ -184,14 +149,13 @@ def run(
         silently ignoring it.
     telemetry:
         Optional :class:`repro.obs.Telemetry`; when given, ``run.start``
-        and ``run.done`` events are emitted around the simulation
-        (``"flat"``, :class:`~repro.core.work_stealing.WorkStealingScheduler`
-        and centralized-scheduler runs -- FIFO, BWF, LIFO, SJF,
-        random priority, LAS, SRW -- tag ``run.done`` with the ``path``
-        taken, ``"cext"`` or ``"reference"``, and emit
-        ``dispatch.slow_path`` with the reasons when it is the
-        reference: ``kernel=unavailable``, an out-of-scope knob, or
-        ``dynamic=True``).  Never alters the schedule.
+        and ``run.done`` events are emitted around the simulation.
+        ``run.done`` carries the ``path`` the result reports
+        (``"cext"`` or ``"reference"``), and a result that names
+        ``reasons`` for not taking the compiled loop
+        (``kernel=unavailable``, an out-of-scope knob,
+        ``dynamic=True``, ``arrivals=unsorted``) is reported in a
+        ``dispatch.slow_path`` event first.  Never alters the schedule.
     **engine_kwargs:
         Forwarded to the dispatch target (e.g. ``k=16`` for
         ``"work-stealing"``, ``trace=...``/``sampler=...`` for
@@ -260,31 +224,25 @@ def run(
         seed=seed,
         n_jobs=_n_jobs(jobset),
     )
-    done_tags: Dict[str, Any] = {}
-    reasons = _slow_path_reasons(scheduler, engine_kwargs)
-    if reasons is not None:
-        # Record which path the run takes and why (the engines also emit
-        # a one-time RuntimeWarning when the kernel is unavailable; this
-        # event records every run).
-        if reasons:
-            telemetry.emit(
-                "dispatch.slow_path",
-                engine=engine,
-                reasons=list(reasons),
-            )
-        done_tags["path"] = "reference" if reasons else "cext"
     t0 = time.perf_counter()
     result = dispatch()
+    wall = time.perf_counter() - t0
+    if result.reasons:
+        # Every fallback run is recorded here; the engines' one-time
+        # RuntimeWarning only covers the first.
+        telemetry.emit(
+            "dispatch.slow_path", engine=engine, reasons=list(result.reasons)
+        )
     telemetry.emit(
         "run.done",
         scheduler=result.scheduler,
         engine=engine,
         m=size,
         speed=s,
-        wall_s=round(time.perf_counter() - t0, 6),
+        wall_s=round(wall, 6),
         max_flow=result.max_flow,
         stats=result.stats.as_dict(),
-        **done_tags,
+        path=result.path,
     )
     return result
 
@@ -307,7 +265,7 @@ def _run_streaming(
     this guards against, so misconfiguration must be caught before any
     simulation starts.
     """
-    from repro.sim.stream_engine import _run_stream, _stream_reasons
+    from repro.sim.stream_engine import _run_stream
     from repro.workloads.stream import StreamSpec
 
     if jobset is not None:
@@ -354,10 +312,6 @@ def _run_streaming(
     )
     # The engine emits dispatch.slow_path itself; run.done records the
     # path here too, as it does for materialized runs.
-    reasons = _stream_reasons(
-        engine_kwargs.get("utilization_window"),
-        engine_kwargs.get("_fast_forward", True),
-    )
     t0 = time.perf_counter()
     result = _run_stream(
         stream, size, speed=s, seed=seed, telemetry=telemetry, **engine_kwargs
@@ -371,8 +325,8 @@ def _run_streaming(
         wall_s=round(time.perf_counter() - t0, 6),
         max_flow=result.max_flow,
         stats=result.stats.as_dict(),
-        path="python" if reasons else "cext",
-        reasons=list(reasons),
+        path=result.path,
+        reasons=list(result.reasons),
     )
     return result
 

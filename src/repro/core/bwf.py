@@ -32,8 +32,6 @@ class BwfScheduler(Scheduler):
     degenerates to FIFO exactly -- a property the test suite checks.
     """
 
-    dynamic_priority = False
-
     @property
     def name(self) -> str:
         return "bwf"

@@ -42,8 +42,6 @@ class LeastAttainedServiceScheduler(Scheduler):
     the foreground-background behaviour.
     """
 
-    dynamic_priority = True
-
     @property
     def name(self) -> str:
         return "las"
@@ -77,7 +75,6 @@ class ShortestRemainingWorkScheduler(Scheduler):
     """
 
     clairvoyant = True
-    dynamic_priority = True
 
     @property
     def name(self) -> str:

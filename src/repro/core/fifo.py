@@ -34,8 +34,6 @@ class FifoScheduler(Scheduler):
     "breaking ties arbitrarily".
     """
 
-    dynamic_priority = False
-
     @property
     def name(self) -> str:
         return "fifo"

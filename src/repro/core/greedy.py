@@ -35,8 +35,6 @@ class LifoScheduler(Scheduler):
     ordering matters.
     """
 
-    dynamic_priority = False
-
     @property
     def name(self) -> str:
         return "lifo"
@@ -68,7 +66,6 @@ class SjfScheduler(Scheduler):
     """
 
     clairvoyant = True
-    dynamic_priority = False
 
     @property
     def name(self) -> str:
@@ -99,8 +96,6 @@ class RandomPriorityScheduler(Scheduler):
     Serves as the null-policy control in the scheduler-comparison bench:
     any structured policy should beat it on max flow under load.
     """
-
-    dynamic_priority = False
 
     @property
     def name(self) -> str:

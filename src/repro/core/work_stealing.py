@@ -129,11 +129,13 @@ class WorkStealingScheduler(Scheduler):
         """Whether :meth:`run` takes a raw :class:`FlatInstance`.
 
         True when the configuration runs on the kernel and ``run`` is not
-        overridden; the sweep layer then hands pool workers the attached
-        CSR arrays instead of rebuilding a :class:`JobSet`.
+        overridden (an override may do anything); the sweep layer then
+        hands pool workers the attached CSR arrays instead of rebuilding
+        a :class:`JobSet`.
         """
-        kwargs = _plain_engine_kwargs(self)
-        return kwargs is not None and not _scope_reasons(**kwargs)
+        return type(self).run is WorkStealingScheduler.run and not (
+            _scope_reasons(**self._engine_kwargs())
+        )
 
     def run(
         self,
@@ -145,31 +147,19 @@ class WorkStealingScheduler(Scheduler):
         sampler: Optional[SystemSampler] = None,
     ) -> ScheduleResult:
         kwargs = self._engine_kwargs()
-        if _scope_reasons(trace=trace, sampler=sampler, **kwargs):
+        reasons = _scope_reasons(trace=trace, sampler=sampler, **kwargs)
+        if reasons:
             if isinstance(jobset, FlatInstance):
                 jobset = to_jobset(jobset)
-            return _run_work_stealing(
+            result = _run_work_stealing(
                 jobset, m=m, speed=speed, seed=seed, trace=trace,
                 sampler=sampler, **kwargs,
             )
+            result.reasons = tuple(reasons)
+            return result
         return run_batch(
             [jobset], m, speed=speed, seeds=[seed], **kwargs
         )[0]
-
-
-def _plain_engine_kwargs(scheduler: Any) -> Optional[Dict[str, Any]]:
-    """Engine kwargs of an unmodified :class:`WorkStealingScheduler`.
-
-    ``None`` for anything else, including subclasses that override
-    ``run``: those may do anything, so neither telemetry nor the sweep
-    layer may assume which engine they reach.
-    """
-    if (
-        isinstance(scheduler, WorkStealingScheduler)
-        and type(scheduler).run is WorkStealingScheduler.run
-    ):
-        return scheduler._engine_kwargs()
-    return None
 
 
 class AdmitFirstScheduler(WorkStealingScheduler):

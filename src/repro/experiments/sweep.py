@@ -224,11 +224,12 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     it exists so the deterministic fault harness
     (:mod:`repro.testing.faults`) can target one specific cell.
 
-    Returns ``{"metrics", "wall_s", "pid", "stats"}``: the extracted
-    metric values (the only part results depend on -- cheaper to ship
-    between processes than a full ScheduleResult) plus the worker-side
-    observability payload the parent turns into ``cell.run`` telemetry
-    events.  Wall time is measured around the simulation only, inside
+    Returns ``{"metrics", "wall_s", "pid", "stats", "path"}``: the
+    extracted metric values (the only part results depend on -- cheaper
+    to ship between processes than a full ScheduleResult) plus the
+    worker-side observability payload the parent turns into
+    ``cell.run`` telemetry events, including the engine that ran the
+    cell.  Wall time is measured around the simulation only, inside
     the worker, so pool queueing never inflates it.
     """
     (factory, params, instance_handle, m, speed, run_seed, metrics,
@@ -254,6 +255,7 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
         "wall_s": round(wall, 6),
         "pid": os.getpid(),
         "stats": result.stats.as_dict(),
+        "path": result.path,
     }
 
 
@@ -728,6 +730,7 @@ def _grid_sweep(
                 wall_s=payload["wall_s"],
                 pid=payload["pid"],
                 stats=payload["stats"],
+                path=payload["path"],
                 metrics=values,
             )
     for i, values in cached_results.items():

@@ -25,8 +25,8 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
 The reference tick engine is the oracle; there is one fast kernel.
 :mod:`repro.sim.batch_engine` (:func:`~repro.sim.batch_engine.run_batch`)
 evaluates R replicate :class:`~repro.dag.flat.FlatInstance` CSR
-instances in one block-structured arena with an on-demand-compiled C
-kernel -- bit-identical per rep to the reference engine (same
+instances, one call each, on an on-demand-compiled C kernel --
+bit-identical per rep to the reference engine (same
 schedules, stats, and RNG post-state).  ``repro.run(..., engine="flat")``
 and :meth:`WorkStealingScheduler.run <repro.core.work_stealing.WorkStealingScheduler.run>`
 (so every figure of the paper, one (cell, rep) task at a time) are
@@ -35,7 +35,8 @@ configuration pass them to ``run_batch`` together.  Knobs
 outside the kernel's scope run the reference engine instead (identical
 results; warned once for ``"flat"``), and so does everything on a host
 without a working C compiler (warned once; centralized runs then take
-the Python event loop).  Importing this package starts the kernel's
+the Python event loop).  Every result records the engine that produced
+it in ``path`` and, for a fallback, why in ``reasons``.  Importing this package starts the kernel's
 compile in the background (:mod:`repro.sim._cext`), so the cold build
 overlaps start-up.
 

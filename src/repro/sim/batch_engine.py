@@ -1,4 +1,4 @@
-"""The fast tick kernel: one compiled arena for R replicates.
+"""The fast tick kernel: compiled work stealing, one replicate per call.
 
 Every in-scope work-stealing simulation reaches :func:`run_batch`:
 ``repro.run("flat", ...)`` and
@@ -6,20 +6,18 @@ Every in-scope work-stealing simulation reaches :func:`run_batch`:
 one replicate, which is how figure sweeps, :func:`repro.sweep`,
 :func:`repro.search` rounds and ablation deltas run each (cell, rep)
 task.  Callers holding several replicates of one configuration can
-pass them all at once (R > 1), the public replicate API:
+pass them all at once (R > 1), the public replicate API, which runs
+them one kernel call each:
 
-* :func:`run_batch` concatenates R :class:`~repro.dag.flat.FlatInstance`
-  replicates into one block-structured SoA arena -- node/job/edge
-  arrays rebased onto a shared id space in a single vectorized pass,
-  worker state at rep-offset ``r * m``, one 4096-slot victim-draw block
-  per rep -- and executes each replicate's tick loop in the compiled C
-  kernel (:mod:`repro.sim._cext`).  Per-rep clocks are fully
-  independent: each replicate fast-forwards on its own schedule, and
-  the arena exists so the *fixed* per-run Python cost (table builds,
-  dispatch, allocation) is paid once for the whole batch.
+* **Tables.**  Each replicate's :class:`~repro.dag.flat.FlatInstance`
+  CSR arrays are read by the compiled C kernel (:mod:`repro.sim._cext`)
+  as they are; the derived tables (in-degrees, chain links, roots) come
+  from one vectorized pass and are cached on the instance, so the
+  tables of a replicate are built once however many grid points
+  evaluate it.
 * **RNG fidelity.**  Each replicate owns a Generator seeded exactly as
   the serial run would seed it.  The C kernel never generates a random
-  number: when a draw block is exhausted it calls back into Python,
+  number: when its draw block is exhausted it calls back into Python,
   which refills the block with the same ``rng.integers(0, m - 1,
   size=4096)`` call (same cadence) the reference engine's
   :class:`~repro.sim.policies.UniformVictim` makes -- so the post-run
@@ -35,12 +33,16 @@ pass them all at once (R > 1), the public replicate API:
   ``steal_half``, weighted admission, ``trace``, samplers,
   ``_fast_forward=False`` -- and hosts where the kernel cannot be
   built run the reference engine per replicate, with a one-time
-  :class:`RuntimeWarning` naming the cause (:func:`_slow_path_reasons`).
-  So does a hand-built replicate whose arrivals are not sorted (the
-  reference re-sorts and re-ids it), silently: that is a property of
-  the instance, not of the configuration.  A hand-built replicate whose
-  CSR arrays are malformed raises :class:`ValueError` before the kernel
-  reads them (checked once per cached arena).
+  :class:`RuntimeWarning` naming the cause.  So does a hand-built
+  replicate whose arrivals are not sorted (the reference re-sorts and
+  re-ids it), silently: that is a property of the instance, not of the
+  configuration.  A hand-built replicate whose CSR arrays are malformed
+  raises :class:`ValueError` before the kernel reads them (checked once
+  per cached table set).
+* **Path report.**  Every result says which engine produced it:
+  ``path`` is ``"cext"`` or ``"reference"``, and ``reasons`` holds the
+  causes of a fallback (empty on the kernel), ``arrivals=unsorted``
+  for the data-shape one.
 
 Telemetry: with a sink attached, :func:`run_batch` emits
 ``batch.start`` (plan: rep count, kernel path), per-replicate
@@ -126,8 +128,8 @@ def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
 
     :func:`_scope_reasons`, then ``kernel=unavailable`` when the
     compiled kernel cannot be built or loaded on this host.  Empty means
-    the run takes the kernel.  Data-shape fallbacks (unsorted hand-built
-    arrivals) are not listed: they are a property of the instance.
+    the run takes the kernel.  Shared by :func:`run_batch` and the
+    streaming engine, which stamp the result on what they return.
     """
     reasons = _scope_reasons(*args, **knobs)
     if resolve_batch_kernel() is None:
@@ -262,24 +264,17 @@ def _derive_tables(
 
 
 class _BatchTables:
-    """Immutable union tables for one tuple of replicate instances.
+    """Immutable kernel tables of one :class:`FlatInstance`.
 
-    Everything is derived in one vectorized numpy pass over the
-    concatenation of the replicates' CSR arrays, on a shared global id
-    space (node ids offset by ``node_off[r]``, edge targets rebased, a
-    job's roots contiguous in the global ascending root list).  A single
-    replicate needs no rebasing: its CSR arrays are used as they are
-    (the kernel only reads them, so read-only shared-memory views
-    work).  Cached on the first instance of the tuple, so a sweep
-    evaluating many grid points over the same R replicates builds the
-    arena once.
+    The instance's CSR arrays are used as they are (the kernel only
+    reads them, so read-only shared-memory views work); the derived
+    tables come from one vectorized numpy pass.  Cached on the instance,
+    so a sweep evaluating many grid points over the same replicate
+    builds them once.
     """
 
     __slots__ = (
-        "others",
         "arrivals",
-        "node_off",
-        "job_off",
         "works",
         "eo",
         "et",
@@ -289,72 +284,24 @@ class _BatchTables:
         "roots",
         "preds_master",
         "unfin_master",
-        "total_works",
+        "total_work",
         "n_jobs",
         "sorted_ok",
         "arr_cache",
     )
 
-    def __init__(self, flats: Sequence[FlatInstance]) -> None:
-        for f in flats:
-            _check_csr(f)
-        reps = len(flats)
-        n_nodes = np.array([f.n_nodes for f in flats], dtype=np.int64)
-        n_jobs = np.array([f.n_jobs for f in flats], dtype=np.int64)
-        n_edges = np.array([f.n_edges for f in flats], dtype=np.int64)
-        node_off = np.zeros(reps + 1, dtype=np.int64)
-        job_off = np.zeros(reps + 1, dtype=np.int64)
-        edge_off = np.zeros(reps + 1, dtype=np.int64)
-        np.cumsum(n_nodes, out=node_off[1:])
-        np.cumsum(n_jobs, out=job_off[1:])
-        np.cumsum(n_edges, out=edge_off[1:])
-        total_nodes = int(node_off[-1])
-        total_jobs = int(job_off[-1])
-        total_edges = int(edge_off[-1])
-
-        if reps == 1:
-            (f,) = flats
-            works, eo, et, jno = (
-                np.ascontiguousarray(a, dtype=np.int64)
-                for a in (
-                    f.node_works, f.edge_offsets, f.edge_targets,
-                    f.job_node_offsets,
-                )
+    def __init__(self, flat: FlatInstance) -> None:
+        _check_csr(flat)
+        works, eo, et, jno = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (
+                flat.node_works, flat.edge_offsets, flat.edge_targets,
+                flat.job_node_offsets,
             )
-        else:
-            works = np.concatenate(
-                [f.node_works for f in flats]
-            ).astype(np.int64, copy=False)
-            eo = np.empty(total_nodes + 1, dtype=np.int64)
-            eo[-1] = total_edges
-            for r, f in enumerate(flats):
-                eo[node_off[r] : node_off[r + 1]] = (
-                    f.edge_offsets[:-1] + edge_off[r]
-                )
-            et = np.empty(total_edges, dtype=np.int64)
-            for r, f in enumerate(flats):
-                et[edge_off[r] : edge_off[r + 1]] = (
-                    f.edge_targets + node_off[r]
-                )
-            jno = np.empty(total_jobs + 1, dtype=np.int64)
-            jno[-1] = total_nodes
-            for r, f in enumerate(flats):
-                jno[job_off[r] : job_off[r + 1]] = (
-                    f.job_node_offsets[:-1] + node_off[r]
-                )
-
-        # Derived tables, one vectorized pass over the union.
-        indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
-
-        # The cache lives on flats[0], so holding it here would make a
-        # reference cycle; the others are held so their ids stay unique.
-        self.others = tuple(flats[1:])
-        self.arrivals = np.concatenate(
-            [np.asarray(f.arrivals, dtype=np.float64) for f in flats]
         )
-        self.node_off = node_off
-        self.job_off = job_off
-        self.works = np.ascontiguousarray(works)
+        indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
+        self.arrivals = np.asarray(flat.arrivals, dtype=np.float64)
+        self.works = works
         self.eo = eo
         self.et = et
         self.chain = chain
@@ -363,15 +310,13 @@ class _BatchTables:
         self.roots = roots
         self.preds_master = indeg
         self.unfin_master = np.diff(jno)
-        self.total_works = [int(f.node_works.sum()) for f in flats]
-        self.n_jobs = [int(x) for x in n_jobs]
-        # Per replicate: a hand-built FlatInstance with unsorted
-        # arrivals only has reference-engine semantics.
-        self.sorted_ok = [
-            bool(np.all(f.arrivals[1:] >= f.arrivals[:-1])) for f in flats
-        ]
-        #: speed -> global arrival-tick array (same rounding as the
-        #: reference engine's arr_ticks).
+        self.total_work = int(works.sum())
+        self.n_jobs = flat.n_jobs
+        # A hand-built FlatInstance with unsorted arrivals only has
+        # reference-engine semantics.
+        self.sorted_ok = bool(np.all(self.arrivals[1:] >= self.arrivals[:-1]))
+        #: speed -> arrival-tick array (same rounding as the reference
+        #: engine's arr_ticks).
         self.arr_cache: Dict[float, np.ndarray] = {}
 
     def arr_ticks(self, speed: float) -> np.ndarray:
@@ -382,21 +327,16 @@ class _BatchTables:
         return ticks
 
 
-def _batch_tables(flats: Sequence[FlatInstance]) -> _BatchTables:
-    """Cached :class:`_BatchTables` for this exact replicate tuple.
+def _batch_tables(flat: FlatInstance) -> _BatchTables:
+    """Cached :class:`_BatchTables` of ``flat`` (derived state, not content).
 
-    Attached to the first instance (derived state, not content); the
-    entry holds strong references to every other member, so the
-    id-tuple key cannot alias a recycled object, and none to the first,
-    so dropping it frees the arena without waiting for the cyclic GC.
+    The tables hold the instance's arrays but not the instance, so the
+    cache makes no reference cycle.
     """
-    key = tuple(id(f) for f in flats)
-    anchor = flats[0]
-    cached = getattr(anchor, "_batch_tables_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    tables = _BatchTables(flats)
-    object.__setattr__(anchor, "_batch_tables_cache", (key, tables))
+    tables = getattr(flat, "_batch_tables_cache", None)
+    if tables is None:
+        tables = _BatchTables(flat)
+        object.__setattr__(flat, "_batch_tables_cache", tables)
     return tables
 
 
@@ -446,6 +386,115 @@ def _empty_result(
             max_queue_depth=0,
         ),
         seed=recorded_seed,
+        path="cext",
+    )
+
+
+def _run_kernel(
+    flat: FlatInstance,
+    m: int,
+    speed: float,
+    k: int,
+    sigma: int,
+    seed: SeedLike,
+    max_ticks: Optional[int],
+    label: str,
+) -> ScheduleResult:
+    """One replicate on the compiled kernel, in one call with no stop point.
+
+    ``flat``'s arrivals must be sorted (``_BatchTables.sorted_ok``).
+    """
+    tables = _batch_tables(flat)
+    recorded_seed = None if isinstance(seed, np.random.Generator) else seed
+    n = tables.n_jobs
+    if n == 0:
+        return _empty_result(flat, label, m, speed, recorded_seed)
+    rng = make_rng(seed)
+    raw = np.zeros(BLOCK, dtype=np.int64)
+    if m > 1:
+        # Same up-front first block as UniformVictim; refills happen
+        # lazily from C via the callback.
+        raw[:] = rng.integers(0, m - 1, size=BLOCK)
+
+    def _refill(_rep: int) -> None:
+        raw[:] = rng.integers(0, m - 1, size=BLOCK)
+
+    arr_ticks = tables.arr_ticks(speed)
+    if max_ticks is None:
+        # Same loose feasibility bound as the reference engine.
+        max_ticks = int(
+            tables.total_work + (k + 2) * n + int(arr_ticks[-1])
+            + 64 * m + 64
+        ) * 4
+    # Mutable run state, allocated fresh per call (the immutable tables
+    # above are the cached part); named so it outlives the call.
+    n_nodes = max(1, len(tables.works))
+    preds = tables.preds_master.copy()
+    unfin = tables.unfin_master.copy()
+    completions = np.zeros(n, dtype=np.float64)
+    cur = np.full(m, -1, dtype=np.int64)
+    fin = np.full(m, IDLE_AT, dtype=np.int64)
+    fails = np.zeros(m, dtype=np.int64)
+    idles = np.empty(m, dtype=np.int64)
+    dq_head = np.full(m, -1, dtype=np.int64)
+    dq_tail = np.full(m, -1, dtype=np.int64)
+    dq_next = np.empty(n_nodes, dtype=np.int64)
+    dq_prev = np.empty(n_nodes, dtype=np.int64)
+    rdy = np.empty(n_nodes, dtype=np.int64)
+    state = fresh_state(int(arr_ticks[0]))
+    cb = REFILL_CFUNC(_refill)
+    rc = resolve_batch_kernel()(
+        _ptr(tables.works),
+        _ptr(tables.eo),
+        _ptr(tables.et),
+        _ptr(tables.chain),
+        _ptr(tables.job_of),
+        _ptr(tables.jro),
+        _ptr(tables.roots),
+        _ptr(arr_ticks),
+        _ptr(preds),
+        _ptr(unfin),
+        _ptr(completions),
+        _ptr(cur),
+        _ptr(fin),
+        _ptr(fails),
+        _ptr(idles),
+        _ptr(dq_head),
+        _ptr(dq_tail),
+        _ptr(dq_next),
+        _ptr(dq_prev),
+        _ptr(rdy),
+        _ptr(raw),
+        None,
+        n,
+        n,
+        0,
+        m,
+        int(k),
+        sigma,
+        max_ticks,
+        NO_CHECKPOINT,
+        float(speed),
+        _ptr(state),
+        cb,
+        0,
+    )
+    if rc != 0:
+        raise RuntimeError(
+            f"work-stealing run exceeded max_ticks={max_ticks} "
+            f"({int(state[S_COMPLETED])}/{n} jobs complete) -- "
+            f"instance may be overloaded"
+        )
+    return ScheduleResult(
+        scheduler=label,
+        m=m,
+        speed=speed,
+        arrivals=tables.arrivals,
+        completions=completions,
+        weights=np.asarray(flat.weights, dtype=np.float64),
+        stats=_kernel_stats(state, tables.total_work, n),
+        seed=recorded_seed,
+        path="cext",
     )
 
 
@@ -465,7 +514,7 @@ def run_batch(
     telemetry: Optional[Any] = None,
     _fast_forward: bool = True,
 ) -> List[ScheduleResult]:
-    """Run steal-k-first work stealing on R replicates in one arena.
+    """Run steal-k-first work stealing on R replicates, one kernel call each.
 
     ``instances[r]`` is evaluated with seed ``seeds[r]`` (``seeds`` may
     be omitted for fresh-entropy runs, else must have one entry per
@@ -476,6 +525,8 @@ def run_batch(
     :class:`ScheduleResult` per instance, in order, **bit-identical**
     to ``[_run_work_stealing(instances[r], ..., seed=seeds[r]) for r]``
     (a :class:`FlatInstance` through :func:`~repro.dag.flat.to_jobset`).
+    Each result's ``path`` and ``reasons`` say which engine ran it and
+    why.
     """
     # Argument validation mirrors the reference engine verbatim.
     if m < 1:
@@ -509,15 +560,15 @@ def run_batch(
     )
     _warn_slow_path(reasons)
     path = "reference" if reasons else "cext"
+    label = _scheduler_label(k, victim_policy, steal_half, admission)
 
-    def reference(r: int) -> ScheduleResult:
-        inst = instances[r]
-        return _run_work_stealing(
+    def reference(inst, seed: SeedLike, why: tuple) -> ScheduleResult:
+        result = _run_work_stealing(
             inst if isinstance(inst, JobSet) else to_jobset(inst),
             m,
             speed=speed,
             k=k,
-            seed=seeds[r],
+            seed=seed,
             trace=trace,
             max_ticks=max_ticks,
             steals_per_tick=steals_per_tick,
@@ -527,6 +578,8 @@ def run_batch(
             sampler=sampler,
             _fast_forward=_fast_forward,
         )
+        result.reasons = why
+        return result
 
     t_start = time.perf_counter()
     if telemetry is not None:
@@ -538,130 +591,26 @@ def run_batch(
             steals_per_tick=sigma,
             kernel=path,
         )
-
-    if not reasons:
-        kernel = resolve_batch_kernel()
-        flats: List[FlatInstance] = [
-            inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
-            for inst in instances
-        ]
-        tables = _batch_tables(flats)
-        label = _scheduler_label(k, victim_policy, steal_half, admission)
-        arr_ticks = tables.arr_ticks(speed)
-        node_off = tables.node_off
-        job_off = tables.job_off
-        total_nodes = int(node_off[-1])
-        total_jobs = int(job_off[-1])
-
-        # Mutable run state, allocated fresh per call (the immutable tables
-        # above are the cached part).  Worker state is rep-blocked at
-        # r * m; node/job state is indexed by global arena ids.
-        preds = tables.preds_master.copy()
-        unfin = tables.unfin_master.copy()
-        completions = np.zeros(total_jobs, dtype=np.float64)
-        cur = np.full(reps * m, -1, dtype=np.int64)
-        fin = np.full(reps * m, IDLE_AT, dtype=np.int64)
-        fails = np.zeros(reps * m, dtype=np.int64)
-        idles = np.empty(reps * m, dtype=np.int64)
-        dq_head = np.full(reps * m, -1, dtype=np.int64)
-        dq_tail = np.full(reps * m, -1, dtype=np.int64)
-        dq_next = np.empty(max(1, total_nodes), dtype=np.int64)
-        dq_prev = np.empty(max(1, total_nodes), dtype=np.int64)
-        rdy = np.empty(max(1, total_nodes), dtype=np.int64)
-        raw = np.zeros((reps, BLOCK), dtype=np.int64)
-
-    results: List[Optional[ScheduleResult]] = [None] * reps
-    for r in range(reps):
+    results: List[ScheduleResult] = []
+    for r, (inst, seed) in enumerate(zip(instances, seeds)):
         t0 = time.perf_counter()
-        recorded_seed = (
-            None if isinstance(seeds[r], np.random.Generator) else seeds[r]
-        )
-        if reasons or not tables.sorted_ok[r]:
-            # Outside the kernel's scope, or unsorted hand-built
-            # arrivals: only the reference engine defines the semantics.
-            results[r] = reference(r)
-        elif tables.n_jobs[r] == 0:
-            results[r] = _empty_result(
-                flats[r], label, m, speed, recorded_seed
-            )
+        if reasons:
+            results.append(reference(inst, seed, reasons))
         else:
-            n_r = tables.n_jobs[r]
-            rng = make_rng(seeds[r])
-            row = raw[r]
-            if m > 1:
-                # Same up-front first block as UniformVictim; refills
-                # happen lazily from C via the callback.
-                row[:] = rng.integers(0, m - 1, size=BLOCK)
-
-            def _refill(rep: int, _rng=rng, _row=row) -> None:
-                _row[:] = _rng.integers(0, m - 1, size=BLOCK)
-
-            cb = REFILL_CFUNC(_refill)
-            if max_ticks is None:
-                # Same loose feasibility bound as the reference engine,
-                # from this replicate's own totals.
-                last_arr = int(arr_ticks[job_off[r + 1] - 1])
-                rep_max_ticks = int(
-                    tables.total_works[r] + (k + 2) * n_r + last_arr
-                    + 64 * m + 64
-                ) * 4
-            else:
-                rep_max_ticks = max_ticks
-            # One call over the whole replicate, no stop point.
-            state = fresh_state(int(arr_ticks[job_off[r]]))
-            rc = kernel(
-                _ptr(tables.works),
-                _ptr(tables.eo),
-                _ptr(tables.et),
-                _ptr(tables.chain),
-                _ptr(tables.job_of),
-                _ptr(tables.jro, job_off[r]),
-                _ptr(tables.roots),
-                _ptr(arr_ticks, job_off[r]),
-                _ptr(preds),
-                _ptr(unfin),
-                _ptr(completions),
-                _ptr(cur, r * m),
-                _ptr(fin, r * m),
-                _ptr(fails, r * m),
-                _ptr(idles, r * m),
-                _ptr(dq_head, r * m),
-                _ptr(dq_tail, r * m),
-                _ptr(dq_next),
-                _ptr(dq_prev),
-                _ptr(rdy),
-                _ptr(row),
-                None,
-                n_r,
-                n_r,
-                0,
-                m,
-                int(k),
-                sigma,
-                rep_max_ticks,
-                NO_CHECKPOINT,
-                float(speed),
-                _ptr(state),
-                cb,
-                r,
+            flat = (
+                inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
             )
-            if rc != 0:
-                raise RuntimeError(
-                    f"work-stealing run exceeded max_ticks={rep_max_ticks} "
-                    f"({int(state[S_COMPLETED])}/{n_r} jobs complete) -- "
-                    f"instance may be overloaded"
+            if _batch_tables(flat).sorted_ok:
+                results.append(
+                    _run_kernel(
+                        flat, m, speed, k, sigma, seed, max_ticks, label
+                    )
                 )
-            stats = _kernel_stats(state, tables.total_works[r], n_r)
-            results[r] = ScheduleResult(
-                scheduler=label,
-                m=m,
-                speed=speed,
-                arrivals=np.asarray(flats[r].arrivals, dtype=np.float64),
-                completions=completions[job_off[r] : job_off[r + 1]],
-                weights=np.asarray(flats[r].weights, dtype=np.float64),
-                stats=stats,
-                seed=recorded_seed,
-            )
+            else:
+                # Unsorted hand-built arrivals: only the reference
+                # engine (which re-sorts and re-ids) defines the
+                # semantics.  A property of the instance, so not warned.
+                results.append(reference(inst, seed, ("arrivals=unsorted",)))
         if telemetry is not None:
             telemetry.emit(
                 "batch.flush",
@@ -675,4 +624,4 @@ def run_batch(
             wall_s=round(time.perf_counter() - t_start, 6),
             kernel=path,
         )
-    return results  # type: ignore[return-value]
+    return results

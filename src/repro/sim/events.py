@@ -102,15 +102,6 @@ def _ranks(jobset: JobSet, priority_key: PriorityKey) -> np.ndarray:
     return rank
 
 
-def _slow_path_reasons(dynamic: bool) -> Tuple[str, ...]:
-    """Why a centralized run takes the Python loop, if it does."""
-    if dynamic:
-        return ("dynamic=True",)
-    if resolve_centralized_kernel() is None:
-        return ("kernel=unavailable",)
-    return ()
-
-
 def run_centralized(
     jobset: JobSet,
     m: int,
@@ -168,7 +159,8 @@ def run_centralized(
     Static priorities run on the compiled loop when the kernel builds
     (see the module docstring); ``dynamic=True`` and hosts without the
     kernel run :func:`_run_centralized_reference`.  Both give the same
-    completions, stats and trace rows.
+    completions, stats and trace rows; the result's ``path`` and
+    ``reasons`` say which one ran and why.
 
     Within a job, ready nodes are assigned deterministically: nodes with
     partial progress first (avoiding gratuitous preemption churn), then by
@@ -182,15 +174,18 @@ def run_centralized(
     if priority_key is None:
         priority_key = _fifo_key
 
-    reasons = _slow_path_reasons(dynamic)
-    if reasons:
+    kernel = None if dynamic else resolve_centralized_kernel()
+    if kernel is None:
+        reasons = ("dynamic=True",) if dynamic else ("kernel=unavailable",)
         if not dynamic:
             _warn_slow_path(reasons)
-        return _run_centralized_reference(
+        result = _run_centralized_reference(
             jobset, m, speed, priority_key, scheduler_name, trace, dynamic
         )
+        result.reasons = reasons
+        return result
     completions, n_events, busy_work = _run_centralized_flat(
-        resolve_centralized_kernel(),
+        kernel,
         flatten_jobset(jobset),
         m,
         speed,
@@ -208,6 +203,7 @@ def run_centralized(
         completions=completions,
         weights=np.asarray(jobset.weights, dtype=np.float64),
         stats=stats,
+        path="cext",
     )
 
 
@@ -226,9 +222,9 @@ def _run_centralized_flat(
     instance (bad CSR arrays, unsorted arrivals, a cyclic job) or a
     rank array of the wrong length.
     """
-    tables = _batch_tables([flat])
+    tables = _batch_tables(flat)
     n = flat.n_jobs
-    if not tables.sorted_ok[0]:
+    if not tables.sorted_ok:
         raise ValueError(
             "malformed FlatInstance: arrivals must be non-decreasing"
         )

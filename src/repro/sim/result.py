@@ -9,7 +9,7 @@ the paper reports (Section 2: ``F_i = c_i - r_i``, objective
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -122,6 +122,15 @@ class ScheduleResult:
         Aggregate :class:`SimulationStats`; optional.
     seed:
         RNG seed for randomized schedulers, recorded for reproducibility.
+    path:
+        The engine that produced the result: ``"cext"`` for the compiled
+        loops, ``"reference"`` (the default) for the Python engines.
+    reasons:
+        Why a run that could take the compiled loop did not (e.g.
+        ``("kernel=unavailable",)``); empty otherwise.  ``path`` and
+        ``reasons`` describe how the numbers were produced, not the
+        numbers: :func:`result_to_dict` and :meth:`summary` leave them
+        out.
     """
 
     def __init__(
@@ -134,6 +143,8 @@ class ScheduleResult:
         weights: Optional[np.ndarray] = None,
         stats: Optional[SimulationStats] = None,
         seed: Optional[int] = None,
+        path: str = "reference",
+        reasons: Tuple[str, ...] = (),
     ) -> None:
         arrivals = np.asarray(arrivals, dtype=np.float64)
         completions = np.asarray(completions, dtype=np.float64)
@@ -165,6 +176,8 @@ class ScheduleResult:
         self.weights = weights
         self.stats = stats if stats is not None else SimulationStats()
         self.seed = seed
+        self.path = path
+        self.reasons = reasons
 
     # -- per-job metrics ------------------------------------------------
 

@@ -21,8 +21,9 @@ returns the stop status.  Between steps the driver drains the step's
 completion-order log into the online accumulators, pulls the next
 segment (appending to the tables), compacts the retired prefix (slicing
 the tables and re-basing every id, the deques included) and writes
-checkpoints.  There are two steps with one contract, chosen by
-:func:`repro.sim.batch_engine._slow_path_reasons`:
+checkpoints.  There are two steps with one contract, chosen once per
+run by :func:`repro.sim.batch_engine._slow_path_reasons`; the result's
+``path`` and ``reasons`` record which one ran and why:
 
 * **The compiled step** (``_Window.call``): the C kernel
   (``_batch_kernel.c``, the one that runs ``engine="flat"``), for every
@@ -87,7 +88,7 @@ point that always leaves a valid checkpoint behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -197,6 +198,11 @@ class StreamResult:
     checkpoints_written: int = 0
     resumed_from: Optional[int] = None  #: completed-job count at restore
     utilization: Optional[WindowedUtilization] = None
+    #: ``"cext"`` (the compiled step) or ``"python"`` (the Python step);
+    #: like ``reasons`` (why the Python step ran), kept out of ``==``
+    #: and :meth:`summary`: the two steps give the same numbers.
+    path: str = field(default="cext", compare=False)
+    reasons: Tuple[str, ...] = field(default=(), compare=False)
 
     def summary(self) -> Dict[str, Any]:
         """Flat dict for reports and telemetry."""
@@ -238,20 +244,6 @@ def _config_token(
         f"stream-run({stream.spec_token()},m={m},speed={speed!r},k={k},"
         f"sigma={sigma},quantiles={tuple(sorted(float(q) for q in quantiles))},"
         f"util={utilization_window!r})"
-    )
-
-
-def _stream_reasons(
-    utilization_window: Optional[int] = None, _fast_forward: bool = True
-) -> tuple:
-    """Why a streaming run with these knobs takes the Python step.
-
-    Empty means the run takes the compiled kernel.  A
-    ``utilization_window`` attaches a sampler, which the kernel does
-    not take.
-    """
-    return _slow_path_reasons(
-        sampler=utilization_window, _fast_forward=_fast_forward
     )
 
 
@@ -502,7 +494,11 @@ def _run_stream(
             utilization=util,
         )
 
-    reasons = _stream_reasons(utilization_window, _fast_forward)
+    # A utilization_window attaches a sampler, which the kernel does not
+    # take.
+    reasons = _slow_path_reasons(
+        sampler=utilization_window, _fast_forward=_fast_forward
+    )
     _warn_slow_path(reasons)
     path = "python" if reasons else "cext"
 
@@ -618,6 +614,8 @@ def _run_stream(
         checkpoints_written=ckpt.written if ckpt is not None else 0,
         resumed_from=resumed_from,
         utilization=util,
+        path=path,
+        reasons=reasons,
     )
     if telemetry is not None:
         telemetry.emit(

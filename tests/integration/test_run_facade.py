@@ -226,6 +226,101 @@ class TestCentralizedPathTelemetry:
         same_result(fast, slow_result)
 
 
+class _SuperRunScheduler(WorkStealingScheduler):
+    """A subclass whose ``run`` defers to the base class."""
+
+    def run(self, jobset, m, speed=1.0, seed=None, trace=None):
+        return super().run(jobset, m, speed=speed, seed=seed, trace=trace)
+
+
+class TestPathAgreement:
+    """``run.done``'s ``path`` names the engine that actually ran.
+
+    Spies on the Python engines: the reference work-stealing engine, the
+    Python centralized loop and the stream driver's Python step.  A run
+    that reaches none of them took the compiled loop.
+    """
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        import repro.core.work_stealing as ws_mod
+        import repro.sim.batch_engine as batch_mod
+        import repro.sim.engine as engine_mod
+        import repro.sim.events as events_mod
+        import repro.sim.stream_engine as stream_mod
+
+        calls = []
+        monkeypatch.setattr(batch_mod, "_SLOW_PATH_WARNED", True)  # quiet
+
+        def spy(module, name, path):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(path)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (engine_mod, batch_mod, ws_mod):
+            spy(module, "_run_work_stealing", "reference")
+        spy(events_mod, "_run_centralized_reference", "reference")
+        spy(stream_mod, "_python_step", "python")
+        return calls
+
+    @staticmethod
+    def check(ran, scheduler, instance=None, **kwargs):
+        ran.clear()
+        tel = Telemetry()
+        repro.run(scheduler, instance, m=4, seed=3, telemetry=tel, **kwargs)
+        (done,) = tel.of_kind("run.done")
+        taken = set(ran) or {"cext"}
+        assert taken == {done["path"]}
+        return done["path"]
+
+    def test_flat_in_and_out_of_scope(self, ran, jobset):
+        assert self.check(ran, "flat", jobset, k=2) == "cext"
+        assert self.check(
+            ran, "flat", jobset, victim_policy="round-robin"
+        ) == "reference"
+
+    def test_flat_on_unsorted_hand_built_arrivals(self, ran, jobset):
+        import dataclasses
+
+        import numpy as np
+
+        flat = repro.flatten_jobset(jobset)
+        unsorted = dataclasses.replace(
+            flat, arrivals=np.ascontiguousarray(flat.arrivals[::-1])
+        )
+        assert self.check(ran, "flat", unsorted) == "reference"
+
+    def test_work_stealing_scheduler_in_and_out_of_scope(self, ran, jobset):
+        assert self.check(ran, WorkStealingScheduler(k=2), jobset) == "cext"
+        assert self.check(
+            ran, WorkStealingScheduler(steal_half=True), jobset
+        ) == "reference"
+
+    def test_subclass_calling_super_run(self, ran, jobset):
+        assert self.check(ran, _SuperRunScheduler(k=2), jobset) == "cext"
+
+    def test_centralized(self, ran, jobset):
+        assert self.check(ran, FifoScheduler(), jobset) == "cext"
+        assert self.check(
+            ran, LeastAttainedServiceScheduler(), jobset
+        ) == "reference"
+
+    def test_stream_with_and_without_utilization_window(self, ran):
+        from repro.workloads import BingDistribution, WorkloadSpec
+        from repro.workloads.stream import StreamSpec
+
+        spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=100, m=4)
+        stream = StreamSpec(spec, chunk_jobs=25)
+        assert self.check(ran, "flat", stream=stream) == "cext"
+        assert self.check(
+            ran, "flat", stream=stream, utilization_window=64
+        ) == "python"
+
+
 class TestSweepTelemetryEndToEnd:
     def test_grid_sweep_log_audits_clean_and_matches_stats(self, tmp_path):
         from repro.experiments.cache import SweepCache

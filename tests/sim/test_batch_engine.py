@@ -1,4 +1,4 @@
-"""Cross-engine fuzz: the rep-batched arena kernel vs the reference.
+"""Cross-engine fuzz: the replicate API on the kernel vs the reference.
 
 :func:`repro.sim.batch_engine.run_batch` claims *bit-identity per
 replicate* with running the reference engine
@@ -13,16 +13,17 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
 * all three paper work distributions (Bing, Finance, log-normal);
 * the Section 5 adversarial instances and chain-heavy DAGs;
 * ragged replicate counts (R=1, R=5, R=32) over *different* instances
-  in one arena;
+  in one call;
 * RNG post-state identity and telemetry-off schedule identity;
 * the per-replicate fallbacks (empty instance, unsorted hand-built
   arrivals) and whole-batch fallbacks (delegating knobs, no compiler,
   a failing compiler, a corrupt cached kernel);
 * the import-time background build: awaited once, finished before a
   fork, and failing or skipped exactly like the synchronous build;
-* the arena cache's memory behaviour (no reference cycle, no copies at
-  R=1);
-* the ``engine="flat"`` facade, the slow-path vocabulary and warnings.
+* the table cache's memory behaviour (no reference cycle, no copies of
+  the instance's CSR arrays);
+* the ``engine="flat"`` facade, the path and reasons each result
+  reports, and the slow-path warnings.
 """
 
 import dataclasses
@@ -134,7 +135,7 @@ def test_chain_heavy_dags():
 
 @pytest.mark.parametrize("reps", [1, 5, 32])
 def test_ragged_rep_counts(reps):
-    """R=1, R=5, R=32 over *different* instances in one arena."""
+    """R=1, R=5, R=32 over *different* instances in one call."""
     instances = replicate_instances(
         500 + reps, reps, n_jobs=4, gap_scale=2.0
     )
@@ -629,7 +630,7 @@ def test_kernel_is_actually_loaded_here():
 
 
 def test_arena_dies_with_its_instances_without_cyclic_gc():
-    """The cached arena makes no reference cycle: with the collector
+    """The cached tables make no reference cycle: with the collector
     off, every replicate dies on ``del``, at R=1 and R>1."""
     gc.disable()
     try:
@@ -656,7 +657,7 @@ def test_single_replicate_arena_aliases_read_only_instance_arrays():
         frozen[name] = arr
     flat = dataclasses.replace(flat, **frozen)
     got = run_batch([flat], m=4, k=2, steals_per_tick=4, seeds=[3])[0]
-    tables = batch_engine._batch_tables([flat])
+    tables = batch_engine._batch_tables(flat)
     for name, alias in (("node_works", tables.works),
                         ("edge_offsets", tables.eo),
                         ("edge_targets", tables.et)):
@@ -780,24 +781,39 @@ def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
 
 
 def test_slow_path_reasons_vocabulary(monkeypatch):
+    """Each result names the engine that ran it and why."""
     from repro.sim.sampling import SystemSampler
+    from repro.sim.trace import TraceRecorder
 
-    reasons = batch_engine._slow_path_reasons(
-        "max-deque", True, "weight", object(), SystemSampler(), False
-    )
-    assert reasons == (
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
+    flat = flatten_jobset(random_instance(7, n_jobs=5))
+
+    def run(instance=flat, **kwargs):
+        (result,) = run_batch([instance], m=4, seeds=[8], **kwargs)
+        return result.path, result.reasons
+
+    assert run(
+        victim_policy="max-deque", steal_half=True, admission="weight",
+        trace=TraceRecorder(), sampler=SystemSampler(), _fast_forward=False,
+    ) == ("reference", (
         "victim_policy='max-deque'",
         "steal_half=True",
         "admission='weight'",
         "trace=<TraceRecorder>",
         "sampler=<SystemSampler>",
         "_fast_forward=False",
+    ))
+    assert run(victim_policy="uniform", steal_half=False,
+               admission="fifo") == ("cext", ())
+    # The knobs that never leave the kernel are not reasons.
+    assert run(k=4, steals_per_tick=8) == ("cext", ())
+    # A hand-built instance with unsorted arrivals: a data-shape reason.
+    unsorted = dataclasses.replace(
+        flat, arrivals=np.ascontiguousarray(flat.arrivals[::-1])
     )
-    assert batch_engine._slow_path_reasons("uniform", False, "fifo") == ()
-    # Engine keyword sets pass through whole; the knobs that never
-    # leave the kernel are ignored.
-    assert batch_engine._slow_path_reasons(k=4, steals_per_tick=8) == ()
+    assert run(unsorted) == ("reference", ("arrivals=unsorted",))
 
     _reset_cext_resolution(monkeypatch)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
     monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
-    assert batch_engine._slow_path_reasons() == ("kernel=unavailable",)
+    assert run() == ("reference", ("kernel=unavailable",))

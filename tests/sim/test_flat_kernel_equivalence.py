@@ -21,7 +21,7 @@ engine is exercised from elsewhere:
   non-uniform victim policies, ``steal_half``, weighted admission),
   which must fall back to the reference and stay identical;
 * an R>1 arm: ragged replicate batches with empty and unsorted
-  replicates in one arena, each compared with its own reference run
+  replicates in one call, each compared with its own reference run
   (:func:`assert_batch_matches_reference`, also the comparison of
   ``tests/sim/test_batch_engine.py``);
 * a routed arm: :meth:`WorkStealingScheduler.run`, which takes the
@@ -284,13 +284,13 @@ def test_max_ticks_overload_error_matches():
 
 
 # ----------------------------------------------------------------------
-# R>1: ragged replicate batches in one arena
+# R>1: ragged replicate batches in one call
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("reps", [1, 5, 32])
 def test_ragged_batch_with_empty_and_unsorted_reps(reps):
-    """Every replicate of a ragged arena matches its own reference run,
+    """Every replicate of a ragged batch matches its own reference run,
     including an empty replicate and a hand-built unsorted one."""
     instances = [
         flatten_jobset(random_instance(900 + r, n_jobs=2 + r % 7))

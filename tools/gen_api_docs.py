@@ -56,8 +56,8 @@ fast-forwards decision-free tick runs losslessly;
 ``_fast_forward=False`` selects a brute-force variant used by the
 equivalence tests.
 There is one fast tick kernel: ``repro.sim.run_batch`` evaluates R
-replicate ``FlatInstance`` instances in one block-structured arena with
-an on-demand-compiled C kernel, bit-identical per rep to the reference
+replicate ``FlatInstance`` instances, one call each, on an
+on-demand-compiled C kernel, bit-identical per rep to the reference
 engine (randomized differential oracle,
 ``tests/sim/test_flat_kernel_equivalence.py``).  ``engine="flat"`` and
 every in-scope ``WorkStealingScheduler.run`` (so the paper's figures)
