@@ -18,11 +18,11 @@ import pickle
 import pytest
 
 from repro.core.work_stealing import WorkStealingScheduler
-from repro.dag.flat import flatten_jobset, pack_into, unpack_from
+from repro.dag.flat import flatten_jobset, pack_into, to_jobset, unpack_from
 from repro.experiments.cache import SweepCache
 from repro.experiments.parallel import (
     SharedInstance,
-    attach_jobset,
+    attach_flat,
     shared_memory_available,
 )
 # _grid_sweep is the executor behind repro.sweep.
@@ -82,11 +82,11 @@ def test_dispatch_shared_handle(benchmark, dispatch_jobset):
     """
     if not shared_memory_available():  # pragma: no cover
         pytest.skip("no shared memory on this platform")
-    with SharedInstance(
-        flatten_jobset(dispatch_jobset), jobset=dispatch_jobset
-    ) as shared:
+    with SharedInstance(flatten_jobset(dispatch_jobset)) as shared:
         out = benchmark(
-            lambda: attach_jobset(pickle.loads(pickle.dumps(shared.handle)))
+            lambda: to_jobset(
+                attach_flat(pickle.loads(pickle.dumps(shared.handle)))
+            )
         )
         assert len(out) == len(dispatch_jobset)
 

@@ -370,9 +370,10 @@ class _EngineScheduler(Scheduler):
     def consumes_flat(self) -> bool:
         """Whether :meth:`run` can take a raw :class:`FlatInstance`.
 
-        The sweep dispatch layer checks this to hand the kernel the
-        attached CSR arrays directly (no ``to_jobset()`` round trip in
-        pool workers).
+        The sweep layer ships every instance as a :class:`FlatInstance`
+        and checks this to decide whether a task derives the
+        ``to_jobset()`` view first; when true it hands the kernel the
+        attached CSR arrays directly.
         """
         return self.engine == "flat"
 

@@ -129,9 +129,11 @@ class WorkStealingScheduler(Scheduler):
         """Whether :meth:`run` takes a raw :class:`FlatInstance`.
 
         True when the configuration runs on the kernel and ``run`` is not
-        overridden (an override may do anything); the sweep layer then
-        hands pool workers the attached CSR arrays instead of rebuilding
-        a :class:`JobSet`.
+        overridden (an override may do anything).  The sweep layer ships
+        every instance as a :class:`FlatInstance`; when this is true the
+        task hands ``run`` the attached CSR arrays, otherwise it derives
+        the :func:`~repro.dag.flat.to_jobset` view (built once per
+        instance per process).
         """
         return type(self).run is WorkStealingScheduler.run and not (
             _scope_reasons(**self._engine_kwargs())

@@ -124,6 +124,10 @@ class FlatInstance:
             self.edge_targets[e_lo:e_hi] - lo,
         )
 
+    def __reduce__(self):
+        # The arrays only: caches kept on the instance stay in-process.
+        return type(self), tuple(getattr(self, name) for name, _ in _FIELDS)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlatInstance):
             return NotImplemented
@@ -239,7 +243,13 @@ def to_jobset(flat: FlatInstance) -> JobSet:
     the trusted CSR path (:meth:`JobDag.from_csr`): the arrays came from
     a validated DAG, so re-validating every span would only duplicate
     work already done at first construction.
+
+    The view is cached on ``flat`` (the mirror of :func:`flatten_jobset`'s
+    cache), so each instance is rebuilt at most once per process.
     """
+    cached = getattr(flat, "_jobset_cache", None)
+    if cached is not None:
+        return cached
     jobs: List[Job] = []
     rebuilt: Dict[bytes, JobDag] = {}
     arrivals = flat.arrivals
@@ -268,7 +278,17 @@ def to_jobset(flat: FlatInstance) -> JobSet:
         # (Only when arrivals were already sorted: JobSet re-sorts, so an
         # unsorted input permutes job order and the cache would be wrong.)
         jobset._flat_cache = flat
+    _cache_jobset_view(flat, jobset)
     return jobset
+
+
+def _cache_jobset_view(flat: FlatInstance, jobset: JobSet) -> None:
+    """Make ``jobset`` (which ``flat`` encodes) the :func:`to_jobset` view.
+
+    Not done by :func:`flatten_jobset`: on its hot paths the two-way
+    reference would leave both objects to the cycle collector.
+    """
+    object.__setattr__(flat, "_jobset_cache", jobset)
 
 
 # ----------------------------------------------------------------------

@@ -77,9 +77,12 @@ worker (the pre-ISSUE-2 design) pays pickling cost proportional to the
 instance's node count *per task*.  :class:`SharedInstance` instead
 publishes the instance's flat CSR arrays (:mod:`repro.dag.flat`) into a
 ``multiprocessing.shared_memory`` block once; tasks then carry only a
-tiny layout dict, and each worker attaches the block and rebuilds the
-object view once, caching it for every subsequent task that references
-the same block (:func:`attach_jobset`).
+tiny layout dict, and each worker attaches the block once, caching the
+:class:`~repro.dag.flat.FlatInstance` of views for every subsequent task
+that references the same block (:func:`attach_flat`).  A worker whose
+scheduler needs the object graph derives it with
+:func:`~repro.dag.flat.to_jobset`, which caches the view on that
+instance, so it too is built once per instance per process.
 """
 
 from __future__ import annotations
@@ -104,14 +107,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.dag.flat import (
-    FlatInstance,
-    flatten_jobset,
-    pack_into,
-    to_jobset,
-    unpack_from,
-)
-from repro.dag.job import JobSet
+from repro.dag.flat import FlatInstance, pack_into, unpack_from
 from repro.errors import CellCrashedError, CellTimeoutError, FaultInjected
 
 T = TypeVar("T")
@@ -548,7 +544,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: Optional[int] = None,
-    chunksize: int = 1,
     telemetry: Optional[Any] = None,
     *,
     cell_timeout: Optional[float] = None,
@@ -589,9 +584,6 @@ def parallel_map(
         checkpoint finished cells into the cache immediately.  Must be
         idempotent per index: the serial fallback re-runs the whole
         batch and fires it again.
-    chunksize:
-        Accepted for backward compatibility; the supervised executor
-        tracks every task individually, so batching no longer applies.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  Records how the batch
         was dispatched (``dispatch.serial`` / ``dispatch.pool`` /
@@ -663,22 +655,18 @@ def shared_memory_available() -> bool:
     return _shared_memory is not None
 
 
-#: Jobsets rebuilt from attached shared-memory blocks, keyed by block
-#: name.  Lives at module level so a pool worker pays the attach +
-#: rebuild cost once per instance, not once per task.
-_ATTACH_CACHE: Dict[str, Tuple[Any, JobSet]] = {}
-
 #: Flat views of attached shared-memory blocks, keyed by block name.
-#: Sibling of ``_ATTACH_CACHE`` for flat-consuming schedulers
-#: (``engine="flat"``): the cached :class:`FlatInstance` wraps views
-#: straight into the shared block -- no object graph is ever built --
-#: and carries the kernel's derived-table cache across tasks.
-_FLAT_ATTACH_CACHE: Dict[str, Tuple[Any, FlatInstance]] = {}
+#: Lives at module level so a pool worker pays the attach once per
+#: instance, not once per task.  The cached :class:`FlatInstance` wraps
+#: views straight into the shared block and carries the caches derived
+#: views keep on it (the kernel's tables, the ``to_jobset`` view) across
+#: tasks.
+_ATTACH_CACHE: Dict[str, Tuple[Any, FlatInstance]] = {}
 
 #: Instances published by THIS process (the sweep parent), keyed by
-#: block name.  The serial fallback path resolves against it directly,
-#: avoiding a same-process re-attach.
-_PUBLISHED_LOCAL: Dict[str, JobSet] = {}
+#: block name.  The serial path resolves against it directly, avoiding
+#: a same-process re-attach.
+_PUBLISHED_LOCAL: Dict[str, FlatInstance] = {}
 
 #: Attach-cache bound: a sweep references one block per repetition, so
 #: a handful is plenty; the bound keeps long-lived workers from pinning
@@ -743,8 +731,8 @@ class SharedInstance:
     """A :class:`FlatInstance` published in a shared-memory block.
 
     Created by the sweep parent.  ``handle`` is the tiny picklable
-    payload tasks carry; :func:`attach_jobset` turns it back into a
-    (cached) :class:`JobSet` inside any process.  The parent must keep
+    payload tasks carry; :func:`attach_flat` turns it back into a
+    (cached) :class:`FlatInstance` inside any process.  The parent must keep
     the object alive until every task referencing it has finished, then
     :meth:`close` it (also unlinks the block).  Every created block is
     additionally tracked in the module's unlink registry, so
@@ -752,7 +740,7 @@ class SharedInstance:
     left behind.
     """
 
-    def __init__(self, flat: FlatInstance, jobset: Optional[JobSet] = None):
+    def __init__(self, flat: FlatInstance):
         if _shared_memory is None:  # pragma: no cover - exotic builds
             raise NotImplementedError("shared memory is unavailable")
         self._shm = _shared_memory.SharedMemory(
@@ -768,22 +756,14 @@ class SharedInstance:
             meta = pack_into(flat, self._shm.buf)
             meta["shm_name"] = self._shm.name
             self.handle: Dict[str, Any] = meta
-            # Parent-side shortcut for the serial path: reuse the
-            # already materialized object view instead of re-attaching
-            # in-process.
-            _PUBLISHED_LOCAL[self._shm.name] = (
-                jobset if jobset is not None else to_jobset(flat)
-            )
+            # Parent-side shortcut for the serial path: hand back the
+            # published instance itself instead of re-attaching in-process.
+            _PUBLISHED_LOCAL[self._shm.name] = flat
         except BaseException:
             # A failed publish must not leak the freshly created block
             # (it would otherwise pin /dev/shm until interpreter exit).
             self.close()
             raise
-
-    @property
-    def jobset(self) -> JobSet:
-        """The parent-side object view of the published instance."""
-        return _PUBLISHED_LOCAL[self._shm.name]
 
     def close(self) -> None:
         """Release and unlink the block (idempotent)."""
@@ -803,38 +783,13 @@ class SharedInstance:
 
 
 def _evict_attach_cache() -> None:
-    for cache in (_ATTACH_CACHE, _FLAT_ATTACH_CACHE):
-        while len(cache) > _ATTACH_CACHE_LIMIT:
-            name, (shm, _) = next(iter(cache.items()))
-            del cache[name]
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-
-
-def attach_jobset(handle: Dict[str, Any]) -> JobSet:
-    """Resolve a :attr:`SharedInstance.handle` into a :class:`JobSet`.
-
-    Zero-copy on the wire: only the handle dict crosses the process
-    boundary; the arrays are read directly out of the shared block.  The
-    rebuilt object view is cached per process, so repeated tasks over
-    the same instance (every cell of a sweep repetition) share one
-    reconstruction.
-    """
-    name = handle["shm_name"]
-    local = _PUBLISHED_LOCAL.get(name)
-    if local is not None:  # serial path inside the publishing process
-        return local
-    cached = _ATTACH_CACHE.get(name)
-    if cached is not None:
-        return cached[1]
-    shm = _borrow_shared_block(name)
-    flat = unpack_from(shm.buf, handle)
-    jobset = to_jobset(flat)
-    _ATTACH_CACHE[name] = (shm, jobset)
-    _evict_attach_cache()
-    return jobset
+    while len(_ATTACH_CACHE) > _ATTACH_CACHE_LIMIT:
+        name, (shm, _) = next(iter(_ATTACH_CACHE.items()))
+        del _ATTACH_CACHE[name]
+        try:
+            shm.close()
+        except Exception:  # pragma: no cover - best-effort cleanup
+            pass
 
 
 def _borrow_shared_block(name: str):
@@ -857,26 +812,24 @@ def _borrow_shared_block(name: str):
 def attach_flat(handle: Dict[str, Any]) -> FlatInstance:
     """Resolve a :attr:`SharedInstance.handle` into a :class:`FlatInstance`.
 
-    The flat sibling of :func:`attach_jobset`, for schedulers that
-    consume CSR state directly (``engine="flat"``): the returned
-    instance's arrays are views straight into the shared block, so a
-    pool worker never rebuilds the per-job object graph at all.  Cached
-    per process like the jobset view, which also keeps the flat
-    kernel's derived tables warm across every task over the same
-    instance.
+    Zero-copy on the wire: only the handle dict crosses the process
+    boundary, and the returned instance's arrays are views straight into
+    the shared block.  Cached per process, so repeated tasks over the
+    same instance (every cell of a sweep repetition) share one attach --
+    and whatever is cached on the instance: the kernel's derived tables
+    and, for schedulers that need it, the :func:`~repro.dag.flat.to_jobset`
+    view.  In the publishing process it returns the published instance
+    itself.
     """
     name = handle["shm_name"]
     local = _PUBLISHED_LOCAL.get(name)
-    if local is not None:
-        # Serial path inside the publishing process: the published
-        # jobset carries its flat view (flatten_jobset caches it), so
-        # this is a dict lookup, not a re-flatten.
-        return flatten_jobset(local)
-    cached = _FLAT_ATTACH_CACHE.get(name)
+    if local is not None:  # serial path inside the publishing process
+        return local
+    cached = _ATTACH_CACHE.get(name)
     if cached is not None:
         return cached[1]
     shm = _borrow_shared_block(name)
     flat = unpack_from(shm.buf, handle)
-    _FLAT_ATTACH_CACHE[name] = (shm, flat)
+    _ATTACH_CACHE[name] = (shm, flat)
     _evict_attach_cache()
     return flat

@@ -26,10 +26,12 @@ through the same cached path.
 
 Execution pipeline (ISSUE 2): each repetition's instance is built (or
 loaded from the content-addressed cache) **once** in the parent -- not
-once per cell as the object-graph design did -- then published to pool
-workers through shared memory as flat CSR arrays
-(:class:`repro.experiments.parallel.SharedInstance`), so tasks carry
-kilobytes of coordinates instead of pickled object graphs.  With
+once per cell as the object-graph design did -- as flat CSR arrays,
+the only format the sweep caches and ships: published to pool workers
+through shared memory (:class:`repro.experiments.parallel.SharedInstance`),
+so tasks carry kilobytes of coordinates instead of pickled object
+graphs.  Only a task whose scheduler's ``consumes_flat`` is false
+derives the JobSet view (:func:`~repro.dag.flat.to_jobset`).  With
 ``resume=True`` previously computed cells are served from the cell
 cache; both paths are bit-identical to a cold serial sweep
 (``tests/experiments/test_cache.py``).
@@ -50,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.core.base import Scheduler
 from repro.dag.flat import (
     FlatInstance,
+    _cache_jobset_view,
     content_hash,
     flatten_jobset,
     to_jobset,
@@ -60,7 +63,6 @@ from repro.experiments.cache import CACHE_ENV, SweepCache, cell_key
 from repro.experiments.parallel import (
     SharedInstance,
     attach_flat,
-    attach_jobset,
     parallel_map,
     reclaim_shared_memory,
     shared_memory_available,
@@ -213,10 +215,12 @@ def _callable_token(fn: Callable) -> Optional[str]:
 def _sweep_rep_task(task) -> Dict[str, Any]:
     """One (grid point, repetition) cell, as a picklable top-level task.
 
-    ``task`` is ``(scheduler_factory, params, instance_handle, m, speed,
-    run_seed, metrics, task_index)``.  ``instance_handle`` is either a
+    ``task`` is ``(scheduler_factory, params, instance, m, speed,
+    run_seed, metrics, task_index)``.  ``instance`` is either a
     :attr:`SharedInstance.handle` dict (zero-copy path) or a pickled
-    :class:`JobSet` (fallback when shared memory is unavailable).  The
+    :class:`FlatInstance` (fallback when shared memory is unavailable);
+    a scheduler whose ``consumes_flat`` is false gets its
+    :func:`~repro.dag.flat.to_jobset` view.  The
     run seed arrives precomputed from the cell coordinates, so where (or
     in what order) the task runs cannot affect its result -- which is
     also what makes the task safely *re-runnable* after a worker crash
@@ -232,23 +236,17 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     cell.  Wall time is measured around the simulation only, inside
     the worker, so pool queueing never inflates it.
     """
-    (factory, params, instance_handle, m, speed, run_seed, metrics,
+    (factory, params, instance, m, speed, run_seed, metrics,
      task_index) = task
     maybe_inject("dispatch", index=task_index)
     scheduler = factory(**params)
-    if isinstance(instance_handle, dict):
-        # Flat-consuming schedulers (engine="flat", in-scope
-        # WorkStealingScheduler) take the attached CSR arrays directly --
-        # zero-copy end to end, no per-worker object-graph rebuild.
-        if getattr(scheduler, "consumes_flat", False):
-            jobset = attach_flat(instance_handle)
-        else:
-            jobset = attach_jobset(instance_handle)
-    else:
-        jobset = instance_handle
+    if isinstance(instance, dict):
+        instance = attach_flat(instance)
+    if not getattr(scheduler, "consumes_flat", False):
+        instance = to_jobset(instance)
     maybe_inject("cell", index=task_index)
     t0 = time.perf_counter()
-    result = scheduler.run(jobset, m=m, speed=speed, seed=run_seed)
+    result = scheduler.run(instance, m=m, speed=speed, seed=run_seed)
     wall = time.perf_counter() - t0
     return {
         "metrics": {name: METRICS[name](result) for name in metrics},
@@ -266,11 +264,13 @@ def _materialize_rep_instance(
 ):
     """Build or cache-load one repetition's instance.
 
-    Returns ``(jobset, flat, from_cache)``.  The instance cache engages
-    only for factories exposing ``cache_key`` (e.g.
+    Returns ``(flat, from_cache)``.  The instance cache engages only for
+    factories exposing ``cache_key`` (e.g.
     :class:`~repro.workloads.generator.WorkloadSpec`): arbitrary
-    callables have no stable content identity to key on.  A flat view is
-    always produced -- the dispatch and cell-cache layers both need it.
+    callables have no stable content identity to key on.  No
+    :class:`JobSet` is built here unless the factory itself returns one;
+    then that set becomes the flat's :func:`to_jobset` view, so a
+    scheduler that needs it does not rebuild it.
     """
     key_fn = getattr(jobset_factory, "cache_key", None)
     instance_key = key_fn(jobset_seed) if callable(key_fn) else None
@@ -278,19 +278,19 @@ def _materialize_rep_instance(
     if cache is not None and instance_key is not None:
         flat = cache.load_instance(instance_key)
         if flat is not None:
-            return to_jobset(flat), flat, True
+            return flat, True
 
     build_flat = getattr(jobset_factory, "build_flat", None)
     if callable(build_flat):
         # Vectorized path: CSR arrays straight from the generator.
         flat = build_flat(jobset_seed)
-        jobset = to_jobset(flat)
     else:
         jobset = jobset_factory(jobset_seed)
         flat = flatten_jobset(jobset)
+        _cache_jobset_view(flat, jobset)
     if cache is not None and instance_key is not None:
         cache.store_instance(instance_key, flat)
-    return jobset, flat, False
+    return flat, False
 
 
 def _grid_sweep(
@@ -494,15 +494,11 @@ def _grid_sweep(
     # One instance per repetition, built (or cache-loaded) in the
     # parent.  The old design shipped `jobset_factory` into every task,
     # regenerating the *same* rep instance once per grid point.
-    rep_jobsets: List[JobSet] = []
     rep_flats: List[FlatInstance] = []
     rep_hashes: List[str] = []
     for rep in range(reps):
         jobset_seed = derive_seed(seed, 9000, rep)
-        jobset, flat, _ = _materialize_rep_instance(
-            jobset_factory, jobset_seed, cache
-        )
-        rep_jobsets.append(jobset)
+        flat, _ = _materialize_rep_instance(jobset_factory, jobset_seed, cache)
         rep_flats.append(flat)
         rep_hashes.append(content_hash(flat))
 
@@ -644,15 +640,13 @@ def _grid_sweep(
         use_shm = shared_memory_available() and len(cold_indices) > 0
         if use_shm:
             try:
-                for rep, jobset in enumerate(rep_jobsets):
-                    shared.append(
-                        SharedInstance(rep_flats[rep], jobset=jobset)
-                    )
+                for rep, flat in enumerate(rep_flats):
+                    shared.append(SharedInstance(flat))
                     if telemetry is not None:
                         telemetry.emit(
                             "shm.publish",
                             rep=rep,
-                            nbytes=rep_flats[rep].nbytes,
+                            nbytes=flat.nbytes,
                             instance=rep_hashes[rep],
                         )
             except (OSError, NotImplementedError):
@@ -664,7 +658,7 @@ def _grid_sweep(
                 use_shm = False
 
         def handle_for(rep: int):
-            return shared[rep].handle if use_shm else rep_jobsets[rep]
+            return shared[rep].handle if use_shm else rep_flats[rep]
 
         cold_tasks = [
             (

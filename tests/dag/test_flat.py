@@ -192,3 +192,34 @@ class TestSerialization:
         meta["format_version"] = 999
         with pytest.raises(ValueError):
             unpack_from(buf, meta)
+
+
+class TestJobSetView:
+    """``to_jobset`` caches its view on the instance it was given."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["sorted", "unsorted"])
+    def test_view_is_built_once_and_equals_a_rebuild(self, order):
+        flat = flatten_jobset(_mixed_jobset())
+        fields = {
+            "node_works": flat.node_works,
+            "edge_offsets": flat.edge_offsets,
+            "edge_targets": flat.edge_targets,
+            "job_node_offsets": flat.job_node_offsets,
+            "arrivals": flat.arrivals[::order],
+            "weights": flat.weights,
+        }
+        inst = FlatInstance(**fields)
+        view = to_jobset(inst)
+        assert to_jobset(inst) is view
+        assert_jobsets_identical(view, to_jobset(FlatInstance(**fields)))
+
+    def test_pickle_ships_the_arrays_only(self):
+        import pickle
+
+        flat = flatten_jobset(_mixed_jobset())
+        to_jobset(flat)
+        back = pickle.loads(pickle.dumps(flat))
+        assert back == flat
+        assert not hasattr(back, "_jobset_cache")
+        assert not back.node_works.flags.writeable
+        assert len(pickle.dumps(flat)) < flat.nbytes + 2048

@@ -95,21 +95,34 @@ class TestParallelMap:
 class TestSharedInstanceTransport:
     """Shared-memory publication of flat instances (zero-copy dispatch)."""
 
-    def test_publish_attach_round_trip(self):
-        from repro.dag.flat import flatten_jobset
+    def test_publish_attach_round_trip(self, monkeypatch):
+        from repro.dag import flat as flat_mod
+        from repro.dag.flat import flatten_jobset, to_jobset
         from repro.experiments.parallel import (
             SharedInstance,
-            attach_jobset,
+            attach_flat,
             shared_memory_available,
         )
 
         if not shared_memory_available():  # pragma: no cover
             pytest.skip("no shared memory on this platform")
-        js = _build_jobset(seed=4)
-        with SharedInstance(flatten_jobset(js), jobset=js) as shared:
+        built = []
+        real_jobset = flat_mod.JobSet
+
+        def counting(jobs):
+            built.append(1)
+            return real_jobset(jobs)
+
+        monkeypatch.setattr(flat_mod, "JobSet", counting)
+        flat = flatten_jobset(_build_jobset(seed=4))
+        with SharedInstance(flat) as shared:
             # In the publishing process the attach resolves locally to
-            # the very same object -- no rebuild, no copy.
-            assert attach_jobset(shared.handle) is js
+            # the very same object -- no copy -- and the object view is
+            # built once, however many tasks ask for it.
+            assert attach_flat(shared.handle) is flat
+            view = to_jobset(attach_flat(shared.handle))
+            assert to_jobset(attach_flat(shared.handle)) is view
+            assert len(built) == 1
             assert shared.handle["shm_name"]
             assert shared.handle["layout"]
 
@@ -160,7 +173,7 @@ class TestSharedInstanceTransport:
             pytest.skip("no shared memory on this platform")
         js = _build_jobset(seed=4)
         flat = flatten_jobset(js)
-        with SharedInstance(flat, jobset=js) as shared:
+        with SharedInstance(flat) as shared:
             handle_bytes = len(pickle.dumps(shared.handle))
             jobset_bytes = len(pickle.dumps(js))
         # The whole point: tasks carry a tiny layout dict, not the

@@ -4,13 +4,15 @@ import pytest
 
 import repro
 import repro.sim.engine
+from repro.core.fifo import FifoScheduler
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.builders import single_node
-from repro.dag.job import jobs_from_dags
+from repro.dag.job import JobSet, jobs_from_dags
 from repro.experiments import sweep as sweep_mod
 from repro.experiments.sweep import METRICS, SweepResult
 from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.obs.telemetry import Telemetry
+from repro.sim import _cext
 from repro.sim.rng import make_rng
 from repro.workloads import BingDistribution, WorkloadSpec
 
@@ -207,3 +209,81 @@ def test_every_rep_reports_its_own_cell_run(monkeypatch):
     ]
     assert [e["wall_s"] for e in runs] == walls
     assert not [e for e in tel.events if e["event"].startswith("batch.")]
+
+
+def _count_jobsets(monkeypatch):
+    """Record every JobSet built in this process from now on."""
+    built = []
+    init = JobSet.__init__
+
+    def counting(self, jobs):
+        built.append(1)
+        init(self, jobs)
+
+    monkeypatch.setattr(JobSet, "__init__", counting)
+    return built
+
+
+def _fifo(k):  # top-level, so pool workers can unpickle it
+    del k
+    return FifoScheduler()
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_flat_sweep_builds_no_jobset_in_the_parent(
+    monkeypatch, tmp_path, max_workers
+):
+    """The sweep ships FlatInstances only: with a scheduler that takes
+    them, the parent never builds the object view -- cold, pooled, or
+    served from a warm cache."""
+    if _cext.resolve_batch_kernel() is None:  # pragma: no cover
+        pytest.skip("the reference fallback builds the view by design")
+    built = _count_jobsets(monkeypatch)
+    kwargs = dict(m=4, reps=2, seed=5, max_workers=max_workers,
+                  cache=tmp_path)
+    cold = repro.sweep(
+        WorkStealingScheduler(steals_per_tick=8), {"k": [0, 2]},
+        small_spec(), **kwargs,
+    )
+    assert built == []
+    warm = repro.sweep(
+        WorkStealingScheduler(steals_per_tick=8), {"k": [0, 2]},
+        small_spec(), resume=True, **kwargs,
+    )
+    assert (warm.n_cold, warm.n_cached) == (0, 4)
+    assert built == []
+    assert warm.cells == cold.cells
+
+
+@pytest.mark.parametrize(
+    "workload", [small_spec(), tiny_jobset_factory], ids=["flat", "jobset"]
+)
+def test_jobset_scheduler_sweep_builds_one_view_per_rep(
+    monkeypatch, workload
+):
+    """A scheduler that needs the object graph gets one per repetition
+    instance, not one per (cell, rep) task: derived once from a flat
+    build, or the factory's own JobSet, never rebuilt."""
+    built = _count_jobsets(monkeypatch)
+    repro.sweep(
+        _fifo, {"k": [0, 1, 2]}, workload, m=4, reps=2, seed=5,
+        max_workers=1,
+    )
+    assert len(built) == 2
+
+
+def test_sweep_without_shared_memory_pickles_flats(monkeypatch):
+    """With no shared memory, tasks carry the pickled FlatInstance and
+    every cell equals the zero-copy run's."""
+    grid = {"k": [0, 2]}
+    kwargs = dict(m=4, reps=2, seed=5, max_workers=2)
+    shared = [
+        repro.sweep(WorkStealingScheduler, grid, small_spec(), **kwargs),
+        repro.sweep(_fifo, grid, small_spec(), **kwargs),
+    ]
+    monkeypatch.setattr(sweep_mod, "shared_memory_available", lambda: False)
+    pickled = [
+        repro.sweep(WorkStealingScheduler, grid, small_spec(), **kwargs),
+        repro.sweep(_fifo, grid, small_spec(), **kwargs),
+    ]
+    assert [s.cells for s in pickled] == [s.cells for s in shared]
