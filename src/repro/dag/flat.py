@@ -285,8 +285,12 @@ def to_jobset(flat: FlatInstance) -> JobSet:
 def _cache_jobset_view(flat: FlatInstance, jobset: JobSet) -> None:
     """Make ``jobset`` (which ``flat`` encodes) the :func:`to_jobset` view.
 
-    Not done by :func:`flatten_jobset`: on its hot paths the two-way
-    reference would leave both objects to the cycle collector.
+    Not done by :func:`flatten_jobset`, whose hot paths (the figure
+    runners, ``run_centralized``) flatten JobSets nobody converts back.
+    Where both caches are set -- here, once ``flatten_jobset(jobset)``
+    has run, and in :func:`to_jobset` for sorted arrivals -- the flat
+    and its view reference each other, so only the cycle collector
+    frees them.
     """
     object.__setattr__(flat, "_jobset_cache", jobset)
 
