@@ -15,7 +15,7 @@ knobs (``m`` or its alias ``num_workers``, ``speed`` or its alias
   bit-identical to the reference, same knobs, and additionally accepts
   a :class:`~repro.dag.flat.FlatInstance` directly; knobs outside the
   kernel's scope, or a host without a C compiler, run the reference
-  engine with a one-time warning) or ``"speedup-fifo"`` /
+  engine, and only the missing compiler is warned) or ``"speedup-fifo"`` /
   ``"speedup-equi"`` (the speedup-curves engines, which take a
   :class:`~repro.speedup.model.SpeedupJobSet`).  An engine name is
   wrapped in the same :class:`_EngineScheduler` adapter
@@ -228,8 +228,8 @@ def run(
     result = dispatch()
     wall = time.perf_counter() - t0
     if result.reasons:
-        # Every fallback run is recorded here; the engines' one-time
-        # RuntimeWarning only covers the first.
+        # Every fallback run is recorded here; the engines warn only
+        # once per process, and only for kernel=unavailable.
         telemetry.emit(
             "dispatch.slow_path", engine=engine, reasons=list(result.reasons)
         )

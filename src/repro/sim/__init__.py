@@ -33,12 +33,13 @@ and :meth:`WorkStealingScheduler.run <repro.core.work_stealing.WorkStealingSched
 that kernel at R=1; callers with several replicates of one
 configuration pass them to ``run_batch`` together.  Knobs
 outside the kernel's scope run the reference engine instead (identical
-results; warned once for ``"flat"``), and so does everything on a host
-without a working C compiler (warned once; centralized runs then take
-the Python event loop).  Every result records the engine that produced
-it in ``path`` and, for a fallback, why in ``reasons``.  Importing this package starts the kernel's
-compile in the background (:mod:`repro.sim._cext`), so the cold build
-overlaps start-up.
+results), and so does everything on a host without a working C
+compiler (centralized runs then take the Python event loop).  Only the
+missing kernel is warned, once per process; every result records the
+engine that produced it in ``path`` and, for a fallback, why in
+``reasons``.  Importing this package starts the kernel's compile in the
+background (:mod:`repro.sim._cext`), so the cold build overlaps
+start-up.
 
 :mod:`repro.sim.stream_engine` (``repro.run("flat", stream=...)``) runs
 the same tick semantics over a sliding window of a lazy arrival stream:

@@ -32,13 +32,11 @@
  * A materialized run (run_batch) is one call over the whole instance
  * with no stop point: n_total = n, more = 0, ckpt_at = INT64_MAX.
  *
- * Table addressing: node- and job-indexed arrays use *global* (arena or
- * window) ids; the caller passes job-indexed pointers pre-offset to this
- * rep's segment (jro, arr_ticks) and worker-indexed pointers offset by
- * rep * m.  Completed jobs are appended, in completion order, to `log`
- * when it is not NULL (its length is the S_NLOG slot).  Victim draws
- * come from a 4096-slot block per rep, refilled by calling back into
- * Python (refill_fn) so the PCG64 stream is drawn by the *same* numpy
+ * Table addressing: every array is indexed by window-local ids (node,
+ * edge, job or worker).  Completed jobs are appended, in completion
+ * order, to `log` (its length is the S_NLOG slot).  Victim draws come
+ * from the run's 4096-slot block, refilled by calling back into Python
+ * (refill_fn) so the PCG64 stream is drawn by the *same* numpy
  * Generator calls as the reference engine's UniformVictim -- exact
  * post-state identity, not just equal victim sequences.
  */
@@ -58,10 +56,10 @@ enum {
     S_NLOG, N_STATE
 };
 
-typedef void (*refill_fn)(int64_t rep);
+typedef void (*refill_fn)(void);
 
 typedef struct {
-    /* immutable tables (global arena ids) */
+    /* immutable tables */
     const int64_t *works;
     const int64_t *eo;
     const int64_t *et;
@@ -78,7 +76,7 @@ typedef struct {
     int64_t *dq_next;
     int64_t *dq_prev;
     int64_t *rdy;
-    int64_t *log;     /* completion-order job log, or NULL */
+    int64_t *log;     /* completion-order job log */
     int64_t nlog;
     double speed;
     int64_t m;
@@ -160,8 +158,7 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
     if (u == 0) {
         s->completions[j] = (double)(end_tick + 1) / s->speed;
         s->completed++;
-        if (s->log)
-            s->log[s->nlog++] = j;
+        s->log[s->nlog++] = j;
     }
     if (lo != hi) {
         if (hi - lo == 1) {
@@ -218,21 +215,21 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
 int64_t repro_batch_run_rep(
     const int64_t *works, const int64_t *eo, const int64_t *et,
     const int64_t *chain, const int64_t *job_of,
-    const int64_t *jro,      /* job-indexed, pre-offset: jro[0..n] */
-    const int64_t *roots,    /* global root-node list */
-    const int64_t *arr_ticks,/* job-indexed, pre-offset: arr_ticks[0..n-1] */
+    const int64_t *jro,      /* job-indexed: jro[0..n] */
+    const int64_t *roots,    /* ascending root-node list */
+    const int64_t *arr_ticks,/* job-indexed: arr_ticks[0..n-1] */
     int64_t *preds, int64_t *unfin, double *completions,
     int64_t *cur, int64_t *fin, int64_t *fails, int64_t *idles,
     int64_t *dq_head, int64_t *dq_tail,
     int64_t *dq_next, int64_t *dq_prev, int64_t *rdy,
-    int64_t *raw,            /* this rep's 4096-draw victim block */
-    int64_t *log,            /* completion-order job log, or NULL */
+    int64_t *raw,            /* the 4096-draw victim block */
+    int64_t *log,            /* completion-order job log, n slots */
     int64_t n,               /* jobs in the window */
     int64_t n_total,         /* run until this many jobs completed */
     int64_t more,            /* nonzero: jobs beyond the window follow */
     int64_t m, int64_t k, int64_t sigma,
     int64_t max_ticks, int64_t ckpt_at, double speed,
-    int64_t *state, refill_fn refill, int64_t rep)
+    int64_t *state, refill_fn refill)
 {
     St st;
     int64_t t = state[S_T];
@@ -444,8 +441,8 @@ int64_t repro_batch_run_rep(
                             if (p == BLOCK) {
                                 /* Same lazy refill cadence as
                                  * UniformVictim: Python draws the next
-                                 * 4096 values into this rep's block. */
-                                refill(rep);
+                                 * 4096 values into the block. */
+                                refill();
                                 p = 0;
                             }
                             stop = p + allowed;

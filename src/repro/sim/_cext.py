@@ -67,10 +67,10 @@ BLOCK = 4096
 #: IDLE_AT; compared against ticks, unlike worker.IDLE).
 IDLE_AT = 1 << 62
 
-#: The refill callback signature: C hands back the replicate index whose
-#: draw block is exhausted; Python refills it in place from that rep's
-#: Generator (keeping the PCG64 stream bit-identical to the reference).
-REFILL_CFUNC = ctypes.CFUNCTYPE(None, ctypes.c_int64)
+#: The refill callback signature: C calls it when the draw block is
+#: exhausted; Python refills the block in place from the run's Generator
+#: (keeping the PCG64 stream bit-identical to the reference).
+REFILL_CFUNC = ctypes.CFUNCTYPE(None)
 
 #: Slots of the kernel's int64 state vector (the C kernel's S_* enum):
 #: the loop-top scalars, the six stat counters, and the length of the
@@ -163,8 +163,8 @@ def _bind(lib: ctypes.CDLL) -> Any:
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
     # 22 array pointers, 8 int64 scalars, speed, state pointer,
-    # callback, rep index -- the exact order of the C signature.
-    fn.argtypes = [ptr] * 22 + [i64] * 8 + [f64, ptr, REFILL_CFUNC, i64]
+    # callback -- the exact order of the C signature.
+    fn.argtypes = [ptr] * 22 + [i64] * 8 + [f64, ptr, REFILL_CFUNC]
     fn.restype = i64
     cfn = lib.repro_centralized_run
     # 14 array pointers, tr_cap, n, n_nodes, m, speed, two state

@@ -30,31 +30,28 @@ them one kernel call each:
   (``tests/sim/test_flat_kernel_equivalence.py`` and
   ``tests/sim/test_batch_engine.py`` fuzz this).  Configurations
   outside the kernel's native scope -- non-uniform victim policies,
-  ``steal_half``, weighted admission, ``trace``, samplers,
-  ``_fast_forward=False`` -- and hosts where the kernel cannot be
-  built run the reference engine per replicate, with a one-time
-  :class:`RuntimeWarning` naming the cause.  So does a hand-built
-  replicate whose arrivals are not sorted (the reference re-sorts and
-  re-ids it), silently: that is a property of the instance, not of the
-  configuration.  A hand-built replicate whose CSR arrays are malformed
-  raises :class:`ValueError` before the kernel reads them (checked once
-  per cached table set).
+  ``steal_half``, weighted admission, ``trace``, samplers -- run the
+  reference engine per replicate, and so does a hand-built replicate
+  whose arrivals are not sorted (the reference re-sorts and re-ids it).
+  A host where the kernel cannot be built runs the reference engine
+  too, and is the one case warned: a :class:`RuntimeWarning` naming
+  ``kernel=unavailable``, once per process.  A hand-built replicate
+  whose CSR arrays are malformed raises :class:`ValueError` before the
+  kernel reads them (checked once per cached table set).
+* **One call site.**  A replicate on the kernel is a one-window run:
+  :class:`_KernelWindow` aliases the cached tables, allocates the
+  run's mutable state and makes the one kernel call, with no stop
+  point.  The streaming engine's window extends the same class.
 * **Path report.**  Every result says which engine produced it:
   ``path`` is ``"cext"`` or ``"reference"``, and ``reasons`` holds the
   causes of a fallback (empty on the kernel), ``arrivals=unsorted``
   for the data-shape one.
-
-Telemetry: with a sink attached, :func:`run_batch` emits
-``batch.start`` (plan: rep count, kernel path), per-replicate
-``batch.flush`` (wall time as each rep's results materialize) and
-``batch.done``.  Telemetry never changes results.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import time
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,7 +62,9 @@ from repro.dag.job import JobSet
 from repro.sim import _cext
 from repro.sim._cext import (
     BLOCK,
+    DONE,
     IDLE_AT,
+    N_STATE,
     NO_CHECKPOINT,
     REFILL_CFUNC,
     S_ADMWAIT,
@@ -99,7 +98,6 @@ def _scope_reasons(
     admission: str = "fifo",
     trace: Any = None,
     sampler: Any = None,
-    _fast_forward: bool = True,
     **_knobs: Any,
 ) -> List[str]:
     """The configuration knobs outside the kernel's native scope.
@@ -118,52 +116,42 @@ def _scope_reasons(
         reasons.append("trace=<TraceRecorder>")
     if sampler is not None:
         reasons.append("sampler=<SystemSampler>")
-    if not _fast_forward:
-        reasons.append("_fast_forward=False")
     return reasons
 
 
 def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
     """Why a run with these knobs takes a Python engine, if it does.
 
-    :func:`_scope_reasons`, then ``kernel=unavailable`` when the
-    compiled kernel cannot be built or loaded on this host.  Empty means
-    the run takes the kernel.  Shared by :func:`run_batch` and the
-    streaming engine, which stamp the result on what they return.
+    :func:`_scope_reasons`, then ``kernel=unavailable`` (warned once,
+    :func:`_warn_slow_path`) when the compiled kernel cannot be built or
+    loaded on this host.  Empty means the run takes the kernel.  Shared
+    by :func:`run_batch` and the streaming engine, which stamp the
+    result on what they return.
     """
     reasons = _scope_reasons(*args, **knobs)
     if resolve_batch_kernel() is None:
         reasons.append("kernel=unavailable")
+        _warn_slow_path()
     return tuple(reasons)
 
 
-def _warn_slow_path(reasons: tuple) -> None:
-    """One-time RuntimeWarning when a run falls back to a Python engine.
+def _warn_slow_path() -> None:
+    """One-time RuntimeWarning: the compiled kernel is unavailable here.
 
-    The fallback is the reference engine for materialized runs and, for
-    streaming runs, the stream driver's Python step in place of the
-    compiled one.  Warned once per process; the paired
-    ``dispatch.slow_path`` telemetry event (emitted by the
-    :func:`repro.run` facade and the streaming engine) records every
-    occurrence for machine consumption.
+    The only warned fallback.  A configuration outside the kernel's
+    scope is reported in the result's ``reasons`` (and the
+    ``dispatch.slow_path`` telemetry event), never warned.  Warned once
+    per process, forked workers included.
     """
     global _SLOW_PATH_WARNED
-    if _SLOW_PATH_WARNED or not reasons:
+    if _SLOW_PATH_WARNED:
         return
     _SLOW_PATH_WARNED = True
-    cause = ""
-    if "kernel=unavailable" in reasons and _cext.unavailable_reason:
-        cause = (
-            f"; the compiled kernel could not be built or loaded "
-            f"({_cext.unavailable_reason})"
-        )
     warnings.warn(
-        f"runs with {', '.join(reasons)} are outside the compiled "
-        f"kernel's scope and fall back to a slower Python engine (the "
-        f"reference engine, or the Python step of the stream driver for "
-        f"streaming runs){cause}; results are identical, only slower "
-        f"(this warning is shown once per process, forked workers "
-        f"included)",
+        f"kernel=unavailable: the compiled kernel could not be built or "
+        f"loaded ({_cext.unavailable_reason}), so runs fall back to a "
+        f"slower Python engine; results are identical, only slower (this "
+        f"warning is shown once per process, forked workers included)",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -178,7 +166,7 @@ def _before_fork() -> None:
     the warned flag: a pool warns once, not once per worker.
     """
     if resolve_batch_kernel() is None:
-        _warn_slow_path(("kernel=unavailable",))
+        _warn_slow_path()
 
 
 if hasattr(os, "register_at_fork"):
@@ -390,6 +378,122 @@ def _empty_result(
     )
 
 
+class _KernelWindow:
+    """A run's kernel view: its tables, its mutable state, the kernel call.
+
+    int64 numpy tables in window-local ids.  The kernel reads works,
+    edges, chain links, each node's job, root offsets, roots and arrival
+    ticks, and writes the rest: predecessor and unfinished-node counts,
+    the worker arrays, the deques, completions and the completion log.
+    The deques are linked lists: ``dq_head``/``dq_tail`` per worker and
+    ``dq_next``/``dq_prev`` per node, with each queued node's ready tick
+    in ``rdy``.  The FIFO queue is the job range ``[q_head, next_arr)``
+    of the state vector.  A materialized replicate is a one-window run
+    over its cached tables (:func:`_run_kernel`); the streaming engine's
+    window extends this class.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        rng: np.random.Generator,
+        raw: Optional[np.ndarray],
+        works: np.ndarray,
+        eo: np.ndarray,
+        et: np.ndarray,
+        chain: np.ndarray,
+        job_of: np.ndarray,
+        jro: np.ndarray,
+        roots: np.ndarray,
+        arr_ticks: np.ndarray,
+        preds: np.ndarray,
+        unfin: np.ndarray,
+    ) -> None:
+        self.works = works
+        self.eo = eo
+        self.et = et
+        self.chain = chain
+        self.job_of = job_of
+        self.jro = jro
+        self.roots = roots
+        self.arr_ticks = arr_ticks
+        self.preds = preds
+        self.unfin = unfin
+        self.cur = np.full(m, -1, dtype=np.int64)
+        self.fin = np.full(m, IDLE_AT, dtype=np.int64)
+        self.fails = np.zeros(m, dtype=np.int64)
+        self.idles = np.zeros(m, dtype=np.int64)
+        self.dq_head = np.full(m, -1, dtype=np.int64)
+        self.dq_tail = np.full(m, -1, dtype=np.int64)
+        self.dq_next = np.full(len(works), -1, dtype=np.int64)
+        self.dq_prev = np.full(len(works), -1, dtype=np.int64)
+        self.rdy = np.full(len(works), -1, dtype=np.int64)
+        self.rng = rng
+        # With one worker there are no victims and the block is unused.
+        self.raw = raw if raw is not None else np.zeros(BLOCK, dtype=np.int64)
+        self.state = np.zeros(N_STATE, dtype=np.int64)
+        self._scratch()
+
+    def _scratch(self) -> None:
+        """Size the completion outputs to the window: a call completes
+        at most every window job once."""
+        wn = len(self.unfin)
+        self.completions = np.zeros(wn, dtype=np.float64)
+        self.log = np.zeros(wn, dtype=np.int64)
+
+    def refill(self) -> None:
+        """Draw the next victim block, with UniformVictim's call."""
+        self.raw[:] = self.rng.integers(0, len(self.cur) - 1, size=BLOCK)
+
+    def call(
+        self,
+        n_total: int,
+        more: bool,
+        m: int,
+        k: int,
+        sigma: int,
+        max_ticks: int,
+        ckpt_at: int,
+        speed: float,
+    ) -> int:
+        """The compiled step: run the kernel to its next stop point."""
+        return resolve_batch_kernel()(
+            _ptr(self.works),
+            _ptr(self.eo),
+            _ptr(self.et),
+            _ptr(self.chain),
+            _ptr(self.job_of),
+            _ptr(self.jro),
+            _ptr(self.roots),
+            _ptr(self.arr_ticks),
+            _ptr(self.preds),
+            _ptr(self.unfin),
+            _ptr(self.completions),
+            _ptr(self.cur),
+            _ptr(self.fin),
+            _ptr(self.fails),
+            _ptr(self.idles),
+            _ptr(self.dq_head),
+            _ptr(self.dq_tail),
+            _ptr(self.dq_next),
+            _ptr(self.dq_prev),
+            _ptr(self.rdy),
+            _ptr(self.raw),
+            _ptr(self.log),
+            len(self.unfin),
+            n_total,
+            int(more),
+            m,
+            k,
+            sigma,
+            max_ticks,
+            ckpt_at,
+            float(speed),
+            _ptr(self.state),
+            REFILL_CFUNC(self.refill),
+        )
+
+
 def _run_kernel(
     flat: FlatInstance,
     m: int,
@@ -400,7 +504,7 @@ def _run_kernel(
     max_ticks: Optional[int],
     label: str,
 ) -> ScheduleResult:
-    """One replicate on the compiled kernel, in one call with no stop point.
+    """One replicate on the compiled kernel: a one-window run, no stop point.
 
     ``flat``'s arrivals must be sorted (``_BatchTables.sorted_ok``).
     """
@@ -410,15 +514,6 @@ def _run_kernel(
     if n == 0:
         return _empty_result(flat, label, m, speed, recorded_seed)
     rng = make_rng(seed)
-    raw = np.zeros(BLOCK, dtype=np.int64)
-    if m > 1:
-        # Same up-front first block as UniformVictim; refills happen
-        # lazily from C via the callback.
-        raw[:] = rng.integers(0, m - 1, size=BLOCK)
-
-    def _refill(_rep: int) -> None:
-        raw[:] = rng.integers(0, m - 1, size=BLOCK)
-
     arr_ticks = tables.arr_ticks(speed)
     if max_ticks is None:
         # Same loose feasibility bound as the reference engine.
@@ -426,63 +521,29 @@ def _run_kernel(
             tables.total_work + (k + 2) * n + int(arr_ticks[-1])
             + 64 * m + 64
         ) * 4
-    # Mutable run state, allocated fresh per call (the immutable tables
-    # above are the cached part); named so it outlives the call.
-    n_nodes = max(1, len(tables.works))
-    preds = tables.preds_master.copy()
-    unfin = tables.unfin_master.copy()
-    completions = np.zeros(n, dtype=np.float64)
-    cur = np.full(m, -1, dtype=np.int64)
-    fin = np.full(m, IDLE_AT, dtype=np.int64)
-    fails = np.zeros(m, dtype=np.int64)
-    idles = np.empty(m, dtype=np.int64)
-    dq_head = np.full(m, -1, dtype=np.int64)
-    dq_tail = np.full(m, -1, dtype=np.int64)
-    dq_next = np.empty(n_nodes, dtype=np.int64)
-    dq_prev = np.empty(n_nodes, dtype=np.int64)
-    rdy = np.empty(n_nodes, dtype=np.int64)
-    state = fresh_state(int(arr_ticks[0]))
-    cb = REFILL_CFUNC(_refill)
-    rc = resolve_batch_kernel()(
-        _ptr(tables.works),
-        _ptr(tables.eo),
-        _ptr(tables.et),
-        _ptr(tables.chain),
-        _ptr(tables.job_of),
-        _ptr(tables.jro),
-        _ptr(tables.roots),
-        _ptr(arr_ticks),
-        _ptr(preds),
-        _ptr(unfin),
-        _ptr(completions),
-        _ptr(cur),
-        _ptr(fin),
-        _ptr(fails),
-        _ptr(idles),
-        _ptr(dq_head),
-        _ptr(dq_tail),
-        _ptr(dq_next),
-        _ptr(dq_prev),
-        _ptr(rdy),
-        _ptr(raw),
-        None,
-        n,
-        n,
-        0,
+    # The window aliases the cached immutable tables and owns fresh
+    # copies of the two the kernel decrements.  The first draw block is
+    # drawn up front, like UniformVictim's; refills happen lazily from C.
+    w = _KernelWindow(
         m,
-        int(k),
-        sigma,
-        max_ticks,
-        NO_CHECKPOINT,
-        float(speed),
-        _ptr(state),
-        cb,
-        0,
+        rng,
+        rng.integers(0, m - 1, size=BLOCK) if m > 1 else None,
+        tables.works,
+        tables.eo,
+        tables.et,
+        tables.chain,
+        tables.job_of,
+        tables.jro,
+        tables.roots,
+        arr_ticks,
+        tables.preds_master.copy(),
+        tables.unfin_master.copy(),
     )
-    if rc != 0:
+    w.state = fresh_state(int(arr_ticks[0]))
+    if w.call(n, False, m, k, sigma, max_ticks, NO_CHECKPOINT, speed) != DONE:
         raise RuntimeError(
             f"work-stealing run exceeded max_ticks={max_ticks} "
-            f"({int(state[S_COMPLETED])}/{n} jobs complete) -- "
+            f"({int(w.state[S_COMPLETED])}/{n} jobs complete) -- "
             f"instance may be overloaded"
         )
     return ScheduleResult(
@@ -490,9 +551,9 @@ def _run_kernel(
         m=m,
         speed=speed,
         arrivals=tables.arrivals,
-        completions=completions,
+        completions=w.completions,
         weights=np.asarray(flat.weights, dtype=np.float64),
-        stats=_kernel_stats(state, tables.total_work, n),
+        stats=_kernel_stats(w.state, tables.total_work, n),
         seed=recorded_seed,
         path="cext",
     )
@@ -511,8 +572,6 @@ def run_batch(
     steal_half: bool = False,
     admission: str = "fifo",
     sampler: Optional[Any] = None,
-    telemetry: Optional[Any] = None,
-    _fast_forward: bool = True,
 ) -> List[ScheduleResult]:
     """Run steal-k-first work stealing on R replicates, one kernel call each.
 
@@ -556,10 +615,8 @@ def run_batch(
     sigma = int(steals_per_tick)
 
     reasons = _slow_path_reasons(
-        victim_policy, steal_half, admission, trace, sampler, _fast_forward
+        victim_policy, steal_half, admission, trace, sampler
     )
-    _warn_slow_path(reasons)
-    path = "reference" if reasons else "cext"
     label = _scheduler_label(k, victim_policy, steal_half, admission)
 
     def reference(inst, seed: SeedLike, why: tuple) -> ScheduleResult:
@@ -576,52 +633,22 @@ def run_batch(
             steal_half=steal_half,
             admission=admission,
             sampler=sampler,
-            _fast_forward=_fast_forward,
         )
         result.reasons = why
         return result
 
-    t_start = time.perf_counter()
-    if telemetry is not None:
-        telemetry.emit(
-            "batch.start",
-            n_reps=reps,
-            m=m,
-            k=k,
-            steals_per_tick=sigma,
-            kernel=path,
-        )
     results: List[ScheduleResult] = []
-    for r, (inst, seed) in enumerate(zip(instances, seeds)):
-        t0 = time.perf_counter()
+    for inst, seed in zip(instances, seeds):
         if reasons:
             results.append(reference(inst, seed, reasons))
+            continue
+        flat = inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
+        if _batch_tables(flat).sorted_ok:
+            results.append(
+                _run_kernel(flat, m, speed, k, sigma, seed, max_ticks, label)
+            )
         else:
-            flat = (
-                inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
-            )
-            if _batch_tables(flat).sorted_ok:
-                results.append(
-                    _run_kernel(
-                        flat, m, speed, k, sigma, seed, max_ticks, label
-                    )
-                )
-            else:
-                # Unsorted hand-built arrivals: only the reference
-                # engine (which re-sorts and re-ids) defines the
-                # semantics.  A property of the instance, so not warned.
-                results.append(reference(inst, seed, ("arrivals=unsorted",)))
-        if telemetry is not None:
-            telemetry.emit(
-                "batch.flush",
-                rep=r,
-                wall_s=round(time.perf_counter() - t0, 6),
-            )
-    if telemetry is not None:
-        telemetry.emit(
-            "batch.done",
-            n_reps=reps,
-            wall_s=round(time.perf_counter() - t_start, 6),
-            kernel=path,
-        )
+            # Unsorted hand-built arrivals: only the reference engine
+            # (which re-sorts and re-ids) defines the semantics.
+            results.append(reference(inst, seed, ("arrivals=unsorted",)))
     return results

@@ -178,7 +178,7 @@ def run_centralized(
     if kernel is None:
         reasons = ("dynamic=True",) if dynamic else ("kernel=unavailable",)
         if not dynamic:
-            _warn_slow_path(reasons)
+            _warn_slow_path()
         result = _run_centralized_reference(
             jobset, m, speed, priority_key, scheduler_name, trace, dynamic
         )

@@ -22,17 +22,19 @@ completion-order log into the online accumulators, pulls the next
 segment (appending to the tables), compacts the retired prefix (slicing
 the tables and re-basing every id, the deques included) and writes
 checkpoints.  There are two steps with one contract, chosen once per
-run by :func:`repro.sim.batch_engine._slow_path_reasons`; the result's
-``path`` and ``reasons`` record which one ran and why:
+run; the result's ``path`` and ``reasons`` record which one ran and
+why:
 
-* **The compiled step** (``_Window.call``): the C kernel
-  (``_batch_kernel.c``, the one that runs ``engine="flat"``), for every
-  configuration it covers.
+* **The compiled step** (``_Window.call``, inherited from
+  :class:`repro.sim.batch_engine._KernelWindow`, the one kernel call
+  site): the C kernel that also runs ``engine="flat"``, for every run
+  without a ``utilization_window``.
 * **The Python step** (:func:`_python_step`), a transcription of the
-  kernel's loop, for the rest: a ``utilization_window`` (a sampler),
-  ``_fast_forward=False``, or a host where the kernel cannot be built
-  (warned once per process, like ``run_batch``).  It converts the tables
-  to lists once per call and writes the mutable ones back on return.
+  kernel's loop, for the rest: a ``utilization_window`` (a sampler,
+  which the kernel does not take), or a host where the kernel cannot be
+  built (warned once per process, ``kernel=unavailable``).  It converts
+  the tables to lists once per call and writes the mutable ones back on
+  return.
 
 Semantics
 ---------
@@ -105,10 +107,8 @@ from repro.sim._cext import (
     DONE,
     IDLE_AT as _IDLE_AT,
     MAX_TICKS,
-    N_STATE,
     NEED_SEGMENT,
     NO_CHECKPOINT,
-    REFILL_CFUNC,
     S_ADMWAIT,
     S_ATT,
     S_COMPLETED,
@@ -126,15 +126,13 @@ from repro.sim._cext import (
     S_Q_HEAD,
     S_T,
     fresh_state,
-    resolve_batch_kernel,
 )
 from repro.sim.batch_engine import (
     _check_csr,
     _derive_tables,
     _kernel_stats,
-    _ptr,
+    _KernelWindow,
     _slow_path_reasons,
-    _warn_slow_path,
 )
 from repro.sim.checkpoint import (
     latest_checkpoint,
@@ -389,15 +387,14 @@ def _run_stream(
     keep_checkpoints: int = 3,
     resume: bool = False,
     telemetry: Optional[Any] = None,
-    _fast_forward: bool = True,
     _compact_min: Optional[int] = None,
 ) -> StreamResult:
     """Simulate steal-k-first work stealing over a lazy workload stream.
 
     Parameters mirror :func:`repro.sim.engine._run_work_stealing` where they
     overlap (``m``, ``speed``, ``k``, ``seed``, ``steals_per_tick``,
-    ``max_ticks``, ``_fast_forward``); ``seed`` must be a plain int or
-    None because checkpoints serialize it.  Streaming-specific knobs:
+    ``max_ticks``); ``seed`` must be a plain int or None because
+    checkpoints serialize it.  Streaming-specific knobs:
 
     quantiles:
         Flow-time quantiles to sketch online with P^2 (estimates; the
@@ -496,10 +493,9 @@ def _run_stream(
 
     # A utilization_window attaches a sampler, which the kernel does not
     # take.
-    reasons = _slow_path_reasons(
-        sampler=utilization_window, _fast_forward=_fast_forward
-    )
-    _warn_slow_path(reasons)
+    reasons = _slow_path_reasons()
+    if utilization_window is not None:
+        reasons = (f"utilization_window={utilization_window}",) + reasons
     path = "python" if reasons else "cext"
 
     # The first victim-draw block, drawn up front like UniformVictim's.
@@ -590,7 +586,7 @@ def _run_stream(
         telemetry=telemetry,
     )
     step: _Step = (
-        partial(_python_step, sampler=util, fast_forward=_fast_forward)
+        partial(_python_step, sampler=util)
         if reasons
         else _Window.call
     )
@@ -638,56 +634,31 @@ def _rebase(ids: np.ndarray, cut: int) -> np.ndarray:
     return np.where(ids >= 0, ids - cut, -1)
 
 
-class _Window:
-    """The run's window: int64 numpy tables in window-local ids.
+class _Window(_KernelWindow):
+    """The run's window: kernel tables that slide over the stream.
 
     Node-, edge- and job-indexed tables are rebuilt (appended to at
     segment pulls, sliced at compactions); worker arrays, the victim-draw
-    block and the kernel's state vector keep their identity.  The deques
-    are linked lists: ``dq_head``/``dq_tail`` per worker and
-    ``dq_next``/``dq_prev`` per node, with each queued node's ready tick
-    in ``rdy``.  The FIFO queue is the job range ``[q_head, next_arr)``.
-    ``boundary`` is the sampler's pending boundary snapshot, the one
-    loop-top value the kernel does not keep (it takes no sampler).
+    block and the kernel's state vector keep their identity.  ``jno``
+    and ``arrivals`` are the window's job-node offsets and arrival
+    times.  ``boundary`` is the sampler's pending boundary snapshot, the
+    one loop-top value the kernel does not keep (it takes no sampler).
     """
 
-    def __init__(self, m: int, raw: Optional[np.ndarray]) -> None:
-        def empty() -> np.ndarray:
-            return np.zeros(0, dtype=np.int64)
-
-        self.works = empty()
-        self.eo = np.zeros(1, dtype=np.int64)
-        self.et = empty()
-        self.chain = empty()
-        self.job_of = empty()
-        self.preds = empty()
-        self.dq_next = empty()
-        self.dq_prev = empty()
-        self.rdy = empty()
-        self.jno = np.zeros(1, dtype=np.int64)
-        self.jro = np.zeros(1, dtype=np.int64)
-        self.roots = empty()
-        self.unfin = empty()
-        self.arr_ticks = empty()
+    def __init__(
+        self, m: int, rng: np.random.Generator, raw: Optional[np.ndarray]
+    ) -> None:
+        # Shared placeholders: the first pull or a restore replaces
+        # every table.
+        empty = np.zeros(0, dtype=np.int64)
+        head = np.zeros(1, dtype=np.int64)  # an empty CSR offset array
+        super().__init__(
+            m, rng, raw, empty, head, empty, empty, empty, head, empty,
+            empty, empty, empty,
+        )
+        self.jno = head
         self.arrivals = np.zeros(0, dtype=np.float64)
-        self.cur = np.full(m, -1, dtype=np.int64)
-        self.fin = np.full(m, _IDLE_AT, dtype=np.int64)
-        self.fails = np.zeros(m, dtype=np.int64)
-        self.idles = np.zeros(m, dtype=np.int64)
-        self.dq_head = np.full(m, -1, dtype=np.int64)
-        self.dq_tail = np.full(m, -1, dtype=np.int64)
-        # With one worker there are no victims and the block is unused.
-        self.raw = raw if raw is not None else np.zeros(_BLOCK, dtype=np.int64)
-        self.state = np.zeros(N_STATE, dtype=np.int64)
         self.boundary = False
-        self._scratch()
-
-    def _scratch(self) -> None:
-        """Size the completion outputs to the window: a call completes
-        at most every window job once."""
-        wn = len(self.unfin)
-        self.completions = np.zeros(wn, dtype=np.float64)
-        self.log = np.zeros(wn, dtype=np.int64)
 
     def append(self, seg, speed: float) -> int:
         """Extend the tables with one segment; returns its work."""
@@ -754,56 +725,6 @@ class _Window:
         self.state[S_NEXT_ARR] -= fr
         self.state[S_Q_HEAD] -= fr
         self._scratch()
-
-    def call(
-        self,
-        n_total: int,
-        more: bool,
-        m: int,
-        k: int,
-        sigma: int,
-        max_ticks: int,
-        ckpt_at: int,
-        speed: float,
-        refill: Callable[[int], None],
-    ) -> int:
-        """The compiled step: run the kernel to its next stop point."""
-        return resolve_batch_kernel()(
-            _ptr(self.works),
-            _ptr(self.eo),
-            _ptr(self.et),
-            _ptr(self.chain),
-            _ptr(self.job_of),
-            _ptr(self.jro),
-            _ptr(self.roots),
-            _ptr(self.arr_ticks),
-            _ptr(self.preds),
-            _ptr(self.unfin),
-            _ptr(self.completions),
-            _ptr(self.cur),
-            _ptr(self.fin),
-            _ptr(self.fails),
-            _ptr(self.idles),
-            _ptr(self.dq_head),
-            _ptr(self.dq_tail),
-            _ptr(self.dq_next),
-            _ptr(self.dq_prev),
-            _ptr(self.rdy),
-            _ptr(self.raw),
-            _ptr(self.log),
-            len(self.unfin),
-            n_total,
-            int(more),
-            m,
-            k,
-            sigma,
-            max_ticks,
-            ckpt_at,
-            float(speed),
-            _ptr(self.state),
-            REFILL_CFUNC(refill),
-            0,
-        )
 
     def drain(self, fstats: OnlineFlowStats, job_base: int) -> None:
         """Feed the call's completions to ``fstats`` in completion order."""
@@ -883,7 +804,7 @@ class _Window:
 #: A step runs the window from its state vector to the next stop point
 #: and returns the stop status: ``_Window.call`` (the compiled kernel)
 #: or :func:`_python_step`.  Arguments: the window, then ``n_total,
-#: more, m, k, sigma, max_ticks, ckpt_at, speed, refill``.
+#: more, m, k, sigma, max_ticks, ckpt_at, speed``.
 _Step = Callable[..., int]
 
 #: The window tables a step writes (the draw block aside).
@@ -903,10 +824,8 @@ def _python_step(
     max_ticks: int,
     ckpt_at: int,
     speed: float,
-    refill: Callable[[int], None],
     *,
     sampler: Optional[SystemSampler] = None,
-    fast_forward: bool = True,
 ) -> int:
     """The Python step: ``repro_batch_run_rep``'s loop, transcribed.
 
@@ -917,8 +836,7 @@ def _python_step(
     lists once per call and the mutable ones are written back on return.
     It adds what the kernel does not take: a ``sampler``, called where
     the reference engine calls it (``w.boundary`` carries a
-    fast-forward's pending boundary snapshot across calls), and
-    ``fast_forward=False``.
+    fast-forward's pending boundary snapshot across calls).
     """
     works = w.works.tolist()
     eo = w.eo.tolist()
@@ -1076,54 +994,53 @@ def _python_step(
                     t, n_busy, next_arr - q_head, len(ne), completed
                 )
 
-        if fast_forward:
-            # ---- fast-forward: whole system empty ----------------------
-            if n_busy == 0 and q_head == next_arr:
-                gap = next_at - t
-                for i in range(m):
-                    f = fails[i] + gap * sigma
-                    fails[i] = f if f < k else k
-                st_idle += gap * m
-                st_ff += gap
+        # ---- fast-forward: whole system empty --------------------------
+        if n_busy == 0 and q_head == next_arr:
+            gap = next_at - t
+            for i in range(m):
+                f = fails[i] + gap * sigma
+                fails[i] = f if f < k else k
+            st_idle += gap * m
+            st_ff += gap
+            if sampler is not None:
+                sampler.record_boundary(t, 0, 0, len(ne), completed)
+                boundary = True
+            t += gap
+            continue
+
+        # ---- fast-forward: every worker busy ---------------------------
+        if n_busy == m:
+            blind = nf - t
+            if blind > 0:
+                st_ff += blind
                 if sampler is not None:
-                    sampler.record_boundary(t, 0, 0, len(ne), completed)
+                    sampler.record_boundary(
+                        t, n_busy, next_arr - q_head, len(ne), completed
+                    )
                     boundary = True
-                t += gap
+                t += blind
                 continue
 
-            # ---- fast-forward: every worker busy -----------------------
-            if n_busy == m:
-                blind = nf - t
-                if blind > 0:
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(
-                            t, n_busy, next_arr - q_head, len(ne), completed
-                        )
-                        boundary = True
-                    t += blind
-                    continue
-
-            # ---- fast-forward: nothing stealable, nothing admissible ---
-            elif not ne and n_busy > 0 and q_head == next_arr:
-                delta = nf - t + 1
-                if next_arr < n and next_at - t < delta:
-                    delta = next_at - t
-                blind = delta - 1
-                if blind >= 1:
-                    n_idle = m - n_busy
-                    for i in range(m):
-                        if cur[i] < 0:
-                            f = fails[i] + blind * sigma
-                            fails[i] = f if f < k else k
-                    st_att += blind * n_idle * sigma
-                    st_fail += blind * n_idle * sigma
-                    st_ff += blind
-                    if sampler is not None:
-                        sampler.record_boundary(t, n_busy, 0, 0, completed)
-                        boundary = True
-                    t += blind
-                    continue
+        # ---- fast-forward: nothing stealable, nothing admissible -------
+        elif not ne and n_busy > 0 and q_head == next_arr:
+            delta = nf - t + 1
+            if next_arr < n and next_at - t < delta:
+                delta = next_at - t
+            blind = delta - 1
+            if blind >= 1:
+                n_idle = m - n_busy
+                for i in range(m):
+                    if cur[i] < 0:
+                        f = fails[i] + blind * sigma
+                        fails[i] = f if f < k else k
+                st_att += blind * n_idle * sigma
+                st_fail += blind * n_idle * sigma
+                st_ff += blind
+                if sampler is not None:
+                    sampler.record_boundary(t, n_busy, 0, 0, completed)
+                    boundary = True
+                t += blind
+                continue
 
         # ---- general tick ----------------------------------------------
         # Workers idle at the start of the tick, before phase A: workers
@@ -1175,7 +1092,7 @@ def _python_step(
                 got = -1
                 while True:
                     if p == _BLOCK:
-                        refill(0)
+                        w.refill()
                         raw = w.raw.tolist()
                         p = 0
                     stop = p + allowed
@@ -1290,12 +1207,8 @@ def _drive(
     cursor = run.cursor
     rng = run.rng
     telemetry = run.telemetry
-    w = _Window(m, run.raw)
+    w = _Window(m, rng, run.raw)
     state = w.state
-    raw = w.raw
-
-    def refill(rep: int) -> None:
-        raw[:] = rng.integers(0, m - 1, size=_BLOCK)
 
     job_base = 0  # global id of window job 0
     frontier = 0  # window-local: all jobs < frontier are complete
@@ -1377,7 +1290,7 @@ def _drive(
         state[S_NLOG] = 0
         rc = step(
             w, n, not cursor.exhausted, m, k, run.sigma,
-            max_ticks_eff, ckpt_at, speed, refill,
+            max_ticks_eff, ckpt_at, speed,
         )
         w.drain(run.fstats, job_base)
         if rc == DONE:

@@ -14,7 +14,7 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
 * the Section 5 adversarial instances and chain-heavy DAGs;
 * ragged replicate counts (R=1, R=5, R=32) over *different* instances
   in one call;
-* RNG post-state identity and telemetry-off schedule identity;
+* RNG post-state identity;
 * the per-replicate fallbacks (empty instance, unsorted hand-built
   arrivals) and whole-batch fallbacks (delegating knobs, no compiler,
   a failing compiler, a corrupt cached kernel);
@@ -172,26 +172,6 @@ def test_rng_post_state_identity():
         ), f"rep {r}: PCG64 post-state diverged"
 
 
-def test_telemetry_off_schedule_identity():
-    """Telemetry never changes results, and the events tell the story."""
-    instances = replicate_instances(400, 4)
-    kwargs = dict(m=4, k=2, steals_per_tick=8)
-    seeds = [derive_seed(9, 9, r) for r in range(4)]
-    from repro.obs.telemetry import Telemetry
-
-    tel = Telemetry()
-    observed = run_batch(instances, seeds=seeds, telemetry=tel, **kwargs)
-    bare = run_batch(instances, seeds=seeds, **kwargs)
-    for a, b in zip(observed, bare):
-        assert_identical(a, b)
-    kinds = [
-        e["event"] for e in tel.events if e["event"].startswith("batch.")
-    ]
-    assert kinds[0] == "batch.start"
-    assert kinds[-1] == "batch.done"
-    assert kinds.count("batch.flush") == 4
-
-
 def test_delegating_knobs_fall_back_identically(monkeypatch):
     """Out-of-scope knobs run the reference engine per replicate."""
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
@@ -200,7 +180,6 @@ def test_delegating_knobs_fall_back_identically(monkeypatch):
         dict(m=4, victim_policy="round-robin", k=2, steals_per_tick=4),
         dict(m=4, steal_half=True, k=1, steals_per_tick=8),
         dict(m=4, admission="weight", k=3, steals_per_tick=2),
-        dict(m=4, k=2, steals_per_tick=4, _fast_forward=False),
     ):
         assert_batch_matches_reference(instances, **kwargs)
 
@@ -699,14 +678,24 @@ def test_batch_engine_name_is_gone():
 # ----------------------------------------------------------------------
 
 
-def test_flat_slow_path_warns_once(monkeypatch):
+def test_flat_out_of_scope_run_reports_without_warning(monkeypatch):
+    """With the kernel built, only the result and telemetry name an
+    out-of-scope knob; nothing is warned."""
+    from repro.obs.telemetry import Telemetry
+
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
-    with pytest.warns(RuntimeWarning, match="reference engine"):
-        repro.run("flat", jobset, m=4, seed=8, victim_policy="round-robin")
+    tel = Telemetry()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        repro.run("flat", jobset, m=4, seed=8, victim_policy="round-robin")
+        result = repro.run(
+            "flat", jobset, m=4, seed=8, victim_policy="round-robin",
+            telemetry=tel,
+        )
+    assert result.reasons == ("victim_policy='round-robin'",)
+    (slow,) = tel.of_kind("dispatch.slow_path")
+    assert slow["reasons"] == ["victim_policy='round-robin'"]
+    assert not batch_engine._SLOW_PATH_WARNED
 
 
 def test_flat_native_path_does_not_warn(monkeypatch):
@@ -794,14 +783,13 @@ def test_slow_path_reasons_vocabulary(monkeypatch):
 
     assert run(
         victim_policy="max-deque", steal_half=True, admission="weight",
-        trace=TraceRecorder(), sampler=SystemSampler(), _fast_forward=False,
+        trace=TraceRecorder(), sampler=SystemSampler(),
     ) == ("reference", (
         "victim_policy='max-deque'",
         "steal_half=True",
         "admission='weight'",
         "trace=<TraceRecorder>",
         "sampler=<SystemSampler>",
-        "_fast_forward=False",
     ))
     assert run(victim_policy="uniform", steal_half=False,
                admission="fifo") == ("cext", ())

@@ -17,8 +17,8 @@ engine is exercised from elsewhere:
   :class:`~repro.workloads.WorkloadSpec`;
 * the Section 5 adversarial lower-bound instances;
 * chain-heavy DAGs (the kernel's chain fast path) and single-node jobs;
-* the out-of-scope configurations (samplers, ``_fast_forward=False``,
-  non-uniform victim policies, ``steal_half``, weighted admission),
+* the out-of-scope configurations (samplers, non-uniform victim
+  policies, ``steal_half``, weighted admission),
   which must fall back to the reference and stay identical;
 * an R>1 arm: ragged replicate batches with empty and unsorted
   replicates in one call, each compared with its own reference run
@@ -201,13 +201,6 @@ def test_chain_heavy_dags():
 def test_empty_jobset():
     jobset = jobs_from_dags([], [])
     run_both(jobset, m=4, k=2, steals_per_tick=4, seed=0)
-
-
-def test_brute_force_mode(monkeypatch):
-    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
-    jobset = random_instance(42)
-    run_both(jobset, m=4, k=2, steals_per_tick=4, seed=6, _fast_forward=False)
-    run_both(jobset, m=2, k=0, steals_per_tick=1, seed=6, _fast_forward=False)
 
 
 @pytest.mark.parametrize("kwargs", [

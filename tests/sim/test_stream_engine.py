@@ -12,12 +12,14 @@ sigma, speeds and seeds.  Compaction frequency (``_compact_min``) must
 be unobservable for the same reason.
 
 One driver runs a stream window by window, with the compiled kernel or
-the Python step (a sampler, ``_fast_forward=False``, no kernel) as the
-tick loop.  The two paths must agree on every ``StreamResult`` field,
-online estimates included, with ``==``.
+the Python step (a sampler, no kernel) as the tick loop.  The two paths
+must agree on every ``StreamResult`` field, online estimates included,
+with ``==``.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -125,20 +127,16 @@ class TestBitIdentity:
             python, stream, speed=speed, k=k, steals_per_tick=sigma
         )
 
-    @pytest.mark.parametrize("fast_forward", [True, False])
     @pytest.mark.parametrize("n,chunk,m,k,sigma,speed", GRID)
     def test_sampler_sees_what_the_reference_engine_shows_it(
-        self, n, chunk, m, k, sigma, speed, fast_forward
+        self, n, chunk, m, k, sigma, speed
     ):
         """The utilization sampler is called at the reference engine's
         points with the reference engine's values: the whole sampler
         state is ``==`` after a stream and after the materialized
         reference run."""
         stream = make_stream(n_jobs=n, chunk_jobs=chunk, m=m)
-        kw = dict(
-            speed=speed, k=k, seed=7, steals_per_tick=sigma,
-            _fast_forward=fast_forward,
-        )
+        kw = dict(speed=speed, k=k, seed=7, steals_per_tick=sigma)
         sr = _run_stream(
             stream, m, utilization_window=64, _compact_min=chunk // 2, **kw
         )
@@ -161,11 +159,6 @@ class TestBitIdentity:
         )
         sr = _run_stream(stream, 4, k=8, seed=3)
         assert_equivalent(sr, stream, k=8)
-
-    def test_no_fast_forward_still_identical(self):
-        stream = make_stream(n_jobs=200, chunk_jobs=64)
-        sr = _run_stream(stream, 4, k=4, seed=2, _fast_forward=False)
-        assert_equivalent(sr, stream, k=4, _fast_forward=False)
 
     def test_compaction_frequency_is_unobservable(self):
         stream = make_stream(n_jobs=500, chunk_jobs=50)
@@ -331,21 +324,25 @@ class TestRunFacade:
         assert sr.utilization is not None
 
     def test_telemetry_tags_the_path_taken(self, monkeypatch):
+        """A utilization_window takes the Python step: reported, never
+        warned, and named as the caller passed it."""
         stream = make_stream(n_jobs=100, chunk_jobs=25)
         tel = Telemetry()
-        repro.run("flat", stream=stream, m=4, seed=0, telemetry=tel)
         monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="slower Python engine"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repro.run("flat", stream=stream, m=4, seed=0, telemetry=tel)
             repro.run(
                 "flat", stream=stream, m=4, seed=0, telemetry=tel,
                 utilization_window=64,
             )
+        assert not batch_engine._SLOW_PATH_WARNED
         tagged = [
             (e["event"], e["path"], e["reasons"])
             for e in tel.events
             if e["event"] in ("stream.start", "stream.done", "run.done")
         ]
-        fallback = ["sampler=<SystemSampler>"]
+        fallback = ["utilization_window=64"]
         assert tagged == [
             ("stream.start", "cext", []),
             ("stream.done", "cext", []),
