@@ -153,7 +153,7 @@ def run(
         ``run.done`` carries the ``path`` the result reports
         (``"cext"`` or ``"reference"``), and a result that names
         ``reasons`` for not taking the compiled loop
-        (``kernel=unavailable``, an out-of-scope knob,
+        (``kernel=unavailable``, a ``trace`` or ``sampler``,
         ``dynamic=True``, ``arrivals=unsorted``) is reported in a
         ``dispatch.slow_path`` event first.  Never alters the schedule.
     **engine_kwargs:

@@ -19,10 +19,10 @@ knob is ``k``:
 
 Both variants are non-clairvoyant and randomized (victim selection only).
 
-:meth:`WorkStealingScheduler.run` evaluates the paper's configurations
-(uniform victims, single-node steals, FIFO admission, no trace or
-sampler) on the compiled tick kernel, :func:`repro.sim.run_batch` at one
-replicate, and every other configuration on the reference engine
+:meth:`WorkStealingScheduler.run` is :func:`repro.sim.run_batch` at one
+replicate: every configuration (any victim policy, ``steal_half``,
+either admission order) runs on the compiled tick kernel, and a run
+with a ``trace`` or ``sampler`` on the reference engine
 (:func:`repro.sim.engine._run_work_stealing`).  The two are pinned
 bit-identical, so the choice only changes speed.
 """
@@ -32,10 +32,10 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Union
 
 from repro.core.base import Scheduler
-from repro.dag.flat import FlatInstance, to_jobset
+from repro.dag.flat import FlatInstance
 from repro.dag.job import JobSet
-from repro.sim.batch_engine import _scope_reasons, run_batch
-from repro.sim.engine import _run_work_stealing
+from repro.sim.batch_engine import run_batch
+from repro.sim.policies import VICTIM_POLICIES
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
 from repro.sim.sampling import SystemSampler
@@ -60,13 +60,12 @@ class WorkStealingScheduler(Scheduler):
     :meth:`run` for reproducible runs.  Each steal attempt costs one time
     step, exactly as in the paper's analysis.
 
-    :meth:`run` takes the compiled kernel whenever the configuration is
-    inside its scope (uniform victims, whole-node steals, FIFO
-    admission, no ``trace`` or ``sampler``) and the reference engine
-    otherwise, silently: results are bit-identical either way.  Such
-    schedulers also accept a :class:`~repro.dag.flat.FlatInstance`
-    (:attr:`consumes_flat`).  A host without a working C compiler runs
-    the reference engine with a one-time :class:`RuntimeWarning`.
+    :meth:`run` takes the compiled kernel for every configuration, and
+    the reference engine, silently, for a run with a ``trace`` or
+    ``sampler``: results are bit-identical either way.  It also accepts
+    a :class:`~repro.dag.flat.FlatInstance` (:attr:`consumes_flat`).  A
+    host without a working C compiler runs the reference engine with a
+    one-time :class:`RuntimeWarning`.
     """
 
     def __init__(
@@ -83,7 +82,7 @@ class WorkStealingScheduler(Scheduler):
             raise ValueError(
                 f"steals_per_tick must be >= 1, got {steals_per_tick}"
             )
-        if victim_policy not in ("uniform", "round-robin", "max-deque"):
+        if victim_policy not in VICTIM_POLICIES:
             raise ValueError(f"unknown victim policy {victim_policy!r}")
         if admission not in ("fifo", "weight"):
             raise ValueError(f"unknown admission policy {admission!r}")
@@ -128,16 +127,13 @@ class WorkStealingScheduler(Scheduler):
     def consumes_flat(self) -> bool:
         """Whether :meth:`run` takes a raw :class:`FlatInstance`.
 
-        True when the configuration runs on the kernel and ``run`` is not
-        overridden (an override may do anything).  The sweep layer ships
-        every instance as a :class:`FlatInstance`; when this is true the
-        task hands ``run`` the attached CSR arrays, otherwise it derives
-        the :func:`~repro.dag.flat.to_jobset` view (built once per
-        instance per process).
+        True unless ``run`` is overridden (an override may do anything).
+        The sweep layer ships every instance as a :class:`FlatInstance`;
+        when this is true the task hands ``run`` the attached CSR arrays,
+        otherwise it derives the :func:`~repro.dag.flat.to_jobset` view
+        (built once per instance per process).
         """
-        return type(self).run is WorkStealingScheduler.run and not (
-            _scope_reasons(**self._engine_kwargs())
-        )
+        return type(self).run is WorkStealingScheduler.run
 
     def run(
         self,
@@ -148,19 +144,9 @@ class WorkStealingScheduler(Scheduler):
         trace: Optional[TraceRecorder] = None,
         sampler: Optional[SystemSampler] = None,
     ) -> ScheduleResult:
-        kwargs = self._engine_kwargs()
-        reasons = _scope_reasons(trace=trace, sampler=sampler, **kwargs)
-        if reasons:
-            if isinstance(jobset, FlatInstance):
-                jobset = to_jobset(jobset)
-            result = _run_work_stealing(
-                jobset, m=m, speed=speed, seed=seed, trace=trace,
-                sampler=sampler, **kwargs,
-            )
-            result.reasons = tuple(reasons)
-            return result
         return run_batch(
-            [jobset], m, speed=speed, seeds=[seed], **kwargs
+            [jobset], m, speed=speed, seeds=[seed], trace=trace,
+            sampler=sampler, **self._engine_kwargs(),
         )[0]
 
 

@@ -9,6 +9,7 @@ time ``r_i`` and a weight ``w_i`` (1.0 in the unweighted setting).  A
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,9 +42,11 @@ class Job:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
+        # Written so that NaN fails too: a NaN weight leaves admission
+        # order undefined.
+        if not 0 <= self.arrival < math.inf:
             raise ValueError(f"job {self.job_id} has negative arrival {self.arrival}")
-        if self.weight <= 0:
+        if not 0 < self.weight < math.inf:
             raise ValueError(f"job {self.job_id} has non-positive weight {self.weight}")
 
     @property

@@ -7,9 +7,10 @@ roughly 50% / 60% / 70% utilization, Poisson arrivals, parallel-for jobs,
 
 Scales
 ------
-The paper's 100k jobs per point is available (:data:`SCALE_PAPER`) but
-slow in pure Python; :data:`SCALE_STANDARD` (the bench default) uses 3k
-jobs x 3 repetitions, which reproduces every qualitative conclusion --
+The paper's 100k jobs per point is available (:data:`SCALE_PAPER`; one
+Figure 2 panel takes about 5 s on the compiled kernel on a 2-vCPU
+host); :data:`SCALE_STANDARD` (the bench default) uses 3k jobs x 3
+repetitions, which reproduces every qualitative conclusion --
 max-flow curves at these utilizations are driven by the busiest burst,
 which 3k jobs at ~10ms each (a ~30-second trace) samples adequately, and
 repetitions expose the run-to-run spread.
@@ -55,7 +56,7 @@ class ExperimentScale:
 SCALE_QUICK = ExperimentScale(n_jobs=600, reps=1)
 #: Default scale for the benches (a few minutes end-to-end).
 SCALE_STANDARD = ExperimentScale(n_jobs=3000, reps=3)
-#: The paper's scale (100k jobs per point; slow in pure Python).
+#: The paper's scale (100k jobs per point; about 5 s per Figure 2 panel).
 SCALE_PAPER = ExperimentScale(n_jobs=100_000, reps=1)
 
 

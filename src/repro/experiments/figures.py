@@ -449,17 +449,20 @@ def steal_policy_experiment(
     flows: List[float] = []
     steals: List[float] = []
     names = []
+    # One instance per rep, shared by every variant.
+    instances = [
+        spec.build_flat(seed=derive_seed(seed, rep)) for rep in range(reps)
+    ]
     for idx, (policy, half) in enumerate(variants):
         vals, svals = [], []
-        for rep in range(reps):
-            jobset = spec.build(seed=derive_seed(seed, rep))
+        for rep, instance in enumerate(instances):
             sched = WorkStealingScheduler(
                 k=k,
                 steals_per_tick=steals_per_tick,
                 victim_policy=policy,
                 steal_half=half,
             )
-            r = sched.run(jobset, m=m, seed=derive_seed(seed, idx, rep))
+            r = sched.run(instance, m=m, seed=derive_seed(seed, idx, rep))
             vals.append(r.max_flow)
             svals.append(r.stats.steal_attempts - r.stats.failed_steals)
         flows.append(float(np.mean(vals)))

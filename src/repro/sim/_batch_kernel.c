@@ -1,11 +1,12 @@
 /* Work-stealing tick kernel (engine="flat", run_batch, streaming), and
  * the centralized event loop (repro_centralized_run, at the end).
  *
- * The steal-k-first tick loop in its native scope (uniform victims, FIFO
- * admission, single-entry steals) over a window of jobs in SoA tables
- * built by repro.sim.batch_engine or repro.sim.stream_engine -- phase A
+ * The steal-k-first tick loop over a window of jobs in SoA tables built
+ * by repro.sim.batch_engine or repro.sim.stream_engine -- phase A
  * completion cascades, phase B admission / burn / live-attempt branches,
- * the three fast-forwards, sub-tick execution when steals_per_tick > 1.
+ * the three fast-forwards, sub-tick execution when steals_per_tick > 1
+ * -- with every victim policy (uniform, round-robin, max-deque), single-
+ * entry or steal-half steals, and FIFO or weighted admission.
  * The reference engine (repro/sim/engine.py::_run_work_stealing) defines
  * the semantics, bit for bit -- same completions, same stats counters,
  * same RNG draw cadence -- and tests/sim/test_flat_kernel_equivalence.py,
@@ -34,11 +35,17 @@
  *
  * Table addressing: every array is indexed by window-local ids (node,
  * edge, job or worker).  Completed jobs are appended, in completion
- * order, to `log` (its length is the S_NLOG slot).  Victim draws come
- * from the run's 4096-slot block, refilled by calling back into Python
- * (refill_fn) so the PCG64 stream is drawn by the *same* numpy
- * Generator calls as the reference engine's UniformVictim -- exact
- * post-state identity, not just equal victim sequences.
+ * order, to `log` (its length is the S_NLOG slot).  Uniform victim
+ * draws come from the run's 4096-slot block, refilled by calling back
+ * into Python (refill_fn) so the PCG64 stream is drawn by the *same*
+ * numpy Generator calls as the reference engine's UniformVictim -- exact
+ * post-state identity, not just equal victim sequences.  Round-robin and
+ * max-deque victims draw nothing, like the reference's policies.
+ *
+ * The admission queue holds qlen jobs.  FIFO: the job range
+ * [next_arr - qlen, next_arr), stored as S_Q_HEAD.  Weighted: a binary
+ * heap of job ids (heavier first, then lower id), its size stored as
+ * S_HEAP_N.
  */
 
 #include <stdint.h>
@@ -51,10 +58,13 @@
 /* State-vector slots (repro.sim._cext mirrors them). */
 enum {
     S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
-    S_NF, S_NE_COUNT,
+    S_NF, S_NE_COUNT, S_HEAP_N,
     S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ, /* stat counters */
     S_NLOG, N_STATE
 };
+
+/* Victim policies, in repro.sim.policies.VICTIM_POLICIES order. */
+enum { V_UNIFORM, V_ROUND_ROBIN, V_MAX_DEQUE };
 
 typedef void (*refill_fn)(void);
 
@@ -76,6 +86,7 @@ typedef struct {
     int64_t *dq_next;
     int64_t *dq_prev;
     int64_t *rdy;
+    int64_t *dq_len;  /* per-worker deque lengths */
     int64_t *log;     /* completion-order job log */
     int64_t nlog;
     double speed;
@@ -92,6 +103,7 @@ static void dq_push(St *s, int64_t i, int64_t node, int64_t ready)
 {
     int64_t tail = s->dq_tail[i];
     s->rdy[node] = ready;
+    s->dq_len[i]++;
     s->dq_next[node] = -1;
     s->dq_prev[node] = tail;
     if (tail < 0) {
@@ -108,6 +120,7 @@ static int64_t dq_pop_back(St *s, int64_t i)
 {
     int64_t node = s->dq_tail[i];
     int64_t prev = s->dq_prev[node];
+    s->dq_len[i]--;
     s->dq_tail[i] = prev;
     if (prev < 0) {
         s->dq_head[i] = -1;
@@ -123,6 +136,7 @@ static int64_t dq_pop_front(St *s, int64_t i)
 {
     int64_t node = s->dq_head[i];
     int64_t next = s->dq_next[node];
+    s->dq_len[i]--;
     s->dq_head[i] = next;
     if (next < 0) {
         s->dq_tail[i] = -1;
@@ -212,30 +226,149 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
     }
 }
 
+/* The helpers below serve the non-default knobs.  They are kept out of
+ * line and cold (COLD) and their branches marked UNLIKELY, so the tick
+ * loop keeps its register allocation and layout for the paper's
+ * configuration: uniform victims, single-entry steals and FIFO
+ * admission pay one predictable branch per knob and run as fast as
+ * without the knobs.  (A specialized copy of the loop for that
+ * configuration would drop the branches too, but it makes the kernel
+ * take half as long again to compile, and every fresh cache pays the
+ * compile on start-up.) */
+#define COLD __attribute__((noinline, cold))
+#define UNLIKELY(x) __builtin_expect(!!(x), 0)
+
+/* Up to `allowed` round-robin or max-deque probes by thief i; returns
+ * the first victim with a non-empty deque, or -1, and the probes made in
+ * *tries.  No deque changes between the probes. */
+static COLD int64_t probe_victims(
+    int64_t victims, int64_t *rr_next, const int64_t *dq_len,
+    const int64_t *dq_head, int64_t i, int64_t m, int64_t allowed,
+    int64_t *tries)
+{
+    int64_t x, v = -1, best_len = -1;
+    if (victims == V_MAX_DEQUE) {
+        /* MaxDequeVictim.choose: the longest other deque, ties to the
+         * lowest id.  Every probe picks the same victim. */
+        for (x = 0; x < m; x++) {
+            if (x != i && dq_len[x] > best_len) {
+                v = x;
+                best_len = dq_len[x];
+            }
+        }
+        *tries = (best_len > 0) ? 1 : allowed;
+        return (best_len > 0) ? v : -1;
+    }
+    for (x = 0; x < allowed; x++) {
+        /* RoundRobinVictim.choose: each thief sweeps the others. */
+        v = rr_next[i];
+        if (v == i)
+            v = (v + 1) % m;
+        rr_next[i] = (v + 1) % m;
+        if (dq_head[v] >= 0) {
+            *tries = x + 1;
+            return v;
+        }
+    }
+    *tries = allowed;
+    return -1;
+}
+
+/* Steal-half: after the popleft, move the rest of the victim's top half,
+ * oldest first, onto thief i's (empty) deque; ready ticks are kept. */
+static COLD void steal_rest_of_half(St *s, int64_t victim, int64_t i)
+{
+    int64_t extra = s->dq_len[victim] / 2;
+    while (extra-- > 0) {
+        /* popleft by hand (the victim keeps at least one entry), so
+         * that dq_pop_front keeps its one call site and stays inline */
+        int64_t g = s->dq_head[victim];
+        int64_t next = s->dq_next[g];
+        s->dq_head[victim] = next;
+        s->dq_prev[next] = -1;
+        s->dq_len[victim]--;
+        dq_push(s, i, g, s->rdy[g]);
+    }
+}
+
+/* Weighted admission order: heavier first, then lower id.  The reference
+ * (WeightedAdmissionQueue) keys (-weight, arrival, release seq); the
+ * kernel's arrivals are sorted, so release order is id order and arrival
+ * order agrees with it, and (-weight, id) is the same total order. */
+static int heap_before(const double *w, int64_t a, int64_t b)
+{
+    return w[a] > w[b] || (w[a] == w[b] && a < b);
+}
+
+/* Push jobs [j, j_end) onto a heap of len entries. */
+static COLD void heap_push(int64_t *heap, int64_t len, const double *w,
+                           int64_t j, int64_t j_end)
+{
+    for (; j < j_end; j++, len++) {
+        int64_t x = len;
+        while (x > 0) {
+            int64_t up = (x - 1) / 2;
+            if (!heap_before(w, j, heap[up]))
+                break;
+            heap[x] = heap[up];
+            x = up;
+        }
+        heap[x] = j;
+    }
+}
+
+/* Pop the first job of a heap of len > 0 entries. */
+static COLD int64_t heap_pop(int64_t *heap, int64_t len, const double *w)
+{
+    int64_t top = heap[0];
+    int64_t last = heap[--len];
+    int64_t x = 0;
+    for (;;) {
+        int64_t c = 2 * x + 1;
+        if (c >= len)
+            break;
+        if (c + 1 < len && heap_before(w, heap[c + 1], heap[c]))
+            c++;
+        if (!heap_before(w, heap[c], last))
+            break;
+        heap[x] = heap[c];
+        x = c;
+    }
+    heap[x] = last;
+    return top;
+}
+
 int64_t repro_batch_run_rep(
     const int64_t *works, const int64_t *eo, const int64_t *et,
     const int64_t *chain, const int64_t *job_of,
     const int64_t *jro,      /* job-indexed: jro[0..n] */
     const int64_t *roots,    /* ascending root-node list */
     const int64_t *arr_ticks,/* job-indexed: arr_ticks[0..n-1] */
+    const double *weights,   /* job-indexed; weighted admission only */
     int64_t *preds, int64_t *unfin, double *completions,
     int64_t *cur, int64_t *fin, int64_t *fails, int64_t *idles,
     int64_t *dq_head, int64_t *dq_tail,
     int64_t *dq_next, int64_t *dq_prev, int64_t *rdy,
-    int64_t *raw,            /* the 4096-draw victim block */
+    int64_t *dq_len,         /* per-worker deque lengths */
+    int64_t *rr_next,        /* round-robin: each thief's next victim */
+    int64_t *heap,           /* weighted admission: the queue, n slots */
+    int64_t *raw,            /* the 4096-draw victim block (uniform) */
     int64_t *log,            /* completion-order job log, n slots */
     int64_t n,               /* jobs in the window */
     int64_t n_total,         /* run until this many jobs completed */
     int64_t more,            /* nonzero: jobs beyond the window follow */
     int64_t m, int64_t k, int64_t sigma,
     int64_t max_ticks, int64_t ckpt_at, double speed,
-    int64_t *state, refill_fn refill)
+    int64_t *state, refill_fn refill,
+    int64_t victims,         /* V_* victim policy */
+    int64_t steal_half,      /* nonzero: a steal takes the top half */
+    int64_t weighted)        /* nonzero: weighted admission, else FIFO */
 {
     St st;
     int64_t t = state[S_T];
     int64_t next_arr = state[S_NEXT_ARR];
     int64_t next_at = state[S_NEXT_AT];
-    int64_t q_head = state[S_Q_HEAD]; /* FIFO queue == jobs [q_head, next_arr) */
+    int64_t qlen = weighted ? state[S_HEAP_N] : next_arr - state[S_Q_HEAD];
     int64_t p = state[S_P];           /* next unconsumed draw in the block */
     int64_t st_att = state[S_ATT], st_fail = state[S_FAIL];
     int64_t st_idle = state[S_IDLE], st_admwait = state[S_ADMWAIT];
@@ -258,6 +391,7 @@ int64_t repro_batch_run_rep(
     st.dq_next = dq_next;
     st.dq_prev = dq_prev;
     st.rdy = rdy;
+    st.dq_len = dq_len;
     st.log = log;
     st.nlog = state[S_NLOG];
     st.speed = speed;
@@ -270,9 +404,12 @@ int64_t repro_batch_run_rep(
     while (st.completed < n_total) {
         /* ---- release arrivals due at or before the current tick ---- */
         if (next_at <= t) {
-            int64_t ql;
+            int64_t a0 = next_arr;
             while (next_arr < n && arr_ticks[next_arr] <= t)
                 next_arr++;
+            if (UNLIKELY(weighted))
+                heap_push(heap, qlen, weights, a0, next_arr);
+            qlen += next_arr - a0;
             if (next_arr < n) {
                 next_at = arr_ticks[next_arr];
             } else if (more) {
@@ -281,9 +418,8 @@ int64_t repro_batch_run_rep(
             } else {
                 next_at = IDLE_AT; /* no further arrivals, ever */
             }
-            ql = next_arr - q_head;
-            if (ql > st_maxq)
-                st_maxq = ql;
+            if (qlen > st_maxq)
+                st_maxq = qlen;
             if (st.completed >= ckpt_at) {
                 rc = 3;
                 goto stop;
@@ -296,7 +432,7 @@ int64_t repro_batch_run_rep(
         }
 
         /* ---- fast-forward: whole system empty ---- */
-        if (st.n_busy == 0 && q_head == next_arr) {
+        if (st.n_busy == 0 && qlen == 0) {
             int64_t gap = next_at - t;
             for (i = 0; i < m; i++) {
                 int64_t f = fails[i] + gap * sigma;
@@ -317,7 +453,7 @@ int64_t repro_batch_run_rep(
                 continue;
             }
             /* blind == 0: the completion tick; fall through. */
-        } else if (st.ne_count == 0 && st.n_busy > 0 && q_head == next_arr) {
+        } else if (st.ne_count == 0 && st.n_busy > 0 && qlen == 0) {
             /* ---- fast-forward: nothing stealable, nothing admissible */
             int64_t delta = st.nf - t + 1;
             int64_t blind;
@@ -374,13 +510,16 @@ int64_t repro_batch_run_rep(
                 i = idles[s_i];
                 while (budget > 0) {
                     int64_t fi = fails[i];
-                    if (fi >= k && q_head != next_arr) {
-                        /* Admit the head-of-line job. */
-                        int64_t jb = q_head++;
+                    if (fi >= k && qlen) {
+                        /* Admit the head-of-line (or heaviest) job. */
+                        int64_t jb = UNLIKELY(weighted)
+                                         ? heap_pop(heap, qlen, weights)
+                                         : next_arr - qlen;
                         int64_t ro = jro[jb];
                         int64_t rhi = jro[jb + 1];
                         int64_t r0 = roots[ro];
                         int64_t f;
+                        qlen--;
                         cur[i] = r0;
                         fails[i] = 0;
                         st.n_busy++;
@@ -413,7 +552,7 @@ int64_t repro_batch_run_rep(
                          * admission when the queue is non-empty, else
                          * the whole budget -- no draws. */
                         int64_t burned, f2;
-                        if (q_head != next_arr && k - fi <= budget)
+                        if (qlen && k - fi <= budget)
                             burned = k - fi;
                         else
                             burned = budget;
@@ -426,63 +565,81 @@ int64_t repro_batch_run_rep(
                             continue; /* unlocked admission */
                         break;
                     }
-                    /* Live steal attempts against the draw block. */
+                    /* Live steal attempts. */
                     {
                         int64_t allowed = budget;
-                        int64_t got = -1;
-                        int64_t v, victim, g2, g2rdy, f;
-                        if (q_head != next_arr) {
+                        int64_t victim = -1;
+                        int64_t v, g2, g2rdy, f;
+                        if (qlen) {
                             int64_t d = k - fi;
                             if (d < allowed)
                                 allowed = d;
                         }
-                        for (;;) {
-                            int64_t stop, jdx, n_failed;
-                            if (p == BLOCK) {
-                                /* Same lazy refill cadence as
-                                 * UniformVictim: Python draws the next
-                                 * 4096 values into the block. */
-                                refill();
-                                p = 0;
-                            }
-                            stop = p + allowed;
-                            if (stop > BLOCK)
-                                stop = BLOCK;
-                            got = -1;
-                            for (jdx = p; jdx < stop; jdx++) {
-                                v = raw[jdx];
-                                if (v >= i)
-                                    v++;
-                                if (dq_head[v] >= 0) {
-                                    got = jdx;
+                        if (UNLIKELY(victims != V_UNIFORM)) {
+                            int64_t tries, n_failed;
+                            victim = probe_victims(victims, rr_next, dq_len,
+                                                   dq_head, i, m, allowed,
+                                                   &tries);
+                            n_failed = (victim >= 0) ? tries - 1 : tries;
+                            fails[i] += n_failed;
+                            st_att += tries;
+                            st_fail += n_failed;
+                            budget -= tries;
+                            if (victim < 0)
+                                continue; /* budget spent, or admit */
+                        } else {
+                            /* Scan the draw block for the first hit. */
+                            int64_t got = -1;
+                            for (;;) {
+                                int64_t stop, jdx, n_failed;
+                                if (p == BLOCK) {
+                                    /* Same lazy refill cadence as
+                                     * UniformVictim: Python draws the
+                                     * next 4096 values into the block. */
+                                    refill();
+                                    p = 0;
+                                }
+                                stop = p + allowed;
+                                if (stop > BLOCK)
+                                    stop = BLOCK;
+                                got = -1;
+                                for (jdx = p; jdx < stop; jdx++) {
+                                    v = raw[jdx];
+                                    if (v >= i)
+                                        v++;
+                                    if (dq_head[v] >= 0) {
+                                        got = jdx;
+                                        break;
+                                    }
+                                }
+                                if (got >= 0) {
+                                    n_failed = got - p;
+                                    fails[i] += n_failed;
+                                    st_att += n_failed + 1;
+                                    st_fail += n_failed;
+                                    budget -= n_failed + 1;
+                                    p = got + 1;
                                     break;
                                 }
-                            }
-                            if (got >= 0) {
-                                n_failed = got - p;
+                                n_failed = stop - p;
                                 fails[i] += n_failed;
-                                st_att += n_failed + 1;
+                                st_att += n_failed;
                                 st_fail += n_failed;
-                                budget -= n_failed + 1;
-                                p = got + 1;
-                                break;
+                                budget -= n_failed;
+                                allowed -= n_failed;
+                                p = stop;
+                                if (allowed == 0)
+                                    break;
                             }
-                            n_failed = stop - p;
-                            fails[i] += n_failed;
-                            st_att += n_failed;
-                            st_fail += n_failed;
-                            budget -= n_failed;
-                            allowed -= n_failed;
-                            p = stop;
-                            if (allowed == 0)
-                                break;
+                            if (got < 0)
+                                continue; /* budget spent, or admit */
+                            v = raw[got];
+                            victim = (v >= i) ? v + 1 : v;
                         }
-                        if (got < 0)
-                            continue; /* budget spent or admission unlocked */
-                        v = raw[got];
-                        victim = (v >= i) ? v + 1 : v;
                         g2 = dq_pop_front(&st, victim);
                         g2rdy = rdy[g2];
+                        if (UNLIKELY(steal_half))
+                            steal_rest_of_half(&st, victim, i);
                         cur[i] = g2;
                         fails[i] = 0;
                         st.n_busy++;
@@ -515,7 +672,10 @@ stop:
     state[S_T] = t;
     state[S_NEXT_ARR] = next_arr;
     state[S_NEXT_AT] = next_at;
-    state[S_Q_HEAD] = q_head;
+    if (weighted)
+        state[S_HEAP_N] = qlen;
+    else
+        state[S_Q_HEAD] = next_arr - qlen;
     state[S_P] = p;
     state[S_N_BUSY] = st.n_busy;
     state[S_COMPLETED] = st.completed;

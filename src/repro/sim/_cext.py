@@ -1,12 +1,12 @@
 """Compile-on-demand loader for the C kernels.
 
-The fast path of every ``engine="flat"`` run, every in-scope
-``WorkStealingScheduler.run``, every ``run_batch`` call
-(:mod:`repro.sim.batch_engine`) and every in-scope streaming run
-(:mod:`repro.sim.stream_engine`) is a C transcription of the
-reference engine's native-scope semantics, and the fast path of every
-static-priority centralized run (:mod:`repro.sim.events`) is a C
-transcription of the centralized event loop; both live in
+The fast path of every ``engine="flat"`` run, every
+``WorkStealingScheduler.run`` and ``run_batch`` call without a trace or
+sampler (:mod:`repro.sim.batch_engine`) and every streaming run without
+a utilization window (:mod:`repro.sim.stream_engine`) is a C
+transcription of the reference engine's tick loop, and the fast path
+of every static-priority centralized run (:mod:`repro.sim.events`) is a
+C transcription of the centralized event loop; both live in
 ``src/repro/sim/_batch_kernel.c``.  Nothing is installed and no build
 backend is required: the source ships with the package and is compiled
 once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
@@ -73,14 +73,15 @@ IDLE_AT = 1 << 62
 REFILL_CFUNC = ctypes.CFUNCTYPE(None)
 
 #: Slots of the kernel's int64 state vector (the C kernel's S_* enum):
-#: the loop-top scalars, the six stat counters, and the length of the
-#: completion log.
+#: the loop-top scalars (``S_Q_HEAD`` is the FIFO queue's head,
+#: ``S_HEAP_N`` the weighted-admission heap's size), the six stat
+#: counters, and the length of the completion log.
 (
     S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
-    S_NF, S_NE_COUNT,
+    S_NF, S_NE_COUNT, S_HEAP_N,
     S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ,
     S_NLOG, N_STATE,
-) = range(17)
+) = range(18)
 
 #: Kernel return codes: run complete, ``max_ticks`` reached, the window
 #: ran out of arrivals (pull a segment), a checkpoint is due.
@@ -162,9 +163,10 @@ def _bind(lib: ctypes.CDLL) -> Any:
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
-    # 22 array pointers, 8 int64 scalars, speed, state pointer,
-    # callback -- the exact order of the C signature.
-    fn.argtypes = [ptr] * 22 + [i64] * 8 + [f64, ptr, REFILL_CFUNC]
+    # 26 array pointers, 8 int64 scalars, speed, state pointer,
+    # callback, 3 int64 policy knobs -- the exact order of the C
+    # signature.
+    fn.argtypes = [ptr] * 26 + [i64] * 8 + [f64, ptr, REFILL_CFUNC] + [i64] * 3
     fn.restype = i64
     cfn = lib.repro_centralized_run
     # 14 array pointers, tr_cap, n, n_nodes, m, speed, two state

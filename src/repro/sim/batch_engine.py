@@ -1,6 +1,7 @@
 """The fast tick kernel: compiled work stealing, one replicate per call.
 
-Every in-scope work-stealing simulation reaches :func:`run_batch`:
+Every work-stealing simulation without a trace or sampler reaches
+:func:`run_batch`:
 ``repro.run("flat", ...)`` and
 :meth:`~repro.core.work_stealing.WorkStealingScheduler.run` call it at
 one replicate, which is how figure sweeps, :func:`repro.sweep`,
@@ -27,17 +28,19 @@ them one kernel call each:
   reference engine (:func:`repro.sim.engine._run_work_stealing`) R
   times: same completions, same
   :class:`~repro.sim.result.SimulationStats`, same RNG post-state
-  (``tests/sim/test_flat_kernel_equivalence.py`` and
-  ``tests/sim/test_batch_engine.py`` fuzz this).  Configurations
-  outside the kernel's native scope -- non-uniform victim policies,
-  ``steal_half``, weighted admission, ``trace``, samplers -- run the
+  (``tests/sim/test_flat_kernel_equivalence.py``,
+  ``tests/sim/test_batch_engine.py`` and
+  ``tests/properties/test_kernel_oracle_properties.py`` fuzz this).
+  The kernel runs every victim policy, ``steal_half`` and both
+  admission orders.  A run with a ``trace`` or a ``sampler`` runs the
   reference engine per replicate, and so does a hand-built replicate
   whose arrivals are not sorted (the reference re-sorts and re-ids it).
   A host where the kernel cannot be built runs the reference engine
   too, and is the one case warned: a :class:`RuntimeWarning` naming
   ``kernel=unavailable``, once per process.  A hand-built replicate
-  whose CSR arrays are malformed raises :class:`ValueError` before the
-  kernel reads them (checked once per cached table set).
+  whose CSR arrays are malformed, or whose arrivals or weights are out
+  of range, raises :class:`ValueError` before the kernel reads them
+  (checked once per cached table set).
 * **One call site.**  A replicate on the kernel is a one-window run:
   :class:`_KernelWindow` aliases the cached tables, allocates the
   run's mutable state and makes the one kernel call, with no stop
@@ -79,6 +82,7 @@ from repro.sim._cext import (
     resolve_batch_kernel,
 )
 from repro.sim.engine import _run_work_stealing, _scheduler_label
+from repro.sim.policies import victim_policy_code
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
@@ -92,26 +96,13 @@ __all__ = ["run_batch"]
 _SLOW_PATH_WARNED = False
 
 
-def _scope_reasons(
-    victim_policy: str = "uniform",
-    steal_half: bool = False,
-    admission: str = "fifo",
-    trace: Any = None,
-    sampler: Any = None,
-    **_knobs: Any,
-) -> List[str]:
-    """The configuration knobs outside the kernel's native scope.
+def _scope_reasons(trace: Any = None, sampler: Any = None) -> List[str]:
+    """The run arguments the kernel does not take: a trace, a sampler.
 
-    Other engine knobs (``k``, ``steals_per_tick``, ``max_ticks``) are
-    accepted and ignored, so callers can pass their whole keyword set.
+    Every scheduler knob (victim policy, ``steal_half``, admission,
+    ``k``, ``steals_per_tick``) runs on the kernel.
     """
     reasons = []
-    if victim_policy != "uniform":
-        reasons.append(f"victim_policy={victim_policy!r}")
-    if steal_half:
-        reasons.append("steal_half=True")
-    if admission != "fifo":
-        reasons.append(f"admission={admission!r}")
     if trace is not None:
         reasons.append("trace=<TraceRecorder>")
     if sampler is not None:
@@ -119,8 +110,8 @@ def _scope_reasons(
     return reasons
 
 
-def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
-    """Why a run with these knobs takes a Python engine, if it does.
+def _slow_path_reasons(trace: Any = None, sampler: Any = None) -> tuple:
+    """Why a run takes a Python engine, if it does.
 
     :func:`_scope_reasons`, then ``kernel=unavailable`` (warned once,
     :func:`_warn_slow_path`) when the compiled kernel cannot be built or
@@ -128,7 +119,7 @@ def _slow_path_reasons(*args: Any, **knobs: Any) -> tuple:
     by :func:`run_batch` and the streaming engine, which stamp the
     result on what they return.
     """
-    reasons = _scope_reasons(*args, **knobs)
+    reasons = _scope_reasons(trace, sampler)
     if resolve_batch_kernel() is None:
         reasons.append("kernel=unavailable")
         _warn_slow_path()
@@ -223,6 +214,24 @@ def _check_jobs(
         )
 
 
+def _check_values(arrivals: np.ndarray, weights: np.ndarray) -> None:
+    """Arrivals are finite and non-negative, weights finite and positive.
+
+    The bounds :class:`~repro.dag.job.Job` enforces, so a hand-built
+    instance the reference engine's :func:`~repro.dag.flat.to_jobset`
+    view refuses is refused here too.  A NaN weight would leave the
+    weighted admission order undefined.
+    """
+    if not np.all((arrivals >= 0) & (arrivals < np.inf)):
+        raise ValueError(
+            "malformed FlatInstance: arrivals must be finite and non-negative"
+        )
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError(
+            "malformed FlatInstance: weights must be finite and positive"
+        )
+
+
 def _derive_tables(
     eo: np.ndarray, et: np.ndarray, jno: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -256,13 +265,15 @@ class _BatchTables:
 
     The instance's CSR arrays are used as they are (the kernel only
     reads them, so read-only shared-memory views work); the derived
-    tables come from one vectorized numpy pass.  Cached on the instance,
+    tables come from one vectorized numpy pass.  The weights are read
+    by weighted admission only.  Cached on the instance,
     so a sweep evaluating many grid points over the same replicate
     builds them once.
     """
 
     __slots__ = (
         "arrivals",
+        "weights",
         "works",
         "eo",
         "et",
@@ -289,6 +300,8 @@ class _BatchTables:
         )
         indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
         self.arrivals = np.asarray(flat.arrivals, dtype=np.float64)
+        self.weights = np.ascontiguousarray(flat.weights, dtype=np.float64)
+        _check_values(self.arrivals, self.weights)
         self.works = works
         self.eo = eo
         self.et = et
@@ -382,15 +395,20 @@ class _KernelWindow:
     """A run's kernel view: its tables, its mutable state, the kernel call.
 
     int64 numpy tables in window-local ids.  The kernel reads works,
-    edges, chain links, each node's job, root offsets, roots and arrival
-    ticks, and writes the rest: predecessor and unfinished-node counts,
-    the worker arrays, the deques, completions and the completion log.
-    The deques are linked lists: ``dq_head``/``dq_tail`` per worker and
+    edges, chain links, each node's job, root offsets, roots, arrival
+    ticks and (weighted admission only) job weights, and writes the
+    rest: predecessor and unfinished-node counts, the worker arrays, the
+    deques, completions and the completion log.  The deques are linked
+    lists: ``dq_head``/``dq_tail``/``dq_len`` per worker and
     ``dq_next``/``dq_prev`` per node, with each queued node's ready tick
     in ``rdy``.  The FIFO queue is the job range ``[q_head, next_arr)``
-    of the state vector.  A materialized replicate is a one-window run
-    over its cached tables (:func:`_run_kernel`); the streaming engine's
-    window extends this class.
+    of the state vector; weighted admission keeps the queue as a binary
+    heap of job ids in ``heap``.  Round-robin victims keep each thief's
+    next victim in ``rr_next``.  ``weights`` switches admission to
+    weighted; the other knobs default to the paper's uniform victims
+    and single-entry steals.  A materialized replicate is a one-window
+    run over its cached tables (:func:`_run_kernel`); the streaming
+    engine's window extends this class with the defaults.
     """
 
     def __init__(
@@ -408,6 +426,9 @@ class _KernelWindow:
         arr_ticks: np.ndarray,
         preds: np.ndarray,
         unfin: np.ndarray,
+        victim_policy: str = "uniform",
+        steal_half: bool = False,
+        weights: Optional[np.ndarray] = None,
     ) -> None:
         self.works = works
         self.eo = eo
@@ -428,8 +449,15 @@ class _KernelWindow:
         self.dq_next = np.full(len(works), -1, dtype=np.int64)
         self.dq_prev = np.full(len(works), -1, dtype=np.int64)
         self.rdy = np.full(len(works), -1, dtype=np.int64)
+        self.dq_len = np.zeros(m, dtype=np.int64)
+        self.rr_next = (np.arange(m, dtype=np.int64) + 1) % m
+        self.victims = victim_policy_code(victim_policy) if m > 1 else 0
+        self.steal_half = steal_half
+        self.weighted = weights is not None
+        self.weights = weights if weights is not None else np.zeros(0)
+        self.heap = np.zeros(len(unfin) if self.weighted else 0, dtype=np.int64)
         self.rng = rng
-        # With one worker there are no victims and the block is unused.
+        # Only uniform victims on two or more workers read the block.
         self.raw = raw if raw is not None else np.zeros(BLOCK, dtype=np.int64)
         self.state = np.zeros(N_STATE, dtype=np.int64)
         self._scratch()
@@ -466,6 +494,7 @@ class _KernelWindow:
             _ptr(self.jro),
             _ptr(self.roots),
             _ptr(self.arr_ticks),
+            _ptr(self.weights),
             _ptr(self.preds),
             _ptr(self.unfin),
             _ptr(self.completions),
@@ -478,6 +507,9 @@ class _KernelWindow:
             _ptr(self.dq_next),
             _ptr(self.dq_prev),
             _ptr(self.rdy),
+            _ptr(self.dq_len),
+            _ptr(self.rr_next),
+            _ptr(self.heap),
             _ptr(self.raw),
             _ptr(self.log),
             len(self.unfin),
@@ -491,6 +523,9 @@ class _KernelWindow:
             float(speed),
             _ptr(self.state),
             REFILL_CFUNC(self.refill),
+            self.victims,
+            int(self.steal_half),
+            int(self.weighted),
         )
 
 
@@ -503,6 +538,9 @@ def _run_kernel(
     seed: SeedLike,
     max_ticks: Optional[int],
     label: str,
+    victim_policy: str,
+    steal_half: bool,
+    admission: str,
 ) -> ScheduleResult:
     """One replicate on the compiled kernel: a one-window run, no stop point.
 
@@ -522,12 +560,14 @@ def _run_kernel(
             + 64 * m + 64
         ) * 4
     # The window aliases the cached immutable tables and owns fresh
-    # copies of the two the kernel decrements.  The first draw block is
-    # drawn up front, like UniformVictim's; refills happen lazily from C.
+    # copies of the two the kernel decrements.  Uniform victims draw
+    # their first block up front, like UniformVictim's; refills happen
+    # lazily from C.  The other policies never touch the Generator.
+    uniform = m > 1 and victim_policy == "uniform"
     w = _KernelWindow(
         m,
         rng,
-        rng.integers(0, m - 1, size=BLOCK) if m > 1 else None,
+        rng.integers(0, m - 1, size=BLOCK) if uniform else None,
         tables.works,
         tables.eo,
         tables.et,
@@ -538,6 +578,9 @@ def _run_kernel(
         arr_ticks,
         tables.preds_master.copy(),
         tables.unfin_master.copy(),
+        victim_policy=victim_policy,
+        steal_half=steal_half,
+        weights=tables.weights if admission == "weight" else None,
     )
     w.state = fresh_state(int(arr_ticks[0]))
     if w.call(n, False, m, k, sigma, max_ticks, NO_CHECKPOINT, speed) != DONE:
@@ -552,7 +595,7 @@ def _run_kernel(
         speed=speed,
         arrivals=tables.arrivals,
         completions=w.completions,
-        weights=np.asarray(flat.weights, dtype=np.float64),
+        weights=tables.weights,
         stats=_kernel_stats(w.state, tables.total_work, n),
         seed=recorded_seed,
         path="cext",
@@ -614,9 +657,7 @@ def run_batch(
         return []
     sigma = int(steals_per_tick)
 
-    reasons = _slow_path_reasons(
-        victim_policy, steal_half, admission, trace, sampler
-    )
+    reasons = _slow_path_reasons(trace, sampler)
     label = _scheduler_label(k, victim_policy, steal_half, admission)
 
     def reference(inst, seed: SeedLike, why: tuple) -> ScheduleResult:
@@ -645,7 +686,10 @@ def run_batch(
         flat = inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
         if _batch_tables(flat).sorted_ok:
             results.append(
-                _run_kernel(flat, m, speed, k, sigma, seed, max_ticks, label)
+                _run_kernel(
+                    flat, m, speed, k, sigma, seed, max_ticks, label,
+                    victim_policy, steal_half, admission,
+                )
             )
         else:
             # Unsorted hand-built arrivals: only the reference engine

@@ -107,17 +107,30 @@ class MaxDequeVictim(VictimPolicy):
         return best
 
 
+#: Policy names, in the order of the compiled kernel's victim codes.
+VICTIM_POLICIES = ("uniform", "round-robin", "max-deque")
+
+
+def victim_policy_code(name: str) -> int:
+    """The compiled kernel's code for policy ``name``.
+
+    Raises the engine's :class:`ValueError` for an unknown name.
+    """
+    if name not in VICTIM_POLICIES:
+        raise ValueError(
+            f"unknown victim policy {name!r}; expected 'uniform', "
+            "'round-robin' or 'max-deque'"
+        )
+    return VICTIM_POLICIES.index(name)
+
+
 def make_victim_policy(
     name: str, rng: np.random.Generator, m: int
 ) -> VictimPolicy:
     """Construct a victim policy by name (engine entry point)."""
+    victim_policy_code(name)  # rejects an unknown name
     if name == "uniform":
         return UniformVictim(rng, m)
     if name == "round-robin":
         return RoundRobinVictim(m)
-    if name == "max-deque":
-        return MaxDequeVictim()
-    raise ValueError(
-        f"unknown victim policy {name!r}; expected 'uniform', "
-        "'round-robin' or 'max-deque'"
-    )
+    return MaxDequeVictim()

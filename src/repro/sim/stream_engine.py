@@ -798,6 +798,7 @@ class _Window(_KernelWindow):
             self.dq_tail[i] = nodes[-1]
             self.dq_next[nodes[:-1]] = nodes[1:]
             self.dq_prev[nodes[1:]] = nodes[:-1]
+        self.dq_len[:] = np.diff(offsets)
         self._scratch()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for Job / JobSet semantics."""
 
+import math
+
 import pytest
 
 from repro.dag.builders import chain, single_node
@@ -21,6 +23,19 @@ class TestJob:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
             Job(job_id=0, dag=single_node(1), arrival=0.0, weight=0.0)
+
+    @pytest.mark.parametrize(
+        "arrival,weight,match",
+        [
+            (math.nan, 1.0, "negative arrival"),
+            (math.inf, 1.0, "negative arrival"),
+            (0.0, math.nan, "non-positive weight"),
+            (0.0, math.inf, "non-positive weight"),
+        ],
+    )
+    def test_non_finite_arrival_and_weight_rejected(self, arrival, weight, match):
+        with pytest.raises(ValueError, match=match):
+            Job(job_id=0, dag=chain([1, 2]), arrival=arrival, weight=weight)
 
     def test_default_weight_is_one(self):
         assert Job(job_id=0, dag=single_node(1), arrival=0.0).weight == 1.0

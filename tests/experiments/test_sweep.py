@@ -138,8 +138,8 @@ def small_spec():
 
 
 def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
-    """In-scope WorkStealingScheduler cells get the attached FlatInstance;
-    out-of-scope ones still get a JobSet."""
+    """WorkStealingScheduler cells get the attached FlatInstance, for
+    every victim policy: the kernel runs them all."""
     seen = []
     routed_run = WorkStealingScheduler.run
 
@@ -154,7 +154,7 @@ def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
             {"k": [0, 2]}, small_spec(), m=4, reps=2, seed=5, max_workers=1,
         )
     assert sorted(set(seen)) == [
-        ("round-robin", "JobSet"), ("uniform", "FlatInstance")
+        ("round-robin", "FlatInstance"), ("uniform", "FlatInstance")
     ]
 
 

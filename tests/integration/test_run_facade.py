@@ -31,6 +31,7 @@ from repro.core.greedy import (
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
 from repro.sim.engine import _run_work_stealing
+from repro.sim.trace import TraceRecorder
 from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
 from repro.speedup.model import (
     LinearCapped,
@@ -243,7 +244,6 @@ class TestPathAgreement:
 
     @pytest.fixture
     def ran(self, monkeypatch):
-        import repro.core.work_stealing as ws_mod
         import repro.sim.batch_engine as batch_mod
         import repro.sim.engine as engine_mod
         import repro.sim.events as events_mod
@@ -261,7 +261,7 @@ class TestPathAgreement:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (engine_mod, batch_mod, ws_mod):
+        for module in (engine_mod, batch_mod):
             spy(module, "_run_work_stealing", "reference")
         spy(events_mod, "_run_centralized_reference", "reference")
         spy(stream_mod, "_python_step", "python")
@@ -281,6 +281,10 @@ class TestPathAgreement:
         assert self.check(ran, "flat", jobset, k=2) == "cext"
         assert self.check(
             ran, "flat", jobset, victim_policy="round-robin"
+        ) == "cext"
+        assert self.check(
+            ran, "flat", jobset, victim_policy="round-robin",
+            trace=TraceRecorder(),
         ) == "reference"
 
     def test_flat_on_unsorted_hand_built_arrivals(self, ran, jobset):
@@ -298,6 +302,10 @@ class TestPathAgreement:
         assert self.check(ran, WorkStealingScheduler(k=2), jobset) == "cext"
         assert self.check(
             ran, WorkStealingScheduler(steal_half=True), jobset
+        ) == "cext"
+        assert self.check(
+            ran, WorkStealingScheduler(steal_half=True), jobset,
+            trace=TraceRecorder(),
         ) == "reference"
 
     def test_subclass_calling_super_run(self, ran, jobset):

@@ -16,8 +16,8 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
   in one call;
 * RNG post-state identity;
 * the per-replicate fallbacks (empty instance, unsorted hand-built
-  arrivals) and whole-batch fallbacks (delegating knobs, no compiler,
-  a failing compiler, a corrupt cached kernel);
+  arrivals) and whole-batch fallbacks (a trace or sampler, no
+  compiler, a failing compiler, a corrupt cached kernel);
 * the import-time background build: awaited once, finished before a
   fork, and failing or skipped exactly like the synchronous build;
 * the table cache's memory behaviour (no reference cycle, no copies of
@@ -173,15 +173,27 @@ def test_rng_post_state_identity():
 
 
 def test_delegating_knobs_fall_back_identically(monkeypatch):
-    """Out-of-scope knobs run the reference engine per replicate."""
+    """A trace or a sampler runs the reference engine per replicate,
+    whatever the scheduler knobs; without one the knobs take the kernel."""
+    from repro.sim.sampling import SystemSampler
+    from repro.sim.trace import TraceRecorder
+
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     instances = replicate_instances(600, 3)
-    for kwargs in (
-        dict(m=4, victim_policy="round-robin", k=2, steals_per_tick=4),
-        dict(m=4, steal_half=True, k=1, steals_per_tick=8),
-        dict(m=4, admission="weight", k=3, steals_per_tick=2),
+    for knobs, observer in (
+        (dict(m=4, victim_policy="round-robin", k=2, steals_per_tick=4),
+         dict(trace=TraceRecorder())),
+        (dict(m=4, steal_half=True, k=1, steals_per_tick=8),
+         dict(sampler=SystemSampler())),
+        (dict(m=4, admission="weight", k=3, steals_per_tick=2),
+         dict(trace=TraceRecorder())),
     ):
-        assert_batch_matches_reference(instances, **kwargs)
+        traced = assert_batch_matches_reference(
+            instances, **knobs, **observer
+        )
+        assert {r.path for r in traced} == {"reference"}
+        bare = assert_batch_matches_reference(instances, **knobs)
+        assert {r.path for r in bare} == {"cext"}
 
 
 def test_unsorted_arrivals_rep_falls_back():
@@ -263,6 +275,25 @@ def test_malformed_instance_is_refused_before_the_kernel(case):
         run_batch([flat], 2, seeds=[0])
     with pytest.raises(ValueError, match="malformed FlatInstance"):
         _segment_tables(flat)  # the per-segment check of streaming runs
+
+
+@pytest.mark.parametrize("arrival,weight", [
+    (0.0, np.nan), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0),
+    (np.inf, 1.0), (-1.0, 1.0),
+])
+def test_out_of_range_arrival_or_weight_is_refused(arrival, weight):
+    """What the to_jobset view refuses, the kernel refuses too: a NaN
+    weight would leave weighted admission order undefined."""
+    from repro.dag.flat import to_jobset
+
+    flat = dataclasses.replace(
+        _flat([1, 1], [0, 1, 1], [1], [0, 2]),
+        arrivals=np.array([arrival]), weights=np.array([weight]),
+    )
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        run_batch([flat], 2, seeds=[0], admission="weight")
+    with pytest.raises(ValueError):
+        to_jobset(flat)
 
 
 def test_malformed_instance_does_not_crash_the_interpreter():
@@ -680,8 +711,9 @@ def test_batch_engine_name_is_gone():
 
 def test_flat_out_of_scope_run_reports_without_warning(monkeypatch):
     """With the kernel built, only the result and telemetry name an
-    out-of-scope knob; nothing is warned."""
+    out-of-scope argument; nothing is warned."""
     from repro.obs.telemetry import Telemetry
+    from repro.sim.trace import TraceRecorder
 
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
@@ -690,11 +722,11 @@ def test_flat_out_of_scope_run_reports_without_warning(monkeypatch):
         warnings.simplefilter("error")
         result = repro.run(
             "flat", jobset, m=4, seed=8, victim_policy="round-robin",
-            telemetry=tel,
+            trace=TraceRecorder(), telemetry=tel,
         )
-    assert result.reasons == ("victim_policy='round-robin'",)
+    assert result.reasons == ("trace=<TraceRecorder>",)
     (slow,) = tel.of_kind("dispatch.slow_path")
-    assert slow["reasons"] == ["victim_policy='round-robin'"]
+    assert slow["reasons"] == ["trace=<TraceRecorder>"]
     assert not batch_engine._SLOW_PATH_WARNED
 
 
@@ -709,23 +741,24 @@ def test_flat_native_path_does_not_warn(monkeypatch):
 
 def test_run_facade_emits_dispatch_slow_path(monkeypatch):
     from repro.obs.telemetry import Telemetry
+    from repro.sim.sampling import SystemSampler
 
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
     jobset = random_instance(7)
     tel = Telemetry()
     repro.run(
-        "flat", jobset, m=4, seed=8, victim_policy="round-robin",
-        telemetry=tel,
+        "flat", jobset, m=4, seed=8, sampler=SystemSampler(), telemetry=tel,
     )
     slow = [e for e in tel.events if e["event"] == "dispatch.slow_path"]
     assert len(slow) == 1
-    assert slow[0]["reasons"] == ["victim_policy='round-robin'"]
+    assert slow[0]["reasons"] == ["sampler=<SystemSampler>"]
     done = [e for e in tel.events if e["event"] == "run.done"]
     assert done[0]["path"] == "reference"
 
     tel2 = Telemetry()
     repro.run(
-        "flat", jobset, m=4, seed=8, k=2, steals_per_tick=8, telemetry=tel2
+        "flat", jobset, m=4, seed=8, k=2, steals_per_tick=8,
+        victim_policy="round-robin", telemetry=tel2,
     )
     assert not [
         e for e in tel2.events if e["event"] == "dispatch.slow_path"
@@ -739,6 +772,7 @@ def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
     and an out-of-scope configuration warns nothing."""
     from repro.core.work_stealing import WorkStealingScheduler
     from repro.obs.telemetry import Telemetry
+    from repro.sim.sampling import SystemSampler
     from repro.sim.trace import TraceRecorder
 
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
@@ -757,7 +791,12 @@ def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
     assert slow == [] and done["path"] == "cext"
 
     slow, done = events(WorkStealingScheduler(victim_policy="round-robin"))
-    assert [e["reasons"] for e in slow] == [["victim_policy='round-robin'"]]
+    assert slow == [] and done["path"] == "cext"
+
+    slow, done = events(
+        WorkStealingScheduler(steal_half=True), sampler=SystemSampler()
+    )
+    assert [e["reasons"] for e in slow] == [["sampler=<SystemSampler>"]]
     assert slow[0]["engine"] == "scheduler"
     assert done["path"] == "reference"
 
@@ -785,16 +824,17 @@ def test_slow_path_reasons_vocabulary(monkeypatch):
         victim_policy="max-deque", steal_half=True, admission="weight",
         trace=TraceRecorder(), sampler=SystemSampler(),
     ) == ("reference", (
-        "victim_policy='max-deque'",
-        "steal_half=True",
-        "admission='weight'",
         "trace=<TraceRecorder>",
         "sampler=<SystemSampler>",
     ))
-    assert run(victim_policy="uniform", steal_half=False,
-               admission="fifo") == ("cext", ())
-    # The knobs that never leave the kernel are not reasons.
-    assert run(k=4, steals_per_tick=8) == ("cext", ())
+    # Every scheduler knob runs on the kernel: none is a reason.
+    for victim_policy in ("uniform", "round-robin", "max-deque"):
+        for steal_half in (False, True):
+            for admission in ("fifo", "weight"):
+                assert run(
+                    victim_policy=victim_policy, steal_half=steal_half,
+                    admission=admission, k=4, steals_per_tick=8,
+                ) == ("cext", ())
     # A hand-built instance with unsorted arrivals: a data-shape reason.
     unsorted = dataclasses.replace(
         flat, arrivals=np.ascontiguousarray(flat.arrivals[::-1])

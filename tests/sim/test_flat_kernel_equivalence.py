@@ -17,16 +17,17 @@ engine is exercised from elsewhere:
   :class:`~repro.workloads.WorkloadSpec`;
 * the Section 5 adversarial lower-bound instances;
 * chain-heavy DAGs (the kernel's chain fast path) and single-node jobs;
-* the out-of-scope configurations (samplers, non-uniform victim
-  policies, ``steal_half``, weighted admission),
+* the non-uniform victim policies, ``steal_half`` and weighted
+  admission on the kernel, and the same knobs with a trace or sampler,
   which must fall back to the reference and stay identical;
 * an R>1 arm: ragged replicate batches with empty and unsorted
   replicates in one call, each compared with its own reference run
   (:func:`assert_batch_matches_reference`, also the comparison of
   ``tests/sim/test_batch_engine.py``);
 * a routed arm: :meth:`WorkStealingScheduler.run`, which takes the
-  kernel for in-scope configurations and the reference engine (with no
-  warning) for the rest, on randomized configurations.
+  kernel for every configuration and the reference engine (with no
+  warning) for a run with a trace or sampler, on randomized
+  configurations.
 
 Equality below always means *full* equality: completions array,
 ``stats.as_dict()``, scheduler label and recorded seed.
@@ -39,7 +40,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import work_stealing
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.builders import chain, random_layered_dag, single_node
 from repro.dag.flat import flatten_jobset, to_jobset
@@ -49,6 +49,7 @@ from repro.sim.batch_engine import run_batch
 from repro.sim.engine import _run_work_stealing
 from repro.sim.rng import derive_seed
 from repro.sim.sampling import SystemSampler
+from repro.sim.trace import TraceRecorder
 from repro.workloads import (
     BingDistribution,
     FinanceDistribution,
@@ -210,12 +211,22 @@ def test_empty_jobset():
     dict(admission="weight", k=3, steals_per_tick=2),
 ])
 def test_delegating_configurations(kwargs, monkeypatch):
-    """Out-of-scope knobs route to the reference engine and stay identical."""
+    """Every scheduler knob runs on the kernel; with a trace the same
+    knobs route to the reference engine.  Both stay identical."""
     # The delegation is deliberate here; silence the one-time slow-path
     # warning (its own behaviour is pinned by tests/sim/test_batch_engine.py).
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
     jobset = random_instance(7)
-    run_both(jobset, m=4, seed=8, **kwargs)
+    ref = run_both(jobset, m=4, seed=8, **kwargs)
+    assert run_kernel(jobset, m=4, seed=8, **kwargs).path == "cext"
+    ref_trace, trace = TraceRecorder(), TraceRecorder()
+    assert_identical(
+        ref, _run_work_stealing(jobset, m=4, seed=8, trace=ref_trace, **kwargs)
+    )
+    traced = run_kernel(jobset, m=4, seed=8, trace=trace, **kwargs)
+    assert_identical(ref, traced)
+    assert traced.reasons == ("trace=<TraceRecorder>",)
+    assert trace.intervals == ref_trace.intervals
 
 
 def test_sampler_parity_and_observation_invariance(monkeypatch):
@@ -304,17 +315,26 @@ def test_ragged_batch_with_empty_and_unsorted_reps(reps):
 
 
 # ----------------------------------------------------------------------
-# WorkStealingScheduler.run: routed to the kernel when in scope
+# WorkStealingScheduler.run: routed to the kernel without a trace or sampler
 # ----------------------------------------------------------------------
 
 
 def random_config(rng):
-    """Random machine and in-scope knobs: (m, speed, k, steals_per_tick)."""
+    """Random machine and step knobs: (m, speed, k, steals_per_tick)."""
     return (
         int(rng.integers(1, 10)),
         float(rng.choice([1.0, 1.5, 2.0])),
         int(rng.choice([0, 1, 2, 4, 16])),
         int(rng.choice([1, 2, 8, 64])),
+    )
+
+
+def random_policy_knobs(rng):
+    """Random victim policy, steal amount and admission order."""
+    return dict(
+        victim_policy=str(rng.choice(["uniform", "round-robin", "max-deque"])),
+        steal_half=bool(rng.integers(2)),
+        admission=str(rng.choice(["fifo", "weight"])),
     )
 
 
@@ -347,43 +367,59 @@ def test_routed_scheduler_matches_reference(case, monkeypatch):
         7000 + case, n_jobs=int(rng.integers(1, 14)),
         gap_scale=float(rng.choice([0.5, 4.0])),
     )
-    scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma)
+    knobs = random_policy_knobs(rng)
+    scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma, **knobs)
     assert scheduler.consumes_flat
 
     def no_reference(*args, **kwargs):
         raise AssertionError("an in-scope run took the reference engine")
 
-    monkeypatch.setattr(work_stealing, "_run_work_stealing", no_reference)
-    assert_routed_matches_reference(scheduler, jobset, m, speed, case)
+    monkeypatch.setattr(batch_engine, "_run_work_stealing", no_reference)
+    got = assert_routed_matches_reference(scheduler, jobset, m, speed, case)
+    assert (got.path, got.reasons) == ("cext", ())
     # The flat form, as sweep workers hand it over, with an int seed.
     monkeypatch.undo()
     assert_identical(
         _run_work_stealing(jobset, m=m, speed=speed, seed=case, k=k,
-                           steals_per_tick=sigma),
+                           steals_per_tick=sigma, **knobs),
         scheduler.run(flatten_jobset(jobset), m=m, speed=speed, seed=case),
     )
 
 
+def _traced():
+    return dict(trace=TraceRecorder())
+
+
+def _sampled():
+    return dict(sampler=SystemSampler(every=8))
+
+
 @pytest.mark.parametrize("case,knobs,observers", [
-    (0, dict(victim_policy="round-robin"), dict),
-    (1, dict(victim_policy="max-deque"), dict),
-    (2, dict(steal_half=True), dict),
-    (3, dict(admission="weight"), dict),
-    (4, {}, lambda: dict(sampler=SystemSampler(every=8))),
-    (5, {}, lambda: dict(trace=repro.TraceRecorder())),
+    (0, dict(victim_policy="round-robin"), _traced),
+    (1, dict(victim_policy="max-deque"), _sampled),
+    (2, dict(steal_half=True), _traced),
+    (3, dict(admission="weight"), _sampled),
+    (4, {}, _sampled),
+    (5, {}, _traced),
 ])
 def test_routed_out_of_scope_runs_reference_without_warning(
     case, knobs, observers, monkeypatch
 ):
-    # Armed: a run_batch fallback would warn, and warnings are errors.
+    # Armed: a kernel=unavailable fallback would warn, and warnings are
+    # errors.
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     rng = np.random.default_rng(7100 + case)
     m, speed, k, sigma = random_config(rng)
     jobset = random_instance(7100 + case, n_jobs=8)
     scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma, **knobs)
-    assert scheduler.consumes_flat == (not knobs)
-    assert_routed_matches_reference(
+    assert scheduler.consumes_flat
+    got = assert_routed_matches_reference(
         scheduler, jobset, m, speed, case, observers
+    )
+    assert got.path == "reference"
+    assert got.reasons == tuple(
+        f"{name}=<{type(value).__name__}>"
+        for name, value in observers().items()
     )
     assert not batch_engine._SLOW_PATH_WARNED
 
