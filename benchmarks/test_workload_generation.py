@@ -1,11 +1,10 @@
 """Workload-generation micro-benchmarks: object graphs vs flat CSR.
 
 The vectorized flat builder (:meth:`WorkloadSpec.build_flat`) samples
-and lays out a whole instance with numpy array ops; the object builder
-constructs one ``JobDag``/``Job`` graph per job.  Both paths draw the
-same random streams and describe bit-identical instances
-(``tests/workloads/test_generator.py``), so the throughput gap here is
-pure representation overhead.
+and lays out a whole instance with numpy array ops; :meth:`WorkloadSpec.build`
+is its JobSet view, which adds one ``Job`` per job over DAG shapes shared
+process-wide.  The throughput gap between them is the cost of the
+object view.
 """
 
 import pytest

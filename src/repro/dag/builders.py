@@ -20,7 +20,6 @@ multithreading patterns:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -109,26 +108,10 @@ def parallel_for(
         raise DagValidationError("parallel_for requires positive body work")
     if grain <= 0:
         raise DagValidationError("parallel_for grain must be positive")
-    return _parallel_for_cached(
-        int(total_body_work), int(grain), int(setup_work), int(finalize_work)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _parallel_for_cached(
-    total_body_work: int, grain: int, setup_work: int, finalize_work: int
-) -> JobDag:
-    """Memoized parallel-for construction.
-
-    Workload generators draw integer body works from a distribution, so
-    large instances repeat (body, grain) pairs constantly; since
-    :class:`JobDag` is immutable and explicitly safe to share across
-    jobs and runs, identical parallel-for jobs can share one edge
-    structure instead of re-running the Python construction loop.
-    """
-    n_full, rem = divmod(total_body_work, grain)
+    grain = int(grain)
+    n_full, rem = divmod(int(total_body_work), grain)
     chunk_works = [grain] * n_full + ([rem] if rem else [])
-    return fork_join(setup_work, chunk_works, finalize_work)
+    return fork_join(int(setup_work), chunk_works, int(finalize_work))
 
 
 def parallel_chains(

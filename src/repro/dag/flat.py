@@ -234,15 +234,15 @@ def flatten_jobset(jobset: JobSet) -> FlatInstance:
 # ----------------------------------------------------------------------
 
 
+#: Process-wide map from a job's local CSR bytes to the :class:`JobDag`
+#: every view shares for that shape; emptied when it reaches
+#: :data:`_SHAPES_MAX` entries.
+_SHAPES: Dict[Tuple[bytes, bytes, bytes], JobDag] = {}
+_SHAPES_MAX = 4096
+
+
 def to_jobset(flat: FlatInstance) -> JobSet:
     """Rebuild the exact :class:`JobSet` a :class:`FlatInstance` encodes.
-
-    Structurally identical jobs (same works and edges) share one rebuilt
-    :class:`JobDag` object, mirroring -- and often improving on -- the
-    sharing of the original object graph.  DAGs are constructed through
-    the trusted CSR path (:meth:`JobDag.from_csr`): the arrays came from
-    a validated DAG, so re-validating every span would only duplicate
-    work already done at first construction.
 
     The view is cached on ``flat`` (the mirror of :func:`flatten_jobset`'s
     cache), so each instance is rebuilt at most once per process.
@@ -250,47 +250,65 @@ def to_jobset(flat: FlatInstance) -> JobSet:
     cached = getattr(flat, "_jobset_cache", None)
     if cached is not None:
         return cached
-    jobs: List[Job] = []
-    rebuilt: Dict[bytes, JobDag] = {}
-    arrivals = flat.arrivals
-    weights = flat.weights
-    for i in range(flat.n_jobs):
-        works, offsets, targets = flat.job_slice(i)
-        key = b"".join(
-            (works.tobytes(), offsets.tobytes(), targets.tobytes())
-        )
-        dag = rebuilt.get(key)
-        if dag is None:
-            dag = JobDag.from_csr(works, offsets, targets)
-            rebuilt[key] = dag
-        jobs.append(
-            Job(
-                job_id=i,
-                dag=dag,
-                arrival=float(arrivals[i]),
-                weight=float(weights[i]),
-            )
-        )
-    jobset = JobSet(jobs)
-    if flat.n_jobs <= 1 or bool(np.all(arrivals[1:] >= arrivals[:-1])):
-        # The round trip is lossless, so flattening the rebuilt set would
-        # reproduce `flat` byte for byte -- pre-seed the flatten cache.
-        # (Only when arrivals were already sorted: JobSet re-sorts, so an
-        # unsorted input permutes job order and the cache would be wrong.)
-        jobset._flat_cache = flat
+    jobset = _rebuild_jobset(flat)
     _cache_jobset_view(flat, jobset)
+    return jobset
+
+
+def _rebuild_jobset(flat: FlatInstance) -> JobSet:
+    """:func:`to_jobset` without caching the view on ``flat``.
+
+    Structurally identical jobs (same works and edges), in this instance
+    or any other, share one :class:`JobDag` through the shape map, built
+    by the trusted :meth:`JobDag.from_csr`: integer works drawn from a
+    distribution repeat constantly, so large instances and repeated
+    builds construct only the distinct shapes.  When arrivals are sorted
+    the set carries ``flat`` as its :func:`flatten_jobset` cache; nothing
+    points back, so refcounting frees both (the generators' views).
+    """
+    n = flat.n_jobs
+    jno = flat.job_node_offsets
+    eo = flat.edge_offsets
+    # Local ids, rebased once per instance: edge offsets from the job's
+    # first edge, edge targets from the job's first node.
+    job_edges = eo[jno]
+    local_eo = eo[:-1] - np.repeat(job_edges[:-1], np.diff(jno))
+    local_et = flat.edge_targets - np.repeat(jno[:-1], np.diff(job_edges))
+    works_b = flat.node_works.tobytes()
+    offsets_b = local_eo.tobytes()
+    targets_b = local_et.tobytes()
+    node_at = (jno * 8).tolist()  # byte offsets into the int64 buffers
+    edge_at = (job_edges * 8).tolist()
+    arrivals = flat.arrivals.tolist()
+    weights = flat.weights.tolist()
+    shapes = _SHAPES
+    jobs: List[Job] = []
+    for i in range(n):
+        lo, hi = node_at[i], node_at[i + 1]
+        key = (works_b[lo:hi], offsets_b[lo:hi],
+               targets_b[edge_at[i]:edge_at[i + 1]])
+        dag = shapes.get(key)
+        if dag is None:
+            dag = JobDag.from_csr(*flat.job_slice(i))
+            if len(shapes) >= _SHAPES_MAX:
+                shapes.clear()
+            shapes[key] = dag
+        jobs.append(Job(i, dag, arrivals[i], weights[i]))
+    jobset = JobSet(jobs)
+    # Unsorted arrivals: JobSet re-sorts, so its job order is not flat's.
+    if n <= 1 or bool(np.all(flat.arrivals[1:] >= flat.arrivals[:-1])):
+        jobset._flat_cache = flat
     return jobset
 
 
 def _cache_jobset_view(flat: FlatInstance, jobset: JobSet) -> None:
     """Make ``jobset`` (which ``flat`` encodes) the :func:`to_jobset` view.
 
-    Not done by :func:`flatten_jobset`, whose hot paths (the figure
-    runners, ``run_centralized``) flatten JobSets nobody converts back.
-    Where both caches are set -- here, once ``flatten_jobset(jobset)``
-    has run, and in :func:`to_jobset` for sorted arrivals -- the flat
-    and its view reference each other, so only the cycle collector
-    frees them.
+    Not done by :func:`flatten_jobset`, whose hot paths flatten JobSets
+    nobody converts back.  Where ``jobset`` also caches ``flat`` (after
+    ``flatten_jobset``, or from :func:`to_jobset` for sorted arrivals)
+    the two reference each other, so only the cycle collector frees
+    them.
     """
     object.__setattr__(flat, "_jobset_cache", jobset)
 

@@ -115,14 +115,12 @@ class JobDag:
 
         ``works[v]`` is node ``v``'s work; node ``v``'s successors are
         ``edge_targets[edge_offsets[v]:edge_offsets[v+1]]``.  The caller
-        guarantees the arrays describe a valid DAG -- this path exists
-        for :mod:`repro.dag.flat`, whose arrays were produced by
-        flattening an already-validated :class:`JobDag`, so repeating the
-        duplicate-edge / range / type checks of ``__init__`` would only
-        re-pay the validation cost on every cache hit or shared-memory
-        attach.  Derived structure (in-degrees, roots, topological
-        order, span) is still computed, and Kahn's algorithm still
-        raises :class:`DagValidationError` on a cyclic input.
+        guarantees the arrays describe a valid DAG: this is the path of
+        :func:`repro.dag.flat.to_jobset`, whose arrays come from a
+        flattened :class:`JobDag` or the vectorized generator.  Derived
+        structure (in-degrees, roots, topological order, span) is still
+        computed, and a cyclic input still raises
+        :class:`DagValidationError`.
         """
         self = object.__new__(cls)
         n = len(works)

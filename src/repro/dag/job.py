@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dag.graph import JobDag
@@ -74,9 +75,11 @@ class JobSet:
     """
 
     def __init__(self, jobs: Iterable[Job]) -> None:
-        ordered = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
+        ordered = sorted(jobs, key=attrgetter("arrival", "job_id"))
+        # Jobs are immutable: one already carrying its index is kept.
         self._jobs: Tuple[Job, ...] = tuple(
-            Job(job_id=i, dag=j.dag, arrival=j.arrival, weight=j.weight)
+            j if j.job_id == i
+            else Job(job_id=i, dag=j.dag, arrival=j.arrival, weight=j.weight)
             for i, j in enumerate(ordered)
         )
 

@@ -54,7 +54,8 @@ class ExperimentScale:
 
 #: Fast scale for CI / smoke runs (seconds end-to-end).
 SCALE_QUICK = ExperimentScale(n_jobs=600, reps=1)
-#: Default scale for the benches (a few minutes end-to-end).
+#: Default scale for the benches (serial ``all`` takes about 10 s on a
+#: 2-vCPU host).
 SCALE_STANDARD = ExperimentScale(n_jobs=3000, reps=3)
 #: The paper's scale (100k jobs per point; about 5 s per Figure 2 panel).
 SCALE_PAPER = ExperimentScale(n_jobs=100_000, reps=1)

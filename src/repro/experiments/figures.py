@@ -22,6 +22,7 @@ from repro.core.fifo import FifoScheduler
 from repro.core.greedy import LifoScheduler, RandomPriorityScheduler
 from repro.core.opt import OptLowerBound, opt_lower_bound
 from repro.core.work_stealing import WorkStealingScheduler
+from repro.dag.flat import _rebuild_jobset
 from repro.experiments.config import (
     ExperimentScale,
     Figure2Config,
@@ -43,7 +44,7 @@ from repro.workloads.distributions import (
     FinanceDistribution,
     LogNormalDistribution,
 )
-from repro.workloads.generator import WorkloadSpec
+from repro.workloads.generator import WorkloadSpec, _parallel_for_flat
 from repro.workloads.weights import class_weights, reweight
 
 
@@ -886,15 +887,11 @@ def makespan_experiment(
 
     dist = BingDistribution()
     works = dist.sample_units(derive_seed(seed, 17), n_jobs, units_per_ms=4.0)
-    from repro.dag.builders import parallel_for
-    from repro.dag.job import Job, JobSet
-
-    jobs = []
-    for i in range(n_jobs):
-        body = int(works[i])
-        dag = parallel_for(body, max(1, body // 32))
-        jobs.append(Job(job_id=i, dag=dag, arrival=0.0))
-    jobset = JobSet(jobs)
+    flat = _parallel_for_flat(
+        works, np.zeros(n_jobs), target_chunks=32, setup_units=1,
+        finalize_units=1,
+    )
+    jobset = _rebuild_jobset(flat)
     total_w = jobset.total_work
     max_p = jobset.max_span
 

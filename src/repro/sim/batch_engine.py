@@ -214,14 +214,17 @@ def _check_jobs(
         )
 
 
-def _check_values(arrivals: np.ndarray, weights: np.ndarray) -> None:
-    """Arrivals are finite and non-negative, weights finite and positive.
+def _check_values(
+    works: np.ndarray, arrivals: np.ndarray, weights: np.ndarray
+) -> None:
+    """Node works positive, arrivals finite and non-negative, weights
+    finite and positive: the bounds ``JobDag`` and ``Job`` enforce.
 
-    The bounds :class:`~repro.dag.job.Job` enforces, so a hand-built
-    instance the reference engine's :func:`~repro.dag.flat.to_jobset`
-    view refuses is refused here too.  A NaN weight would leave the
-    weighted admission order undefined.
+    A node without work would never finish (the run would spin to
+    ``max_ticks``); a NaN weight leaves weighted admission undefined.
     """
+    if not np.all(works > 0):
+        raise ValueError("malformed FlatInstance: node works must be positive")
     if not np.all((arrivals >= 0) & (arrivals < np.inf)):
         raise ValueError(
             "malformed FlatInstance: arrivals must be finite and non-negative"
@@ -301,7 +304,7 @@ class _BatchTables:
         indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
         self.arrivals = np.asarray(flat.arrivals, dtype=np.float64)
         self.weights = np.ascontiguousarray(flat.weights, dtype=np.float64)
-        _check_values(self.arrivals, self.weights)
+        _check_values(works, self.arrivals, self.weights)
         self.works = works
         self.eo = eo
         self.et = et

@@ -29,9 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dag.builders import parallel_for
-from repro.dag.flat import FlatInstance
-from repro.dag.job import Job, JobSet
+from repro.dag.flat import FlatInstance, _rebuild_jobset
+from repro.dag.job import JobSet
 from repro.sim.rng import SeedLike, spawn_rngs
 from repro.workloads.arrivals import ArrivalProcess, PoissonProcess
 from repro.workloads.distributions import WorkDistribution
@@ -44,20 +43,25 @@ def _parallel_for_flat(
     target_chunks: int,
     setup_units: int,
     finalize_units: int,
+    weights: Optional[np.ndarray] = None,
 ) -> FlatInstance:
     """CSR assembly of parallel-for jobs from (works, arrivals) arrays.
 
-    The vectorized core shared by :meth:`WorkloadSpec.build_flat` and the
-    streaming segment generator (:mod:`repro.workloads.stream`): one
-    batch of numpy operations builds every job's
-    ``[setup, chunk_1..chunk_c, finalize]`` DAG with the same arithmetic
-    as :func:`repro.dag.builders.parallel_for`.  ``works`` must already
-    be int64 job bodies and ``arrivals`` already sorted -- callers own
-    the ordering policy.
+    The one generator of parallel-for instances, called by
+    :meth:`WorkloadSpec.build_flat` (whose JobSet view is ``build``),
+    stream segments, trace replay and the makespan batch
+    (``experiments.figures.makespan_experiment``).  One batch of numpy
+    operations builds every job's ``[setup, chunk_1..chunk_c, finalize]``
+    DAG with the same arithmetic as :func:`repro.dag.builders.parallel_for`.  ``works`` must already
+    be positive int64 job bodies, ``setup_units``/``finalize_units``
+    positive and ``arrivals`` sorted -- callers validate and own the
+    ordering policy.  ``weights`` defaults to 1.0 per job.
     """
     works = np.asarray(works, dtype=np.int64)
     arrivals = np.asarray(arrivals, dtype=np.float64)
     n = len(works)
+    if weights is None:
+        weights = np.ones(n, dtype=np.float64)
 
     # Per-job parallel-for decomposition (same arithmetic as
     # parallel_for): ceil-split the body into chunks of <= grain.
@@ -111,7 +115,7 @@ def _parallel_for_flat(
         edge_targets=edge_targets,
         job_node_offsets=job_node_offsets,
         arrivals=arrivals,
-        weights=np.ones(n, dtype=np.float64),
+        weights=weights,
     )
 
 
@@ -160,7 +164,7 @@ class WorkloadSpec:
         this many independent chunks, emulating TBB's auto-partitioning.
         Must be >= 1; chunk grain is ``max(1, body_work // target_chunks)``.
     setup_units / finalize_units:
-        Serial prologue/epilogue work of each job, in units.
+        Serial prologue/epilogue work of each job, in units; must be >= 1.
     arrival_process:
         Override the arrival process; defaults to Poisson at
         ``qps_to_rate(qps, units_per_ms)`` as in the paper.
@@ -181,6 +185,11 @@ class WorkloadSpec:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if self.target_chunks < 1:
             raise ValueError(f"target_chunks must be >= 1, got {self.target_chunks}")
+        if min(self.setup_units, self.finalize_units) < 1:
+            raise ValueError(
+                f"setup_units and finalize_units must be >= 1, got "
+                f"{self.setup_units} and {self.finalize_units}"
+            )
         if self.qps <= 0:
             raise ValueError(f"qps must be positive, got {self.qps}")
 
@@ -225,40 +234,26 @@ class WorkloadSpec:
     def build(self, seed: SeedLike = None) -> JobSet:
         """Materialize the workload into a :class:`JobSet`.
 
-        Identical bodies share one :class:`JobDag` (``parallel_for`` is
-        memoized): integer works drawn from a distribution repeat
-        constantly, so large instances construct only the distinct
-        shapes.
+        The JobSet view of :meth:`build_flat`: it carries that flat, so
+        ``flatten_jobset(spec.build(s))`` is a cache hit, and identical
+        bodies share one :class:`JobDag` with every other view in the
+        process (:func:`~repro.dag.flat.to_jobset`'s shape map).
         """
-        works, arrivals = self._sample(seed)
-        jobs = []
-        for i in range(self.n_jobs):
-            body = int(works[i])
-            grain = max(1, body // self.target_chunks)
-            dag = parallel_for(
-                total_body_work=body,
-                grain=grain,
-                setup_work=self.setup_units,
-                finalize_work=self.finalize_units,
-            )
-            jobs.append(
-                Job(job_id=i, dag=dag, arrival=float(arrivals[i]), weight=1.0)
-            )
-        return JobSet(jobs)
+        return _rebuild_jobset(self.build_flat(seed))
 
     def build_flat(self, seed: SeedLike = None) -> FlatInstance:
         """Materialize the workload directly as a :class:`FlatInstance`.
 
         Constructs the CSR arrays of every parallel-for job in one batch
         of numpy operations -- no per-job Python loop, no intermediate
-        object graph.  Produces bit-identical arrays to
-        ``flatten_jobset(self.build(seed))`` (asserted by
-        ``tests/workloads/test_generator.py``); ``to_jobset`` recovers
-        the object view when an engine needs it.
+        object graph.  The arrays equal the flattened per-job
+        :func:`~repro.dag.builders.parallel_for` construction (asserted by
+        ``tests/workloads/test_generator.py``); :meth:`build` and
+        ``to_jobset`` recover the object view when an engine needs it.
         """
         works, arrivals = self._sample(seed)
         # JobSet orders jobs by (arrival, generation index); mirror it so
-        # the flat layout matches the object path job for job.
+        # job i of the flat is job i of the JobSet view.
         order = np.argsort(arrivals, kind="stable")
         return _parallel_for_flat(
             works[order],

@@ -22,8 +22,9 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dag.builders import parallel_for
-from repro.dag.job import Job, JobSet
+from repro.dag.flat import _rebuild_jobset
+from repro.dag.job import JobSet
+from repro.workloads.generator import _parallel_for_flat
 
 PathLike = Union[str, Path]
 
@@ -69,14 +70,19 @@ def jobset_from_trace(
         )
     if arrivals_s.size == 0:
         raise ValueError("a trace must contain at least one request")
-    if np.any(arrivals_s < 0):
-        raise ValueError("arrival times must be non-negative")
-    if np.any(works_ms <= 0):
-        raise ValueError("work amounts must be positive")
+    if not np.all(np.isfinite(arrivals_s) & (arrivals_s >= 0)):
+        raise ValueError("arrival_s must be finite and non-negative")
+    if not np.all(np.isfinite(works_ms) & (works_ms > 0)):
+        raise ValueError("work_ms must be finite and positive")
     if units_per_ms <= 0:
         raise ValueError(f"units_per_ms must be positive, got {units_per_ms}")
     if target_chunks < 1:
         raise ValueError(f"target_chunks must be >= 1, got {target_chunks}")
+    if min(setup_units, finalize_units) < 1:
+        raise ValueError(
+            f"setup_units and finalize_units must be >= 1, got "
+            f"{setup_units} and {finalize_units}"
+        )
     if weights is None:
         weights_arr = np.ones_like(works_ms)
     else:
@@ -85,30 +91,22 @@ def jobset_from_trace(
             raise ValueError("weights must parallel the trace arrays")
 
     overhead = setup_units + finalize_units
-    unit_works = np.maximum(
-        overhead + 1, np.rint(works_ms * units_per_ms)
-    ).astype(np.int64)
+    units = np.maximum(overhead + 1, np.rint(works_ms * units_per_ms))
+    if not np.all(units < 2.0**63):
+        raise ValueError("work_ms too large: units must fit in int64")
     arrival_units = arrivals_s * 1000.0 * units_per_ms
-
-    jobs: List[Job] = []
-    for i in range(arrivals_s.size):
-        body = int(unit_works[i]) - overhead
-        grain = max(1, body // target_chunks)
-        dag = parallel_for(
-            total_body_work=body,
-            grain=grain,
-            setup_work=setup_units,
-            finalize_work=finalize_units,
+    # JobSet order: by arrival, ties by trace position.
+    order = np.argsort(arrival_units, kind="stable")
+    return _rebuild_jobset(
+        _parallel_for_flat(
+            units.astype(np.int64)[order] - overhead,
+            arrival_units[order],
+            weights=weights_arr[order],
+            target_chunks=target_chunks,
+            setup_units=setup_units,
+            finalize_units=finalize_units,
         )
-        jobs.append(
-            Job(
-                job_id=i,
-                dag=dag,
-                arrival=float(arrival_units[i]),
-                weight=float(weights_arr[i]),
-            )
-        )
-    return JobSet(jobs)
+    )
 
 
 def load_trace_csv(

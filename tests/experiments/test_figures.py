@@ -157,3 +157,43 @@ class TestExtensions:
         res = norm_profile_experiment(n_jobs=200, seed=0)
         for series in res.series.values():
             assert all(a <= b + 1e-6 for a, b in zip(series, series[1:]))
+
+
+class TestMakespanBatch:
+    def test_equals_per_job_construction(self):
+        """The batch goes through the vectorized generator; its numbers
+        equal a rerun on the per-job ``parallel_for`` construction."""
+        from repro.core.fifo import FifoScheduler
+        from repro.core.work_stealing import WorkStealingScheduler
+        from repro.dag.builders import parallel_for
+        from repro.dag.job import Job, JobSet
+        from repro.experiments.figures import makespan_experiment
+        from repro.sim.rng import derive_seed
+        from repro.theory.bounds import graham_makespan_bound
+        from repro.workloads.distributions import BingDistribution
+
+        n_jobs, seed, m_values = 60, 3, (4, 8)
+        works = BingDistribution().sample_units(
+            derive_seed(seed, 17), n_jobs, units_per_ms=4.0
+        )
+        jobset = JobSet(
+            Job(job_id=i, dag=parallel_for(int(w), max(1, int(w) // 32)),
+                arrival=0.0)
+            for i, w in enumerate(works)
+        )
+        result = makespan_experiment(m_values, n_jobs=n_jobs, seed=seed)
+        for i, m in enumerate(m_values):
+            total_w, max_p = jobset.total_work, jobset.max_span
+            assert result.series["lower-bound"][i] == max(
+                total_w / m, float(max_p)
+            )
+            assert result.series["graham-bound"][i] == (
+                graham_makespan_bound(total_w, max_p, m)
+            )
+            assert result.series["fifo"][i] == (
+                FifoScheduler().run(jobset, m=m).makespan
+            )
+            ws = WorkStealingScheduler(k=16, steals_per_tick=64).run(
+                jobset, m=m, seed=derive_seed(seed, 18, m)
+            )
+            assert result.series["steal-16-first"][i] == ws.makespan

@@ -106,6 +106,9 @@ class TestSharedInstanceTransport:
 
         if not shared_memory_available():  # pragma: no cover
             pytest.skip("no shared memory on this platform")
+        # Built before counting starts: generation makes a JobSet view
+        # too.
+        flat = flatten_jobset(_build_jobset(seed=4))
         built = []
         real_jobset = flat_mod.JobSet
 
@@ -114,7 +117,6 @@ class TestSharedInstanceTransport:
             return real_jobset(jobs)
 
         monkeypatch.setattr(flat_mod, "JobSet", counting)
-        flat = flatten_jobset(_build_jobset(seed=4))
         with SharedInstance(flat) as shared:
             # In the publishing process the attach resolves locally to
             # the very same object -- no copy -- and the object view is

@@ -296,6 +296,24 @@ def test_out_of_range_arrival_or_weight_is_refused(arrival, weight):
         to_jobset(flat)
 
 
+@pytest.mark.parametrize("work", [0, -3])
+def test_non_positive_node_work_is_refused(work):
+    """A node without work never finishes: the kernel used to run such
+    an instance to ``max_ticks``.  Both kernel entry points refuse it,
+    the bound JobDag enforces."""
+    from repro.dag.flat import to_jobset
+    from repro.sim.events import resolve_centralized_kernel, run_centralized
+
+    flat = _flat([1, work], [0, 1, 1], [1], [0, 2])
+    with pytest.raises(ValueError, match="node works must be positive"):
+        repro.run("flat", flat, m=2, seed=0)
+    if resolve_centralized_kernel() is None:
+        pytest.skip("the compiled centralized loop did not build")
+    # The trusted view carries ``flat``, so the compiled loop reads it.
+    with pytest.raises(ValueError, match="node works must be positive"):
+        run_centralized(to_jobset(flat), 2)
+
+
 def test_malformed_instance_does_not_crash_the_interpreter():
     """Out-of-range edge targets used to be read by the kernel as they
     are: a segfault.  In a subprocess, so a crash fails this test by

@@ -1,8 +1,15 @@
 """Unit tests for workload assembly (WorkloadSpec, QPS accounting)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.dag import flat as flat_mod
+from repro.dag.builders import parallel_for
+from repro.dag.flat import content_hash, flatten_jobset, to_jobset
+from repro.dag.job import Job, JobSet
 from repro.workloads.arrivals import UniformProcess
 from repro.workloads.distributions import BingDistribution, ConstantDistribution
 from repro.workloads.generator import (
@@ -10,6 +17,26 @@ from repro.workloads.generator import (
     expected_utilization,
     qps_to_rate,
 )
+from tests.dag.test_flat import assert_jobsets_identical
+
+
+def _per_job_build(spec: WorkloadSpec, seed: int) -> JobSet:
+    """The per-job construction ``build`` used before it became the view
+    of ``build_flat``: one ``parallel_for`` DAG per sampled body."""
+    works, arrivals = spec._sample(seed)
+    return JobSet(
+        Job(
+            job_id=i,
+            dag=parallel_for(
+                int(body),
+                max(1, int(body) // spec.target_chunks),
+                setup_work=spec.setup_units,
+                finalize_work=spec.finalize_units,
+            ),
+            arrival=float(arrivals[i]),
+        )
+        for i, body in enumerate(works)
+    )
 
 
 class TestUnitConversions:
@@ -96,6 +123,19 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             WorkloadSpec(BingDistribution(), qps=-5.0, n_jobs=5)
 
+    @pytest.mark.parametrize(
+        "field,value", [("setup_units", 0), ("setup_units", -1),
+                        ("finalize_units", 0), ("finalize_units", -2)],
+    )
+    def test_setup_and_finalize_must_be_positive(self, field, value):
+        # build_flat would emit 0- or negative-work nodes, on which the
+        # kernel runs to max_ticks.
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(
+                BingDistribution(), qps=900.0, n_jobs=20, m=4,
+                **{field: value},
+            )
+
     def test_work_and_arrival_streams_isolated(self):
         """Swapping the arrival process must not change the sampled works.
 
@@ -155,26 +195,20 @@ class TestBuildFlat:
         ]
 
     def test_build_flat_matches_flattened_build(self):
-        from repro.dag.flat import content_hash, flatten_jobset
-
+        # The reference is the per-job construction, not ``build``: that
+        # is now the view of ``build_flat`` itself.
         for spec in self._specs():
             flat = spec.build_flat(seed=11)
-            reference = flatten_jobset(spec.build(seed=11))
+            reference = flatten_jobset(_per_job_build(spec, 11))
             assert flat == reference, spec.describe()
             assert content_hash(flat) == content_hash(reference)
 
     def test_build_flat_round_trips_to_equal_jobset(self):
-        from repro.dag.flat import to_jobset
-
-        spec = WorkloadSpec(BingDistribution(), qps=900.0, n_jobs=50, m=4)
-        js = spec.build(seed=2)
-        js2 = to_jobset(spec.build_flat(seed=2))
-        assert js.works == js2.works
-        assert js.arrivals == js2.arrivals
-        assert js.spans == js2.spans
-        for a, b in zip(js, js2):
-            assert a.dag.works == b.dag.works
-            assert a.dag.successors == b.dag.successors
+        for spec in self._specs():
+            reference = _per_job_build(spec, 2)
+            assert_jobsets_identical(to_jobset(spec.build_flat(seed=2)),
+                                     reference)
+            assert_jobsets_identical(spec.build(seed=2), reference)
 
     def test_spec_is_callable_factory(self):
         spec = WorkloadSpec(BingDistribution(), qps=900.0, n_jobs=10, m=4)
@@ -191,3 +225,46 @@ class TestBuildFlat:
         # excluded from the token).
         spec.build(seed=1)
         assert spec.cache_key(5) == same.cache_key(5)
+
+
+class TestJobSetView:
+    """``build`` is the JobSet view of ``build_flat``."""
+
+    SPEC = WorkloadSpec(BingDistribution(), qps=900.0, n_jobs=200, m=4)
+
+    def test_build_carries_its_flat(self):
+        js = self.SPEC.build(seed=4)
+        assert js._flat_cache == self.SPEC.build_flat(seed=4)
+        assert flatten_jobset(js) is js._flat_cache
+        assert not hasattr(js._flat_cache, "_jobset_cache")
+
+    def test_view_and_flat_are_freed_by_refcounting(self):
+        gc.disable()
+        try:
+            js = self.SPEC.build(seed=5)
+            flat = flatten_jobset(js)
+            refs = weakref.ref(js), weakref.ref(flat)
+            del js, flat
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_two_builds_share_dags(self, monkeypatch):
+        # A fresh map: one filled by earlier tests could empty mid-build.
+        monkeypatch.setattr(flat_mod, "_SHAPES", {})
+        a, b = self.SPEC.build(seed=6), self.SPEC.build(seed=7)
+        shared = {id(j.dag) for j in a} & {id(j.dag) for j in b}
+        assert shared
+        by_works = {j.dag.works: j.dag for j in a}
+        for job in b:
+            if job.dag.works in by_works:
+                assert job.dag is by_works[job.dag.works]
+
+    def test_shape_map_stays_bounded(self, monkeypatch):
+        shapes = {}
+        monkeypatch.setattr(flat_mod, "_SHAPES", shapes)
+        monkeypatch.setattr(flat_mod, "_SHAPES_MAX", 8)
+        js = self.SPEC.build(seed=8)
+        assert len({id(j.dag) for j in js}) > 8
+        assert 0 < len(shapes) <= 8
+        assert_jobsets_identical(js, _per_job_build(self.SPEC, 8))

@@ -4,11 +4,33 @@ import numpy as np
 import pytest
 
 from repro.core.fifo import FifoScheduler
+from repro.dag.builders import parallel_for
+from repro.dag.job import Job, JobSet
 from repro.workloads.trace import (
     jobset_from_trace,
     load_trace_csv,
     save_trace_csv,
 )
+from tests.dag.test_flat import assert_jobsets_identical
+
+
+def _per_job_trace(arrivals_s, works_ms, weights, units_per_ms=4.0,
+                   target_chunks=32, setup_units=1, finalize_units=1):
+    """The per-job construction trace replay used before it went through
+    the vectorized generator: one ``parallel_for`` DAG per request."""
+    overhead = setup_units + finalize_units
+    jobs = []
+    for i, (a, w, wt) in enumerate(zip(arrivals_s, works_ms, weights)):
+        body = max(overhead + 1, int(np.rint(w * units_per_ms))) - overhead
+        dag = parallel_for(
+            body, max(1, body // target_chunks),
+            setup_work=setup_units, finalize_work=finalize_units,
+        )
+        jobs.append(
+            Job(job_id=i, dag=dag, arrival=a * 1000.0 * units_per_ms,
+                weight=float(wt))
+        )
+    return JobSet(jobs)
 
 
 class TestJobsetFromTrace:
@@ -47,6 +69,37 @@ class TestJobsetFromTrace:
             jobset_from_trace([0.0], [1.0], units_per_ms=0)
         with pytest.raises(ValueError, match="weights"):
             jobset_from_trace([0.0], [1.0], weights=[1.0, 2.0])
+
+    @pytest.mark.parametrize("column,arrival,work", [
+        ("arrival_s", np.nan, 1.0),
+        ("arrival_s", np.inf, 1.0),
+        ("work_ms", 0.0, np.nan),
+        ("work_ms", 0.0, np.inf),
+        ("work_ms", 0.0, 1e30),
+    ])
+    def test_non_finite_or_oversized_input_names_its_column(
+        self, column, arrival, work
+    ):
+        with pytest.raises(ValueError, match=column):
+            jobset_from_trace([0.0, arrival], [1.0, work])
+
+    @pytest.mark.parametrize("field", ["setup_units", "finalize_units"])
+    def test_setup_and_finalize_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=field):
+            jobset_from_trace([0.0], [1.0], **{field: 0})
+
+    def test_equals_per_job_construction(self):
+        # Unsorted arrivals (with a tie), weights, and works at or below
+        # setup + finalize, which are clamped to one body unit.
+        arrivals = [0.3, 0.1, 0.3, 0.0, 0.2, 0.1]
+        works = [12.5, 0.1, 0.5, 40.0, 7.3, 0.25]
+        weights = [1.0, 3.0, 0.5, 2.0, 1.5, 4.0]
+        kw = dict(units_per_ms=4.0, target_chunks=4, setup_units=2,
+                  finalize_units=1)
+        assert_jobsets_identical(
+            jobset_from_trace(arrivals, works, weights, **kw),
+            _per_job_trace(arrivals, works, weights, **kw),
+        )
 
     def test_replayed_trace_is_schedulable(self):
         rng = np.random.default_rng(3)

@@ -62,7 +62,8 @@ DERIVED_RATIOS = {
         "test_dispatch_shared_handle",
         "test_dispatch_pickled_jobset",
     ),
-    # Vectorized CSR workload build vs the per-job object builder.
+    # Vectorized CSR workload build vs its JobSet view (the same build
+    # plus one Job per job over shared DAG shapes).
     "build_flat_vs_build": (
         "test_generate_build_flat",
         "test_generate_build_objects",
