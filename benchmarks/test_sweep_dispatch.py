@@ -3,9 +3,10 @@
 Two questions, measured directly:
 
 * **Dispatch overhead** -- the pre-ISSUE-2 design pickled a whole
-  ``JobSet`` object graph into every pool task; the flat design ships a
-  tiny shared-memory handle and packs/unpacks raw CSR arrays.  The
-  ``test_dispatch_*`` benchmarks compare the per-task wire costs.
+  ``JobSet`` object graph into every pool task; a sweep task now
+  carries its coordinates and a repetition index, and the instance
+  reaches each worker once.  The ``test_dispatch_*`` benchmarks compare
+  the per-task wire costs.
 * **Warm-cache speedup** -- with ``--resume``, previously computed cells
   are served from the content-addressed cache.  ``test_sweep_cold`` vs
   ``test_sweep_warm_cache`` is the end-to-end serial grid-sweep
@@ -18,13 +19,8 @@ import pickle
 import pytest
 
 from repro.core.work_stealing import WorkStealingScheduler
-from repro.dag.flat import flatten_jobset, pack_into, to_jobset, unpack_from
+from repro.experiments import sweep as sweep_mod
 from repro.experiments.cache import SweepCache
-from repro.experiments.parallel import (
-    SharedInstance,
-    attach_flat,
-    shared_memory_available,
-)
 # _grid_sweep is the executor behind repro.sweep.
 from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.workloads.distributions import BingDistribution
@@ -59,36 +55,32 @@ def test_dispatch_pickled_jobset(benchmark, dispatch_jobset):
     assert len(out) == len(dispatch_jobset)
 
 
-def test_dispatch_flat_pack_unpack(benchmark, dispatch_jobset):
-    """Publish-side cost of the flat transport: pack + unpack CSR arrays."""
-    flat = flatten_jobset(dispatch_jobset)
-    buf = bytearray(flat.nbytes)
+@pytest.fixture(scope="module")
+def cold_task():
+    """One cold task of a DISPATCH_SPEC sweep, as the pool receives it."""
+    captured = []
+    real_map = sweep_mod.parallel_map
 
-    def round_trip():
-        meta = pack_into(flat, buf)
-        return unpack_from(buf, meta)
+    def recording(fn, items, **kwargs):
+        captured.extend(items)
+        return real_map(fn, captured, **kwargs)
 
-    out = benchmark(round_trip)
-    assert out == flat
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_mod, "parallel_map", recording)
+        grid_sweep(_make_scheduler, {"k": [4]}, DISPATCH_SPEC, m=16,
+                   seed=11, max_workers=1)
+    return captured[0]
 
 
-def test_dispatch_shared_handle(benchmark, dispatch_jobset):
-    """Per-task cost of the new transport: pickle the handle + attach.
+def test_dispatch_cold_task(benchmark, cold_task):
+    """Per-task cost of the current transport: pickle one cold task.
 
-    The instance is published once per sweep; every task then carries
-    only the handle dict, and the worker-side attach resolves against a
-    per-process cache.  This is the cost the old design paid
-    ``test_dispatch_pickled_jobset`` for, once per task.
+    The task carries a repetition index; the instance reached the worker
+    once, as the batch's shared data.  This is the cost the old design
+    paid ``test_dispatch_pickled_jobset`` for, once per task.
     """
-    if not shared_memory_available():  # pragma: no cover
-        pytest.skip("no shared memory on this platform")
-    with SharedInstance(flatten_jobset(dispatch_jobset)) as shared:
-        out = benchmark(
-            lambda: to_jobset(
-                attach_flat(pickle.loads(pickle.dumps(shared.handle)))
-            )
-        )
-        assert len(out) == len(dispatch_jobset)
+    out = benchmark(lambda: pickle.loads(pickle.dumps(cold_task)))
+    assert out[1:] == cold_task[1:]
 
 
 def test_sweep_cold(benchmark):

@@ -509,7 +509,8 @@ def sweep(
     parameter grid over generated instances, on the supervised executor
     of :mod:`repro.experiments.parallel` (per-cell deadlines, bounded
     deterministic retries, pool respawn, incremental checkpointing into
-    the content-addressed cache, guaranteed shared-memory cleanup).
+    the content-addressed cache; each repetition instance reaches a
+    pool worker once).
 
     Parameters
     ----------
@@ -525,8 +526,8 @@ def sweep(
           ``"speedup-fifo"``, ``"speedup-equi"``) -- grid parameters
           forward to the engine (the deterministic speedup engines
           accept none and ignore seeds).  ``"flat"`` additionally runs
-          pool workers straight on the attached shared-memory CSR
-          arrays, skipping the per-worker object-graph rebuild;
+          pool workers straight on the repetition's CSR arrays,
+          skipping the per-worker object-graph rebuild;
         * any other *callable* -- passed through unchanged, i.e. the
           raw :func:`~repro.experiments.sweep._grid_sweep` contract.
     grid:

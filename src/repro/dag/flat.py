@@ -19,9 +19,8 @@ Node ids are global: job ``i``'s node ``v`` is global id
 Why it exists (see ISSUE 2): the object graph is the right API for
 schedulers, but it is the wrong wire/storage format.  Flat arrays can be
 hashed for content-addressed caching, written to disk as a single
-``.npz``, and shipped across process boundaries through
-``multiprocessing.shared_memory`` without pickling a single Python
-object.  The round-trip is lossless: :func:`to_jobset` rebuilds the
+``.npz``, and pickled as six array buffers instead of one Python object
+per job and node.  The round-trip is lossless: :func:`to_jobset` rebuilds the
 exact DAG structure, arrivals and weights that :func:`flatten_jobset`
 consumed (asserted by ``tests/dag/test_flat.py``).
 """
@@ -29,14 +28,13 @@ consumed (asserted by ``tests/dag/test_flat.py``).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.dag.graph import JobDag
+from repro.dag.graph import DagValidationError, JobDag
 from repro.dag.job import Job, JobSet
 
 PathLike = Union[str, Path]
@@ -51,7 +49,7 @@ _FIELDS: Tuple[Tuple[str, type], ...] = (
     ("weights", np.float64),
 )
 
-#: Version stamp carried by on-disk and shared-memory payloads.
+#: Version stamp folded into :func:`content_hash`.
 FLAT_FORMAT_VERSION = 1
 
 
@@ -59,8 +57,7 @@ FLAT_FORMAT_VERSION = 1
 class FlatInstance:
     """A whole scheduling instance as six flat numpy arrays (see module doc).
 
-    Arrays are read-only views; instances are safe to share between
-    threads and to alias onto shared-memory buffers.
+    Arrays are read-only; instances are safe to share between threads.
     """
 
     node_works: np.ndarray
@@ -106,7 +103,7 @@ class FlatInstance:
 
     @property
     def nbytes(self) -> int:
-        """Total payload size in bytes (the shared-memory footprint)."""
+        """Total payload size of the six arrays in bytes."""
         return sum(getattr(self, name).nbytes for name, _ in _FIELDS)
 
     def job_slice(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,9 +262,22 @@ def _rebuild_jobset(flat: FlatInstance) -> JobSet:
     builds construct only the distinct shapes.  When arrivals are sorted
     the set carries ``flat`` as its :func:`flatten_jobset` cache; nothing
     points back, so refcounting frees both (the generators' views).
+
+    Node works are checked here, once per instance, because
+    :meth:`JobDag.from_csr` trusts them: a node without work would never
+    finish, so :class:`DagValidationError` names the first such job and
+    node.
     """
     n = flat.n_jobs
     jno = flat.job_node_offsets
+    bad = np.flatnonzero(flat.node_works <= 0)
+    if len(bad):
+        v = int(bad[0])
+        i = int(np.searchsorted(jno, v, side="right")) - 1
+        raise DagValidationError(
+            f"job {i}: node {v - int(jno[i])} has non-positive work "
+            f"{int(flat.node_works[v])}"
+        )
     eo = flat.edge_offsets
     # Local ids, rebased once per instance: edge offsets from the job's
     # first edge, edge targets from the job's first node.
@@ -421,64 +431,3 @@ def load_flat(path: PathLike) -> FlatInstance:
     """Read an instance written by :func:`save_flat`."""
     with np.load(path, allow_pickle=False) as archive:
         return FlatInstance(**{name: archive[name] for name, _ in _FIELDS})
-
-
-# ----------------------------------------------------------------------
-# Buffer packing (the shared-memory wire format)
-# ----------------------------------------------------------------------
-
-
-def pack_into(flat: FlatInstance, buf) -> Dict[str, Any]:
-    """Copy the arrays into ``buf`` back to back; returns the layout meta.
-
-    ``buf`` is any writable buffer of at least :attr:`FlatInstance.nbytes`
-    bytes (typically a ``multiprocessing.shared_memory`` block).  The
-    returned meta dict is tiny, JSON/pickle-friendly, and everything
-    :func:`unpack_from` needs to rebuild zero-copy views.
-    """
-    layout = []
-    offset = 0
-    for name, _ in _FIELDS:
-        arr = getattr(flat, name)
-        end = offset + arr.nbytes
-        view = np.frombuffer(buf, dtype=arr.dtype, count=len(arr), offset=offset)
-        view[:] = arr
-        layout.append((name, str(arr.dtype), int(len(arr)), int(offset)))
-        offset = end
-    return {
-        "format_version": FLAT_FORMAT_VERSION,
-        "nbytes": offset,
-        "layout": layout,
-    }
-
-
-def unpack_from(buf, meta: Dict[str, Any]) -> FlatInstance:
-    """Rebuild a :class:`FlatInstance` of zero-copy views over ``buf``.
-
-    No array data is copied: the returned instance aliases ``buf``, so
-    the buffer must outlive the instance (the dispatch layer in
-    :mod:`repro.experiments.parallel` guarantees this by holding the
-    shared-memory block open for the worker's lifetime).
-    """
-    version = meta.get("format_version", FLAT_FORMAT_VERSION)
-    if version > FLAT_FORMAT_VERSION:
-        raise ValueError(
-            f"flat payload has format version {version}; this library "
-            f"reads up to {FLAT_FORMAT_VERSION}"
-        )
-    arrays = {}
-    for name, dtype, count, offset in meta["layout"]:
-        arrays[name] = np.frombuffer(
-            buf, dtype=np.dtype(dtype), count=count, offset=offset
-        )
-    return FlatInstance(**arrays)
-
-
-def meta_to_json(meta: Dict[str, Any]) -> str:
-    """Serialize a :func:`pack_into` meta dict to compact JSON."""
-    return json.dumps(meta, separators=(",", ":"))
-
-
-def meta_from_json(text: str) -> Dict[str, Any]:
-    """Inverse of :func:`meta_to_json`."""
-    return json.loads(text)

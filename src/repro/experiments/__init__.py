@@ -34,9 +34,8 @@ The pool is supervised (ISSUE 4): ``--cell-timeout`` /
 ``REPRO_CELL_TIMEOUT`` bounds each cell's wall time, ``--retries`` /
 ``REPRO_RETRIES`` bounds how often a crashed or hung cell is re-run
 (from its coordinate-derived seed, so recovery never changes a number),
-broken pools are respawned, completed cells are checkpointed into the
-cache as they finish, and published shared-memory blocks are reclaimed
-on every exit path.  See docs/ROBUSTNESS.md.
+broken pools are respawned, and completed cells are checkpointed into
+the cache as they finish.  See docs/ROBUSTNESS.md.
 
 Sweeps also scale *out* (ISSUE 8): ``repro.sweep(shard=(i, n),
 cache=...)`` runs one deterministic slice of the grid per host, and
@@ -78,7 +77,6 @@ from repro.experiments.parallel import (
     default_retries,
     default_workers,
     parallel_map,
-    reclaim_shared_memory,
 )
 from repro.experiments.runner import (
     run_figure2_cell,
@@ -147,7 +145,6 @@ __all__ = [
     "default_retries",
     "default_workers",
     "parallel_map",
-    "reclaim_shared_memory",
     "run_figure2_cell",
     "run_schedulers",
     "figure2",

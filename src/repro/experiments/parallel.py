@@ -30,9 +30,8 @@ Fault tolerance (ISSUE 4)
 -------------------------
 
 Paper-scale sweeps (100k jobs per point) run for hours; pre-ISSUE-4, a
-single crashed or hung pool worker aborted the whole run and could leak
-``multiprocessing.shared_memory`` blocks.  :func:`parallel_map` now
-*supervises* its pool:
+single crashed or hung pool worker aborted the whole run.
+:func:`parallel_map` now *supervises* its pool:
 
 * **per-cell deadlines** -- ``cell_timeout`` (argument >
   ``REPRO_CELL_TIMEOUT`` env > the CLI's ``--cell-timeout``): a cell
@@ -52,42 +51,38 @@ single crashed or hung pool worker aborted the whole run and could leak
 * **incremental checkpointing** -- the ``on_result`` callback fires in
   the parent as each cell completes (in completion order), which is how
   sweeps flush finished cells to the content-addressed cache *before*
-  the batch ends: a killed sweep resumes losslessly with ``--resume``;
-* **guaranteed shared-memory cleanup** -- every published block lands
-  in a process-wide unlink registry reclaimed by ``finally`` blocks and
-  an ``atexit`` sweep (:func:`reclaim_shared_memory`), so even a parent
-  dying mid-sweep leaves ``/dev/shm`` clean.
+  the batch ends: a killed sweep resumes losslessly with ``--resume``.
 
 Permanent failures surface as typed exceptions
 (:class:`~repro.errors.CellTimeoutError`,
 :class:`~repro.errors.CellCrashedError`) once the retry budget is
 exhausted.  Every recovery action emits a structured telemetry event
 (``fault.timeout``, ``fault.crash``, ``fault.cell_error``,
-``fault.retry``, ``fault.giveup``, ``pool.respawn``, ``shm.reclaim``),
+``fault.retry``, ``fault.giveup``, ``pool.respawn``),
 so ``summarize_events`` / ``audit_events`` can report fault counts per
 run and ``tools/bench_gate.py --telemetry`` can refuse bench runs that
 needed unrecovered faults.  The deterministic chaos harness in
 :mod:`repro.testing.faults` exists to prove all of the above.
 
-Zero-copy dispatch
-------------------
+Shared task data
+----------------
 
-Shipping a whole :class:`~repro.dag.job.JobSet` object graph to each
-worker (the pre-ISSUE-2 design) pays pickling cost proportional to the
-instance's node count *per task*.  :class:`SharedInstance` instead
-publishes the instance's flat CSR arrays (:mod:`repro.dag.flat`) into a
-``multiprocessing.shared_memory`` block once; tasks then carry only a
-tiny layout dict, and each worker attaches the block once, caching the
-:class:`~repro.dag.flat.FlatInstance` of views for every subsequent task
-that references the same block (:func:`attach_flat`).  A worker whose
-scheduler needs the object graph derives it with
-:func:`~repro.dag.flat.to_jobset`, which caches the view on that
-instance, so it too is built once per instance per process.
+Many tasks of one batch read the same large inputs: every (cell,
+repetition) task of a sweep simulates one of a few repetition
+instances.  Those travel once, not once per task: ``parallel_map``'s
+``shared`` argument is handed to each pool worker by the executor's
+initializer -- inherited at no cost under the ``fork`` start method,
+pickled once per worker under ``spawn`` / ``forkserver`` -- and
+installed in-process by the serial loop for the duration of the call.
+A task reads it with :func:`shared_data` and carries only an index into
+it.  The trade-off: under ``spawn`` each worker holds a private copy of
+the shared data.  A worker whose scheduler needs the object graph
+derives it with :func:`~repro.dag.flat.to_jobset`, which caches the view
+on that instance, so it is built once per instance per process.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import time
 import warnings
@@ -107,7 +102,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.dag.flat import FlatInstance, pack_into, unpack_from
 from repro.errors import CellCrashedError, CellTimeoutError, FaultInjected
 
 T = TypeVar("T")
@@ -152,6 +146,23 @@ _FALLBACK_EXCEPTIONS = (
 #: Callables already warned about (by identity token), so a sweep with
 #: hundreds of cells warns once, not per call.
 _FALLBACK_WARNED: set = set()
+
+#: The running batch's ``shared`` data (see "Shared task data" above):
+#: set in each pool worker by the executor's initializer, and by the
+#: serial loop while it runs.
+_SHARED: Tuple[Any, ...] = ()
+
+
+def _install_shared(shared: Tuple[Any, ...]) -> None:
+    """Make ``shared`` what :func:`shared_data` returns in this process."""
+    global _SHARED
+    _SHARED = shared
+
+
+def shared_data() -> Tuple[Any, ...]:
+    """The ``shared`` data of the :func:`parallel_map` batch running
+    the calling task (empty outside one)."""
+    return _SHARED
 
 
 def default_workers() -> int:
@@ -306,55 +317,64 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def _serial_run(
     fn: Callable[[T], R],
     work: Sequence[T],
+    shared: Tuple[Any, ...],
     retries: int,
     backoff_base: float,
     telemetry: Optional[Any],
     on_result: Optional[Callable[[int, R], None]],
 ) -> List[R]:
-    """The serial loop, with the same retry contract for retryable
-    in-cell faults (deadlines cannot be enforced without a pool)."""
+    """The serial loop, with ``shared`` installed while it runs and the
+    same retry contract for retryable in-cell faults (deadlines cannot
+    be enforced without a pool)."""
     out: List[R] = []
-    for idx, item in enumerate(work):
-        attempt = 0
-        while True:
-            try:
-                value = fn(item)
-                break
-            except RETRYABLE_EXCEPTIONS as exc:
-                attempt += 1
-                if telemetry is not None:
-                    telemetry.emit(
-                        "fault.cell_error",
-                        index=idx,
-                        attempt=attempt,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                if attempt > retries:
+    previous = _SHARED
+    _install_shared(shared)
+    try:
+        for idx, item in enumerate(work):
+            attempt = 0
+            while True:
+                try:
+                    value = fn(item)
+                    break
+                except RETRYABLE_EXCEPTIONS as exc:
+                    attempt += 1
                     if telemetry is not None:
                         telemetry.emit(
-                            "fault.giveup", index=idx, attempts=attempt,
-                            kind="cell_error",
+                            "fault.cell_error",
+                            index=idx,
+                            attempt=attempt,
+                            error=f"{type(exc).__name__}: {exc}",
                         )
-                    raise CellCrashedError(
-                        f"cell {idx} failed after {attempt} attempt(s): {exc}",
-                        attempts=attempt,
-                    ) from exc
-                delay = _backoff_delay(attempt, backoff_base)
-                if telemetry is not None:
-                    telemetry.emit(
-                        "fault.retry", index=idx, attempt=attempt,
-                        delay_s=delay,
-                    )
-                time.sleep(delay)
-        out.append(value)
-        if on_result is not None:
-            on_result(idx, value)
+                    if attempt > retries:
+                        if telemetry is not None:
+                            telemetry.emit(
+                                "fault.giveup", index=idx, attempts=attempt,
+                                kind="cell_error",
+                            )
+                        raise CellCrashedError(
+                            f"cell {idx} failed after {attempt} "
+                            f"attempt(s): {exc}",
+                            attempts=attempt,
+                        ) from exc
+                    delay = _backoff_delay(attempt, backoff_base)
+                    if telemetry is not None:
+                        telemetry.emit(
+                            "fault.retry", index=idx, attempt=attempt,
+                            delay_s=delay,
+                        )
+                    time.sleep(delay)
+            out.append(value)
+            if on_result is not None:
+                on_result(idx, value)
+    finally:
+        _install_shared(previous)
     return out
 
 
 def _supervised_pool_run(
     fn: Callable[[T], R],
     work: Sequence[T],
+    shared: Tuple[Any, ...],
     workers: int,
     cell_timeout: Optional[float],
     retries: int,
@@ -419,7 +439,11 @@ def _supervised_pool_run(
             # back up: the most-burned pending cell sets the delay.
             hottest = max(attempts[i] for i in pending)
             time.sleep(_backoff_delay(max(1, hottest), backoff_base))
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_install_shared,
+            initargs=(shared,),
+        )
         futures: Dict[Future, int] = {}
         try:
             for i in sorted(pending):
@@ -549,6 +573,7 @@ def parallel_map(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
+    shared: Sequence[Any] = (),
 ) -> List[R]:
     """Map ``fn`` over ``items`` on a supervised process pool.
 
@@ -584,6 +609,11 @@ def parallel_map(
         checkpoint finished cells into the cache immediately.  Must be
         idempotent per index: the serial fallback re-runs the whole
         batch and fires it again.
+    shared:
+        Data every task may read, shipped once per worker process
+        instead of once per task: inside ``fn``, :func:`shared_data`
+        returns it as a tuple (see "Shared task data" in the module
+        docstring).  Results must not depend on where it came from.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  Records how the batch
         was dispatched (``dispatch.serial`` / ``dispatch.pool`` /
@@ -592,6 +622,7 @@ def parallel_map(
         ``fault.retry``, ``fault.giveup``, ``pool.respawn``).
     """
     work: Sequence[T] = list(items)
+    shared = tuple(shared)
     workers = default_workers() if max_workers is None else int(max_workers)
     if cell_timeout is None:
         cell_timeout = default_cell_timeout()
@@ -602,7 +633,7 @@ def parallel_map(
         if telemetry is not None:
             telemetry.emit("dispatch.serial", n_tasks=len(work))
         return _serial_run(
-            fn, work, retries, backoff_base, telemetry, on_result
+            fn, work, shared, retries, backoff_base, telemetry, on_result
         )
     try:
         if telemetry is not None:
@@ -616,6 +647,7 @@ def parallel_map(
         return _supervised_pool_run(
             fn,
             work,
+            shared,
             workers,
             cell_timeout,
             retries,
@@ -636,200 +668,5 @@ def parallel_map(
                 error=f"{type(exc).__name__}: {exc}",
             )
         return _serial_run(
-            fn, work, retries, backoff_base, telemetry, on_result
+            fn, work, shared, retries, backoff_base, telemetry, on_result
         )
-
-
-# ----------------------------------------------------------------------
-# Shared-memory instance transport
-# ----------------------------------------------------------------------
-
-try:  # pragma: no cover - stdlib since 3.8; guarded for exotic builds
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-
-def shared_memory_available() -> bool:
-    """Whether this platform can publish instances via shared memory."""
-    return _shared_memory is not None
-
-
-#: Flat views of attached shared-memory blocks, keyed by block name.
-#: Lives at module level so a pool worker pays the attach once per
-#: instance, not once per task.  The cached :class:`FlatInstance` wraps
-#: views straight into the shared block and carries the caches derived
-#: views keep on it (the kernel's tables, the ``to_jobset`` view) across
-#: tasks.
-_ATTACH_CACHE: Dict[str, Tuple[Any, FlatInstance]] = {}
-
-#: Instances published by THIS process (the sweep parent), keyed by
-#: block name.  The serial path resolves against it directly, avoiding
-#: a same-process re-attach.
-_PUBLISHED_LOCAL: Dict[str, FlatInstance] = {}
-
-#: Attach-cache bound: a sweep references one block per repetition, so
-#: a handful is plenty; the bound keeps long-lived workers from pinning
-#: every instance they ever saw.
-_ATTACH_CACHE_LIMIT = 8
-
-#: Unlink registry: every shared-memory block THIS process has created
-#: and not yet unlinked, keyed by block name.  ``SharedInstance``
-#: registers on publish and unregisters on close; whatever remains is
-#: reclaimed by :func:`reclaim_shared_memory` -- called from sweep
-#: ``finally`` blocks and, as a last line, at interpreter exit -- so a
-#: sweep killed mid-flight (KeyboardInterrupt in the parent, worker
-#: death before attach) cannot pin ``/dev/shm`` segments.
-_UNLINK_REGISTRY: Dict[str, Any] = {}
-
-
-def reclaim_shared_memory(telemetry: Optional[Any] = None) -> List[str]:
-    """Close and unlink every still-registered shared-memory block.
-
-    Idempotent and safe to call at any time: blocks already closed by
-    their owners are no longer registered.  Returns the names of the
-    blocks actually reclaimed and emits one ``shm.reclaim`` telemetry
-    event when any were (to the given sink, else the process-default
-    one) -- a reclaim firing means some code path dropped a block, and
-    that should be visible.
-    """
-    reclaimed: List[str] = []
-    for name in list(_UNLINK_REGISTRY):
-        shm = _UNLINK_REGISTRY.pop(name, None)
-        if shm is None:
-            continue
-        try:
-            shm.close()
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-        _PUBLISHED_LOCAL.pop(name, None)
-        reclaimed.append(name)
-    if reclaimed:
-        sink = telemetry
-        if sink is None:
-            try:
-                from repro.obs.telemetry import default_telemetry
-
-                sink = default_telemetry()
-            except Exception:  # pragma: no cover - interpreter teardown
-                sink = None
-        if sink is not None:
-            try:
-                sink.emit("shm.reclaim", blocks=reclaimed)
-            except Exception:  # pragma: no cover - closed sink at exit
-                pass
-    return reclaimed
-
-
-atexit.register(reclaim_shared_memory)
-
-
-class SharedInstance:
-    """A :class:`FlatInstance` published in a shared-memory block.
-
-    Created by the sweep parent.  ``handle`` is the tiny picklable
-    payload tasks carry; :func:`attach_flat` turns it back into a
-    (cached) :class:`FlatInstance` inside any process.  The parent must keep
-    the object alive until every task referencing it has finished, then
-    :meth:`close` it (also unlinks the block).  Every created block is
-    additionally tracked in the module's unlink registry, so
-    :func:`reclaim_shared_memory` sweeps up anything a crashed parent
-    left behind.
-    """
-
-    def __init__(self, flat: FlatInstance):
-        if _shared_memory is None:  # pragma: no cover - exotic builds
-            raise NotImplementedError("shared memory is unavailable")
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, flat.nbytes)
-        )
-        # Register *before* packing: if packing dies, the reclaim sweep
-        # still knows about the block.
-        _UNLINK_REGISTRY[self._shm.name] = self._shm
-        try:
-            from repro.testing.faults import maybe_inject
-
-            maybe_inject("publish")
-            meta = pack_into(flat, self._shm.buf)
-            meta["shm_name"] = self._shm.name
-            self.handle: Dict[str, Any] = meta
-            # Parent-side shortcut for the serial path: hand back the
-            # published instance itself instead of re-attaching in-process.
-            _PUBLISHED_LOCAL[self._shm.name] = flat
-        except BaseException:
-            # A failed publish must not leak the freshly created block
-            # (it would otherwise pin /dev/shm until interpreter exit).
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Release and unlink the block (idempotent)."""
-        _PUBLISHED_LOCAL.pop(self._shm.name, None)
-        _UNLINK_REGISTRY.pop(self._shm.name, None)
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __enter__(self) -> "SharedInstance":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _evict_attach_cache() -> None:
-    while len(_ATTACH_CACHE) > _ATTACH_CACHE_LIMIT:
-        name, (shm, _) = next(iter(_ATTACH_CACHE.items()))
-        del _ATTACH_CACHE[name]
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-
-
-def _borrow_shared_block(name: str):
-    """Attach a parent-owned shared block without claiming ownership.
-
-    Workers only borrow the block; unregister it from the resource
-    tracker so worker exit does not try to destroy (or warn about) a
-    segment the parent still owns.
-    """
-    shm = _shared_memory.SharedMemory(name=name)
-    try:  # pragma: no cover - tracker internals vary across versions
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-    return shm
-
-
-def attach_flat(handle: Dict[str, Any]) -> FlatInstance:
-    """Resolve a :attr:`SharedInstance.handle` into a :class:`FlatInstance`.
-
-    Zero-copy on the wire: only the handle dict crosses the process
-    boundary, and the returned instance's arrays are views straight into
-    the shared block.  Cached per process, so repeated tasks over the
-    same instance (every cell of a sweep repetition) share one attach --
-    and whatever is cached on the instance: the kernel's derived tables
-    and, for schedulers that need it, the :func:`~repro.dag.flat.to_jobset`
-    view.  In the publishing process it returns the published instance
-    itself.
-    """
-    name = handle["shm_name"]
-    local = _PUBLISHED_LOCAL.get(name)
-    if local is not None:  # serial path inside the publishing process
-        return local
-    cached = _ATTACH_CACHE.get(name)
-    if cached is not None:
-        return cached[1]
-    shm = _borrow_shared_block(name)
-    flat = unpack_from(shm.buf, handle)
-    _ATTACH_CACHE[name] = (shm, flat)
-    _evict_attach_cache()
-    return flat

@@ -27,14 +27,14 @@ through the same cached path.
 Execution pipeline (ISSUE 2): each repetition's instance is built (or
 loaded from the content-addressed cache) **once** in the parent -- not
 once per cell as the object-graph design did -- as flat CSR arrays,
-the only format the sweep caches and ships: published to pool workers
-through shared memory (:class:`repro.experiments.parallel.SharedInstance`),
-so tasks carry kilobytes of coordinates instead of pickled object
-graphs.  Only a task whose scheduler's ``consumes_flat`` is false
-derives the JobSet view (:func:`~repro.dag.flat.to_jobset`).  With
-``resume=True`` previously computed cells are served from the cell
-cache; both paths are bit-identical to a cold serial sweep
-(``tests/experiments/test_cache.py``).
+the only format the sweep caches and ships.  They reach each pool
+worker once, as the ``shared`` data of
+:func:`~repro.experiments.parallel.parallel_map`, so a task carries its
+coordinates and a repetition index, never an instance.  Only a task
+whose scheduler's ``consumes_flat`` is false derives the JobSet view
+(:func:`~repro.dag.flat.to_jobset`).  With ``resume=True`` previously
+computed cells are served from the cell cache; both paths are
+bit-identical to a cold serial sweep (``tests/experiments/test_cache.py``).
 """
 
 from __future__ import annotations
@@ -60,13 +60,7 @@ from repro.dag.flat import (
 from repro.dag.job import JobSet
 from repro.errors import SweepConfigError
 from repro.experiments.cache import CACHE_ENV, SweepCache, cell_key
-from repro.experiments.parallel import (
-    SharedInstance,
-    attach_flat,
-    parallel_map,
-    reclaim_shared_memory,
-    shared_memory_available,
-)
+from repro.experiments.parallel import parallel_map, shared_data
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import derive_seed
 from repro.testing.faults import maybe_inject
@@ -215,11 +209,10 @@ def _callable_token(fn: Callable) -> Optional[str]:
 def _sweep_rep_task(task) -> Dict[str, Any]:
     """One (grid point, repetition) cell, as a picklable top-level task.
 
-    ``task`` is ``(scheduler_factory, params, instance, m, speed,
-    run_seed, metrics, task_index)``.  ``instance`` is either a
-    :attr:`SharedInstance.handle` dict (zero-copy path) or a pickled
-    :class:`FlatInstance` (fallback when shared memory is unavailable);
-    a scheduler whose ``consumes_flat`` is false gets its
+    ``task`` is ``(scheduler_factory, params, rep, m, speed, run_seed,
+    metrics, task_index)``.  ``rep`` indexes the batch's shared
+    repetition instances (:func:`~repro.experiments.parallel.shared_data`);
+    a scheduler whose ``consumes_flat`` is false gets the instance's
     :func:`~repro.dag.flat.to_jobset` view.  The
     run seed arrives precomputed from the cell coordinates, so where (or
     in what order) the task runs cannot affect its result -- which is
@@ -236,12 +229,10 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     cell.  Wall time is measured around the simulation only, inside
     the worker, so pool queueing never inflates it.
     """
-    (factory, params, instance, m, speed, run_seed, metrics,
-     task_index) = task
+    (factory, params, rep, m, speed, run_seed, metrics, task_index) = task
     maybe_inject("dispatch", index=task_index)
     scheduler = factory(**params)
-    if isinstance(instance, dict):
-        instance = attach_flat(instance)
+    instance = shared_data()[rep]
     if not getattr(scheduler, "consumes_flat", False):
         instance = to_jobset(instance)
     maybe_inject("cell", index=task_index)
@@ -325,8 +316,8 @@ def _grid_sweep(
         Called with a derived rep seed; must return the instance for
         that repetition.  The same rep seeds are used for every cell,
         so comparisons across cells are paired.  Each repetition's
-        instance is built once in the parent and shared with workers
-        through shared memory.  A :class:`WorkloadSpec` works directly
+        instance is built once in the parent and shipped to each pool
+        worker once.  A :class:`WorkloadSpec` works directly
         (it is callable) and additionally unlocks the instance cache
         and the fully vectorized flat build path.
     m, speed:
@@ -363,8 +354,8 @@ def _grid_sweep(
         cache entirely, with a :class:`RuntimeWarning`.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When given, the sweep
-        emits structured events (``sweep.start``, ``shm.publish``,
-        ``dispatch.*``, ``cache.*``, ``fault.*`` / ``pool.respawn``
+        emits structured events (``sweep.start``, ``dispatch.*``,
+        ``cache.*``, ``fault.*`` / ``pool.respawn``
         for every recovery action, ``cell.run`` with per-rep wall time
         / worker pid / engine stats, ``cell.cached``, ``sweep.done``)
         and writes a run manifest (config hash, rep seeds, instance
@@ -635,81 +626,52 @@ def _grid_sweep(
             factory=factory_token or repr(scheduler_factory),
             shard=str(spec) if spec is not None else None,
         )
-    shared: List[SharedInstance] = []
-    try:
-        use_shm = shared_memory_available() and len(cold_indices) > 0
-        if use_shm:
-            try:
-                for rep, flat in enumerate(rep_flats):
-                    shared.append(SharedInstance(flat))
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "shm.publish",
-                            rep=rep,
-                            nbytes=flat.nbytes,
-                            instance=rep_hashes[rep],
-                        )
-            except (OSError, NotImplementedError):
-                # Shared memory can fail at runtime on locked-down
-                # platforms (no /dev/shm); fall back to pickling.
-                for s in shared:
-                    s.close()
-                shared = []
-                use_shm = False
-
-        def handle_for(rep: int):
-            return shared[rep].handle if use_shm else rep_flats[rep]
-
-        cold_tasks = [
-            (
-                scheduler_factory,
-                tasks[i][0],
-                handle_for(tasks[i][1]),
-                m,
-                speed,
-                tasks[i][2],
-                metric_names,
-                i,
-            )
-            for i in cold_indices
-        ]
-
-        def checkpoint(cold_idx: int, payload: Dict[str, Any]) -> None:
-            # Flush each finished cell to the cache the moment its
-            # result lands in the parent (completion order), so a sweep
-            # killed mid-flight loses nothing already computed: the
-            # rerun resumes from these cells.  A checkpoint-write
-            # failure must not abort the sweep -- the result is still
-            # in memory; only resumability degrades.
-            key = task_keys[cold_indices[cold_idx]]
-            if cache is None or key is None:
-                return
-            try:
-                cache.store_cell(key, payload["metrics"])
-            except Exception as exc:
-                if telemetry is not None:
-                    telemetry.emit(
-                        "cache.store_failed",
-                        key=key,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-
-        cold_results = parallel_map(
-            _sweep_rep_task,
-            cold_tasks,
-            max_workers=max_workers,
-            telemetry=telemetry,
-            cell_timeout=cell_timeout,
-            retries=retries,
-            on_result=checkpoint,
+    # Tasks carry a repetition index; the instances travel once per
+    # worker as the batch's shared data.
+    cold_tasks = [
+        (
+            scheduler_factory,
+            tasks[i][0],
+            tasks[i][1],
+            m,
+            speed,
+            tasks[i][2],
+            metric_names,
+            i,
         )
-    finally:
-        for s in shared:
-            s.close()
-        # Belt and braces: reclaim anything the close loop could not
-        # reach (e.g. a publish that died between block creation and
-        # list append).  No-op when everything closed cleanly.
-        reclaim_shared_memory(telemetry)
+        for i in cold_indices
+    ]
+
+    def checkpoint(cold_idx: int, payload: Dict[str, Any]) -> None:
+        # Flush each finished cell to the cache the moment its result
+        # lands in the parent (completion order), so a sweep killed
+        # mid-flight loses nothing already computed: the rerun resumes
+        # from these cells.  A checkpoint-write failure must not abort
+        # the sweep -- the result is still in memory; only resumability
+        # degrades.
+        key = task_keys[cold_indices[cold_idx]]
+        if cache is None or key is None:
+            return
+        try:
+            cache.store_cell(key, payload["metrics"])
+        except Exception as exc:
+            if telemetry is not None:
+                telemetry.emit(
+                    "cache.store_failed",
+                    key=key,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+
+    cold_results = parallel_map(
+        _sweep_rep_task,
+        cold_tasks,
+        max_workers=max_workers,
+        telemetry=telemetry,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        on_result=checkpoint,
+        shared=rep_flats,
+    )
 
     rep_metrics: List[Dict[str, float]] = [None] * len(tasks)  # type: ignore
     for i, payload in zip(cold_indices, cold_results):

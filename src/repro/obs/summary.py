@@ -113,7 +113,6 @@ def summarize_events(events: Sequence[Event]) -> str:
         ("retries", "fault.retry"),
         ("giveups", "fault.giveup"),
         ("pool respawns", "pool.respawn"),
-        ("shm reclaims", "shm.reclaim"),
         ("failed checkpoints", "cache.store_failed"),
         ("merge conflicts", "merge.conflict"),
     ]

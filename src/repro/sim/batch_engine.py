@@ -267,7 +267,7 @@ class _BatchTables:
     """Immutable kernel tables of one :class:`FlatInstance`.
 
     The instance's CSR arrays are used as they are (the kernel only
-    reads them, so read-only shared-memory views work); the derived
+    reads them, so read-only arrays work); the derived
     tables come from one vectorized numpy pass.  The weights are read
     by weighted admission only.  Cached on the instance,
     so a sweep evaluating many grid points over the same replicate

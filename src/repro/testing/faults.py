@@ -4,8 +4,8 @@ The robustness layer of :mod:`repro.experiments.parallel` claims to
 survive crashed workers, hung cells, and failed cache writes while
 keeping sweep results bit-identical.  Claims like that rot unless they
 are exercised, so this module plants *deterministic* faults at the
-pipeline's four stages -- instance **publish**, task **dispatch**, the
-**cell** body, and the cache **store** -- driven entirely by two
+pipeline's four stages -- task **dispatch**, the **cell** body, the cache
+**store**, and a streaming run's **checkpoint** -- driven entirely by two
 environment variables (hence visible to pool workers, which inherit the
 parent's environment):
 
@@ -18,7 +18,7 @@ parent's environment):
       segfault/OOM-kill), ``hang`` (sleep ``seconds``, simulating a
       livelock; pair with a cell deadline), or ``raise`` (raise
       :class:`repro.errors.FaultInjected`, a retryable in-cell error).
-    * ``stage`` -- ``publish``, ``dispatch``, ``cell``, ``cache`` or
+    * ``stage`` -- ``dispatch``, ``cell``, ``cache`` or
       ``checkpoint`` (where the hook fires; see the call sites in
       :mod:`repro.experiments` and :mod:`repro.sim.stream_engine`).
     * options -- ``index=N`` restricts the clause to the task with
@@ -41,9 +41,9 @@ parent's environment):
     (serial) runs, not for pools.
 
 ``kill`` and ``hang`` are meant for *worker* stages (``dispatch``,
-``cell``); planting them at parent-side stages (``publish``, ``cache``)
-would kill or stall the sweep parent itself, which is occasionally
-useful (resume tests) but never what the retry layer can recover from.
+``cell``); planting them at the parent-side ``cache`` stage would kill
+or stall the sweep parent itself, which is occasionally useful (resume
+tests) but never what the retry layer can recover from.
 
 Determinism: clauses select by coordinates (task index), never by
 wall-clock or pid, and the claim protocol makes each clause fire exactly
@@ -82,7 +82,7 @@ FAULTS_DIR_ENV = "REPRO_FAULTS_DIR"
 #: durably written (``index`` = checkpoint sequence number), so chaos
 #: tests can kill a run at a known save point and assert that
 #: ``resume=True`` reproduces the undisturbed result float-identically.
-STAGES = ("publish", "dispatch", "cell", "cache", "checkpoint")
+STAGES = ("dispatch", "cell", "cache", "checkpoint")
 
 #: Actions a clause may request.
 ACTIONS = ("kill", "hang", "raise")

@@ -25,14 +25,10 @@ from repro.dag.flat import (
     content_hash,
     flatten_jobset,
     load_flat,
-    meta_from_json,
-    meta_to_json,
-    pack_into,
     save_flat,
     to_jobset,
-    unpack_from,
 )
-from repro.dag.graph import JobDag
+from repro.dag.graph import DagValidationError, JobDag
 from repro.dag.job import Job, JobSet
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
@@ -135,13 +131,30 @@ class TestTrustedCsr:
         assert rebuilt.topological_order() == dag.topological_order()
 
     def test_from_csr_rejects_empty_and_cycles(self):
-        from repro.dag.graph import DagValidationError
-
         with pytest.raises(DagValidationError):
             JobDag.from_csr([], [0], [])
         with pytest.raises(DagValidationError):
             # 0 -> 1 -> 0 has no roots.
             JobDag.from_csr([1, 1], [0, 1, 2], [1, 0])
+
+    def test_rebuild_rejects_non_positive_node_works(self):
+        # from_csr trusts works; the flat rebuild checks them, so the
+        # reference engine never receives a node that cannot finish.
+        import repro
+
+        zero = FlatInstance(
+            node_works=[1, 0], edge_offsets=[0, 1, 1], edge_targets=[1],
+            job_node_offsets=[0, 2], arrivals=[0.0], weights=[1.0],
+        )
+        with pytest.raises(DagValidationError, match="job 0: node 1 "):
+            repro.run("work-stealing", to_jobset(zero), m=2)
+        negative = FlatInstance(
+            node_works=[3, 2, -1], edge_offsets=[0, 0, 1, 1],
+            edge_targets=[2], job_node_offsets=[0, 1, 1, 3],
+            arrivals=[0.0, 1.0, 2.0], weights=[1.0, 1.0, 1.0],
+        )
+        with pytest.raises(DagValidationError, match="job 2: node 1 .* -1"):
+            to_jobset(negative)
 
 
 class TestContentHash:
@@ -171,27 +184,6 @@ class TestSerialization:
         loaded = load_flat(path)
         assert loaded == flat
         assert content_hash(loaded) == content_hash(flat)
-
-    def test_buffer_pack_unpack_zero_copy(self):
-        flat = flatten_jobset(_mixed_jobset())
-        buf = bytearray(flat.nbytes)
-        meta = pack_into(flat, buf)
-        meta = meta_from_json(meta_to_json(meta))  # survives JSON transit
-        view = unpack_from(buf, meta)
-        assert view == flat
-        # Zero copy: the views alias the buffer, not fresh allocations.
-        assert view.node_works.base is not None
-        assert_jobsets_identical(
-            to_jobset(flat), to_jobset(view)
-        )
-
-    def test_unpack_rejects_future_versions(self):
-        flat = flatten_jobset(_mixed_jobset())
-        buf = bytearray(flat.nbytes)
-        meta = pack_into(flat, buf)
-        meta["format_version"] = 999
-        with pytest.raises(ValueError):
-            unpack_from(buf, meta)
 
 
 class TestJobSetView:

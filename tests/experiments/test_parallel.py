@@ -7,6 +7,7 @@ and anything that prevents pooling (one worker, unpicklable callables)
 degrades to that serial loop, warning once about the lost parallelism.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -14,7 +15,12 @@ import pytest
 
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.experiments.config import ExperimentScale, Figure2Config
-from repro.experiments.parallel import default_workers, parallel_map
+from repro.dag.flat import to_jobset
+from repro.experiments.parallel import (
+    default_workers,
+    parallel_map,
+    shared_data,
+)
 from repro.experiments.runner import run_figure2_cell
 from repro.experiments.runner import _run_figure2_cells as run_figure2_cells
 from repro.experiments.sweep import _grid_sweep as grid_sweep
@@ -92,23 +98,25 @@ class TestParallelMap:
         assert parallel_map(_square, [5], max_workers=4) == [25]
 
 
-class TestSharedInstanceTransport:
-    """Shared-memory publication of flat instances (zero-copy dispatch)."""
+def _view_probe(rep):  # top-level: runs in pool workers
+    flat = shared_data()[rep]
+    return os.getpid(), rep, id(flat), id(to_jobset(flat))
 
-    def test_publish_attach_round_trip(self, monkeypatch):
+
+def _sweep_spec(n_jobs):
+    return WorkloadSpec(
+        BingDistribution(), qps=800.0, n_jobs=n_jobs, m=4, target_chunks=8
+    )
+
+
+class TestSharedTaskData:
+    """Repetition instances reach each worker once, as ``shared`` data;
+    tasks carry an index into it."""
+
+    def test_view_is_built_once_per_rep_per_process(self, monkeypatch):
         from repro.dag import flat as flat_mod
-        from repro.dag.flat import flatten_jobset, to_jobset
-        from repro.experiments.parallel import (
-            SharedInstance,
-            attach_flat,
-            shared_memory_available,
-        )
 
-        if not shared_memory_available():  # pragma: no cover
-            pytest.skip("no shared memory on this platform")
-        # Built before counting starts: generation makes a JobSet view
-        # too.
-        flat = flatten_jobset(_build_jobset(seed=4))
+        flats = [_sweep_spec(30).build_flat(seed) for seed in (4, 5)]
         built = []
         real_jobset = flat_mod.JobSet
 
@@ -117,71 +125,86 @@ class TestSharedInstanceTransport:
             return real_jobset(jobs)
 
         monkeypatch.setattr(flat_mod, "JobSet", counting)
-        with SharedInstance(flat) as shared:
-            # In the publishing process the attach resolves locally to
-            # the very same object -- no copy -- and the object view is
-            # built once, however many tasks ask for it.
-            assert attach_flat(shared.handle) is flat
-            view = to_jobset(attach_flat(shared.handle))
-            assert to_jobset(attach_flat(shared.handle)) is view
-            assert len(built) == 1
-            assert shared.handle["shm_name"]
-            assert shared.handle["layout"]
-
-    def test_failed_publish_releases_block(self, monkeypatch):
-        # If packing raises after the block is created, the block must
-        # be closed and unlinked -- not leaked until interpreter exit.
-        from repro.dag.flat import flatten_jobset
-        from repro.experiments import parallel as parallel_mod
-        from repro.experiments.parallel import (
-            SharedInstance,
-            shared_memory_available,
+        # In-process: the parent's own instances, each viewed once, and
+        # the table is gone after the call.
+        serial = parallel_map(
+            _view_probe, [0, 1] * 4, max_workers=1, shared=flats
         )
-
-        if not shared_memory_available():  # pragma: no cover
-            pytest.skip("no shared memory on this platform")
-        created = []
-        real_cls = parallel_mod._shared_memory.SharedMemory
-
-        class Recording(real_cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self.name)
-
-        def boom(*args, **kwargs):
-            raise ValueError("pack failed")
-
-        monkeypatch.setattr(
-            parallel_mod._shared_memory, "SharedMemory", Recording
+        assert {(rep, flat_id) for _, rep, flat_id, _ in serial} == {
+            (rep, id(flat)) for rep, flat in enumerate(flats)
+        }
+        assert len({view_id for *_, view_id in serial}) == 2
+        assert len(built) == 2
+        assert shared_data() == ()
+        # On the pool: one view per (worker, rep).
+        pooled = parallel_map(
+            _view_probe, [0, 1] * 4, max_workers=2, shared=flats
         )
-        monkeypatch.setattr(parallel_mod, "pack_into", boom)
-        flat = flatten_jobset(_build_jobset(seed=4))
-        with pytest.raises(ValueError, match="pack failed"):
-            SharedInstance(flat)
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):  # unlinked: gone
-            real_cls(name=created[0])
+        views = {}
+        for pid, rep, _, view_id in pooled:
+            assert views.setdefault((pid, rep), view_id) == view_id
+        assert os.getpid() not in {pid for pid, *_ in pooled}
 
-    def test_handle_is_small(self):
+    def test_cold_tasks_do_not_grow_with_the_instance(self, monkeypatch):
         import pickle
 
-        from repro.dag.flat import flatten_jobset
-        from repro.experiments.parallel import (
-            SharedInstance,
-            shared_memory_available,
+        from repro.dag.flat import FlatInstance
+        from repro.experiments import sweep as sweep_mod
+
+        real_map = sweep_mod.parallel_map
+        captured = []
+
+        def recording(fn, items, **kwargs):
+            items = list(items)
+            captured.append((items, kwargs["shared"]))
+            return real_map(fn, items, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "parallel_map", recording)
+        for n_jobs in (60, 3000):
+            grid_sweep(
+                _make_scheduler, {"k": [0, 4]}, _sweep_spec(n_jobs), m=4,
+                reps=2, seed=3, max_workers=1,
+            )
+        (small, small_flats), (large, large_flats) = captured
+        assert large_flats[0].nbytes > 10 * small_flats[0].nbytes
+        sizes = [len(pickle.dumps(task)) for task in small]
+        assert sizes == [len(pickle.dumps(task)) for task in large]
+        assert max(sizes) < 1024
+        assert not any(
+            isinstance(field, FlatInstance)
+            for task in small + large
+            for field in task
         )
 
-        if not shared_memory_available():  # pragma: no cover
-            pytest.skip("no shared memory on this platform")
-        js = _build_jobset(seed=4)
-        flat = flatten_jobset(js)
-        with SharedInstance(flat) as shared:
-            handle_bytes = len(pickle.dumps(shared.handle))
-            jobset_bytes = len(pickle.dumps(js))
-        # The whole point: tasks carry a tiny layout dict, not the
-        # object graph.
-        assert handle_bytes < 1024
-        assert handle_bytes * 10 < jobset_bytes
+    def test_spawn_pool_sweep_matches_fork(self, monkeypatch):
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import parallel as parallel_mod
+        from repro.obs.telemetry import Telemetry
+
+        def sweep(telemetry):
+            return grid_sweep(
+                _make_scheduler, {"k": [0, 4]}, _sweep_spec(40), m=4,
+                reps=2, seed=3, max_workers=2, telemetry=telemetry,
+            )
+
+        fork = sweep(Telemetry())
+        monkeypatch.setattr(
+            parallel_mod,
+            "ProcessPoolExecutor",
+            functools.partial(
+                ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        tel = Telemetry()
+        spawn = sweep(tel)
+        assert spawn.cells == fork.cells
+        assert tel.of_kind("dispatch.fallback") == []
+        pids = {e["pid"] for e in tel.of_kind("cell.run")}
+        assert pids and os.getpid() not in pids
 
 
 class TestDefaultWorkers:

@@ -138,7 +138,7 @@ def small_spec():
 
 
 def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
-    """WorkStealingScheduler cells get the attached FlatInstance, for
+    """WorkStealingScheduler cells get the shared FlatInstance, for
     every victim policy: the kernel runs them all."""
     seen = []
     routed_run = WorkStealingScheduler.run
@@ -270,20 +270,3 @@ def test_jobset_scheduler_sweep_builds_one_view_per_rep(
         max_workers=1,
     )
     assert len(built) == 2
-
-
-def test_sweep_without_shared_memory_pickles_flats(monkeypatch):
-    """With no shared memory, tasks carry the pickled FlatInstance and
-    every cell equals the zero-copy run's."""
-    grid = {"k": [0, 2]}
-    kwargs = dict(m=4, reps=2, seed=5, max_workers=2)
-    shared = [
-        repro.sweep(WorkStealingScheduler, grid, small_spec(), **kwargs),
-        repro.sweep(_fifo, grid, small_spec(), **kwargs),
-    ]
-    monkeypatch.setattr(sweep_mod, "shared_memory_available", lambda: False)
-    pickled = [
-        repro.sweep(WorkStealingScheduler, grid, small_spec(), **kwargs),
-        repro.sweep(_fifo, grid, small_spec(), **kwargs),
-    ]
-    assert [s.cells for s in pickled] == [s.cells for s in shared]

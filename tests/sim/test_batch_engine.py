@@ -300,18 +300,24 @@ def test_out_of_range_arrival_or_weight_is_refused(arrival, weight):
 def test_non_positive_node_work_is_refused(work):
     """A node without work never finishes: the kernel used to run such
     an instance to ``max_ticks``.  Both kernel entry points refuse it,
-    the bound JobDag enforces."""
+    the bound JobDag enforces; so does the flat's JobSet view."""
     from repro.dag.flat import to_jobset
+    from repro.dag.graph import DagValidationError, JobDag
+    from repro.dag.job import Job, JobSet
     from repro.sim.events import resolve_centralized_kernel, run_centralized
 
     flat = _flat([1, work], [0, 1, 1], [1], [0, 2])
     with pytest.raises(ValueError, match="node works must be positive"):
         repro.run("flat", flat, m=2, seed=0)
+    with pytest.raises(DagValidationError, match="non-positive work"):
+        to_jobset(flat)
     if resolve_centralized_kernel() is None:
         pytest.skip("the compiled centralized loop did not build")
-    # The trusted view carries ``flat``, so the compiled loop reads it.
+    # The trusted constructor takes the works as given, and the compiled
+    # loop reads the set's flattening.
+    dag = JobDag.from_csr([1, work], [0, 1, 1], [1])
     with pytest.raises(ValueError, match="node works must be positive"):
-        run_centralized(to_jobset(flat), 2)
+        run_centralized(JobSet([Job(0, dag, 0.0, 1.0)]), 2)
 
 
 def test_malformed_instance_does_not_crash_the_interpreter():
@@ -674,8 +680,8 @@ def test_arena_dies_with_its_instances_without_cyclic_gc():
 
 
 def test_single_replicate_arena_aliases_read_only_instance_arrays():
-    """At R=1 the kernel reads the instance's own CSR arrays, which may
-    be read-only shared-memory views."""
+    """At R=1 the kernel reads the instance's own CSR arrays, which are
+    read-only."""
     flat = flatten_jobset(random_instance(860, n_jobs=8))
     frozen = {}
     for name in ("node_works", "edge_offsets", "edge_targets",

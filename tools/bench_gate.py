@@ -158,13 +158,9 @@ def check_telemetry(log_path: Path) -> int:
     for e in events:
         kind = str(e.get("event", "?"))
         counts[kind] = counts.get(kind, 0) + 1
-    recovered = (
-        counts.get("fault.retry", 0)
-        + counts.get("pool.respawn", 0)
-        + counts.get("shm.reclaim", 0)
-    )
+    recovered = counts.get("fault.retry", 0) + counts.get("pool.respawn", 0)
     print(f"telemetry gate: {log_path} ({len(events)} events)")
-    for kind in sorted(k for k in counts if k.startswith(("fault.", "pool.", "shm."))):
+    for kind in sorted(k for k in counts if k.startswith(("fault.", "pool."))):
         print(f"  {kind}: {counts[kind]}")
     if recovered:
         print(f"  ({recovered} recovery action(s) recorded -- allowed)")

@@ -56,10 +56,11 @@ SCHEMA = "repro-bench-engine/3"
 DERIVED_RATIOS = {
     # End-to-end serial grid sweep resumed from a warm cache vs cold.
     "warm_vs_cold_sweep": ("test_sweep_warm_cache", "test_sweep_cold"),
-    # Per-task transport: shared-memory handle + attach vs pickling the
-    # whole JobSet object graph (the pre-flat dispatch design).
+    # Per-task transport: pickling one cold sweep task (coordinates and
+    # a repetition index) vs pickling the whole JobSet object graph (the
+    # pre-flat dispatch design).
     "flat_vs_pickle_dispatch": (
-        "test_dispatch_shared_handle",
+        "test_dispatch_cold_task",
         "test_dispatch_pickled_jobset",
     ),
     # Vectorized CSR workload build vs its JobSet view (the same build
