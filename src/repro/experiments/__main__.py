@@ -103,27 +103,6 @@ DISPATCH = {
 }
 
 
-def _run_one(
-    exp_id: str, scale: ExperimentScale, seed: int, chart: bool = False
-) -> str:
-    """Dispatch one experiment id to its figure function; returns text.
-
-    With ``chart`` the series experiments append an ASCII chart view
-    below the table (fig3's histograms are already graphical).
-    """
-    try:
-        runner = DISPATCH[exp_id]
-    except KeyError:
-        raise ValueError(f"unknown experiment {exp_id!r}") from None
-    result = runner(scale, seed)
-    if isinstance(result, str):
-        return result
-    text = result.render()
-    if chart:
-        text += "\n\n" + result.render_chart()
-    return text
-
-
 # The unified exit-code vocabulary (ISSUE 9); re-exported here so
 # ``from repro.experiments.__main__ import EXIT_MERGE_CONFLICT`` keeps
 # working -- repro.experiments.exitcodes is the canonical home.

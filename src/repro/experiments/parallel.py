@@ -1,9 +1,13 @@
 """Supervised process-pool execution of parallel experiment cells.
 
 Every experiment sweep in this package decomposes into independent cells
--- one (workload, QPS, repetition) triple, or one (grid point,
-repetition) pair -- whose seeds derive from their *coordinates* via
-:func:`repro.sim.rng.derive_seed`, never from execution order.  That
+-- one (workload, QPS) point of a Figure 2 panel, or one (grid point,
+repetition) pair of a grid sweep -- whose seeds derive from their
+*coordinates* via :func:`repro.sim.rng.derive_seed`, never from
+execution order.  Both kinds reach :func:`parallel_map` through one
+caller, the cell executor
+(:func:`repro.experiments.sweep._run_cell_tasks`), which adds the cell
+cache, the checkpoints and the sweep telemetry around it.  That
 discipline makes cell fan-out safe: running cells across a process pool
 produces bit-identical per-cell results to running them serially, in any
 order, and ``tests/experiments/test_parallel.py`` asserts it.  It also
@@ -244,16 +248,19 @@ def backoff_schedule(
     recovery detours, or "bit-identical under faults" would be
     unfalsifiable.  ``schedule[k]`` is the pause before retry ``k + 1``.
     """
-    if base is None:
-        base = default_backoff_base()
-    return [min(cap, base * (2.0 ** k)) for k in range(max(0, retries))]
+    return [
+        _backoff_delay(attempt, base, cap)
+        for attempt in range(1, max(0, retries) + 1)
+    ]
 
 
-def _backoff_delay(attempt: int, base: Optional[float] = None) -> float:
+def _backoff_delay(
+    attempt: int, base: Optional[float] = None, cap: float = BACKOFF_CAP
+) -> float:
     """Delay before retry number ``attempt`` (1-based)."""
     if base is None:
         base = default_backoff_base()
-    return min(BACKOFF_CAP, base * (2.0 ** max(0, attempt - 1)))
+    return min(cap, base * (2.0 ** max(0, attempt - 1)))
 
 
 def _warn_serial_fallback(fn: Callable, exc: BaseException) -> None:

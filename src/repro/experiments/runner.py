@@ -7,9 +7,12 @@ The two building blocks every figure uses:
 * :func:`run_figure2_cell` -- one (workload, QPS) cell of Figure 2:
   build the workload, run OPT / steal-k-first / admit-first (and FIFO,
   for reference), average over repetitions;
-* :func:`_run_figure2_cells` -- a whole QPS sweep of such cells, fanned
-  out over a process pool (see :mod:`repro.experiments.parallel`); the
-  figure functions and :func:`repro.sweep` are its public faces.
+* :func:`_run_figure2_cells` -- a whole QPS sweep of such cells: it
+  builds one task and one cell-cache key per QPS point and hands them
+  to the cell executor grid sweeps use
+  (:func:`repro.experiments.sweep._run_cell_tasks`: cache, supervised
+  process pool, telemetry, run manifest); the figure functions are its
+  public faces.
 
 Seed discipline: a cell's seed is derived from the experiment seed and
 the cell coordinates via :func:`repro.sim.rng.derive_seed`, so any single
@@ -23,24 +26,26 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.base import Scheduler
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import OptLowerBound
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag.job import JobSet
-from repro.experiments.cache import (
-    SweepCache,
-    cell_key,
-    resume_enabled_by_env,
-)
+from repro.experiments.cache import SweepCache, cell_key, resume_enabled_by_env
 from repro.experiments.config import ExperimentScale, Figure2Config
-from repro.experiments.parallel import parallel_map
+from repro.experiments.sweep import (
+    _callable_token,
+    _freeze_value,
+    _resolve_sinks,
+    _run_cell_tasks,
+    _warn_cache_bypass,
+)
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import derive_seed
+from repro.testing.faults import maybe_inject
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -116,9 +121,11 @@ def run_figure2_cell(
     return {name: total / scale.reps for name, total in sums.items()}
 
 
-#: One cell-task: (config, qps, scale, seed, include_fifo).  A plain
-#: tuple of picklable values so the task crosses process boundaries.
-Figure2CellTask = Tuple[Figure2Config, float, ExperimentScale, int, bool]
+#: One cell-task: (config, qps, scale, seed, include_fifo, task_index).
+#: A plain tuple of picklable values so the task crosses process
+#: boundaries; ``task_index`` is the cell's position in the panel, which
+#: the fault harness (:mod:`repro.testing.faults`) targets.
+Figure2CellTask = Tuple[Figure2Config, float, ExperimentScale, int, bool, int]
 
 
 def _figure2_cell_task(task: Figure2CellTask) -> Dict[str, Any]:
@@ -128,7 +135,9 @@ def _figure2_cell_task(task: Figure2CellTask) -> Dict[str, Any]:
     (wall time measured inside the worker, worker pid); the parent turns
     the wrapper into a ``cell.run`` event and stores only the metrics.
     """
-    cfg, qps, scale, seed, include_fifo = task
+    cfg, qps, scale, seed, include_fifo, task_index = task
+    maybe_inject("dispatch", index=task_index)
+    maybe_inject("cell", index=task_index)
     t0 = time.perf_counter()
     metrics = run_figure2_cell(
         cfg, qps, scale, seed=seed, include_fifo=include_fifo
@@ -138,6 +147,25 @@ def _figure2_cell_task(task: Figure2CellTask) -> Dict[str, Any]:
         "wall_s": round(time.perf_counter() - t0, 6),
         "pid": os.getpid(),
     }
+
+
+def _config_token(cfg: Figure2Config) -> Optional[str]:
+    """The config's cell-key component, or None when it has none.
+
+    An address-free ``repr(cfg)`` is the token (the shipped panels, whose
+    distribution factories are classes).  A lambda or closure factory
+    puts a memory address into the repr, and a later factory can reuse
+    a freed address; such a factory is keyed by its content token
+    (:func:`~repro.experiments.sweep._callable_token`) instead, the rule
+    grid sweeps apply to scheduler factories.
+    """
+    frozen = _freeze_value(cfg)
+    if frozen is not None:
+        return frozen
+    token = _callable_token(cfg.distribution_factory)
+    if token is None:
+        return None
+    return _freeze_value(replace(cfg, distribution_factory=token))
 
 
 def _run_figure2_cells(
@@ -158,153 +186,77 @@ def _run_figure2_cells(
     Every cell's randomness derives from ``(seed, qps, rep)`` inside
     :func:`run_figure2_cell`, so the fan-out cannot change any result:
     the returned list (in ``qps_values`` order) is bit-identical to a
-    serial loop.  ``max_workers``, ``cell_timeout`` and ``retries``
-    follow the resolution rules of
-    :func:`repro.experiments.parallel.parallel_map`, whose supervised
-    pool retries crashed or deadline-expired cells from their
-    coordinate-derived seeds and respawns a broken pool; completed
+    serial loop.  The cells run through the cell executor that grid
+    sweeps use (:func:`repro.experiments.sweep._run_cell_tasks`):
+    ``max_workers``, ``cell_timeout`` and ``retries`` follow the
+    resolution rules of :func:`repro.experiments.parallel.parallel_map`,
+    whose supervised pool retries crashed or deadline-expired cells from
+    their coordinate-derived seeds and respawns a broken pool; completed
     cells are checkpointed into the cache as they finish, so an aborted
-    sweep resumes losslessly.
+    panel resumes losslessly.
 
     With ``resume`` (default: the ``REPRO_RESUME`` environment variable,
     i.e. the CLI's ``--resume`` flag) previously computed cells are
     served from the content-addressed cell cache
     (:mod:`repro.experiments.cache`) and only cold cells run; cached
     values are the exact floats of the original run.  Cell keys cover
-    the full config (a frozen dataclass with a canonical repr), scale,
-    seed and lineup, so any parameter change misses cleanly.
+    the config (:func:`_config_token`), scale, seed and lineup, so any
+    parameter change misses cleanly; a distribution factory with no
+    stable content identity bypasses the cell cache, with a
+    :class:`RuntimeWarning`.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) records the
-    sweep as structured events -- ``sweep.start``, per-cell ``cell.run``
-    (worker-measured wall time + pid) / ``cell.cached``, ``cache.*``,
-    ``sweep.done`` -- and writes a run manifest next to the cache dir
-    (or the telemetry log).  Results are bit-identical either way.
+    panel as structured events -- ``sweep.start``, per-cell
+    ``cell.cached`` / ``cell.run`` (worker-measured wall time + pid),
+    ``cache.*``, ``sweep.done`` -- and a run manifest is written next to
+    the cache dir (or the telemetry log).  Results are bit-identical
+    either way.
     """
     t_start = time.perf_counter()
     if resume is None:
         resume = resume_enabled_by_env()
-    if resume and cache is None:
-        cache = SweepCache()
-    if telemetry is None:
-        # CLI path: the --telemetry flag routes through REPRO_TELEMETRY
-        # rather than threading a parameter into every figure function.
-        from repro.obs.telemetry import default_telemetry
-
-        telemetry = default_telemetry()
-    if cache is not None and telemetry is not None and cache.telemetry is None:
-        cache.telemetry = telemetry
-
+    cache, telemetry = _resolve_sinks(cache, resume, telemetry)
+    token = _config_token(cfg)
+    if cache is not None and token is None:
+        _warn_cache_bypass(
+            "run_figure2_cells", "distribution factory",
+            cfg.distribution_factory, telemetry,
+        )
     keys = [
-        cell_key(
-            "fig2-cell", repr(cfg), float(qps), scale.n_jobs, scale.reps,
+        None if token is None else cell_key(
+            "fig2-cell", token, float(qps), scale.n_jobs, scale.reps,
             seed, include_fifo,
         )
         for qps in qps_values
     ]
-    results: List[Optional[Dict[str, float]]] = [None] * len(qps_values)
-    if resume and cache is not None:
-        for i, key in enumerate(keys):
-            results[i] = cache.load_cell(key)
-
-    cold = [i for i in range(len(qps_values)) if results[i] is None]
-    if telemetry is not None:
-        telemetry.emit(
-            "sweep.start",
-            kind="run_figure2_cells",
-            n_cells=len(qps_values),
-            n_tasks=len(qps_values),
-            n_cold=len(cold),
-            m=cfg.m,
-            reps=scale.reps,
-            include_fifo=include_fifo,
-        )
-        for i in range(len(qps_values)):
-            if results[i] is not None:
-                telemetry.emit(
-                    "cell.cached",
-                    params={"qps": qps_values[i]},
-                    metrics=results[i],
-                )
-    tasks: List[Figure2CellTask] = [
-        (cfg, qps_values[i], scale, seed, include_fifo) for i in cold
-    ]
-
-    def checkpoint(batch_idx: int, payload: Dict[str, Any]) -> None:
-        # Flush each finished cell to the cache immediately (completion
-        # order), so a killed sweep resumes from everything already
-        # computed.  A failed checkpoint write only degrades
-        # resumability, never the run.
-        if cache is None:
-            return
-        try:
-            cache.store_cell(keys[cold[batch_idx]], payload["metrics"])
-        except Exception as exc:
-            if telemetry is not None:
-                telemetry.emit(
-                    "cache.store_failed",
-                    key=keys[cold[batch_idx]],
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
-    cold_results = parallel_map(
-        _figure2_cell_task, tasks, max_workers=max_workers,
-        telemetry=telemetry, cell_timeout=cell_timeout, retries=retries,
-        on_result=checkpoint,
-    )
-    for i, payload in zip(cold, cold_results):
-        value = payload["metrics"]
-        results[i] = value
-        if telemetry is not None:
-            telemetry.emit(
-                "cell.run",
-                params={"qps": qps_values[i]},
-                seed=seed,
-                wall_s=payload["wall_s"],
-                pid=payload["pid"],
-                metrics=value,
-            )
-
-    manifest_path = None
-    log_path = telemetry.path if telemetry is not None else None
-    if cache is not None or log_path is not None:
-        from repro.obs.manifest import build_manifest, write_manifest
-
-        manifest = build_manifest(
-            kind="run_figure2_cells",
-            config={
+    results, _ = _run_cell_tasks(
+        "run_figure2_cells",
+        _figure2_cell_task,
+        [
+            (cfg, qps, scale, seed, include_fifo, i)
+            for i, qps in enumerate(qps_values)
+        ],
+        keys,
+        [{"params": {"qps": qps}, "seed": seed} for qps in qps_values],
+        [s.name for s in figure2_schedulers(cfg, include_fifo)],
+        n_cells=len(qps_values),
+        coords={"m": cfg.m, "reps": scale.reps, "include_fifo": include_fifo},
+        manifest={
+            "config": {
                 "config": repr(cfg),
                 "qps_values": [float(q) for q in qps_values],
                 "n_jobs": scale.n_jobs,
                 "reps": scale.reps,
                 "include_fifo": include_fifo,
             },
-            seed=seed,
-            timings={"wall_s": round(time.perf_counter() - t_start, 6)},
-            event_log=log_path,
-            cache_dir=cache.root if cache is not None else None,
-            extra={"n_cells": len(qps_values), "n_cold": len(cold)},
-        )
-        directory = (
-            cache.root if cache is not None else log_path.parent
-        ) / "manifests"
-        manifest_path = write_manifest(manifest, directory)
-    if telemetry is not None:
-        telemetry.emit(
-            "sweep.done",
-            kind="run_figure2_cells",
-            wall_s=round(time.perf_counter() - t_start, 6),
-            n_cold=len(cold),
-            n_cached=len(qps_values) - len(cold),
-            manifest=str(manifest_path) if manifest_path else None,
-        )
-    return results  # type: ignore[return-value]
-
-
-def mean_and_spread(values: List[float]) -> Dict[str, float]:
-    """Mean / min / max summary used when reporting repetitions."""
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }
+            "seed": seed,
+        },
+        cache=cache,
+        resume=resume,
+        telemetry=telemetry,
+        t_start=t_start,
+        max_workers=max_workers,
+        cell_timeout=cell_timeout,
+        retries=retries,
+    )
+    return results

@@ -264,9 +264,18 @@ class _Evaluator:
         self.n_cached = 0
 
     def __call__(
-        self, indices: Sequence[int], reps: int
+        self, indices: Sequence[int], reps: int,
+        speed: Optional[float] = None,
     ) -> Tuple[Dict[int, SweepCell], int, int]:
-        """Evaluate ``indices`` at ``reps``; returns (idx -> cell, cold, cached)."""
+        """Evaluate ``indices`` at ``reps``; returns (idx -> cell, cold, cached).
+
+        ``speed`` overrides the search's speed: the epsilon axis, whose
+        evaluator has an empty grid (``allow_empty_grid``) and one cell,
+        index 0, because the candidate is the simulation-level speed,
+        not a scheduler knob.  Rep seeds stay identical across
+        candidates (paired comparison); the cell key covers ``speed``,
+        so each candidate caches separately.
+        """
         ordered = sorted(indices)
         result = _grid_sweep(
             self.factory,
@@ -275,7 +284,7 @@ class _Evaluator:
             m=self.m,
             reps=reps,
             seed=self.seed,
-            speed=self.speed,
+            speed=self.speed if speed is None else speed,
             metrics=self.metric_names,
             max_workers=self.max_workers,
             cache=self.cache,
@@ -283,7 +292,8 @@ class _Evaluator:
             telemetry=self.telemetry,
             cell_timeout=self.cell_timeout,
             retries=self.retries,
-            cells=ordered,
+            cells=ordered if self.space else None,
+            allow_empty_grid=not self.space,
         )
         self.n_evaluations += len(ordered) * reps
         self.n_cold += result.n_cold
@@ -293,38 +303,6 @@ class _Evaluator:
             result.n_cold,
             result.n_cached,
         )
-
-    def eval_at_speed(
-        self, speed: float, reps: int
-    ) -> Tuple[SweepCell, int, int]:
-        """One single-cell sweep at an explicit speed (the epsilon axis).
-
-        The grid is empty (``allow_empty_grid``): the candidate axis is
-        the simulation-level speed, not a scheduler knob.  Rep seeds
-        stay identical across candidates (paired comparison); the cell
-        key covers ``speed``, so each candidate caches separately.
-        """
-        result = _grid_sweep(
-            self.factory,
-            {},
-            self.jobset_factory,
-            m=self.m,
-            reps=reps,
-            seed=self.seed,
-            speed=speed,
-            metrics=self.metric_names,
-            max_workers=self.max_workers,
-            cache=self.cache,
-            resume=True,
-            telemetry=self.telemetry,
-            cell_timeout=self.cell_timeout,
-            retries=self.retries,
-            allow_empty_grid=True,
-        )
-        self.n_evaluations += reps
-        self.n_cold += result.n_cold
-        self.n_cached += result.n_cached
-        return result.cells[0], result.n_cold, result.n_cached
 
 
 def successive_halving(
@@ -704,12 +682,12 @@ def threshold_search(
 
     def eval_candidate(i: int) -> Tuple[SweepCell, int, int]:
         if speed_axis:
-            cell, n_cold, n_cached = evaluate.eval_at_speed(
-                float(vals[i]), reps
-            )
+            evaluated, n_cold, n_cached = evaluate([0], reps, float(vals[i]))
             # Report under the caller's axis name (speed/augmentation),
             # with the candidate value as given.
-            cell = SweepCell(params={param: vals[i]}, metrics=cell.metrics)
+            cell = SweepCell(
+                params={param: vals[i]}, metrics=evaluated[0].metrics
+            )
             return cell, n_cold, n_cached
         evaluated, n_cold, n_cached = evaluate([i], reps)
         return evaluated[i], n_cold, n_cached

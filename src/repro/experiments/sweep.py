@@ -17,24 +17,30 @@ Example -- re-deriving the paper's k sweep in three lines::
     print(sweep.render())
 
 Entry points: :func:`repro.sweep` is the public facade over the
-private :func:`_grid_sweep` executor.  The executor also powers the
-adaptive layers: :mod:`repro.experiments.search` evaluates
+private :func:`_grid_sweep`, which also powers the adaptive layers: :mod:`repro.experiments.search` evaluates
 arbitrary subsets of a grid via ``cells=`` (global cell identity, so
 search evaluations are byte-identical to exhaustive-sweep cells), and
 :mod:`repro.experiments.ablate` runs single-configuration "grids"
 through the same cached path.
 
-Execution pipeline (ISSUE 2): each repetition's instance is built (or
-loaded from the content-addressed cache) **once** in the parent -- not
-once per cell as the object-graph design did -- as flat CSR arrays,
-the only format the sweep caches and ships.  They reach each pool
-worker once, as the ``shared`` data of
-:func:`~repro.experiments.parallel.parallel_map`, so a task carries its
-coordinates and a repetition index, never an instance.  Only a task
-whose scheduler's ``consumes_flat`` is false derives the JobSet view
-(:func:`~repro.dag.flat.to_jobset`).  With ``resume=True`` previously
-computed cells are served from the cell cache; both paths are
-bit-identical to a cold serial sweep (``tests/experiments/test_cache.py``).
+Execution pipeline: :func:`_grid_sweep` *plans* -- each repetition's
+instance is built (or loaded from the content-addressed cache) **once**
+in the parent, as flat CSR arrays, the only format the sweep caches and
+ships; it derives the factory token, selects the ``shard=`` / ``cells=``
+slice, writes the shard manifest, and lists one task, cell key and set
+of event coordinates per (cell, repetition).  :func:`_run_cell_tasks`
+*executes*: it is the one cell executor, shared with the Figure 2
+panels (:func:`repro.experiments.runner._run_figure2_cells`).  It
+serves cached cells under ``resume``, runs the cold tasks through
+:func:`~repro.experiments.parallel.parallel_map` with a checkpoint per
+finished cell, emits ``sweep.start`` / ``cell.cached`` / ``cell.run`` /
+``sweep.done`` and writes the run manifest.  The rep instances reach
+each pool worker once, as the ``shared`` data of ``parallel_map``, so a
+task carries its coordinates and a repetition index, never an instance.
+Only a task whose scheduler's ``consumes_flat`` is false derives the
+JobSet view (:func:`~repro.dag.flat.to_jobset`).  Resumed and cold
+paths are bit-identical to a cold serial sweep
+(``tests/experiments/test_cache.py``).
 """
 
 from __future__ import annotations
@@ -248,6 +254,178 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     }
 
 
+def _resolve_sinks(
+    cache: Union[SweepCache, str, None],
+    resume: bool,
+    telemetry: Optional[Any],
+):
+    """The ``(cache, telemetry)`` a cell executor run writes to.
+
+    A path becomes a :class:`SweepCache`; ``resume`` without a cache
+    resolves the documented precedence chain (``REPRO_CACHE``, else the
+    default directory); no telemetry means the ``--telemetry`` sink, if
+    the CLI set one (it routes through ``REPRO_TELEMETRY`` rather than a
+    parameter of every figure function).  The sink is bound to the cache
+    so instance and cell loads and stores land in the same event stream.
+    """
+    if isinstance(cache, str) or hasattr(cache, "__fspath__"):
+        cache = SweepCache(cache)
+    if cache is None and resume:
+        cache = SweepCache()
+    if telemetry is None:
+        from repro.obs.telemetry import default_telemetry
+
+        telemetry = default_telemetry()
+    if cache is not None and telemetry is not None and cache.telemetry is None:
+        cache.telemetry = telemetry
+    return cache, telemetry
+
+
+def _warn_cache_bypass(caller: str, what: str, obj: Any,
+                       telemetry: Optional[Any]) -> None:
+    """Warn (and emit ``cache.bypass``) that ``obj`` has no stable key."""
+    warnings.warn(
+        f"{caller}: cannot derive a stable content key for {what} "
+        f"{obj!r} (it captures state whose identity is not reproducible "
+        f"across runs); the cell cache is bypassed for this sweep. Use a "
+        f"module-level function, class, or functools.partial over plain "
+        f"values to enable cell caching.",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    if telemetry is not None:
+        telemetry.emit("cache.bypass", factory=repr(obj))
+
+
+def _run_cell_tasks(
+    kind: str,
+    fn: Callable[[Any], Dict[str, Any]],
+    tasks: Sequence[Any],
+    keys: Sequence[Optional[str]],
+    fields: Sequence[Dict[str, Any]],
+    metric_names: Sequence[str],
+    *,
+    n_cells: int,
+    coords: Dict[str, Any],
+    manifest: Dict[str, Any],
+    cache: Optional[SweepCache],
+    resume: bool,
+    telemetry: Optional[Any],
+    t_start: float,
+    max_workers: Optional[int] = None,
+    cell_timeout: Optional[float] = None,
+    retries: Optional[int] = None,
+    shared: Sequence[Any] = (),
+):
+    """The cell executor: run ``tasks`` through the cell cache and pool.
+
+    ``keys[i]`` is task ``i``'s cell-cache key (None: never cached) and
+    ``fields[i]`` the coordinates its ``cell.cached`` / ``cell.run``
+    events carry.  Under ``resume`` a cached cell holding every name in
+    ``metric_names`` is served; the rest run as ``fn(task)`` through
+    :func:`~repro.experiments.parallel.parallel_map` (with ``shared``),
+    each checkpointed into the cache the moment it lands.  ``fn``
+    returns ``{"metrics", "wall_s", "pid", ...}``; everything but the
+    metrics goes into the task's ``cell.run`` event.  Emits
+    ``sweep.start`` (``kind``, counts, ``coords``), ``cell.cached``,
+    ``cell.run`` and ``sweep.done``, and writes a run manifest
+    (``manifest`` holds its ``config``, ``seed`` and optional rep seeds
+    and instance hashes) whenever there is a durable place for it.
+
+    Returns ``(metrics per task in task order, number of cold tasks)``.
+    """
+    results: List[Optional[Dict[str, float]]] = [None] * len(tasks)
+    if resume and cache is not None:
+        for i, key in enumerate(keys):
+            hit = cache.load_cell(key) if key is not None else None
+            if hit is not None and set(hit) >= set(metric_names):
+                results[i] = {name: hit[name] for name in metric_names}
+    cold = [i for i, values in enumerate(results) if values is None]
+    n_cached = len(tasks) - len(cold)
+    if telemetry is not None:
+        telemetry.emit(
+            "sweep.start", kind=kind, n_cells=n_cells, n_tasks=len(tasks),
+            n_cold=len(cold), **coords,
+        )
+        for i, values in enumerate(results):
+            if values is not None:
+                telemetry.emit("cell.cached", **fields[i], metrics=values)
+
+    def checkpoint(cold_idx: int, payload: Dict[str, Any]) -> None:
+        # Flush each finished cell to the cache the moment its result
+        # lands in the parent (completion order), so a sweep killed
+        # mid-flight loses nothing already computed: the rerun resumes
+        # from these cells.  A checkpoint-write failure must not abort
+        # the sweep -- the result is still in memory; only resumability
+        # degrades.
+        key = keys[cold[cold_idx]]
+        if cache is None or key is None:
+            return
+        try:
+            cache.store_cell(key, payload["metrics"])
+        except Exception as exc:
+            if telemetry is not None:
+                telemetry.emit(
+                    "cache.store_failed",
+                    key=key,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+
+    payloads = parallel_map(
+        fn,
+        [tasks[i] for i in cold],
+        max_workers=max_workers,
+        telemetry=telemetry,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        on_result=checkpoint,
+        shared=shared,
+    )
+    for i, payload in zip(cold, payloads):
+        results[i] = payload["metrics"]
+        if telemetry is not None:
+            worker = {k: v for k, v in payload.items() if k != "metrics"}
+            telemetry.emit(
+                "cell.run", **fields[i], **worker, metrics=payload["metrics"]
+            )
+
+    # Run manifest: written whenever there is a durable place to put it
+    # (a cache dir, or the telemetry log's directory); a purely in-memory
+    # run leaves no artifact, so there is nothing to make reproducible.
+    manifest_path = None
+    log_path = telemetry.path if telemetry is not None else None
+    if cache is not None or log_path is not None:
+        from repro.obs.manifest import build_manifest, write_manifest
+
+        record = build_manifest(
+            kind=kind,
+            timings={"wall_s": round(time.perf_counter() - t_start, 6)},
+            event_log=log_path,
+            cache_dir=cache.root if cache is not None else None,
+            extra={
+                "n_cells": n_cells,
+                "n_tasks": len(tasks),
+                "n_cold": len(cold),
+                "n_cached": n_cached,
+            },
+            **manifest,
+        )
+        directory = (
+            cache.root if cache is not None else log_path.parent
+        ) / "manifests"
+        manifest_path = write_manifest(record, directory)
+    if telemetry is not None:
+        telemetry.emit(
+            "sweep.done",
+            kind=kind,
+            wall_s=round(time.perf_counter() - t_start, 6),
+            n_cold=len(cold),
+            n_cached=n_cached,
+            manifest=str(manifest_path) if manifest_path else None,
+        )
+    return results, len(cold)
+
+
 def _materialize_rep_instance(
     jobset_factory: Callable[[int], JobSet],
     jobset_seed: int,
@@ -442,8 +620,6 @@ def _grid_sweep(
         from repro.experiments.shard import parse_shard
 
         spec = parse_shard(shard)
-    if isinstance(cache, (str,)) or hasattr(cache, "__fspath__"):
-        cache = SweepCache(cache)
     if cache is None and spec is not None:
         # Precedence rule (see repro.experiments.cache): explicit arg >
         # REPRO_CACHE > default -- except a sharded sweep refuses the
@@ -461,22 +637,7 @@ def _grid_sweep(
                 f"Refusing to silently shard into the default "
                 f"'.repro_cache'."
             )
-    if cache is None and resume:
-        # resume without a cache historically no-opped; resolve the
-        # documented precedence chain instead so `resume=True` alone
-        # picks up REPRO_CACHE or the default dir (matches the CLI and
-        # the Figure 2 runner).
-        cache = SweepCache()
-    if telemetry is None:
-        # CLI path: the --telemetry flag routes through REPRO_TELEMETRY
-        # rather than threading a parameter into every figure function.
-        from repro.obs.telemetry import default_telemetry
-
-        telemetry = default_telemetry()
-    if cache is not None and telemetry is not None and cache.telemetry is None:
-        # Bind the sweep's sink to the cache layer so instance/cell
-        # loads and stores show up in the same event stream.
-        cache.telemetry = telemetry
+    cache, telemetry = _resolve_sinks(cache, resume, telemetry)
 
     param_names = list(grid)
     combos = list(itertools.product(*grid.values()))
@@ -506,20 +667,9 @@ def _grid_sweep(
             f"function, class, or functools.partial over plain values."
         )
     if cache is not None and factory_token is None:
-        warnings.warn(
-            f"grid_sweep: cannot derive a stable content key for "
-            f"scheduler factory {scheduler_factory!r} (it captures state "
-            f"whose identity is not reproducible across runs); the cell "
-            f"cache is bypassed for this sweep. Use a module-level "
-            f"function, class, or functools.partial over plain values "
-            f"to enable cell caching.",
-            RuntimeWarning,
-            stacklevel=2,
+        _warn_cache_bypass(
+            "grid_sweep", "scheduler factory", scheduler_factory, telemetry
         )
-        if telemetry is not None:
-            telemetry.emit(
-                "cache.bypass", factory=repr(scheduler_factory)
-            )
     # The shard's slice of the grid, as *global* cell indices: run
     # seeds and cell keys derive from a cell's cross-product position,
     # so a sharded cell is byte-for-byte the cell the unsharded sweep
@@ -545,12 +695,13 @@ def _grid_sweep(
     else:
         cell_indices = list(range(len(combos)))
 
+    # One task per (cell, rep), carrying a repetition index: the
+    # instances travel once per worker as the batch's shared data.
     tasks: List[tuple] = []
     task_keys: List[Optional[str]] = []
-    cached_results: Dict[int, Dict[str, float]] = {}
+    fields: List[Dict[str, Any]] = []
     for cell_idx in cell_indices:
-        combo = combos[cell_idx]
-        params = dict(zip(param_names, combo))
+        params = dict(zip(param_names, combos[cell_idx]))
         for rep in range(reps):
             run_seed = derive_seed(seed, cell_idx, rep)
             key = None
@@ -565,15 +716,12 @@ def _grid_sweep(
                     run_seed,
                     metric_names,
                 )
-            task_index = len(tasks)
             task_keys.append(key)
-            if resume and key is not None:
-                hit = cache.load_cell(key)
-                if hit is not None and set(hit) >= set(metric_names):
-                    cached_results[task_index] = {
-                        name: hit[name] for name in metric_names
-                    }
-            tasks.append((params, rep, run_seed))
+            fields.append({"params": params, "rep": rep, "seed": run_seed})
+            tasks.append((
+                scheduler_factory, params, rep, m, speed, run_seed,
+                metric_names, len(tasks),
+            ))
 
     # Shard manifest: written at *plan* time, before any cell runs, so
     # a shard killed mid-flight still leaves a provenance record of
@@ -610,95 +758,43 @@ def _grid_sweep(
                 cache_dir=str(cache.root),
             )
 
-    # Fan out only the cold tasks.
-    cold_indices = [i for i in range(len(tasks)) if i not in cached_results]
-    if telemetry is not None:
-        telemetry.emit(
-            "sweep.start",
-            kind="grid_sweep",
-            n_cells=len(cell_indices),
-            reps=reps,
-            n_tasks=len(tasks),
-            n_cold=len(cold_indices),
-            m=m,
-            speed=speed,
-            metrics=metric_names,
-            factory=factory_token or repr(scheduler_factory),
-            shard=str(spec) if spec is not None else None,
-        )
-    # Tasks carry a repetition index; the instances travel once per
-    # worker as the batch's shared data.
-    cold_tasks = [
-        (
-            scheduler_factory,
-            tasks[i][0],
-            tasks[i][1],
-            m,
-            speed,
-            tasks[i][2],
-            metric_names,
-            i,
-        )
-        for i in cold_indices
-    ]
-
-    def checkpoint(cold_idx: int, payload: Dict[str, Any]) -> None:
-        # Flush each finished cell to the cache the moment its result
-        # lands in the parent (completion order), so a sweep killed
-        # mid-flight loses nothing already computed: the rerun resumes
-        # from these cells.  A checkpoint-write failure must not abort
-        # the sweep -- the result is still in memory; only resumability
-        # degrades.
-        key = task_keys[cold_indices[cold_idx]]
-        if cache is None or key is None:
-            return
-        try:
-            cache.store_cell(key, payload["metrics"])
-        except Exception as exc:
-            if telemetry is not None:
-                telemetry.emit(
-                    "cache.store_failed",
-                    key=key,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-
-    cold_results = parallel_map(
+    shard_label = str(spec) if spec is not None else None
+    coords = {
+        "m": m,
+        "speed": speed,
+        "reps": reps,
+        "metrics": metric_names,
+        "factory": factory_token or repr(scheduler_factory),
+        "shard": shard_label,
+    }
+    rep_metrics, n_cold = _run_cell_tasks(
+        "grid_sweep",
         _sweep_rep_task,
-        cold_tasks,
-        max_workers=max_workers,
+        tasks,
+        task_keys,
+        fields,
+        metric_names,
+        n_cells=len(cell_indices),
+        coords=coords,
+        manifest={
+            "config": {
+                "grid": {name: list(vals) for name, vals in grid.items()},
+                **coords,
+                "cells": cell_indices if cells is not None else None,
+            },
+            "seed": seed,
+            "rep_seeds": [derive_seed(seed, 9000, rep) for rep in range(reps)],
+            "instance_hashes": rep_hashes,
+        },
+        cache=cache,
+        resume=resume,
         telemetry=telemetry,
+        t_start=t_start,
+        max_workers=max_workers,
         cell_timeout=cell_timeout,
         retries=retries,
-        on_result=checkpoint,
         shared=rep_flats,
     )
-
-    rep_metrics: List[Dict[str, float]] = [None] * len(tasks)  # type: ignore
-    for i, payload in zip(cold_indices, cold_results):
-        values = payload["metrics"]
-        rep_metrics[i] = values
-        if telemetry is not None:
-            telemetry.emit(
-                "cell.run",
-                params=tasks[i][0],
-                rep=tasks[i][1],
-                seed=tasks[i][2],
-                wall_s=payload["wall_s"],
-                pid=payload["pid"],
-                stats=payload["stats"],
-                path=payload["path"],
-                metrics=values,
-            )
-    for i, values in cached_results.items():
-        rep_metrics[i] = values
-        if telemetry is not None:
-            telemetry.emit(
-                "cell.cached",
-                params=tasks[i][0],
-                rep=tasks[i][1],
-                seed=tasks[i][2],
-                metrics=values,
-            )
 
     # Aggregate in (cell, rep) task order -- the same float summation
     # order as the serial loop, keeping means bit-identical.  Task
@@ -706,7 +802,6 @@ def _grid_sweep(
     # or the whole grid), while cell identity stays global.
     out_cells: List[SweepCell] = []
     for local_idx, cell_idx in enumerate(cell_indices):
-        combo = combos[cell_idx]
         sums = {name: 0.0 for name in metric_names}
         for rep in range(reps):
             values = rep_metrics[local_idx * reps + rep]
@@ -714,62 +809,15 @@ def _grid_sweep(
                 sums[name] += values[name]
         out_cells.append(
             SweepCell(
-                params=dict(zip(param_names, combo)),
+                params=dict(zip(param_names, combos[cell_idx])),
                 metrics={name: sums[name] / reps for name in metric_names},
             )
         )
-    # Run manifest: written whenever there is a durable place to put it
-    # (a cache dir, or the telemetry log's directory); a purely in-memory
-    # run leaves no artifact, so there is nothing to make reproducible.
-    manifest_path = None
-    log_path = telemetry.path if telemetry is not None else None
-    if cache is not None or log_path is not None:
-        from repro.obs.manifest import build_manifest, write_manifest
-
-        manifest = build_manifest(
-            kind="grid_sweep",
-            config={
-                "grid": {name: list(vals) for name, vals in grid.items()},
-                "m": m,
-                "speed": speed,
-                "reps": reps,
-                "metrics": metric_names,
-                "factory": factory_token or repr(scheduler_factory),
-                "shard": str(spec) if spec is not None else None,
-                "cells": cell_indices if cells is not None else None,
-            },
-            seed=seed,
-            rep_seeds=[derive_seed(seed, 9000, rep) for rep in range(reps)],
-            instance_hashes=rep_hashes,
-            timings={"wall_s": round(time.perf_counter() - t_start, 6)},
-            event_log=log_path,
-            cache_dir=cache.root if cache is not None else None,
-            extra={
-                "n_cells": len(cell_indices),
-                "n_tasks": len(tasks),
-                "n_cold": len(cold_indices),
-                "n_cached": len(cached_results),
-            },
-        )
-        directory = (
-            cache.root if cache is not None else log_path.parent
-        ) / "manifests"
-        manifest_path = write_manifest(manifest, directory)
-    if telemetry is not None:
-        telemetry.emit(
-            "sweep.done",
-            kind="grid_sweep",
-            wall_s=round(time.perf_counter() - t_start, 6),
-            n_cold=len(cold_indices),
-            n_cached=len(cached_results),
-            manifest=str(manifest_path) if manifest_path else None,
-        )
-
     return SweepResult(
         param_names=param_names,
         metric_names=metric_names,
         cells=out_cells,
-        shard=str(spec) if spec is not None else None,
-        n_cold=len(cold_indices),
-        n_cached=len(cached_results),
+        shard=shard_label,
+        n_cold=n_cold,
+        n_cached=len(tasks) - n_cold,
     )

@@ -23,10 +23,21 @@ from repro.experiments.cache import (
     resolve_cache_dir,
     resume_enabled_by_env,
 )
-from repro.experiments.config import ExperimentScale, Figure2Config
+from repro.experiments.config import (
+    FIG2A,
+    FIG2B,
+    FIG2C,
+    ExperimentScale,
+    Figure2Config,
+)
+from repro.experiments.runner import _config_token
 from repro.experiments.runner import _run_figure2_cells as run_figure2_cells
 from repro.experiments.sweep import _grid_sweep as grid_sweep
-from repro.workloads.distributions import BingDistribution
+from repro.obs import Telemetry
+from repro.workloads.distributions import (
+    BingDistribution,
+    LogNormalDistribution,
+)
 from repro.workloads.generator import WorkloadSpec
 
 SPEC = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=30, m=4, target_chunks=8)
@@ -340,3 +351,57 @@ class TestFigure2Resume:
             max_workers=1, cache=cache, resume=True,
         )
         assert cache.stats()["cells"] == 2 * len(self.CFG.qps_values)
+
+    def test_shipped_panels_key_by_their_repr(self):
+        for cfg in (FIG2A, FIG2B, FIG2C):
+            assert _config_token(cfg) == repr(cfg)
+
+    def test_lambda_factories_do_not_share_cells(self, tmp_path):
+        """A lambda's repr is its qualname and address, and a later
+        lambda can reuse a freed address: keyed on the repr, a second
+        panel was served the first one's cells.  Changing the default of
+        one function object keeps the repr and changes the distribution,
+        which reproduces that collision deterministically."""
+        factory = lambda mean=10.0: LogNormalDistribution(mean_ms=mean)  # noqa: E731
+        cfg = Figure2Config(
+            name="x", distribution_factory=factory, qps_values=(400.0,)
+        )
+        scale = ExperimentScale(n_jobs=200, reps=1)
+        cache = SweepCache(tmp_path)
+
+        def panel(**kwargs):
+            return run_figure2_cells(
+                cfg, cfg.qps_values, scale, max_workers=1, **kwargs
+            )
+
+        first = panel(cache=cache, resume=True)
+        factory.__defaults__ = (20.0,)
+        second = panel(cache=cache, resume=True)
+        assert second == panel()
+        assert second != first
+        assert cache.stats()["cells"] == 2
+
+    def test_unkeyable_factory_bypasses_the_cell_cache(self, tmp_path):
+        marker = object()  # its repr embeds an address: no stable key
+        cfg = Figure2Config(
+            name="x",
+            distribution_factory=lambda: marker and BingDistribution(),
+            qps_values=(600.0,),
+            m=4,
+            k=4,
+            steals_per_tick=16,
+            target_chunks=8,
+        )
+        cache = SweepCache(tmp_path)
+        tel = Telemetry()
+        with pytest.warns(RuntimeWarning, match="cell cache is bypassed"):
+            bypassed = run_figure2_cells(
+                cfg, cfg.qps_values, self.SCALE, seed=5, max_workers=1,
+                cache=cache, resume=True, telemetry=tel,
+            )
+        assert len(tel.of_kind("cache.bypass")) == 1
+        assert cache.stats()["cells"] == 0
+        assert bypassed == run_figure2_cells(
+            self.CFG, self.CFG.qps_values[:1], self.SCALE, seed=5,
+            max_workers=1,
+        )

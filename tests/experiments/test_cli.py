@@ -33,20 +33,10 @@ class TestCli:
 
         assert set(DISPATCH) == set(EXPERIMENTS)
 
-    def test_dispatch_runs_cheap_experiments(self):
-        from repro.experiments.__main__ import _run_one
-        from repro.experiments.config import ExperimentScale
-
-        scale = ExperimentScale(n_jobs=100, reps=1)
+    def test_dispatch_runs_cheap_experiments(self, capsys):
         for exp_id in ("fig3", "thm31", "thm71"):
-            assert _run_one(exp_id, scale, seed=0)
-
-    def test_unknown_id_in_run_one(self):
-        from repro.experiments.__main__ import _run_one
-        from repro.experiments.config import ExperimentScale
-
-        with pytest.raises(ValueError, match="unknown experiment"):
-            _run_one("nope", ExperimentScale(10, 1), 0)
+            assert main([exp_id, "--n-jobs", "100", "--reps", "1"]) == 0
+            assert f"== {exp_id}:" in capsys.readouterr().out
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ pass, ``fault.giveup`` fails).
 
 from __future__ import annotations
 
+import functools
 import pickle
 import subprocess
 import sys
@@ -33,11 +34,13 @@ from repro.errors import (
     ReproError,
 )
 from repro.experiments.cache import SweepCache
+from repro.experiments.config import ExperimentScale, Figure2Config
 from repro.experiments.parallel import (
     BACKOFF_CAP,
     backoff_schedule,
     _backoff_delay,
 )
+from repro.experiments.runner import _run_figure2_cells as run_figure2_cells
 from repro.experiments.sweep import _grid_sweep as grid_sweep
 from repro.obs import Telemetry, audit_events
 from repro.testing.faults import (
@@ -115,6 +118,37 @@ def disturbed_cells(**kwargs):
         WorkStealingScheduler, {"k": [0, 2, 4]}, small_spec(), **defaults
     )
     return [c.metrics for c in table.cells]
+
+
+#: A six-cell Figure 2 panel: one task per QPS cell, as many tasks as
+#: the grid sweep above has (cell, rep) pairs.
+CHAOS_PANEL = Figure2Config(
+    name="chaos",
+    distribution_factory=functools.partial(
+        ExponentialDistribution, mean_ms=6.0
+    ),
+    qps_values=(100.0, 150.0, 200.0, 250.0, 300.0, 350.0),
+    m=4,
+    k=2,
+    target_chunks=8,
+)
+
+
+def panel_cells(**kwargs):
+    """The Figure 2 counterpart of :func:`disturbed_cells`."""
+    defaults = dict(seed=11, max_workers=2, retries=3)
+    defaults.update(kwargs)
+    return run_figure2_cells(
+        CHAOS_PANEL, CHAOS_PANEL.qps_values, ExperimentScale(16, 1),
+        **defaults,
+    )
+
+
+#: Entry point name -> (disturbed run, undisturbed serial reference).
+ENTRY_POINTS = {
+    "grid": (disturbed_cells, reference_cells),
+    "fig2": (panel_cells, lambda: panel_cells(max_workers=1)),
+}
 
 
 def shm_entries():
@@ -401,15 +435,15 @@ class TestExhaustionAndResume:
         assert info.value.timeout == 1.0
         assert info.value.attempts == 2
 
-    def test_aborted_sweep_resumes_losslessly(self, faults, tmp_path):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_aborted_sweep_resumes_losslessly(self, faults, tmp_path, entry):
         """Cells checkpointed before a fatal fault survive it: the rerun
         serves them from cache and the final table is bit-identical."""
+        run, reference = ENTRY_POINTS[entry]
         cache = SweepCache(tmp_path / "cache")
         faults("raise:cell:index=3:times=10")
         with pytest.raises(CellCrashedError):
-            disturbed_cells(
-                max_workers=1, retries=1, cache=cache, resume=True
-            )
+            run(max_workers=1, retries=1, cache=cache, resume=True)
         # The serial loop completed (and checkpointed) cells 0..2
         # before cell 3 exhausted its budget.
         assert cache.stats()["cells"] == 3
@@ -417,30 +451,24 @@ class TestExhaustionAndResume:
         faults("")  # disarm; rerun clean with resume
         tel = Telemetry()
         assert (
-            disturbed_cells(
-                max_workers=1, cache=cache, resume=True, telemetry=tel
-            )
-            == reference_cells()
+            run(max_workers=1, cache=cache, resume=True, telemetry=tel)
+            == reference()
         )
         assert len(events_of(tel, "cell.cached")) == 3
         assert len(events_of(tel, "cell.run")) == 3
         assert audit_events(tel.events) == []
 
-    def test_checkpoints_flush_during_the_batch(self, faults, tmp_path):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_checkpoints_flush_during_the_batch(self, faults, tmp_path, entry):
         """on_result fires per completion, not at batch end: by the time
         the sweep returns, every cell is already on disk."""
+        run, reference = ENTRY_POINTS[entry]
         cache = SweepCache(tmp_path / "cache")
         tel = Telemetry()
-        assert (
-            disturbed_cells(cache=cache, telemetry=tel)
-            == reference_cells()
-        )
+        assert run(cache=cache, telemetry=tel) == reference()
         assert cache.stats()["cells"] == 6
         # A fresh resume run computes nothing.
         tel2 = Telemetry()
-        assert (
-            disturbed_cells(cache=cache, resume=True, telemetry=tel2)
-            == reference_cells()
-        )
+        assert run(cache=cache, resume=True, telemetry=tel2) == reference()
         assert events_of(tel2, "cell.run") == []
         assert len(events_of(tel2, "cell.cached")) == 6

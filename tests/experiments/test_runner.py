@@ -8,7 +8,6 @@ from repro.experiments.config import ExperimentScale, FIG2A
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.experiments.runner import (
     figure2_schedulers,
-    mean_and_spread,
     run_figure2_cell,
     run_schedulers,
 )
@@ -65,12 +64,6 @@ class TestFigure2Cell:
         a = run_figure2_cell(FIG2A, qps=800.0, scale=TINY, seed=7)
         b = run_figure2_cell(FIG2A, qps=800.0, scale=TINY, seed=7)
         assert a == b
-
-
-class TestMeanAndSpread:
-    def test_values(self):
-        s = mean_and_spread([1.0, 2.0, 3.0])
-        assert s == {"mean": 2.0, "min": 1.0, "max": 3.0}
 
 
 def test_figure_runner_matches_reference_recomputation():
