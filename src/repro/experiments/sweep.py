@@ -326,7 +326,8 @@ def _run_cell_tasks(
     :func:`~repro.experiments.parallel.parallel_map` (with ``shared``),
     each checkpointed into the cache the moment it lands.  ``fn``
     returns ``{"metrics", "wall_s", "pid", ...}``; everything but the
-    metrics goes into the task's ``cell.run`` event.  Emits
+    metrics goes into the task's ``cell.run`` event, tagged with
+    ``kind`` (what ``wall_s`` times differs per kind).  Emits
     ``sweep.start`` (``kind``, counts, ``coords``), ``cell.cached``,
     ``cell.run`` and ``sweep.done``, and writes a run manifest
     (``manifest`` holds its ``config``, ``seed`` and optional rep seeds
@@ -386,7 +387,8 @@ def _run_cell_tasks(
         if telemetry is not None:
             worker = {k: v for k, v in payload.items() if k != "metrics"}
             telemetry.emit(
-                "cell.run", **fields[i], **worker, metrics=payload["metrics"]
+                "cell.run", kind=kind, **fields[i], **worker,
+                metrics=payload["metrics"],
             )
 
     # Run manifest: written whenever there is a durable place to put it

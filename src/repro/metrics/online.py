@@ -16,7 +16,14 @@ exactly once and keep O(1) state:
   documented tolerance is asserted by ``tests/metrics/test_online.py``.
 * :class:`OnlineFlowStats` -- the bundle the engine threads through the
   hot loop: exact max/count/mean (running sum) plus one P^2 sketch per
-  requested quantile.
+  requested quantile.  Its batch update,
+  :meth:`OnlineFlowStats.observe_many`, runs every sketch's steady
+  state in one call to the compiled kernel's ``repro_p2_update``
+  (:mod:`repro.sim._cext`), a line-for-line C transcription of
+  :meth:`P2Quantile.update`; the first five observations (the exact
+  phase), :meth:`OnlineFlowStats.observe`, and hosts without the
+  kernel run :meth:`P2Quantile.update` itself, with identical
+  markers.
 * :class:`WindowedUtilization` -- busy-fraction time series over fixed
   tick windows, implementing the :class:`~repro.sim.sampling.
   SystemSampler` recording protocol (``maybe_record`` /
@@ -35,6 +42,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.sim._cext import P2_STRIDE, resolve_p2_kernel
 
 
 class OnlineMax:
@@ -107,10 +116,11 @@ class P2Quantile:
                 ]
             return
 
-        # Steady state.  This method runs once per sketch per completed
-        # job in streaming runs, so the marker bookkeeping is unrolled
-        # and the parabolic/linear formulas are inlined (a helper call
-        # per adjustment would double the cost of the common case).
+        # Steady state.  The compiled kernel's repro_p2_update is a
+        # line-for-line transcription of the rest of this method (same
+        # float operations in the same order): change both or neither.
+        # The marker bookkeeping is unrolled and the parabolic/linear
+        # formulas are inlined, as there.
         pos = self._pos
         # Locate the cell containing x (extending extremes as needed).
         if x < h[0]:
@@ -264,7 +274,8 @@ class OnlineFlowStats:
         The result is bit-identical to calling :meth:`observe` once per
         element: the sum is accumulated sequentially (not pairwise), the
         argmax is the first strict maximum, and every sketch sees the
-        flows in order.
+        flows in order -- in one compiled call for all sketches past
+        their exact phase (:meth:`_update_sketches`).
         """
         if not len(flows):
             return
@@ -281,11 +292,45 @@ class OnlineFlowStats:
         if last > self.last_completion:
             self.last_completion = last
         if self.sketches:
-            values = flows.tolist()
-            for sketch in self.sketches.values():
+            self._update_sketches(flows)
+
+    def _update_sketches(self, flows: np.ndarray) -> None:
+        """Feed ``flows``, in order, to every sketch.
+
+        Every sketch has seen the same observations (the bundle feeds
+        them together), so they leave the exact phase together.  The
+        first five observations go through :meth:`P2Quantile.update`;
+        the rest through one ``repro_p2_update`` call over the markers
+        of all sketches, packed into one array, updated in place and
+        unpacked.  Without the kernel :meth:`P2Quantile.update` takes
+        them all.
+        """
+        sketches = list(self.sketches.values())
+        p2 = resolve_p2_kernel()
+        head = len(flows) if p2 is None else max(0, 5 - sketches[0].count)
+        if head:
+            values = flows[:head].tolist()
+            for sketch in sketches:
                 update = sketch.update
                 for x in values:
                     update(x)
+        if head >= len(flows):
+            return
+        rest = np.ascontiguousarray(flows[head:], dtype=np.float64)
+        markers = np.array(
+            [
+                sketch._heights + sketch._pos + sketch._desired
+                + list(sketch._inc)
+                for sketch in sketches
+            ],
+            dtype=np.float64,
+        ).reshape(len(sketches), P2_STRIDE)
+        p2(markers.ctypes.data, len(sketches), rest.ctypes.data, len(rest))
+        for sketch, row in zip(sketches, markers.tolist()):
+            sketch.count += len(rest)
+            sketch._heights = row[0:5]
+            sketch._pos = row[5:10]
+            sketch._desired = row[10:15]
 
     @property
     def mean_flow(self) -> float:

@@ -3,7 +3,9 @@
 :func:`summarize_events` renders a JSONL event log (see
 :mod:`repro.obs.telemetry`) into the same aligned-table style as
 ``tools/bench_report.py``: event counts, cache hit/miss accounting, cell
-wall-time statistics, worker health, and engine counters (steal success
+wall-time statistics per sweep kind (a grid task and a Figure 2 task
+time different things, so their wall times are never added together),
+worker health, and engine counters (steal success
 ratio, admission latency) aggregated from the per-cell
 ``SimulationStats`` snapshots.  It is what both CLI surfaces call
 (``python -m repro.experiments telemetry <log>`` and
@@ -40,12 +42,20 @@ def _stats_of(events: Sequence[Event]) -> List[Dict[str, Any]]:
     return out
 
 
-def _wall_times(events: Sequence[Event]) -> List[float]:
-    return [
-        float(e["wall_s"])
-        for e in events
-        if e.get("event") == "cell.run" and isinstance(e.get("wall_s"), (int, float))
-    ]
+def _wall_times(events: Sequence[Event]) -> Dict[str, List[float]]:
+    """``cell.run`` wall times by the executor ``kind`` that ran them.
+
+    Events without a kind (logs written before ``cell.run`` carried
+    one) are grouped as ``untagged``.
+    """
+    walls: Dict[str, List[float]] = {}
+    for e in events:
+        if e.get("event") == "cell.run" and isinstance(
+            e.get("wall_s"), (int, float)
+        ):
+            kind = str(e.get("kind", "untagged"))
+            walls.setdefault(kind, []).append(float(e["wall_s"]))
+    return walls
 
 
 def _sum_opt(stats: Sequence[Dict[str, Any]], field: str) -> Optional[int]:
@@ -176,23 +186,32 @@ def summarize_events(events: Sequence[Event]) -> str:
                     )
 
     # -- cell wall times --------------------------------------------------
-    walls = _wall_times(events)
-    if walls:
+    walls_by_kind = _wall_times(events)
+    if walls_by_kind:
         pids = {
             e.get("pid")
             for e in events
             if e.get("event") == "cell.run" and e.get("pid") is not None
         }
+        n_run = sum(len(walls) for walls in walls_by_kind.values())
         lines.append("")
         lines.append("cells")
         lines.append("-" * 40)
-        lines.append(f"{'run':<24}{len(walls):>10}")
+        lines.append(f"{'run':<24}{n_run:>10}")
         lines.append(f"{'cached':<24}{counts.get('cell.cached', 0):>10}")
         lines.append(f"{'workers (pids)':<24}{len(pids):>10}")
-        lines.append(f"{'wall_total_s':<24}{_fmt(sum(walls), 10)}")
-        lines.append(f"{'wall_mean_s':<24}{_fmt(sum(walls) / len(walls), 10, 4)}")
-        lines.append(f"{'wall_min_s':<24}{_fmt(min(walls), 10, 4)}")
-        lines.append(f"{'wall_max_s':<24}{_fmt(max(walls), 10, 4)}")
+        for kind in sorted(walls_by_kind):
+            walls = walls_by_kind[kind]
+            lines.append("")
+            lines.append(f"cell wall time: {kind}")
+            lines.append("-" * 40)
+            lines.append(f"{'run':<24}{len(walls):>10}")
+            lines.append(f"{'wall_total_s':<24}{_fmt(sum(walls), 10)}")
+            lines.append(
+                f"{'wall_mean_s':<24}{_fmt(sum(walls) / len(walls), 10, 4)}"
+            )
+            lines.append(f"{'wall_min_s':<24}{_fmt(min(walls), 10, 4)}")
+            lines.append(f"{'wall_max_s':<24}{_fmt(max(walls), 10, 4)}")
 
     # -- engine counters --------------------------------------------------
     stats = _stats_of(events)

@@ -1,5 +1,6 @@
-/* Work-stealing tick kernel (engine="flat", run_batch, streaming), and
- * the centralized event loop (repro_centralized_run, at the end).
+/* Work-stealing tick kernel (engine="flat", run_batch, streaming), the
+ * centralized event loop (repro_centralized_run) and the streaming
+ * runs' P^2 quantile sketches (repro_p2_update, at the end).
  *
  * The steal-k-first tick loop over a window of jobs in SoA tables built
  * by repro.sim.batch_engine or repro.sim.stream_engine -- phase A
@@ -975,4 +976,117 @@ stop:
     fstate[CF_T] = t;
     fstate[CF_BUSY] = busy;
     return rc;
+}
+
+
+/* ------------------------------------------------------------------ */
+/* P^2 quantile sketches, steady state                                 */
+/* ------------------------------------------------------------------ */
+
+/* repro_p2_update: feed xs[0..n), in order, to each of n_sketches P^2
+ * sketches that are past their exact phase (more than five
+ * observations).
+ *
+ * A line-for-line transcription of the steady-state half of
+ * repro/metrics/online.py::P2Quantile.update, which stays the oracle:
+ * the same float operations in the same order, `hl < cand < hr` as two
+ * comparisons, built with -ffp-contract=off, so the markers compare
+ * with == to the Python loop's (tests/properties/
+ * test_online_properties.py).
+ *
+ * Each sketch owns P2_STRIDE doubles of `markers` (repro.sim._cext
+ * mirrors the stride), updated in place: its five heights, five
+ * positions, five desired positions, then the five desired-position
+ * increments, which are only read.
+ */
+
+#define P2_STRIDE 20
+
+void repro_p2_update(double *markers, int64_t n_sketches,
+                     const double *xs, int64_t n)
+{
+    for (int64_t s = 0; s < n_sketches; s++) {
+        double *m = markers + s * P2_STRIDE;
+        double h[5], pos[5], desired[5];
+        const double *inc = m + 15;
+        memcpy(h, m, sizeof h);
+        memcpy(pos, m + 5, sizeof pos);
+        memcpy(desired, m + 10, sizeof desired);
+
+        for (int64_t j = 0; j < n; j++) {
+            double x = xs[j];
+            int k;
+            /* Locate the cell containing x (extending extremes as
+             * needed). */
+            if (x < h[0]) {
+                h[0] = x;
+                k = 0;
+            } else if (x >= h[4]) {
+                h[4] = x;
+                k = 3;
+            } else {
+                k = 0;
+                while (x >= h[k + 1])
+                    k++;
+            }
+            if (k == 0) {
+                pos[1] += 1.0;
+                pos[2] += 1.0;
+            } else if (k == 1) {
+                pos[2] += 1.0;
+            }
+            if (k <= 2)
+                pos[3] += 1.0;
+            pos[4] += 1.0;
+            desired[1] += inc[1];
+            desired[2] += inc[2];
+            desired[3] += inc[3];
+            desired[4] += 1.0;
+
+            /* Adjust the three interior markers toward their desired
+             * spots (parabolic prediction, linear fallback when it
+             * would leave the bracketing heights). */
+            for (int i = 1; i <= 3; i++) {
+                double ni = pos[i];
+                double d = desired[i] - ni;
+                if (d >= 1.0) {
+                    double nr = pos[i + 1];
+                    if (nr - ni > 1.0) {
+                        double nl = pos[i - 1];
+                        double hi = h[i];
+                        double hr = h[i + 1];
+                        double hl = h[i - 1];
+                        double cand = hi + (
+                            (ni - nl + 1.0) * (hr - hi) / (nr - ni)
+                            + (nr - ni - 1.0) * (hi - hl) / (ni - nl)
+                        ) / (nr - nl);
+                        h[i] = (hl < cand && cand < hr)
+                            ? cand
+                            : hi + (hr - hi) / (nr - ni);
+                        pos[i] = ni + 1.0;
+                    }
+                } else if (d <= -1.0) {
+                    double nl = pos[i - 1];
+                    if (nl - ni < -1.0) {
+                        double nr = pos[i + 1];
+                        double hi = h[i];
+                        double hr = h[i + 1];
+                        double hl = h[i - 1];
+                        double cand = hi - (
+                            (ni - nl - 1.0) * (hr - hi) / (nr - ni)
+                            + (nr - ni + 1.0) * (hi - hl) / (ni - nl)
+                        ) / (nr - nl);
+                        h[i] = (hl < cand && cand < hr)
+                            ? cand
+                            : hi - (hl - hi) / (nl - ni);
+                        pos[i] = ni - 1.0;
+                    }
+                }
+            }
+        }
+
+        memcpy(m, h, sizeof h);
+        memcpy(m + 5, pos, sizeof pos);
+        memcpy(m + 10, desired, sizeof desired);
+    }
 }

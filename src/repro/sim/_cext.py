@@ -1,17 +1,26 @@
 """Compile-on-demand loader for the C kernels.
 
-The fast path of every ``engine="flat"`` run, every
-``WorkStealingScheduler.run`` and ``run_batch`` call without a trace or
-sampler (:mod:`repro.sim.batch_engine`) and every streaming run without
-a utilization window (:mod:`repro.sim.stream_engine`) is a C
-transcription of the reference engine's tick loop, and the fast path
-of every static-priority centralized run (:mod:`repro.sim.events`) is a
-C transcription of the centralized event loop; both live in
-``src/repro/sim/_batch_kernel.c``.  Nothing is installed and no build
-backend is required: the source ships with the package and is compiled
-once per host with the system C compiler (``cc`` / ``gcc`` / ``clang``)
-into a content-addressed shared object under a per-user cache
-directory, then loaded with :mod:`ctypes`.
+One shared object, built from ``src/repro/sim/_batch_kernel.c``, holds
+three entry points:
+
+* ``repro_batch_run_rep``, a C transcription of the reference engine's
+  tick loop: the fast path of every ``engine="flat"`` run, every
+  ``WorkStealingScheduler.run`` and ``run_batch`` call without a trace
+  or sampler (:mod:`repro.sim.batch_engine`) and every streaming run
+  without a utilization window (:mod:`repro.sim.stream_engine`);
+* ``repro_centralized_run``, a C transcription of the centralized event
+  loop: the fast path of every static-priority centralized run
+  (:mod:`repro.sim.events`);
+* ``repro_p2_update``, a C transcription of the steady-state
+  :meth:`~repro.metrics.online.P2Quantile.update`: every
+  :meth:`~repro.metrics.online.OnlineFlowStats.observe_many` call, so
+  every streaming run's quantile sketches, whichever step ran it.
+
+Nothing is installed and no build backend is required: the source
+ships with the package and is compiled once per host with the system C
+compiler (``cc`` / ``gcc`` / ``clang``) into a content-addressed shared
+object under a per-user cache directory, then loaded with
+:mod:`ctypes`.
 
 The kernel is used whenever it builds and loads.  A corrupt or
 truncated cached object is deleted and rebuilt once.  Hosts without a
@@ -32,12 +41,13 @@ so forked pool workers inherit it rather than each compiling it, and
 interpreter exit finishes an in-flight build so the cache is left warm
 and no temporary file behind.
 
-The centralized loop does floating-point arithmetic that must round
-exactly like the Python loop it transcribes, so the build pins
-:data:`CFLAGS`: ``-ffp-contract=off`` (no fused multiply-add, which
-aarch64 compilers emit by default) and never ``-ffast-math``.  The
-flags are part of the cached object's content hash, so changing them
-rebuilds rather than reusing an object built under other flags.
+The centralized loop and the P^2 update do floating-point arithmetic
+that must round exactly like the Python code they transcribe, so the
+build pins :data:`CFLAGS`: ``-ffp-contract=off`` (no fused
+multiply-add, which aarch64 compilers emit by default) and never
+``-ffast-math``.  The flags are part of the cached object's content
+hash, so changing them rebuilds rather than reusing an object built
+under other flags.
 
 Resolution is cached per process; tests reset the module globals to
 probe each path.
@@ -100,6 +110,11 @@ CF_T, CF_BUSY, N_CFSTATE = range(3)
 #: it and call again), active jobs with no ready node (a cyclic job).
 CR_DONE, CR_TRACE_FULL, CR_STALLED = range(3)
 
+#: Doubles per sketch in the P^2 update's marker array (the C kernel's
+#: P2_STRIDE): five heights, five positions, five desired positions,
+#: five desired-position increments.
+P2_STRIDE = 20
+
 #: Compiler flags of the kernel build.  Part of the cache key.  -O1, not
 #: -O2: both loops are branchy pointer chasing that -O2's extra passes
 #: do not speed up (the end-to-end workloads run equally fast), while
@@ -126,6 +141,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_batch_kernel.c")
 
 _cext_fn: Any = None
 _centralized_fn: Any = None
+_p2_fn: Any = None
 _cext_resolved = False
 
 #: The compile started at import and not yet waited on, if any.
@@ -153,12 +169,12 @@ def _find_compiler() -> Optional[str]:
 
 
 def _bind(lib: ctypes.CDLL) -> Any:
-    """Attach argtypes/restype to both entry points.
+    """Attach argtypes/restype to the three entry points.
 
     Returns the tick kernel's and stores the centralized loop's in
-    ``_centralized_fn``.
+    ``_centralized_fn`` and the P^2 update's in ``_p2_fn``.
     """
-    global _centralized_fn
+    global _centralized_fn, _p2_fn
     fn = lib.repro_batch_run_rep
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
@@ -173,7 +189,12 @@ def _bind(lib: ctypes.CDLL) -> Any:
     # pointers.
     cfn.argtypes = [ptr] * 14 + [i64] * 4 + [f64, ptr, ptr]
     cfn.restype = i64
+    pfn = lib.repro_p2_update
+    # markers, n_sketches, xs, n.
+    pfn.argtypes = [ptr, i64, ptr, i64]
+    pfn.restype = None
     _centralized_fn = cfn
+    _p2_fn = pfn
     return fn
 
 
@@ -316,6 +337,14 @@ def resolve_centralized_kernel() -> Any:
     object.
     """
     return None if resolve_batch_kernel() is None else _centralized_fn
+
+
+def resolve_p2_kernel() -> Any:
+    """The compiled P^2 steady-state update, or ``None`` when unavailable.
+
+    Resolved with the tick kernel, like :func:`resolve_centralized_kernel`.
+    """
+    return None if resolve_batch_kernel() is None else _p2_fn
 
 
 def _finish_pending_build() -> None:

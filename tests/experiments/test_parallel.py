@@ -53,6 +53,15 @@ def _build_jobset(seed):  # top-level jobset factory for grid_sweep
     ).build(seed=seed)
 
 
+def _die_once(task):  # top-level: kills the first worker that runs it
+    marker, x = task
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return x * x
+    os._exit(1)
+
+
 def _make_scheduler(k):  # top-level scheduler factory for grid_sweep
     return WorkStealingScheduler(k=k, steals_per_tick=16)
 
@@ -88,6 +97,40 @@ class TestParallelMap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parallel_map(not_picklable, [3, 4], max_workers=2) == [2, 3]
+
+    def test_worker_death_during_submission_is_retried(
+        self, monkeypatch, tmp_path
+    ):
+        """A worker that dies while the batch is still being submitted
+        breaks the pool under ``submit``; the supervisor charges the
+        crash and respawns instead of letting BrokenProcessPool out."""
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        from repro.experiments import parallel as parallel_mod
+
+        class SubmitAfterFirstResult(ProcessPoolExecutor):
+            # Holds every later submit until the first task has finished,
+            # so a first task that kills its worker is always seen by a
+            # later submit.
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.first = None
+
+            def submit(self, fn, *args, **kwargs):
+                if self.first is not None:
+                    wait([self.first])
+                future = super().submit(fn, *args, **kwargs)
+                self.first = self.first or future
+                return future
+
+        monkeypatch.setattr(
+            parallel_mod, "ProcessPoolExecutor", SubmitAfterFirstResult
+        )
+        marker = str(tmp_path / "died")
+        tasks = [(marker, x) for x in (1, 2, 3)]
+        assert parallel_map(
+            _die_once, tasks, max_workers=2, retries=1
+        ) == [1, 4, 9]
 
     def test_fn_exceptions_propagate(self):
         with pytest.raises(ValueError, match="boom"):
@@ -291,3 +334,30 @@ class TestSweepDeterminism:
         assert [c.metrics for c in result.cells] == [
             c.metrics for c in baseline.cells
         ]
+
+    @pytest.mark.parametrize("entry", ["grid_sweep", "repro.sweep"])
+    def test_fallback_warning_names_the_callers_line(
+        self, monkeypatch, entry
+    ):
+        """The "process pool unusable" warning points at the user's
+        sweep call, not at a frame inside the package."""
+        import repro
+        from repro.experiments import parallel as parallel_mod
+
+        monkeypatch.setattr(parallel_mod, "_FALLBACK_WARNED", set())
+        sweep = grid_sweep if entry == "grid_sweep" else repro.sweep
+        with pytest.warns(RuntimeWarning) as record:
+            sweep(
+                lambda k: WorkStealingScheduler(k=k, steals_per_tick=16),
+                {"k": [0, 4]},
+                _build_jobset,
+                m=4,
+                reps=1,
+                seed=3,
+                max_workers=2,
+            )
+        fallback = [
+            w for w in record if "process pool unusable" in str(w.message)
+        ]
+        assert len(fallback) == 1
+        assert fallback[0].filename == __file__

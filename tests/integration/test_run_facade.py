@@ -393,6 +393,7 @@ class TestSweepTelemetryEndToEnd:
                 assert stats["busy_steps"] > 0
                 assert e["wall_s"] >= 0
                 assert e["metrics"]["max_flow"] > 0
+                assert e["kind"] == "grid_sweep"
 
         # The manifest records the sweep's coordinates and instances.
         manifests = list_manifests(cache.root / "manifests")
@@ -424,7 +425,9 @@ class TestSweepTelemetryEndToEnd:
 
         events = read_events(log)
         assert audit_events(events) == []
-        assert sum(e["event"] == "cell.run" for e in events) == 2
+        assert [e["kind"] for e in events if e["event"] == "cell.run"] == [
+            "run_figure2_cells", "run_figure2_cells",
+        ]
         # No cache in play: the manifest lands next to the log.
         manifests = list_manifests(tmp_path / "manifests")
         assert len(manifests) == 1

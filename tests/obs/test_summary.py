@@ -62,6 +62,48 @@ class TestSummarize:
         assert "wall_total_s" in text
         assert "workers (pids)" in text
 
+    def test_cell_wall_times_are_reported_per_kind(self):
+        """A grid task and a Figure 2 task time different things: a
+        mixed log reports each kind's wall times on its own."""
+        tel = Telemetry(label="mixed")
+        tel.emit("sweep.start", kind="grid_sweep", n_cells=2, n_tasks=2,
+                 n_cold=2)
+        for i, wall in enumerate((0.25, 0.75)):
+            tel.emit(
+                "cell.run", kind="grid_sweep", params={"k": i}, rep=0,
+                wall_s=wall, pid=1, stats=_stats(), metrics={"max_flow": 1.0},
+            )
+        tel.emit("sweep.done", kind="grid_sweep", wall_s=1.0)
+        tel.emit("sweep.start", kind="run_figure2_cells", n_cells=1,
+                 n_tasks=1, n_cold=1)
+        tel.emit(
+            "cell.run", kind="run_figure2_cells", params={"qps": 100.0},
+            wall_s=8.0, pid=2, metrics={"max_flow": 2.0},
+        )
+        tel.emit("sweep.done", kind="run_figure2_cells", wall_s=8.0)
+        tel.close()
+        assert audit_events(tel.events) == []
+
+        blocks = {}
+        for block in summarize_events(tel.events).split("\n\n"):
+            head, *rows = block.splitlines()
+            if head.startswith("cell wall time: "):
+                blocks[head[len("cell wall time: "):]] = {
+                    row.split()[0]: row.split()[-1] for row in rows[1:]
+                }
+        assert blocks == {
+            "grid_sweep": {
+                "run": "2", "wall_total_s": "1.000",
+                "wall_mean_s": "0.5000", "wall_min_s": "0.2500",
+                "wall_max_s": "0.7500",
+            },
+            "run_figure2_cells": {
+                "run": "1", "wall_total_s": "8.000",
+                "wall_mean_s": "8.0000", "wall_min_s": "8.0000",
+                "wall_max_s": "8.0000",
+            },
+        }
+
     def test_engine_section_aggregates_stats(self):
         text = summarize_events(_sweep_log(n_run=3, n_cached=0))
         assert "steal_attempts" in text

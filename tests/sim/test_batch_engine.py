@@ -364,6 +364,7 @@ def test_determinism():
 def _reset_cext_resolution(monkeypatch, tmp_path=None):
     monkeypatch.setattr(_cext, "_cext_fn", None)
     monkeypatch.setattr(_cext, "_centralized_fn", None)
+    monkeypatch.setattr(_cext, "_p2_fn", None)
     monkeypatch.setattr(_cext, "_cext_resolved", False)
     monkeypatch.setattr(_cext, "_pending", None)
     monkeypatch.setattr(_cext, "unavailable_reason", None)

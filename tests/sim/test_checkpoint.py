@@ -8,12 +8,14 @@ run killed at an arbitrary checkpoint boundary (deterministically, via
 ``resume=True`` must reproduce the uninterrupted run float for float --
 max flow, full stats, P^2 sketches, utilization integral, everything.
 One driver writes every checkpoint, whichever step (the compiled kernel
-or the Python step) runs the tick loop, so a checkpoint written on
-either path resumes on the other.
+or the Python step) runs the tick loop and whichever update (compiled
+or Python) runs the P^2 sketches, so a checkpoint written on either
+path resumes on the other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CacheCorruptError, SweepConfigError
-from repro.sim import batch_engine
+from repro.sim import _cext, batch_engine
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
     checkpoint_path,
@@ -39,6 +41,7 @@ from repro.testing.faults import KILL_EXIT_CODE
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.stream import StreamSpec
+from tests.sim.test_batch_engine import _reset_cext_resolution
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -231,8 +234,10 @@ def _kill_and_resume(
 
     ``kill_on`` / ``resume_on`` pick the path of the killed subprocess
     and of the in-process resume: ``"cext"`` (the compiled kernel, when
-    the configuration allows it) or ``"python"`` (the Python step,
-    forced as on a host without the kernel).
+    the configuration allows it), ``"python"`` (the Python step, with
+    the compiled P^2 update) or ``"nokernel"`` (no compiler and an empty
+    kernel cache: the Python step and the Python P^2 update, as on a
+    host where the kernel cannot be built).
     """
     seed = 31
     stream = make_stream()
@@ -244,6 +249,12 @@ def _kill_and_resume(
         [str(REPO_ROOT / "src"), str(REPO_ROOT)]
     )
     env["REPRO_FAULTS"] = f"kill:checkpoint:index={kill_index}"
+    no_kernel_cache = tmp_path / "no-kernel-cache"
+    if kill_on == "nokernel":
+        # The interpreter is started by absolute path; an empty PATH
+        # hides cc/gcc/clang from it.
+        env["PATH"] = str(tmp_path / "no-compiler")
+        env["REPRO_CEXT_CACHE"] = str(no_kernel_cache)
     proc = subprocess.run(
         [
             sys.executable, "-c", _KILL_SCRIPT, str(tmp_path), str(seed),
@@ -256,17 +267,25 @@ def _kill_and_resume(
         timeout=120,
     )
     assert proc.returncode == KILL_EXIT_CODE, proc.stderr
+    assert ("kernel=unavailable" in proc.stderr) == (kill_on == "nokernel")
     assert latest_checkpoint(tmp_path) is not None
 
+    warned = contextlib.nullcontext()
     if resume_on == "python":
         monkeypatch.setattr(
             batch_engine, "resolve_batch_kernel", lambda: None
         )
         monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
-    resumed = _run_stream(
-        stream, 4, k=4, seed=seed,
-        checkpoint_dir=tmp_path, checkpoint_every=500, resume=True, **kw,
-    )
+    elif resume_on == "nokernel":
+        _reset_cext_resolution(monkeypatch, no_kernel_cache)
+        monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+        warned = pytest.warns(RuntimeWarning, match="kernel=unavailable")
+    with warned:
+        resumed = _run_stream(
+            stream, 4, k=4, seed=seed,
+            checkpoint_dir=tmp_path, checkpoint_every=500, resume=True,
+            **kw,
+        )
     assert resumed.resumed_from is not None
     assert 0 < resumed.resumed_from < stream.n_jobs
 
@@ -307,3 +326,16 @@ class TestKillResume:
         self, tmp_path, monkeypatch
     ):
         _kill_and_resume(tmp_path, monkeypatch, 1, kill_on="python")
+
+    def test_compiled_checkpoint_resumes_without_the_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        """Sketch markers written by the compiled P^2 update resume in
+        the Python update on a host where the kernel cannot be built."""
+        _kill_and_resume(tmp_path, monkeypatch, 1, resume_on="nokernel")
+        assert _cext.resolve_p2_kernel() is None
+
+    def test_kernel_less_checkpoint_resumes_on_the_compiled_path(
+        self, tmp_path, monkeypatch
+    ):
+        _kill_and_resume(tmp_path, monkeypatch, 1, kill_on="nokernel")
