@@ -21,8 +21,8 @@ Both variants are non-clairvoyant and randomized (victim selection only).
 
 :meth:`WorkStealingScheduler.run` is :func:`repro.sim.run_batch` at one
 replicate: every configuration (any victim policy, ``steal_half``,
-either admission order) runs on the compiled tick kernel, and a run
-with a ``trace`` or ``sampler`` on the reference engine
+either admission order), traced or not, runs on the compiled tick
+kernel, and a run with a ``sampler`` on the reference engine
 (:func:`repro.sim.engine._run_work_stealing`).  The two are pinned
 bit-identical, so the choice only changes speed.
 """
@@ -60,9 +60,9 @@ class WorkStealingScheduler(Scheduler):
     :meth:`run` for reproducible runs.  Each steal attempt costs one time
     step, exactly as in the paper's analysis.
 
-    :meth:`run` takes the compiled kernel for every configuration, and
-    the reference engine, silently, for a run with a ``trace`` or
-    ``sampler``: results are bit-identical either way.  It also accepts
+    :meth:`run` takes the compiled kernel for every configuration,
+    traced or not, and the reference engine, silently, for a run with a
+    ``sampler``: results and trace rows are identical either way.  It also accepts
     a :class:`~repro.dag.flat.FlatInstance` (:attr:`consumes_flat`).  A
     host without a working C compiler runs the reference engine with a
     one-time :class:`RuntimeWarning`.

@@ -24,10 +24,15 @@ handlers keep working unchanged.
 Catch :class:`ReproError` to handle anything this package raises;
 catch :class:`CellTimeoutError` / :class:`CellCrashedError` to handle
 executor faults distinctly from user errors.
+
+The package's warnings point at the user's call with
+:func:`_caller_stacklevel`.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from typing import Optional
 
 __all__ = [
@@ -180,3 +185,26 @@ class FaultInjected(ReproError):
 
     def __reduce__(self):  # keep picklability across process boundaries
         return (FaultInjected, (self.stage, self.detail))
+
+
+#: The ``repro`` package directory, with a trailing separator.
+_PACKAGE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "")
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that points a warning at the user's call.
+
+    For a ``warnings.warn`` in this function's caller: the first frame
+    outside the ``repro`` package, however many package frames
+    (``repro.sweep``, ``_grid_sweep``, ``_run_cell_tasks``, ...) lie
+    between it and the warning.  The outermost frame when every frame
+    is the package's.
+    """
+    level = 1
+    frame = sys._getframe(1)
+    while frame.f_back is not None and os.path.abspath(
+        frame.f_code.co_filename
+    ).startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level

@@ -88,7 +88,6 @@ on that instance, so it is built once per instance per process.
 from __future__ import annotations
 
 import os
-import sys
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -107,7 +106,12 @@ from typing import (
     TypeVar,
 )
 
-from repro.errors import CellCrashedError, CellTimeoutError, FaultInjected
+from repro.errors import (
+    CellCrashedError,
+    CellTimeoutError,
+    FaultInjected,
+    _caller_stacklevel,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -151,11 +155,6 @@ _FALLBACK_EXCEPTIONS = (
 #: Callables already warned about (by identity token), so a sweep with
 #: hundreds of cells warns once, not per call.
 _FALLBACK_WARNED: set = set()
-
-#: The ``repro`` package directory, with a trailing separator.
-_PACKAGE_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ""
-)
 
 #: The running batch's ``shared`` data (see "Shared task data" above):
 #: set in each pool worker by the executor's initializer, and by the
@@ -293,25 +292,6 @@ def _warn_serial_fallback(fn: Callable, exc: BaseException) -> None:
         RuntimeWarning,
         stacklevel=_caller_stacklevel(),
     )
-
-
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` that points a warning at the user's call.
-
-    For a ``warnings.warn`` in this function's caller: the first frame
-    outside the ``repro`` package, however many package frames
-    (``repro.sweep``, ``_grid_sweep``, ``_run_cell_tasks``, ...) lie
-    between it and the warning.  The outermost frame when every frame
-    is the package's.
-    """
-    level = 1
-    frame = sys._getframe(1)
-    while frame.f_back is not None and os.path.abspath(
-        frame.f_code.co_filename
-    ).startswith(_PACKAGE_DIR):
-        frame = frame.f_back
-        level += 1
-    return level
 
 
 class _SerialFallback(Exception):

@@ -10,7 +10,8 @@ on the paper's motivation: how many preemptions and cross-worker
 migrations FIFO's ideal schedule implies, against the steal count work
 stealing actually pays.
 
-Definitions (all derived from :class:`~repro.sim.trace.TraceRecorder`):
+Definitions (all derived from :class:`~repro.sim.trace.TraceRecorder`'s
+columns):
 
 * **dispatch** -- one contiguous execution segment (a node being placed
   on a processor);
@@ -25,25 +26,27 @@ Definitions (all derived from :class:`~repro.sim.trace.TraceRecorder`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.sim.trace import TraceRecorder
 
 
 def dispatch_count(trace: TraceRecorder) -> int:
     """Total execution segments (node placements on processors)."""
-    return len(trace.intervals)
+    return len(trace)
 
 
-def _segments_by_node(
-    trace: TraceRecorder,
-) -> Dict[Tuple[int, int], List]:
-    by_node: Dict[Tuple[int, int], List] = {}
-    for iv in trace.intervals:
-        by_node.setdefault((iv.job_id, iv.node), []).append(iv)
-    for segs in by_node.values():
-        segs.sort(key=lambda iv: iv.start)
-    return by_node
+def _node_runs(trace: TraceRecorder) -> Tuple[np.ndarray, np.ndarray]:
+    """Per adjacent pair of the (job, node, start)-sorted rows: whether
+    both rows are segments of the same node, and whether their workers
+    differ."""
+    worker, job, node, start, _end = trace.columns()
+    order = np.lexsort((start, node, job))
+    job, node, worker = job[order], node[order], worker[order]
+    same_node = (job[1:] == job[:-1]) & (node[1:] == node[:-1])
+    return same_node, worker[1:] != worker[:-1]
 
 
 def preemption_count(trace: TraceRecorder) -> int:
@@ -53,19 +56,14 @@ def preemption_count(trace: TraceRecorder) -> int:
     in-progress, so each node runs as one uninterrupted segment -- the
     structural reason the paper calls work stealing practical.
     """
-    return sum(
-        len(segs) - 1 for segs in _segments_by_node(trace).values()
-    )
+    same_node, _ = _node_runs(trace)
+    return int(np.count_nonzero(same_node))
 
 
 def migration_count(trace: TraceRecorder) -> int:
     """Node resumptions on a different processor than their last segment."""
-    migrations = 0
-    for segs in _segments_by_node(trace).values():
-        for a, b in zip(segs, segs[1:]):
-            if a.worker != b.worker:
-                migrations += 1
-    return migrations
+    same_node, moved = _node_runs(trace)
+    return int(np.count_nonzero(same_node & moved))
 
 
 def reallocation_event_count(trace: TraceRecorder) -> int:
@@ -75,11 +73,9 @@ def reallocation_event_count(trace: TraceRecorder) -> int:
     a distributed runtime pays nothing here (its coordination is the
     steal attempts, counted by the engine's statistics).
     """
-    events = set()
-    for iv in trace.intervals:
-        events.add(round(iv.start, 9))
-        events.add(round(iv.end, 9))
-    return len(events)
+    # Python's round(), not np.round: the two round differently.
+    _w, _j, _n, start, end = trace.columns()
+    return len({round(x, 9) for x in start.tolist() + end.tolist()})
 
 
 def overhead_report(trace: TraceRecorder) -> Dict[str, int]:

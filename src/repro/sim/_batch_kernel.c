@@ -36,7 +36,13 @@
  *
  * Table addressing: every array is indexed by window-local ids (node,
  * edge, job or worker).  Completed jobs are appended, in completion
- * order, to `log` (its length is the S_NLOG slot).  Uniform victim
+ * order, to `log` (its length is the S_NLOG slot).  A traced run passes
+ * a `tr` buffer of three int64 per window node: each node completion
+ * appends one (worker, node, end tick) row (the S_NTRACE slot counts
+ * them), in the order the reference engine records its trace.  A node
+ * runs as one uninterrupted segment, so the row determines the segment:
+ * it started works[node] ticks before the end of its end tick.  With
+ * `tr` NULL (untraced runs, streams) nothing is written.  Uniform victim
  * draws come from the run's 4096-slot block, refilled by calling back
  * into Python (refill_fn) so the PCG64 stream is drawn by the *same*
  * numpy Generator calls as the reference engine's UniformVictim -- exact
@@ -61,7 +67,7 @@ enum {
     S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
     S_NF, S_NE_COUNT, S_HEAP_N,
     S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ, /* stat counters */
-    S_NLOG, N_STATE
+    S_NLOG, S_NTRACE, N_STATE
 };
 
 /* Victim policies, in repro.sim.policies.VICTIM_POLICIES order. */
@@ -90,6 +96,8 @@ typedef struct {
     int64_t *dq_len;  /* per-worker deque lengths */
     int64_t *log;     /* completion-order job log */
     int64_t nlog;
+    int64_t *tr;      /* trace rows (worker, node, end tick), or NULL */
+    int64_t ntr;
     double speed;
     int64_t m;
     /* run-wide scalars */
@@ -98,6 +106,18 @@ typedef struct {
     int64_t nf;
     int64_t ne_count; /* |ne|: workers with a non-empty deque */
 } St;
+
+/* The non-default knobs (victim policies, steal-half, weighted
+ * admission, a trace) are served by helpers kept out of line and cold
+ * (COLD) and by branches marked UNLIKELY, so the tick loop keeps its
+ * register allocation and layout for the paper's configuration: uniform
+ * victims, single-entry steals and FIFO admission, untraced, pay one
+ * predictable branch per knob and run as fast as without the knobs.
+ * (A specialized copy of the loop for that configuration would drop the
+ * branches too, but it makes the kernel take half as long again to
+ * compile, and every fresh cache pays the compile on start-up.) */
+#define COLD __attribute__((noinline, cold))
+#define UNLIKELY(x) __builtin_expect(!!(x), 0)
 
 /* deques[i].append((node, ready)) */
 static void dq_push(St *s, int64_t i, int64_t node, int64_t ready)
@@ -158,6 +178,12 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
     int64_t j = s->job_of[g];
     int64_t u = s->unfin[j] - 1;
     int64_t cn, lo, hi, f;
+    if (UNLIKELY(s->tr != NULL)) {
+        int64_t *row = s->tr + 3 * s->ntr++;
+        row[0] = i;
+        row[1] = g;
+        row[2] = end_tick;
+    }
     s->unfin[j] = u;
     cn = s->chain[g];
     if (cn >= 0) {
@@ -226,18 +252,6 @@ static void complete_node(St *s, int64_t i, int64_t end_tick)
         s->n_busy--;
     }
 }
-
-/* The helpers below serve the non-default knobs.  They are kept out of
- * line and cold (COLD) and their branches marked UNLIKELY, so the tick
- * loop keeps its register allocation and layout for the paper's
- * configuration: uniform victims, single-entry steals and FIFO
- * admission pay one predictable branch per knob and run as fast as
- * without the knobs.  (A specialized copy of the loop for that
- * configuration would drop the branches too, but it makes the kernel
- * take half as long again to compile, and every fresh cache pays the
- * compile on start-up.) */
-#define COLD __attribute__((noinline, cold))
-#define UNLIKELY(x) __builtin_expect(!!(x), 0)
 
 /* Up to `allowed` round-robin or max-deque probes by thief i; returns
  * the first victim with a non-empty deque, or -1, and the probes made in
@@ -355,6 +369,7 @@ int64_t repro_batch_run_rep(
     int64_t *heap,           /* weighted admission: the queue, n slots */
     int64_t *raw,            /* the 4096-draw victim block (uniform) */
     int64_t *log,            /* completion-order job log, n slots */
+    int64_t *tr,             /* trace rows, 3 per window node, or NULL */
     int64_t n,               /* jobs in the window */
     int64_t n_total,         /* run until this many jobs completed */
     int64_t more,            /* nonzero: jobs beyond the window follow */
@@ -395,6 +410,8 @@ int64_t repro_batch_run_rep(
     st.dq_len = dq_len;
     st.log = log;
     st.nlog = state[S_NLOG];
+    st.tr = tr;
+    st.ntr = state[S_NTRACE];
     st.speed = speed;
     st.m = m;
     st.n_busy = state[S_N_BUSY];
@@ -689,6 +706,7 @@ stop:
     state[S_FF] = st_ff;
     state[S_MAXQ] = st_maxq;
     state[S_NLOG] = st.nlog;
+    state[S_NTRACE] = st.ntr;
     return rc;
 }
 

@@ -5,9 +5,10 @@ three entry points:
 
 * ``repro_batch_run_rep``, a C transcription of the reference engine's
   tick loop: the fast path of every ``engine="flat"`` run, every
-  ``WorkStealingScheduler.run`` and ``run_batch`` call without a trace
-  or sampler (:mod:`repro.sim.batch_engine`) and every streaming run
-  without a utilization window (:mod:`repro.sim.stream_engine`);
+  ``WorkStealingScheduler.run`` and ``run_batch`` call without a
+  sampler, traced or not (:mod:`repro.sim.batch_engine`), and every
+  streaming run without a utilization window
+  (:mod:`repro.sim.stream_engine`);
 * ``repro_centralized_run``, a C transcription of the centralized event
   loop: the fast path of every static-priority centralized run
   (:mod:`repro.sim.events`);
@@ -85,13 +86,14 @@ REFILL_CFUNC = ctypes.CFUNCTYPE(None)
 #: Slots of the kernel's int64 state vector (the C kernel's S_* enum):
 #: the loop-top scalars (``S_Q_HEAD`` is the FIFO queue's head,
 #: ``S_HEAP_N`` the weighted-admission heap's size), the six stat
-#: counters, and the length of the completion log.
+#: counters, the length of the completion log and the number of trace
+#: rows written.
 (
     S_T, S_NEXT_ARR, S_NEXT_AT, S_Q_HEAD, S_P, S_N_BUSY, S_COMPLETED,
     S_NF, S_NE_COUNT, S_HEAP_N,
     S_ATT, S_FAIL, S_IDLE, S_ADMWAIT, S_FF, S_MAXQ,
-    S_NLOG, N_STATE,
-) = range(18)
+    S_NLOG, S_NTRACE, N_STATE,
+) = range(19)
 
 #: Kernel return codes: run complete, ``max_ticks`` reached, the window
 #: ran out of arrivals (pull a segment), a checkpoint is due.
@@ -179,10 +181,10 @@ def _bind(lib: ctypes.CDLL) -> Any:
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
     f64 = ctypes.c_double
-    # 26 array pointers, 8 int64 scalars, speed, state pointer,
-    # callback, 3 int64 policy knobs -- the exact order of the C
-    # signature.
-    fn.argtypes = [ptr] * 26 + [i64] * 8 + [f64, ptr, REFILL_CFUNC] + [i64] * 3
+    # 27 array pointers (the last, the trace buffer, may be NULL), 8
+    # int64 scalars, speed, state pointer, callback, 3 int64 policy
+    # knobs -- the exact order of the C signature.
+    fn.argtypes = [ptr] * 27 + [i64] * 8 + [f64, ptr, REFILL_CFUNC] + [i64] * 3
     fn.restype = i64
     cfn = lib.repro_centralized_run
     # 14 array pointers, tr_cap, n, n_nodes, m, speed, two state

@@ -1,7 +1,7 @@
 """The fast tick kernel: compiled work stealing, one replicate per call.
 
-Every work-stealing simulation without a trace or sampler reaches
-:func:`run_batch`:
+Every work-stealing simulation without a sampler, traced or not,
+reaches :func:`run_batch`:
 ``repro.run("flat", ...)`` and
 :meth:`~repro.core.work_stealing.WorkStealingScheduler.run` call it at
 one replicate, which is how figure sweeps, :func:`repro.sweep`,
@@ -32,9 +32,10 @@ them one kernel call each:
   ``tests/sim/test_batch_engine.py`` and
   ``tests/properties/test_kernel_oracle_properties.py`` fuzz this).
   The kernel runs every victim policy, ``steal_half`` and both
-  admission orders.  A run with a ``trace`` or a ``sampler`` runs the
-  reference engine per replicate, and so does a hand-built replicate
-  whose arrivals are not sorted (the reference re-sorts and re-ids it).
+  admission orders, with or without a ``trace``.  A run with a
+  ``sampler`` runs the reference engine per replicate, and so does a
+  hand-built replicate whose arrivals are not sorted (the reference
+  re-sorts and re-ids it).
   A host where the kernel cannot be built runs the reference engine
   too, and is the one case warned: a :class:`RuntimeWarning` naming
   ``kernel=unavailable``, once per process.  A hand-built replicate
@@ -45,10 +46,16 @@ them one kernel call each:
   :class:`_KernelWindow` aliases the cached tables, allocates the
   run's mutable state and makes the one kernel call, with no stop
   point.  The streaming engine's window extends the same class.
+* **Traces.**  A traced replicate stays on the kernel: it appends one
+  ``(worker, node, end tick)`` row per node completion to a buffer
+  sized to the instance's nodes, and :func:`_drain_trace` turns the
+  rows into the :class:`~repro.sim.trace.TraceRecorder`'s columns in
+  one vectorized pass -- the reference engine's segments, in its
+  recording order, with its int-to-float divisions.
 * **Path report.**  Every result says which engine produced it:
   ``path`` is ``"cext"`` or ``"reference"``, and ``reasons`` holds the
-  causes of a fallback (empty on the kernel), ``arrivals=unsorted``
-  for the data-shape one.
+  causes of a fallback (empty on the kernel): ``sampler=...``,
+  ``arrivals=unsorted`` or ``kernel=unavailable``.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ import numpy as np
 
 from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
+from repro.errors import _caller_stacklevel
 from repro.sim import _cext
 from repro.sim._cext import (
     BLOCK,
@@ -77,6 +85,7 @@ from repro.sim._cext import (
     S_FF,
     S_IDLE,
     S_MAXQ,
+    S_NTRACE,
     S_T,
     fresh_state,
     resolve_batch_kernel,
@@ -96,30 +105,17 @@ __all__ = ["run_batch"]
 _SLOW_PATH_WARNED = False
 
 
-def _scope_reasons(trace: Any = None, sampler: Any = None) -> List[str]:
-    """The run arguments the kernel does not take: a trace, a sampler.
-
-    Every scheduler knob (victim policy, ``steal_half``, admission,
-    ``k``, ``steals_per_tick``) runs on the kernel.
-    """
-    reasons = []
-    if trace is not None:
-        reasons.append("trace=<TraceRecorder>")
-    if sampler is not None:
-        reasons.append("sampler=<SystemSampler>")
-    return reasons
-
-
-def _slow_path_reasons(trace: Any = None, sampler: Any = None) -> tuple:
+def _slow_path_reasons(sampler: Any = None) -> tuple:
     """Why a run takes a Python engine, if it does.
 
-    :func:`_scope_reasons`, then ``kernel=unavailable`` (warned once,
-    :func:`_warn_slow_path`) when the compiled kernel cannot be built or
-    loaded on this host.  Empty means the run takes the kernel.  Shared
-    by :func:`run_batch` and the streaming engine, which stamp the
-    result on what they return.
+    ``sampler=<SystemSampler>``, the one run argument the kernel does
+    not take (every scheduler knob and a trace run on it), then
+    ``kernel=unavailable`` (warned once, :func:`_warn_slow_path`) when
+    the compiled kernel cannot be built or loaded on this host.  Empty
+    means the run takes the kernel.  Shared by :func:`run_batch` and
+    the streaming engine, which stamp the result on what they return.
     """
-    reasons = _scope_reasons(trace, sampler)
+    reasons = [] if sampler is None else ["sampler=<SystemSampler>"]
     if resolve_batch_kernel() is None:
         reasons.append("kernel=unavailable")
         _warn_slow_path()
@@ -132,7 +128,8 @@ def _warn_slow_path() -> None:
     The only warned fallback.  A configuration outside the kernel's
     scope is reported in the result's ``reasons`` (and the
     ``dispatch.slow_path`` telemetry event), never warned.  Warned once
-    per process, forked workers included.
+    per process, forked workers included, at the first frame outside
+    the package (the user's call).
     """
     global _SLOW_PATH_WARNED
     if _SLOW_PATH_WARNED:
@@ -144,7 +141,7 @@ def _warn_slow_path() -> None:
         f"slower Python engine; results are identical, only slower (this "
         f"warning is shown once per process, forked workers included)",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=_caller_stacklevel(),
     )
 
 
@@ -409,9 +406,11 @@ class _KernelWindow:
     heap of job ids in ``heap``.  Round-robin victims keep each thief's
     next victim in ``rr_next``.  ``weights`` switches admission to
     weighted; the other knobs default to the paper's uniform victims
-    and single-entry steals.  A materialized replicate is a one-window
-    run over its cached tables (:func:`_run_kernel`); the streaming
-    engine's window extends this class with the defaults.
+    and single-entry steals.  ``tr`` is the trace buffer, three int64
+    per window node, or ``None`` (untraced runs and streams pass NULL).
+    A materialized replicate is a one-window run over its cached tables
+    (:func:`_run_kernel`); the streaming engine's window extends this
+    class with the defaults.
     """
 
     def __init__(
@@ -463,6 +462,7 @@ class _KernelWindow:
         # Only uniform victims on two or more workers read the block.
         self.raw = raw if raw is not None else np.zeros(BLOCK, dtype=np.int64)
         self.state = np.zeros(N_STATE, dtype=np.int64)
+        self.tr: Optional[np.ndarray] = None
         self._scratch()
 
     def _scratch(self) -> None:
@@ -515,6 +515,7 @@ class _KernelWindow:
             _ptr(self.heap),
             _ptr(self.raw),
             _ptr(self.log),
+            None if self.tr is None else _ptr(self.tr),
             len(self.unfin),
             n_total,
             int(more),
@@ -532,6 +533,32 @@ class _KernelWindow:
         )
 
 
+def _drain_trace(
+    w: _KernelWindow,
+    tables: _BatchTables,
+    flat: FlatInstance,
+    speed: float,
+    trace: Any,
+) -> None:
+    """Append the kernel's trace rows to ``trace`` as one block.
+
+    Each ``(worker, node, end tick)`` row is one node's only segment:
+    job ``job_of[node]``, local node ``node - job_node_offsets[job]``,
+    over ``[(end + 1 - works[node]) / speed, (end + 1) / speed)`` --
+    the reference engine's ``starts[i] / speed`` and
+    ``(end_tick + 1) / speed``, the same int-to-float divisions.
+    """
+    rows = w.tr[: 3 * int(w.state[S_NTRACE])].reshape(-1, 3)
+    node = rows[:, 1]
+    job = tables.job_of[node]
+    jno = np.asarray(flat.job_node_offsets, dtype=np.int64)
+    end = rows[:, 2] + 1
+    trace.extend(
+        rows[:, 0], job, node - jno[job],
+        (end - tables.works[node]) / speed, end / speed,
+    )
+
+
 def _run_kernel(
     flat: FlatInstance,
     m: int,
@@ -544,10 +571,13 @@ def _run_kernel(
     victim_policy: str,
     steal_half: bool,
     admission: str,
+    trace: Any = None,
 ) -> ScheduleResult:
     """One replicate on the compiled kernel: a one-window run, no stop point.
 
     ``flat``'s arrivals must be sorted (``_BatchTables.sorted_ok``).
+    With a ``trace``, the run's segments are appended to it, also when
+    the run exceeds ``max_ticks``.
     """
     tables = _batch_tables(flat)
     recorded_seed = None if isinstance(seed, np.random.Generator) else seed
@@ -586,7 +616,13 @@ def _run_kernel(
         weights=tables.weights if admission == "weight" else None,
     )
     w.state = fresh_state(int(arr_ticks[0]))
-    if w.call(n, False, m, k, sigma, max_ticks, NO_CHECKPOINT, speed) != DONE:
+    if trace is not None:
+        # Every node completes at most once: one row each.
+        w.tr = np.empty(3 * len(tables.works), dtype=np.int64)
+    rc = w.call(n, False, m, k, sigma, max_ticks, NO_CHECKPOINT, speed)
+    if trace is not None:
+        _drain_trace(w, tables, flat, speed, trace)
+    if rc != DONE:
         raise RuntimeError(
             f"work-stealing run exceeded max_ticks={max_ticks} "
             f"({int(w.state[S_COMPLETED])}/{n} jobs complete) -- "
@@ -629,9 +665,9 @@ def run_batch(
     :func:`repro.sim.engine._run_work_stealing`.  Returns one
     :class:`ScheduleResult` per instance, in order, **bit-identical**
     to ``[_run_work_stealing(instances[r], ..., seed=seeds[r]) for r]``
-    (a :class:`FlatInstance` through :func:`~repro.dag.flat.to_jobset`).
-    Each result's ``path`` and ``reasons`` say which engine ran it and
-    why.
+    (a :class:`FlatInstance` through :func:`~repro.dag.flat.to_jobset`),
+    the ``trace`` rows included.  Each result's ``path`` and ``reasons``
+    say which engine ran it and why.
     """
     # Argument validation mirrors the reference engine verbatim.
     if m < 1:
@@ -660,7 +696,7 @@ def run_batch(
         return []
     sigma = int(steals_per_tick)
 
-    reasons = _slow_path_reasons(trace, sampler)
+    reasons = _slow_path_reasons(sampler)
     label = _scheduler_label(k, victim_policy, steal_half, admission)
 
     def reference(inst, seed: SeedLike, why: tuple) -> ScheduleResult:
@@ -691,7 +727,7 @@ def run_batch(
             results.append(
                 _run_kernel(
                     flat, m, speed, k, sigma, seed, max_ticks, label,
-                    victim_policy, steal_half, admission,
+                    victim_policy, steal_half, admission, trace,
                 )
             )
         else:

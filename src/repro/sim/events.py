@@ -67,7 +67,8 @@ from repro.sim.trace import TraceRecorder
 EPS = 1e-9
 
 #: Rows of the compiled loop's trace buffer (at least ``m`` are used):
-#: Python drains it into the TraceRecorder each time it fills.
+#: Python drains it into the TraceRecorder, one block append each time
+#: it fills.
 TRACE_ROWS = 4096
 
 PriorityKey = Callable[[JobExecution], Tuple]
@@ -253,10 +254,10 @@ def _run_centralized_flat(
         rc = fn(*args)
         k = int(state[C_NROWS])
         if k:
-            for (slot, job, node), (start, end) in zip(
-                rows[:k].tolist(), times[:k].tolist()
-            ):
-                trace.record(slot, job, node, start, end)
+            trace.extend(
+                rows[:k, 0], rows[:k, 1], rows[:k, 2],
+                times[:k, 0], times[:k, 1],
+            )
             state[C_NROWS] = 0
         if rc != CR_TRACE_FULL:
             break

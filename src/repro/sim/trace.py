@@ -1,9 +1,13 @@
 """Execution tracing and schedule-validity audits.
 
 A :class:`TraceRecorder` collects every contiguous execution segment of a
-run as ``(worker, job, node, start, end)`` intervals.  The
-:func:`audit_trace` function then re-derives, from the trace alone, that
-the schedule was *feasible*:
+run as ``(worker, job, node, start, end)`` rows, stored as five numpy
+columns.  The compiled loops hand it whole blocks of rows
+(:meth:`TraceRecorder.extend`); the Python reference engines and
+hand-built traces add one row at a time (:meth:`TraceRecorder.record`).
+:mod:`repro.metrics.overheads` counts from the columns; the
+:func:`audit_trace` function reads the :class:`TraceInterval` view and
+re-derives, from the trace alone, that the schedule was *feasible*:
 
 1. no processor runs two nodes at once,
 2. at most ``m`` processors run at any instant,
@@ -20,12 +24,17 @@ independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.dag.job import JobSet
 
 #: Tolerance for interval arithmetic in time units.
 _EPS = 1e-6
+
+#: Column dtypes, in row order: worker, job, node, start, end.
+_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.float64)
 
 
 @dataclass(frozen=True)
@@ -42,12 +51,32 @@ class TraceInterval:
 class TraceRecorder:
     """Accumulates execution intervals during a simulated run.
 
-    Recording is append-only; engines call :meth:`record` once per
-    contiguous segment.  Zero-length segments are ignored.
+    Recording is append-only, in recording order: :meth:`record` adds
+    one segment, :meth:`extend` a block of them.  Zero-length segments
+    are ignored by both.  The rows live in growable numpy columns
+    (:meth:`columns`); :attr:`intervals` builds :class:`TraceInterval`
+    objects only when read.
     """
 
     def __init__(self) -> None:
-        self._intervals: List[TraceInterval] = []
+        self._n = 0
+        self._cols = [np.empty(0, dtype=dtype) for dtype in _DTYPES]
+        self._view: Optional[List[TraceInterval]] = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _reserve(self, extra: int) -> None:
+        """Make room for ``extra`` more rows (capacity doubles)."""
+        need = self._n + extra
+        cap = len(self._cols[0])
+        if need > cap:
+            cap = max(need, 2 * cap, 256)
+            for c, col in enumerate(self._cols):
+                grown = np.empty(cap, dtype=col.dtype)
+                grown[: self._n] = col[: self._n]
+                self._cols[c] = grown
+        self._view = None
 
     def record(
         self, worker: int, job_id: int, node: int, start: float, end: float
@@ -55,23 +84,71 @@ class TraceRecorder:
         """Record that ``worker`` ran ``(job_id, node)`` over ``[start, end)``."""
         if end - start <= 0.0:
             return
-        self._intervals.append(TraceInterval(worker, job_id, node, start, end))
+        self._reserve(1)
+        n = self._n
+        for col, value in zip(self._cols, (worker, job_id, node, start, end)):
+            col[n] = value
+        self._n = n + 1
+
+    def extend(
+        self,
+        worker: np.ndarray,
+        job_id: np.ndarray,
+        node: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+    ) -> None:
+        """Record a block of segments, in order: :meth:`record` per row.
+
+        The five arrays are parallel; rows with ``end - start <= 0`` are
+        dropped, as :meth:`record` drops them.
+        """
+        block = [np.asarray(a) for a in (worker, job_id, node, start, end)]
+        keep = (block[4] - block[3]) > 0.0
+        if not keep.all():
+            block = [a[keep] for a in block]
+        k = len(block[0])
+        if k == 0:
+            return
+        self._reserve(k)
+        n = self._n
+        for col, values in zip(self._cols, block):
+            col[n : n + k] = values
+        self._n = n + k
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """The rows as five columns: worker, job, node, start, end.
+
+        Read-only views of the rows recorded so far, in recording order
+        (appends never write inside them).
+        """
+        views = []
+        for col in self._cols:
+            view = col[: self._n]
+            view.flags.writeable = False
+            views.append(view)
+        return tuple(views)
 
     @property
     def intervals(self) -> List[TraceInterval]:
         """All recorded segments, in recording order."""
-        return self._intervals
+        if self._view is None:
+            self._view = [
+                TraceInterval(*row)
+                for row in zip(*(col.tolist() for col in self.columns()))
+            ]
+        return self._view
 
     def intervals_of(self, job_id: int, node: int) -> List[TraceInterval]:
         """Segments of a particular node, sorted by start time."""
         return sorted(
-            (iv for iv in self._intervals if iv.job_id == job_id and iv.node == node),
+            (iv for iv in self.intervals if iv.job_id == job_id and iv.node == node),
             key=lambda iv: iv.start,
         )
 
     def busy_time(self) -> float:
         """Total processor-time spent executing (sum of segment lengths)."""
-        return sum(iv.end - iv.start for iv in self._intervals)
+        return sum(iv.end - iv.start for iv in self.intervals)
 
 
 def _check_disjoint(

@@ -54,14 +54,24 @@ class _JobState:
         return False
 
 
+#: Maps the active jobs (in arrival order) and ``m`` to processor
+#: counts for a prefix of them, the served jobs: every job from the
+#: first zero entry on, and every job past the end of the list, holds no
+#: processor.
 AllocationPolicy = Callable[[List[_JobState], int], List[int]]
 
 
 def _fifo_greedy_allocation(active: List[_JobState], m: int) -> List[int]:
-    """Arrival order; each job takes what its current phase can use."""
+    """Arrival order; each job takes what its current phase can use.
+
+    The walk stops when the machine is exhausted: the jobs after that
+    get nothing, and are left out of the list.
+    """
     allocs = []
     avail = m
     for js in active:
+        if avail == 0:
+            break
         give = min(avail, js.current_speedup.useful_processors)
         allocs.append(give)
         avail -= give
@@ -111,16 +121,25 @@ def _run_speedup(
             continue
 
         allocs = policy(active, m)
-        if len(allocs) != len(active) or sum(allocs) > m or min(allocs) < 0:
+        if (
+            len(allocs) > len(active)
+            or sum(allocs) > m
+            or min(allocs, default=0) < 0
+        ):
             raise RuntimeError(
                 f"allocation policy returned invalid allocation {allocs} "
                 f"for {len(active)} jobs on m={m}"
             )
-        rates = [
-            js.current_speedup.rate(a) * speed for js, a in zip(active, allocs)
-        ]
+        # Only the served prefix progresses (rate(0) == 0), so the
+        # rates, the next event and the advance walk that prefix only.
+        rates: List[float] = []
+        for js, a in zip(active, allocs):
+            if a == 0:
+                break
+            rates.append(js.current_speedup.rate(a) * speed)
 
-        # Next event: earliest phase completion or next arrival.
+        # Next event: earliest phase completion or next arrival.  (zip
+        # stops at the end of the served prefix.)
         dt = min(
             (js.remaining / r for js, r in zip(active, rates) if r > 0),
             default=float("inf"),

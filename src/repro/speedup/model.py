@@ -29,12 +29,17 @@ class SpeedupFunction(ABC):
 
     @abstractmethod
     def rate(self, p: int) -> float:
-        """Processing rate on ``p >= 0`` processors."""
+        """Processing rate on ``p >= 0`` processors.
+
+        Contract: ``rate(0) == 0``.  The engine relies on it: a job
+        without processors makes no progress, so it skips such jobs
+        without asking for their rate.
+        """
 
     @property
     @abstractmethod
     def useful_processors(self) -> int:
-        """Smallest allocation achieving the maximum rate.
+        """Smallest allocation achieving the maximum rate (at least 1).
 
         ``math.inf``-like behaviour (strictly increasing curves such as
         power laws) is represented by a large sentinel; allocators cap

@@ -31,6 +31,7 @@ from repro.core.greedy import (
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
 from repro.sim.engine import _run_work_stealing
+from repro.sim.sampling import SystemSampler
 from repro.sim.trace import TraceRecorder
 from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
 from repro.speedup.model import (
@@ -285,6 +286,10 @@ class TestPathAgreement:
         assert self.check(
             ran, "flat", jobset, victim_policy="round-robin",
             trace=TraceRecorder(),
+        ) == "cext"
+        assert self.check(
+            ran, "flat", jobset, victim_policy="round-robin",
+            sampler=SystemSampler(),
         ) == "reference"
 
     def test_flat_on_unsorted_hand_built_arrivals(self, ran, jobset):
@@ -306,6 +311,10 @@ class TestPathAgreement:
         assert self.check(
             ran, WorkStealingScheduler(steal_half=True), jobset,
             trace=TraceRecorder(),
+        ) == "cext"
+        assert self.check(
+            ran, WorkStealingScheduler(steal_half=True), jobset,
+            sampler=SystemSampler(),
         ) == "reference"
 
     def test_subclass_calling_super_run(self, ran, jobset):

@@ -16,8 +16,9 @@ is ``tests/sim/test_flat_kernel_equivalence.py``):
   in one call;
 * RNG post-state identity;
 * the per-replicate fallbacks (empty instance, unsorted hand-built
-  arrivals) and whole-batch fallbacks (a trace or sampler, no
-  compiler, a failing compiler, a corrupt cached kernel);
+  arrivals) and whole-batch fallbacks (a sampler, no compiler, a
+  failing compiler, a corrupt cached kernel), and traced batches, which
+  stay on the kernel;
 * the import-time background build: awaited once, finished before a
   fork, and failing or skipped exactly like the synchronous build;
 * the table cache's memory behaviour (no reference cycle, no copies of
@@ -173,8 +174,9 @@ def test_rng_post_state_identity():
 
 
 def test_delegating_knobs_fall_back_identically(monkeypatch):
-    """A trace or a sampler runs the reference engine per replicate,
-    whatever the scheduler knobs; without one the knobs take the kernel."""
+    """A sampler runs the reference engine per replicate, whatever the
+    scheduler knobs; without one, traced or not, the knobs take the
+    kernel (the traces are compared in assert_batch_matches_reference)."""
     from repro.sim.sampling import SystemSampler
     from repro.sim.trace import TraceRecorder
 
@@ -188,10 +190,12 @@ def test_delegating_knobs_fall_back_identically(monkeypatch):
         (dict(m=4, admission="weight", k=3, steals_per_tick=2),
          dict(trace=TraceRecorder())),
     ):
-        traced = assert_batch_matches_reference(
+        observed = assert_batch_matches_reference(
             instances, **knobs, **observer
         )
-        assert {r.path for r in traced} == {"reference"}
+        assert {r.path for r in observed} == (
+            {"cext"} if "trace" in observer else {"reference"}
+        )
         bare = assert_batch_matches_reference(instances, **knobs)
         assert {r.path for r in bare} == {"cext"}
 
@@ -399,6 +403,49 @@ def test_cext_requested_but_unbuildable_warns_once(monkeypatch):
         assert_identical(a, b)
         assert_identical(ref, a)
     assert "no C compiler" in _cext.unavailable_reason
+
+
+def test_traced_run_without_kernel_records_the_kernels_rows(monkeypatch):
+    """No compiler: a traced run takes the reference engine and records
+    the rows the kernel records."""
+    from repro.sim.trace import TraceRecorder
+
+    flat = flatten_jobset(random_instance(7, n_jobs=8))
+    on_kernel = TraceRecorder()
+    (kernel,) = run_batch(
+        [flat], m=4, k=2, steals_per_tick=8, seeds=[8], trace=on_kernel
+    )
+    assert (kernel.path, kernel.reasons) == ("cext", ())
+    _reset_cext_resolution(monkeypatch)
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)  # quiet
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+    fallback = TraceRecorder()
+    (ref,) = run_batch(
+        [flat], m=4, k=2, steals_per_tick=8, seeds=[8], trace=fallback
+    )
+    assert (ref.path, ref.reasons) == ("reference", ("kernel=unavailable",))
+    assert_identical(kernel, ref)
+    assert fallback.intervals == on_kernel.intervals
+
+
+@pytest.mark.parametrize("entry", ["stream", "scheduler"])
+def test_unavailable_kernel_warning_names_the_callers_file(
+    entry, monkeypatch
+):
+    """The kernel=unavailable warning points at the user's call, not at
+    the package frame that noticed the missing kernel."""
+    from repro.core.work_stealing import WorkStealingScheduler
+
+    _reset_cext_resolution(monkeypatch)
+    monkeypatch.setattr(_cext, "_find_compiler", lambda: None)
+    spec = WorkloadSpec(BingDistribution(), qps=800.0, n_jobs=40, m=4)
+    with pytest.warns(RuntimeWarning, match="kernel=unavailable") as record:
+        if entry == "stream":
+            repro.run("flat", stream=spec.stream(chunk_jobs=16), m=4, seed=1)
+        else:
+            WorkStealingScheduler().run(spec.build(seed=1), m=4, seed=1)
+    (warned,) = [w for w in record if w.category is RuntimeWarning]
+    assert warned.filename == __file__
 
 
 def test_failing_compiler_warns_once_and_matches_reference(
@@ -736,22 +783,29 @@ def test_batch_engine_name_is_gone():
 
 def test_flat_out_of_scope_run_reports_without_warning(monkeypatch):
     """With the kernel built, only the result and telemetry name an
-    out-of-scope argument; nothing is warned."""
+    out-of-scope argument (a sampler); nothing is warned.  A traced run
+    is in scope: no reason, no event."""
     from repro.obs.telemetry import Telemetry
+    from repro.sim.sampling import SystemSampler
     from repro.sim.trace import TraceRecorder
 
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
-    tel = Telemetry()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = repro.run(
-            "flat", jobset, m=4, seed=8, victim_policy="round-robin",
-            trace=TraceRecorder(), telemetry=tel,
+    for observer, reasons in (
+        (dict(sampler=SystemSampler()), ("sampler=<SystemSampler>",)),
+        (dict(trace=TraceRecorder()), ()),
+    ):
+        tel = Telemetry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = repro.run(
+                "flat", jobset, m=4, seed=8, victim_policy="round-robin",
+                telemetry=tel, **observer,
+            )
+        assert result.reasons == reasons
+        assert [e["reasons"] for e in tel.of_kind("dispatch.slow_path")] == (
+            [list(reasons)] if reasons else []
         )
-    assert result.reasons == ("trace=<TraceRecorder>",)
-    (slow,) = tel.of_kind("dispatch.slow_path")
-    assert slow["reasons"] == ["trace=<TraceRecorder>"]
     assert not batch_engine._SLOW_PATH_WARNED
 
 
@@ -826,8 +880,7 @@ def test_run_facade_tags_work_stealing_scheduler_path(monkeypatch):
     assert done["path"] == "reference"
 
     slow, done = events(WorkStealingScheduler(k=2), trace=TraceRecorder())
-    assert [e["reasons"] for e in slow] == [["trace=<TraceRecorder>"]]
-    assert done["path"] == "reference"
+    assert slow == [] and done["path"] == "cext"
 
     slow, done = events(repro.FifoScheduler())
     assert slow == [] and done["path"] == "cext"
@@ -848,10 +901,12 @@ def test_slow_path_reasons_vocabulary(monkeypatch):
     assert run(
         victim_policy="max-deque", steal_half=True, admission="weight",
         trace=TraceRecorder(), sampler=SystemSampler(),
-    ) == ("reference", (
-        "trace=<TraceRecorder>",
-        "sampler=<SystemSampler>",
-    ))
+    ) == ("reference", ("sampler=<SystemSampler>",))
+    # A trace runs on the kernel: not a reason.
+    assert run(
+        victim_policy="max-deque", steal_half=True, admission="weight",
+        trace=TraceRecorder(),
+    ) == ("cext", ())
     # Every scheduler knob runs on the kernel: none is a reason.
     for victim_policy in ("uniform", "round-robin", "max-deque"):
         for steal_half in (False, True):

@@ -18,15 +18,16 @@ engine is exercised from elsewhere:
 * the Section 5 adversarial lower-bound instances;
 * chain-heavy DAGs (the kernel's chain fast path) and single-node jobs;
 * the non-uniform victim policies, ``steal_half`` and weighted
-  admission on the kernel, and the same knobs with a trace or sampler,
-  which must fall back to the reference and stay identical;
+  admission on the kernel, traced (the kernel's trace rows must equal
+  the reference's, in order) or with a sampler (which falls back to the
+  reference and stays identical);
 * an R>1 arm: ragged replicate batches with empty and unsorted
   replicates in one call, each compared with its own reference run
   (:func:`assert_batch_matches_reference`, also the comparison of
   ``tests/sim/test_batch_engine.py``);
 * a routed arm: :meth:`WorkStealingScheduler.run`, which takes the
-  kernel for every configuration and the reference engine (with no
-  warning) for a run with a trace or sampler, on randomized
+  kernel for every configuration, traced or not, and the reference
+  engine (with no warning) for a run with a sampler, on randomized
   configurations.
 
 Equality below always means *full* equality: completions array,
@@ -116,18 +117,27 @@ def run_both(jobset, **kwargs):
 
 
 def assert_batch_matches_reference(instances, seeds=None, **kwargs):
-    """run_batch vs R reference runs: full per-rep equality."""
+    """run_batch vs R reference runs: full per-rep equality.
+
+    A ``trace`` collects the batch's rows; the reference runs record
+    into a recorder of their own, and the two must hold the same rows.
+    """
     reps = len(instances)
     if seeds is None:
         seeds = [derive_seed(0, 77, r) for r in range(reps)]
+    ref_kwargs = dict(kwargs)
+    if kwargs.get("trace") is not None:
+        ref_kwargs["trace"] = TraceRecorder()
     serial = [
-        run_reference(instances[r], seed=seeds[r], **kwargs)
+        run_reference(instances[r], seed=seeds[r], **ref_kwargs)
         for r in range(reps)
     ]
     batched = run_batch(instances, seeds=seeds, **kwargs)
     assert len(batched) == reps
     for ref, got in zip(serial, batched):
         assert_identical(ref, got)
+    if kwargs.get("trace") is not None:
+        assert kwargs["trace"].intervals == ref_kwargs["trace"].intervals
     return batched
 
 
@@ -211,11 +221,11 @@ def test_empty_jobset():
     dict(admission="weight", k=3, steals_per_tick=2),
 ])
 def test_delegating_configurations(kwargs, monkeypatch):
-    """Every scheduler knob runs on the kernel; with a trace the same
-    knobs route to the reference engine.  Both stay identical."""
-    # The delegation is deliberate here; silence the one-time slow-path
-    # warning (its own behaviour is pinned by tests/sim/test_batch_engine.py).
-    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", True)
+    """Every scheduler knob runs on the kernel, traced or not, and stays
+    identical to the reference; a traced run records the reference's
+    segments, in its order."""
+    # Armed: a kernel=unavailable fallback would set the flag.
+    monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
     jobset = random_instance(7)
     ref = run_both(jobset, m=4, seed=8, **kwargs)
     assert run_kernel(jobset, m=4, seed=8, **kwargs).path == "cext"
@@ -225,8 +235,10 @@ def test_delegating_configurations(kwargs, monkeypatch):
     )
     traced = run_kernel(jobset, m=4, seed=8, trace=trace, **kwargs)
     assert_identical(ref, traced)
-    assert traced.reasons == ("trace=<TraceRecorder>",)
+    assert (traced.path, traced.reasons) == ("cext", ())
+    assert len(trace) == flatten_jobset(jobset).n_nodes  # one per node
     assert trace.intervals == ref_trace.intervals
+    assert not batch_engine._SLOW_PATH_WARNED
 
 
 def test_sampler_parity_and_observation_invariance(monkeypatch):
@@ -315,7 +327,7 @@ def test_ragged_batch_with_empty_and_unsorted_reps(reps):
 
 
 # ----------------------------------------------------------------------
-# WorkStealingScheduler.run: routed to the kernel without a trace or sampler
+# WorkStealingScheduler.run: routed to the kernel without a sampler
 # ----------------------------------------------------------------------
 
 
@@ -343,19 +355,22 @@ def assert_routed_matches_reference(scheduler, jobset, m, speed, seed,
     """Scheduler.run vs the reference: schedule, stats, RNG post-state.
 
     ``observers()`` returns fresh ``trace``/``sampler`` keyword arguments
-    for each of the two runs.
+    for each of the two runs; the two traces must hold the same rows.
     """
     g_run = np.random.default_rng(seed)
     g_ref = np.random.default_rng(seed)
+    got_obs, ref_obs = observers(), observers()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = scheduler.run(jobset, m=m, speed=speed, seed=g_run, **observers())
+        got = scheduler.run(jobset, m=m, speed=speed, seed=g_run, **got_obs)
     ref = _run_work_stealing(
         jobset, m=m, speed=speed, seed=g_ref,
-        **scheduler._engine_kwargs(), **observers(),
+        **scheduler._engine_kwargs(), **ref_obs,
     )
     assert_identical(ref, got)
     assert g_run.bit_generator.state == g_ref.bit_generator.state
+    if "trace" in got_obs:
+        assert got_obs["trace"].intervals == ref_obs["trace"].intervals
     return got
 
 
@@ -405,6 +420,9 @@ def _sampled():
 def test_routed_out_of_scope_runs_reference_without_warning(
     case, knobs, observers, monkeypatch
 ):
+    """A sampler is the one observer outside the kernel's scope: the run
+    takes the reference engine and names it.  A traced run stays on the
+    kernel with the reference's trace rows.  Neither warns."""
     # Armed: a kernel=unavailable fallback would warn, and warnings are
     # errors.
     monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
@@ -416,11 +434,12 @@ def test_routed_out_of_scope_runs_reference_without_warning(
     got = assert_routed_matches_reference(
         scheduler, jobset, m, speed, case, observers
     )
-    assert got.path == "reference"
-    assert got.reasons == tuple(
-        f"{name}=<{type(value).__name__}>"
-        for name, value in observers().items()
-    )
+    if observers is _traced:
+        assert (got.path, got.reasons) == ("cext", ())
+    else:
+        assert (got.path, got.reasons) == (
+            "reference", ("sampler=<SystemSampler>",)
+        )
     assert not batch_engine._SLOW_PATH_WARNED
 
 

@@ -5,11 +5,12 @@ so these tests verify they actually *catch* each class of violation, not
 just that they pass on good schedules.
 """
 
+import numpy as np
 import pytest
 
 from repro.dag.builders import chain, single_node
 from repro.dag.job import jobs_from_dags
-from repro.sim.trace import TraceRecorder, audit_trace
+from repro.sim.trace import TraceInterval, TraceRecorder, audit_trace
 
 
 @pytest.fixture
@@ -36,6 +37,23 @@ class TestRecorder:
         tr.record(1, 0, 0, 1.0, 2.0)
         ivs = tr.intervals_of(0, 0)
         assert [iv.start for iv in ivs] == [1.0, 4.0]
+
+    def test_extend_appends_rows_in_order_like_record(self):
+        tr = TraceRecorder()
+        tr.record(2, 0, 1, 0.0, 1.0)
+        tr.extend(
+            np.array([0, 1, 3]), np.array([1, 1, 2]), np.array([0, 2, 0]),
+            np.array([1.0, 2.0, 2.0]), np.array([2.0, 2.0, 4.5]),
+        )
+        assert len(tr) == 3  # the zero-length middle row is dropped
+        assert tr.intervals == [
+            TraceInterval(2, 0, 1, 0.0, 1.0),
+            TraceInterval(0, 1, 0, 1.0, 2.0),
+            TraceInterval(3, 2, 0, 2.0, 4.5),
+        ]
+        worker, job, node, start, end = tr.columns()
+        assert worker.dtype == np.int64 and start.dtype == np.float64
+        assert end.tolist() == [1.0, 2.0, 4.5]
 
     def test_busy_time(self):
         tr = TraceRecorder()

@@ -157,3 +157,108 @@ class TestConcavityRewardsSharing:
         f = run_speedup_fifo(js, m=16)
         e = run_speedup_equi(js, m=16)
         assert np.allclose(f.completions, e.completions)
+
+
+class TestServedPrefix:
+    """The engine walks only the jobs that hold processors.
+
+    The oracle below is the loop before that change: every active job
+    gets an allocation and a rate at every event.
+    """
+
+    @staticmethod
+    def full_walk(jobset, m, allocate):
+        from repro.speedup.engine import EPS, _JobState
+
+        n = len(jobset)
+        completions = np.zeros(n)
+        pending = list(jobset)
+        nxt, active, left, t = 0, [], n, pending[0].arrival
+        n_events, processed = 0, 0.0
+        while left > 0:
+            while nxt < n and pending[nxt].arrival <= t + EPS:
+                active.append(_JobState(pending[nxt]))
+                nxt += 1
+            if not active:
+                t = pending[nxt].arrival
+                continue
+            allocs = allocate(active, m)
+            rates = [js.current_speedup.rate(a) for js, a in zip(active, allocs)]
+            dt = min(
+                (js.remaining / r for js, r in zip(active, rates) if r > 0),
+                default=float("inf"),
+            )
+            if nxt < n:
+                dt = min(dt, pending[nxt].arrival - t)
+            t += dt
+            done = []
+            for i, (js, r) in enumerate(zip(active, rates)):
+                if r <= 0:
+                    continue
+                js.remaining -= r * dt
+                processed += r * dt
+                if js.remaining <= EPS and js.advance_phase():
+                    completions[js.job.job_id] = t
+                    done.append(i)
+            for i in reversed(done):
+                del active[i]
+            left -= len(done)
+            n_events += 1
+        return completions, n_events, int(round(processed))
+
+    @staticmethod
+    def fifo_full(active, m):
+        allocs, avail = [], m
+        for js in active:
+            give = min(avail, js.current_speedup.useful_processors)
+            allocs.append(give)
+            avail -= give
+        return allocs
+
+    @staticmethod
+    def equi_full(active, m):
+        base, rem = divmod(m, len(active))
+        return [base + (1 if i < rem else 0) for i in range(len(active))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overloaded_runs_match_the_full_walk(self, seed):
+        """An instance sized for m=16 on m=2: long active lists, most
+        jobs unserved at every event."""
+        from repro.speedup.convert import jobset_to_speedup
+        from repro.workloads import BingDistribution, WorkloadSpec
+
+        spec = WorkloadSpec(
+            BingDistribution(), qps=700.0, n_jobs=120, m=16, target_chunks=16
+        )
+        js = jobset_to_speedup(spec.build(seed=seed))
+        rng = np.random.default_rng(seed)
+        curved = SpeedupJobSet(
+            SpeedupJob(
+                job_id=j.job_id, arrival=j.arrival, weight=j.weight,
+                phases=tuple(
+                    Phase(p.work, PowerLaw(float(rng.choice([0.5, 1.0]))))
+                    if rng.random() < 0.3 else p
+                    for p in j.phases
+                ),
+            )
+            for j in js
+        )
+        for jobset in (js, curved):
+            for m in (2, 3):
+                for runner, allocate in (
+                    (run_speedup_fifo, self.fifo_full),
+                    (run_speedup_equi, self.equi_full),
+                ):
+                    got = runner(jobset, m=m)
+                    want, n_events, busy = self.full_walk(jobset, m, allocate)
+                    assert np.array_equal(got.completions, want)
+                    assert got.stats.n_events == n_events
+                    assert got.stats.busy_steps == busy
+
+    def test_every_shipped_curve_has_zero_rate_on_zero_processors(self):
+        for curve in (
+            LinearCapped(1), LinearCapped(7), Sequential(),
+            PowerLaw(0.01), PowerLaw(0.5), PowerLaw(1.0),
+        ):
+            assert curve.rate(0) == 0
+            assert curve.useful_processors >= 1

@@ -64,9 +64,10 @@ every ``WorkStealingScheduler.run`` (so the paper's figures and the
 victim-policy, steal-half and weighted-admission ablations) are that
 kernel at R=1, consuming the sweep's ``FlatInstance`` instances
 directly in workers; a sweep runs one task per (cell, rep), and
-``run_batch`` takes R > 1 replicates only when called directly.  Runs
-with a ``trace`` or ``sampler``, and hosts where the kernel cannot be
-built, run the reference engine instead and emit a
+``run_batch`` takes R > 1 replicates only when called directly.  A
+traced run stays on the kernel, whose trace rows equal the reference
+engine's.  Runs with a ``sampler``, and hosts where the kernel cannot
+be built, run the reference engine instead and emit a
 ``dispatch.slow_path`` telemetry event naming the cause; only a
 missing kernel also warns, once per process (``kernel=unavailable``).
 Centralized schedulers with a static priority (FIFO, BWF, LIFO, SJF,
