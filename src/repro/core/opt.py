@@ -18,16 +18,22 @@ Two refinements preserved from the theory:
   it against OPT at speed 1, which is how the benches use this class.
 
 The computation is a single O(n) pass (jobs are already in arrival
-order), so OPT curves are essentially free next to the simulations.
+order), so OPT curves are essentially free next to the simulations.  It
+reads a :class:`~repro.dag.flat.FlatInstance`'s per-job arrays
+(:attr:`~repro.dag.flat.FlatInstance.job_works`,
+:attr:`~repro.dag.flat.FlatInstance.job_spans`) directly, so a generated
+parallel-for instance, whose spans come in closed form, never needs its
+JobSet view here.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.base import Scheduler
+from repro.dag.flat import FlatInstance, to_jobset
 from repro.dag.job import JobSet
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike
@@ -35,7 +41,7 @@ from repro.sim.trace import TraceRecorder
 
 
 def opt_lower_bound(
-    jobset: JobSet,
+    jobset: Union[JobSet, FlatInstance],
     m: int,
     speed: float = 1.0,
     use_span_bound: bool = True,
@@ -45,7 +51,10 @@ def opt_lower_bound(
     Parameters
     ----------
     jobset:
-        The instance.
+        The instance: a :class:`JobSet`, or a :class:`FlatInstance`
+        whose per-job arrays are read as they are (one with unsorted
+        arrivals goes through its :func:`~repro.dag.flat.to_jobset`
+        view, which orders the jobs).  Both give the same result.
     m:
         Number of processors of the hypothetical optimal schedule.
     speed:
@@ -72,23 +81,34 @@ def opt_lower_bound(
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
 
-    arrivals = np.asarray(jobset.arrivals, dtype=np.float64)
-    works = np.asarray(jobset.works, dtype=np.float64)
-    spans = np.asarray(jobset.spans, dtype=np.float64)
-    weights = np.asarray(jobset.weights, dtype=np.float64)
-    n = arrivals.size
+    if isinstance(jobset, FlatInstance) and not np.all(
+        jobset.arrivals[1:] >= jobset.arrivals[:-1]
+    ):
+        jobset = to_jobset(jobset)  # the view puts jobs in arrival order
+    if isinstance(jobset, FlatInstance):
+        arrivals = jobset.arrivals
+        works = jobset.job_works.astype(np.float64)
+        spans = jobset.job_spans.astype(np.float64)
+        weights = jobset.weights
+    else:
+        arrivals = np.asarray(jobset.arrivals, dtype=np.float64)
+        works = np.asarray(jobset.works, dtype=np.float64)
+        spans = np.asarray(jobset.spans, dtype=np.float64)
+        weights = np.asarray(jobset.weights, dtype=np.float64)
 
     # Single-machine FIFO on sequential jobs of size W_i / m at the given
     # speed: c_i = max(r_i, c_{i-1}) + W_i / (m * speed), in arrival order.
+    # Python floats round exactly like float64 scalars, and are cheaper
+    # to step through.
     service = works / (m * speed)
-    completions = np.empty(n, dtype=np.float64)
+    finished = []
     clock = 0.0
-    for i in range(n):
-        a = arrivals[i]
+    for a, s in zip(arrivals.tolist(), service.tolist()):
         if a > clock:
             clock = a
-        clock += service[i]
-        completions[i] = clock
+        clock += s
+        finished.append(clock)
+    completions = np.array(finished, dtype=np.float64)
 
     if use_span_bound:
         np.maximum(completions, arrivals + spans / speed, out=completions)
@@ -120,12 +140,22 @@ class OptLowerBound(Scheduler):
         self.use_span_bound = use_span_bound
 
     @property
+    def consumes_flat(self) -> bool:
+        """Whether :meth:`run` takes a raw :class:`FlatInstance`.
+
+        True unless ``run`` is overridden: :func:`opt_lower_bound` reads
+        the instance's per-job arrays, so sweeps hand it the CSR
+        instance they ship instead of deriving its JobSet view.
+        """
+        return type(self).run is OptLowerBound.run
+
+    @property
     def name(self) -> str:
         return "opt-lb"
 
     def run(
         self,
-        jobset: JobSet,
+        jobset: Union[JobSet, FlatInstance],
         m: int,
         speed: float = 1.0,
         seed: SeedLike = None,

@@ -106,6 +106,42 @@ class FlatInstance:
         """Total payload size of the six arrays in bytes."""
         return sum(getattr(self, name).nbytes for name, _ in _FIELDS)
 
+    # -- per-job accessors --------------------------------------------------
+
+    @property
+    def job_works(self) -> np.ndarray:
+        """Total work ``W_i`` of every job, ``int64[n_jobs]`` (read-only).
+
+        One ``np.add.reduceat`` over the node works, cached on the
+        instance; equal to ``to_jobset(self).works``.
+        """
+        works = getattr(self, "_job_works_cache", None)
+        if works is None:
+            _check_nodes(self)
+            works = np.add.reduceat(self.node_works, self.job_node_offsets[:-1])
+            works.flags.writeable = False
+            object.__setattr__(self, "_job_works_cache", works)
+        return works
+
+    @property
+    def job_spans(self) -> np.ndarray:
+        """Critical-path length ``P_i`` of every job, ``int64[n_jobs]``
+        (read-only), in this instance's job order.
+
+        Cached on the instance: set in closed form by a builder that
+        knows it (parallel-for jobs), else read once off the
+        :func:`to_jobset` view.  Equal to ``to_jobset(self).spans``
+        where arrivals are sorted.
+        """
+        spans = getattr(self, "_job_spans_cache", None)
+        if spans is None:
+            view = np.asarray(to_jobset(self).spans, dtype=np.int64)
+            spans = np.empty_like(view)
+            # The view orders jobs by (arrival, index), a stable sort.
+            spans[np.argsort(self.arrivals, kind="stable")] = view
+            spans = _with_job_spans(self, spans)._job_spans_cache
+        return spans
+
     def job_slice(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Job ``i``'s (works, edge_offsets, edge_targets) in local ids.
 
@@ -138,6 +174,40 @@ class FlatInstance:
             f"FlatInstance(n_jobs={self.n_jobs}, n_nodes={self.n_nodes}, "
             f"n_edges={self.n_edges})"
         )
+
+
+# ----------------------------------------------------------------------
+# Per-job spans
+# ----------------------------------------------------------------------
+
+
+def _check_nodes(flat: FlatInstance) -> None:
+    """Raise :class:`DagValidationError` where the JobSet view would:
+    a job without nodes, or a node without positive work (it would
+    never finish)."""
+    jno = flat.job_node_offsets
+    bad = np.flatnonzero(flat.node_works <= 0)
+    if len(bad):
+        v = int(bad[0])
+        i = int(np.searchsorted(jno, v, side="right")) - 1
+        raise DagValidationError(
+            f"job {i}: node {v - int(jno[i])} has non-positive work "
+            f"{int(flat.node_works[v])}"
+        )
+    empty = np.flatnonzero(jno[1:] <= jno[:-1])
+    if len(empty):
+        raise DagValidationError(
+            f"job {int(empty[0])}: a job DAG must contain at least one node"
+        )
+
+
+def _with_job_spans(flat: FlatInstance, spans: np.ndarray) -> FlatInstance:
+    """Cache ``spans`` as ``flat.job_spans`` (a builder that knows them
+    in closed form calls this); returns ``flat``."""
+    spans = np.asarray(spans, dtype=np.int64)
+    spans.flags.writeable = False
+    object.__setattr__(flat, "_job_spans_cache", spans)
+    return flat
 
 
 # ----------------------------------------------------------------------
@@ -270,14 +340,7 @@ def _rebuild_jobset(flat: FlatInstance) -> JobSet:
     """
     n = flat.n_jobs
     jno = flat.job_node_offsets
-    bad = np.flatnonzero(flat.node_works <= 0)
-    if len(bad):
-        v = int(bad[0])
-        i = int(np.searchsorted(jno, v, side="right")) - 1
-        raise DagValidationError(
-            f"job {i}: node {v - int(jno[i])} has non-positive work "
-            f"{int(flat.node_works[v])}"
-        )
+    _check_nodes(flat)
     eo = flat.edge_offsets
     # Local ids, rebased once per instance: edge offsets from the job's
     # first edge, edge targets from the job's first node.

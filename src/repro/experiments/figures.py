@@ -345,12 +345,12 @@ def k_sweep_experiment(
         vals = []
         opt_vals = []
         for rep in range(reps):
-            jobset = spec.build(seed=derive_seed(seed, rep))
+            flat = spec.build_flat(seed=derive_seed(seed, rep))
             sched = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
             vals.append(
-                sched.run(jobset, m=m, seed=derive_seed(seed, k, rep)).max_flow
+                sched.run(flat, m=m, seed=derive_seed(seed, k, rep)).max_flow
             )
-            opt_vals.append(opt_lower_bound(jobset, m=m).max_flow)
+            opt_vals.append(opt_lower_bound(flat, m=m).max_flow)
         x.append(float(k))
         ws.append(float(np.mean(vals)))
         opt.append(float(np.mean(opt_vals)))
@@ -389,17 +389,17 @@ def load_sweep_experiment(
     for util in utilizations:
         qps = util * m / (dist.mean_ms / 1000.0)
         spec = WorkloadSpec(dist, qps=qps, n_jobs=n_jobs, m=m)
-        jobset = spec.build(seed=derive_seed(seed, int(util * 100)))
+        flat = spec.build_flat(seed=derive_seed(seed, int(util * 100)))
         sk = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
         s0 = WorkStealingScheduler(k=0, steals_per_tick=steals_per_tick)
         x.append(util)
         ws_k.append(
-            sk.run(jobset, m=m, seed=derive_seed(seed, 1, int(util * 100))).max_flow
+            sk.run(flat, m=m, seed=derive_seed(seed, 1, int(util * 100))).max_flow
         )
         ws_0.append(
-            s0.run(jobset, m=m, seed=derive_seed(seed, 2, int(util * 100))).max_flow
+            s0.run(flat, m=m, seed=derive_seed(seed, 2, int(util * 100))).max_flow
         )
-        opt.append(opt_lower_bound(jobset, m=m).max_flow)
+        opt.append(opt_lower_bound(flat, m=m).max_flow)
     ratio = [a / b for a, b in zip(ws_0, ws_k)]
     return SeriesResult(
         title=(
@@ -559,17 +559,17 @@ def burstiness_experiment(
             m=m,
             arrival_process=BurstyProcess(qps_to_rate(qps), batch=batch),
         )
-        jobset = spec.build(seed=derive_seed(seed, batch))
+        flat = spec.build_flat(seed=derive_seed(seed, batch))
         x.append(float(batch))
-        opt.append(opt_lower_bound(jobset, m=m).max_flow)
+        opt.append(opt_lower_bound(flat, m=m).max_flow)
         sk.append(
             WorkStealingScheduler(k=16, steals_per_tick=64)
-            .run(jobset, m=m, seed=derive_seed(seed, 1, batch))
+            .run(flat, m=m, seed=derive_seed(seed, 1, batch))
             .max_flow
         )
         af.append(
             WorkStealingScheduler(k=0, steals_per_tick=64)
-            .run(jobset, m=m, seed=derive_seed(seed, 2, batch))
+            .run(flat, m=m, seed=derive_seed(seed, 2, batch))
             .max_flow
         )
     return SeriesResult(
@@ -611,15 +611,15 @@ def grain_experiment(
         spec = WorkloadSpec(
             dist, qps=qps, n_jobs=n_jobs, m=m, target_chunks=chunks
         )
-        jobset = spec.build(seed=derive_seed(seed, chunks))
+        flat = spec.build_flat(seed=derive_seed(seed, chunks))
         x.append(float(chunks))
-        opt.append(opt_lower_bound(jobset, m=m).max_flow)
+        opt.append(opt_lower_bound(flat, m=m).max_flow)
         sk.append(
             WorkStealingScheduler(k=16, steals_per_tick=64)
-            .run(jobset, m=m, seed=derive_seed(seed, 3, chunks))
+            .run(flat, m=m, seed=derive_seed(seed, 3, chunks))
             .max_flow
         )
-        spans.append(float(np.mean(jobset.spans)))
+        spans.append(float(np.mean(flat.job_spans)))
     return SeriesResult(
         title=(
             f"abl-grain: parallel-for chunking sweep [bing qps={qps:g} "

@@ -92,6 +92,7 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.reduction import ForkingPickler
 from pickle import PicklingError
 from typing import (
     Any,
@@ -301,6 +302,23 @@ class _SerialFallback(Exception):
         self.cause = cause
 
 
+def _check_picklable(fn: Callable, work: Sequence[Any]) -> None:
+    """Raise :class:`_SerialFallback` unless ``fn`` and every work item
+    pickle.
+
+    The pool pickles tasks with :class:`ForkingPickler` in its queue
+    feeder thread, where a failure is an unhandled exception in that
+    thread as well as the signal to abandon the pool; probing in the
+    parent with the same pickler finds it before any pool starts.
+    """
+    try:
+        ForkingPickler.dumps(fn)
+        for item in work:
+            ForkingPickler.dumps(item)
+    except _FALLBACK_EXCEPTIONS as exc:
+        raise _SerialFallback(exc) from exc
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down hard, hung workers included.
 
@@ -401,6 +419,7 @@ def _supervised_pool_run(
     a cell exhausts its retry budget, and re-raises genuine (non-
     retryable) exceptions from ``fn`` directly.
     """
+    _check_picklable(fn, work)
     n = len(work)
     sentinel = object()
     results: List[Any] = [sentinel] * n
@@ -531,8 +550,8 @@ def _supervised_pool_run(
                         not_done.add(nf)
                         continue
                     except _FALLBACK_EXCEPTIONS as exc:
-                        # Pool machinery failure (unpicklable fn or
-                        # payload surfaces here) -- or a genuine error
+                        # Pool machinery failure (an unpicklable
+                        # result surfaces here) -- or a genuine error
                         # from fn of the same type.  The serial loop
                         # distinguishes them for us: it re-raises real
                         # fn errors and simply works otherwise.

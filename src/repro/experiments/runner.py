@@ -5,8 +5,9 @@ The two building blocks every figure uses:
 * :func:`run_schedulers` -- run a set of schedulers on one instance (the
   same instance: paired comparison) and collect results;
 * :func:`run_figure2_cell` -- one (workload, QPS) cell of Figure 2:
-  build the workload, run OPT / steal-k-first / admit-first (and FIFO,
-  for reference), average over repetitions;
+  build the workload as flat arrays, run OPT / steal-k-first /
+  admit-first (and FIFO, for reference) on them, average over
+  repetitions;
 * :func:`_run_figure2_cells` -- a whole QPS sweep of such cells: it
   builds one task and one cell-cache key per QPS point and hands them
   to the cell executor grid sweeps use
@@ -27,12 +28,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import Scheduler
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import OptLowerBound
 from repro.core.work_stealing import WorkStealingScheduler
+from repro.dag.flat import FlatInstance, _rebuild_jobset
 from repro.dag.job import JobSet
 from repro.experiments.cache import SweepCache, cell_key, resume_enabled_by_env
 from repro.experiments.config import ExperimentScale, Figure2Config
@@ -50,7 +52,7 @@ from repro.workloads.generator import WorkloadSpec
 
 
 def run_schedulers(
-    jobset: JobSet,
+    jobset: Union[JobSet, FlatInstance],
     schedulers: Iterable[Scheduler],
     m: int,
     speed: float = 1.0,
@@ -60,12 +62,22 @@ def run_schedulers(
 
     Each scheduler gets its own derived seed so that, e.g., adding a
     scheduler to the comparison never changes the victim-selection
-    stream of the others.
+    stream of the others.  A :class:`FlatInstance` goes as it is to
+    every scheduler whose ``consumes_flat`` is true; the others share
+    its JobSet view, built the first time one needs it.
     """
+    view: Optional[JobSet] = None
     out: Dict[str, ScheduleResult] = {}
     for i, sched in enumerate(schedulers):
+        instance = jobset
+        if isinstance(jobset, FlatInstance) and not getattr(
+            sched, "consumes_flat", False
+        ):
+            if view is None:
+                view = _rebuild_jobset(jobset)
+            instance = view
         run_seed = derive_seed(seed, 1000 + i)
-        out[sched.name] = sched.run(jobset, m=m, speed=speed, seed=run_seed)
+        out[sched.name] = sched.run(instance, m=m, speed=speed, seed=run_seed)
     return out
 
 
@@ -92,26 +104,29 @@ def run_figure2_cell(
 
     Runs ``scale.reps`` independent workload draws and averages the max
     flow of each scheduler across them, converting to milliseconds with
-    the config's time unit.  Each draw is built, run through
+    the config's time unit.  Each draw is built as a
+    :class:`~repro.dag.flat.FlatInstance`, run through
     :func:`run_schedulers` and dropped before the next, so one instance
-    is alive at a time.  The two work-stealing schedulers run on the
-    compiled kernel (see :class:`~repro.core.work_stealing.WorkStealingScheduler`),
-    bit-identical to the reference engine.
+    is alive at a time.  OPT reads the flat's per-job arrays and the two
+    work-stealing schedulers run it on the compiled kernel (see
+    :class:`~repro.core.work_stealing.WorkStealingScheduler`),
+    bit-identical to the reference engine; only FIFO
+    (``include_fifo``) needs a JobSet view.
     """
     lineup = figure2_schedulers(cfg, include_fifo)
+    spec = WorkloadSpec(
+        distribution=cfg.distribution_factory(),
+        qps=qps,
+        n_jobs=scale.n_jobs,
+        m=cfg.m,
+        units_per_ms=cfg.units_per_ms,
+        target_chunks=cfg.target_chunks,
+    )
     sums: Dict[str, float] = {}
     for rep in range(scale.reps):
         cell_seed = derive_seed(seed, int(qps), rep)
-        spec = WorkloadSpec(
-            distribution=cfg.distribution_factory(),
-            qps=qps,
-            n_jobs=scale.n_jobs,
-            m=cfg.m,
-            units_per_ms=cfg.units_per_ms,
-            target_chunks=cfg.target_chunks,
-        )
         results = run_schedulers(
-            spec.build(seed=cell_seed),
+            spec.build_flat(seed=cell_seed),
             lineup,
             m=cfg.m,
             seed=cell_seed,

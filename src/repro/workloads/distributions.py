@@ -33,15 +33,22 @@ in integer *work units* via ``units_per_ms`` (for building DAGs).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.sim.rng import SeedLike, make_rng
 
 #: Sample count used to calibrate canonical means, and the fixed seed for
-#: it.  Calibration is deterministic and happens once per instance.
+#: it.  Calibration is deterministic and happens once per shape per
+#: process (:data:`_CANONICAL_MEANS`).
 _CALIBRATION_SAMPLES = 200_000
 _CALIBRATION_SEED = 0xC0FFEE
+
+#: Process-wide memo of canonical means, keyed by (class, shape token):
+#: the canonical shape does not depend on ``mean_ms``, so distributions
+#: that differ only in their mean share one calibration.
+_CANONICAL_MEANS: Dict[Tuple[type, str], float] = {}
 
 
 class WorkDistribution(ABC):
@@ -76,22 +83,40 @@ class WorkDistribution(ABC):
         identity: two distributions with equal tokens sample identically
         from identical seeds.
         """
+        return self._params_token(skip=())
+
+    def _params_token(self, skip: "Tuple[str, ...]") -> str:
         params = ",".join(
             f"{k}={v!r}"
             for k, v in sorted(vars(self).items())
-            if not k.startswith("_")
+            if not k.startswith("_") and k not in skip
         )
         return f"{type(self).__name__}({params})"
 
+    def _shape_token(self) -> str:
+        """:meth:`token` without ``mean_ms``: what the canonical shape
+        depends on, hence the calibration memo's key."""
+        return self._params_token(skip=("mean_ms",))
+
     # -- calibration ------------------------------------------------------
+
+    def _canonical_mean(self) -> float:
+        """Mean of the canonical shape, calibrated once per shape per
+        process (:data:`_CANONICAL_MEANS`)."""
+        key = (type(self), self._shape_token())
+        mean = _CANONICAL_MEANS.get(key)
+        if mean is None:
+            rng = make_rng(_CALIBRATION_SEED)
+            mean = float(
+                self._sample_canonical(rng, _CALIBRATION_SAMPLES).mean()
+            )
+            _CANONICAL_MEANS[key] = mean
+        return mean
 
     def _ensure_scale(self) -> float:
         """Multiplier taking the canonical mean to ``mean_ms`` (cached)."""
         if self._scale is None:
-            rng = make_rng(_CALIBRATION_SEED)
-            canonical_mean = float(
-                self._sample_canonical(rng, _CALIBRATION_SAMPLES).mean()
-            )
+            canonical_mean = self._canonical_mean()
             if canonical_mean <= 0:
                 raise RuntimeError(
                     f"{self.name}: canonical samples have non-positive mean"
@@ -108,11 +133,7 @@ class WorkDistribution(ABC):
         load-calibrated rescalings.  ``natural()`` gives the un-rescaled
         shape, so histogram axes match the published figure.
         """
-        probe = cls(mean_ms=1.0, **kwargs)
-        rng = make_rng(_CALIBRATION_SEED)
-        canonical_mean = float(
-            probe._sample_canonical(rng, _CALIBRATION_SAMPLES).mean()
-        )
+        canonical_mean = cls(mean_ms=1.0, **kwargs)._canonical_mean()
         return cls(mean_ms=canonical_mean, **kwargs)
 
     # -- public sampling API ----------------------------------------------
@@ -380,13 +401,16 @@ class MixtureDistribution(WorkDistribution):
         return f"mixture({inner})"
 
     def token(self) -> str:
-        inner = ",".join(
-            f"({p!r},{d.token()})" for p, d in self.components
-        )
         return (
             f"{type(self).__name__}(mean_ms={self.mean_ms!r},"
-            f"components=[{inner}])"
+            f"components=[{self._components_token()}])"
         )
+
+    def _shape_token(self) -> str:
+        return f"{type(self).__name__}(components=[{self._components_token()}])"
+
+    def _components_token(self) -> str:
+        return ",".join(f"({p!r},{d.token()})" for p, d in self.components)
 
     def _sample_canonical(self, rng: np.random.Generator, size: int) -> np.ndarray:
         choices = rng.choice(len(self.components), size=size, p=self._probs)

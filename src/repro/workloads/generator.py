@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, _rebuild_jobset
+from repro.dag.flat import FlatInstance, _rebuild_jobset, _with_job_spans
 from repro.dag.job import JobSet
 from repro.sim.rng import SeedLike, spawn_rngs
 from repro.workloads.arrivals import ArrivalProcess, PoissonProcess
@@ -52,7 +52,9 @@ def _parallel_for_flat(
     stream segments, trace replay and the makespan batch
     (``experiments.figures.makespan_experiment``).  One batch of numpy
     operations builds every job's ``[setup, chunk_1..chunk_c, finalize]``
-    DAG with the same arithmetic as :func:`repro.dag.builders.parallel_for`.  ``works`` must already
+    DAG with the same arithmetic as :func:`repro.dag.builders.parallel_for`,
+    and seeds the instance's :attr:`~repro.dag.flat.FlatInstance.job_spans`
+    in closed form.  ``works`` must already
     be positive int64 job bodies, ``setup_units``/``finalize_units``
     positive and ``arrivals`` sorted -- callers validate and own the
     ordering policy.  ``weights`` defaults to 1.0 per job.
@@ -109,7 +111,7 @@ def _parallel_for_flat(
     edge_targets[fork_slots] = chunk_global
     edge_targets[edge_offsets[chunk_global]] = np.repeat(fin_pos, n_chunks)
 
-    return FlatInstance(
+    flat = FlatInstance(
         node_works=node_works,
         edge_offsets=edge_offsets,
         edge_targets=edge_targets,
@@ -117,6 +119,9 @@ def _parallel_for_flat(
         arrivals=arrivals,
         weights=weights,
     )
+    # Every path is setup -> one chunk -> finalize, and no chunk
+    # exceeds the grain.
+    return _with_job_spans(flat, setup_units + grains + finalize_units)
 
 
 def qps_to_rate(qps: float, units_per_ms: float = 4.0) -> float:

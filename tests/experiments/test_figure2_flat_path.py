@@ -1,0 +1,98 @@
+"""Guard: a Figure 2 cell runs on flat arrays and builds no ``Job``.
+
+:func:`repro.experiments.runner.run_figure2_cell` builds each rep as a
+:class:`~repro.dag.flat.FlatInstance`; OPT reads its per-job arrays and
+the work-stealing schedulers run it on the kernel.  Only FIFO
+(``include_fifo=True``) needs a JobSet view.  With ``Job`` and the
+JobSet view made to raise, a cell and a whole panel must still return
+exactly what the JobSet path returned.
+"""
+
+import pytest
+
+from repro.dag import flat as flat_mod
+from repro.dag.job import Job, JobSet
+from repro.experiments import runner
+from repro.experiments.config import ExperimentScale, FIG2A, FIG2C
+from repro.experiments.figures import figure2
+from repro.experiments.runner import (
+    figure2_schedulers,
+    run_figure2_cell,
+    run_schedulers,
+)
+from repro.sim.rng import derive_seed
+from repro.workloads import generator
+from repro.workloads.generator import WorkloadSpec
+
+SCALE = ExperimentScale(n_jobs=200, reps=2)
+
+
+def jobset_cell(cfg, qps, scale, seed, include_fifo=False):
+    """A Figure 2 cell as it was computed on JobSets: a fresh
+    distribution and spec per rep, every scheduler on ``spec.build``."""
+    lineup = figure2_schedulers(cfg, include_fifo)
+    sums = {}
+    for rep in range(scale.reps):
+        cell_seed = derive_seed(seed, int(qps), rep)
+        spec = WorkloadSpec(
+            distribution=cfg.distribution_factory(),
+            qps=qps,
+            n_jobs=scale.n_jobs,
+            m=cfg.m,
+            units_per_ms=cfg.units_per_ms,
+            target_chunks=cfg.target_chunks,
+        )
+        jobset = spec.build(seed=cell_seed)
+        for name, res in run_schedulers(
+            jobset, lineup, m=cfg.m, seed=cell_seed
+        ).items():
+            sums[name] = sums.get(name, 0.0) + res.max_flow * cfg.time_unit_ms
+    return {name: total / scale.reps for name, total in sums.items()}
+
+
+@pytest.fixture
+def no_jobs(monkeypatch):
+    """Make every way of building a Job or a JobSet view raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Figure 2 cell path built a Job/JobSet")
+
+    monkeypatch.setattr(Job, "__post_init__", refuse)
+    monkeypatch.setattr(JobSet, "__init__", refuse)
+    for module in (flat_mod, runner, generator):
+        monkeypatch.setattr(module, "_rebuild_jobset", refuse)
+
+
+@pytest.mark.parametrize("cfg", [FIG2A, FIG2C], ids=["bing", "lognormal"])
+def test_cell_builds_no_job(cfg, request):
+    qps = cfg.qps_values[-1]
+    expected = jobset_cell(cfg, qps, SCALE, seed=4)
+    request.getfixturevalue("no_jobs")
+    assert run_figure2_cell(cfg, qps, SCALE, seed=4) == expected
+
+
+def test_panel_builds_no_job(request):
+    expected = {}
+    for qps in FIG2A.qps_values:
+        for name, value in jobset_cell(FIG2A, qps, SCALE, seed=0).items():
+            expected.setdefault(name, []).append(value)
+    request.getfixturevalue("no_jobs")
+    result = figure2(FIG2A, SCALE, max_workers=1)
+    assert result.series == expected
+
+
+def test_fifo_gets_one_view_per_rep(monkeypatch):
+    qps = FIG2A.qps_values[0]
+    expected = jobset_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
+    built = []
+    real = runner._rebuild_jobset
+
+    def counting(flat):
+        built.append(flat.n_jobs)
+        return real(flat)
+
+    monkeypatch.setattr(runner, "_rebuild_jobset", counting)
+    got = run_figure2_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
+    assert got == expected
+    assert "fifo" in got
+    assert built == [SCALE.n_jobs] * SCALE.reps

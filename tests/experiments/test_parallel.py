@@ -53,6 +53,14 @@ def _build_jobset(seed):  # top-level jobset factory for grid_sweep
     ).build(seed=seed)
 
 
+def _one():  # top-level: a picklable work item for _call
+    return 1
+
+
+def _call(thunk):  # top-level: runs a work item
+    return thunk()
+
+
 def _die_once(task):  # top-level: kills the first worker that runs it
     marker, x = task
     try:
@@ -139,6 +147,52 @@ class TestParallelMap:
     def test_empty_and_singleton(self):
         assert parallel_map(_square, [], max_workers=4) == []
         assert parallel_map(_square, [5], max_workers=4) == [25]
+
+    def test_lambda_fallback_leaves_no_thread_exception(self, monkeypatch):
+        """The fallback used to let the pool's queue feeder thread fail
+        to pickle the lambda, an unhandled thread exception that pytest
+        reported against a later, unrelated test."""
+        import threading
+
+        from repro.experiments import parallel as parallel_mod
+
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        monkeypatch.setattr(parallel_mod, "_FALLBACK_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="process pool unusable"):
+            out = parallel_map(lambda x: x + 1, range(8), max_workers=2)
+        assert out == list(range(1, 9))
+        for thread in threading.enumerate():
+            if thread.name == "QueueFeederThread":
+                thread.join(timeout=5)
+        assert raised == []
+
+    @pytest.mark.parametrize("unpicklable", ["fn", "item"])
+    def test_unpicklable_batch_starts_no_pool(self, monkeypatch, unpicklable):
+        """Picklability is probed in the parent: an unpicklable ``fn``
+        or work item falls back before any pool exists, with the same
+        warning and telemetry as before."""
+        from repro.experiments import parallel as parallel_mod
+        from repro.obs import Telemetry
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel_mod, "_FALLBACK_WARNED", set())
+        if unpicklable == "fn":
+            fn, items, expected = (lambda x: x * x), [1, 2, 3], [1, 4, 9]
+        else:
+            fn, items, expected = _call, [_one, _one, lambda: 2], [1, 1, 2]
+        tel = Telemetry()
+        with pytest.warns(RuntimeWarning, match="process pool unusable"):
+            assert parallel_map(
+                fn, items, max_workers=2, telemetry=tel
+            ) == expected
+        assert [
+            e["event"] for e in tel.events if e["event"].startswith("dispatch")
+        ] == ["dispatch.pool", "dispatch.fallback"]
+        assert "pickle" in tel.of_kind("dispatch.fallback")[0]["error"]
 
 
 def _view_probe(rep):  # top-level: runs in pool workers
