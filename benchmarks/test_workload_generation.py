@@ -1,15 +1,15 @@
 """Workload-generation micro-benchmarks: object graphs vs flat CSR.
 
 The vectorized flat builder (:meth:`WorkloadSpec.build_flat`) samples
-and lays out a whole instance with numpy array ops; :meth:`WorkloadSpec.build`
-is its JobSet view, which adds one ``Job`` per job over DAG shapes shared
-process-wide.  The throughput gap between them is the cost of the
-object view.
+and lays out a whole instance with numpy array ops;
+:meth:`WorkloadSpec.build` is its JobSet view, which builds one ``Job``
+per job over DAG shapes shared process-wide the first time it is
+iterated.  The throughput gap between them is the cost of the object
+view, so the object benches time that first iteration.
 """
 
-import pytest
-
 from repro.dag.flat import flatten_jobset, to_jobset
+from repro.dag.job import JobSet
 from repro.workloads.distributions import BingDistribution
 from repro.workloads.generator import WorkloadSpec
 
@@ -18,7 +18,8 @@ SEED = 11
 
 
 def test_generate_build_objects(benchmark):
-    js = benchmark(lambda: SPEC.build(seed=SEED))
+    # The view and its jobs: what a scheduler that iterates them pays.
+    js = benchmark(lambda: SPEC.build(seed=SEED).jobs)
     assert len(js) == SPEC.n_jobs
 
 
@@ -28,12 +29,12 @@ def test_generate_build_flat(benchmark):
 
 
 def test_flatten_jobset(benchmark):
-    # Cold path: drop the memoized instance each round so the measured
-    # work is the flatten itself, not the ISSUE-6 cache hit.
-    js = SPEC.build(seed=SEED)
+    # Cold path: a set built from jobs, its flat dropped each round so
+    # the measured work is the walk, not the memo.
+    js = JobSet(SPEC.build(seed=SEED).jobs)
 
     def cold_flatten():
-        js.__dict__.pop("_flat_cache", None)
+        js._flat = None
         return flatten_jobset(js)
 
     flat = benchmark(cold_flatten)
@@ -42,21 +43,15 @@ def test_flatten_jobset(benchmark):
 
 def test_flatten_jobset_cached(benchmark):
     # Warm path: the run->sweep pipelines flatten the same JobSet
-    # repeatedly; the memoized view makes that a dict lookup.
-    js = SPEC.build(seed=SEED)
+    # repeatedly; the set keeps its flat, so that is an attribute read.
+    js = JobSet(SPEC.build(seed=SEED).jobs)
     flatten_jobset(js)
     flat = benchmark(lambda: flatten_jobset(js))
     assert flat.n_jobs == len(js)
 
 
 def test_rebuild_jobset_from_flat(benchmark):
-    # Cold path: drop the memoized view each round so the measured work
-    # is the rebuild itself, not the cache hit.
+    # Cold path: each round makes a new view and builds its jobs.
     flat = SPEC.build_flat(seed=SEED)
-
-    def cold_rebuild():
-        flat.__dict__.pop("_jobset_cache", None)
-        return to_jobset(flat)
-
-    js = benchmark(cold_rebuild)
-    assert len(js) == flat.n_jobs
+    jobs = benchmark(lambda: to_jobset(flat).jobs)
+    assert len(jobs) == flat.n_jobs

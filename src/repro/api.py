@@ -12,14 +12,17 @@ knobs (``m`` or its alias ``num_workers``, ``speed`` or its alias
   arguments such as ``k``, ``steals_per_tick``, ``trace`` forward to
   it), ``"flat"`` (the compiled kernel,
   :func:`repro.sim.batch_engine.run_batch` at one replicate --
-  bit-identical to the reference, same knobs, and additionally accepts
-  a :class:`~repro.dag.flat.FlatInstance` directly; knobs outside the
+  bit-identical to the reference, same knobs; knobs outside the
   kernel's scope, or a host without a C compiler, run the reference
   engine, and only the missing compiler is warned) or ``"speedup-fifo"`` /
   ``"speedup-equi"`` (the speedup-curves engines, which take a
   :class:`~repro.speedup.model.SpeedupJobSet`).  An engine name is
   wrapped in the same :class:`_EngineScheduler` adapter
   :func:`repro.sweep` uses, so both facades share one name table.
+
+A :class:`~repro.dag.flat.FlatInstance` is accepted wherever a JobSet
+is: :func:`run` wraps it once, in its :func:`~repro.dag.flat.to_jobset`
+view, so every scheduler and engine receives a JobSet.
 
 The facade is also where observability attaches: pass
 ``telemetry=Telemetry(...)`` and the run emits ``run.start`` /
@@ -44,6 +47,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.core.base import Scheduler
+from repro.dag.flat import FlatInstance, to_jobset
 from repro.errors import SweepConfigError
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
@@ -62,12 +66,6 @@ _STREAM_COMBINATIONS = (
     "  repro.sweep(scheduler, grid, workload, m=...)        "
     "-- grid sweep over materialized instances (no stream=)"
 )
-
-
-def _n_jobs(jobset: Any) -> int:
-    """Job count of either instance form (JobSet or FlatInstance)."""
-    n = getattr(jobset, "n_jobs", None)
-    return int(n) if n is not None else len(jobset)
 
 
 def _resolve_size(
@@ -123,7 +121,10 @@ def run(
         subclass (instantiated with its defaults), or an engine name
         from :data:`ENGINE_NAMES`.
     jobset:
-        A :class:`~repro.dag.job.JobSet` (DAG engines) or
+        A :class:`~repro.dag.job.JobSet` or
+        :class:`~repro.dag.flat.FlatInstance` (DAG engines and
+        schedulers; a flat runs as its
+        :func:`~repro.dag.flat.to_jobset` view) or
         :class:`~repro.speedup.model.SpeedupJobSet` (speedup engines).
         Omit it when passing ``stream=``.
     stream:
@@ -187,6 +188,8 @@ def run(
             "second argument, or stream= a StreamSpec.\n"
             + _STREAM_COMBINATIONS
         )
+    if isinstance(jobset, FlatInstance):
+        jobset = to_jobset(jobset)
 
     engine = "scheduler"
     if isinstance(scheduler, str):
@@ -222,7 +225,7 @@ def run(
         m=size,
         speed=s,
         seed=seed,
-        n_jobs=_n_jobs(jobset),
+        n_jobs=len(jobset),
     )
     t0 = time.perf_counter()
     result = dispatch()
@@ -365,17 +368,6 @@ class _EngineScheduler(Scheduler):
     @property
     def name(self) -> str:
         return self.engine
-
-    @property
-    def consumes_flat(self) -> bool:
-        """Whether :meth:`run` can take a raw :class:`FlatInstance`.
-
-        The sweep layer ships every instance as a :class:`FlatInstance`
-        and checks this to decide whether a task derives the
-        ``to_jobset()`` view first; when true it hands the kernel the
-        attached CSR arrays directly.
-        """
-        return self.engine == "flat"
 
     def run(
         self,

@@ -54,7 +54,13 @@ class Scheduler(ABC):
         Parameters
         ----------
         jobset:
-            The instance to schedule.
+            The instance to schedule.  Every scheduler receives a
+            :class:`JobSet`; the set of a
+            :class:`~repro.dag.flat.FlatInstance` is its
+            :func:`~repro.dag.flat.to_jobset` view, so a policy that
+            reads per-job arrays (:func:`~repro.dag.flat.flatten_jobset`)
+            never builds a :class:`~repro.dag.job.Job`, and one that
+            iterates the set builds them once per view.
         m:
             Number of identical processors.
         speed:

@@ -19,11 +19,12 @@ Two refinements preserved from the theory:
 
 The computation is a single O(n) pass (jobs are already in arrival
 order), so OPT curves are essentially free next to the simulations.  It
-reads a :class:`~repro.dag.flat.FlatInstance`'s per-job arrays
-(:attr:`~repro.dag.flat.FlatInstance.job_works`,
-:attr:`~repro.dag.flat.FlatInstance.job_spans`) directly, so a generated
-parallel-for instance, whose spans come in closed form, never needs its
-JobSet view here.
+reads the per-job arrays of the set's flat
+(:func:`~repro.dag.flat.flatten_jobset`:
+:attr:`~repro.dag.flat.FlatInstance.job_works`,
+:attr:`~repro.dag.flat.FlatInstance.job_spans`), so a generated
+parallel-for instance, whose spans come in closed form, builds no
+:class:`~repro.dag.job.Job` here.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.base import Scheduler
-from repro.dag.flat import FlatInstance, to_jobset
+from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike
@@ -51,10 +52,8 @@ def opt_lower_bound(
     Parameters
     ----------
     jobset:
-        The instance: a :class:`JobSet`, or a :class:`FlatInstance`
-        whose per-job arrays are read as they are (one with unsorted
-        arrivals goes through its :func:`~repro.dag.flat.to_jobset`
-        view, which orders the jobs).  Both give the same result.
+        The instance: a :class:`JobSet`, or a :class:`FlatInstance`,
+        which is read as its :func:`~repro.dag.flat.to_jobset` view.
     m:
         Number of processors of the hypothetical optimal schedule.
     speed:
@@ -81,20 +80,15 @@ def opt_lower_bound(
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
 
-    if isinstance(jobset, FlatInstance) and not np.all(
-        jobset.arrivals[1:] >= jobset.arrivals[:-1]
-    ):
-        jobset = to_jobset(jobset)  # the view puts jobs in arrival order
     if isinstance(jobset, FlatInstance):
-        arrivals = jobset.arrivals
-        works = jobset.job_works.astype(np.float64)
-        spans = jobset.job_spans.astype(np.float64)
-        weights = jobset.weights
-    else:
-        arrivals = np.asarray(jobset.arrivals, dtype=np.float64)
-        works = np.asarray(jobset.works, dtype=np.float64)
-        spans = np.asarray(jobset.spans, dtype=np.float64)
-        weights = np.asarray(jobset.weights, dtype=np.float64)
+        jobset = to_jobset(jobset)
+    flat = flatten_jobset(jobset)
+    if not flat.arrivals_sorted:
+        # The set of a flat with unsorted arrivals re-sorted its jobs.
+        flat = flatten_jobset(JobSet(jobset.jobs))
+    arrivals = flat.arrivals
+    works = flat.job_works.astype(np.float64)
+    weights = flat.weights
 
     # Single-machine FIFO on sequential jobs of size W_i / m at the given
     # speed: c_i = max(r_i, c_{i-1}) + W_i / (m * speed), in arrival order.
@@ -111,6 +105,7 @@ def opt_lower_bound(
     completions = np.array(finished, dtype=np.float64)
 
     if use_span_bound:
+        spans = flat.job_spans.astype(np.float64)
         np.maximum(completions, arrivals + spans / speed, out=completions)
 
     stats = SimulationStats(busy_steps=int(round(float(works.sum()))))
@@ -140,22 +135,12 @@ class OptLowerBound(Scheduler):
         self.use_span_bound = use_span_bound
 
     @property
-    def consumes_flat(self) -> bool:
-        """Whether :meth:`run` takes a raw :class:`FlatInstance`.
-
-        True unless ``run`` is overridden: :func:`opt_lower_bound` reads
-        the instance's per-job arrays, so sweeps hand it the CSR
-        instance they ship instead of deriving its JobSet view.
-        """
-        return type(self).run is OptLowerBound.run
-
-    @property
     def name(self) -> str:
         return "opt-lb"
 
     def run(
         self,
-        jobset: Union[JobSet, FlatInstance],
+        jobset: JobSet,
         m: int,
         speed: float = 1.0,
         seed: SeedLike = None,

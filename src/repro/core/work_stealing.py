@@ -29,10 +29,9 @@ bit-identical, so the choice only changes speed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.core.base import Scheduler
-from repro.dag.flat import FlatInstance
 from repro.dag.job import JobSet
 from repro.sim.batch_engine import run_batch
 from repro.sim.policies import VICTIM_POLICIES
@@ -62,10 +61,11 @@ class WorkStealingScheduler(Scheduler):
 
     :meth:`run` takes the compiled kernel for every configuration,
     traced or not, and the reference engine, silently, for a run with a
-    ``sampler``: results and trace rows are identical either way.  It also accepts
-    a :class:`~repro.dag.flat.FlatInstance` (:attr:`consumes_flat`).  A
-    host without a working C compiler runs the reference engine with a
-    one-time :class:`RuntimeWarning`.
+    ``sampler``: results and trace rows are identical either way.  The
+    kernel reads the set's flat (:func:`~repro.dag.flat.flatten_jobset`),
+    so a :func:`~repro.dag.flat.to_jobset` view runs without building a
+    :class:`~repro.dag.job.Job`.  A host without a working C compiler
+    runs the reference engine with a one-time :class:`RuntimeWarning`.
     """
 
     def __init__(
@@ -123,21 +123,9 @@ class WorkStealingScheduler(Scheduler):
             "admission": self.admission,
         }
 
-    @property
-    def consumes_flat(self) -> bool:
-        """Whether :meth:`run` takes a raw :class:`FlatInstance`.
-
-        True unless ``run`` is overridden (an override may do anything).
-        The sweep layer ships every instance as a :class:`FlatInstance`;
-        when this is true the task hands ``run`` the attached CSR arrays,
-        otherwise it derives the :func:`~repro.dag.flat.to_jobset` view
-        (built once per instance per process).
-        """
-        return type(self).run is WorkStealingScheduler.run
-
     def run(
         self,
-        jobset: Union[JobSet, FlatInstance],
+        jobset: JobSet,
         m: int,
         speed: float = 1.0,
         seed: SeedLike = None,

@@ -20,9 +20,17 @@ Why it exists (see ISSUE 2): the object graph is the right API for
 schedulers, but it is the wrong wire/storage format.  Flat arrays can be
 hashed for content-addressed caching, written to disk as a single
 ``.npz``, and pickled as six array buffers instead of one Python object
-per job and node.  The round-trip is lossless: :func:`to_jobset` rebuilds the
+per job and node.  The round-trip is lossless: :func:`to_jobset` gives the
 exact DAG structure, arrivals and weights that :func:`flatten_jobset`
 consumed (asserted by ``tests/dag/test_flat.py``).
+
+The flat is the instance; its :class:`JobSet` is a view.  A set holds
+its flat in one field (:func:`to_jobset` puts it there,
+:func:`flatten_jobset` fills it for a set built from jobs and returns
+it), reads its per-job arrays from it, and builds its :class:`Job`
+objects only when a caller iterates or indexes it.  Nothing points from
+a flat to a set.  Malformed arrays are refused once per flat
+(:func:`_check_flat`), before any view or per-job array reads them.
 """
 
 from __future__ import annotations
@@ -106,6 +114,16 @@ class FlatInstance:
         """Total payload size of the six arrays in bytes."""
         return sum(getattr(self, name).nbytes for name, _ in _FIELDS)
 
+    @property
+    def arrivals_sorted(self) -> bool:
+        """Whether the jobs are listed in arrival order, the order a
+        :class:`JobSet` keeps (cached on the instance)."""
+        ok = getattr(self, "_arrivals_sorted_cache", None)
+        if ok is None:
+            ok = bool(np.all(self.arrivals[1:] >= self.arrivals[:-1]))
+            object.__setattr__(self, "_arrivals_sorted_cache", ok)
+        return ok
+
     # -- per-job accessors --------------------------------------------------
 
     @property
@@ -117,7 +135,7 @@ class FlatInstance:
         """
         works = getattr(self, "_job_works_cache", None)
         if works is None:
-            _check_nodes(self)
+            _check_flat(self)
             works = np.add.reduceat(self.node_works, self.job_node_offsets[:-1])
             works.flags.writeable = False
             object.__setattr__(self, "_job_works_cache", works)
@@ -129,16 +147,18 @@ class FlatInstance:
         (read-only), in this instance's job order.
 
         Cached on the instance: set in closed form by a builder that
-        knows it (parallel-for jobs), else read once off the
-        :func:`to_jobset` view.  Equal to ``to_jobset(self).spans``
-        where arrivals are sorted.
+        knows it (parallel-for jobs) or by :func:`flatten_jobset`, else
+        read once off the jobs of a :func:`to_jobset` view.  Equal to
+        ``to_jobset(self).spans`` where arrivals are sorted.
         """
         spans = getattr(self, "_job_spans_cache", None)
         if spans is None:
-            view = np.asarray(to_jobset(self).spans, dtype=np.int64)
-            spans = np.empty_like(view)
-            # The view orders jobs by (arrival, index), a stable sort.
-            spans[np.argsort(self.arrivals, kind="stable")] = view
+            view = to_jobset(self)
+            spans = np.empty(self.n_jobs, dtype=np.int64)
+            # The set orders jobs by (arrival, index), a stable sort.
+            spans[np.argsort(self.arrivals, kind="stable")] = [
+                job.span for job in view.jobs
+            ]
             spans = _with_job_spans(self, spans)._job_spans_cache
         return spans
 
@@ -177,28 +197,86 @@ class FlatInstance:
 
 
 # ----------------------------------------------------------------------
-# Per-job spans
+# Validation and per-job spans
 # ----------------------------------------------------------------------
 
 
+def _check_csr(flat: FlatInstance) -> None:
+    """Raise :class:`ValueError` unless ``flat``'s CSR offsets are sound,
+    every edge stays inside its source node's job and every job has a
+    root (admission starts a job at its first root).
+
+    The compiled kernel indexes its tables without bounds checks and the
+    :class:`JobDag` of a view is built by the trusted
+    :meth:`JobDag.from_csr`, so a malformed hand-built instance is
+    refused here.  An edge inside its job also lies in ``[0, n_nodes)``.
+    """
+    n_nodes = flat.n_nodes
+    eo = flat.edge_offsets
+    et = flat.edge_targets
+    jno = flat.job_node_offsets
+    if eo[0] != 0 or eo[-1] != len(et) or np.any(eo[1:] < eo[:-1]):
+        raise ValueError(
+            "malformed FlatInstance: edge_offsets must be non-decreasing, "
+            f"start at 0 and end at len(edge_targets) = {len(et)}"
+        )
+    if jno[0] != 0 or jno[-1] != n_nodes or np.any(jno[1:] < jno[:-1]):
+        raise ValueError(
+            "malformed FlatInstance: job_node_offsets must be "
+            f"non-decreasing, start at 0 and end at n_nodes = {n_nodes}"
+        )
+    job_edges = np.diff(eo[jno])
+    if np.any(
+        (et < np.repeat(jno[:-1], job_edges))
+        | (et >= np.repeat(jno[1:], job_edges))
+    ):
+        raise ValueError(
+            "malformed FlatInstance: every edge must stay inside its "
+            "source node's job"
+        )
+    has_pred = np.zeros(n_nodes, dtype=bool)
+    has_pred[et] = True
+    if np.any(jno[1:] == jno[:-1]) or np.any(
+        np.logical_and.reduceat(has_pred, jno[:-1])
+    ):
+        raise ValueError(
+            "malformed FlatInstance: every job needs at least one node "
+            "without predecessors"
+        )
+
+
 def _check_nodes(flat: FlatInstance) -> None:
-    """Raise :class:`DagValidationError` where the JobSet view would:
-    a job without nodes, or a node without positive work (it would
-    never finish)."""
+    """Raise :class:`DagValidationError` for a node without positive
+    work (it would never finish), naming the first one."""
     jno = flat.job_node_offsets
     bad = np.flatnonzero(flat.node_works <= 0)
     if len(bad):
         v = int(bad[0])
         i = int(np.searchsorted(jno, v, side="right")) - 1
         raise DagValidationError(
-            f"job {i}: node {v - int(jno[i])} has non-positive work "
-            f"{int(flat.node_works[v])}"
+            f"malformed FlatInstance: node works must be positive (job "
+            f"{i}: node {v - int(jno[i])} has non-positive work "
+            f"{int(flat.node_works[v])})"
         )
-    empty = np.flatnonzero(jno[1:] <= jno[:-1])
-    if len(empty):
-        raise DagValidationError(
-            f"job {int(empty[0])}: a job DAG must contain at least one node"
+
+
+def _check_flat(flat: FlatInstance) -> None:
+    """Refuse a malformed instance, once per instance: its node works,
+    its CSR arrays, then the bounds :class:`Job` enforces on arrivals
+    and weights (a NaN weight leaves weighted admission undefined)."""
+    if getattr(flat, "_checked", False):
+        return
+    _check_nodes(flat)
+    _check_csr(flat)
+    if not np.all((flat.arrivals >= 0) & (flat.arrivals < np.inf)):
+        raise ValueError(
+            "malformed FlatInstance: arrivals must be finite and non-negative"
         )
+    if not np.all((flat.weights > 0) & (flat.weights < np.inf)):
+        raise ValueError(
+            "malformed FlatInstance: weights must be finite and positive"
+        )
+    object.__setattr__(flat, "_checked", True)
 
 
 def _with_job_spans(flat: FlatInstance, spans: np.ndarray) -> FlatInstance:
@@ -223,19 +301,18 @@ def flatten_jobset(jobset: JobSet) -> FlatInstance:
     is proportional to the number of *distinct* DAGs plus the output
     size, not to naive per-job re-walks.
 
-    The result is cached on the JobSet: a JobSet is immutable after
-    construction (``_jobs`` is a tuple and there is no mutation API), so
-    run -> sweep paths that repeatedly flatten the same instance -- the
-    measured ``flatten_jobset`` hot spot -- pay the walk once.
-    :func:`to_jobset` pre-seeds the same cache on the sets it rebuilds.
+    Returns the set's flat: the one a :func:`to_jobset` view reads, or,
+    for a set built from jobs, the result of the walk, kept in the set
+    (a JobSet is immutable) so the walk happens once.  The walk also
+    records every job's span.
     """
-    cached = getattr(jobset, "_flat_cache", None)
-    if cached is not None:
-        return cached
+    if jobset._flat is not None:
+        return jobset._flat
     n_jobs = len(jobset)
     job_nodes = np.empty(n_jobs, dtype=np.int64)
     arrivals = np.empty(n_jobs, dtype=np.float64)
     weights = np.empty(n_jobs, dtype=np.float64)
+    spans = np.empty(n_jobs, dtype=np.int64)
 
     # Per distinct DAG (by identity): local works / out-degrees / targets.
     dag_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -263,6 +340,7 @@ def flatten_jobset(jobset: JobSet) -> FlatInstance:
         job_nodes[i] = len(entry[0])
         arrivals[i] = job.arrival
         weights[i] = job.weight
+        spans[i] = job.dag.span
 
     job_node_offsets = np.zeros(n_jobs + 1, dtype=np.int64)
     np.cumsum(job_nodes, out=job_node_offsets[1:])
@@ -292,8 +370,8 @@ def flatten_jobset(jobset: JobSet) -> FlatInstance:
         arrivals=arrivals,
         weights=weights,
     )
-    jobset._flat_cache = flat
-    return flat
+    jobset._flat = _with_job_spans(flat, spans)
+    return jobset._flat
 
 
 # ----------------------------------------------------------------------
@@ -309,38 +387,38 @@ _SHAPES_MAX = 4096
 
 
 def to_jobset(flat: FlatInstance) -> JobSet:
-    """Rebuild the exact :class:`JobSet` a :class:`FlatInstance` encodes.
+    """The :class:`JobSet` a :class:`FlatInstance` encodes.
 
-    The view is cached on ``flat`` (the mirror of :func:`flatten_jobset`'s
-    cache), so each instance is rebuilt at most once per process.
+    A view that holds ``flat``: its aggregate views read the arrays, and
+    it builds its :class:`Job` objects (:func:`_materialize`) the first
+    time a caller iterates or indexes it.  Each call returns a new view;
+    nothing is cached on ``flat``.  A flat whose arrivals are not sorted
+    gets an eagerly built set in arrival order instead (re-identified,
+    as :class:`JobSet` does), which keeps ``flat`` as its source: engines
+    that need the flat's jobs in arrival order report
+    ``arrivals=unsorted`` and run their reference path.
+
+    Malformed arrays raise :class:`ValueError` here (:func:`_check_flat`).
     """
-    cached = getattr(flat, "_jobset_cache", None)
-    if cached is not None:
-        return cached
-    jobset = _rebuild_jobset(flat)
-    _cache_jobset_view(flat, jobset)
+    _check_flat(flat)
+    if flat.arrivals_sorted:
+        return JobSet._view(flat)
+    jobset = JobSet(_materialize(flat))
+    jobset._flat = flat
     return jobset
 
 
-def _rebuild_jobset(flat: FlatInstance) -> JobSet:
-    """:func:`to_jobset` without caching the view on ``flat``.
+def _materialize(flat: FlatInstance) -> Tuple[Job, ...]:
+    """The jobs of a checked ``flat``, job ``i`` with id ``i``.
 
     Structurally identical jobs (same works and edges), in this instance
     or any other, share one :class:`JobDag` through the shape map, built
     by the trusted :meth:`JobDag.from_csr`: integer works drawn from a
     distribution repeat constantly, so large instances and repeated
-    builds construct only the distinct shapes.  When arrivals are sorted
-    the set carries ``flat`` as its :func:`flatten_jobset` cache; nothing
-    points back, so refcounting frees both (the generators' views).
-
-    Node works are checked here, once per instance, because
-    :meth:`JobDag.from_csr` trusts them: a node without work would never
-    finish, so :class:`DagValidationError` names the first such job and
-    node.
+    builds construct only the distinct shapes.
     """
     n = flat.n_jobs
     jno = flat.job_node_offsets
-    _check_nodes(flat)
     eo = flat.edge_offsets
     # Local ids, rebased once per instance: edge offsets from the job's
     # first edge, edge targets from the job's first node.
@@ -367,23 +445,7 @@ def _rebuild_jobset(flat: FlatInstance) -> JobSet:
                 shapes.clear()
             shapes[key] = dag
         jobs.append(Job(i, dag, arrivals[i], weights[i]))
-    jobset = JobSet(jobs)
-    # Unsorted arrivals: JobSet re-sorts, so its job order is not flat's.
-    if n <= 1 or bool(np.all(flat.arrivals[1:] >= flat.arrivals[:-1])):
-        jobset._flat_cache = flat
-    return jobset
-
-
-def _cache_jobset_view(flat: FlatInstance, jobset: JobSet) -> None:
-    """Make ``jobset`` (which ``flat`` encodes) the :func:`to_jobset` view.
-
-    Not done by :func:`flatten_jobset`, whose hot paths flatten JobSets
-    nobody converts back.  Where ``jobset`` also caches ``flat`` (after
-    ``flatten_jobset``, or from :func:`to_jobset` for sorted arrivals)
-    the two reference each other, so only the cycle collector frees
-    them.
-    """
-    object.__setattr__(flat, "_jobset_cache", jobset)
+    return tuple(jobs)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A :class:`Job` couples an immutable :class:`~repro.dag.graph.JobDag` with
 the online-arrival metadata of Section 2 of the paper: an arrival (release)
 time ``r_i`` and a weight ``w_i`` (1.0 in the unweighted setting).  A
-:class:`JobSet` is the unit of input consumed by every scheduler in
-:mod:`repro.core`.
+:class:`JobSet` is the instance every scheduler in :mod:`repro.core`
+receives.  The set of a :class:`~repro.dag.flat.FlatInstance`
+(:func:`~repro.dag.flat.to_jobset`) is a view that holds the flat: its
+aggregate views read the flat's arrays, and its :class:`Job` objects are
+built the first time a caller iterates or indexes it.
 """
 
 from __future__ import annotations
@@ -72,69 +75,109 @@ class JobSet:
     An empty JobSet is legal -- generators and filters can legitimately
     produce zero jobs -- and every aggregate view degrades to its vacuous
     value (zero work, zero horizon, zero utilization).
+
+    A set holds at most one :class:`~repro.dag.flat.FlatInstance`: the
+    flat a :func:`~repro.dag.flat.to_jobset` view reads, or the one
+    :func:`~repro.dag.flat.flatten_jobset` made of a set built from jobs.
+    While that flat lists the jobs in the set's order (its arrivals are
+    sorted) the aggregate views read its arrays, and a view builds its
+    :class:`Job` objects only when a caller iterates or indexes it.
+    Nothing points back from the flat, so refcounting frees both.
     """
+
+    __slots__ = ("_jobs", "_flat", "__weakref__")
 
     def __init__(self, jobs: Iterable[Job]) -> None:
         ordered = sorted(jobs, key=attrgetter("arrival", "job_id"))
         # Jobs are immutable: one already carrying its index is kept.
-        self._jobs: Tuple[Job, ...] = tuple(
+        self._jobs: Optional[Tuple[Job, ...]] = tuple(
             j if j.job_id == i
             else Job(job_id=i, dag=j.dag, arrival=j.arrival, weight=j.weight)
             for i, j in enumerate(ordered)
         )
+        self._flat = None
+
+    @classmethod
+    def _view(cls, flat) -> "JobSet":
+        """The lazy set of ``flat``, whose arrivals are sorted."""
+        view = cls.__new__(cls)
+        view._jobs = None
+        view._flat = flat
+        return view
+
+    def __reduce__(self):
+        # A set travels as its flat: six arrays, not one object per job.
+        from repro.dag.flat import flatten_jobset, to_jobset
+
+        return to_jobset, (flatten_jobset(self),)
+
+    def _column(self, array: str, field: str) -> list:
+        """One value per job: the array of the flat whose job ``i`` is
+        ``self[i]`` when there is one, else the jobs' ``field``."""
+        flat = self._flat
+        if flat is not None and flat.arrivals_sorted:
+            return getattr(flat, array).tolist()
+        return [getattr(j, field) for j in self.jobs]
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
+        if self._jobs is None:
+            return self._flat.n_jobs
         return len(self._jobs)
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(self._jobs)
+        return iter(self.jobs)
 
     def __getitem__(self, idx: int) -> Job:
-        return self._jobs[idx]
+        return self.jobs[idx]
 
     # -- aggregate views ----------------------------------------------------
 
     @property
     def jobs(self) -> Tuple[Job, ...]:
-        """The jobs in arrival order."""
+        """The jobs in arrival order (a view builds them on first use)."""
+        if self._jobs is None:
+            from repro.dag import flat  # flat.py imports this module
+
+            self._jobs = flat._materialize(self._flat)
         return self._jobs
 
     @property
     def arrivals(self) -> List[float]:
         """Arrival times in arrival order."""
-        return [j.arrival for j in self._jobs]
+        return self._column("arrivals", "arrival")
 
     @property
     def works(self) -> List[int]:
         """Total works ``W_i`` in arrival order."""
-        return [j.work for j in self._jobs]
+        return self._column("job_works", "work")
 
     @property
     def spans(self) -> List[int]:
         """Critical-path lengths ``P_i`` in arrival order."""
-        return [j.span for j in self._jobs]
+        return self._column("job_spans", "span")
 
     @property
     def weights(self) -> List[float]:
         """Weights ``w_i`` in arrival order."""
-        return [j.weight for j in self._jobs]
+        return self._column("weights", "weight")
 
     @property
     def total_work(self) -> int:
         """Sum of all job works."""
-        return sum(j.work for j in self._jobs)
+        return sum(self.works)
 
     @property
     def max_span(self) -> int:
         """The largest critical-path length over all jobs (0 if empty)."""
-        return max((j.span for j in self._jobs), default=0)
+        return max(self.spans, default=0)
 
     @property
     def time_horizon(self) -> float:
         """Last arrival time -- the end of the online input (0.0 if empty)."""
-        return self._jobs[-1].arrival if self._jobs else 0.0
+        arrivals = self.arrivals
+        return arrivals[-1] if arrivals else 0.0
 
     def utilization(self, m: int) -> float:
         """Offered load: total work divided by ``m`` times the arrival span.
@@ -145,7 +188,7 @@ class JobSet:
         batch (all jobs arrive at once) is ``inf``; an empty instance
         offers no load at all, hence 0.0.
         """
-        if not self._jobs:
+        if not len(self):
             return 0.0
         horizon = self.time_horizon
         if horizon <= 0:

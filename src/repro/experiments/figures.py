@@ -22,7 +22,7 @@ from repro.core.fifo import FifoScheduler
 from repro.core.greedy import LifoScheduler, RandomPriorityScheduler
 from repro.core.opt import OptLowerBound, opt_lower_bound
 from repro.core.work_stealing import WorkStealingScheduler
-from repro.dag.flat import _rebuild_jobset
+from repro.dag.flat import to_jobset
 from repro.experiments.config import (
     ExperimentScale,
     Figure2Config,
@@ -345,12 +345,12 @@ def k_sweep_experiment(
         vals = []
         opt_vals = []
         for rep in range(reps):
-            flat = spec.build_flat(seed=derive_seed(seed, rep))
+            jobset = spec.build(seed=derive_seed(seed, rep))
             sched = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
             vals.append(
-                sched.run(flat, m=m, seed=derive_seed(seed, k, rep)).max_flow
+                sched.run(jobset, m=m, seed=derive_seed(seed, k, rep)).max_flow
             )
-            opt_vals.append(opt_lower_bound(flat, m=m).max_flow)
+            opt_vals.append(opt_lower_bound(jobset, m=m).max_flow)
         x.append(float(k))
         ws.append(float(np.mean(vals)))
         opt.append(float(np.mean(opt_vals)))
@@ -389,17 +389,17 @@ def load_sweep_experiment(
     for util in utilizations:
         qps = util * m / (dist.mean_ms / 1000.0)
         spec = WorkloadSpec(dist, qps=qps, n_jobs=n_jobs, m=m)
-        flat = spec.build_flat(seed=derive_seed(seed, int(util * 100)))
+        jobset = spec.build(seed=derive_seed(seed, int(util * 100)))
         sk = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
         s0 = WorkStealingScheduler(k=0, steals_per_tick=steals_per_tick)
         x.append(util)
-        ws_k.append(
-            sk.run(flat, m=m, seed=derive_seed(seed, 1, int(util * 100))).max_flow
-        )
-        ws_0.append(
-            s0.run(flat, m=m, seed=derive_seed(seed, 2, int(util * 100))).max_flow
-        )
-        opt.append(opt_lower_bound(flat, m=m).max_flow)
+        ws_k.append(sk.run(
+            jobset, m=m, seed=derive_seed(seed, 1, int(util * 100))
+        ).max_flow)
+        ws_0.append(s0.run(
+            jobset, m=m, seed=derive_seed(seed, 2, int(util * 100))
+        ).max_flow)
+        opt.append(opt_lower_bound(jobset, m=m).max_flow)
     ratio = [a / b for a, b in zip(ws_0, ws_k)]
     return SeriesResult(
         title=(
@@ -452,7 +452,7 @@ def steal_policy_experiment(
     names = []
     # One instance per rep, shared by every variant.
     instances = [
-        spec.build_flat(seed=derive_seed(seed, rep)) for rep in range(reps)
+        spec.build(seed=derive_seed(seed, rep)) for rep in range(reps)
     ]
     for idx, (policy, half) in enumerate(variants):
         vals, svals = [], []
@@ -559,17 +559,17 @@ def burstiness_experiment(
             m=m,
             arrival_process=BurstyProcess(qps_to_rate(qps), batch=batch),
         )
-        flat = spec.build_flat(seed=derive_seed(seed, batch))
+        jobset = spec.build(seed=derive_seed(seed, batch))
         x.append(float(batch))
-        opt.append(opt_lower_bound(flat, m=m).max_flow)
+        opt.append(opt_lower_bound(jobset, m=m).max_flow)
         sk.append(
             WorkStealingScheduler(k=16, steals_per_tick=64)
-            .run(flat, m=m, seed=derive_seed(seed, 1, batch))
+            .run(jobset, m=m, seed=derive_seed(seed, 1, batch))
             .max_flow
         )
         af.append(
             WorkStealingScheduler(k=0, steals_per_tick=64)
-            .run(flat, m=m, seed=derive_seed(seed, 2, batch))
+            .run(jobset, m=m, seed=derive_seed(seed, 2, batch))
             .max_flow
         )
     return SeriesResult(
@@ -611,15 +611,15 @@ def grain_experiment(
         spec = WorkloadSpec(
             dist, qps=qps, n_jobs=n_jobs, m=m, target_chunks=chunks
         )
-        flat = spec.build_flat(seed=derive_seed(seed, chunks))
+        jobset = spec.build(seed=derive_seed(seed, chunks))
         x.append(float(chunks))
-        opt.append(opt_lower_bound(flat, m=m).max_flow)
+        opt.append(opt_lower_bound(jobset, m=m).max_flow)
         sk.append(
             WorkStealingScheduler(k=16, steals_per_tick=64)
-            .run(flat, m=m, seed=derive_seed(seed, 3, chunks))
+            .run(jobset, m=m, seed=derive_seed(seed, 3, chunks))
             .max_flow
         )
-        spans.append(float(np.mean(flat.job_spans)))
+        spans.append(float(np.mean(jobset.spans)))
     return SeriesResult(
         title=(
             f"abl-grain: parallel-for chunking sweep [bing qps={qps:g} "
@@ -887,11 +887,10 @@ def makespan_experiment(
 
     dist = BingDistribution()
     works = dist.sample_units(derive_seed(seed, 17), n_jobs, units_per_ms=4.0)
-    flat = _parallel_for_flat(
+    jobset = to_jobset(_parallel_for_flat(
         works, np.zeros(n_jobs), target_chunks=32, setup_units=1,
         finalize_units=1,
-    )
-    jobset = _rebuild_jobset(flat)
+    ))
     total_w = jobset.total_work
     max_p = jobset.max_span
 

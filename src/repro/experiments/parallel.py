@@ -80,9 +80,9 @@ pickled once per worker under ``spawn`` / ``forkserver`` -- and
 installed in-process by the serial loop for the duration of the call.
 A task reads it with :func:`shared_data` and carries only an index into
 it.  The trade-off: under ``spawn`` each worker holds a private copy of
-the shared data.  A worker whose scheduler needs the object graph
-derives it with :func:`~repro.dag.flat.to_jobset`, which caches the view
-on that instance, so it is built once per instance per process.
+the shared data.  A sweep shares JobSets: each pickles as its flat and
+arrives as a :func:`~repro.dag.flat.to_jobset` view, so a worker whose
+scheduler iterates the jobs builds them once per instance per process.
 """
 
 from __future__ import annotations

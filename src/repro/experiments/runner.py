@@ -5,8 +5,8 @@ The two building blocks every figure uses:
 * :func:`run_schedulers` -- run a set of schedulers on one instance (the
   same instance: paired comparison) and collect results;
 * :func:`run_figure2_cell` -- one (workload, QPS) cell of Figure 2:
-  build the workload as flat arrays, run OPT / steal-k-first /
-  admit-first (and FIFO, for reference) on them, average over
+  build the workload's JobSet view, run OPT / steal-k-first /
+  admit-first (and FIFO, for reference) on it, average over
   repetitions;
 * :func:`_run_figure2_cells` -- a whole QPS sweep of such cells: it
   builds one task and one cell-cache key per QPS point and hands them
@@ -28,13 +28,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import Scheduler
 from repro.core.fifo import FifoScheduler
 from repro.core.opt import OptLowerBound
 from repro.core.work_stealing import WorkStealingScheduler
-from repro.dag.flat import FlatInstance, _rebuild_jobset
 from repro.dag.job import JobSet
 from repro.experiments.cache import SweepCache, cell_key, resume_enabled_by_env
 from repro.experiments.config import ExperimentScale, Figure2Config
@@ -52,7 +51,7 @@ from repro.workloads.generator import WorkloadSpec
 
 
 def run_schedulers(
-    jobset: Union[JobSet, FlatInstance],
+    jobset: JobSet,
     schedulers: Iterable[Scheduler],
     m: int,
     speed: float = 1.0,
@@ -62,22 +61,14 @@ def run_schedulers(
 
     Each scheduler gets its own derived seed so that, e.g., adding a
     scheduler to the comparison never changes the victim-selection
-    stream of the others.  A :class:`FlatInstance` goes as it is to
-    every scheduler whose ``consumes_flat`` is true; the others share
-    its JobSet view, built the first time one needs it.
+    stream of the others.  They share ``jobset``: a
+    :func:`~repro.dag.flat.to_jobset` view builds its jobs at most once,
+    for the first scheduler that iterates them.
     """
-    view: Optional[JobSet] = None
     out: Dict[str, ScheduleResult] = {}
     for i, sched in enumerate(schedulers):
-        instance = jobset
-        if isinstance(jobset, FlatInstance) and not getattr(
-            sched, "consumes_flat", False
-        ):
-            if view is None:
-                view = _rebuild_jobset(jobset)
-            instance = view
         run_seed = derive_seed(seed, 1000 + i)
-        out[sched.name] = sched.run(instance, m=m, speed=speed, seed=run_seed)
+        out[sched.name] = sched.run(jobset, m=m, speed=speed, seed=run_seed)
     return out
 
 
@@ -104,14 +95,14 @@ def run_figure2_cell(
 
     Runs ``scale.reps`` independent workload draws and averages the max
     flow of each scheduler across them, converting to milliseconds with
-    the config's time unit.  Each draw is built as a
-    :class:`~repro.dag.flat.FlatInstance`, run through
-    :func:`run_schedulers` and dropped before the next, so one instance
-    is alive at a time.  OPT reads the flat's per-job arrays and the two
-    work-stealing schedulers run it on the compiled kernel (see
-    :class:`~repro.core.work_stealing.WorkStealingScheduler`),
+    the config's time unit.  Each draw is built as the JobSet view of
+    a :class:`~repro.dag.flat.FlatInstance` (``spec.build``), run
+    through :func:`run_schedulers` and dropped before the next, so one
+    instance is alive at a time.  OPT reads the flat's per-job arrays
+    and the two work-stealing schedulers run it on the compiled kernel
+    (see :class:`~repro.core.work_stealing.WorkStealingScheduler`),
     bit-identical to the reference engine; only FIFO
-    (``include_fifo``) needs a JobSet view.
+    (``include_fifo``) iterates the view, building its jobs.
     """
     lineup = figure2_schedulers(cfg, include_fifo)
     spec = WorkloadSpec(
@@ -126,7 +117,7 @@ def run_figure2_cell(
     for rep in range(scale.reps):
         cell_seed = derive_seed(seed, int(qps), rep)
         results = run_schedulers(
-            spec.build_flat(seed=cell_seed),
+            spec.build(seed=cell_seed),
             lineup,
             m=cfg.m,
             seed=cell_seed,

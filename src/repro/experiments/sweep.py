@@ -25,7 +25,7 @@ through the same cached path.
 
 Execution pipeline: :func:`_grid_sweep` *plans* -- each repetition's
 instance is built (or loaded from the content-addressed cache) **once**
-in the parent, as flat CSR arrays, the only format the sweep caches and
+in the parent as a JobSet whose flat is the only format the sweep caches and
 ships; it derives the factory token, selects the ``shard=`` / ``cells=``
 slice, writes the shard manifest, and lists one task, cell key and set
 of event coordinates per (cell, repetition).  :func:`_run_cell_tasks`
@@ -37,9 +37,10 @@ finished cell, emits ``sweep.start`` / ``cell.cached`` / ``cell.run`` /
 ``sweep.done`` and writes the run manifest.  The rep instances reach
 each pool worker once, as the ``shared`` data of ``parallel_map``, so a
 task carries its coordinates and a repetition index, never an instance.
-Only a task whose scheduler's ``consumes_flat`` is false derives the
-JobSet view (:func:`~repro.dag.flat.to_jobset`).  Resumed and cold
-paths are bit-identical to a cold serial sweep
+A JobSet travels as its flat and arrives as its
+:func:`~repro.dag.flat.to_jobset` view, one per repetition per process,
+which builds its jobs only for a scheduler that iterates them.  Resumed
+and cold paths are bit-identical to a cold serial sweep
 (``tests/experiments/test_cache.py``).
 """
 
@@ -56,13 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.base import Scheduler
-from repro.dag.flat import (
-    FlatInstance,
-    _cache_jobset_view,
-    content_hash,
-    flatten_jobset,
-    to_jobset,
-)
+from repro.dag.flat import content_hash, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
 from repro.errors import SweepConfigError
 from repro.experiments.cache import CACHE_ENV, SweepCache, cell_key
@@ -217,9 +212,8 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
 
     ``task`` is ``(scheduler_factory, params, rep, m, speed, run_seed,
     metrics, task_index)``.  ``rep`` indexes the batch's shared
-    repetition instances (:func:`~repro.experiments.parallel.shared_data`);
-    a scheduler whose ``consumes_flat`` is false gets the instance's
-    :func:`~repro.dag.flat.to_jobset` view.  The
+    repetition instances (:func:`~repro.experiments.parallel.shared_data`),
+    JobSets every scheduler runs as they are.  The
     run seed arrives precomputed from the cell coordinates, so where (or
     in what order) the task runs cannot affect its result -- which is
     also what makes the task safely *re-runnable* after a worker crash
@@ -239,8 +233,6 @@ def _sweep_rep_task(task) -> Dict[str, Any]:
     maybe_inject("dispatch", index=task_index)
     scheduler = factory(**params)
     instance = shared_data()[rep]
-    if not getattr(scheduler, "consumes_flat", False):
-        instance = to_jobset(instance)
     maybe_inject("cell", index=task_index)
     t0 = time.perf_counter()
     result = scheduler.run(instance, m=m, speed=speed, seed=run_seed)
@@ -435,13 +427,12 @@ def _materialize_rep_instance(
 ):
     """Build or cache-load one repetition's instance.
 
-    Returns ``(flat, from_cache)``.  The instance cache engages only for
-    factories exposing ``cache_key`` (e.g.
-    :class:`~repro.workloads.generator.WorkloadSpec`): arbitrary
-    callables have no stable content identity to key on.  No
-    :class:`JobSet` is built here unless the factory itself returns one;
-    then that set becomes the flat's :func:`to_jobset` view, so a
-    scheduler that needs it does not rebuild it.
+    Returns ``(jobset, from_cache)``: the factory's JobSet, or the
+    :func:`to_jobset` view of the cached flat.  The instance cache
+    engages only for factories exposing ``cache_key`` (e.g.
+    :class:`~repro.workloads.generator.WorkloadSpec`, whose sets are
+    views of their generated flats): arbitrary callables have no stable
+    content identity to key on.
     """
     key_fn = getattr(jobset_factory, "cache_key", None)
     instance_key = key_fn(jobset_seed) if callable(key_fn) else None
@@ -449,19 +440,12 @@ def _materialize_rep_instance(
     if cache is not None and instance_key is not None:
         flat = cache.load_instance(instance_key)
         if flat is not None:
-            return flat, True
+            return to_jobset(flat), True
 
-    build_flat = getattr(jobset_factory, "build_flat", None)
-    if callable(build_flat):
-        # Vectorized path: CSR arrays straight from the generator.
-        flat = build_flat(jobset_seed)
-    else:
-        jobset = jobset_factory(jobset_seed)
-        flat = flatten_jobset(jobset)
-        _cache_jobset_view(flat, jobset)
+    jobset = jobset_factory(jobset_seed)
     if cache is not None and instance_key is not None:
-        cache.store_instance(instance_key, flat)
-    return flat, False
+        cache.store_instance(instance_key, flatten_jobset(jobset))
+    return jobset, False
 
 
 def _grid_sweep(
@@ -648,13 +632,15 @@ def _grid_sweep(
     # One instance per repetition, built (or cache-loaded) in the
     # parent.  The old design shipped `jobset_factory` into every task,
     # regenerating the *same* rep instance once per grid point.
-    rep_flats: List[FlatInstance] = []
+    rep_sets: List[JobSet] = []
     rep_hashes: List[str] = []
     for rep in range(reps):
         jobset_seed = derive_seed(seed, 9000, rep)
-        flat, _ = _materialize_rep_instance(jobset_factory, jobset_seed, cache)
-        rep_flats.append(flat)
-        rep_hashes.append(content_hash(flat))
+        jobset, _ = _materialize_rep_instance(
+            jobset_factory, jobset_seed, cache
+        )
+        rep_sets.append(jobset)
+        rep_hashes.append(content_hash(flatten_jobset(jobset)))
 
     factory_token = _callable_token(scheduler_factory)
     if spec is not None and factory_token is None:
@@ -795,7 +781,7 @@ def _grid_sweep(
         max_workers=max_workers,
         cell_timeout=cell_timeout,
         retries=retries,
-        shared=rep_flats,
+        shared=rep_sets,
     )
 
     # Aggregate in (cell, rep) task order -- the same float summation

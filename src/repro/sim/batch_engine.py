@@ -67,7 +67,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
+from repro.dag.flat import FlatInstance, _check_flat, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
 from repro.errors import _caller_stacklevel
 from repro.sim import _cext
@@ -161,86 +161,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_before_fork)
 
 
-def _check_csr(flat: FlatInstance) -> None:
-    """Raise :class:`ValueError` unless ``flat``'s CSR offsets are sound.
-
-    The compiled kernel indexes its tables without bounds checks, so a
-    malformed hand-built instance must be refused here rather than read
-    out of bounds there.  This checks the offsets and the edge-target
-    range; :func:`_check_jobs` checks the derived tables.
-    """
-    n_nodes = flat.n_nodes
-    eo = flat.edge_offsets
-    et = flat.edge_targets
-    jno = flat.job_node_offsets
-    if eo[0] != 0 or eo[-1] != len(et) or np.any(eo[1:] < eo[:-1]):
-        raise ValueError(
-            "malformed FlatInstance: edge_offsets must be non-decreasing, "
-            f"start at 0 and end at len(edge_targets) = {len(et)}"
-        )
-    if jno[0] != 0 or jno[-1] != n_nodes or np.any(jno[1:] < jno[:-1]):
-        raise ValueError(
-            "malformed FlatInstance: job_node_offsets must be "
-            f"non-decreasing, start at 0 and end at n_nodes = {n_nodes}"
-        )
-    if len(et) and (et.min() < 0 or et.max() >= n_nodes):
-        raise ValueError(
-            f"malformed FlatInstance: edge_targets must lie in "
-            f"[0, n_nodes = {n_nodes})"
-        )
-
-
-def _check_jobs(
-    outdeg: np.ndarray, et: np.ndarray, job_of: np.ndarray, jro: np.ndarray
-) -> None:
-    """Every edge stays inside its source's job; every job has a root.
-
-    Run on the derived tables of instances :func:`_check_csr` accepted:
-    node out-degrees, edge targets, each node's job and each job's
-    root-list offsets.  Admission starts a job at its first root.
-    """
-    if len(et) and np.any(np.repeat(job_of, outdeg) != job_of[et]):
-        raise ValueError(
-            "malformed FlatInstance: every edge must stay inside its "
-            "source node's job"
-        )
-    if np.any(jro[1:] <= jro[:-1]):
-        raise ValueError(
-            "malformed FlatInstance: every job needs at least one node "
-            "without predecessors"
-        )
-
-
-def _check_values(
-    works: np.ndarray, arrivals: np.ndarray, weights: np.ndarray
-) -> None:
-    """Node works positive, arrivals finite and non-negative, weights
-    finite and positive: the bounds ``JobDag`` and ``Job`` enforce.
-
-    A node without work would never finish (the run would spin to
-    ``max_ticks``); a NaN weight leaves weighted admission undefined.
-    """
-    if not np.all(works > 0):
-        raise ValueError("malformed FlatInstance: node works must be positive")
-    if not np.all((arrivals >= 0) & (arrivals < np.inf)):
-        raise ValueError(
-            "malformed FlatInstance: arrivals must be finite and non-negative"
-        )
-    if not np.all((weights > 0) & (weights < np.inf)):
-        raise ValueError(
-            "malformed FlatInstance: weights must be finite and positive"
-        )
-
-
 def _derive_tables(
     eo: np.ndarray, et: np.ndarray, jno: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's derived tables of CSR arrays :func:`_check_csr` accepted.
+    """The kernel's derived tables of CSR arrays
+    :func:`~repro.dag.flat._check_csr` accepted.
 
     Returns the in-degrees, chain links (a node's sole successor when
     that successor has in-degree 1, else -1), the ascending root list,
     each job's root offsets (``jro``, one entry per job plus one) and
-    each node's job, after :func:`_check_jobs` has checked them.  Edges
+    each node's job.  Edges
     never cross jobs, so deriving a concatenation equals concatenating
     the derivations, re-based.
     """
@@ -256,7 +186,6 @@ def _derive_tables(
     roots = np.flatnonzero(indeg == 0).astype(np.int64, copy=False)
     jro = np.searchsorted(roots, jno).astype(np.int64, copy=False)
     job_of = np.repeat(np.arange(len(jno) - 1, dtype=np.int64), np.diff(jno))
-    _check_jobs(outdeg, et, job_of, jro)
     return indeg, chain, roots, jro, job_of
 
 
@@ -285,12 +214,11 @@ class _BatchTables:
         "unfin_master",
         "total_work",
         "n_jobs",
-        "sorted_ok",
         "arr_cache",
     )
 
     def __init__(self, flat: FlatInstance) -> None:
-        _check_csr(flat)
+        _check_flat(flat)
         works, eo, et, jno = (
             np.ascontiguousarray(a, dtype=np.int64)
             for a in (
@@ -301,7 +229,6 @@ class _BatchTables:
         indeg, chain, roots, jro, job_of = _derive_tables(eo, et, jno)
         self.arrivals = np.asarray(flat.arrivals, dtype=np.float64)
         self.weights = np.ascontiguousarray(flat.weights, dtype=np.float64)
-        _check_values(works, self.arrivals, self.weights)
         self.works = works
         self.eo = eo
         self.et = et
@@ -313,9 +240,6 @@ class _BatchTables:
         self.unfin_master = np.diff(jno)
         self.total_work = int(works.sum())
         self.n_jobs = flat.n_jobs
-        # A hand-built FlatInstance with unsorted arrivals only has
-        # reference-engine semantics.
-        self.sorted_ok = bool(np.all(self.arrivals[1:] >= self.arrivals[:-1]))
         #: speed -> arrival-tick array (same rounding as the reference
         #: engine's arr_ticks).
         self.arr_cache: Dict[float, np.ndarray] = {}
@@ -575,7 +499,7 @@ def _run_kernel(
 ) -> ScheduleResult:
     """One replicate on the compiled kernel: a one-window run, no stop point.
 
-    ``flat``'s arrivals must be sorted (``_BatchTables.sorted_ok``).
+    ``flat``'s arrivals must be sorted (``flat.arrivals_sorted``).
     With a ``trace``, the run's segments are appended to it, also when
     the run exceeds ``max_ticks``.
     """
@@ -699,9 +623,11 @@ def run_batch(
     reasons = _slow_path_reasons(sampler)
     label = _scheduler_label(k, victim_policy, steal_half, admission)
 
-    def reference(inst, seed: SeedLike, why: tuple) -> ScheduleResult:
+    def reference(
+        jobset: JobSet, seed: SeedLike, why: tuple
+    ) -> ScheduleResult:
         result = _run_work_stealing(
-            inst if isinstance(inst, JobSet) else to_jobset(inst),
+            jobset,
             m,
             speed=speed,
             k=k,
@@ -719,11 +645,12 @@ def run_batch(
 
     results: List[ScheduleResult] = []
     for inst, seed in zip(instances, seeds):
+        jobset = to_jobset(inst) if isinstance(inst, FlatInstance) else inst
         if reasons:
-            results.append(reference(inst, seed, reasons))
+            results.append(reference(jobset, seed, reasons))
             continue
-        flat = inst if isinstance(inst, FlatInstance) else flatten_jobset(inst)
-        if _batch_tables(flat).sorted_ok:
+        flat = flatten_jobset(jobset)
+        if flat.arrivals_sorted:
             results.append(
                 _run_kernel(
                     flat, m, speed, k, sigma, seed, max_ticks, label,
@@ -731,7 +658,7 @@ def run_batch(
                 )
             )
         else:
-            # Unsorted hand-built arrivals: only the reference engine
-            # (which re-sorts and re-ids) defines the semantics.
-            results.append(reference(inst, seed, ("arrivals=unsorted",)))
+            # Unsorted hand-built arrivals: the set re-sorted and re-ided
+            # the flat's jobs, so only the reference engine runs them.
+            results.append(reference(jobset, seed, ("arrivals=unsorted",)))
     return results

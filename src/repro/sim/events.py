@@ -15,9 +15,8 @@ Two implementations of the one loop:
   ``src/repro/sim/_batch_kernel.c``), which every static-priority run
   takes: Python evaluates the priority key once per job, ranks the jobs
   by ``(key, job_id)`` -- the order the Python loop's sorted insertion
-  keeps -- and the C loop walks the CSR tables of
-  :func:`~repro.dag.flat.flatten_jobset` (cached on the JobSet) with
-  that rank;
+  keeps -- and the C loop walks the CSR tables of the set's flat
+  (:func:`~repro.dag.flat.flatten_jobset`) with that rank;
 * :func:`_run_centralized_reference`, the Python loop, which is the
   oracle, runs ``dynamic=True`` policies (LAS, SRW) and runs everything
   on a host where the kernel cannot be built (warned once, like the
@@ -180,6 +179,12 @@ def run_centralized(
         reasons = ("dynamic=True",) if dynamic else ("kernel=unavailable",)
         if not dynamic:
             _warn_slow_path()
+    elif not flatten_jobset(jobset).arrivals_sorted:
+        # The set of a flat with unsorted arrivals re-sorted its jobs.
+        reasons = ("arrivals=unsorted",)
+    else:
+        reasons = ()
+    if reasons:
         result = _run_centralized_reference(
             jobset, m, speed, priority_key, scheduler_name, trace, dynamic
         )
@@ -225,7 +230,7 @@ def _run_centralized_flat(
     """
     tables = _batch_tables(flat)
     n = flat.n_jobs
-    if not tables.sorted_ok:
+    if not flat.arrivals_sorted:
         raise ValueError(
             "malformed FlatInstance: arrivals must be non-decreasing"
         )

@@ -98,6 +98,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.dag.flat import _check_csr
 from repro.errors import SweepConfigError
 from repro.metrics.online import OnlineFlowStats, WindowedUtilization
 from repro.obs.manifest import build_manifest, write_manifest
@@ -128,7 +129,6 @@ from repro.sim._cext import (
     fresh_state,
 )
 from repro.sim.batch_engine import (
-    _check_csr,
     _derive_tables,
     _kernel_stats,
     _KernelWindow,

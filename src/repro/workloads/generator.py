@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dag.flat import FlatInstance, _rebuild_jobset, _with_job_spans
+from repro.dag.flat import FlatInstance, _with_job_spans, to_jobset
 from repro.dag.job import JobSet
 from repro.sim.rng import SeedLike, spawn_rngs
 from repro.workloads.arrivals import ArrivalProcess, PoissonProcess
@@ -239,12 +239,13 @@ class WorkloadSpec:
     def build(self, seed: SeedLike = None) -> JobSet:
         """Materialize the workload into a :class:`JobSet`.
 
-        The JobSet view of :meth:`build_flat`: it carries that flat, so
-        ``flatten_jobset(spec.build(s))`` is a cache hit, and identical
+        The :func:`~repro.dag.flat.to_jobset` view of :meth:`build_flat`:
+        it holds that flat (``flatten_jobset(spec.build(s))`` returns
+        it) and builds its jobs only when iterated, where identical
         bodies share one :class:`JobDag` with every other view in the
-        process (:func:`~repro.dag.flat.to_jobset`'s shape map).
+        process (the shape map).
         """
-        return _rebuild_jobset(self.build_flat(seed))
+        return to_jobset(self.build_flat(seed))
 
     def build_flat(self, seed: SeedLike = None) -> FlatInstance:
         """Materialize the workload directly as a :class:`FlatInstance`.

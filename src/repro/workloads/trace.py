@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.dag.flat import _rebuild_jobset
+from repro.dag.flat import to_jobset
 from repro.dag.job import JobSet
 from repro.workloads.generator import _parallel_for_flat
 
@@ -97,7 +97,7 @@ def jobset_from_trace(
     arrival_units = arrivals_s * 1000.0 * units_per_ms
     # JobSet order: by arrival, ties by trace position.
     order = np.argsort(arrival_units, kind="stable")
-    return _rebuild_jobset(
+    return to_jobset(
         _parallel_for_flat(
             units.astype(np.int64)[order] - overhead,
             arrival_units[order],

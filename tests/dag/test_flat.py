@@ -6,9 +6,14 @@ order, same arrivals and weights -- and ``content_hash`` is a pure
 function of that content.
 """
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.dag import flat as flat_mod
 from repro.dag.builders import (
     adversarial_fork,
     balanced_tree,
@@ -187,10 +192,12 @@ class TestSerialization:
 
 
 class TestJobSetView:
-    """``to_jobset`` caches its view on the instance it was given."""
+    """``to_jobset`` returns a set that holds the flat and builds its
+    jobs once; nothing is cached on the flat."""
 
     @pytest.mark.parametrize("order", [1, -1], ids=["sorted", "unsorted"])
-    def test_view_is_built_once_and_equals_a_rebuild(self, order):
+    def test_view_is_built_once_and_equals_a_rebuild(self, order,
+                                                     monkeypatch):
         flat = flatten_jobset(_mixed_jobset())
         fields = {
             "node_works": flat.node_works,
@@ -201,17 +208,54 @@ class TestJobSetView:
             "weights": flat.weights,
         }
         inst = FlatInstance(**fields)
+        built = []
+        materialize = flat_mod._materialize
+
+        def counting(flat):
+            built.append(flat)
+            return materialize(flat)
+
+        monkeypatch.setattr(flat_mod, "_materialize", counting)
         view = to_jobset(inst)
-        assert to_jobset(inst) is view
+        # Sorted arrivals: a lazy view.  Unsorted: built at once, sorted.
+        assert built == ([] if order == 1 else [inst])
+        assert view.works == [job.work for job in view]
+        assert view[0] is view.jobs[0] and list(view) == list(view.jobs)
+        assert built == [inst]
+        assert flatten_jobset(view) is inst
+        assert to_jobset(inst) is not view
         assert_jobsets_identical(view, to_jobset(FlatInstance(**fields)))
 
     def test_pickle_ships_the_arrays_only(self):
-        import pickle
-
         flat = flatten_jobset(_mixed_jobset())
-        to_jobset(flat)
+        view = to_jobset(flat)
+        view.jobs
         back = pickle.loads(pickle.dumps(flat))
         assert back == flat
-        assert not hasattr(back, "_jobset_cache")
+        # Derived state (spans, checks, kernel tables) stays in-process.
+        assert sorted(vars(back)) == sorted(
+            name for name, _ in flat_mod._FIELDS
+        )
         assert not back.node_works.flags.writeable
         assert len(pickle.dumps(flat)) < flat.nbytes + 2048
+        # A JobSet travels as its flat and arrives as a view of it.
+        assert len(pickle.dumps(view)) < len(pickle.dumps(flat)) + 256
+        copy = pickle.loads(pickle.dumps(view))
+        assert copy._jobs is None and flatten_jobset(copy) == flat
+        assert_jobsets_identical(copy, view)
+
+    def test_view_and_flat_are_freed_by_refcounting(self):
+        flat = flatten_jobset(_mixed_jobset())
+        fields = {name: getattr(flat, name) for name, _ in flat_mod._FIELDS}
+        gc.disable()
+        try:
+            inst = FlatInstance(**fields)
+            view = to_jobset(inst)
+            view.jobs, view.spans, flatten_jobset(view)
+            built = _mixed_jobset()
+            refs = [weakref.ref(obj) for obj in
+                    (inst, view, built, flatten_jobset(built))]
+            del inst, view, built
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()

@@ -1,18 +1,18 @@
 """Guard: a Figure 2 cell runs on flat arrays and builds no ``Job``.
 
-:func:`repro.experiments.runner.run_figure2_cell` builds each rep as a
-:class:`~repro.dag.flat.FlatInstance`; OPT reads its per-job arrays and
-the work-stealing schedulers run it on the kernel.  Only FIFO
-(``include_fifo=True``) needs a JobSet view.  With ``Job`` and the
-JobSet view made to raise, a cell and a whole panel must still return
-exactly what the JobSet path returned.
+:func:`repro.experiments.runner.run_figure2_cell` builds each rep as the
+JobSet view of a :class:`~repro.dag.flat.FlatInstance`; OPT reads the
+flat's per-job arrays and the work-stealing schedulers run it on the
+kernel.  Only FIFO (``include_fifo=True``) iterates the view, building
+its jobs.  With ``Job``, ``JobSet(jobs)`` and the view's materializer
+made to raise, a cell and a whole panel must still return exactly what
+the JobSet path returned.
 """
 
 import pytest
 
 from repro.dag import flat as flat_mod
 from repro.dag.job import Job, JobSet
-from repro.experiments import runner
 from repro.experiments.config import ExperimentScale, FIG2A, FIG2C
 from repro.experiments.figures import figure2
 from repro.experiments.runner import (
@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     run_schedulers,
 )
 from repro.sim.rng import derive_seed
-from repro.workloads import generator
 from repro.workloads.generator import WorkloadSpec
 
 SCALE = ExperimentScale(n_jobs=200, reps=2)
@@ -52,15 +51,14 @@ def jobset_cell(cfg, qps, scale, seed, include_fifo=False):
 
 @pytest.fixture
 def no_jobs(monkeypatch):
-    """Make every way of building a Job or a JobSet view raise."""
+    """Make every way of building a Job, or a JobSet of jobs, raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Figure 2 cell path built a Job/JobSet")
 
     monkeypatch.setattr(Job, "__post_init__", refuse)
     monkeypatch.setattr(JobSet, "__init__", refuse)
-    for module in (flat_mod, runner, generator):
-        monkeypatch.setattr(module, "_rebuild_jobset", refuse)
+    monkeypatch.setattr(flat_mod, "_materialize", refuse)
 
 
 @pytest.mark.parametrize("cfg", [FIG2A, FIG2C], ids=["bing", "lognormal"])
@@ -85,13 +83,13 @@ def test_fifo_gets_one_view_per_rep(monkeypatch):
     qps = FIG2A.qps_values[0]
     expected = jobset_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
     built = []
-    real = runner._rebuild_jobset
+    real = flat_mod._materialize
 
     def counting(flat):
         built.append(flat.n_jobs)
         return real(flat)
 
-    monkeypatch.setattr(runner, "_rebuild_jobset", counting)
+    monkeypatch.setattr(flat_mod, "_materialize", counting)
     got = run_figure2_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
     assert got == expected
     assert "fifo" in got

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.experiments.config import ExperimentScale, Figure2Config
-from repro.dag.flat import to_jobset
 from repro.experiments.parallel import (
     default_workers,
     parallel_map,
@@ -196,8 +195,8 @@ class TestParallelMap:
 
 
 def _view_probe(rep):  # top-level: runs in pool workers
-    flat = shared_data()[rep]
-    return os.getpid(), rep, id(flat), id(to_jobset(flat))
+    view = shared_data()[rep]
+    return os.getpid(), rep, id(view), id(view.jobs)
 
 
 def _sweep_spec(n_jobs):
@@ -213,39 +212,42 @@ class TestSharedTaskData:
     def test_view_is_built_once_per_rep_per_process(self, monkeypatch):
         from repro.dag import flat as flat_mod
 
-        flats = [_sweep_spec(30).build_flat(seed) for seed in (4, 5)]
+        views = [_sweep_spec(30).build(seed) for seed in (4, 5)]
         built = []
-        real_jobset = flat_mod.JobSet
+        materialize = flat_mod._materialize
 
-        def counting(jobs):
+        def counting(flat):
             built.append(1)
-            return real_jobset(jobs)
+            return materialize(flat)
 
-        monkeypatch.setattr(flat_mod, "JobSet", counting)
-        # In-process: the parent's own instances, each viewed once, and
-        # the table is gone after the call.
+        monkeypatch.setattr(flat_mod, "_materialize", counting)
+        # In-process: the parent's own views, each building its jobs
+        # once, and the table is gone after the call.
         serial = parallel_map(
-            _view_probe, [0, 1] * 4, max_workers=1, shared=flats
+            _view_probe, [0, 1] * 4, max_workers=1, shared=views
         )
-        assert {(rep, flat_id) for _, rep, flat_id, _ in serial} == {
-            (rep, id(flat)) for rep, flat in enumerate(flats)
+        assert {(rep, view_id) for _, rep, view_id, _ in serial} == {
+            (rep, id(view)) for rep, view in enumerate(views)
         }
-        assert len({view_id for *_, view_id in serial}) == 2
+        assert len({jobs_id for *_, jobs_id in serial}) == 2
         assert len(built) == 2
         assert shared_data() == ()
-        # On the pool: one view per (worker, rep).
+        # On the pool: one set of jobs per (worker, rep).
+        fresh = [_sweep_spec(30).build(seed) for seed in (4, 5)]
         pooled = parallel_map(
-            _view_probe, [0, 1] * 4, max_workers=2, shared=flats
+            _view_probe, [0, 1] * 4, max_workers=2, shared=fresh
         )
-        views = {}
-        for pid, rep, _, view_id in pooled:
-            assert views.setdefault((pid, rep), view_id) == view_id
+        jobs = {}
+        for pid, rep, _, jobs_id in pooled:
+            assert jobs.setdefault((pid, rep), jobs_id) == jobs_id
         assert os.getpid() not in {pid for pid, *_ in pooled}
+        assert all(view._jobs is None for view in fresh)
 
     def test_cold_tasks_do_not_grow_with_the_instance(self, monkeypatch):
         import pickle
 
-        from repro.dag.flat import FlatInstance
+        from repro.dag.flat import FlatInstance, flatten_jobset
+        from repro.dag.job import JobSet
         from repro.experiments import sweep as sweep_mod
 
         real_map = sweep_mod.parallel_map
@@ -262,13 +264,16 @@ class TestSharedTaskData:
                 _make_scheduler, {"k": [0, 4]}, _sweep_spec(n_jobs), m=4,
                 reps=2, seed=3, max_workers=1,
             )
-        (small, small_flats), (large, large_flats) = captured
-        assert large_flats[0].nbytes > 10 * small_flats[0].nbytes
+        (small, small_sets), (large, large_sets) = captured
+        assert (
+            flatten_jobset(large_sets[0]).nbytes
+            > 10 * flatten_jobset(small_sets[0]).nbytes
+        )
         sizes = [len(pickle.dumps(task)) for task in small]
         assert sizes == [len(pickle.dumps(task)) for task in large]
         assert max(sizes) < 1024
         assert not any(
-            isinstance(field, FlatInstance)
+            isinstance(field, (FlatInstance, JobSet))
             for task in small + large
             for field in task
         )

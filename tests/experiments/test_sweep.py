@@ -6,6 +6,7 @@ import repro
 import repro.sim.engine
 from repro.core.fifo import FifoScheduler
 from repro.core.work_stealing import WorkStealingScheduler
+from repro.dag import flat as flat_mod
 from repro.dag.builders import single_node
 from repro.dag.job import JobSet, jobs_from_dags
 from repro.experiments import sweep as sweep_mod
@@ -138,14 +139,17 @@ def small_spec():
 
 
 def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
-    """WorkStealingScheduler cells get the shared FlatInstance, for
-    every victim policy: the kernel runs them all."""
+    """WorkStealingScheduler cells get the shared flat's JobSet view,
+    for every victim policy: the kernel runs them all, and none builds
+    the view's jobs."""
     seen = []
     routed_run = WorkStealingScheduler.run
 
     def spy(self, jobset, *args, **kwargs):
-        seen.append((self.victim_policy, type(jobset).__name__))
-        return routed_run(self, jobset, *args, **kwargs)
+        result = routed_run(self, jobset, *args, **kwargs)
+        seen.append((self.victim_policy, type(jobset).__name__,
+                     jobset._jobs is None))
+        return result
 
     monkeypatch.setattr(WorkStealingScheduler, "run", spy)
     for policy in ("uniform", "round-robin"):
@@ -154,7 +158,7 @@ def test_work_stealing_rep_tasks_receive_flat_instances(monkeypatch):
             {"k": [0, 2]}, small_spec(), m=4, reps=2, seed=5, max_workers=1,
         )
     assert sorted(set(seen)) == [
-        ("round-robin", "FlatInstance"), ("uniform", "FlatInstance")
+        ("round-robin", "JobSet", True), ("uniform", "JobSet", True)
     ]
 
 
@@ -212,15 +216,22 @@ def test_every_rep_reports_its_own_cell_run(monkeypatch):
 
 
 def _count_jobsets(monkeypatch):
-    """Record every JobSet built in this process from now on."""
+    """Record every set of jobs built in this process from now on: a
+    JobSet built from jobs, or the jobs of a flat's view."""
     built = []
     init = JobSet.__init__
+    materialize = flat_mod._materialize
 
     def counting(self, jobs):
         built.append(1)
         init(self, jobs)
 
+    def counting_view(flat):
+        built.append(1)
+        return materialize(flat)
+
     monkeypatch.setattr(JobSet, "__init__", counting)
+    monkeypatch.setattr(flat_mod, "_materialize", counting_view)
     return built
 
 
@@ -233,9 +244,9 @@ def _fifo(k):  # top-level, so pool workers can unpickle it
 def test_flat_sweep_builds_no_jobset_in_the_parent(
     monkeypatch, tmp_path, max_workers
 ):
-    """The sweep ships FlatInstances only: with a scheduler that takes
-    them, the parent never builds the object view -- cold, pooled, or
-    served from a warm cache."""
+    """The sweep ships FlatInstances only: with a scheduler that reads
+    the flat, the parent never builds a job -- cold, pooled, or served
+    from a warm cache."""
     if _cext.resolve_batch_kernel() is None:  # pragma: no cover
         pytest.skip("the reference fallback builds the view by design")
     built = _count_jobsets(monkeypatch)
@@ -261,9 +272,9 @@ def test_flat_sweep_builds_no_jobset_in_the_parent(
 def test_jobset_scheduler_sweep_builds_one_view_per_rep(
     monkeypatch, workload
 ):
-    """A scheduler that needs the object graph gets one per repetition
-    instance, not one per (cell, rep) task: derived once from a flat
-    build, or the factory's own JobSet, never rebuilt."""
+    """A scheduler that iterates the jobs gets one set per repetition
+    instance, not one per (cell, rep) task: built once by the view of
+    a flat build, or the factory's own JobSet, never rebuilt."""
     built = _count_jobsets(monkeypatch)
     repro.sweep(
         _fifo, {"k": [0, 1, 2]}, workload, m=4, reps=2, seed=5,

@@ -1,5 +1,6 @@
 """Freshness check: docs/API.md must match the current public surface."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,15 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_api_reference_is_fresh():
+    # Run as documented: from the repository root, without PYTHONPATH.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "gen_api_docs.py"), "--check"],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=REPO_ROOT,
+        env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

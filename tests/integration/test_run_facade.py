@@ -28,9 +28,15 @@ from repro.core.greedy import (
     RandomPriorityScheduler,
     SjfScheduler,
 )
-from repro.core.work_stealing import WorkStealingScheduler
+from repro.core.opt import OptLowerBound
+from repro.core.work_stealing import (
+    AdmitFirstScheduler,
+    WeightedWorkStealingScheduler,
+    WorkStealingScheduler,
+)
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
 from repro.sim.engine import _run_work_stealing
+from repro.sim.result import result_to_dict
 from repro.sim.sampling import SystemSampler
 from repro.sim.trace import TraceRecorder
 from repro.speedup.engine import _run_speedup_equi, _run_speedup_fifo
@@ -103,6 +109,32 @@ class TestDispatch:
     def test_bad_scheduler_type(self, jobset):
         with pytest.raises(TypeError, match="Scheduler"):
             repro.run(42, jobset, m=4)
+
+
+#: Every engine name that takes a DAG instance, and every built-in
+#: Scheduler (the speedup engines take a SpeedupJobSet).
+DAG_SCHEDULERS = [
+    "work-stealing", "flat", FifoScheduler, BwfScheduler, LifoScheduler,
+    SjfScheduler, RandomPriorityScheduler, LeastAttainedServiceScheduler,
+    ShortestRemainingWorkScheduler, WorkStealingScheduler,
+    AdmitFirstScheduler, WeightedWorkStealingScheduler, OptLowerBound,
+]
+
+
+@pytest.mark.parametrize(
+    "scheduler", DAG_SCHEDULERS,
+    ids=lambda s: s if isinstance(s, str) else s.__name__,
+)
+def test_flat_instance_runs_as_its_jobset(jobset, scheduler):
+    """``run`` takes a FlatInstance for every scheduler: the same
+    result, path and reasons as the JobSet it encodes."""
+    flat = repro.flatten_jobset(repro.jobs_from_dags(
+        [job.dag for job in jobset], [job.arrival for job in jobset],
+    ))
+    ref = repro.run(scheduler, jobset, m=4, seed=3)
+    got = repro.run(scheduler, flat, m=4, seed=3)
+    assert result_to_dict(got) == result_to_dict(ref)
+    assert (got.path, got.reasons) == (ref.path, ref.reasons)
 
 
 class TestAliases:
@@ -302,6 +334,7 @@ class TestPathAgreement:
             flat, arrivals=np.ascontiguousarray(flat.arrivals[::-1])
         )
         assert self.check(ran, "flat", unsorted) == "reference"
+        assert self.check(ran, FifoScheduler(), unsorted) == "reference"
 
     def test_work_stealing_scheduler_in_and_out_of_scope(self, ran, jobset):
         assert self.check(ran, WorkStealingScheduler(k=2), jobset) == "cext"

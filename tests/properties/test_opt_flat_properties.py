@@ -1,10 +1,10 @@
 """Property test: the OPT lower bound reads a flat instance exactly.
 
-:func:`repro.core.opt.opt_lower_bound` takes a
-:class:`~repro.dag.flat.FlatInstance` and reads its per-job arrays
+:func:`repro.core.opt.opt_lower_bound` reads the per-job arrays
 (:attr:`~repro.dag.flat.FlatInstance.job_works`,
-:attr:`~repro.dag.flat.FlatInstance.job_spans`) instead of the
-instance's JobSet view.  On every drawn instance the two must agree
+:attr:`~repro.dag.flat.FlatInstance.job_spans`) of a
+:class:`~repro.dag.flat.FlatInstance`'s view and of a JobSet built from
+jobs (its flattening).  On every drawn instance the two must agree
 exactly: completions (``np.array_equal``, and equal to the recursion's
 first, numpy-indexed loop), max flow and stats.  The
 draws cover generated parallel-for workloads (whose spans come in
@@ -269,18 +269,27 @@ def test_unsorted_flat_reads_its_ordered_view():
     assert ref.max_flow == got.max_flow
 
 
-def test_scheduler_takes_the_flat():
+def test_scheduler_takes_the_flat(monkeypatch):
+    """The scheduler reads the view's flat and builds no job; a
+    subclass overriding ``run`` gets the same view."""
+    from repro.dag import flat as flat_mod
+
     spec = WorkloadSpec(BingDistribution(), qps=900.0, n_jobs=50, m=4)
     sched = OptLowerBound()
-    assert sched.consumes_flat
-    flat = spec.build_flat(3)
-    got = sched.run(flat, m=4)
-    ref = sched.run(spec.build(3), m=4)
+    ref = sched.run(JobSet(spec.build(3).jobs), m=4)
+
+    def refuse(flat):
+        raise AssertionError("OPT built the view's jobs")
+
+    monkeypatch.setattr(flat_mod, "_materialize", refuse)
+    view = spec.build(3)
+    got = sched.run(view, m=4)
     assert np.array_equal(ref.completions, got.completions)
-    assert getattr(flat, "_jobset_cache", None) is None
 
     class Custom(OptLowerBound):
         def run(self, jobset, m, speed=1.0, seed=None, trace=None):
             return super().run(jobset, m, speed, seed, trace)
 
-    assert not Custom().consumes_flat
+    custom = Custom().run(view, m=4)
+    assert np.array_equal(ref.completions, custom.completions)
+    assert view._jobs is None

@@ -259,6 +259,9 @@ _MALFORMED = {
     "target-out-of-range": ([1, 1], [0, 1, 1], [100000000], [0, 2]),
     "negative-target": ([1, 1], [0, 1, 1], [-1], [0, 2]),
     "edge-crosses-jobs": ([1, 1], [0, 1, 1], [1], [0, 1, 2]),
+    "edge-leaves-its-job": (
+        [1, 1, 1, 1, 1], [0, 0, 0, 1, 1, 1], [1], [0, 2, 5]
+    ),
     "edge-offsets-start": ([1, 1], [1, 1, 1], [1], [0, 2]),
     "edge-offsets-decrease": ([1, 1, 1], [0, 2, 1, 2], [1, 2], [0, 3]),
     "edge-offsets-end": ([1, 1], [0, 1, 1], [1, 0], [0, 2]),
@@ -272,6 +275,10 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_instance_is_refused_before_the_kernel(case):
+    """Every entry point refuses a malformed flat with the kernel's
+    error, before a view, a per-job array or the kernel reads it."""
+    from repro.core.opt import opt_lower_bound
+    from repro.dag.flat import to_jobset
     from repro.sim.stream_engine import _segment_tables
 
     flat = _flat(*_MALFORMED[case])
@@ -279,6 +286,12 @@ def test_malformed_instance_is_refused_before_the_kernel(case):
         run_batch([flat], 2, seeds=[0])
     with pytest.raises(ValueError, match="malformed FlatInstance"):
         _segment_tables(flat)  # the per-segment check of streaming runs
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        to_jobset(_flat(*_MALFORMED[case]))
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        opt_lower_bound(_flat(*_MALFORMED[case]), m=2)
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        repro.run(repro.FifoScheduler(), _flat(*_MALFORMED[case]), m=2)
 
 
 @pytest.mark.parametrize("arrival,weight", [

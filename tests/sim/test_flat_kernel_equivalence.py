@@ -384,7 +384,6 @@ def test_routed_scheduler_matches_reference(case, monkeypatch):
     )
     knobs = random_policy_knobs(rng)
     scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma, **knobs)
-    assert scheduler.consumes_flat
 
     def no_reference(*args, **kwargs):
         raise AssertionError("an in-scope run took the reference engine")
@@ -392,12 +391,14 @@ def test_routed_scheduler_matches_reference(case, monkeypatch):
     monkeypatch.setattr(batch_engine, "_run_work_stealing", no_reference)
     got = assert_routed_matches_reference(scheduler, jobset, m, speed, case)
     assert (got.path, got.reasons) == ("cext", ())
-    # The flat form, as sweep workers hand it over, with an int seed.
+    # The flat's view, as sweep workers hand it over, with an int seed.
     monkeypatch.undo()
     assert_identical(
         _run_work_stealing(jobset, m=m, speed=speed, seed=case, k=k,
                            steals_per_tick=sigma, **knobs),
-        scheduler.run(flatten_jobset(jobset), m=m, speed=speed, seed=case),
+        scheduler.run(
+            to_jobset(flatten_jobset(jobset)), m=m, speed=speed, seed=case
+        ),
     )
 
 
@@ -430,7 +431,6 @@ def test_routed_out_of_scope_runs_reference_without_warning(
     m, speed, k, sigma = random_config(rng)
     jobset = random_instance(7100 + case, n_jobs=8)
     scheduler = WorkStealingScheduler(k=k, steals_per_tick=sigma, **knobs)
-    assert scheduler.consumes_flat
     got = assert_routed_matches_reference(
         scheduler, jobset, m, speed, case, observers
     )

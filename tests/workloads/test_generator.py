@@ -234,14 +234,23 @@ class TestJobSetView:
 
     def test_build_carries_its_flat(self):
         js = self.SPEC.build(seed=4)
-        assert js._flat_cache == self.SPEC.build_flat(seed=4)
-        assert flatten_jobset(js) is js._flat_cache
-        assert not hasattr(js._flat_cache, "_jobset_cache")
+        flat = flatten_jobset(js)
+        assert flat == self.SPEC.build_flat(seed=4)
+        assert js._jobs is None  # no job built yet
+        assert js.works == flat.job_works.tolist()
+        assert js.spans == flat.job_spans.tolist()
+        assert js._jobs is None
+        assert flatten_jobset(js) is flat
+        # Nothing points from the flat back to a set.
+        assert not any(
+            isinstance(value, JobSet) for value in vars(flat).values()
+        )
 
     def test_view_and_flat_are_freed_by_refcounting(self):
         gc.disable()
         try:
             js = self.SPEC.build(seed=5)
+            js.jobs  # the built jobs belong to the view
             flat = flatten_jobset(js)
             refs = weakref.ref(js), weakref.ref(flat)
             del js, flat
