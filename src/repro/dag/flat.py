@@ -31,14 +31,22 @@ it), reads its per-job arrays from it, and builds its :class:`Job`
 objects only when a caller iterates or indexes it.  Nothing points from
 a flat to a set.  Malformed arrays are refused once per flat
 (:func:`_check_flat`), before any view or per-job array reads them.
+
+Per-job spans and works are derived once per flat: in closed form by a
+builder that knows them (the parallel-for generator,
+:meth:`FlatInstance.tile`, the :func:`flatten_jobset` walk), else from
+the arrays (:func:`_span_pass`, ``np.add.reduceat``).  An instance that
+releases one DAG many times is built by :meth:`FlatInstance.tile`
+without a :class:`Job` or a walk.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,20 +155,53 @@ class FlatInstance:
         (read-only), in this instance's job order.
 
         Cached on the instance: set in closed form by a builder that
-        knows it (parallel-for jobs) or by :func:`flatten_jobset`, else
-        read once off the jobs of a :func:`to_jobset` view.  Equal to
-        ``to_jobset(self).spans`` where arrivals are sorted.
+        knows it (parallel-for jobs, :meth:`tile`) or by
+        :func:`flatten_jobset`, else computed once from the arrays by
+        :func:`_span_pass`.  Equal to ``to_jobset(self).spans`` where
+        arrivals are sorted.
         """
         spans = getattr(self, "_job_spans_cache", None)
         if spans is None:
-            view = to_jobset(self)
-            spans = np.empty(self.n_jobs, dtype=np.int64)
-            # The set orders jobs by (arrival, index), a stable sort.
-            spans[np.argsort(self.arrivals, kind="stable")] = [
-                job.span for job in view.jobs
-            ]
-            spans = _with_job_spans(self, spans)._job_spans_cache
+            spans = _with_job_spans(self, _span_pass(self))._job_spans_cache
         return spans
+
+    @classmethod
+    def tile(
+        cls,
+        dag: JobDag,
+        arrivals: Sequence[float],
+        weights: Optional[Sequence[float]] = None,
+    ) -> "FlatInstance":
+        """The instance that releases ``dag`` once per arrival.
+
+        Job ``i`` is ``dag`` released at ``arrivals[i]`` with weight
+        ``weights[i]`` (default 1.0).  The arrays are the DAG's CSR
+        repeated ``n`` times with node ids shifted by ``i * k`` (``k``
+        nodes per job), built in O(nodes) numpy with no per-job Python;
+        every job's span and work are recorded in closed form.  Equal to
+        :func:`flatten_jobset` of the jobs it describes, listed in the
+        given order (unsorted arrivals are sorted by :func:`to_jobset`).
+        """
+        works, degrees, targets = _dag_csr(dag)
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        n = len(arrivals)
+        k = len(works)
+        edge_offsets = np.zeros(n * k + 1, dtype=np.int64)
+        np.cumsum(np.tile(degrees, n), out=edge_offsets[1:])
+        shifts = np.arange(n, dtype=np.int64) * k
+        flat = cls(
+            node_works=np.tile(works, n),
+            edge_offsets=edge_offsets,
+            edge_targets=(targets[None, :] + shifts[:, None]).ravel(),
+            job_node_offsets=np.append(shifts, n * k),
+            arrivals=arrivals,
+            weights=np.ones(n) if weights is None else weights,
+        )
+        return _with_job_spans(
+            flat,
+            np.full(n, dag.span, dtype=np.int64),
+            works=np.full(n, dag.total_work, dtype=np.int64),
+        )
 
     def job_slice(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Job ``i``'s (works, edge_offsets, edge_targets) in local ids.
@@ -279,13 +320,65 @@ def _check_flat(flat: FlatInstance) -> None:
     object.__setattr__(flat, "_checked", True)
 
 
-def _with_job_spans(flat: FlatInstance, spans: np.ndarray) -> FlatInstance:
-    """Cache ``spans`` as ``flat.job_spans`` (a builder that knows them
-    in closed form calls this); returns ``flat``."""
-    spans = np.asarray(spans, dtype=np.int64)
-    spans.flags.writeable = False
-    object.__setattr__(flat, "_job_spans_cache", spans)
+def _with_job_spans(
+    flat: FlatInstance,
+    spans: np.ndarray,
+    works: Optional[np.ndarray] = None,
+) -> FlatInstance:
+    """Cache ``spans`` as ``flat.job_spans``, and ``works`` (if given)
+    as ``flat.job_works``: a builder that knows them in closed form calls
+    this.  Returns ``flat``."""
+    for name, values in (
+        ("_job_spans_cache", spans), ("_job_works_cache", works)
+    ):
+        if values is not None:
+            values = np.asarray(values, dtype=np.int64)
+            values.flags.writeable = False
+            object.__setattr__(flat, name, values)
     return flat
+
+
+def _span_pass(flat: FlatInstance) -> np.ndarray:
+    """Every job's critical-path length, from the arrays alone.
+
+    A segmented longest-path pass over the whole instance, level by
+    level from the roots (Kahn's algorithm on a frontier array): each
+    frontier node's finish time is pushed to its successors with
+    ``np.maximum.at``, a successor joins the next frontier once all its
+    predecessors have, and ``np.maximum.reduceat`` over
+    ``job_node_offsets`` takes each job's latest finish.  One numpy
+    round per DAG level, however many jobs.  Raises
+    :class:`DagValidationError` if a job's DAG has a cycle.
+    """
+    _check_flat(flat)
+    works = flat.node_works
+    eo = flat.edge_offsets
+    et = flat.edge_targets
+    start = np.zeros(flat.n_nodes, dtype=np.int64)
+    waiting = np.bincount(et, minlength=flat.n_nodes)
+    frontier = np.flatnonzero(waiting == 0)
+    done = 0
+    while len(frontier):
+        done += len(frontier)
+        ends = start[frontier] + works[frontier]
+        lo = eo[frontier]
+        counts = eo[frontier + 1] - lo
+        total = int(counts.sum())
+        # The frontier's edges: each node's run eo[v]..eo[v+1].
+        firsts = np.cumsum(counts) - counts
+        edges = np.repeat(lo - firsts, counts) + np.arange(total)
+        succ = et[edges]
+        np.maximum.at(start, succ, np.repeat(ends, counts))
+        succ, hits = np.unique(succ, return_counts=True)
+        waiting[succ] -= hits
+        frontier = succ[waiting[succ] == 0]
+    if done != flat.n_nodes:
+        v = int(np.flatnonzero(waiting)[0])
+        i = int(np.searchsorted(flat.job_node_offsets, v, side="right")) - 1
+        raise DagValidationError(
+            f"malformed FlatInstance: job {i}'s DAG has a cycle"
+        )
+    return np.maximum.reduceat(start + works, flat.job_node_offsets[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -293,13 +386,29 @@ def _with_job_spans(flat: FlatInstance, spans: np.ndarray) -> FlatInstance:
 # ----------------------------------------------------------------------
 
 
+def _dag_csr(dag: JobDag) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One DAG's local CSR pieces: node works, out-degrees and the
+    concatenated successor ids (``int64``)."""
+    works = np.asarray(dag.works, dtype=np.int64)
+    degrees = np.fromiter(
+        (len(s) for s in dag.successors), dtype=np.int64, count=dag.n_nodes
+    )
+    targets = np.fromiter(
+        chain.from_iterable(dag.successors), dtype=np.int64,
+        count=dag.n_edges,
+    )
+    return works, degrees, targets
+
+
 def flatten_jobset(jobset: JobSet) -> FlatInstance:
     """Encode a :class:`JobSet` into CSR arrays (jobs stay in set order).
 
-    Jobs that share one :class:`JobDag` object (e.g. the adversarial
-    instance) are flattened once and their spans replicated, so the cost
-    is proportional to the number of *distinct* DAGs plus the output
-    size, not to naive per-job re-walks.
+    Jobs that share one :class:`JobDag` object are flattened once and
+    their spans replicated, so the cost is proportional to the number
+    of *distinct* DAGs plus the output size, not to naive per-job
+    re-walks.  An instance that is one DAG released many times (the
+    Lemma 5.1 instance) is better built by :meth:`FlatInstance.tile`,
+    which makes no :class:`Job` at all.
 
     Returns the set's flat: the one a :func:`to_jobset` view reads, or,
     for a set built from jobs, the result of the walk, kept in the set
@@ -321,21 +430,7 @@ def flatten_jobset(jobset: JobSet) -> FlatInstance:
         key = id(job.dag)
         entry = dag_cache.get(key)
         if entry is None:
-            dag = job.dag
-            works = np.asarray(dag.works, dtype=np.int64)
-            degrees = np.fromiter(
-                (len(s) for s in dag.successors), dtype=np.int64,
-                count=dag.n_nodes,
-            )
-            if dag.n_edges:
-                targets = np.concatenate(
-                    [np.asarray(s, dtype=np.int64) for s in dag.successors
-                     if s]
-                )
-            else:
-                targets = np.empty(0, dtype=np.int64)
-            entry = (works, degrees, targets)
-            dag_cache[key] = entry
+            entry = dag_cache[key] = _dag_csr(job.dag)
         per_job.append(entry)
         job_nodes[i] = len(entry[0])
         arrivals[i] = job.arrival

@@ -101,8 +101,8 @@ def run_figure2_cell(
     instance is alive at a time.  OPT reads the flat's per-job arrays
     and the two work-stealing schedulers run it on the compiled kernel
     (see :class:`~repro.core.work_stealing.WorkStealingScheduler`),
-    bit-identical to the reference engine; only FIFO
-    (``include_fifo``) iterates the view, building its jobs.
+    bit-identical to the reference engine; FIFO (``include_fifo``)
+    ranks the view's arrival columns, so no job is built.
     """
     lineup = figure2_schedulers(cfg, include_fifo)
     spec = WorkloadSpec(

@@ -78,24 +78,41 @@ def _fifo_key(je: Any) -> Tuple:
 
 
 class _JobView:
-    """What a static priority key may read: a job's arrival metadata."""
+    """What a static priority key may read: a job's arrival metadata.
 
-    __slots__ = ("job", "job_id", "arrival", "weight")
+    ``job`` (for a clairvoyant key) indexes the set on first read, so
+    keys over ``job_id``, ``arrival`` and ``weight`` alone build no
+    :class:`Job`.
+    """
 
-    def __init__(self, job: Job) -> None:
-        self.job = job
-        self.job_id = job.job_id
-        self.arrival = job.arrival
-        self.weight = job.weight
+    __slots__ = ("_jobset", "job_id", "arrival", "weight")
+
+    def __init__(
+        self, jobset: JobSet, job_id: int, arrival: float, weight: float
+    ) -> None:
+        self._jobset = jobset
+        self.job_id = job_id
+        self.arrival = arrival
+        self.weight = weight
+
+    @property
+    def job(self) -> Job:
+        return self._jobset[self.job_id]
 
 
 def _ranks(jobset: JobSet, priority_key: PriorityKey) -> np.ndarray:
     """Each job's service rank: its place in ``(key, job_id)`` order.
 
-    The key is evaluated once per job, on a :class:`_JobView`; the
-    order is the one the Python loop's ``insort`` keeps ``active`` in.
+    The key is evaluated once per job, on a :class:`_JobView` read off
+    the set's arrival and weight columns; the order is the one the
+    Python loop's ``insort`` keeps ``active`` in.
     """
-    keys = [(priority_key(_JobView(job)), job.job_id) for job in jobset]
+    keys = [
+        (priority_key(_JobView(jobset, i, arrival, weight)), i)
+        for i, (arrival, weight) in enumerate(
+            zip(jobset.arrivals, jobset.weights)
+        )
+    ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = np.empty(len(keys), dtype=np.int64)
     rank[order] = np.arange(len(keys), dtype=np.int64)

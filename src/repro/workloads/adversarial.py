@@ -21,7 +21,11 @@ while OPT's is 2.
 
 This module generates the instance and its closed-form OPT value; the
 ``lb5`` bench sweeps ``n`` and shows the scheduler/OPT ratio growing
-logarithmically.
+logarithmically.  The instance is one DAG released ``n`` times, so it is
+built as a tiled flat (:meth:`~repro.dag.flat.FlatInstance.tile`): six
+arrays in O(nodes) numpy, every job's span and work in closed form, and
+no :class:`~repro.dag.job.Job` until a caller iterates the returned
+view.
 """
 
 from __future__ import annotations
@@ -29,8 +33,11 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
+import numpy as np
+
 from repro.dag.builders import adversarial_fork
-from repro.dag.job import Job, JobSet
+from repro.dag.flat import FlatInstance, to_jobset
+from repro.dag.job import JobSet
 
 
 def adversarial_machine_size(n_jobs: int) -> int:
@@ -71,7 +78,8 @@ def adversarial_instance(
     Returns
     -------
     (jobset, m):
-        The instance and the machine size it must be run on.
+        The instance and the machine size it must be run on; the set is
+        the lazy view of a tiled :class:`~repro.dag.flat.FlatInstance`.
     """
     if m is None:
         m = adversarial_machine_size(n_jobs)
@@ -84,13 +92,10 @@ def adversarial_instance(
     if fanout is not None and not 1 <= fanout <= m:
         raise ValueError(f"fanout must lie in [1, m={m}], got {fanout}")
 
-    # Shared, immutable: one DAG backs all jobs.
-    dag = adversarial_fork(m, fanout=fanout)
-    jobs = [
-        Job(job_id=i, dag=dag, arrival=spacing * i, weight=1.0)
-        for i in range(n_jobs)
-    ]
-    return JobSet(jobs), m
+    flat = FlatInstance.tile(
+        adversarial_fork(m, fanout=fanout), spacing * np.arange(n_jobs)
+    )
+    return to_jobset(flat), m
 
 
 def adversarial_opt_max_flow(m: int, speed: float = 1.0) -> float:

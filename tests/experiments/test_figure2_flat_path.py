@@ -2,15 +2,18 @@
 
 :func:`repro.experiments.runner.run_figure2_cell` builds each rep as the
 JobSet view of a :class:`~repro.dag.flat.FlatInstance`; OPT reads the
-flat's per-job arrays and the work-stealing schedulers run it on the
-kernel.  Only FIFO (``include_fifo=True``) iterates the view, building
-its jobs.  With ``Job``, ``JobSet(jobs)`` and the view's materializer
-made to raise, a cell and a whole panel must still return exactly what
-the JobSet path returned.
+flat's per-job arrays, the work-stealing schedulers run it on the
+kernel, and FIFO (``include_fifo=True``) ranks its jobs from the view's
+arrival and weight columns.  With ``Job``, ``JobSet(jobs)`` and the
+view's materializer made to raise, a cell and a whole panel must still
+return exactly what the JobSet path returned.  SJF, whose key reads
+``job.dag``, builds the view's jobs once.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.greedy import SjfScheduler
 from repro.dag import flat as flat_mod
 from repro.dag.job import Job, JobSet
 from repro.experiments.config import ExperimentScale, FIG2A, FIG2C
@@ -79,9 +82,24 @@ def test_panel_builds_no_job(request):
     assert result.series == expected
 
 
-def test_fifo_gets_one_view_per_rep(monkeypatch):
+def test_fifo_cell_builds_no_job(request):
     qps = FIG2A.qps_values[0]
     expected = jobset_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
+    request.getfixturevalue("no_jobs")
+    got = run_figure2_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
+    assert got == expected
+    assert "fifo" in got
+
+
+def test_sjf_builds_the_view_jobs_once(monkeypatch):
+    """A clairvoyant key still reads ``job.dag``: the view builds its
+    jobs once, and the result equals the run on a set built from jobs."""
+    spec = WorkloadSpec(
+        FIG2A.distribution_factory(), qps=FIG2A.qps_values[-1], n_jobs=200,
+        m=FIG2A.m, units_per_ms=FIG2A.units_per_ms,
+        target_chunks=FIG2A.target_chunks,
+    )
+    expected = SjfScheduler().run(JobSet(spec.build(5).jobs), m=FIG2A.m)
     built = []
     real = flat_mod._materialize
 
@@ -90,7 +108,9 @@ def test_fifo_gets_one_view_per_rep(monkeypatch):
         return real(flat)
 
     monkeypatch.setattr(flat_mod, "_materialize", counting)
-    got = run_figure2_cell(FIG2A, qps, SCALE, seed=2, include_fifo=True)
-    assert got == expected
-    assert "fifo" in got
-    assert built == [SCALE.n_jobs] * SCALE.reps
+    view = spec.build(5)
+    got = SjfScheduler().run(view, m=FIG2A.m)
+    assert built == [200]
+    assert got.path == expected.path == "cext"
+    assert np.array_equal(got.completions, expected.completions)
+    assert got.stats == expected.stats

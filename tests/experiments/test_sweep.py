@@ -4,7 +4,8 @@ import pytest
 
 import repro
 import repro.sim.engine
-from repro.core.fifo import FifoScheduler
+from repro.core.greedy import SjfScheduler
+from repro.core.opt import OptLowerBound
 from repro.core.work_stealing import WorkStealingScheduler
 from repro.dag import flat as flat_mod
 from repro.dag.builders import single_node
@@ -235,9 +236,9 @@ def _count_jobsets(monkeypatch):
     return built
 
 
-def _fifo(k):  # top-level, so pool workers can unpickle it
+def _sjf(k):  # top-level, so pool workers can unpickle it
     del k
-    return FifoScheduler()
+    return SjfScheduler()
 
 
 @pytest.mark.parametrize("max_workers", [1, 2])
@@ -266,18 +267,37 @@ def test_flat_sweep_builds_no_jobset_in_the_parent(
     assert warm.cells == cold.cells
 
 
+def test_opt_sweep_on_a_warm_instance_cache_builds_no_job(
+    monkeypatch, tmp_path
+):
+    """A cache-loaded flat carries no closed-form spans: OPT reads them
+    from the arrays' span pass, so neither run builds a job."""
+    built = _count_jobsets(monkeypatch)
+    kwargs = dict(m=4, reps=2, seed=5, max_workers=1, cache=tmp_path)
+    cold = repro.sweep(
+        OptLowerBound, {"use_span_bound": [True]}, small_spec(), **kwargs
+    )
+    warm = repro.sweep(
+        OptLowerBound, {"use_span_bound": [True]}, small_spec(), **kwargs
+    )
+    assert warm.n_cold == 2
+    assert warm.cells == cold.cells
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "workload", [small_spec(), tiny_jobset_factory], ids=["flat", "jobset"]
 )
 def test_jobset_scheduler_sweep_builds_one_view_per_rep(
     monkeypatch, workload
 ):
-    """A scheduler that iterates the jobs gets one set per repetition
-    instance, not one per (cell, rep) task: built once by the view of
-    a flat build, or the factory's own JobSet, never rebuilt."""
+    """A scheduler that reads the jobs (SJF's key reads ``job.dag``)
+    gets one set per repetition instance, not one per (cell, rep) task:
+    built once by the view of a flat build, or the factory's own
+    JobSet, never rebuilt."""
     built = _count_jobsets(monkeypatch)
     repro.sweep(
-        _fifo, {"k": [0, 1, 2]}, workload, m=4, reps=2, seed=5,
+        _sjf, {"k": [0, 1, 2]}, workload, m=4, reps=2, seed=5,
         max_workers=1,
     )
     assert len(built) == 2

@@ -117,6 +117,36 @@ class TestFlatRoundTrip:
         b, _ = adversarial_instance(64, fanout=4)
         assert content_hash(flatten_jobset(a)) != content_hash(flatten_jobset(b))
 
+    def test_no_job_is_built_until_iterated(self, monkeypatch):
+        """The instance is a tiled flat's view: its columns, a kernel run
+        and OPT read the arrays; the jobs are built once, on iteration."""
+        from repro.core.opt import opt_lower_bound
+        from repro.core.work_stealing import WorkStealingScheduler
+        from repro.dag import flat as flat_mod
+        from repro.dag.job import Job
+
+        built = []
+        materialize = flat_mod._materialize
+
+        def counting(flat):
+            built.append(flat.n_jobs)
+            return materialize(flat)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Job was built outside the view")
+
+        monkeypatch.setattr(flat_mod, "_materialize", counting)
+        monkeypatch.setattr(Job, "__post_init__", refuse)
+        js, m = adversarial_instance(512, fanout=5)
+        assert js._jobs is None
+        assert js.spans == [2] * 512 and js.works == [6] * 512
+        WorkStealingScheduler(k=0, steals_per_tick=1).run(js, m=m, seed=3)
+        assert opt_lower_bound(js, m).max_flow == 2.0
+        assert built == [] and js._jobs is None
+        monkeypatch.setattr(Job, "__post_init__", lambda self: None)
+        assert [job.job_id for job in js] == list(range(512))
+        assert len(js) == 512 and built == [512]
+
     def test_scheduler_results_identical_on_rebuilt_instance(self):
         js, m = adversarial_instance(128, fanout=5)
         rebuilt = to_jobset(flatten_jobset(js))
