@@ -18,7 +18,12 @@ ordering for the max-flow objective:
 
 Both run on the event engine in ``dynamic`` mode, which re-sorts
 priorities every event and applies a one-work-unit scheduling quantum
-(see :func:`repro.sim.events.run_centralized`).
+(see :func:`repro.sim.events.run_centralized`).  Their keys are the
+engine's :func:`~repro.sim.events.attained_key` and
+:func:`~repro.sim.events.remaining_work_key`, which the compiled
+centralized loop computes itself, so both take the C loop wherever the
+kernel builds and build no :class:`~repro.dag.job.Job` on a
+:func:`~repro.dag.flat.to_jobset` view.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ from typing import Optional
 
 from repro.core.base import Scheduler
 from repro.dag.job import JobSet
-from repro.sim.events import run_centralized
+from repro.sim.events import (
+    attained_key,
+    remaining_work_key,
+    run_centralized,
+)
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
 from repro.sim.trace import TraceRecorder
@@ -59,7 +68,7 @@ class LeastAttainedServiceScheduler(Scheduler):
             jobset,
             m=m,
             speed=speed,
-            priority_key=lambda je: (je.attained, je.arrival, je.job_id),
+            priority_key=attained_key,
             scheduler_name=self.name,
             trace=trace,
             dynamic=True,
@@ -93,11 +102,7 @@ class ShortestRemainingWorkScheduler(Scheduler):
             jobset,
             m=m,
             speed=speed,
-            priority_key=lambda je: (
-                je.job.dag.total_work - je.attained,
-                je.arrival,
-                je.job_id,
-            ),
+            priority_key=remaining_work_key,
             scheduler_name=self.name,
             trace=trace,
             dynamic=True,

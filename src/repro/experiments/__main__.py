@@ -59,13 +59,27 @@ from repro.experiments.config import (
 )
 
 
+#: The Figure 2 panels: the only experiments that run at the
+#: ``--n-jobs``/``--reps`` scale, so the only ones whose ``--json-dir``
+#: record carries it.
+FIG2_PANELS = {"fig2a": FIG2A, "fig2b": FIG2B, "fig2c": FIG2C}
+
+#: Jobs per data point of ``verify`` when ``--n-jobs`` is not given.
+VERIFY_N_JOBS = 1000
+
 #: id -> callable(scale, seed) -> SeriesResult (or rendered text).
 #: Kept as a table so the tests can assert it covers the EXPERIMENTS
-#: registry exactly.
+#: registry exactly.  Only the FIG2_PANELS entries use ``scale``; the
+#: rest run at their own fixed sizes.
 DISPATCH = {
-    "fig2a": lambda scale, seed: figures.figure2(FIG2A, scale, seed=seed),
-    "fig2b": lambda scale, seed: figures.figure2(FIG2B, scale, seed=seed),
-    "fig2c": lambda scale, seed: figures.figure2(FIG2C, scale, seed=seed),
+    **{
+        exp_id: (
+            lambda scale, seed, config=config: (
+                figures.figure2(config, scale, seed=seed)
+            )
+        )
+        for exp_id, config in FIG2_PANELS.items()
+    },
     "fig3": lambda scale, seed: figures.render_figure3(seed=seed),
     "lb5": lambda scale, seed: figures.lower_bound_experiment(seed=seed),
     "thm31": lambda scale, seed: (
@@ -544,8 +558,11 @@ def main(argv: list[str] | None = None) -> int:
         help="event log to summarize (the 'telemetry' command only)",
     )
     parser.add_argument(
-        "--n-jobs", type=int, default=SCALE_STANDARD.n_jobs,
-        help="jobs per data point (fig2 experiments)",
+        "--n-jobs", type=int, default=None,
+        help=(
+            f"jobs per data point (fig2 experiments, default "
+            f"{SCALE_STANDARD.n_jobs}; verify, default {VERIFY_N_JOBS})"
+        ),
     )
     parser.add_argument(
         "--reps", type=int, default=SCALE_STANDARD.reps,
@@ -688,19 +705,23 @@ def main(argv: list[str] | None = None) -> int:
 
         os.environ[TELEMETRY_ENV] = args.telemetry
 
-    scale = ExperimentScale(n_jobs=args.n_jobs, reps=args.reps)
     if args.experiment == "verify":
         from repro.experiments.verify import render_verification, verify_reproduction
 
         t0 = time.perf_counter()
+        n_jobs = VERIFY_N_JOBS if args.n_jobs is None else args.n_jobs
         checks = verify_reproduction(
-            ExperimentScale(n_jobs=min(args.n_jobs, 1000), reps=1), args.seed
+            ExperimentScale(n_jobs=n_jobs, reps=1), args.seed
         )
         print(render_verification(checks))
         print(f"-- verify done in {time.perf_counter() - t0:.1f}s")
         _close_env_telemetry(args)
         return 0 if all(c.passed for c in checks) else 1
 
+    scale = ExperimentScale(
+        n_jobs=SCALE_STANDARD.n_jobs if args.n_jobs is None else args.n_jobs,
+        reps=args.reps,
+    )
     ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for exp_id in ids:
         t0 = time.perf_counter()
@@ -716,6 +737,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.json_dir is not None:
                 out_dir = Path(args.json_dir)
                 out_dir.mkdir(parents=True, exist_ok=True)
+                scaled = exp_id in FIG2_PANELS
                 payload = {
                     "experiment": exp_id,
                     "title": result.title,
@@ -724,8 +746,8 @@ def main(argv: list[str] | None = None) -> int:
                     "series": result.series,
                     "notes": result.notes,
                     "seed": args.seed,
-                    "n_jobs": scale.n_jobs,
-                    "reps": scale.reps,
+                    "n_jobs": scale.n_jobs if scaled else None,
+                    "reps": scale.reps if scaled else None,
                 }
                 path = out_dir / f"{exp_id}.json"
                 path.write_text(json.dumps(payload, indent=2))

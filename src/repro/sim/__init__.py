@@ -9,9 +9,10 @@ Two exact simulation engines drive every scheduler in :mod:`repro.core`:
   exact and far faster than stepping time.  Static-priority runs take a
   compiled event loop (the second entry point of the same C kernel
   source) that does the Python loop's float operations in the same
-  order, so completions are ``==``; ``dynamic=True`` policies (LAS,
-  SRW) and hosts without a compiler run the Python loop, which is also
-  the oracle.
+  order, so completions are ``==``.  The dynamic LAS and SRW take it
+  too: C keeps each job's attained service and re-ranks the jobs it
+  served after every event.  Other ``dynamic=True`` keys and hosts
+  without a compiler run the Python loop, which is also the oracle.
 
 * :func:`~repro.sim.engine._run_work_stealing` (reached as
   ``repro.run("work-stealing", ...)``) -- a discrete-time engine for the

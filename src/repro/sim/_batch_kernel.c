@@ -711,20 +711,37 @@ stop:
 }
 
 /* ------------------------------------------------------------------ */
-/* Centralized static-priority event loop                              */
+/* Centralized event loop                                             */
 /* ------------------------------------------------------------------ */
 
-/* repro_centralized_run: FIFO, BWF and the list-scheduling baselines.
+/* repro_centralized_run: FIFO, BWF, the list-scheduling baselines,
+ * LAS and SRW.
  *
  * A C transcription of the event loop in repro/sim/events.py
- * (_run_centralized_reference) for static priorities: the caller
- * evaluates the priority key once per job and passes each job's rank;
- * active jobs are served in ascending rank.  Every float operation is
- * the reference loop's, in the same order -- dt = min(rem) / speed, the
- * arrival cap, the clamp to >= 0, t + dt, speed * dt,
- * busy += delta * len(assigned), rem -= delta and the EPS tests -- so
- * completions compare with ==.  Built with -ffp-contract=off: a fused
- * multiply-add would round differently.
+ * (_run_centralized_reference).  key_mode picks the service order of
+ * the active jobs act:
+ *
+ *   CK_RANK  static priorities: the caller evaluates the priority key
+ *            once per job and passes each job's rank as key[j];
+ *   CK_LAS   key[j] = attained[j];
+ *   CK_SRW   key[j] = (double)job_works[j] - attained[j].
+ *
+ * Active jobs are served in ascending (key[j], j).  The reference's
+ * dynamic key is (key, arrival, job_id); arrivals are sorted here, so
+ * ids order like (arrival, id) and the order is total.  Keys compare
+ * exactly, with no EPS.  A dynamic mode adds delta to attained[j] once
+ * per assigned node, in assignment order, caps each step at the
+ * one-work-unit quantum 1.0 / speed, and after each event recomputes
+ * the keys of the served prefix act[0, scanned) -- the only jobs whose
+ * keys changed -- re-sorts it and merges it back into the unchanged
+ * suffix.
+ *
+ * Every float operation is the reference loop's, in the same order --
+ * dt = min(rem) / speed, the arrival cap, the quantum cap, the clamp
+ * to >= 0, t + dt, speed * dt, busy += delta * len(assigned),
+ * rem -= delta, attained += delta and the EPS tests -- so completions
+ * compare with ==.  Built with -ffp-contract=off: a fused multiply-add
+ * would round differently.
  *
  * Each job's ready list is a doubly linked list over global node ids
  * kept in the reference's list order: roots ascending, a completed node
@@ -740,9 +757,10 @@ stop:
  *
  * ws (int64) holds, back to back: preds[N], unfin[n], rd_next[N],
  * rd_prev[N], rd_head[n], rd_tail[n], rd_len[n], act[n], asg[m],
- * asg_job[m] and keys[the largest job's node count]; the first call
- * (C_STARTED == 0) initializes it.  act lists the active jobs in
- * ascending rank.
+ * asg_job[m], the merge buffer buf[n] and keys[the largest job's node
+ * count]; attained (double[n], dynamic modes only) is a second
+ * workspace.  The first call (C_STARTED == 0) initializes them and,
+ * in a dynamic mode, key.
  */
 
 #define EPS 1e-9
@@ -757,6 +775,29 @@ enum { CF_T, CF_BUSY, N_CFSTATE };
 /* Return codes. */
 enum { CR_DONE, CR_TRACE_FULL, CR_STALLED };
 
+/* Key modes. */
+enum { CK_RANK, CK_LAS, CK_SRW };
+
+/* Whether job a is served before job b (a != b): ascending (key, id). */
+static inline int served_before(const double *key, int64_t a, int64_t b)
+{
+    return key[a] < key[b] || (key[a] == key[b] && a < b);
+}
+
+/* The first index in act[lo, hi) whose job is not served before j. */
+static int64_t serve_position(const double *key, const int64_t *act,
+                              int64_t lo, int64_t hi, int64_t j)
+{
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (served_before(key, act[mid], j))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 static int cmp_i64(const void *a, const void *b)
 {
     int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
@@ -770,10 +811,12 @@ int64_t repro_centralized_run(
     const int64_t *roots,    /* global ascending root list */
     const int64_t *jro,      /* job-indexed root offsets, n + 1 entries */
     const double *arrivals,
-    const int64_t *rank,     /* job -> service rank (distinct) */
+    double *key,             /* job -> service key (CK_RANK: distinct ranks) */
+    const int64_t *job_works, /* CK_SRW: job -> total work */
+    double *attained,        /* dynamic modes: job -> executed work */
     int64_t *ws, double *rem, double *completions,
     int64_t *tr_rows, double *tr_times, int64_t tr_cap,
-    int64_t n, int64_t n_nodes, int64_t m,
+    int64_t n, int64_t n_nodes, int64_t m, int64_t key_mode,
     double speed, int64_t *state, double *fstate)
 {
     int64_t *preds = ws;
@@ -786,7 +829,8 @@ int64_t repro_centralized_run(
     int64_t *act = rd_len + n;
     int64_t *asg = act + n;
     int64_t *asg_job = asg + m;
-    int64_t *keys = asg_job + m;
+    int64_t *buf = asg_job + m;
+    int64_t *keys = buf + n;
     int64_t next_arr, n_active, remaining, n_events, nrows;
     double t, busy;
     int64_t rc = CR_DONE;
@@ -814,6 +858,10 @@ int64_t repro_centralized_run(
             if (prev >= 0)
                 rd_next[prev] = -1;
             rd_tail[j] = prev;
+            if (key_mode != CK_RANK) {
+                attained[j] = 0.0;
+                key[j] = key_mode == CK_LAS ? 0.0 : (double)job_works[j];
+            }
         }
         state[C_STARTED] = 1;
         state[C_NEXT_ARR] = 0;
@@ -843,15 +891,8 @@ int64_t repro_centralized_run(
 
         /* ---- release arrivals due at (or EPS-before) t ---- */
         while (next_arr < n && arrivals[next_arr] <= t + EPS) {
-            /* insort by rank: after every active job of lower rank */
-            int64_t r = rank[next_arr], lo = 0, hi = n_active;
-            while (lo < hi) {
-                int64_t mid = lo + (hi - lo) / 2;
-                if (rank[act[mid]] < r)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
+            /* insort: after every active job served before it */
+            int64_t lo = serve_position(key, act, 0, n_active, next_arr);
             memmove(act + lo + 1, act + lo, (size_t)(n_active - lo) * 8);
             act[lo] = next_arr;
             n_active++;
@@ -863,7 +904,7 @@ int64_t repro_centralized_run(
             continue;
         }
 
-        /* ---- assignment: serve jobs in rank order ---- */
+        /* ---- assignment: serve jobs in act order ---- */
         for (a = 0; a < n_active && avail > 0; a++) {
             int64_t len;
             j = act[a];
@@ -906,6 +947,8 @@ int64_t repro_centralized_run(
             if (dt_arrival < dt)
                 dt = dt_arrival;
         }
+        if (key_mode != CK_RANK && dt > 1.0 / speed)
+            dt = 1.0 / speed; /* scheduling quantum */
         if (dt < 0.0)
             dt = 0.0;
 
@@ -926,6 +969,16 @@ int64_t repro_centralized_run(
         }
         for (x = 0; x < n_asg; x++)
             rem[asg[x]] -= delta;
+        if (key_mode != CK_RANK) {
+            for (x = 0; x < n_asg; x++)
+                attained[asg_job[x]] += delta; /* once per node */
+            for (a = 0; a < scanned; a++) {
+                j = act[a];
+                key[j] = key_mode == CK_LAS
+                             ? attained[j]
+                             : (double)job_works[j] - attained[j];
+            }
+        }
 
         /* ---- node completions, in assignment order ---- */
         for (x = 0; x < n_asg; x++) {
@@ -968,15 +1021,31 @@ int64_t repro_centralized_run(
             }
         }
 
-        if (finished) {
-            /* Finished jobs were all served, so they sit in act[0,
-             * scanned): compact that prefix, then close the gap. */
-            int64_t w = 0;
-            for (a = 0; a < scanned; a++)
-                if (unfin[act[a]] > 0)
-                    act[w++] = act[a];
-            memmove(act + w, act + scanned,
-                    (size_t)(n_active - scanned) * 8);
+        if (key_mode != CK_RANK || finished) {
+            /* Only the served prefix act[0, scanned) changed keys, and
+             * finished jobs all sit in it: insertion-sort its
+             * unfinished jobs into buf, then merge buf into the
+             * unchanged suffix, locating each buf job in it by binary
+             * search.  Writes trail reads (w < k).  Under CK_RANK the
+             * prefix stays sorted and precedes the suffix, so this
+             * only compacts out the finished jobs. */
+            int64_t nb = 0, k = scanned, w = 0;
+            for (a = 0; a < scanned; a++) {
+                j = act[a];
+                if (unfin[j] == 0)
+                    continue;
+                for (x = nb++; x > 0 && served_before(key, j, buf[x - 1]); x--)
+                    buf[x] = buf[x - 1];
+                buf[x] = j;
+            }
+            for (x = 0; x < nb; x++) {
+                int64_t lo = serve_position(key, act, k, n_active, buf[x]);
+                memmove(act + w, act + k, (size_t)(lo - k) * 8);
+                w += lo - k;
+                k = lo;
+                act[w++] = buf[x];
+            }
+            memmove(act + w, act + k, (size_t)(n_active - k) * 8);
             n_active -= finished;
             remaining -= finished;
         }

@@ -10,8 +10,8 @@ three entry points:
   streaming run without a utilization window
   (:mod:`repro.sim.stream_engine`);
 * ``repro_centralized_run``, a C transcription of the centralized event
-  loop: the fast path of every static-priority centralized run
-  (:mod:`repro.sim.events`);
+  loop: the fast path of every static-priority centralized run and of
+  LAS and SRW (:mod:`repro.sim.events`);
 * ``repro_p2_update``, a C transcription of the steady-state
   :meth:`~repro.metrics.online.P2Quantile.update`: every
   :meth:`~repro.metrics.online.OnlineFlowStats.observe_many` call, so
@@ -112,6 +112,10 @@ CF_T, CF_BUSY, N_CFSTATE = range(3)
 #: it and call again), active jobs with no ready node (a cyclic job).
 CR_DONE, CR_TRACE_FULL, CR_STALLED = range(3)
 
+#: Centralized loop key modes (the C kernel's CK_* enum): static ranks,
+#: least attained service, shortest remaining work.
+CK_RANK, CK_LAS, CK_SRW = range(3)
+
 #: Doubles per sketch in the P^2 update's marker array (the C kernel's
 #: P2_STRIDE): five heights, five positions, five desired positions,
 #: five desired-position increments.
@@ -187,9 +191,9 @@ def _bind(lib: ctypes.CDLL) -> Any:
     fn.argtypes = [ptr] * 27 + [i64] * 8 + [f64, ptr, REFILL_CFUNC] + [i64] * 3
     fn.restype = i64
     cfn = lib.repro_centralized_run
-    # 14 array pointers, tr_cap, n, n_nodes, m, speed, two state
-    # pointers.
-    cfn.argtypes = [ptr] * 14 + [i64] * 4 + [f64, ptr, ptr]
+    # 16 array pointers (job_works and attained may be NULL),
+    # tr_cap, n, n_nodes, m, key_mode, speed, two state pointers.
+    cfn.argtypes = [ptr] * 16 + [i64] * 5 + [f64, ptr, ptr]
     cfn.restype = i64
     pfn = lib.repro_p2_update
     # markers, n_sketches, xs, n.

@@ -8,6 +8,8 @@ never changes while it is alive, the processor assignment can only change
 at a *job arrival* or a *node completion* -- so the engine jumps directly
 between those events instead of stepping time, which is exact and keeps
 the run cost proportional to the number of nodes, not the schedule length.
+The dynamic policies LAS and SRW (:mod:`repro.core.dynamic`) re-rank the
+active jobs at every event and add a one-work-unit scheduling quantum.
 
 Two implementations of the one loop:
 
@@ -16,20 +18,27 @@ Two implementations of the one loop:
   takes: Python evaluates the priority key once per job, ranks the jobs
   by ``(key, job_id)`` -- the order the Python loop's sorted insertion
   keeps -- and the C loop walks the CSR tables of the set's flat
-  (:func:`~repro.dag.flat.flatten_jobset`) with that rank;
+  (:func:`~repro.dag.flat.flatten_jobset`) with that rank.  LAS and SRW
+  take it too: their keys are the module's :func:`attained_key` and
+  :func:`remaining_work_key`, which the C loop computes itself from a
+  per-job attained-service array (and, for SRW,
+  :attr:`FlatInstance.job_works <repro.dag.flat.FlatInstance.job_works>`);
 * :func:`_run_centralized_reference`, the Python loop, which is the
-  oracle, runs ``dynamic=True`` policies (LAS, SRW) and runs everything
-  on a host where the kernel cannot be built (warned once, like the
+  oracle, runs any other ``dynamic=True`` key and runs everything on a
+  host where the kernel cannot be built (warned once, like the
   work-stealing fallback).
 
 **Float contract.**  The C loop does the Python loop's float operations
 in the same order -- ``dt = min(rem) / speed``, the arrival cap, the
-clamp to ``>= 0``, ``t + dt``, ``speed * dt``, ``busy += delta *
-len(assigned)``, ``rem -= delta`` and the :data:`EPS` tests -- and is
+dynamic quantum cap, the clamp to ``>= 0``, ``t + dt``, ``speed * dt``,
+``busy += delta * len(assigned)``, ``rem -= delta``, ``attained +=
+delta`` once per assigned node and the :data:`EPS` tests -- and is
 built with ``-ffp-contract=off``, so completions compare with ``==``.
-Each job's ready-node order matches too, so traced runs record the same
-``(slot, job, node, start, end)`` rows
-(``tests/sim/test_centralized_kernel_equivalence.py`` pins all of it).
+Dynamic keys compare exactly, and their order is total, so the C loop's
+order is the Python loop's sort.  Each job's ready-node order matches
+too, so traced runs record the same ``(slot, job, node, start, end)``
+rows (``tests/sim/test_centralized_kernel_equivalence.py`` pins all of
+it).
 
 The engine enforces non-clairvoyance structurally: the priority key sees
 only arrival metadata (id, arrival time, weight) unless a policy opts into
@@ -49,6 +58,9 @@ from repro.sim._cext import (
     C_N_EVENTS,
     C_NROWS,
     CF_BUSY,
+    CK_LAS,
+    CK_RANK,
+    CK_SRW,
     CR_STALLED,
     CR_TRACE_FULL,
     N_CFSTATE,
@@ -75,6 +87,32 @@ PriorityKey = Callable[[JobExecution], Tuple]
 
 def _fifo_key(je: Any) -> Tuple:
     return (je.arrival, je.job_id)
+
+
+def attained_key(je: JobExecution) -> Tuple:
+    """LAS's dynamic key: least executed work first, then arrival, id."""
+    return (je.attained, je.arrival, je.job_id)
+
+
+def remaining_work_key(je: JobExecution) -> Tuple:
+    """SRW's dynamic key: least remaining total work first, then
+    arrival, id.  Clairvoyant: it reads the job's total work."""
+    return (je.job.dag.total_work - je.attained, je.arrival, je.job_id)
+
+
+def _key_mode(priority_key: Callable, dynamic: bool) -> Optional[int]:
+    """The compiled loop's key mode for a key, or ``None`` for a
+    ``dynamic=True`` key it cannot compute itself (the Python loop's).
+
+    Matched by identity, so an unhashable callable key is fine.
+    """
+    if not dynamic:
+        return CK_RANK
+    if priority_key is attained_key:
+        return CK_LAS
+    if priority_key is remaining_work_key:
+        return CK_SRW
+    return None
 
 
 class _JobView:
@@ -173,9 +211,11 @@ def run_centralized(
 
     Notes
     -----
-    Static priorities run on the compiled loop when the kernel builds
-    (see the module docstring); ``dynamic=True`` and hosts without the
-    kernel run :func:`_run_centralized_reference`.  Both give the same
+    Static priorities and the dynamic keys :func:`attained_key` (LAS)
+    and :func:`remaining_work_key` (SRW) run on the compiled loop when
+    the kernel builds (see the module docstring); any other
+    ``dynamic=True`` key and hosts without the kernel run
+    :func:`_run_centralized_reference`.  Both give the same
     completions, stats and trace rows; the result's ``path`` and
     ``reasons`` say which one ran and why.
 
@@ -191,11 +231,13 @@ def run_centralized(
     if priority_key is None:
         priority_key = _fifo_key
 
-    kernel = None if dynamic else resolve_centralized_kernel()
-    if kernel is None:
-        reasons = ("dynamic=True",) if dynamic else ("kernel=unavailable",)
-        if not dynamic:
-            _warn_slow_path()
+    key_mode = _key_mode(priority_key, dynamic)
+    kernel = None if key_mode is None else resolve_centralized_kernel()
+    if key_mode is None:
+        reasons: Tuple[str, ...] = ("dynamic=True",)
+    elif kernel is None:
+        reasons = ("kernel=unavailable",)
+        _warn_slow_path()
     elif not flatten_jobset(jobset).arrivals_sorted:
         # The set of a flat with unsorted arrivals re-sorted its jobs.
         reasons = ("arrivals=unsorted",)
@@ -212,8 +254,9 @@ def run_centralized(
         flatten_jobset(jobset),
         m,
         speed,
-        _ranks(jobset, priority_key),
+        _ranks(jobset, priority_key) if key_mode == CK_RANK else None,
         trace,
+        key_mode,
     )
     stats = SimulationStats()
     stats.n_events = n_events
@@ -235,15 +278,19 @@ def _run_centralized_flat(
     flat: FlatInstance,
     m: int,
     speed: float,
-    rank: np.ndarray,
+    rank: Optional[np.ndarray],
     trace: Optional[TraceRecorder] = None,
+    key_mode: int = CK_RANK,
 ) -> Tuple[np.ndarray, int, float]:
-    """Run the compiled loop ``fn`` on ``flat`` with per-job service ranks.
+    """Run the compiled loop ``fn`` on ``flat``.
 
-    Returns the completions, the event count and the executed work
-    before rounding.  Raises :class:`ValueError` on a malformed
-    instance (bad CSR arrays, unsorted arrivals, a cyclic job) or a
-    rank array of the wrong length.
+    ``key_mode`` orders the active jobs: ``CK_RANK`` by the per-job
+    service ``rank``, ``CK_LAS``/``CK_SRW`` (``rank`` unused) by the
+    keys of :func:`attained_key`/:func:`remaining_work_key`.  Returns
+    the completions, the event count and the executed work before
+    rounding.  Raises :class:`ValueError` on a malformed instance (bad
+    CSR arrays, unsorted arrivals, a cyclic job) or a rank array of the
+    wrong length.
     """
     tables = _batch_tables(flat)
     n = flat.n_jobs
@@ -251,12 +298,22 @@ def _run_centralized_flat(
         raise ValueError(
             "malformed FlatInstance: arrivals must be non-decreasing"
         )
-    rank = np.ascontiguousarray(rank, dtype=np.int64)
-    if len(rank) != n:
-        raise ValueError(f"need one rank per job ({n}), got {len(rank)}")
+    dynamic = key_mode != CK_RANK
+    if dynamic:
+        key = np.empty(n, dtype=np.float64)  # C computes the keys
+    else:
+        # Ranks are below 2**53, so exact as doubles.
+        key = np.ascontiguousarray(rank, dtype=np.float64)
+        if len(key) != n:
+            raise ValueError(f"need one rank per job ({n}), got {len(key)}")
+    job_works = (
+        np.ascontiguousarray(flat.job_works, dtype=np.int64)
+        if key_mode == CK_SRW else None
+    )
     n_nodes = flat.n_nodes
     max_job = int(tables.unfin_master.max()) if n else 0
-    ws = np.empty(3 * n_nodes + 5 * n + 2 * m + max_job, dtype=np.int64)
+    ws = np.empty(3 * n_nodes + 6 * n + 2 * m + max_job, dtype=np.int64)
+    attained = np.empty(n, dtype=np.float64) if dynamic else None
     rem = np.empty(n_nodes, dtype=np.float64)
     completions = np.zeros(n, dtype=np.float64)
     cap = max(TRACE_ROWS, m) if trace is not None else 0
@@ -268,9 +325,12 @@ def _run_centralized_flat(
         _ptr(tables.works), _ptr(tables.eo), _ptr(tables.et),
         _ptr(flat.job_node_offsets), _ptr(tables.preds_master),
         _ptr(tables.roots), _ptr(tables.jro), _ptr(flat.arrivals),
-        _ptr(rank), _ptr(ws), _ptr(rem),
-        _ptr(completions), _ptr(rows), _ptr(times),
-        cap, n, n_nodes, int(m), float(speed), _ptr(state), _ptr(fstate),
+        _ptr(key),
+        None if job_works is None else _ptr(job_works),
+        None if attained is None else _ptr(attained),
+        _ptr(ws), _ptr(rem), _ptr(completions), _ptr(rows), _ptr(times),
+        cap, n, n_nodes, int(m), key_mode, float(speed),
+        _ptr(state), _ptr(fstate),
     ]
     while True:
         rc = fn(*args)

@@ -58,6 +58,19 @@ class TestCli:
         assert data["x_values"]
         assert set(data["series"])
 
+    def test_json_dir_records_only_a_scale_the_run_used(
+        self, tmp_path, capsys
+    ):
+        """Only Figure 2 runs at --n-jobs/--reps; the others use their
+        own sizes, so their JSON records no scale."""
+        args = ["--n-jobs", "100", "--reps", "1", "--json-dir", str(tmp_path)]
+        assert main(["fig2a", *args]) == 0
+        assert main(["thm71", *args]) == 0
+        fig2a = json.loads((tmp_path / "fig2a.json").read_text())
+        thm71 = json.loads((tmp_path / "thm71.json").read_text())
+        assert (fig2a["n_jobs"], fig2a["reps"]) == (100, 1)
+        assert (thm71["n_jobs"], thm71["reps"]) == (None, None)
+
 
 class TestTelemetryCli:
     @pytest.fixture(autouse=True)

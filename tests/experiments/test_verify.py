@@ -42,3 +42,26 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert rc == 0
         assert "REPRODUCED" in out
+
+    @pytest.mark.parametrize(
+        "argv, n_jobs",
+        [([], 1000), (["--n-jobs", "100000"], 100_000)],
+        ids=["default", "explicit"],
+    )
+    def test_n_jobs_reaches_verify_uncapped(
+        self, monkeypatch, capsys, argv, n_jobs
+    ):
+        """An explicit --n-jobs is the scale verify checks; without it
+        verify keeps its 1,000 jobs."""
+        from repro.experiments import verify
+        from repro.experiments.__main__ import main
+
+        seen = []
+
+        def fake(scale, seed):
+            seen.append(scale)
+            return [ShapeCheck("c", True, "d")]
+
+        monkeypatch.setattr(verify, "verify_reproduction", fake)
+        assert main(["verify", *argv]) == 0
+        assert seen == [ExperimentScale(n_jobs=n_jobs, reps=1)]

@@ -17,6 +17,7 @@ import warnings
 import pytest
 
 import repro
+from repro.core.base import Scheduler
 from repro.core.bwf import BwfScheduler
 from repro.core.dynamic import (
     LeastAttainedServiceScheduler,
@@ -36,6 +37,7 @@ from repro.core.work_stealing import (
 )
 from repro.obs import Telemetry, audit_events, list_manifests, load_manifest
 from repro.sim.engine import _run_work_stealing
+from repro.sim.events import run_centralized
 from repro.sim.result import result_to_dict
 from repro.sim.sampling import SystemSampler
 from repro.sim.trace import TraceRecorder
@@ -214,9 +216,24 @@ class TestTelemetryIdentity:
         assert result.stats.steal_attempts is not None
 
 
+class _MostAttainedFirstScheduler(Scheduler):
+    """A dynamic key the compiled loop does not know."""
+
+    @property
+    def name(self):
+        return "most-attained-first"
+
+    def run(self, jobset, m, speed=1.0, seed=None, trace=None):
+        return run_centralized(
+            jobset, m, speed,
+            priority_key=lambda je: (-je.attained, je.job_id),
+            scheduler_name=self.name, trace=trace, dynamic=True,
+        )
+
+
 class TestCentralizedPathTelemetry:
-    """FIFO, BWF, LIFO, SJF and random priority report the path they
-    take; the Python loop always says why it ran."""
+    """FIFO, BWF, LIFO, SJF, random priority, LAS and SRW report the
+    path they take; the Python loop always says why it ran."""
 
     STATIC = (
         FifoScheduler,
@@ -239,13 +256,32 @@ class TestCentralizedPathTelemetry:
         _, slow, done = self.events(cls(), jobset)
         assert slow == [] and done["path"] == "cext"
 
-    @pytest.mark.parametrize(
-        "cls", [LeastAttainedServiceScheduler, ShortestRemainingWorkScheduler]
-    )
+    DYNAMIC = (LeastAttainedServiceScheduler, ShortestRemainingWorkScheduler)
+
+    @pytest.mark.parametrize("cls", DYNAMIC)
     def test_dynamic_policies_say_why(self, jobset, cls):
+        """LAS and SRW take the compiled loop; only a dynamic key it
+        does not know runs the Python loop, and says why."""
         _, slow, done = self.events(cls(), jobset)
+        assert slow == [] and done["path"] == "cext"
+        _, slow, done = self.events(_MostAttainedFirstScheduler(), jobset)
         assert [e["reasons"] for e in slow] == [["dynamic=True"]]
         assert done["path"] == "reference"
+
+    @pytest.mark.parametrize("cls", DYNAMIC)
+    def test_unavailable_kernel_says_why_for_dynamic_keys(
+        self, monkeypatch, jobset, cls
+    ):
+        from repro.sim import batch_engine, events
+
+        fast = repro.run(cls(), jobset, m=4, seed=3)
+        monkeypatch.setattr(events, "resolve_centralized_kernel", lambda: None)
+        monkeypatch.setattr(batch_engine, "_SLOW_PATH_WARNED", False)
+        with pytest.warns(RuntimeWarning, match="kernel=unavailable"):
+            slow_result, slow, done = self.events(cls(), jobset)
+        assert [e["reasons"] for e in slow] == [["kernel=unavailable"]]
+        assert done["path"] == "reference"
+        same_result(fast, slow_result)
 
     @pytest.mark.parametrize("cls", STATIC)
     def test_unavailable_kernel_says_why(self, monkeypatch, jobset, cls):
@@ -357,6 +393,12 @@ class TestPathAgreement:
         assert self.check(ran, FifoScheduler(), jobset) == "cext"
         assert self.check(
             ran, LeastAttainedServiceScheduler(), jobset
+        ) == "cext"
+        assert self.check(
+            ran, ShortestRemainingWorkScheduler(), jobset
+        ) == "cext"
+        assert self.check(
+            ran, _MostAttainedFirstScheduler(), jobset
         ) == "reference"
 
     def test_stream_with_and_without_utilization_window(self, ran):

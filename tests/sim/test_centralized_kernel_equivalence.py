@@ -1,7 +1,8 @@
 """The differential oracle for the compiled centralized loop.
 
 Static-priority centralized runs (FIFO, BWF, LIFO, SJF, random
-priority) take the C loop ``repro_centralized_run``; the Python loop
+priority) and the dynamic LAS and SRW take the C loop
+``repro_centralized_run``; the Python loop
 (:func:`repro.sim.events._run_centralized_reference`) defines the
 semantics.  The claim is bit-identity, not closeness: completions equal
 under :func:`numpy.array_equal`, the same ``n_events`` and
@@ -18,22 +19,28 @@ from 1 to 64 processors; speeds 1, 4/3 and the Theorem 3.1 and 7.1
 speeds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.bwf import BwfScheduler
-from repro.core.dynamic import LeastAttainedServiceScheduler
+from repro.core.dynamic import (
+    LeastAttainedServiceScheduler,
+    ShortestRemainingWorkScheduler,
+)
 from repro.core.fifo import FifoScheduler
 from repro.core.greedy import (
     LifoScheduler,
     RandomPriorityScheduler,
     SjfScheduler,
 )
-from repro.dag.builders import chain, random_layered_dag
-from repro.dag.flat import FlatInstance, flatten_jobset
-from repro.dag.job import jobs_from_dags
+from repro.dag import flat as flat_mod
+from repro.dag.builders import chain, random_layered_dag, single_node
+from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
+from repro.dag.job import Job, jobs_from_dags
 from repro.sim import batch_engine, events
-from repro.sim._cext import resolve_centralized_kernel
+from repro.sim._cext import CK_LAS, CK_SRW, resolve_centralized_kernel
 from repro.sim.trace import TraceRecorder, audit_trace
 from repro.theory import bounds
 from repro.theory.validate import check_bwf_theorem, check_fifo_theorem
@@ -51,6 +58,11 @@ POLICIES = {
     "lifo": LifoScheduler,
     "sjf": SjfScheduler,
     "random-priority": RandomPriorityScheduler,
+}
+
+DYNAMIC = {
+    "las": LeastAttainedServiceScheduler,
+    "srw": ShortestRemainingWorkScheduler,
 }
 
 SPEEDS = (1.0, 4.0 / 3.0, bounds.fifo_speed(0.1), bounds.bwf_speed(0.1))
@@ -161,10 +173,132 @@ def test_static_runs_never_reach_the_python_loop(monkeypatch):
 
     monkeypatch.setattr(events, "_run_centralized_reference", banned)
     jobset = draw_instance("chains", 3)
-    for cls in POLICIES.values():
+    for cls in (*POLICIES.values(), *DYNAMIC.values()):
         cls().run(jobset, 4, 1.0, seed=1)
     with pytest.raises(AssertionError, match="Python loop"):
-        LeastAttainedServiceScheduler().run(jobset, 4, 1.0)
+        events.run_centralized(
+            jobset, 4, priority_key=custom_dynamic_key, dynamic=True
+        )
+
+
+# ----------------------------------------------------------------------
+# Dynamic keys: LAS and SRW
+# ----------------------------------------------------------------------
+
+
+def custom_dynamic_key(je):
+    """A dynamic key the C loop does not know: most attained first."""
+    return (-je.attained, je.job_id)
+
+
+@pytest.mark.parametrize("policy", sorted(DYNAMIC))
+@pytest.mark.parametrize("kind", KINDS)
+def test_dynamic_policy_matches_the_python_loop(monkeypatch, kind, policy):
+    jobset = draw_instance(kind, 200 + KINDS.index(kind))
+    scheduler = DYNAMIC[policy]()
+    for m in MACHINES:
+        for speed in SPEEDS:
+            fast, slow, ft, st = run_both(
+                monkeypatch, scheduler, jobset, m, speed
+            )
+            assert (fast.path, slow.path) == ("cext", "reference")
+            assert_identical(fast, slow, ft, st)
+            untraced = scheduler.run(jobset, m, speed)
+            assert np.array_equal(untraced.completions, slow.completions)
+            assert untraced.stats.as_dict() == slow.stats.as_dict()
+
+
+@pytest.mark.parametrize("speed", SPEEDS)
+@pytest.mark.parametrize("policy", sorted(DYNAMIC))
+def test_equal_long_jobs_cross_between_completions(monkeypatch, policy, speed):
+    """Two equal jobs on one processor: LAS alternates them at every
+    quantum (their keys cross with no completion in between); SRW keeps
+    serving the one it started."""
+    jobset = jobs_from_dags([single_node(10), single_node(10)], [0.0, 0.0])
+    fast, slow, ft, st = run_both(
+        monkeypatch, DYNAMIC[policy](), jobset, 1, speed
+    )
+    assert_identical(fast, slow, ft, st)
+    assert fast.stats.n_events > 2  # the quantum cut the runs short
+    if policy == "las":
+        assert len({iv.job_id for iv in ft.intervals[:4]}) == 2
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_srw_ties_on_equal_total_work(monkeypatch, m):
+    """Jobs of equal total work but different shapes, arriving together
+    and apart: ties break by arrival, then id, in both loops."""
+    dags = [
+        chain([2, 2, 2]), single_node(6), chain([3, 3]), chain([1, 5]),
+        single_node(6), chain([4, 1, 1]),
+    ] * 3
+    arrivals = [0.0] * 6 + [1.0, 1.0, 2.5, 2.5, 2.5, 4.0] + [9.0] * 6
+    jobset = jobs_from_dags(dags, arrivals)
+    scheduler = ShortestRemainingWorkScheduler()
+    for speed in SPEEDS:
+        assert_identical(*run_both(monkeypatch, scheduler, jobset, m, speed))
+
+
+@pytest.mark.parametrize("policy", sorted(DYNAMIC))
+def test_dynamic_policy_on_a_view_builds_no_job(monkeypatch, policy):
+    flat = flatten_jobset(draw_instance("bing", 12))
+    scheduler = DYNAMIC[policy]()
+    expected_trace = TraceRecorder()
+    expected = scheduler.run(to_jobset(flat), 8, 4 / 3, trace=expected_trace)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Job")
+
+    monkeypatch.setattr(Job, "__post_init__", refuse)
+    monkeypatch.setattr(flat_mod, "_materialize", refuse)
+    trace = TraceRecorder()
+    traced = scheduler.run(to_jobset(flat), 8, 4 / 3, trace=trace)
+    untraced = scheduler.run(to_jobset(flat), 8, 4 / 3)
+    assert traced.path == untraced.path == "cext"
+    assert np.array_equal(traced.completions, expected.completions)
+    assert np.array_equal(untraced.completions, expected.completions)
+    assert trace.intervals == expected_trace.intervals
+
+
+def test_custom_dynamic_key_runs_the_python_loop():
+    jobset = draw_instance("chains", 4)
+    result = events.run_centralized(
+        jobset, 3, priority_key=custom_dynamic_key, dynamic=True
+    )
+    assert result.path == "reference"
+    assert result.reasons == ("dynamic=True",)
+    # A dynamic LAS key written out again is not the module's function.
+    lookalike = events.run_centralized(
+        jobset, 3,
+        priority_key=lambda je: (je.attained, je.arrival, je.job_id),
+        dynamic=True,
+    )
+    assert lookalike.reasons == ("dynamic=True",)
+    las = LeastAttainedServiceScheduler().run(jobset, 3)
+    assert np.array_equal(lookalike.completions, las.completions)
+
+
+@dataclasses.dataclass
+class _UnhashableKey:
+    """A callable dynamic key that cannot be hashed (``__hash__`` is
+    ``None`` on a plain dataclass)."""
+
+    sign: float = 1.0
+
+    def __call__(self, je):
+        return (self.sign * je.attained, je.arrival, je.job_id)
+
+
+def test_unhashable_dynamic_key_runs_the_python_loop():
+    jobset = draw_instance("chains", 4)
+    key = _UnhashableKey()
+    with pytest.raises(TypeError):
+        hash(key)
+    result = events.run_centralized(jobset, 3, priority_key=key, dynamic=True)
+    assert result.path == "reference"
+    assert result.reasons == ("dynamic=True",)
+    las = LeastAttainedServiceScheduler().run(jobset, 3)
+    assert np.array_equal(result.completions, las.completions)
 
 
 def test_theorem_checks_run_on_the_compiled_loop(monkeypatch):
@@ -224,6 +358,16 @@ def test_malformed_instance_raises(case):
     with pytest.raises(ValueError, match="malformed FlatInstance"):
         events._run_centralized_flat(
             resolve_centralized_kernel(), flat, 2, 1.0, rank
+        )
+
+
+@pytest.mark.parametrize("key_mode", (CK_LAS, CK_SRW), ids=("las", "srw"))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_instance_raises_in_dynamic_modes(case, key_mode):
+    with pytest.raises(ValueError, match="malformed FlatInstance"):
+        events._run_centralized_flat(
+            resolve_centralized_kernel(), MALFORMED[case], 2, 1.0, None,
+            key_mode=key_mode,
         )
 
 
