@@ -341,19 +341,21 @@ def k_sweep_experiment(
     ws: List[float] = []
     opt: List[float] = []
     spec = WorkloadSpec(BingDistribution(), qps=qps, n_jobs=n_jobs, m=m)
+    # Every k runs on the same rep instances, so each is built, and its
+    # OPT computed, once.
+    jobsets = [spec.build(seed=derive_seed(seed, rep)) for rep in range(reps)]
+    opt_mean = float(
+        np.mean([opt_lower_bound(js, m=m).max_flow for js in jobsets])
+    )
     for k in k_values:
-        vals = []
-        opt_vals = []
-        for rep in range(reps):
-            jobset = spec.build(seed=derive_seed(seed, rep))
-            sched = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
-            vals.append(
-                sched.run(jobset, m=m, seed=derive_seed(seed, k, rep)).max_flow
-            )
-            opt_vals.append(opt_lower_bound(jobset, m=m).max_flow)
+        sched = WorkStealingScheduler(k=k, steals_per_tick=steals_per_tick)
+        vals = [
+            sched.run(jobset, m=m, seed=derive_seed(seed, k, rep)).max_flow
+            for rep, jobset in enumerate(jobsets)
+        ]
         x.append(float(k))
         ws.append(float(np.mean(vals)))
-        opt.append(float(np.mean(opt_vals)))
+        opt.append(opt_mean)
     return SeriesResult(
         title=(
             f"abl-k: steal-k-first k sweep [bing qps={qps:g} n={n_jobs} "

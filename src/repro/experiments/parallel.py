@@ -49,9 +49,10 @@ single crashed or hung pool worker aborted the whole run.
   (:func:`backoff_schedule`) with no jitter, so recovery behavior is as
   reproducible as the results;
 * **pool respawn** -- a :class:`BrokenProcessPool` (worker killed by
-  the OS, segfault, injected ``os._exit``) recycles the executor and
-  resubmits every incomplete cell.  Cells that already completed keep
-  their results; completed work is never lost;
+  the OS, segfault, injected ``os._exit``) recycles the executor in
+  place and resubmits every incomplete cell; the pool's later batches
+  run on the replacement.  Cells that already completed keep their
+  results; completed work is never lost;
 * **incremental checkpointing** -- the ``on_result`` callback fires in
   the parent as each cell completes (in completion order), which is how
   sweeps flush finished cells to the content-addressed cache *before*
@@ -73,16 +74,23 @@ Shared task data
 
 Many tasks of one batch read the same large inputs: every (cell,
 repetition) task of a sweep simulates one of a few repetition
-instances.  Those travel once, not once per task: ``parallel_map``'s
-``shared`` argument is handed to each pool worker by the executor's
-initializer -- inherited at no cost under the ``fork`` start method,
-pickled once per worker under ``spawn`` / ``forkserver`` -- and
-installed in-process by the serial loop for the duration of the call.
-A task reads it with :func:`shared_data` and carries only an index into
-it.  The trade-off: under ``spawn`` each worker holds a private copy of
-the shared data.  A sweep shares JobSets: each pickles as its flat and
-arrives as a :func:`~repro.dag.flat.to_jobset` view, so a worker whose
-scheduler iterates the jobs builds them once per instance per process.
+instances.  Those travel once, not once per task: a pool's ``shared``
+data is handed to each worker by the executor's initializer --
+inherited at no cost under the ``fork`` start method, pickled once per
+worker under ``spawn`` / ``forkserver`` -- and installed in-process by
+the serial loop for the duration of a batch.  A task reads it with
+:func:`shared_data` and carries only an index into it.  The trade-off:
+under ``spawn`` each worker holds a private copy of the shared data.  A
+sweep shares JobSets: each pickles as its flat and arrives as a
+:func:`~repro.dag.flat.to_jobset` view, so a worker whose scheduler
+iterates the jobs builds them once per instance per process.
+
+The shared data belongs to the pool, not to a batch.
+:func:`parallel_map` runs one batch on a :class:`WorkerPool` of its own;
+a caller with many batches over the same data (a search's rounds, all
+reading one repetition-instance table) holds one :class:`WorkerPool`
+for all of them, so the workers are forked, and receive the data, once,
+and every later batch runs on warm workers.
 """
 
 from __future__ import annotations
@@ -324,10 +332,16 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
     ``shutdown()`` alone would join workers that will never exit (a hung
     cell sleeps forever), so the supervisor terminates the worker
-    processes first.  Reaching into ``_processes`` is unavoidable --
-    the executor API offers no kill switch -- and is confined here.
+    processes first.  The executor's manager thread may be reaping the
+    same workers (a broken pool tears itself down), so the kill ends by
+    joining that thread too: once both are done, every worker is reaped
+    and recorded as such, and ``multiprocessing.active_children()`` no
+    longer lists it.  Reaching into ``_processes`` and
+    ``_executor_manager_thread`` is unavoidable -- the executor API
+    offers no kill switch -- and is confined here.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     for proc in processes:
         try:
             proc.terminate()
@@ -342,6 +356,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - best effort
         pass
+    if manager is not None:
+        manager.join(timeout=5)
 
 
 def _serial_run(
@@ -402,22 +418,23 @@ def _serial_run(
 
 
 def _supervised_pool_run(
+    pool: "WorkerPool",
     fn: Callable[[T], R],
     work: Sequence[T],
-    shared: Tuple[Any, ...],
-    workers: int,
     cell_timeout: Optional[float],
     retries: int,
     backoff_base: float,
     telemetry: Optional[Any],
     on_result: Optional[Callable[[int, R], None]],
 ) -> List[R]:
-    """Run the batch on a supervised pool (see module docstring).
+    """Run the batch on ``pool``'s supervised executor (see module
+    docstring), starting it if none is running.
 
     Raises :class:`_SerialFallback` when the pool machinery itself is
     unusable, :class:`CellTimeoutError` / :class:`CellCrashedError` when
     a cell exhausts its retry budget, and re-raises genuine (non-
-    retryable) exceptions from ``fn`` directly.
+    retryable) exceptions from ``fn`` directly.  Every raise kills the
+    executor first; a respawn replaces it in place.
     """
     _check_picklable(fn, work)
     n = len(work)
@@ -470,27 +487,31 @@ def _supervised_pool_run(
             # back up: the most-burned pending cell sets the delay.
             hottest = max(attempts[i] for i in pending)
             time.sleep(_backoff_delay(max(1, hottest), backoff_base))
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_install_shared,
-            initargs=(shared,),
-        )
+        if pool._executor is None:
+            pool._executor = ProcessPoolExecutor(
+                max_workers=pool.workers,
+                initializer=_install_shared,
+                initargs=(pool.shared,),
+            )
+        executor = pool._executor
         futures: Dict[Future, int] = {}
         try:
             for i in sorted(pending):
-                futures[pool.submit(fn, work[i])] = i
+                futures[executor.submit(fn, work[i])] = i
         except BrokenProcessPool:
             # A worker died while the batch was still being submitted (a
-            # cell that crashes at once).  The first submit cannot fail
-            # this way, and the futures already submitted fail with the
-            # same error below, which charges every pending cell.
+            # cell that crashes at once): the futures already submitted
+            # fail with the same error below, which charges every
+            # pending cell.  A pool that broke before taking any cell (a
+            # reused pool whose worker died between batches) is
+            # respawned without charging anyone.
             pass
         except BaseException as exc:
-            _kill_pool(pool)
+            pool._discard()
             if isinstance(exc, _FALLBACK_EXCEPTIONS):
                 raise _SerialFallback(exc) from exc
             raise
-        recycle = False
+        recycle = not futures
         started: Dict[Future, float] = {}
         try:
             not_done: Set[Future] = set(futures)
@@ -545,7 +566,7 @@ def _supervised_pool_run(
                         time.sleep(
                             _backoff_delay(attempts[idx], backoff_base)
                         )
-                        nf = pool.submit(fn, work[idx])
+                        nf = executor.submit(fn, work[idx])
                         futures[nf] = idx
                         not_done.add(nf)
                         continue
@@ -579,26 +600,125 @@ def _supervised_pool_run(
                 for f in expired:
                     charge(futures[f], "timeout")
                 recycle = True
-        except _SerialFallback:
-            _kill_pool(pool)
-            raise
         except BaseException:
-            # Budget exhaustion or an unexpected error: never leave a
-            # (possibly hung) pool behind.
-            _kill_pool(pool)
+            # Budget exhaustion, a serial fallback or an unexpected
+            # error: never leave a (possibly hung) pool behind.
+            pool._discard()
             raise
         if recycle:
+            # Respawn in place: the rest of this batch, and every later
+            # batch of the pool, runs on the replacement.
             generation += 1
-            _kill_pool(pool)
+            pool._discard()
             emit(
                 "pool.respawn",
                 generation=generation,
                 n_resubmitted=len(pending),
-                workers=workers,
+                workers=pool.workers,
             )
-        else:
-            pool.shutdown(wait=True)
     return results  # type: ignore[return-value]
+
+
+class WorkerPool:
+    """A supervised process pool that outlives a single batch.
+
+    One pool serves any number of :meth:`map` batches over the same
+    ``shared`` data, so a caller that runs many small batches (the
+    rounds of a search) forks its workers once and every batch after
+    the first lands on warm workers.  The executor starts lazily, on the
+    first batch that would use it: one worker, fewer than two tasks or a
+    :class:`_SerialFallback` run the batch serially (see
+    :func:`parallel_map`), and a pool none of whose batches needed
+    workers never forks.  A broken pool or an expired deadline respawns
+    the executor in place, so the next batch runs on the replacement.
+    Leaving the ``with`` block shuts the pool down; leaving it by an
+    exception kills its workers instead, hung ones included.
+    """
+
+    def __init__(
+        self, shared: Sequence[Any] = (), max_workers: Optional[int] = None
+    ) -> None:
+        self.shared: Tuple[Any, ...] = tuple(shared)
+        self.workers = (
+            default_workers() if max_workers is None else int(max_workers)
+        )
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if exc_type is None:
+            executor.shutdown(wait=True)
+        else:
+            _kill_pool(executor)
+
+    def _discard(self) -> None:
+        """Kill the running executor, if any; the next batch starts a
+        new one."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            _kill_pool(executor)
+
+    def map(
+        self,
+        fn: Callable[[T], R],
+        items: Iterable[T],
+        telemetry: Optional[Any] = None,
+        *,
+        cell_timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        on_result: Optional[Callable[[int, R], None]] = None,
+    ) -> List[R]:
+        """Run one batch on this pool; see :func:`parallel_map` for the
+        arguments, the serial rules and the telemetry."""
+        work: Sequence[T] = list(items)
+        if cell_timeout is None:
+            cell_timeout = default_cell_timeout()
+        if retries is None:
+            retries = default_retries()
+        backoff_base = default_backoff_base()
+        if self.workers <= 1 or len(work) <= 1:
+            if telemetry is not None:
+                telemetry.emit("dispatch.serial", n_tasks=len(work))
+            return _serial_run(
+                fn, work, self.shared, retries, backoff_base, telemetry,
+                on_result,
+            )
+        try:
+            if telemetry is not None:
+                telemetry.emit(
+                    "dispatch.pool",
+                    n_tasks=len(work),
+                    workers=self.workers,
+                    cell_timeout=cell_timeout,
+                    retries=retries,
+                    reused=self._executor is not None,
+                )
+            return _supervised_pool_run(
+                self, fn, work, cell_timeout, retries, backoff_base,
+                telemetry, on_result,
+            )
+        except _SerialFallback as fallback:
+            # Pool machinery failed (not necessarily fn itself: pickling
+            # errors surface identically).  The serial loop is
+            # semantically equivalent and re-raises any genuine error
+            # from fn directly.
+            exc = fallback.cause
+            _warn_serial_fallback(fn, exc)
+            if telemetry is not None:
+                telemetry.emit(
+                    "dispatch.fallback",
+                    n_tasks=len(work),
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            return _serial_run(
+                fn, work, self.shared, retries, backoff_base, telemetry,
+                on_result,
+            )
 
 
 def parallel_map(
@@ -611,6 +731,7 @@ def parallel_map(
     retries: Optional[int] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
     shared: Sequence[Any] = (),
+    _pool: Optional[WorkerPool] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` on a supervised process pool.
 
@@ -653,57 +774,37 @@ def parallel_map(
         docstring).  Results must not depend on where it came from.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  Records how the batch
-        was dispatched (``dispatch.serial`` / ``dispatch.pool`` /
-        ``dispatch.fallback``) and every recovery action
-        (``fault.timeout``, ``fault.crash``, ``fault.cell_error``,
+        was dispatched (``dispatch.serial`` / ``dispatch.pool``, whose
+        ``reused`` says whether the batch found the pool's workers
+        already running / ``dispatch.fallback``) and every recovery
+        action (``fault.timeout``, ``fault.crash``, ``fault.cell_error``,
         ``fault.retry``, ``fault.giveup``, ``pool.respawn``).
+    _pool:
+        Internal: run the batch on this running :class:`WorkerPool`
+        (whose width replaces ``max_workers``) instead of a pool of its
+        own.  ``shared`` must be the pool's ``shared`` tuple itself: its
+        workers already hold it.
     """
-    work: Sequence[T] = list(items)
-    shared = tuple(shared)
-    workers = default_workers() if max_workers is None else int(max_workers)
-    if cell_timeout is None:
-        cell_timeout = default_cell_timeout()
-    if retries is None:
-        retries = default_retries()
-    backoff_base = default_backoff_base()
-    if workers <= 1 or len(work) <= 1:
-        if telemetry is not None:
-            telemetry.emit("dispatch.serial", n_tasks=len(work))
-        return _serial_run(
-            fn, work, shared, retries, backoff_base, telemetry, on_result
-        )
-    try:
-        if telemetry is not None:
-            telemetry.emit(
-                "dispatch.pool",
-                n_tasks=len(work),
-                workers=workers,
+    if _pool is None:
+        with WorkerPool(shared, max_workers) as pool:
+            return pool.map(
+                fn,
+                items,
+                telemetry,
                 cell_timeout=cell_timeout,
                 retries=retries,
+                on_result=on_result,
             )
-        return _supervised_pool_run(
-            fn,
-            work,
-            shared,
-            workers,
-            cell_timeout,
-            retries,
-            backoff_base,
-            telemetry,
-            on_result,
+    if shared is not _pool.shared:
+        raise ValueError(
+            "a batch run on a WorkerPool must read the pool's own shared "
+            "data"
         )
-    except _SerialFallback as fallback:
-        # Pool machinery failed (not necessarily fn itself: pickling
-        # errors surface identically).  The serial loop is semantically
-        # equivalent and re-raises any genuine error from fn directly.
-        exc = fallback.cause
-        _warn_serial_fallback(fn, exc)
-        if telemetry is not None:
-            telemetry.emit(
-                "dispatch.fallback",
-                n_tasks=len(work),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return _serial_run(
-            fn, work, shared, retries, backoff_base, telemetry, on_result
-        )
+    return _pool.map(
+        fn,
+        items,
+        telemetry,
+        cell_timeout=cell_timeout,
+        retries=retries,
+        on_result=on_result,
+    )

@@ -53,7 +53,14 @@ import numpy as np
 
 from repro.dag.job import JobSet
 from repro.errors import SearchInfeasibleError, SweepConfigError
-from repro.experiments.sweep import METRICS, SweepCell, _grid_sweep
+from repro.experiments.parallel import WorkerPool
+from repro.experiments.sweep import (
+    METRICS,
+    SweepCell,
+    _build_rep_table,
+    _grid_sweep,
+    _resolve_sinks,
+)
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -242,11 +249,22 @@ class _Evaluator:
     result's cache-reuse accounting is exact.  Every call is a single
     ``_grid_sweep(cells=..., resume=True)`` over the *full* grid, which
     is what keeps cell identity global.
+
+    The evaluator builds the search's repetition instances once,
+    ``depth`` deep (the most repetitions any round of the search can
+    ask for), through the sweep's instance cache, and hashes each once;
+    it holds one :class:`~repro.experiments.parallel.WorkerPool` over
+    them, which the search enters around all its rounds.  Every round
+    reads the first ``reps`` instances of that table and runs its cold
+    tasks as one batch of that pool, so workers are forked at most once
+    per search (plus a respawn after a crash or deadline) and none at
+    all when every task is cached.  Cell keys, run seeds and manifests
+    are those of an independent ``_grid_sweep`` per round.
     """
 
     def __init__(self, scheduler_factory, space, jobset_factory, m, speed,
                  seed, metric_names, cache, max_workers, telemetry,
-                 cell_timeout, retries):
+                 cell_timeout, retries, depth):
         self.factory = scheduler_factory
         self.space = space
         self.jobset_factory = jobset_factory
@@ -254,14 +272,14 @@ class _Evaluator:
         self.speed = speed
         self.seed = seed
         self.metric_names = metric_names
-        self.cache = cache
-        self.max_workers = max_workers
-        self.telemetry = telemetry
+        self.cache, self.telemetry = _resolve_sinks(cache, True, telemetry)
         self.cell_timeout = cell_timeout
         self.retries = retries
         self.n_evaluations = 0
         self.n_cold = 0
         self.n_cached = 0
+        self.table = _build_rep_table(jobset_factory, seed, depth, self.cache)
+        self.pool = WorkerPool(self.table.sets, max_workers)
 
     def __call__(
         self, indices: Sequence[int], reps: int,
@@ -286,7 +304,6 @@ class _Evaluator:
             seed=self.seed,
             speed=self.speed if speed is None else speed,
             metrics=self.metric_names,
-            max_workers=self.max_workers,
             cache=self.cache,
             resume=True,
             telemetry=self.telemetry,
@@ -294,6 +311,8 @@ class _Evaluator:
             retries=self.retries,
             cells=ordered if self.space else None,
             allow_empty_grid=not self.space,
+            _rep_table=self.table,
+            _pool=self.pool,
         )
         self.n_evaluations += len(ordered) * reps
         self.n_cold += result.n_cold
@@ -303,6 +322,20 @@ class _Evaluator:
             result.n_cold,
             result.n_cached,
         )
+
+
+def _halving_depth(n_cells: int, r0: int, eta: int, rounds: int) -> int:
+    """The repetitions of the last round :func:`successive_halving`
+    reaches: the survivor count after each round depends only on the
+    count before it, so an oversized ``rounds`` stops at one survivor
+    here exactly as the search does."""
+    n = n_cells
+    for rnd in range(rounds):
+        reps = r0 * eta**rnd
+        n = max(1, math.ceil(n / eta))
+        if n == 1:
+            break
+    return reps
 
 
 def successive_halving(
@@ -378,10 +411,6 @@ def successive_halving(
         from repro.obs.telemetry import default_telemetry
 
         telemetry = default_telemetry()
-    evaluate = _Evaluator(
-        scheduler_factory, space, jobset_factory, m, speed, seed,
-        metric_names, cache, max_workers, telemetry, cell_timeout, retries,
-    )
     mode = "halving" if refine is None else f"halving+{refine}"
     if telemetry is not None:
         telemetry.emit(
@@ -396,62 +425,70 @@ def successive_halving(
             seed=seed,
         )
 
-    survivors = list(range(n_cells))
-    round_log: List[SearchRound] = []
-    best_cells: Dict[int, SweepCell] = {}
-    for rnd in range(rounds):
-        reps = r0 * eta**rnd
-        evaluated, n_cold, n_cached = evaluate(survivors, reps)
-        best_cells.update(evaluated)
-        ranked = sorted(
-            survivors, key=lambda i: (evaluated[i].metrics[objective], i)
-        )
-        keep = max(1, math.ceil(len(ranked) / eta))
-        pruned, dropped = ranked[:keep], ranked[keep:]
-        incumbent = ranked[0]
-        round_log.append(
-            SearchRound(
-                round=rnd,
-                stage="halving",
-                reps=reps,
-                n_candidates=len(survivors),
-                n_cold=n_cold,
-                n_cached=n_cached,
-                best_params=dict(evaluated[incumbent].params),
-                best_value=evaluated[incumbent].metrics[objective],
-                survivors=tuple(sorted(pruned)),
+    # The GA refines at the halving's final repetition count, so the
+    # deepest halving round bounds every evaluation of the search.
+    evaluate = _Evaluator(
+        scheduler_factory, space, jobset_factory, m, speed, seed,
+        metric_names, cache, max_workers, telemetry, cell_timeout, retries,
+        _halving_depth(n_cells, r0, eta, rounds),
+    )
+    with evaluate.pool:
+        survivors = list(range(n_cells))
+        round_log: List[SearchRound] = []
+        best_cells: Dict[int, SweepCell] = {}
+        for rnd in range(rounds):
+            reps = r0 * eta**rnd
+            evaluated, n_cold, n_cached = evaluate(survivors, reps)
+            best_cells.update(evaluated)
+            ranked = sorted(
+                survivors, key=lambda i: (evaluated[i].metrics[objective], i)
             )
-        )
-        if telemetry is not None:
-            telemetry.emit(
-                "search.round",
-                round=rnd,
-                stage="halving",
-                reps=reps,
-                n_candidates=len(survivors),
-                n_cold=n_cold,
-                n_cached=n_cached,
-                best_params=dict(evaluated[incumbent].params),
-                best_value=evaluated[incumbent].metrics[objective],
+            keep = max(1, math.ceil(len(ranked) / eta))
+            pruned, dropped = ranked[:keep], ranked[keep:]
+            incumbent = ranked[0]
+            round_log.append(
+                SearchRound(
+                    round=rnd,
+                    stage="halving",
+                    reps=reps,
+                    n_candidates=len(survivors),
+                    n_cold=n_cold,
+                    n_cached=n_cached,
+                    best_params=dict(evaluated[incumbent].params),
+                    best_value=evaluated[incumbent].metrics[objective],
+                    survivors=tuple(sorted(pruned)),
+                )
             )
-            telemetry.emit(
-                "search.prune",
-                round=rnd,
-                stage="halving",
-                kept=len(pruned),
-                dropped=len(dropped),
-            )
-        survivors = sorted(pruned)
-        if len(survivors) == 1:
-            break
+            if telemetry is not None:
+                telemetry.emit(
+                    "search.round",
+                    round=rnd,
+                    stage="halving",
+                    reps=reps,
+                    n_candidates=len(survivors),
+                    n_cold=n_cold,
+                    n_cached=n_cached,
+                    best_params=dict(evaluated[incumbent].params),
+                    best_value=evaluated[incumbent].metrics[objective],
+                )
+                telemetry.emit(
+                    "search.prune",
+                    round=rnd,
+                    stage="halving",
+                    kept=len(pruned),
+                    dropped=len(dropped),
+                )
+            survivors = sorted(pruned)
+            if len(survivors) == 1:
+                break
 
-    final_reps = round_log[-1].reps
-    if refine == "ga":
-        survivors, final_reps = _ga_refine(
-            evaluate, combos, space, survivors, final_reps, eta, seed,
-            objective, refine_generations, refine_population,
-            best_cells, round_log, telemetry, start_round=len(round_log),
-        )
+        final_reps = round_log[-1].reps
+        if refine == "ga":
+            survivors, final_reps = _ga_refine(
+                evaluate, combos, space, survivors, final_reps, eta, seed,
+                objective, refine_generations, refine_population,
+                best_cells, round_log, telemetry, start_round=len(round_log),
+            )
 
     # The incumbent: best objective among the final survivors at their
     # final (deepest) evaluation; ties break on global index.
@@ -674,10 +711,22 @@ def threshold_search(
         from repro.obs.telemetry import default_telemetry
 
         telemetry = default_telemetry()
+    if telemetry is not None:
+        telemetry.emit(
+            "search.start",
+            mode="threshold",
+            objective=objective,
+            n_cells=len(vals),
+            param_names=[param],
+            budget=budget,
+            reps=reps,
+            seed=seed,
+        )
+    # Every probe runs at ``reps``: the table is that deep.
     evaluate = _Evaluator(
         scheduler_factory, {} if speed_axis else {param: vals},
         jobset_factory, m, speed, seed, metric_names, cache, max_workers,
-        telemetry, cell_timeout, retries,
+        telemetry, cell_timeout, retries, reps,
     )
 
     def eval_candidate(i: int) -> Tuple[SweepCell, int, int]:
@@ -691,17 +740,6 @@ def threshold_search(
             return cell, n_cold, n_cached
         evaluated, n_cold, n_cached = evaluate([i], reps)
         return evaluated[i], n_cold, n_cached
-    if telemetry is not None:
-        telemetry.emit(
-            "search.start",
-            mode="threshold",
-            objective=objective,
-            n_cells=len(vals),
-            param_names=[param],
-            budget=budget,
-            reps=reps,
-            seed=seed,
-        )
 
     round_log: List[SearchRound] = []
     cells: Dict[int, SweepCell] = {}
@@ -737,54 +775,55 @@ def threshold_search(
             )
         return value
 
-    rnd = 0
-    # Feasibility gate: if the most generous candidate misses the
-    # budget, nothing can meet it -- fail fast with the evidence.
-    top = len(vals) - 1
-    top_value = probe(top, rnd, (0, top))
-    if top_value > budget:
-        if telemetry is not None:
-            telemetry.emit(
-                "search.done",
-                mode="threshold",
-                feasible=False,
-                n_rounds=len(round_log),
-                n_evaluations=evaluate.n_evaluations,
-                n_cold=evaluate.n_cold,
-                n_cached=evaluate.n_cached,
+    with evaluate.pool:
+        rnd = 0
+        # Feasibility gate: if the most generous candidate misses the
+        # budget, nothing can meet it -- fail fast with the evidence.
+        top = len(vals) - 1
+        top_value = probe(top, rnd, (0, top))
+        if top_value > budget:
+            if telemetry is not None:
+                telemetry.emit(
+                    "search.done",
+                    mode="threshold",
+                    feasible=False,
+                    n_rounds=len(round_log),
+                    n_evaluations=evaluate.n_evaluations,
+                    n_cold=evaluate.n_cold,
+                    n_cached=evaluate.n_cached,
+                    best_params={param: vals[top]},
+                    best_value=top_value,
+                    wall_s=round(time.perf_counter() - t_start, 6),
+                )
+            raise SearchInfeasibleError(
+                f"no candidate of {param} in [{vals[0]!r}..{vals[-1]!r}] "
+                f"meets {objective} <= {budget:g}: the best attempt "
+                f"({param}={vals[top]!r}) reached {top_value:.3f}. Widen "
+                f"the candidate range or relax the budget.",
+                objective=objective,
+                budget=budget,
                 best_params={param: vals[top]},
                 best_value=top_value,
-                wall_s=round(time.perf_counter() - t_start, 6),
             )
-        raise SearchInfeasibleError(
-            f"no candidate of {param} in [{vals[0]!r}..{vals[-1]!r}] meets "
-            f"{objective} <= {budget:g}: the best attempt "
-            f"({param}={vals[top]!r}) reached {top_value:.3f}. Widen the "
-            f"candidate range or relax the budget.",
-            objective=objective,
-            budget=budget,
-            best_params={param: vals[top]},
-            best_value=top_value,
-        )
 
-    lo, hi = 0, top
-    while lo < hi:
-        rnd += 1
-        mid = (lo + hi) // 2
-        value = probe(mid, rnd, (lo, hi))
-        before = hi - lo + 1
-        if value <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-        if telemetry is not None:
-            telemetry.emit(
-                "search.prune",
-                round=rnd,
-                stage="bisect",
-                kept=hi - lo + 1,
-                dropped=before - (hi - lo + 1),
-            )
+        lo, hi = 0, top
+        while lo < hi:
+            rnd += 1
+            mid = (lo + hi) // 2
+            value = probe(mid, rnd, (lo, hi))
+            before = hi - lo + 1
+            if value <= budget:
+                hi = mid
+            else:
+                lo = mid + 1
+            if telemetry is not None:
+                telemetry.emit(
+                    "search.prune",
+                    round=rnd,
+                    stage="bisect",
+                    kept=hi - lo + 1,
+                    dropped=before - (hi - lo + 1),
+                )
 
     best_index = lo
     best = cells[best_index]

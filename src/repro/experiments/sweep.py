@@ -35,8 +35,14 @@ serves cached cells under ``resume``, runs the cold tasks through
 :func:`~repro.experiments.parallel.parallel_map` with a checkpoint per
 finished cell, emits ``sweep.start`` / ``cell.cached`` / ``cell.run`` /
 ``sweep.done`` and writes the run manifest.  The rep instances reach
-each pool worker once, as the ``shared`` data of ``parallel_map``, so a
-task carries its coordinates and a repetition index, never an instance.
+each pool worker once, as the pool's ``shared`` data, so a task carries
+its coordinates and a repetition index, never an instance.  A search
+(:mod:`repro.experiments.search`) calls :func:`_grid_sweep` once per
+round, but builds the rep table (:class:`_RepTable`) once, as deep as
+its deepest round, and holds one
+:class:`~repro.experiments.parallel.WorkerPool` over it for all its
+rounds: each round's batch runs on the same warm workers, and no round
+reloads or re-hashes an instance.
 A JobSet travels as its flat and arrives as its
 :func:`~repro.dag.flat.to_jobset` view, one per repetition per process,
 which builds its jobs only for a scheduler that iterates them.  Resumed
@@ -54,14 +60,24 @@ import time
 import types
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.base import Scheduler
 from repro.dag.flat import content_hash, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
 from repro.errors import SweepConfigError
 from repro.experiments.cache import CACHE_ENV, SweepCache, cell_key
-from repro.experiments.parallel import parallel_map, shared_data
+from repro.experiments.parallel import WorkerPool, parallel_map, shared_data
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import derive_seed
 from repro.testing.faults import maybe_inject
@@ -308,6 +324,7 @@ def _run_cell_tasks(
     cell_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     shared: Sequence[Any] = (),
+    pool: Optional[WorkerPool] = None,
 ):
     """The cell executor: run ``tasks`` through the cell cache and pool.
 
@@ -315,10 +332,12 @@ def _run_cell_tasks(
     ``fields[i]`` the coordinates its ``cell.cached`` / ``cell.run``
     events carry.  Under ``resume`` a cached cell holding every name in
     ``metric_names`` is served; the rest run as ``fn(task)`` through
-    :func:`~repro.experiments.parallel.parallel_map` (with ``shared``),
-    each checkpointed into the cache the moment it lands.  ``fn``
-    returns ``{"metrics", "wall_s", "pid", ...}``; everything but the
-    metrics goes into the task's ``cell.run`` event, tagged with
+    :func:`~repro.experiments.parallel.parallel_map` (with ``shared``,
+    as one batch of ``pool`` when the caller holds a running
+    :class:`~repro.experiments.parallel.WorkerPool`), each checkpointed
+    into the cache the moment it lands.  ``fn`` returns ``{"metrics", "wall_s", "pid",
+    ...}``; everything but the metrics goes into the task's
+    ``cell.run`` event, tagged with
     ``kind`` (what ``wall_s`` times differs per kind).  Emits
     ``sweep.start`` (``kind``, counts, ``coords``), ``cell.cached``,
     ``cell.run`` and ``sweep.done``, and writes a run manifest
@@ -373,6 +392,7 @@ def _run_cell_tasks(
         retries=retries,
         on_result=checkpoint,
         shared=shared,
+        _pool=pool,
     )
     for i, payload in zip(cold, payloads):
         results[i] = payload["metrics"]
@@ -448,6 +468,39 @@ def _materialize_rep_instance(
     return jobset, False
 
 
+class _RepTable(NamedTuple):
+    """The repetition instances of a sweep, with their content hashes.
+
+    ``sets[rep]`` is repetition ``rep``'s JobSet (the batch's shared
+    data: tasks index it by rep) and ``hashes[rep]`` the content hash
+    its cell keys and manifest carry.  A sweep over ``reps``
+    repetitions reads the first ``reps`` entries, so one table serves
+    every rep count up to its length.
+    """
+
+    sets: Tuple[JobSet, ...]
+    hashes: Tuple[str, ...]
+
+
+def _build_rep_table(
+    jobset_factory: Callable[[int], JobSet],
+    seed: int,
+    reps: int,
+    cache: Optional[SweepCache],
+) -> _RepTable:
+    """Build (or cache-load) and hash the first ``reps`` repetition
+    instances of a sweep with base ``seed``, once each."""
+    sets: List[JobSet] = []
+    hashes: List[str] = []
+    for rep in range(reps):
+        jobset, _ = _materialize_rep_instance(
+            jobset_factory, derive_seed(seed, 9000, rep), cache
+        )
+        sets.append(jobset)
+        hashes.append(content_hash(flatten_jobset(jobset)))
+    return _RepTable(tuple(sets), tuple(hashes))
+
+
 def _grid_sweep(
     scheduler_factory: Callable[..., Scheduler],
     grid: Dict[str, Sequence[Any]],
@@ -466,6 +519,9 @@ def _grid_sweep(
     shard: Union[tuple, str, None] = None,
     cells: Optional[Sequence[int]] = None,
     allow_empty_grid: bool = False,
+    *,
+    _rep_table: Optional[_RepTable] = None,
+    _pool: Optional[WorkerPool] = None,
 ) -> SweepResult:
     """Run the full parameter cross product with paired comparisons.
 
@@ -480,8 +536,10 @@ def _grid_sweep(
         Called with a derived rep seed; must return the instance for
         that repetition.  The same rep seeds are used for every cell,
         so comparisons across cells are paired.  Each repetition's
-        instance is built once in the parent and shipped to each pool
-        worker once.  A :class:`WorkloadSpec` works directly
+        instance is built (or cache-loaded) and hashed once in the
+        parent per sweep -- once per *search*, whose rounds share one
+        table -- and reaches each pool worker once, when the worker
+        starts.  A :class:`WorkloadSpec` works directly
         (it is callable) and additionally unlocks the instance cache
         and the fully vectorized flat build path.
     m, speed:
@@ -577,6 +635,13 @@ def _grid_sweep(
         (``scheduler_factory()`` called with no arguments).  The
         ablation harness uses it for configurations whose knobs all
         live outside the scheduler (machine size, speed, workload).
+    _rep_table, _pool:
+        Internal: a caller that runs many sweeps over the same
+        ``jobset_factory`` and ``seed`` (a search's rounds) passes the
+        :class:`_RepTable` it built once, at least ``reps`` deep, and
+        the :class:`~repro.experiments.parallel.WorkerPool` over its
+        ``sets`` that runs every round's batch.  Without them the sweep
+        builds its own table and runs one :func:`parallel_map` batch.
 
     Returns
     -------
@@ -630,17 +695,12 @@ def _grid_sweep(
     metric_names = list(metrics)
 
     # One instance per repetition, built (or cache-loaded) in the
-    # parent.  The old design shipped `jobset_factory` into every task,
-    # regenerating the *same* rep instance once per grid point.
-    rep_sets: List[JobSet] = []
-    rep_hashes: List[str] = []
-    for rep in range(reps):
-        jobset_seed = derive_seed(seed, 9000, rep)
-        jobset, _ = _materialize_rep_instance(
-            jobset_factory, jobset_seed, cache
-        )
-        rep_sets.append(jobset)
-        rep_hashes.append(content_hash(flatten_jobset(jobset)))
+    # parent -- or read from the caller's table, which may hold more
+    # repetitions than this sweep runs.
+    if _rep_table is None:
+        _rep_table = _build_rep_table(jobset_factory, seed, reps, cache)
+    rep_sets = _rep_table.sets
+    rep_hashes = list(_rep_table.hashes[:reps])
 
     factory_token = _callable_token(scheduler_factory)
     if spec is not None and factory_token is None:
@@ -782,6 +842,7 @@ def _grid_sweep(
         cell_timeout=cell_timeout,
         retries=retries,
         shared=rep_sets,
+        pool=_pool,
     )
 
     # Aggregate in (cell, rep) task order -- the same float summation
