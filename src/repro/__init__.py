@@ -127,7 +127,7 @@ from repro.obs import Telemetry
 from repro.sim.stream_engine import StreamResult
 from repro.workloads import StreamSpec, WorkloadSpec
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 
 def merge_caches(sources, dest, telemetry=None):

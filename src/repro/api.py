@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import numbers
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
@@ -70,8 +71,9 @@ _STREAM_COMBINATIONS = (
 
 def _resolve_size(
     m: Optional[int], num_workers: Optional[int], who: str = "run()"
-) -> int:
-    """Normalize the machine-size aliases (``m`` wins the docs)."""
+) -> Any:
+    """Normalize the machine-size aliases (``m`` wins the docs); an
+    integral size comes back an ``int``, any other value as given."""
     if m is not None and num_workers is not None and m != num_workers:
         raise TypeError(
             f"got both m={m} and num_workers={num_workers}; "
@@ -80,7 +82,9 @@ def _resolve_size(
     size = m if m is not None else num_workers
     if size is None:
         raise TypeError(f"{who} requires a machine size: pass m=...")
-    return int(size)
+    if isinstance(size, float) and size.is_integer():
+        size = int(size)  # 4.0 workers are 4; the run contract refuses 2.5
+    return int(size) if isinstance(size, numbers.Integral) else size
 
 
 def _resolve_speed(

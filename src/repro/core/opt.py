@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.dag.flat import FlatInstance, flatten_jobset, to_jobset
 from repro.dag.job import JobSet
+from repro.sim.engine import _check_machine
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike
 from repro.sim.trace import TraceRecorder
@@ -58,7 +59,9 @@ def opt_lower_bound(
         Number of processors of the hypothetical optimal schedule.
     speed:
         Speed of the hypothetical optimal schedule (1.0 in every paper
-        comparison; exposed for sensitivity studies).
+        comparison; exposed for sensitivity studies).  ``m`` and
+        ``speed`` follow the run contract of
+        :func:`repro.sim.engine._run_work_stealing`.
     use_span_bound:
         Also apply the per-job critical-path lower bound
         ``c_i >= r_i + P_i / speed``.  The aggregate-machine relaxation
@@ -75,10 +78,7 @@ def opt_lower_bound(
         ``completions`` of the relaxed schedule; its ``max_flow`` is the
         number the paper plots as "OPT".
     """
-    if m < 1:
-        raise ValueError(f"need at least one processor, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    _check_machine(m, speed, "processor")
 
     if isinstance(jobset, FlatInstance):
         jobset = to_jobset(jobset)

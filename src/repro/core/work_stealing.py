@@ -34,7 +34,7 @@ from typing import Any, Dict, Optional
 from repro.core.base import Scheduler
 from repro.dag.job import JobSet
 from repro.sim.batch_engine import run_batch
-from repro.sim.policies import VICTIM_POLICIES
+from repro.sim.engine import _check_work_stealing, _scheduler_label
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import SeedLike
 from repro.sim.sampling import SystemSampler
@@ -76,16 +76,7 @@ class WorkStealingScheduler(Scheduler):
         steal_half: bool = False,
         admission: str = "fifo",
     ) -> None:
-        if k < 0:
-            raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-        if steals_per_tick < 1:
-            raise ValueError(
-                f"steals_per_tick must be >= 1, got {steals_per_tick}"
-            )
-        if victim_policy not in VICTIM_POLICIES:
-            raise ValueError(f"unknown victim policy {victim_policy!r}")
-        if admission not in ("fifo", "weight"):
-            raise ValueError(f"unknown admission policy {admission!r}")
+        _check_work_stealing(k, steals_per_tick, victim_policy, admission)
         self.k = int(k)
         #: Acquisition cost model: 1 = the paper's theoretical unit-time
         #: steal; larger values model cheap (sub-unit-time) steals as in
@@ -103,15 +94,9 @@ class WorkStealingScheduler(Scheduler):
 
     @property
     def name(self) -> str:
-        base = f"steal-{self.k}-first" if self.k > 0 else "admit-first"
-        suffix = ""
-        if self.victim_policy != "uniform":
-            suffix += f"/{self.victim_policy}"
-        if self.steal_half:
-            suffix += "/half"
-        if self.admission != "fifo":
-            suffix += f"/{self.admission}-admission"
-        return base + suffix
+        return _scheduler_label(
+            self.k, self.victim_policy, self.steal_half, self.admission
+        )
 
     def _engine_kwargs(self) -> Dict[str, Any]:
         """This scheduler's configuration as engine keyword arguments."""

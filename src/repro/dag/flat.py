@@ -544,7 +544,7 @@ def _materialize(flat: FlatInstance) -> Tuple[Job, ...]:
 
 
 # ----------------------------------------------------------------------
-# Segmented CSR: append / slice
+# Segmented CSR: append
 # ----------------------------------------------------------------------
 
 
@@ -555,8 +555,7 @@ def concat_flat(segments: "List[FlatInstance]") -> FlatInstance:
     becomes a global job with identical structure; edges never cross
     jobs, so rebasing targets by each segment's node base is exact.
     This is the materialization step of the streaming workload path
-    (:meth:`repro.workloads.stream.StreamSpec.materialize`) and the
-    inverse of :func:`slice_flat` over a partition.
+    (:meth:`repro.workloads.stream.StreamSpec.materialize`).
     """
     if not segments:
         raise ValueError("concat_flat needs at least one segment")
@@ -582,33 +581,6 @@ def concat_flat(segments: "List[FlatInstance]") -> FlatInstance:
         job_node_offsets=np.concatenate(job_offset_parts),
         arrivals=np.concatenate([s.arrivals for s in segments]),
         weights=np.concatenate([s.weights for s in segments]),
-    )
-
-
-def slice_flat(flat: FlatInstance, start: int, stop: int) -> FlatInstance:
-    """Extract jobs ``[start, stop)`` as a standalone rebased instance.
-
-    The compaction primitive of the streaming engine's retirement path:
-    dropping a retired prefix is ``slice_flat(flat, frontier, n_jobs)``.
-    ``concat_flat(slice_flat(f, 0, k), slice_flat(f, k, n))`` reproduces
-    ``f`` byte for byte.
-    """
-    if not 0 <= start <= stop <= flat.n_jobs:
-        raise ValueError(
-            f"job slice [{start}, {stop}) out of range for "
-            f"{flat.n_jobs} jobs"
-        )
-    lo = int(flat.job_node_offsets[start])
-    hi = int(flat.job_node_offsets[stop])
-    e_lo = int(flat.edge_offsets[lo])
-    e_hi = int(flat.edge_offsets[hi])
-    return FlatInstance(
-        node_works=flat.node_works[lo:hi],
-        edge_offsets=flat.edge_offsets[lo : hi + 1] - e_lo,
-        edge_targets=flat.edge_targets[e_lo:e_hi] - lo,
-        job_node_offsets=flat.job_node_offsets[start : stop + 1] - lo,
-        arrivals=flat.arrivals[start:stop],
-        weights=flat.weights[start:stop],
     )
 
 

@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.dag.job import JobSet
 from repro.errors import SweepConfigError
 from repro.experiments.search import _check_objective
-from repro.experiments.sweep import METRICS, _grid_sweep
+from repro.experiments.sweep import METRICS, _check_machine_config, _grid_sweep
 
 __all__ = ["AblationDelta", "AblationReport", "ablate"]
 
@@ -249,23 +249,15 @@ def _resolve_config(
             f"{who}: 'm' and 'num_workers' are aliases but disagree: "
             f"{size_seen}"
         )
-    for value in size_seen.values():
-        if not isinstance(value, int) or value < 1:
-            raise SweepConfigError(
-                f"{who}: machine size must be a positive int, got {value!r}"
-            )
-        m = value
     if len(set(map(repr, speed_seen.values()))) > 1:
         raise SweepConfigError(
             f"{who}: 'speed' and 'augmentation' are aliases but disagree: "
             f"{speed_seen}"
         )
-    for value in speed_seen.values():
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise SweepConfigError(
-                f"{who}: speed must be a positive number, got {value!r}"
-            )
-        speed = float(value)
+    m = next(iter(size_seen.values()), m)
+    speed = next(iter(speed_seen.values()), speed)
+    _check_machine_config(m, speed, f"{who}: ")
+    speed = float(speed)
     if wl_fields:
         if not dataclasses.is_dataclass(workload):
             raise SweepConfigError(
@@ -316,8 +308,7 @@ def ablate(
     for the same knobs.
     """
     t_start = time.perf_counter()
-    if m < 1:
-        raise SweepConfigError(f"need m >= 1, got {m}")
+    _check_machine_config(m, speed)
     if reps < 1:
         raise SweepConfigError(f"need reps >= 1, got {reps}")
     metric_names = _check_objective(objective, metrics)

@@ -58,9 +58,11 @@ from repro.experiments.sweep import (
     METRICS,
     SweepCell,
     _build_rep_table,
+    _check_machine_config,
     _grid_sweep,
     _resolve_sinks,
 )
+from repro.sim.engine import _valid_speed
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -387,8 +389,7 @@ def successive_halving(
     t_start = time.perf_counter()
     combos = _validate_space(space)
     metric_names = _check_objective(objective, metrics)
-    if m < 1:
-        raise SweepConfigError(f"need m >= 1, got {m}")
+    _check_machine_config(m, speed)
     if r0 < 1:
         raise SweepConfigError(f"need r0 >= 1, got {r0}")
     if eta < 2:
@@ -694,6 +695,7 @@ def threshold_search(
     if not isinstance(budget, (int, float)) or not math.isfinite(budget):
         raise SweepConfigError(f"budget must be a finite number, got {budget!r}")
     metric_names = _check_objective(objective, metrics)
+    _check_machine_config(m, speed)
     speed_axis = param in ("speed", "augmentation")
     if speed_axis:
         if speed != 1.0:
@@ -701,11 +703,10 @@ def threshold_search(
                 f"cannot search over {param!r} and also fix speed={speed}: "
                 f"the candidate values ARE the speed axis"
             )
-        bad = [v for v in vals
-               if not isinstance(v, (int, float)) or not v > 0]
+        bad = [v for v in vals if not _valid_speed(v)]
         if bad:
             raise SweepConfigError(
-                f"speed candidates must be positive numbers, got {bad}"
+                f"speed candidates must be finite positive numbers, got {bad}"
             )
     if telemetry is None:
         from repro.obs.telemetry import default_telemetry

@@ -78,6 +78,7 @@ from repro.dag.job import JobSet
 from repro.errors import SweepConfigError
 from repro.experiments.cache import CACHE_ENV, SweepCache, cell_key
 from repro.experiments.parallel import WorkerPool, parallel_map, shared_data
+from repro.sim.engine import _check_machine
 from repro.sim.result import ScheduleResult
 from repro.sim.rng import derive_seed
 from repro.testing.faults import maybe_inject
@@ -90,6 +91,16 @@ METRICS: Dict[str, Callable[[ScheduleResult], float]] = {
     "max_weighted_flow": lambda r: r.max_weighted_flow,
     "makespan": lambda r: r.makespan,
 }
+
+
+def _check_machine_config(m: Any, speed: Any, who: str = "") -> None:
+    """The run contract's machine check
+    (:func:`repro.sim.engine._check_machine`), raised as a
+    :class:`SweepConfigError` before a harness builds any instance."""
+    try:
+        _check_machine(m, speed)
+    except ValueError as exc:
+        raise SweepConfigError(f"{who}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -649,8 +660,7 @@ def _grid_sweep(
         Cells in cross-product order (last grid key varies fastest).
     """
     t_start = time.perf_counter()
-    if m < 1:
-        raise SweepConfigError(f"need m >= 1, got {m}")
+    _check_machine_config(m, speed)
     if reps < 1:
         raise SweepConfigError(f"need reps >= 1, got {reps}")
     if not grid and not allow_empty_grid:

@@ -25,9 +25,16 @@ object under a per-user cache directory, then loaded with
 
 The kernel is used whenever it builds and loads.  A corrupt or
 truncated cached object is deleted and rebuilt once.  Hosts without a
-compiler, or whose compiler fails, run the reference engine instead --
-bit-identical results, only slower; :data:`unavailable_reason` records
-why, and :mod:`repro.sim.batch_engine` turns it into a one-time
+compiler, or whose compiler fails, run each entry point's Python
+transcription instead -- bit-identical results, only slower: a
+materialized work-stealing run takes the reference engine
+(:func:`repro.sim.engine._run_work_stealing`), a stream the stream
+driver's Python step (:func:`repro.sim.stream_engine._python_step`), a
+centralized run the Python event loop
+(:func:`repro.sim.events._run_centralized_reference`) and the P^2
+sketches :meth:`~repro.metrics.online.P2Quantile.update`.
+:data:`unavailable_reason` records why, and
+:mod:`repro.sim.batch_engine` turns it into a one-time
 :class:`RuntimeWarning`.  ``REPRO_CEXT_CACHE`` overrides the
 shared-object cache directory (default:
 ``<tempdir>/repro-cext-<uid>``).

@@ -25,9 +25,8 @@ them one kernel call each:
   ``PCG64`` state is bit-identical to the reference, not merely the
   victim sequence.
 * **Bit-identity.**  Results are identical per rep to running the
-  reference engine (:func:`repro.sim.engine._run_work_stealing`) R
-  times: same completions, same
-  :class:`~repro.sim.result.SimulationStats`, same RNG post-state
+  reference engine R times, under its run contract
+  (:func:`repro.sim.engine._run_work_stealing`)
   (``tests/sim/test_flat_kernel_equivalence.py``,
   ``tests/sim/test_batch_engine.py`` and
   ``tests/properties/test_kernel_oracle_properties.py`` fuzz this).
@@ -90,8 +89,16 @@ from repro.sim._cext import (
     fresh_state,
     resolve_batch_kernel,
 )
-from repro.sim.engine import _run_work_stealing, _scheduler_label
-from repro.sim.policies import victim_policy_code
+from repro.sim.engine import (
+    _arrival_ticks,
+    _check_machine,
+    _check_work_stealing,
+    _empty_result,
+    _max_ticks_bound,
+    _run_work_stealing,
+    _scheduler_label,
+)
+from repro.sim.policies import _first_victim_block, victim_policy_code
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
 
@@ -240,14 +247,13 @@ class _BatchTables:
         self.unfin_master = np.diff(jno)
         self.total_work = int(works.sum())
         self.n_jobs = flat.n_jobs
-        #: speed -> arrival-tick array (same rounding as the reference
-        #: engine's arr_ticks).
+        #: speed -> arrival-tick array.
         self.arr_cache: Dict[float, np.ndarray] = {}
 
     def arr_ticks(self, speed: float) -> np.ndarray:
         ticks = self.arr_cache.get(speed)
         if ticks is None:
-            ticks = np.ceil(self.arrivals * speed - 1e-9).astype(np.int64)
+            ticks = _arrival_ticks(self.arrivals, speed)
             self.arr_cache[speed] = ticks
         return ticks
 
@@ -285,34 +291,6 @@ def _kernel_stats(
     stats.ff_skipped_ticks = int(state[S_FF])
     stats.max_queue_depth = int(state[S_MAXQ])
     return stats
-
-
-def _empty_result(
-    flat: FlatInstance,
-    label: str,
-    m: int,
-    speed: float,
-    recorded_seed: Any,
-) -> ScheduleResult:
-    """The n == 0 early return, mirroring the reference engine exactly."""
-    return ScheduleResult(
-        scheduler=label,
-        m=m,
-        speed=speed,
-        arrivals=np.asarray(flat.arrivals, dtype=np.float64),
-        completions=np.zeros(0, dtype=np.float64),
-        weights=np.asarray(flat.weights, dtype=np.float64),
-        stats=SimulationStats(
-            steal_attempts=0,
-            failed_steals=0,
-            admissions=0,
-            admission_wait_ticks=0,
-            ff_skipped_ticks=0,
-            max_queue_depth=0,
-        ),
-        seed=recorded_seed,
-        path="cext",
-    )
 
 
 class _KernelWindow:
@@ -504,27 +482,23 @@ def _run_kernel(
     the run exceeds ``max_ticks``.
     """
     tables = _batch_tables(flat)
-    recorded_seed = None if isinstance(seed, np.random.Generator) else seed
     n = tables.n_jobs
     if n == 0:
-        return _empty_result(flat, label, m, speed, recorded_seed)
+        return _empty_result(
+            label, m, speed, tables.arrivals, tables.weights, seed, "cext"
+        )
     rng = make_rng(seed)
     arr_ticks = tables.arr_ticks(speed)
-    if max_ticks is None:
-        # Same loose feasibility bound as the reference engine.
-        max_ticks = int(
-            tables.total_work + (k + 2) * n + int(arr_ticks[-1])
-            + 64 * m + 64
-        ) * 4
+    max_ticks = _max_ticks_bound(
+        max_ticks, tables.total_work, n, int(arr_ticks[-1]), k, m
+    )
     # The window aliases the cached immutable tables and owns fresh
-    # copies of the two the kernel decrements.  Uniform victims draw
-    # their first block up front, like UniformVictim's; refills happen
-    # lazily from C.  The other policies never touch the Generator.
-    uniform = m > 1 and victim_policy == "uniform"
+    # copies of the two the kernel decrements.  Refills of the first
+    # victim block happen lazily from C.
     w = _KernelWindow(
         m,
         rng,
-        rng.integers(0, m - 1, size=BLOCK) if uniform else None,
+        _first_victim_block(rng, m, victim_policy),
         tables.works,
         tables.eo,
         tables.et,
@@ -560,7 +534,7 @@ def _run_kernel(
         completions=w.completions,
         weights=tables.weights,
         stats=_kernel_stats(w.state, tables.total_work, n),
-        seed=recorded_seed,
+        seed=None if isinstance(seed, np.random.Generator) else seed,
         path="cext",
     )
 
@@ -593,21 +567,8 @@ def run_batch(
     the ``trace`` rows included.  Each result's ``path`` and ``reasons``
     say which engine ran it and why.
     """
-    # Argument validation mirrors the reference engine verbatim.
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
-    if admission not in ("fifo", "weight"):
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
-        )
+    _check_machine(m, speed)
+    _check_work_stealing(k, steals_per_tick, victim_policy, admission)
     reps = len(instances)
     if seeds is None:
         seeds = [None] * reps

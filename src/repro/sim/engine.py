@@ -58,13 +58,15 @@ stays in lists and numpy appears only at the array-in/array-out edges.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+import numbers
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.dag.job import JobSet
 from repro.sim.jobstate import JobExecution
-from repro.sim.policies import make_victim_policy
+from repro.sim.policies import make_victim_policy, victim_policy_code
 from repro.sim.queue import GlobalAdmissionQueue, WeightedAdmissionQueue
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.rng import SeedLike, make_rng
@@ -87,6 +89,92 @@ def _scheduler_label(
     return label
 
 
+# ----------------------------------------------------------------------
+# The run contract (stated in _run_work_stealing's docstring)
+# ----------------------------------------------------------------------
+
+
+def _valid_speed(speed: Any) -> bool:
+    """Whether ``speed`` is one the model admits: a finite real > 0."""
+    return isinstance(speed, numbers.Real) and 0 < speed < math.inf
+
+
+def _check_machine(m: Any, speed: Any, unit: str = "worker") -> None:
+    """Refuse a machine outside the model: ``m`` must be an integer
+    >= 1 (``unit`` names what it counts) and ``speed`` a finite number
+    > 0.  Every engine entry point calls this first."""
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(
+            f"need at least one {unit}: m must be a positive integer "
+            f"(m >= 1), got m={m}"
+        )
+    if not _valid_speed(speed):
+        raise ValueError(
+            f"speed must be a finite positive number, got {speed}"
+        )
+
+
+def _check_work_stealing(
+    k: Any, steals_per_tick: Any, victim_policy: str = "uniform",
+    admission: str = "fifo",
+) -> None:
+    """Refuse a work-stealing configuration outside the model."""
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"steal-k-first requires an integer k >= 0, got {k}")
+    sigma = steals_per_tick
+    if not isinstance(sigma, numbers.Integral) or sigma < 1:
+        raise ValueError(
+            f"steals_per_tick must be an integer >= 1, got {steals_per_tick}"
+        )
+    victim_policy_code(victim_policy)  # rejects an unknown name
+    if admission not in ("fifo", "weight"):
+        raise ValueError(
+            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
+        )
+
+
+def _arrival_ticks(arrivals: Any, speed: float) -> np.ndarray:
+    """The tick at whose start each arrival is released."""
+    ticks = np.ceil(np.asarray(arrivals, dtype=np.float64) * speed - 1e-9)
+    return ticks.astype(np.int64)
+
+
+def _max_ticks_bound(
+    max_ticks: Optional[int], total_work: int, n: int, last_tick: int,
+    k: int, m: int,
+) -> int:
+    """``max_ticks``, or by default a loose feasibility bound: all work
+    serialized, plus per-job overhead (admission and ``k`` failed
+    steals each), plus the last arrival tick."""
+    if max_ticks is not None:
+        return max_ticks
+    return int(total_work + (k + 2) * n + last_tick + 64 * m + 64) * 4
+
+
+def _empty_result(
+    label: str, m: int, speed: float, arrivals: np.ndarray,
+    weights: np.ndarray, seed: SeedLike, path: str = "reference",
+) -> ScheduleResult:
+    """The result of an instance with no jobs: zero ticks elapse and no
+    decision exists.  The work-stealing counters are real zeros (the
+    engine *did* measure them), unlike the None of engines that cannot.
+    """
+    return ScheduleResult(
+        scheduler=label,
+        m=m,
+        speed=speed,
+        arrivals=arrivals,
+        completions=np.zeros(0, dtype=np.float64),
+        weights=weights,
+        stats=SimulationStats(
+            steal_attempts=0, failed_steals=0, admissions=0,
+            admission_wait_ticks=0, ff_skipped_ticks=0, max_queue_depth=0,
+        ),
+        seed=None if isinstance(seed, np.random.Generator) else seed,
+        path=path,
+    )
+
+
 def _run_work_stealing(
     jobset: JobSet,
     m: int,
@@ -107,14 +195,12 @@ def _run_work_stealing(
     Parameters
     ----------
     jobset:
-        The instance.  Node works are integers (work units); a job
-        arriving at time ``r`` becomes admissible at the first tick
-        boundary at or after ``r * speed``.  An empty instance yields an
-        empty result immediately.
+        The instance.  Node works are integers (work units).
     m:
         Number of workers.
     speed:
-        Worker speed ``s``; a tick spans ``1/s`` time units.
+        Worker speed ``s``; a tick spans ``1/s`` time units.  The run
+        contract below says what ``m``, ``speed`` and the knobs may be.
     k:
         Steal-k-first parameter; ``k = 0`` is admit-first.
     seed:
@@ -185,21 +271,36 @@ def _run_work_stealing(
         ``ff_skipped_ticks`` (ticks the fast-forwards skipped) and
         ``max_queue_depth`` (peak global-queue length).  All counters are
         maintained off the hot path, so they cost nothing measurable.
+
+    Run contract
+    ------------
+    Every engine entry point keeps one contract, defined once in this
+    module: this engine, :func:`~repro.sim.batch_engine.run_batch` (the
+    compiled kernel, so also ``WorkStealingScheduler.run``), the
+    streaming engine, the centralized event loop
+    (:func:`~repro.sim.events.run_centralized`), the OPT bound and the
+    speedup-curve engines.
+
+    * **Machine.**  ``m`` is an integer >= 1 and ``speed`` a finite
+      number > 0 (:func:`_check_machine`); ``k`` is an integer >= 0,
+      ``steals_per_tick`` an integer >= 1, and ``victim_policy`` and
+      ``admission`` known names (:func:`_check_work_stealing`).  A bad
+      value raises the same :class:`ValueError` on every path, with or
+      without the compiled kernels, before any run state exists.
+    * **Time.**  A job arriving at time ``r`` is released at tick
+      ``ceil(r * speed - 1e-9)`` (:func:`_arrival_ticks`), and
+      ``max_ticks`` defaults to :func:`_max_ticks_bound`.
+    * **Randomness.**  Uniform victims draw one block before the first
+      tick (:func:`~repro.sim.policies._first_victim_block`) and
+      refill it with the same call as it runs out, so a Generator's
+      post-run state is fixed too.
+    * **Empty instance.**  :func:`_empty_result`: no tick elapses.
+    * **Bit-identity.**  The compiled kernel and both stream steps give
+      this engine's completions, stats, Generator post-state and trace
+      rows exactly; only their speed differs.
     """
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
-    if admission not in ("fifo", "weight"):
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected 'fifo' or 'weight'"
-        )
+    _check_machine(m, speed)
+    _check_work_stealing(k, steals_per_tick, victim_policy, admission)
     sigma = int(steals_per_tick)
 
     rng = make_rng(seed)
@@ -211,40 +312,15 @@ def _run_work_stealing(
     recorded_seed = None if isinstance(seed, np.random.Generator) else seed
 
     if n == 0:
-        # Nothing ever arrives: zero ticks elapse, no decisions exist.
-        # Work-stealing fields are real zeros (the engine *did* measure
-        # them), unlike the None of engines that cannot.
-        return ScheduleResult(
-            scheduler=label,
-            m=m,
-            speed=speed,
-            arrivals=arrivals,
-            completions=completions,
-            weights=weights,
-            stats=SimulationStats(
-                steal_attempts=0,
-                failed_steals=0,
-                admissions=0,
-                admission_wait_ticks=0,
-                ff_skipped_ticks=0,
-                max_queue_depth=0,
-            ),
-            seed=recorded_seed,
-        )
+        return _empty_result(label, m, speed, arrivals, weights, seed)
 
     # Tick at whose start each job is present in the global queue; kept as
     # plain Python ints -- the hot loop compares them every tick and numpy
     # scalar comparisons cost ~4x a native int compare.
-    arr_ticks: List[int] = [
-        int(v) for v in np.ceil(arrivals * speed - 1e-9).astype(np.int64)
-    ]
-
-    if max_ticks is None:
-        # Loose feasibility bound: all work serialized + per-job overhead
-        # (admission + k failed steals each) + the arrival horizon itself.
-        max_ticks = int(
-            jobset.total_work + (k + 2) * n + arr_ticks[-1] + 64 * m + 64
-        ) * 4
+    arr_ticks: List[int] = _arrival_ticks(arrivals, speed).tolist()
+    max_ticks = _max_ticks_bound(
+        max_ticks, jobset.total_work, n, arr_ticks[-1], k, m
+    )
 
     state = WorkerArrays(m)
     # Hot-loop locals: every per-worker array bound once (attribute and

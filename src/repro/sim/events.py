@@ -68,6 +68,7 @@ from repro.sim._cext import (
     resolve_centralized_kernel,
 )
 from repro.sim.batch_engine import _batch_tables, _ptr, _warn_slow_path
+from repro.sim.engine import _check_machine
 from repro.sim.jobstate import JobExecution
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.sim.trace import TraceRecorder
@@ -175,8 +176,10 @@ def run_centralized(
     m:
         Number of identical processors.
     speed:
-        Processor speed ``s >= 1`` (resource augmentation).  A node of
-        work ``w`` occupies one processor for ``w / s`` time units.
+        Processor speed ``s`` (resource augmentation).  A node of work
+        ``w`` occupies one processor for ``w / s`` time units.  ``m``
+        and ``speed`` follow the run contract of
+        :func:`repro.sim.engine._run_work_stealing`.
     priority_key:
         Maps a job to a sortable tuple; *lower sorts first* and is
         served first.  Must be static over a job's lifetime: it is
@@ -224,10 +227,7 @@ def run_centralized(
     node id.  The paper allows an arbitrary choice here (Section 3), so
     any fixed rule reproduces the analyzed algorithm.
     """
-    if m < 1:
-        raise ValueError(f"need at least one processor, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    _check_machine(m, speed, "processor")
     if priority_key is None:
         priority_key = _fifo_key
 

@@ -22,9 +22,11 @@ the actual (possibly failing) steal.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
+
+from repro.sim._cext import BLOCK
 
 
 class VictimPolicy(ABC):
@@ -44,6 +46,19 @@ class VictimPolicy(ABC):
         """
 
 
+def _first_victim_block(
+    rng: np.random.Generator, m: int, victim_policy: str = "uniform",
+    block: int = BLOCK,
+) -> Optional[np.ndarray]:
+    """The victim-draw block uniform victims draw before the first tick
+    (refills follow, block by block, as the draws run out).  Every
+    engine draws it here, so a Generator's post-run state is the same
+    on every path."""
+    if m > 1 and victim_policy == "uniform":
+        return rng.integers(0, m - 1, size=block)
+    return None
+
+
 class UniformVictim(VictimPolicy):
     """Uniformly random victim per attempt -- the paper's policy.
 
@@ -53,10 +68,10 @@ class UniformVictim(VictimPolicy):
 
     name = "uniform"
 
-    def __init__(self, rng: np.random.Generator, m: int, block: int = 4096):
+    def __init__(self, rng: np.random.Generator, m: int, block: int = BLOCK):
         self._rng = rng
         self._m = m
-        self._buf = rng.integers(0, m - 1, size=block) if m > 1 else None
+        self._buf = _first_victim_block(rng, m, block=block)
         self._pos = 0
 
     def choose(self, thief: int, deques: Sequence) -> int:

@@ -139,7 +139,14 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim.engine import _scheduler_label
+from repro.sim.engine import (
+    _arrival_ticks,
+    _check_machine,
+    _check_work_stealing,
+    _max_ticks_bound,
+    _scheduler_label,
+)
+from repro.sim.policies import _first_victim_block
 from repro.sim.result import SimulationStats
 from repro.sim.rng import make_rng
 from repro.sim.sampling import SystemSampler
@@ -260,28 +267,6 @@ def _segment_tables(
     )
 
 
-def _max_ticks_bound(
-    user_max_ticks: Optional[int],
-    total_work_seen: int,
-    cursor: StreamCursor,
-    speed: float,
-    k: int,
-    m: int,
-) -> int:
-    """The reference feasibility bound, over the generated prefix.
-
-    Grows as segments arrive; once the stream is exhausted it equals
-    the bound the reference computes for the full instance.
-    """
-    if user_max_ticks is not None:
-        return user_max_ticks
-    last_tick = int(np.ceil(cursor.last_arrival * speed - 1e-9))
-    return (
-        int(total_work_seen + (k + 2) * cursor.emitted + last_tick + 64 * m + 64)
-        * 4
-    )
-
-
 class _Checkpointer:
     """Durable checkpoint writes of one run: files, manifests, telemetry."""
 
@@ -393,8 +378,8 @@ def _run_stream(
 
     Parameters mirror :func:`repro.sim.engine._run_work_stealing` where they
     overlap (``m``, ``speed``, ``k``, ``seed``, ``steals_per_tick``,
-    ``max_ticks``); ``seed`` must be a plain int or None because
-    checkpoints serialize it.  Streaming-specific knobs:
+    ``max_ticks``) and keep its run contract; ``seed`` must be a plain
+    int or None because checkpoints serialize it.  Streaming-specific knobs:
 
     quantiles:
         Flow-time quantiles to sketch online with P^2 (estimates; the
@@ -418,16 +403,8 @@ def _run_stream(
             f"_run_stream needs a StreamSpec (got {type(stream).__name__}); "
             f"materialized instances go through engine='flat'"
         )
-    if m < 1:
-        raise ValueError(f"need at least one worker, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if k < 0:
-        raise ValueError(f"steal-k-first requires k >= 0, got {k}")
-    if steals_per_tick < 1:
-        raise ValueError(
-            f"steals_per_tick must be >= 1, got {steals_per_tick}"
-        )
+    _check_machine(m, speed)
+    _check_work_stealing(k, steals_per_tick)
     if resume and checkpoint_dir is None:
         raise SweepConfigError(
             "resume=True needs checkpoint_dir: there is nowhere to resume "
@@ -465,32 +442,6 @@ def _run_stream(
     seed_eff = cursor.seed
     rng = make_rng(seed_eff)
 
-    if n == 0:
-        return StreamResult(
-            scheduler=label,
-            m=m,
-            speed=speed,
-            seed=seed_eff,
-            n_jobs=0,
-            max_flow=0.0,
-            argmax_job=None,
-            mean_flow=0.0,
-            quantiles={float(q): float("nan") for q in quantiles},
-            makespan=0.0,
-            stats=SimulationStats(
-                steal_attempts=0,
-                failed_steals=0,
-                admissions=0,
-                admission_wait_ticks=0,
-                ff_skipped_ticks=0,
-                max_queue_depth=0,
-            ),
-            peak_live_jobs=0,
-            segments_generated=0,
-            compactions=0,
-            utilization=util,
-        )
-
     # A utilization_window attaches a sampler, which the kernel does not
     # take.
     reasons = _slow_path_reasons()
@@ -498,8 +449,7 @@ def _run_stream(
         reasons = (f"utilization_window={utilization_window}",) + reasons
     path = "python" if reasons else "cext"
 
-    # The first victim-draw block, drawn up front like UniformVictim's.
-    raw = rng.integers(0, m - 1, size=_BLOCK) if m > 1 else None
+    raw = _first_victim_block(rng, m)
 
     ckpt = None
     if checkpoint_dir is not None:
@@ -682,10 +632,8 @@ class _Window(_KernelWindow):
         self.jro = cat((self.jro, jro_np[1:] + len(self.roots)))
         self.roots = cat((self.roots, roots_np + node_base))
         self.unfin = cat((self.unfin, np.diff(seg.job_node_offsets)))
-        self.arr_ticks = cat((
-            self.arr_ticks,
-            np.ceil(seg.arrivals * speed - 1e-9).astype(np.int64),
-        ))
+        ticks = _arrival_ticks(seg.arrivals, speed)
+        self.arr_ticks = cat((self.arr_ticks, ticks))
         self.arrivals = cat((self.arrivals, seg.arrivals))
         self._scratch()
         return int(seg.node_works.sum())
@@ -1279,9 +1227,16 @@ def _drive(
 
     every = run.checkpoint_every
     last_ckpt_completed = int(state[S_COMPLETED])
-    max_ticks_eff = _max_ticks_bound(
-        run.max_ticks, total_work_seen, cursor, speed, k, m
-    )
+
+    def bound() -> int:
+        """``max_ticks`` over the generated prefix (the default grows
+        with each segment to the materialized run's)."""
+        last_tick = int(_arrival_ticks(cursor.last_arrival, speed))
+        return _max_ticks_bound(
+            run.max_ticks, total_work_seen, cursor.emitted, last_tick, k, m
+        )
+
+    max_ticks_eff = bound()
     while True:
         ckpt_at = (
             last_ckpt_completed + every
@@ -1327,9 +1282,7 @@ def _drive(
             last_ckpt_completed = st["completed"]
         else:  # NEED_SEGMENT
             pull()
-            max_ticks_eff = _max_ticks_bound(
-                run.max_ticks, total_work_seen, cursor, speed, k, m
-            )
+            max_ticks_eff = bound()
 
     stats = _kernel_stats(state, total_work_seen, n)
     return stats, peak_live, segments_generated, compactions

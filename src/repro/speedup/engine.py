@@ -24,6 +24,7 @@ from typing import Callable, List
 
 import numpy as np
 
+from repro.sim.engine import _check_machine
 from repro.sim.result import ScheduleResult, SimulationStats
 from repro.speedup.model import SpeedupJob, SpeedupJobSet
 
@@ -92,11 +93,12 @@ def _run_speedup(
     policy: AllocationPolicy,
     scheduler_name: str,
 ) -> ScheduleResult:
-    """Shared event loop for all allocation policies."""
-    if m < 1:
-        raise ValueError(f"need at least one processor, got m={m}")
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    """Shared event loop for all allocation policies.
+
+    ``m`` and ``speed`` follow the run contract of
+    :func:`repro.sim.engine._run_work_stealing`.
+    """
+    _check_machine(m, speed, "processor")
 
     n = len(jobset)
     arrivals = np.asarray(jobset.arrivals, dtype=np.float64)

@@ -71,6 +71,22 @@ class TestCli:
         assert (fig2a["n_jobs"], fig2a["reps"]) == (100, 1)
         assert (thm71["n_jobs"], thm71["reps"]) == (None, None)
 
+    @pytest.mark.parametrize("speed", ["nan", "inf", "0"])
+    def test_search_refuses_a_bad_speed(self, tmp_path, capsys, speed):
+        """A speed the run contract refuses is a usage error (exit 2)
+        raised before any cell runs or is cached."""
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "search", "--scheduler", "flat", "--space", '{"k": [0, 4]}',
+                "--workload", '{"qps": 300, "n_jobs": 40}', "--m", "4",
+                "--speed", speed, "--cache-dir", str(cache),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "speed must be a finite positive number" in err
+        assert not cache.exists()
+
 
 class TestTelemetryCli:
     @pytest.fixture(autouse=True)

@@ -198,7 +198,7 @@ class TestKnobThreading:
     def test_exported_and_documented(self):
         assert "sweep" in repro.__all__
         assert repro.sweep is not None
-        assert repro.__version__ == "1.27.0"
+        assert repro.__version__ == "1.28.0"
 
 
 class TestSharding:

@@ -218,22 +218,6 @@ def test_empty_batch_and_seed_validation():
         run_batch(instances, m=4, seeds=[1])
 
 
-def test_validation_errors_match_flat():
-    instances = replicate_instances(1, 2)
-    for bad in (
-        dict(m=0),
-        dict(m=2, speed=0.0),
-        dict(m=2, k=-1),
-        dict(m=2, steals_per_tick=0),
-        dict(m=2, admission="lifo"),
-    ):
-        with pytest.raises(ValueError) as flat_exc:
-            _run_work_stealing(instances[0], **bad)
-        with pytest.raises(ValueError) as batch_exc:
-            run_batch(instances, **bad)
-        assert str(flat_exc.value) == str(batch_exc.value)
-
-
 def test_max_ticks_overload_error_matches():
     instances = replicate_instances(2, 2)
     with pytest.raises(RuntimeError, match="exceeded max_ticks=5"):

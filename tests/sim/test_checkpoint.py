@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CacheCorruptError, SweepConfigError
+from repro.obs import Telemetry, audit_events
 from repro.sim import _cext, batch_engine
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
@@ -177,6 +178,31 @@ class TestEngineCheckpointing:
         )
         assert sr.resumed_from is None
         assert sr.n_jobs == 600
+
+    def test_checkpoint_telemetry(self, tmp_path):
+        """One ``ckpt.save`` per checkpoint written; a resume logs one
+        ``ckpt.restore`` at the completed count it resumed from."""
+        stream = make_stream(n_jobs=1500, chunk_jobs=200)
+        kw = dict(k=4, seed=9, checkpoint_dir=tmp_path, checkpoint_every=300)
+        tel = Telemetry()
+        first = _run_stream(stream, 4, telemetry=tel, **kw)
+        saves = [e for e in tel.events if e["event"] == "ckpt.save"]
+        assert first.checkpoints_written >= 2
+        assert len(saves) == first.checkpoints_written
+        assert [e["index"] for e in saves] == list(range(len(saves)))
+        assert not [e for e in tel.events if e["event"] == "ckpt.restore"]
+        assert audit_events(tel.events) == []
+
+        tel = Telemetry()
+        resumed = _run_stream(stream, 4, telemetry=tel, resume=True, **kw)
+        restores = [e for e in tel.events if e["event"] == "ckpt.restore"]
+        assert len(restores) == 1
+        assert restores[0]["completed"] == resumed.resumed_from
+        assert resumed.resumed_from == saves[-1]["completed"]
+        saved = [e for e in tel.events if e["event"] == "ckpt.save"]
+        written = resumed.checkpoints_written - first.checkpoints_written
+        assert len(saved) == written
+        assert audit_events(tel.events) == []
 
     def test_resume_refuses_foreign_config(self, tmp_path):
         stream = make_stream(n_jobs=1200, chunk_jobs=200)

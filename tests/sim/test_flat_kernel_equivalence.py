@@ -277,22 +277,6 @@ def test_determinism_and_generator_seed():
     assert g_ref.integers(0, 1 << 30) == g_flat.integers(0, 1 << 30)
 
 
-def test_validation_errors_match_reference():
-    jobset = random_instance(1)
-    for bad in (
-        dict(m=0),
-        dict(m=2, speed=0.0),
-        dict(m=2, k=-1),
-        dict(m=2, steals_per_tick=0),
-        dict(m=2, admission="lifo"),
-    ):
-        with pytest.raises(ValueError) as ref_exc:
-            _run_work_stealing(jobset, **bad)
-        with pytest.raises(ValueError) as flat_exc:
-            run_kernel(jobset, **bad)
-        assert str(ref_exc.value) == str(flat_exc.value)
-
-
 def test_max_ticks_overload_error_matches():
     jobset = random_instance(2)
     with pytest.raises(RuntimeError, match="exceeded max_ticks=5"):

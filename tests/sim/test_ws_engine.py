@@ -83,11 +83,6 @@ class TestPracticalCostModel:
         r = run_work_stealing(js, m=1, k=6, steals_per_tick=4, seed=0)
         assert r.completions[0] == pytest.approx(2.0)
 
-    def test_invalid_sigma_rejected(self):
-        js = jobs_from_dags([single_node(1)], [0.0])
-        with pytest.raises(ValueError, match="steals_per_tick"):
-            run_work_stealing(js, m=1, steals_per_tick=0)
-
 
 class TestTwoWorkerStealing:
     def test_child_is_stolen_deterministically(self):
@@ -149,15 +144,6 @@ class TestAccounting:
 
 
 class TestGuards:
-    def test_invalid_args_rejected(self):
-        js = jobs_from_dags([single_node(1)], [0.0])
-        with pytest.raises(ValueError, match="worker"):
-            run_work_stealing(js, m=0)
-        with pytest.raises(ValueError, match="speed"):
-            run_work_stealing(js, m=1, speed=-1.0)
-        with pytest.raises(ValueError, match="k >= 0"):
-            run_work_stealing(js, m=1, k=-1)
-
     def test_overload_hits_max_ticks_guard(self):
         # Work arrives far faster than one worker can serve it.
         js = jobs_from_dags(

@@ -127,13 +127,6 @@ class TestAccounting:
             r = runner(js, m=3)
             assert r.stats.busy_steps == int(js.total_work)
 
-    def test_validation(self):
-        js = SpeedupJobSet([job(0, 0.0, Phase(1.0, Sequential()))])
-        with pytest.raises(ValueError):
-            run_speedup_fifo(js, m=0)
-        with pytest.raises(ValueError):
-            run_speedup_fifo(js, m=1, speed=0.0)
-
 
 class TestConcavityRewardsSharing:
     def test_equi_beats_fifo_on_sqrt_curves(self):

@@ -13,6 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.workloads.arrivals import (
+    BurstyProcess,
+    MarkovModulatedProcess,
+    PeriodicProcess,
+)
 from repro.workloads.distributions import (
     BingDistribution,
     ExponentialDistribution,
@@ -204,3 +209,53 @@ class TestCursorResume:
         full = stream.materialize(seed=21)
         assert full.n_jobs == 150
         assert np.all(np.diff(full.arrivals) >= 0)
+
+
+#: The processes that carry their own continuation state across chunks
+#: (partial bursts, phase, modulation state).  The rates are near a
+#: 0.2-jobs-per-unit spec's.
+STATEFUL_PROCESSES = [
+    BurstyProcess(0.2, batch=8),
+    PeriodicProcess(5.0, jitter=2.0),
+    MarkovModulatedProcess(0.1, 0.3, mean_sojourn=200.0),
+]
+
+
+@pytest.mark.parametrize(
+    "process", STATEFUL_PROCESSES, ids=lambda p: type(p).__name__
+)
+def test_cursor_restore_mid_stream_continues_the_process(process):
+    """A cursor saved with ``state_dict()`` and reloaded with ``restore``
+    between chunks (here mid-burst: 37 is not a multiple of the batch)
+    yields the remaining segments of the uninterrupted cursor."""
+    import json
+
+    stream = StreamSpec(make_spec(300, arrival_process=process), chunk_jobs=37)
+    cur = stream.cursor(seed=19)
+    for _ in range(3):
+        cur.next_segment()
+    state = json.loads(json.dumps(cur.state_dict()))
+    restored = StreamCursor.restore(stream, state)
+    tail = list(iter(cur.next_segment, None))
+    assert len(tail) == 6
+    for a, b in zip(tail, iter(restored.next_segment, None)):
+        np.testing.assert_array_equal(a.arrivals, b.arrivals)
+        np.testing.assert_array_equal(a.node_works, b.node_works)
+    assert restored.exhausted
+
+
+@pytest.mark.parametrize(
+    "process", STATEFUL_PROCESSES, ids=lambda p: type(p).__name__
+)
+def test_chunk_boundaries_keep_the_process_shape(process):
+    """Chunks of 37 cut bursts and periods; the concatenation still has
+    whole bursts, one arrival per jittered period and sorted times."""
+    stream = StreamSpec(make_spec(300, arrival_process=process), chunk_jobs=37)
+    arrivals = stream.materialize(seed=4).arrivals
+    assert np.all(np.diff(arrivals) >= 0)
+    if isinstance(process, BurstyProcess):
+        _, sizes = np.unique(arrivals, return_counts=True)
+        assert np.all(sizes[:-1] == process.batch)
+    if isinstance(process, PeriodicProcess):
+        offset = arrivals - process.period * np.arange(len(arrivals))
+        assert np.all((offset >= 0) & (offset < process.jitter))
